@@ -29,8 +29,6 @@ from .diagnostics import (
 )
 from .discretization import (
     Configuration,
-    ElementState,
-    element_gradient,
     energy_gradient,
     total_energy,
 )

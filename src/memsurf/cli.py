@@ -333,12 +333,6 @@ def main(argv=None):
         description="Surface-constrained membrane energies: verification, "
         "minimization, and diagnostics.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap worker threads (results are independent of this value)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("verify", "minimize", "residual"):
         p = sub.add_parser(name)

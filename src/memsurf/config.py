@@ -185,7 +185,6 @@ class RunConfig:
                 backtrack_ratio=float(block["backtrack_ratio"]),
                 initial_step=float(block["initial_step"]),
                 j_floor=float(block["j_floor"]),
-                seed=self.seed,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"minimize: {exc}") from exc

@@ -1,14 +1,17 @@
 """Isotropic membrane energy densities and their stresses.
 
-The stored energy of a 3x2 deformation gradient F with principal stretches
-l1 >= l2 > 0 and area ratio J = l1*l2 is
+The model is one split density of the principal stretches l1 >= l2 >= 0 of
+a 3x2 deformation gradient F and an independent area ratio J > 0,
 
-    W(F) = sum_j b_j (l1^g_j + l2^g_j)  +  b (F.F)/J  +  Theta(J),
+    Phi(l1, l2, J) = sum_j b_j (l1^g_j + l2^g_j)  +  b (l1^2 + l2^2)/J  +  Theta(J),
     Theta(J) = c (J^q + J^(-r) - 2),
 
-which is convex as a joint function of (F, J), blows up as J -> 0+, and is
-frame indifferent and isotropic by construction.  ``phi_split`` evaluates the
-same expression with F and J treated as independent arguments.
+written once, in ``IsotropicModel.phi``.  Since l1^2 + l2^2 = F.F, Phi is
+convex as a joint function of (F, J); the stored energy is
+W(F) = Phi(l1, l2, l1*l2), which blows up as J -> 0+ and is frame
+indifferent and isotropic by construction.  ``energy_density``,
+``phi_split`` and ``IsotropicModel.energy_from_stretches`` all evaluate
+``phi``.
 """
 
 from __future__ import annotations
@@ -169,12 +172,19 @@ class IsotropicModel:
             out = out + bj * (l1**gj + l2**gj)
         return out
 
-    def energy_from_stretches(self, l1, l2):
+    def phi(self, l1, l2, J):
+        """Split density Phi(l1, l2, J) with the area ratio as its own argument."""
         l1 = np.asarray(l1, dtype=float)
         l2 = np.asarray(l2, dtype=float)
-        J = l1 * l2
+        J = np.asarray(J, dtype=float)
         shear = self.b * (l1**2 + l2**2) / J
         return self.upsilon(l1, l2) + shear + self.theta.value(J)
+
+    def energy_from_stretches(self, l1, l2):
+        """Stored energy W = Phi(l1, l2, l1*l2)."""
+        l1 = np.asarray(l1, dtype=float)
+        l2 = np.asarray(l2, dtype=float)
+        return self.phi(l1, l2, l1 * l2)
 
     def stress_coefficients(self, l1, l2):
         """Partial derivatives (Phi_1, Phi_2) of the stretch representation."""
@@ -292,8 +302,10 @@ def _spectral_batch(F):
     return l1, l2, v1, v2, d1, d2
 
 
-def _check_rank(F, det, trace):
-    bad = det <= (RANK_REL_TOL * np.maximum(trace, 1e-300)) ** 2
+def _check_rank(l1, l2):
+    """Raise unless l1 l2 = sqrt(det C) clears the relative floor on tr C."""
+    det = (l1 * l2) ** 2
+    bad = det <= (RANK_REL_TOL * np.maximum(l1**2 + l2**2, 1e-300)) ** 2
     if np.any(bad):
         raise RankDeficientError(
             "deformation gradient is numerically rank deficient "
@@ -306,9 +318,8 @@ def stretches(F):
     F = np.asarray(F, dtype=float)
     if F.shape != (3, 2):
         raise ValueError("F must be a 3x2 matrix")
-    C = F.T @ F
-    _check_rank(F, np.linalg.det(C), np.trace(C))
     l1, l2, r1, r2, d1, d2 = _spectral_batch(F)
+    _check_rank(l1, l2)
     return StretchPair(float(l1), float(l2), d1, d2, r1, r2)
 
 
@@ -322,23 +333,15 @@ def energy_density(model, F):
 
 def energy_density_batch(model, F):
     """Vectorized stored energy over a (n, 3, 2) batch."""
-    F = np.asarray(F, dtype=float)
-    c11 = np.einsum("...i,...i->...", F[..., :, 0], F[..., :, 0])
-    c22 = np.einsum("...i,...i->...", F[..., :, 1], F[..., :, 1])
-    c12 = np.einsum("...i,...i->...", F[..., :, 0], F[..., :, 1])
-    det = c11 * c22 - c12**2
-    trace = c11 + c22
-    _check_rank(F, det, trace)
     l1, l2, *_ = _spectral_batch(F)
-    J = np.sqrt(det)
-    return model.upsilon(l1, l2) + model.b * trace / J + model.theta.value(J)
+    _check_rank(l1, l2)
+    return model.energy_from_stretches(l1, l2)
 
 
 def pk1_stress(model, F):
     """Spectral first Piola-Kirchhoff stress and its spatial companions."""
     pair = stretches(F)
-    p1, p2 = model.stress_coefficients(pair.lam1, pair.lam2)
-    pk1 = p1 * np.outer(pair.d1, pair.r1) + p2 * np.outer(pair.d2, pair.r2)
+    pk1 = pk1_batch(model, np.asarray(F, dtype=float)[None, :, :])[0]
     s1, s2 = model.scaled_stress_coefficients(pair.lam1, pair.lam2)
     kirchhoff = s1 * np.outer(pair.d1, pair.d1) + s2 * np.outer(pair.d2, pair.d2)
     cauchy = kirchhoff / pair.area_ratio
@@ -369,5 +372,4 @@ def phi_split_batch(model, F, J):
     if np.any(J <= 0):
         raise NonpositiveJError("phi_split requires J > 0")
     l1, l2, *_ = _spectral_batch(F)
-    trace = np.einsum("...ij,...ij->...", F, F)
-    return model.upsilon(l1, l2) + model.b * trace / J + model.theta.value(J)
+    return model.phi(l1, l2, J)

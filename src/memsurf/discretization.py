@@ -14,21 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import (
-    _spectral_batch,
-    energy_density,
-    pk1_batch,
+from .constitutive import _spectral_batch, pk1_batch
+from .errors import (
+    AmbiguousProjectionError,
+    NegativeJError,
+    NoConvergenceError,
+    OffSurfaceError,
 )
-from .errors import NegativeJError, OffSurfaceError, RankDeficientError
 from .mesh import TriMesh
 
 __all__ = [
     "Configuration",
-    "ElementState",
-    "element_gradient",
     "total_energy",
     "energy_gradient",
-    "element_data",
 ]
 
 J_FLOOR_DEFAULT = 1e-8
@@ -63,105 +61,68 @@ class Configuration:
         return Configuration(self.surface, self.positions.copy())
 
 
-@dataclass(frozen=True)
-class ElementState:
-    """Per-triangle kinematics: gradient, area ratios, density."""
+def _kinematics(mesh, surface, positions, F=None):
+    """Per-element gradients F (m, 3, 2) and oriented area ratios J (m,).
 
-    F: np.ndarray            # (3, 2)
-    J: float                 # oriented area ratio (can be <= 0)
-    area_ratio: float        # |f_,1 x f_,2| = lam1 * lam2 >= |J|
-    W: float                 # stored energy density
-    centroid_image: np.ndarray
-    degenerate: bool
-
-
-def deformation_gradients(mesh: TriMesh, config: Configuration):
-    """Constant per-element gradients F_t = sum_i y_i (x) g_i, shape (m, 3, 2)."""
-    Y = config.positions[mesh.triangles]           # (m, 3verts, 3)
-    return np.einsum("tva,tvb->tab", Y, mesh.shape_grads)
-
-
-def oriented_area_ratios(mesh: TriMesh, config: Configuration, F=None):
-    """Oriented J per element: n(projected centroid) . (F e1 x F e2)."""
+    F_t = sum_i y_i (x) g_i; J_t = n(projected centroid) . (F e1 x F e2).
+    With ``surface`` None only F is formed and J is None.
+    """
+    Y = positions[mesh.triangles]                  # (m, 3verts, 3)
     if F is None:
-        F = deformation_gradients(mesh, config)
+        F = np.einsum("tva,tvb->tab", Y, mesh.shape_grads)
+    if surface is None:
+        return F, None
     cross = np.cross(F[:, :, 0], F[:, :, 1])
-    centroids = config.positions[mesh.triangles].mean(axis=1)
-    normals = config.surface.normal_unchecked(config.surface.project(centroids))
-    return np.einsum("ti,ti->t", normals, cross)
+    normals = surface.normal_unchecked(surface.project(Y.mean(axis=1)))
+    return F, np.einsum("ti,ti->t", normals, cross)
 
 
-def element_data(model, mesh, config):
-    """(F, J_oriented, area_ratio, W) arrays for all elements."""
-    F = deformation_gradients(mesh, config)
-    J = oriented_area_ratios(mesh, config, F)
-    l1, l2, *_ = _spectral_batch(F)
-    area_ratio = l1 * l2
-    W = model.upsilon(l1, l2) + model.b * (l1**2 + l2**2) / np.maximum(
-        area_ratio, 1e-300
-    ) + model.theta.value(np.maximum(area_ratio, 1e-300))
-    return F, J, area_ratio, W
-
-
-def element_gradient(model, mesh, config, t, j_floor=J_FLOOR_DEFAULT):
-    """State of one element; degenerate reference data raises, negative J flags."""
-    tri = mesh.triangles[t]
-    Y = config.positions[tri]
-    F = np.einsum("va,vb->ab", Y, mesh.shape_grads[t])
-    C = F.T @ F
-    det = float(np.linalg.det(C))
-    if det <= (1e-12 * max(np.trace(C), 1e-300)) ** 2:
-        raise RankDeficientError(f"element {t} has a rank-deficient gradient")
-    cross = np.cross(F[:, 0], F[:, 1])
-    centroid = Y.mean(axis=0)
-    n = config.surface.normal_unchecked(config.surface.project(centroid))
-    J = float(n @ cross)
-    W = energy_density(model, F)
-    return ElementState(
-        F=F,
-        J=J,
-        area_ratio=float(np.sqrt(det)),
-        W=W,
-        centroid_image=centroid,
-        degenerate=J <= j_floor,
-    )
-
-
-def total_energy(model, mesh, config):
-    """Total stored energy; raises NegativeJError listing infeasible elements."""
-    F, J, area_ratio, W = element_data(model, mesh, config)
+def _require_oriented(J):
     bad = np.nonzero(J <= 0)[0]
     if bad.size:
         raise NegativeJError(
             f"{bad.size} elements have non-positive oriented area ratio",
             elements=bad.tolist(),
         )
-    return float(np.sum(mesh.ref_area * W))
+
+
+def _energy(model, mesh, F):
+    l1, l2, *_ = _spectral_batch(F)
+    return float(np.sum(mesh.ref_area * model.energy_from_stretches(l1, l2)))
+
+
+def deformation_gradients(mesh: TriMesh, config: Configuration):
+    """Constant per-element gradients F_t = sum_i y_i (x) g_i, shape (m, 3, 2)."""
+    return _kinematics(mesh, None, config.positions)[0]
+
+
+def oriented_area_ratios(mesh: TriMesh, config: Configuration, F=None):
+    """Oriented J per element: n(projected centroid) . (F e1 x F e2)."""
+    return _kinematics(mesh, config.surface, config.positions, F)[1]
+
+
+def total_energy(model, mesh, config):
+    """Total stored energy; raises NegativeJError listing infeasible elements."""
+    F, J = _kinematics(mesh, config.surface, config.positions)
+    _require_oriented(J)
+    return _energy(model, mesh, F)
 
 
 def trial_energy(model, mesh, surface, positions, j_floor=J_FLOOR_DEFAULT):
     """Non-raising energy evaluation for line-search trials.
 
     Returns (energy, min_J, feasible); energy is only meaningful when
-    feasible is True.
+    feasible is True.  A centroid projection that fails (no convergence, or
+    a point on the medial axis) makes the trial infeasible with min_J NaN.
     """
-    Y = positions[mesh.triangles]
-    F = np.einsum("tva,tvb->tab", Y, mesh.shape_grads)
-    cross = np.cross(F[:, :, 0], F[:, :, 1])
-    centroids = Y.mean(axis=1)
-    normals = surface.normal_unchecked(surface.project(centroids))
-    J = np.einsum("ti,ti->t", normals, cross)
+    try:
+        F, J = _kinematics(mesh, surface, positions)
+    except (AmbiguousProjectionError, NoConvergenceError):
+        return np.inf, np.nan, False
     min_j = float(np.min(J)) if J.size else np.inf
     if min_j <= j_floor:
         return np.inf, min_j, False
-    l1, l2, *_ = _spectral_batch(F)
-    ar = l1 * l2
-    W = (
-        model.upsilon(l1, l2)
-        + model.b * (l1**2 + l2**2) / ar
-        + model.theta.value(ar)
-    )
-    return float(np.sum(mesh.ref_area * W)), min_j, True
+    return _energy(model, mesh, F), min_j, True
 
 
 def energy_gradient(model, mesh, config):
@@ -171,13 +132,8 @@ def energy_gradient(model, mesh, config):
     gradient is sum_t A_t S_t g_{t,i} at each vertex i; it matches central
     finite differences of ``total_energy`` to rounding error.
     """
-    F, J, area_ratio, W = element_data(model, mesh, config)
-    bad = np.nonzero(J <= 0)[0]
-    if bad.size:
-        raise NegativeJError(
-            f"{bad.size} elements have non-positive oriented area ratio",
-            elements=bad.tolist(),
-        )
+    F, J = _kinematics(mesh, config.surface, config.positions)
+    _require_oriented(J)
     S = pk1_batch(model, F)                        # (m, 3, 2)
     contrib = mesh.ref_area[:, None, None] * np.einsum(
         "tab,tvb->tva", S, mesh.shape_grads

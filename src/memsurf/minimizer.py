@@ -5,7 +5,8 @@ back onto the surface by closest-point projection; boundary nodes never move.
 Step lengths come from a spectral (Barzilai-Borwein) guess safeguarded by
 Armijo backtracking, and any trial step that drives an element's oriented
 area ratio to the floor is rejected outright, which keeps every accepted
-iterate inside the discrete admissible set.
+iterate inside the discrete admissible set.  A trial whose closest-point
+projection fails (retraction or element centroid) is rejected the same way.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from .discretization import (
     oriented_area_ratios,
     trial_energy,
 )
-from .errors import InfeasibleStartError, LineSearchStallError
+from .errors import (
+    AmbiguousProjectionError,
+    InfeasibleStartError,
+    LineSearchStallError,
+    NoConvergenceError,
+)
 
 __all__ = ["MinimizeOptions", "MinimizeReport", "initialize", "minimize"]
 
@@ -42,7 +48,6 @@ class MinimizeOptions:
     backtrack_ratio: float = 0.5
     initial_step: float = 1.0
     j_floor: float = J_FLOOR_DEFAULT
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.armijo_c < 1:
@@ -105,10 +110,7 @@ def minimize(model, surface, mesh, f0, options=None):
     """
     options = options or MinimizeOptions()
     t0 = time.perf_counter()
-    try:
-        config = initialize(surface, mesh, f0, options.j_floor)
-    except InfeasibleStartError:
-        raise
+    config = initialize(surface, mesh, f0, options.j_floor)
     grad_tol = options.resolved_grad_tol(mesh)
     free = mesh.interior_mask()
 
@@ -152,7 +154,11 @@ def minimize(model, surface, mesh, f0, options=None):
         float_floor = 4.0 * np.finfo(float).eps * (1.0 + abs(energy))
         while alpha >= STEP_UNDERFLOW:
             trial = config.positions.copy()
-            trial[free] = surface.project(trial[free] - alpha * gt[free])
+            try:
+                trial[free] = surface.project(trial[free] - alpha * gt[free])
+            except (AmbiguousProjectionError, NoConvergenceError):
+                alpha *= options.backtrack_ratio  # failed retraction: reject
+                continue
             if np.array_equal(trial, config.positions):
                 break  # move below float resolution: no progress possible
             e_new, mj_new, feasible = trial_energy(

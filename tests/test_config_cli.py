@@ -190,10 +190,6 @@ output_dir: "%s"
         assert main(["minimize", str(cfg)]) == 3
         assert "status: max_iter" in (out / "summary.txt").read_text()
 
-    def test_threads_flag_accepted(self, tmp_path):
-        cfg, out = write_config(tmp_path, MINIMAL_PLANE)
-        assert main(["--threads", "2", "minimize", str(cfg)]) == 0
-
     def test_infeasible_start_exit_4(self, tmp_path):
         text = """
 surface: {kind: plane}

@@ -202,6 +202,13 @@ class TestPhiSplit:
         a = phi_split_batch(model, F, J)
         b = energy_density_batch(model, F)
         assert np.max(np.abs(a - b) / (1.0 + np.abs(b))) < 1e-12
+        # With J = l1*l2 all three entry points evaluate the one formula.
+        from memsurf.constitutive import _spectral_batch
+
+        l1, l2, *_ = _spectral_batch(F)
+        W = energy_density_batch(model, F)
+        assert np.array_equal(W, phi_split_batch(model, F, l1 * l2))
+        assert np.array_equal(W, model.energy_from_stretches(l1, l2))
 
     def test_nonpositive_j_raises(self, model):
         with pytest.raises(NonpositiveJError):

@@ -6,7 +6,6 @@ from memsurf import (
     NegativeJError,
     OffSurfaceError,
     build_mesh,
-    element_gradient,
     energy_gradient,
     total_energy,
 )
@@ -37,10 +36,10 @@ class TestElementKinematics:
         cfg = Configuration.from_map(
             plane, square_mesh, make_initial_map(plane, "affine", matrix=2 * np.eye(2))
         )
-        state = element_gradient(model, square_mesh, cfg, 0)
-        assert np.abs(state.F - 2 * F_ID).max() < 1e-14
-        assert state.J == pytest.approx(4.0, abs=1e-14)
-        assert state.area_ratio == pytest.approx(4.0, abs=1e-14)
+        F = deformation_gradients(square_mesh, cfg)
+        assert np.abs(F - 2 * F_ID).max() < 1e-14
+        J = oriented_area_ratios(square_mesh, cfg)
+        assert np.abs(J - 4.0).max() < 1e-14
 
     def test_reflection_flips_sign(self, plane, square_mesh):
         cfg = Configuration.from_map(
@@ -74,15 +73,21 @@ class TestElementKinematics:
                 sphere, square_mesh, lambda x: np.column_stack([x, np.ones(len(x))])
             )
 
+    def test_failed_centroid_projection_is_infeasible(self, model, sphere, square_mesh):
+        # Every centroid at the sphere center: the projection is ambiguous.
+        origin = np.zeros((square_mesh.num_vertices, 3))
+        energy, min_j, feasible = trial_energy(model, square_mesh, sphere, origin)
+        assert not feasible and energy == np.inf and np.isnan(min_j)
+
     def test_degenerate_flag(self, model, plane, square_mesh):
         cfg = identity_config(plane, square_mesh)
-        assert not element_gradient(model, square_mesh, cfg, 0).degenerate
+        assert trial_energy(model, square_mesh, plane, cfg.positions)[2]
         squeezed = Configuration.from_map(
             plane,
             square_mesh,
             make_initial_map(plane, "affine", matrix=np.diag([1.0, 1e-9])),
         )
-        assert element_gradient(model, square_mesh, squeezed, 0).degenerate
+        assert not trial_energy(model, square_mesh, plane, squeezed.positions)[2]
 
 
 class TestTotalEnergy:

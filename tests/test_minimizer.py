@@ -3,6 +3,7 @@ import pytest
 
 from memsurf import (
     Configuration,
+    GraphSurface,
     InfeasibleStartError,
     MinimizeOptions,
     build_mesh,
@@ -152,6 +153,26 @@ class TestReportInvariants:
         assert total_energy(model, mesh, cfg) == pytest.approx(
             report.energy_history[-1], rel=1e-12
         )
+
+
+class TestRejectedTrials:
+    def test_failed_trial_projection_backtracks(self, model):
+        # A step of 1e6 throws the first trial far off the graph, where the
+        # projection Newton solve fails; the trial is rejected, not fatal.
+        surface = GraphSurface(coeffs=[[0, 0, 0.5], [0, 0, 0], [0.5, 0, 0]])
+        mesh = build_mesh("unit_square", 0.1)
+
+        def f0(x):
+            return np.column_stack([x[:, 0], x[:, 1], surface.height(x[:, 0], x[:, 1])])
+
+        cfg, report = minimize(
+            model, surface, mesh, f0, MinimizeOptions(initial_step=1e6)
+        )
+        assert report.status == "converged"
+        e = report.energy_history
+        assert all(b <= a for a, b in zip(e, e[1:]))
+        b = mesh.boundary_vertices
+        assert np.array_equal(cfg.positions[b], f0(mesh.vertices)[b])
 
 
 class TestFrameCovariance:
