@@ -149,7 +149,6 @@ def brouwer_degree(
     config,
     y,
     mollifier_radius=None,
-    subdivisions=3,
     degree_margin=DEGREE_MARGIN_DEFAULT,
     nudge=True,
 ):
@@ -158,7 +157,8 @@ def brouwer_degree(
     The signed cover count sums the orientation signs of the elements whose
     chart image contains the chart coordinates of y (exact for PL maps); the
     mollified integral integrates a unit-mass bump against the signed chart
-    area of the image, by midpoint quadrature on subdivided elements.
+    area of the image, by midpoint quadrature on elements split until every
+    sub-triangle is at most as wide as the bump (three splits at least).
 
     A target landing exactly on an image edge is irregular for the signed
     count; with ``nudge`` the count is taken at a deterministic offset far
@@ -190,7 +190,7 @@ def brouwer_degree(
     # (where the degree is constant) and the chart's validity radius.
     if mollifier_radius is None:
         radius = min(3.0 * mean_edge, 0.9 * bdist)
-        chart_radius = surface.diagnostic_chart_radius
+        chart_radius = surface.chart_radius
         if np.isfinite(chart_radius):
             radius = min(radius, 0.25 * chart_radius)
     else:
@@ -209,7 +209,7 @@ def brouwer_degree(
             methods_agree=True,
         )
 
-    chart = surface.diagnostic_chart_at(y)
+    chart = surface.chart_at(y)
     near_idx = np.nonzero(near)[0]
     ok = (
         chart.contains(P[near_idx].reshape(-1, 3)).reshape(-1, 3).all(axis=1)
@@ -252,10 +252,17 @@ def brouwer_degree(
             shift = offset * 2.0**attempt
     count = int(np.sum(signs[inside]))
 
-    # Mollified integral over the signed chart image.
+    # Mollified integral over the signed chart image.  A midpoint split
+    # halves the sub-triangle width; past three splits only sub-triangles
+    # that can reach the bump support are split again (the others add 0).
     tris = uv
-    for _ in range(subdivisions):
+    for _ in range(3):
         tris = _subdivide(tris)
+    size = float(np.max(np.linalg.norm(uv - np.roll(uv, 1, axis=1), axis=2))) / 8
+    while size > radius:
+        reach_bump = np.linalg.norm(tris.mean(axis=1) - w, axis=1) <= radius + size
+        tris = _subdivide(tris[reach_bump])
+        size /= 2
     e1 = tris[:, 1] - tris[:, 0]
     e2 = tris[:, 2] - tris[:, 0]
     signed_area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
@@ -280,7 +287,7 @@ def boundary_winding(surface, mesh, config, y):
     Uses the chart at y and the boundary loops oriented with the domain on
     the left; exact for polygonal loops away from the target.
     """
-    chart = surface.diagnostic_chart_at(np.asarray(y, dtype=float))
+    chart = surface.chart_at(np.asarray(y, dtype=float))
     w = chart.inverse_map(np.asarray(y, dtype=float))[0]
     total = 0.0
     for loop in mesh.boundary_loops:
@@ -366,13 +373,14 @@ def injectivity_check(surface, mesh, config, area_tol=OVERLAP_AREA_TOL, max_reco
     order = np.argsort(lo[:, 0], kind="stable")
     lo_s, hi_s = lo[order], hi[order]
 
-    # Shared-chart strategy: one global chart for flat/graph surfaces, the
-    # wrap-safe angle chart on the torus, and cached per-element tangent
-    # charts otherwise (candidate pairs are ambient-close).  Overlap areas
-    # are chart areas; any diffeomorphic chart preserves zero vs positive.
+    # Shared-chart strategy: one chart for the whole scan when the surface
+    # has a global chart (infinite chart radius), and otherwise a cached
+    # tangent-plane chart per element, centered at its projected centroid
+    # (candidate pairs are ambient-close).  Overlap areas are chart areas;
+    # any diffeomorphic chart preserves zero vs positive.
     global_chart = None
-    if surface.kind in ("plane", "graph"):
-        global_chart = surface.diagnostic_chart_at(
+    if np.isinf(surface.chart_radius):
+        global_chart = surface.chart_at(
             surface.project(config.positions.mean(axis=0))
         )
     chart_cache = {}
@@ -381,11 +389,7 @@ def injectivity_check(surface, mesh, config, area_tol=OVERLAP_AREA_TOL, max_reco
         if global_chart is not None:
             return global_chart
         if i not in chart_cache:
-            center = surface.project(P[i].mean(axis=0))
-            if surface.kind == "torus":
-                chart_cache[i] = surface.chart_at(center)
-            else:
-                chart_cache[i] = surface.diagnostic_chart_at(center)
+            chart_cache[i] = surface.chart_at(surface.project(P[i].mean(axis=0)))
         return chart_cache[i]
 
     tri_sets = [set(map(int, tris[i])) for i in range(m)]
@@ -405,6 +409,9 @@ def injectivity_check(surface, mesh, config, area_tol=OVERLAP_AREA_TOL, max_reco
             checked += 1
             chart = chart_for(i)
             pts = np.concatenate([P[i], P[j]])
+            if not np.all(chart.contains(pts)):
+                # A chart centered on the pair itself reaches half as far.
+                chart = surface.chart_at(surface.project(pts.mean(axis=0)))
             if not np.all(chart.contains(pts)):
                 raise ChartSpanFailureError(
                     f"element pair ({int(i)}, {int(j)}) is not covered by a "

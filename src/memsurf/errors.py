@@ -14,7 +14,7 @@ class AmbiguousProjectionError(MemsurfError):
 
 
 class NoConvergenceError(MemsurfError):
-    """An iterative geometric solve (projection, chart height) failed."""
+    """An iterative geometric solve (a closest-point projection) failed."""
 
 
 class RankDeficientError(MemsurfError):

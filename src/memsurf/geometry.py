@@ -140,18 +140,15 @@ class Surface:
 
     # -- charts ----------------------------------------------------------------
     def chart_at(self, y):
-        """Family chart (planar / polar / toroidal / graph) containing y."""
-        raise NotImplementedError
-
-    def diagnostic_chart_at(self, y):
-        """Chart regular at its center, used by degree/overlap diagnostics."""
+        """Oriented tangent-plane chart centered at on-surface y."""
         self._require_on_surface(y)
         y = np.asarray(y, dtype=float)
-        return TangentGraphChart(self, y)
+        t1, t2 = _orthonormal_frame(self.normal_unchecked(y))
+        return Chart(y, t1, t2, self.chart_radius)
 
     @property
-    def diagnostic_chart_radius(self):
-        """Chord-distance validity radius of diagnostic charts."""
+    def chart_radius(self):
+        """Chord-distance validity radius of charts (inf for a global chart)."""
         raise NotImplementedError
 
 
@@ -196,14 +193,10 @@ class Plane(Surface):
 
     def chart_at(self, y):
         self._require_on_surface(y)
-        return PlanarChart(self, np.asarray(y, dtype=float))
-
-    def diagnostic_chart_at(self, y):
-        self._require_on_surface(y)
-        return PlanarChart(self, np.asarray(y, dtype=float))
+        return Chart(y, self.t1, self.orientation_sign * self.t2, np.inf)
 
     @property
-    def diagnostic_chart_radius(self):
+    def chart_radius(self):
         return np.inf
 
 
@@ -238,12 +231,8 @@ class Sphere(Surface):
             raise AmbiguousProjectionError("projection queried at the sphere center")
         return _unpack(self.radius * p / r[:, None], single)
 
-    def chart_at(self, y):
-        self._require_on_surface(y)
-        return SpherePolarChart(self, np.asarray(y, dtype=float))
-
     @property
-    def diagnostic_chart_radius(self):
+    def chart_radius(self):
         return 0.9 * self.radius
 
 
@@ -294,15 +283,6 @@ class Torus(Surface):
             )
         return _unpack(q + self.minor_radius * d / nd[:, None], single)
 
-    def angles(self, y):
-        """(tube angle psi, azimuth theta) of on-surface points."""
-        y, single = _as_points(y)
-        theta = np.arctan2(y[:, 1], y[:, 0])
-        rho = np.linalg.norm(y[:, :2], axis=-1)
-        psi = np.arctan2(y[:, 2], rho - self.major_radius)
-        out = np.stack([psi, theta], axis=-1)
-        return _unpack(out, single)
-
     def from_angles(self, psi, theta):
         psi = np.asarray(psi, dtype=float)
         theta = np.asarray(theta, dtype=float)
@@ -312,12 +292,8 @@ class Torus(Surface):
             axis=-1,
         )
 
-    def chart_at(self, y):
-        self._require_on_surface(y)
-        return TorusChart(self, np.asarray(y, dtype=float))
-
     @property
-    def diagnostic_chart_radius(self):
+    def chart_radius(self):
         return 0.75 * self.minor_radius
 
 
@@ -391,12 +367,8 @@ class Ellipsoid(Surface):
         y = p * a2[None, :] / (a2[None, :] + mu[:, None])
         return _unpack(y, single)
 
-    def chart_at(self, y):
-        self._require_on_surface(y)
-        return TangentGraphChart(self, np.asarray(y, dtype=float))
-
     @property
-    def diagnostic_chart_radius(self):
+    def chart_radius(self):
         return 0.6 * self.curvature_radius
 
 
@@ -514,274 +486,38 @@ class GraphSurface(Surface):
         return _unpack(np.column_stack([uv, z]), single)
 
     def chart_at(self, y):
+        """Global (x, y) chart, offset to y."""
         self._require_on_surface(y)
-        return GraphHeightChart(self, np.asarray(y, dtype=float))
-
-    def diagnostic_chart_at(self, y):
-        return self.chart_at(y)
+        e1, e2 = np.eye(3)[:2]
+        return Chart(y, e1, self.orientation_sign * e2, np.inf)
 
     @property
-    def diagnostic_chart_radius(self):
-        return 4.0 * self.extent
-
-
-# ---------------------------------------------------------------------------
-# Charts
-# ---------------------------------------------------------------------------
+    def chart_radius(self):
+        return np.inf
 
 
 class Chart:
-    """Local parameterization (y^1, y^2) -> surface with metric data.
+    """Planar chart p -> ((p - c) . t1, (p - c) . t2) about on-surface c.
 
-    ``param_map`` and ``inverse_map`` are mutually inverse on the covered
-    patch; ``covariant_basis`` returns the tangent vectors d(param)/d(y^a),
-    from which the metric, its determinant and the dual basis follow.
+    ``t1, t2`` span the tangent plane at c (the (x, y) plane on a height
+    graph) and ``t1 x t2`` lies on the side of the oriented normal, so chart
+    areas carry the orientation of the surface.  The chart is valid for
+    points within chord distance ``radius`` of the center.
     """
 
-    def __init__(self, surface, center):
-        self.surface = surface
+    def __init__(self, center, t1, t2, radius):
         self.center = np.asarray(center, dtype=float)
-        self._orient()
-
-    def _orient(self):
-        """Flip the second coordinate if the chart disagrees with n."""
-        self._sign_v = 1.0
-        probe = np.array([[1e-4, 0.7e-4]]) * max(
-            1.0, getattr(self.surface, "curvature_radius", 1.0)
-        )
-        a1, a2 = self.covariant_basis(probe)
-        y = self.param_map(probe)
-        n = np.atleast_2d(self.surface.normal_unchecked(y))
-        triple = np.sum(n * np.cross(a1, a2), axis=-1)
-        if triple[0] < 0:
-            self._sign_v = -1.0
-
-    def _uv(self, uv):
-        uv = np.atleast_2d(np.asarray(uv, dtype=float))
-        return np.column_stack([uv[:, 0], self._sign_v * uv[:, 1]])
-
-    def param_map(self, uv):
-        raise NotImplementedError
+        self.t1 = np.asarray(t1, dtype=float)
+        self.t2 = np.asarray(t2, dtype=float)
+        self.radius = float(radius)
 
     def inverse_map(self, points):
-        raise NotImplementedError
-
-    def covariant_basis(self, uv):
-        raise NotImplementedError
+        d = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
+        return np.column_stack([d @ self.t1, d @ self.t2])
 
     def contains(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.ones(points.shape[0], dtype=bool)
-
-    def metric(self, uv):
-        a1, a2 = self.covariant_basis(uv)
-        g = np.empty(a1.shape[:-1] + (2, 2))
-        g[..., 0, 0] = np.sum(a1 * a1, axis=-1)
-        g[..., 0, 1] = g[..., 1, 0] = np.sum(a1 * a2, axis=-1)
-        g[..., 1, 1] = np.sum(a2 * a2, axis=-1)
-        return g
-
-    def sqrt_a(self, uv):
-        g = self.metric(uv)
-        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-        return np.sqrt(np.maximum(det, 0.0))
-
-    def contravariant_basis(self, uv):
-        a1, a2 = self.covariant_basis(uv)
-        g = self.metric(uv)
-        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] ** 2
-        inv00 = g[..., 1, 1] / det
-        inv01 = -g[..., 0, 1] / det
-        inv11 = g[..., 0, 0] / det
-        up1 = inv00[..., None] * a1 + inv01[..., None] * a2
-        up2 = inv01[..., None] * a1 + inv11[..., None] * a2
-        return up1, up2
-
-
-class PlanarChart(Chart):
-    """Identity chart of a plane, centered at an on-plane point."""
-
-    def param_map(self, uv):
-        uv = self._uv(uv)
-        s = self.surface
-        return self.center + uv[:, :1] * s.t1 + uv[:, 1:2] * s.t2
-
-    def inverse_map(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        d = points - self.center
-        uv = np.column_stack([d @ self.surface.t1, d @ self.surface.t2])
-        return self._uv(uv)
-
-    def covariant_basis(self, uv):
-        uv = self._uv(uv)
-        n = uv.shape[0]
-        a1 = np.broadcast_to(self.surface.t1, (n, 3)).copy()
-        a2 = self._sign_v * np.broadcast_to(self.surface.t2, (n, 3)).copy()
-        return a1, a2
-
-
-class SpherePolarChart(Chart):
-    """Polar cap chart: (colatitude, azimuth) about the pole at ``center``."""
-
-    def __init__(self, surface, center):
-        R = surface.radius
-        self._e3 = center / np.linalg.norm(center)
-        self._t1, self._t2 = _orthonormal_frame(self._e3)
-        super().__init__(surface, center)
-
-    def param_map(self, uv):
-        uv = self._uv(uv)
-        R = self.surface.radius
-        th, ph = uv[:, 0], uv[:, 1]
-        w = (
-            np.sin(th)[:, None]
-            * (np.cos(ph)[:, None] * self._t1 + np.sin(ph)[:, None] * self._t2)
-            + np.cos(th)[:, None] * self._e3
-        )
-        return R * w
-
-    def inverse_map(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        R = self.surface.radius
-        w = points / R
-        w3 = np.clip(w @ self._e3, -1.0, 1.0)
-        th = np.arccos(w3)
-        ph = np.arctan2(w @ self._t2, w @ self._t1)
-        return self._uv(np.column_stack([th, ph]))
-
-    def covariant_basis(self, uv):
-        uv = self._uv(uv)
-        R = self.surface.radius
-        th, ph = uv[:, 0], uv[:, 1]
-        ct, st = np.cos(th)[:, None], np.sin(th)[:, None]
-        cp, sp = np.cos(ph)[:, None], np.sin(ph)[:, None]
-        a1 = R * (ct * (cp * self._t1 + sp * self._t2) - st * self._e3)
-        a2 = self._sign_v * R * st * (-sp * self._t1 + cp * self._t2)
-        return a1, a2
-
-    def contains(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        w3 = (points / self.surface.radius) @ self._e3
-        return w3 > -0.95
-
-
-class TorusChart(Chart):
-    """Angle-offset chart (tube angle, azimuth) about ``center``."""
-
-    def __init__(self, surface, center):
-        self._psi0, self._theta0 = surface.angles(center)
-        super().__init__(surface, center)
-
-    def param_map(self, uv):
-        uv = self._uv(uv)
-        return self.surface.from_angles(self._psi0 + uv[:, 0], self._theta0 + uv[:, 1])
-
-    def inverse_map(self, points):
-        ang = np.atleast_2d(self.surface.angles(points))
-        du = np.mod(ang[:, 0] - self._psi0 + np.pi, 2 * np.pi) - np.pi
-        dv = np.mod(ang[:, 1] - self._theta0 + np.pi, 2 * np.pi) - np.pi
-        return self._uv(np.column_stack([du, dv]))
-
-    def covariant_basis(self, uv):
-        uv = self._uv(uv)
-        s = self.surface
-        psi = self._psi0 + uv[:, 0]
-        theta = self._theta0 + uv[:, 1]
-        r, R = s.minor_radius, s.major_radius
-        cps, sps = np.cos(psi), np.sin(psi)
-        cth, sth = np.cos(theta), np.sin(theta)
-        a1 = np.stack([-r * sps * cth, -r * sps * sth, r * cps], axis=-1)
-        w = R + r * cps
-        a2 = self._sign_v * np.stack([-w * sth, w * cth, np.zeros_like(w)], axis=-1)
-        return a1, a2
-
-    def contains(self, points):
-        uv = self.inverse_map(points)
-        return (np.abs(uv[:, 0]) < 0.9 * np.pi) & (np.abs(uv[:, 1]) < 0.9 * np.pi)
-
-
-class GraphHeightChart(Chart):
-    """Global (x, y) chart of a height graph, offset to a center point."""
-
-    def param_map(self, uv):
-        uv = self._uv(uv)
-        x = self.center[0] + uv[:, 0]
-        y = self.center[1] + uv[:, 1]
-        return np.column_stack([x, y, self.surface.height(x, y)])
-
-    def inverse_map(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._uv(points[:, :2] - self.center[:2])
-
-    def covariant_basis(self, uv):
-        uv = self._uv(uv)
-        x = self.center[0] + uv[:, 0]
-        y = self.center[1] + uv[:, 1]
-        hx, hy = self.surface.height_grad(x, y)
-        one = np.ones_like(hx)
-        zero = np.zeros_like(hx)
-        a1 = np.stack([one, zero, hx], axis=-1)
-        a2 = self._sign_v * np.stack([zero, one, hy], axis=-1)
-        return a1, a2
-
-
-class TangentGraphChart(Chart):
-    """Monge chart over the tangent plane at ``center``.
-
-    param(u, v) solves the implicit equation along the center normal, so the
-    chart is regular at its center for any of the analytic surfaces.
-    """
-
-    def __init__(self, surface, center, tol=1e-13, max_iter=60):
-        self._n0 = surface.normal_unchecked(center)
-        self._t1, self._t2 = _orthonormal_frame(self._n0)
-        self._tol = tol * max(1.0, surface.curvature_radius)
-        self._max_iter = max_iter
-        super().__init__(surface, center)
-
-    def _height(self, uv):
-        base = self.center + uv[:, :1] * self._t1 + uv[:, 1:2] * self._t2
-        h = np.zeros(uv.shape[0])
-        for _ in range(self._max_iter):
-            z = base + h[:, None] * self._n0
-            g = np.atleast_1d(self.surface.implicit(z))
-            dg = np.atleast_2d(self.surface.implicit_grad(z)) @ self._n0
-            dg = np.where(np.abs(dg) < 1e-300, 1.0, dg)
-            step = g / dg
-            h -= step
-            if np.all(np.abs(g) < self._tol):
-                break
-        else:
-            raise NoConvergenceError("tangent chart height solve did not converge")
-        return base, h
-
-    def param_map(self, uv):
-        uv = self._uv(uv)
-        base, h = self._height(uv)
-        return base + h[:, None] * self._n0
-
-    def inverse_map(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        d = points - self.center
-        return self._uv(np.column_stack([d @ self._t1, d @ self._t2]))
-
-    def covariant_basis(self, uv):
-        uv = self._uv(uv)
-        base, h = self._height(uv)
-        z = base + h[:, None] * self._n0
-        grad = np.atleast_2d(self.surface.implicit_grad(z))
-        gn = grad @ self._n0
-        gn = np.where(np.abs(gn) < 1e-300, 1.0, gn)
-        h1 = -(grad @ self._t1) / gn
-        h2 = -(grad @ self._t2) / gn
-        a1 = self._t1 + h1[:, None] * self._n0
-        a2 = self._sign_v * (self._t2 + h2[:, None] * self._n0)
-        return a1, a2
-
-    def contains(self, points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        chord = np.linalg.norm(points - self.center, axis=-1)
-        return chord < self.surface.diagnostic_chart_radius
+        d = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
+        return np.linalg.norm(d, axis=-1) < self.radius
 
 
 _SURFACE_KINDS = {

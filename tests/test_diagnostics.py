@@ -22,6 +22,15 @@ def disk_identity(plane):
     return mesh, cfg
 
 
+def _square_onto(surface):
+    """Orientation-preserving embedding of the unit square into a surface patch."""
+    if surface.kind == "torus":
+        return make_initial_map(surface, "torus_band")
+    if surface.kind == "graph":
+        return lambda x: np.column_stack([x, surface.height(x[:, 0], x[:, 1])])
+    return surface.embed
+
+
 @pytest.fixture(scope="module")
 def annulus_winding(plane):
     mesh = build_mesh("annulus", 0.07, inner_radius=0.5, outer_radius=1.0)
@@ -105,6 +114,19 @@ class TestDegree:
         with pytest.raises(BoundaryTooCloseError):
             brouwer_degree(plane, mesh, cfg, on_edge)
 
+    def test_targets_close_to_boundary_edge(self, plane, disk_identity):
+        # The bump radius shrinks with the boundary clearance; the quadrature
+        # must keep resolving it down to the degree margin.
+        mesh, cfg = disk_identity
+        loop = mesh.boundary_loops[0]
+        a, b = cfg.positions[loop[0]], cfg.positions[loop[1]]
+        d = b - a
+        inward = np.array([-d[1], d[0], 0.0]) / np.linalg.norm(d)
+        for gap in (1e-3, 1e-5, 2e-6):
+            res = brouwer_degree(plane, mesh, cfg, 0.5 * (a + b) + gap * inward)
+            assert res.degree == 1
+            assert res.methods_agree
+
     def test_irregular_value_without_nudge(self, plane, disk_identity):
         mesh, cfg = disk_identity
         with pytest.raises(IrregularValueError):
@@ -155,22 +177,38 @@ class TestInjectivity:
         assert rep.total_overlap_area == 0.0
         assert rep.checked_pairs > 0
 
-    def test_fold_overlap_area(self, plane):
+    def test_square_clean(self, plane, graph_surface, torus):
+        # One global chart (plane, graph) or tangent charts (torus); the torus
+        # band's elements are long enough that some pairs need a chart
+        # centered on the pair rather than on one element.
         mesh = build_mesh("unit_square", 1 / 16)
+        for surface in (plane, graph_surface, torus):
+            cfg = Configuration.from_map(surface, mesh, _square_onto(surface))
+            rep = injectivity_check(surface, mesh, cfg)
+            assert rep.injective
+            assert rep.overlapping_pairs == 0
+            assert rep.checked_pairs > 0
 
-        def fold(x):
-            u = np.maximum(x[:, 0], x[:, 1])
-            v = np.minimum(x[:, 0], x[:, 1])
-            return plane.embed(np.column_stack([u, v]))
+    def test_fold_overlap_area(self, plane, graph_surface, torus):
+        mesh = build_mesh("unit_square", 1 / 16)
+        for surface in (plane, graph_surface, torus):
+            square = _square_onto(surface)
 
-        cfg = Configuration.from_map(plane, mesh, fold)
-        rep = injectivity_check(plane, mesh, cfg)
-        assert not rep.injective
-        assert rep.overlapping_pairs > 0
-        # Half the square is folded over; the strip of edge-adjacent mirror
-        # elements along the diagonal is excluded from the pair scan.
-        h = 1 / 16
-        assert 0.5 - 2 * h <= rep.total_overlap_area <= 0.5 + 1e-12
+            def fold(x):
+                u = np.maximum(x[:, 0], x[:, 1])
+                v = np.minimum(x[:, 0], x[:, 1])
+                return square(np.column_stack([u, v]))
+
+            cfg = Configuration.from_map(surface, mesh, fold)
+            rep = injectivity_check(surface, mesh, cfg)
+            assert not rep.injective
+            assert rep.overlapping_pairs > 0
+            if surface.kind != "torus":
+                # Half the square is folded over in the (x, y) chart; the strip
+                # of edge-adjacent mirror elements along the diagonal is
+                # excluded from the pair scan.
+                h = 1 / 16
+                assert 0.5 - 2 * h <= rep.total_overlap_area <= 0.5 + 1e-12
 
     def test_converged_cap_injective(self, model, sphere):
         mesh = build_mesh("disk", 0.15)
