@@ -9,14 +9,8 @@ states (Brouwer degree, injectivity, first-variation residuals).
 
 from .constitutive import (
     IsotropicModel,
-    StressState,
-    StretchPair,
     ThetaModel,
     default_model,
-    energy_density,
-    phi_split,
-    pk1_stress,
-    stretches,
 )
 from .diagnostics import (
     DegreeResult,
@@ -30,7 +24,6 @@ from .diagnostics import (
 from .discretization import (
     Configuration,
     energy_gradient,
-    total_energy,
 )
 from .errors import (
     AmbiguousProjectionError,

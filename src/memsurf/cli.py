@@ -63,17 +63,8 @@ def _write_text(path, config_hash, text):
 
 
 def _cmd_verify(config, out):
-    model = config.model()
-    params = config.verify_params()
     reports = run_all_checks(
-        model,
-        seed=config.seed,
-        convexity_samples=params["convexity_samples"],
-        rotation_samples=params["rotation_samples"],
-        stress_growth_samples=params["stress_growth_samples"],
-        perturbation_samples=params["perturbation_samples"],
-        perturbation_delta=params["perturbation_delta"],
-        growth_samples=params["growth_samples"],
+        config.model(), seed=config.seed, **config.verify_params()
     )
     rows = [
         (r.check_name, r.samples, r.worst_violation, str(r.passed).lower())
@@ -110,6 +101,54 @@ def _sample_degree_targets(mesh, config_obj, n, seed):
     return np.einsum("nv,nvi->ni", w, P[idx])
 
 
+def _write_degrees(out, config, results):
+    """Write degree.csv from (target point, DegreeResult) pairs."""
+    rows = [
+        (
+            float(y[0]),
+            float(y[1]),
+            float(y[2]),
+            res.degree,
+            res.mollified_integral,
+            str(res.methods_agree).lower(),
+        )
+        for y, res in results
+    ]
+    _write_csv(
+        os.path.join(out, "degree.csv"),
+        config.config_hash,
+        ["x", "y", "z", "degree", "mollified_integral", "methods_agree"],
+        rows,
+    )
+
+
+def _write_residuals(out, config, results):
+    """Write residuals.csv; returns the worst normalized Lagrangian residual."""
+    rows = [
+        (
+            r.test_field_id,
+            r.lagrangian_residual,
+            r.eulerian_residual,
+            r.normalization,
+            str(r.admissible).lower(),
+        )
+        for r in results
+    ]
+    _write_csv(
+        os.path.join(out, "residuals.csv"),
+        config.config_hash,
+        [
+            "test_field_id",
+            "lagrangian_residual",
+            "eulerian_residual",
+            "normalization",
+            "admissible",
+        ],
+        rows,
+    )
+    return max(abs(r.lagrangian_residual) / max(r.normalization, 1e-300) for r in results)
+
+
 def _run_diagnostics(config, surface, mesh, config_obj, out, grad_tol):
     diag = config.diagnostics_params()
     model = config.model()
@@ -124,30 +163,16 @@ def _run_diagnostics(config, surface, mesh, config_obj, out, grad_tol):
         targets = _sample_degree_targets(
             mesh, config_obj, diag["degree_points"], config.seed
         )
-        rows = []
+        results = []
         agree = 0
         for t in targets:
             y = surface.project(t)
             res = brouwer_degree(surface, mesh, config_obj, y)
             agree += int(res.methods_agree)
-            rows.append(
-                (
-                    float(y[0]),
-                    float(y[1]),
-                    float(y[2]),
-                    res.degree,
-                    res.mollified_integral,
-                    str(res.methods_agree).lower(),
-                )
-            )
-        _write_csv(
-            os.path.join(out, "degree.csv"),
-            config.config_hash,
-            ["x", "y", "z", "degree", "mollified_integral", "methods_agree"],
-            rows,
-        )
-        lines.append(f"degree_points: {len(rows)}")
-        lines.append(f"degree_method_agreement: {agree}/{len(rows)}")
+            results.append((y, res))
+        _write_degrees(out, config, results)
+        lines.append(f"degree_points: {len(results)}")
+        lines.append(f"degree_method_agreement: {agree}/{len(results)}")
     if diag["residual_fields"] > 0:
         results = first_variation_residual(
             model,
@@ -157,31 +182,7 @@ def _run_diagnostics(config, surface, mesh, config_obj, out, grad_tol):
             family_size=diag["residual_fields"],
             seed=config.seed,
         )
-        rows = [
-            (
-                r.test_field_id,
-                r.lagrangian_residual,
-                r.eulerian_residual,
-                r.normalization,
-                str(r.admissible).lower(),
-            )
-            for r in results
-        ]
-        _write_csv(
-            os.path.join(out, "residuals.csv"),
-            config.config_hash,
-            [
-                "test_field_id",
-                "lagrangian_residual",
-                "eulerian_residual",
-                "normalization",
-                "admissible",
-            ],
-            rows,
-        )
-        worst = max(
-            abs(r.lagrangian_residual) / max(r.normalization, 1e-300) for r in results
-        )
+        worst = _write_residuals(out, config, results)
         lines.append(f"residual_fields: {len(results)}")
         lines.append(f"max_normalized_residual: {worst!r}")
         lines.append(f"residual_within_10_grad_tol: {str(worst <= 10 * grad_tol).lower()}")
@@ -263,21 +264,7 @@ def _cmd_degree(config, out, point):
     config_obj = Configuration.from_map(surface, mesh, f0)
     y = surface.project(np.asarray(point, dtype=float))
     res = brouwer_degree(surface, mesh, config_obj, y)
-    _write_csv(
-        os.path.join(out, "degree.csv"),
-        config.config_hash,
-        ["x", "y", "z", "degree", "mollified_integral", "methods_agree"],
-        [
-            (
-                float(y[0]),
-                float(y[1]),
-                float(y[2]),
-                res.degree,
-                res.mollified_integral,
-                str(res.methods_agree).lower(),
-            )
-        ],
-    )
+    _write_degrees(out, config, [(y, res)])
     print(f"degree: {res.degree}")
     print(f"mollified_integral: {res.mollified_integral!r}")
     print(f"methods_agree: {str(res.methods_agree).lower()}")
@@ -299,29 +286,7 @@ def _cmd_residual(config, out):
         family_size=max(1, diag["residual_fields"]),
         seed=config.seed,
     )
-    rows = [
-        (
-            r.test_field_id,
-            r.lagrangian_residual,
-            r.eulerian_residual,
-            r.normalization,
-            str(r.admissible).lower(),
-        )
-        for r in results
-    ]
-    _write_csv(
-        os.path.join(out, "residuals.csv"),
-        config.config_hash,
-        [
-            "test_field_id",
-            "lagrangian_residual",
-            "eulerian_residual",
-            "normalization",
-            "admissible",
-        ],
-        rows,
-    )
-    worst = max(abs(r.lagrangian_residual) / max(r.normalization, 1e-300) for r in results)
+    worst = _write_residuals(out, config, results)
     print(f"test_fields: {len(results)}")
     print(f"max_normalized_residual: {worst!r}")
     return EXIT_OK

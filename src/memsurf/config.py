@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import yaml
 
-from .constitutive import IsotropicModel, ThetaModel
+from .constitutive import IsotropicModel
 from .errors import ConfigError, InvalidModelError
 from .geometry import make_surface
 from .maps import make_initial_map
@@ -68,9 +68,9 @@ _SURFACE_KEYS = {
 }
 
 _DOMAIN_KEYS = {
-    "unit_square": set(),
-    "disk": {"radius"},
-    "annulus": {"inner_radius", "outer_radius"},
+    "unit_square": {"resolution"},
+    "disk": {"resolution", "radius"},
+    "annulus": {"resolution", "inner_radius", "outer_radius"},
 }
 
 _MAP_KEYS = {
@@ -103,12 +103,25 @@ def _merge_defaults(data, defaults, path=""):
     return out
 
 
-def _require_keys(block, kind, allowed, label):
-    for key in block:
-        if key == "kind":
-            continue
-        if key not in allowed:
+def _split_kind(block, table, label):
+    """Kind and parameters of a ``{kind: ...}`` block, checked against ``table``."""
+    params = dict(block)
+    kind = params.pop("kind", None)
+    if kind not in table:
+        raise ConfigError(f"{label}.kind must be one of {sorted(table)}")
+    for key in params:
+        if key not in table[kind]:
             raise ConfigError(f"unknown {label} parameter {key!r} for kind {kind!r}")
+    return kind, params
+
+
+def _is_int(val):
+    """True for a YAML integer; booleans are not numbers here."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val):
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
 @dataclass
@@ -126,57 +139,42 @@ class RunConfig:
         return str(self.data["output_dir"])
 
     def surface(self):
-        block = dict(self.data["surface"])
-        kind = block.pop("kind", None)
-        if kind not in _SURFACE_KEYS:
-            raise ConfigError(f"surface.kind must be one of {sorted(_SURFACE_KEYS)}")
-        _require_keys(block, kind, _SURFACE_KEYS[kind], "surface")
+        kind, params = _split_kind(self.data["surface"], _SURFACE_KEYS, "surface")
         try:
-            return make_surface(kind, **block)
+            return make_surface(kind, **params)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"surface: {exc}") from exc
 
     def model(self):
-        block = self.data["model"]
         try:
-            terms = tuple((t["b"], t["gamma"]) for t in block["ogden_terms"])
-            theta = block.get("theta", {})
-            return IsotropicModel(
-                ogden_terms=terms,
-                b=float(block.get("b", 0.0)),
-                theta=ThetaModel(
-                    c=float(theta.get("c", 1.5)),
-                    q=float(theta.get("q", 2.0)),
-                    r=float(theta.get("r", 4.0)),
-                ),
-                label=str(block.get("label", "")),
-            )
-        except (KeyError, TypeError) as exc:
+            return IsotropicModel.from_dict(self.data["model"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"model: malformed block ({exc})") from exc
         except InvalidModelError as exc:
             raise ConfigError(f"model: {exc}") from exc
 
-    def mesh(self):
-        block = dict(self.data["domain"])
-        kind = block.pop("kind", None)
-        resolution = block.pop("resolution", None)
-        if kind not in _DOMAIN_KEYS:
-            raise ConfigError(f"domain.kind must be one of {sorted(_DOMAIN_KEYS)}")
-        if not isinstance(resolution, (int, float)) or resolution <= 0:
+    def _domain(self):
+        kind, params = _split_kind(self.data["domain"], _DOMAIN_KEYS, "domain")
+        resolution = params.pop("resolution", None)
+        if not _is_number(resolution) or resolution <= 0:
             raise ConfigError("domain.resolution must be a positive number")
-        _require_keys(block, kind, _DOMAIN_KEYS[kind], "domain")
-        return build_mesh(kind, float(resolution), **block)
+        return kind, float(resolution), params
+
+    def mesh(self):
+        kind, resolution, params = self._domain()
+        return build_mesh(kind, resolution, **params)
 
     def initial_map(self, surface):
-        block = dict(self.data["initial_map"])
-        kind = block.pop("kind", None)
-        if kind not in _MAP_KEYS:
-            raise ConfigError(f"initial_map.kind must be one of {sorted(_MAP_KEYS)}")
-        _require_keys(block, kind, _MAP_KEYS[kind], "initial_map")
-        return make_initial_map(surface, kind, **block)
+        kind, params = _split_kind(self.data["initial_map"], _MAP_KEYS, "initial_map")
+        return make_initial_map(surface, kind, **params)
 
     def minimize_options(self):
         block = self.data["minimize"]
+        for key, val in block.items():
+            if isinstance(val, bool):
+                raise ConfigError(f"minimize.{key} must be a number, not a boolean")
+        if isinstance(block["max_iter"], float) and not block["max_iter"].is_integer():
+            raise ConfigError("minimize.max_iter must be an integer")
         try:
             return MinimizeOptions(
                 max_iter=int(block["max_iter"]),
@@ -210,34 +208,22 @@ class RunConfig:
         surface = self.surface()
         self.model()
         self.minimize_options()
-        block = dict(self.data["domain"])
-        kind = block.pop("kind", None)
-        resolution = block.pop("resolution", None)
-        if kind not in _DOMAIN_KEYS:
-            raise ConfigError(f"domain.kind must be one of {sorted(_DOMAIN_KEYS)}")
-        if not isinstance(resolution, (int, float)) or resolution <= 0:
-            raise ConfigError("domain.resolution must be a positive number")
-        _require_keys(block, kind, _DOMAIN_KEYS[kind], "domain")
-        map_block = dict(self.data["initial_map"])
-        map_kind = map_block.pop("kind", None)
-        if map_kind not in _MAP_KEYS:
-            raise ConfigError(f"initial_map.kind must be one of {sorted(_MAP_KEYS)}")
-        _require_keys(map_block, map_kind, _MAP_KEYS[map_kind], "initial_map")
+        self._domain()
         self.initial_map(surface)
         verify = self.data["verify"]
         for key, val in verify.items():
             if key == "perturbation_delta":
-                if not (isinstance(val, (int, float)) and 0 < val < 1):
+                if not (_is_number(val) and 0 < val < 1):
                     raise ConfigError("verify.perturbation_delta must lie in (0, 1)")
-            elif not (isinstance(val, int) and val > 0):
+            elif not (_is_int(val) and val > 0):
                 raise ConfigError(f"verify.{key} must be a positive integer")
         diag = self.data["diagnostics"]
         if not isinstance(diag["injectivity"], bool):
             raise ConfigError("diagnostics.injectivity must be boolean")
         for key in ("degree_points", "residual_fields"):
-            if not (isinstance(diag[key], int) and diag[key] >= 0):
+            if not (_is_int(diag[key]) and diag[key] >= 0):
                 raise ConfigError(f"diagnostics.{key} must be a nonnegative integer")
-        if not isinstance(self.data["seed"], int):
+        if not _is_int(self.data["seed"]):
             raise ConfigError("seed must be an integer")
         return self
 

@@ -9,9 +9,11 @@ a 3x2 deformation gradient F and an independent area ratio J > 0,
 written once, in ``IsotropicModel.phi``.  Since l1^2 + l2^2 = F.F, Phi is
 convex as a joint function of (F, J); the stored energy is
 W(F) = Phi(l1, l2, l1*l2), which blows up as J -> 0+ and is frame
-indifferent and isotropic by construction.  ``energy_density``,
-``phi_split`` and ``IsotropicModel.energy_from_stretches`` all evaluate
-``phi``.
+indifferent and isotropic by construction.  Each quantity has one batch
+entry point over (n, 3, 2) gradients: ``energy_density_batch`` for W (with
+the rank check), ``phi_split_batch`` for Phi(F, J) and ``pk1_batch`` for
+the first Piola-Kirchhoff stress; ``IsotropicModel.scaled_stress_coefficients``
+gives the principal Kirchhoff stresses.
 """
 
 from __future__ import annotations
@@ -30,13 +32,10 @@ from .errors import (
 __all__ = [
     "ThetaModel",
     "IsotropicModel",
-    "StretchPair",
-    "StressState",
     "default_model",
-    "stretches",
-    "energy_density",
-    "pk1_stress",
-    "phi_split",
+    "energy_density_batch",
+    "pk1_batch",
+    "phi_split_batch",
 ]
 
 # Relative threshold under which F is treated as rank deficient.
@@ -186,11 +185,6 @@ class IsotropicModel:
         l2 = np.asarray(l2, dtype=float)
         return self.phi(l1, l2, l1 * l2)
 
-    def stress_coefficients(self, l1, l2):
-        """Partial derivatives (Phi_1, Phi_2) of the stretch representation."""
-        s1, s2 = self.scaled_stress_coefficients(l1, l2)
-        return s1 / np.asarray(l1, dtype=float), s2 / np.asarray(l2, dtype=float)
-
     def scaled_stress_coefficients(self, l1, l2):
         """(l1 Phi_1, l2 Phi_2), the principal Kirchhoff stresses."""
         l1 = np.asarray(l1, dtype=float)
@@ -232,35 +226,6 @@ class IsotropicModel:
 def default_model():
     """Stress-free-at-identity default: a=1, gamma=3, b=1, c=1.5, q=2, r=4."""
     return IsotropicModel()
-
-
-@dataclass(frozen=True)
-class StretchPair:
-    """Spectral data of a 3x2 gradient: F = sum_g lam_g d_g (x) r_g."""
-
-    lam1: float
-    lam2: float
-    d1: np.ndarray
-    d2: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-
-    @property
-    def area_ratio(self):
-        return self.lam1 * self.lam2
-
-
-@dataclass(frozen=True)
-class StressState:
-    """First Piola-Kirchhoff stress with its spatial companions.
-
-    ``kirchhoff`` is sigma = pk1 F^T restricted to the range of F (stored as
-    a 3x3 matrix annihilating the normal direction); ``cauchy`` is sigma / J.
-    """
-
-    pk1: np.ndarray
-    kirchhoff: np.ndarray
-    cauchy: np.ndarray
 
 
 def _spectral_batch(F):
@@ -313,24 +278,6 @@ def _check_rank(l1, l2):
         )
 
 
-def stretches(F):
-    """Principal stretches and singular frames of a full-rank 3x2 gradient."""
-    F = np.asarray(F, dtype=float)
-    if F.shape != (3, 2):
-        raise ValueError("F must be a 3x2 matrix")
-    l1, l2, r1, r2, d1, d2 = _spectral_batch(F)
-    _check_rank(l1, l2)
-    return StretchPair(float(l1), float(l2), d1, d2, r1, r2)
-
-
-def energy_density(model, F):
-    """Stored energy of a single orientation-capable 3x2 gradient."""
-    F = np.asarray(F, dtype=float)
-    if F.shape != (3, 2):
-        raise ValueError("F must be a 3x2 matrix")
-    return float(energy_density_batch(model, F[None, :, :])[0])
-
-
 def energy_density_batch(model, F):
     """Vectorized stored energy over a (n, 3, 2) batch."""
     l1, l2, *_ = _spectral_batch(F)
@@ -338,31 +285,14 @@ def energy_density_batch(model, F):
     return model.energy_from_stretches(l1, l2)
 
 
-def pk1_stress(model, F):
-    """Spectral first Piola-Kirchhoff stress and its spatial companions."""
-    pair = stretches(F)
-    pk1 = pk1_batch(model, np.asarray(F, dtype=float)[None, :, :])[0]
-    s1, s2 = model.scaled_stress_coefficients(pair.lam1, pair.lam2)
-    kirchhoff = s1 * np.outer(pair.d1, pair.d1) + s2 * np.outer(pair.d2, pair.d2)
-    cauchy = kirchhoff / pair.area_ratio
-    return StressState(pk1=pk1, kirchhoff=kirchhoff, cauchy=cauchy)
-
-
 def pk1_batch(model, F):
     """Vectorized PK1 stress over a (n, 3, 2) batch."""
     l1, l2, r1, r2, d1, d2 = _spectral_batch(F)
-    p1, p2 = model.stress_coefficients(l1, l2)
+    s1, s2 = model.scaled_stress_coefficients(l1, l2)
+    p1, p2 = s1 / l1, s2 / l2
     return p1[..., None, None] * np.einsum(
         "...i,...j->...ij", d1, r1
     ) + p2[..., None, None] * np.einsum("...i,...j->...ij", d2, r2)
-
-
-def phi_split(model, F, J):
-    """Split density Phi(F, J) with independent area-ratio argument."""
-    F = np.asarray(F, dtype=float)
-    if F.shape != (3, 2):
-        raise ValueError("F must be a 3x2 matrix")
-    return float(phi_split_batch(model, F[None, :, :], np.asarray([J], dtype=float))[0])
 
 
 def phi_split_batch(model, F, J):
@@ -370,6 +300,6 @@ def phi_split_batch(model, F, J):
     F = np.asarray(F, dtype=float)
     J = np.asarray(J, dtype=float)
     if np.any(J <= 0):
-        raise NonpositiveJError("phi_split requires J > 0")
+        raise NonpositiveJError("Phi(F, J) requires J > 0")
     l1, l2, *_ = _spectral_batch(F)
     return model.phi(l1, l2, J)

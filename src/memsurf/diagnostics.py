@@ -35,8 +35,12 @@ __all__ = [
     "first_variation_residual",
 ]
 
-DEGREE_MARGIN_DEFAULT = 1e-6
+# Targets closer than this to the boundary image are rejected by the degree.
+DEGREE_MARGIN = 1e-6
+# Overlap area above which an element pair breaks injectivity.
 OVERLAP_AREA_TOL = 1e-12
+# Overlapping pairs kept in an OverlapReport, worst first.
+MAX_RECORDED_OVERLAPS = 100
 
 
 def _bump_mass_constant():
@@ -62,9 +66,7 @@ class DegreeResult:
     """Degree of the configuration at one target point, by two methods."""
 
     target_point: np.ndarray
-    degree: int
-    method: str                      # method backing ``degree``
-    signed_cover_count: int
+    degree: int                      # signed cover count
     mollified_integral: float
     mollifier_radius: float
     methods_agree: bool
@@ -149,7 +151,6 @@ def brouwer_degree(
     config,
     y,
     mollifier_radius=None,
-    degree_margin=DEGREE_MARGIN_DEFAULT,
     nudge=True,
 ):
     """Degree of the nodal map at on-surface point y, by two methods.
@@ -167,10 +168,10 @@ def brouwer_degree(
     """
     y = np.asarray(y, dtype=float)
     bdist = _boundary_image_distance(mesh, config, y)
-    if bdist < degree_margin:
+    if bdist < DEGREE_MARGIN:
         raise BoundaryTooCloseError(
             f"target point is {bdist:.3e} from the boundary image "
-            f"(margin {degree_margin:.1e})"
+            f"(margin {DEGREE_MARGIN:.1e})"
         )
     P = config.positions[mesh.triangles]            # (m, 3, 3)
     edges = np.stack(
@@ -197,20 +198,8 @@ def brouwer_degree(
         radius = float(mollifier_radius)
 
     reach = diam + 1.6 * radius + mean_edge
-    near = vert_dist <= reach
-    if not np.any(near):
-        return DegreeResult(
-            target_point=y,
-            degree=0,
-            method="signed_cover_count",
-            signed_cover_count=0,
-            mollified_integral=0.0,
-            mollifier_radius=radius,
-            methods_agree=True,
-        )
-
+    near_idx = np.nonzero(vert_dist <= reach)[0]
     chart = surface.chart_at(y)
-    near_idx = np.nonzero(near)[0]
     ok = (
         chart.contains(P[near_idx].reshape(-1, 3)).reshape(-1, 3).all(axis=1)
     )
@@ -229,8 +218,6 @@ def brouwer_degree(
         return DegreeResult(
             target_point=y,
             degree=0,
-            method="signed_cover_count",
-            signed_cover_count=0,
             mollified_integral=0.0,
             mollifier_radius=radius,
             methods_agree=True,
@@ -273,8 +260,6 @@ def brouwer_degree(
     return DegreeResult(
         target_point=y,
         degree=count,
-        method="signed_cover_count",
-        signed_cover_count=count,
         mollified_integral=integral,
         mollifier_radius=radius,
         methods_agree=bool(abs(integral - count) < 0.5),
@@ -357,12 +342,12 @@ def _triangle_overlap_area(t1, t2):
     return 0.5 * abs(area)
 
 
-def injectivity_check(surface, mesh, config, area_tol=OVERLAP_AREA_TOL, max_recorded=100):
+def injectivity_check(surface, mesh, config):
     """Image-overlap scan of all non-adjacent element pairs.
 
     Pairs whose axis-aligned image boxes intersect are tested exactly in a
-    shared chart; a clean report (no overlap area above ``area_tol``) is the
-    discrete injectivity certificate.
+    shared chart; a clean report (no overlap area above ``OVERLAP_AREA_TOL``)
+    is the discrete injectivity certificate.
     """
     P = config.positions[mesh.triangles]
     m = P.shape[0]
@@ -419,7 +404,7 @@ def injectivity_check(surface, mesh, config, area_tol=OVERLAP_AREA_TOL, max_reco
                 )
             uv = chart.inverse_map(pts)
             area = _triangle_overlap_area(uv[:3], uv[3:])
-            if area > area_tol:
+            if area > OVERLAP_AREA_TOL:
                 overlaps.append((int(i), int(j), float(area)))
                 total += float(area)
     overlaps.sort(key=lambda rec: -rec[2])
@@ -427,8 +412,8 @@ def injectivity_check(surface, mesh, config, area_tol=OVERLAP_AREA_TOL, max_reco
         checked_pairs=checked,
         overlapping_pairs=len(overlaps),
         total_overlap_area=total,
-        injective=total <= area_tol,
-        pairs=overlaps[:max_recorded],
+        injective=total <= OVERLAP_AREA_TOL,
+        pairs=overlaps[:MAX_RECORDED_OVERLAPS],
     )
 
 

@@ -25,7 +25,7 @@ from .mesh import TriMesh
 
 __all__ = [
     "Configuration",
-    "total_energy",
+    "trial_energy",
     "energy_gradient",
 ]
 
@@ -101,13 +101,6 @@ def oriented_area_ratios(mesh: TriMesh, config: Configuration, F=None):
     return _kinematics(mesh, config.surface, config.positions, F)[1]
 
 
-def total_energy(model, mesh, config):
-    """Total stored energy; raises NegativeJError listing infeasible elements."""
-    F, J = _kinematics(mesh, config.surface, config.positions)
-    _require_oriented(J)
-    return _energy(model, mesh, F)
-
-
 def trial_energy(model, mesh, surface, positions, j_floor=J_FLOOR_DEFAULT):
     """Non-raising energy evaluation for line-search trials.
 
@@ -130,7 +123,7 @@ def energy_gradient(model, mesh, config):
 
     The density depends on the nodes only through F, so the assembled
     gradient is sum_t A_t S_t g_{t,i} at each vertex i; it matches central
-    finite differences of ``total_energy`` to rounding error.
+    finite differences of ``trial_energy`` to rounding error.
     """
     F, J = _kinematics(mesh, config.surface, config.positions)
     _require_oriented(J)

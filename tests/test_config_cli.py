@@ -83,6 +83,29 @@ seed: 7
         with pytest.raises(ConfigError, match="resolution"):
             parse_config("domain: {kind: disk, resolution: -0.5}")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "seed: true",
+            "verify: {rotation_samples: true}",
+            "verify: {growth_samples: true}",
+            "diagnostics: {degree_points: true}",
+            "diagnostics: {residual_fields: true}",
+            "domain: {kind: unit_square, resolution: true}",
+            "minimize: {max_iter: true}",
+            "minimize: {grad_tol: true}",
+            "minimize: {initial_step: true}",
+            "minimize: {max_iter: 2.7}",
+        ],
+    )
+    def test_booleans_and_fractional_counts_exit_2(self, tmp_path, text):
+        # YAML booleans are Python ints; none may stand in for a number.
+        with pytest.raises(ConfigError):
+            parse_config(text)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"{text}\noutput_dir: \"{tmp_path / 'out'}\"\n")
+        assert main(["residual", str(cfg)]) == 2
+
     def test_map_surface_mismatch(self):
         with pytest.raises(ConfigError):
             parse_config(

@@ -10,14 +10,29 @@ from memsurf import (
     RankDeficientError,
     ThetaModel,
     default_model,
-    energy_density,
-    phi_split,
-    pk1_stress,
-    stretches,
 )
-from memsurf.constitutive import energy_density_batch, pk1_batch
+from memsurf.constitutive import (
+    _spectral_batch,
+    energy_density_batch,
+    phi_split_batch,
+    pk1_batch,
+)
 
 F_IDENTITY = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+
+def density(model, F):
+    """Stored energy of one 3x2 gradient through the batch entry point."""
+    return float(energy_density_batch(model, np.asarray(F)[None])[0])
+
+
+def spectral_kirchhoff(model, F):
+    """Independent spectral formula s1 d1 (x) d1 + s2 d2 (x) d2, batched."""
+    l1, l2, _, _, d1, d2 = _spectral_batch(F)
+    s1, s2 = model.scaled_stress_coefficients(l1, l2)
+    return s1[:, None, None] * np.einsum("ni,nj->nij", d1, d1) + s2[
+        :, None, None
+    ] * np.einsum("ni,nj->nij", d2, d2)
 
 
 def exact_default_energy(l1, l2):
@@ -39,58 +54,58 @@ def random_gradients(rng, n, lo=0.05, hi=20.0):
 
 class TestStretches:
     def test_identity(self):
-        pair = stretches(F_IDENTITY)
-        assert pair.lam1 == pytest.approx(1.0, abs=1e-14)
-        assert pair.lam2 == pytest.approx(1.0, abs=1e-14)
+        l1, l2, *_ = _spectral_batch(F_IDENTITY[None])
+        assert l1[0] == pytest.approx(1.0, abs=1e-14)
+        assert l2[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal(self):
-        pair = stretches(np.array([[2.0, 0.0], [0.0, 0.5], [0.0, 0.0]]))
-        assert pair.lam1 == pytest.approx(2.0, abs=1e-14)
-        assert pair.lam2 == pytest.approx(0.5, abs=1e-14)
+        l1, l2, *_ = _spectral_batch(np.array([[[2.0, 0.0], [0.0, 0.5], [0.0, 0.0]]]))
+        assert l1[0] == pytest.approx(2.0, abs=1e-14)
+        assert l2[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_shear_golden_ratio(self):
         phi = (1.0 + np.sqrt(5.0)) / 2.0
-        pair = stretches(np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]))
-        assert pair.lam1 == pytest.approx(phi, abs=1e-12)
-        assert pair.lam2 == pytest.approx(1.0 / phi, abs=1e-12)
+        l1, l2, *_ = _spectral_batch(np.array([[[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]]))
+        assert l1[0] == pytest.approx(phi, abs=1e-12)
+        assert l2[0] == pytest.approx(1.0 / phi, abs=1e-12)
 
     def test_frames(self):
         rng = np.random.default_rng(0)
-        for F in random_gradients(rng, 100):
-            pair = stretches(F)
-            assert abs(pair.d1 @ pair.d2) < 1e-12
-            assert np.abs(F @ pair.r1 - pair.lam1 * pair.d1).max() < 1e-10
-            assert np.abs(F @ pair.r2 - pair.lam2 * pair.d2).max() < 1e-10
-            C = F.T @ F
-            assert pair.lam1 * pair.lam2 == pytest.approx(
-                np.sqrt(np.linalg.det(C)), rel=1e-10
-            )
-            assert pair.lam1**2 + pair.lam2**2 == pytest.approx(
-                np.trace(C), rel=1e-12
-            )
+        F = random_gradients(rng, 100)
+        l1, l2, r1, r2, d1, d2 = _spectral_batch(F)
+        assert np.all(np.abs(np.einsum("ni,ni->n", d1, d2)) < 1e-12)
+        F_r1 = np.einsum("nij,nj->ni", F, r1)
+        F_r2 = np.einsum("nij,nj->ni", F, r2)
+        assert np.abs(F_r1 - l1[:, None] * d1).max() < 1e-10
+        assert np.abs(F_r2 - l2[:, None] * d2).max() < 1e-10
+        C = np.einsum("nki,nkj->nij", F, F)
+        np.testing.assert_allclose(l1 * l2, np.sqrt(np.linalg.det(C)), rtol=1e-10)
+        np.testing.assert_allclose(
+            l1**2 + l2**2, np.trace(C, axis1=1, axis2=2), rtol=1e-12
+        )
 
-    def test_rank_deficient_raises(self):
+    def test_rank_deficient_raises(self, model):
         with pytest.raises(RankDeficientError):
-            stretches(np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]))
+            energy_density_batch(model, np.array([[[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]]]))
         with pytest.raises(RankDeficientError):
-            stretches(np.zeros((3, 2)))
+            energy_density_batch(model, np.zeros((1, 3, 2)))
 
 
 class TestEnergyDensity:
     def test_identity_value(self, model):
-        assert energy_density(model, F_IDENTITY) == pytest.approx(4.0, abs=1e-14)
+        assert density(model, F_IDENTITY) == pytest.approx(4.0, abs=1e-14)
 
     def test_thin_stretch_value(self, model):
         expected = exact_default_energy(1, Fraction(1, 10))
         got = model.energy_from_stretches(1.0, 0.1)
         assert got == pytest.approx(expected, rel=1e-12)
         F = np.array([[1.0, 0.0], [0.0, 0.1], [0.0, 0.0]])
-        assert energy_density(model, F) == pytest.approx(expected, rel=1e-10)
+        assert density(model, F) == pytest.approx(expected, rel=1e-10)
 
     def test_equibiaxial_value(self, model):
         expected = exact_default_energy(2, 2)
         F = np.array([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-        assert energy_density(model, F) == pytest.approx(expected, rel=1e-12)
+        assert density(model, F) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(39.005859375, abs=1e-12)
 
     def test_symmetric_in_stretches(self, model):
@@ -127,9 +142,8 @@ class TestEnergyDensity:
 
 class TestStress:
     def test_identity_stress_free(self, model):
-        state = pk1_stress(model, F_IDENTITY)
-        assert np.abs(state.pk1).max() < 1e-14
-        assert np.abs(state.kirchhoff).max() < 1e-14
+        assert np.abs(pk1_batch(model, F_IDENTITY[None])).max() < 1e-14
+        assert np.abs(spectral_kirchhoff(model, F_IDENTITY[None])).max() < 1e-14
 
     def test_matches_finite_differences(self, model):
         rng = np.random.default_rng(4)
@@ -150,61 +164,64 @@ class TestStress:
 
     def test_kirchhoff_relation(self, model):
         rng = np.random.default_rng(5)
-        for F in random_gradients(rng, 200):
-            state = pk1_stress(model, F)
-            scale = 1.0 + np.abs(state.kirchhoff).max()
-            assert np.abs(state.kirchhoff - state.pk1 @ F.T).max() / scale < 1e-10
-            assert (
-                np.abs(state.cauchy * stretches(F).area_ratio - state.kirchhoff).max()
-                / scale
-                < 1e-10
-            )
+        F = random_gradients(rng, 200)
+        tau = spectral_kirchhoff(model, F)
+        SFt = np.einsum("nij,nkj->nik", pk1_batch(model, F), F)
+        scale = 1.0 + np.abs(tau).max(axis=(1, 2))
+        assert np.max(np.abs(tau - SFt).max(axis=(1, 2)) / scale) < 1e-10
+        # Cauchy relation J sigma = S F^T with J = sqrt(det C) and the
+        # Cauchy stress sigma = tau / (l1 l2) from the stretches.
+        l1, l2, *_ = _spectral_batch(F)
+        cauchy = tau / (l1 * l2)[:, None, None]
+        J = np.sqrt(np.linalg.det(np.einsum("nki,nkj->nij", F, F)))
+        lhs = J[:, None, None] * cauchy
+        assert np.max(np.abs(lhs - SFt).max(axis=(1, 2)) / scale) < 1e-10
 
     def test_kirchhoff_symmetric(self, model):
         rng = np.random.default_rng(6)
-        for F in random_gradients(rng, 100):
-            state = pk1_stress(model, F)
-            asym = np.abs(state.kirchhoff - state.kirchhoff.T).max()
-            assert asym < 1e-10 * (1.0 + np.abs(state.kirchhoff).max())
+        F = random_gradients(rng, 100)
+        SFt = np.einsum("nij,nkj->nik", pk1_batch(model, F), F)
+        asym = np.abs(SFt - np.swapaxes(SFt, 1, 2)).max(axis=(1, 2))
+        assert np.all(asym < 1e-10 * (1.0 + np.abs(SFt).max(axis=(1, 2))))
 
     def test_equibiaxial_isotropic_stress(self, model):
         lam = 1.7
-        F = np.array([[lam, 0.0], [0.0, lam], [0.0, 0.0]])
-        state = pk1_stress(model, F)
+        F = np.array([[[lam, 0.0], [0.0, lam], [0.0, 0.0]]])
         s = 3.0 * lam**3 + model.theta.j_times_derivative(lam**2)
         expected = s * np.diag([1.0, 1.0, 0.0])
-        assert np.abs(state.kirchhoff - expected).max() < 1e-10 * (1 + abs(s))
+        SFt = pk1_batch(model, F)[0] @ F[0].T
+        assert np.abs(spectral_kirchhoff(model, F)[0] - expected).max() < 1e-10 * (
+            1 + abs(s)
+        )
+        assert np.abs(SFt - expected).max() < 1e-10 * (1 + abs(s))
 
     def test_pure_shear_coaxial_with_b(self, model):
-        F = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
-        state = pk1_stress(model, F)
-        B = F @ F.T
-        comm = state.kirchhoff @ B - B @ state.kirchhoff
-        assert np.abs(comm).max() < 1e-12 * np.abs(state.kirchhoff).max()
+        F = np.array([[[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]])
+        tau = spectral_kirchhoff(model, F)[0]
+        B = F[0] @ F[0].T
+        comm = tau @ B - B @ tau
+        assert np.abs(comm).max() < 1e-12 * np.abs(tau).max()
 
     def test_repeated_stretches(self, model):
-        F = np.array([[1.0, 0.0], [0.0, 1.0 + 1e-12], [0.0, 0.0]])
-        state = pk1_stress(model, F)
-        assert np.abs(state.pk1).max() < 1e-9
+        F = np.array([[[1.0, 0.0], [0.0, 1.0 + 1e-12], [0.0, 0.0]]])
+        assert np.abs(pk1_batch(model, F)).max() < 1e-9
 
 
 class TestPhiSplit:
     def test_zero_gradient(self, model):
-        assert phi_split(model, np.zeros((3, 2)), 1.0) == 0.0
+        assert phi_split_batch(model, np.zeros((1, 3, 2)), np.ones(1))[0] == 0.0
 
     def test_consistency_with_density(self, model):
-        assert phi_split(model, F_IDENTITY, 1.0) == pytest.approx(4.0, abs=1e-14)
+        assert phi_split_batch(model, F_IDENTITY[None], np.ones(1))[0] == pytest.approx(
+            4.0, abs=1e-14
+        )
         rng = np.random.default_rng(7)
         F = random_gradients(rng, 200)
         J = np.sqrt(np.linalg.det(np.einsum("nij,nik->njk", F, F)))
-        from memsurf.constitutive import phi_split_batch
-
         a = phi_split_batch(model, F, J)
         b = energy_density_batch(model, F)
         assert np.max(np.abs(a - b) / (1.0 + np.abs(b))) < 1e-12
         # With J = l1*l2 all three entry points evaluate the one formula.
-        from memsurf.constitutive import _spectral_batch
-
         l1, l2, *_ = _spectral_batch(F)
         W = energy_density_batch(model, F)
         assert np.array_equal(W, phi_split_batch(model, F, l1 * l2))
@@ -212,9 +229,9 @@ class TestPhiSplit:
 
     def test_nonpositive_j_raises(self, model):
         with pytest.raises(NonpositiveJError):
-            phi_split(model, F_IDENTITY, 0.0)
+            phi_split_batch(model, F_IDENTITY[None], np.zeros(1))
         with pytest.raises(NonpositiveJError):
-            phi_split(model, F_IDENTITY, -1.0)
+            phi_split_batch(model, F_IDENTITY[None], -np.ones(1))
 
 
 class TestThetaModel:

@@ -9,8 +9,8 @@ from memsurf import (
     build_mesh,
     initialize,
     minimize,
-    total_energy,
 )
+from memsurf.discretization import trial_energy
 from memsurf.maps import make_initial_map
 
 
@@ -148,9 +148,9 @@ class TestReportInvariants:
 
     def test_final_energy_not_above_start(self, model, sphere, cap_run):
         mesh, f0, cfg, report = cap_run
-        start = total_energy(model, mesh, Configuration.from_map(sphere, mesh, f0))
-        assert report.energy_history[-1] <= start
-        assert total_energy(model, mesh, cfg) == pytest.approx(
+        start = Configuration.from_map(sphere, mesh, f0).positions
+        assert report.energy_history[-1] <= trial_energy(model, mesh, sphere, start)[0]
+        assert trial_energy(model, mesh, sphere, cfg.positions)[0] == pytest.approx(
             report.energy_history[-1], rel=1e-12
         )
 
@@ -194,3 +194,70 @@ class TestFrameCovariance:
 
         cfg_rot, _ = minimize(model, sphere, mesh, rotated_f0)
         assert np.abs(cfg_rot.positions - cfg.positions @ Q.T).max() < 1e-6
+
+
+def _base_map(surface, kind):
+    """Closed-form feasible placement of the reference mesh on one family."""
+    if kind == "plane":
+        return make_initial_map(
+            surface, "affine", matrix=np.array([[1.2, 0.1], [0.0, 0.9]])
+        )
+    if kind == "sphere":
+        return make_initial_map(surface, "stereographic_cap", latitude=np.pi / 3)
+    if kind == "torus":
+        return make_initial_map(surface, "torus_band")
+    if kind == "ellipsoid":
+        # Radial projection of a tilted disk onto the upper cap.
+        def cap(x):
+            d = np.column_stack([1.5 * x[:, 0], 1.5 * x[:, 1], np.ones(len(x))])
+            scale = np.sqrt(np.sum((d / surface.semi_axes) ** 2, axis=1))
+            return d / scale[:, None]
+
+        return cap
+
+    def graph(x):
+        u, v = x[:, 0] - 0.5, x[:, 1] - 0.5
+        return np.column_stack([u, v, surface.height(u, v)])
+
+    return graph
+
+
+INVARIANT_CASES = [
+    ("plane", "plane", "unit_square"),
+    ("sphere", "sphere", "disk"),
+    ("torus", "torus", "unit_square"),
+    ("ellipsoid", "ellipsoid", "disk"),
+    ("graph", "graph_surface", "unit_square"),
+]
+
+
+class TestInvariantsAllSurfaces:
+    """Feasibility, monotone energy and pinned boundary on every family."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind,fixture,domain", INVARIANT_CASES)
+    def test_minimizer_invariants(self, request, model, kind, fixture, domain, seed):
+        surface = request.getfixturevalue(fixture)
+        mesh = build_mesh(domain, 0.25)
+        base = np.asarray(_base_map(surface, kind)(mesh.vertices), dtype=float)
+        # Seeded tangential jitter of the interior nodes, then back onto the
+        # surface; boundary rows keep the closed-form values exactly.
+        rng = np.random.default_rng(seed)
+        interior = mesh.interior_mask()
+        jitter = 0.02 * rng.standard_normal(base.shape)
+        start = base.copy()
+        start[interior] = surface.project(
+            base[interior] + surface.tangent_project(base[interior], jitter[interior])
+        )
+
+        def f0(x):
+            return start.copy()
+
+        options = MinimizeOptions(max_iter=150)
+        cfg, report = minimize(model, surface, mesh, f0, options)
+        assert len(report.min_j_history) == report.iterations + 1
+        assert all(j > options.j_floor for j in report.min_j_history)
+        e = report.energy_history
+        assert all(b <= a for a, b in zip(e, e[1:]))
+        b = mesh.boundary_vertices
+        assert np.array_equal(cfg.positions[b], base[b])
