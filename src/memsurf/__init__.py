@@ -38,7 +38,6 @@ from .errors import (
     IrregularValueError,
     LineSearchStallError,
     MemsurfError,
-    NegativeJError,
     NoConvergenceError,
     NonpositiveJError,
     OffSurfaceError,

@@ -204,18 +204,13 @@ def _cmd_minimize(config, out):
         print(f"line search stall: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    n_hist = len(report.energy_history)
-    rows = []
-    for k in range(n_hist):
-        rows.append(
-            (
-                k,
-                report.energy_history[k],
-                report.grad_history[k] if k < len(report.grad_history) else float("nan"),
-                report.min_j_history[k],
-                report.step_history[k - 1] if 1 <= k <= len(report.step_history) else 0.0,
-            )
-        )
+    rows = zip(
+        range(len(report.energy_history)),
+        report.energy_history,
+        report.grad_history,
+        report.min_j_history,
+        [0.0] + report.step_history,
+    )
     _write_csv(
         os.path.join(out, "energy_history.csv"),
         config.config_hash,
@@ -240,9 +235,9 @@ def _cmd_minimize(config, out):
         f"status: {report.status}",
         f"iterations: {report.iterations}",
         f"energy: {report.energy_history[-1]!r}",
-        f"final_grad_norm: {report.final_grad_norm!r}",
+        f"final_grad_norm: {report.grad_history[-1]!r}",
         f"grad_tol: {grad_tol!r}",
-        f"min_element_J: {report.min_element_j!r}",
+        f"min_element_J: {report.min_j_history[-1]!r}",
         f"vertices: {mesh.num_vertices}",
         f"triangles: {mesh.num_triangles}",
         f"wall_time_s: {report.wall_time:.3f}",

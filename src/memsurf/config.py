@@ -26,12 +26,7 @@ __all__ = ["RunConfig", "parse_config", "parse_config_file", "DEFAULT_CONFIG"]
 
 DEFAULT_CONFIG = {
     "surface": {"kind": "plane"},
-    "model": {
-        "ogden_terms": [{"b": 1.0, "gamma": 3.0}],
-        "b": 1.0,
-        "theta": {"c": 1.5, "q": 2.0, "r": 4.0},
-        "label": "default",
-    },
+    "model": IsotropicModel().to_dict(),
     "domain": {"kind": "unit_square", "resolution": 0.125},
     "initial_map": {"kind": "identity"},
     "minimize": {
@@ -148,7 +143,7 @@ class RunConfig:
     def model(self):
         try:
             return IsotropicModel.from_dict(self.data["model"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"model: malformed block ({exc})") from exc
         except InvalidModelError as exc:
             raise ConfigError(f"model: {exc}") from exc
@@ -171,8 +166,11 @@ class RunConfig:
     def minimize_options(self):
         block = self.data["minimize"]
         for key, val in block.items():
-            if isinstance(val, bool):
-                raise ConfigError(f"minimize.{key} must be a number, not a boolean")
+            if val is not None and not _is_number(val):
+                raise ConfigError(
+                    f"minimize.{key} must be a number, got {val!r} "
+                    "(write an exponent with a decimal point: 5.0e-2, not 5e-2)"
+                )
         if isinstance(block["max_iter"], float) and not block["max_iter"].is_integer():
             raise ConfigError("minimize.max_iter must be an integer")
         try:

@@ -209,18 +209,21 @@ class IsotropicModel:
 
     @classmethod
     def from_dict(cls, data):
-        terms = tuple((t["b"], t["gamma"]) for t in data["ogden_terms"])
-        th = data.get("theta", {})
-        return cls(
-            ogden_terms=terms,
-            b=float(data.get("b", 0.0)),
-            theta=ThetaModel(
-                c=float(th.get("c", 1.5)),
-                q=float(th.get("q", 2.0)),
-                r=float(th.get("r", 4.0)),
-            ),
-            label=str(data.get("label", "")),
-        )
+        """Inverse of ``to_dict``; a missing key takes the class default."""
+        kwargs = {}
+        if "ogden_terms" in data:
+            kwargs["ogden_terms"] = tuple(
+                (t["b"], t["gamma"]) for t in data["ogden_terms"]
+            )
+        if "b" in data:
+            kwargs["b"] = float(data["b"])
+        if "theta" in data:
+            kwargs["theta"] = ThetaModel(
+                **{key: float(val) for key, val in data["theta"].items()}
+            )
+        if "label" in data:
+            kwargs["label"] = str(data["label"])
+        return cls(**kwargs)
 
 
 def default_model():

@@ -506,9 +506,7 @@ def first_variation_residual(model, surface, mesh, config, family_size=12, seed=
         norm = float(np.linalg.norm(psi))
         admissible = True
         for tau in (1e-3, -1e-3):
-            _, _, ok = trial_energy(
-                model, mesh, surface, config.positions + tau * psi
-            )
+            ok = trial_energy(model, mesh, surface, config.positions + tau * psi)[2]
             admissible = admissible and ok
         results.append(
             ResidualResult(

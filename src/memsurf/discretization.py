@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import _spectral_batch, pk1_batch
-from .errors import (
-    AmbiguousProjectionError,
-    NegativeJError,
-    NoConvergenceError,
-    OffSurfaceError,
-)
+from .errors import AmbiguousProjectionError, NoConvergenceError, OffSurfaceError
 from .mesh import TriMesh
 
 __all__ = [
@@ -61,29 +56,21 @@ class Configuration:
         return Configuration(self.surface, self.positions.copy())
 
 
-def _kinematics(mesh, surface, positions, F=None):
+def _gradients(mesh, Y):
+    """F_t = sum_i y_i (x) g_i from the element vertex positions Y (m, 3, 3)."""
+    return np.einsum("tva,tvb->tab", Y, mesh.shape_grads)
+
+
+def _kinematics(mesh, surface, positions):
     """Per-element gradients F (m, 3, 2) and oriented area ratios J (m,).
 
-    F_t = sum_i y_i (x) g_i; J_t = n(projected centroid) . (F e1 x F e2).
-    With ``surface`` None only F is formed and J is None.
+    J_t = n(projected centroid) . (F e1 x F e2).
     """
     Y = positions[mesh.triangles]                  # (m, 3verts, 3)
-    if F is None:
-        F = np.einsum("tva,tvb->tab", Y, mesh.shape_grads)
-    if surface is None:
-        return F, None
+    F = _gradients(mesh, Y)
     cross = np.cross(F[:, :, 0], F[:, :, 1])
     normals = surface.normal_unchecked(surface.project(Y.mean(axis=1)))
     return F, np.einsum("ti,ti->t", normals, cross)
-
-
-def _require_oriented(J):
-    bad = np.nonzero(J <= 0)[0]
-    if bad.size:
-        raise NegativeJError(
-            f"{bad.size} elements have non-positive oriented area ratio",
-            elements=bad.tolist(),
-        )
 
 
 def _energy(model, mesh, F):
@@ -93,40 +80,41 @@ def _energy(model, mesh, F):
 
 def deformation_gradients(mesh: TriMesh, config: Configuration):
     """Constant per-element gradients F_t = sum_i y_i (x) g_i, shape (m, 3, 2)."""
-    return _kinematics(mesh, None, config.positions)[0]
+    return _gradients(mesh, config.positions[mesh.triangles])
 
 
-def oriented_area_ratios(mesh: TriMesh, config: Configuration, F=None):
+def oriented_area_ratios(mesh: TriMesh, config: Configuration):
     """Oriented J per element: n(projected centroid) . (F e1 x F e2)."""
-    return _kinematics(mesh, config.surface, config.positions, F)[1]
+    return _kinematics(mesh, config.surface, config.positions)[1]
 
 
 def trial_energy(model, mesh, surface, positions, j_floor=J_FLOOR_DEFAULT):
     """Non-raising energy evaluation for line-search trials.
 
-    Returns (energy, min_J, feasible); energy is only meaningful when
-    feasible is True.  A centroid projection that fails (no convergence, or
-    a point on the medial axis) makes the trial infeasible with min_J NaN.
+    Returns (energy, min_J, feasible, F); energy is only meaningful when
+    feasible is True, and F is the (m, 3, 2) gradient batch that
+    ``energy_gradient`` takes.  A centroid projection that fails (no
+    convergence, or a point on the medial axis) makes the trial infeasible
+    with min_J NaN and F None.
     """
     try:
         F, J = _kinematics(mesh, surface, positions)
     except (AmbiguousProjectionError, NoConvergenceError):
-        return np.inf, np.nan, False
+        return np.inf, np.nan, False, None
     min_j = float(np.min(J)) if J.size else np.inf
     if min_j <= j_floor:
-        return np.inf, min_j, False
-    return _energy(model, mesh, F), min_j, True
+        return np.inf, min_j, False, F
+    return _energy(model, mesh, F), min_j, True, F
 
 
-def energy_gradient(model, mesh, config):
+def energy_gradient(model, mesh, F):
     """Ambient gradient of the total energy with respect to nodal positions.
 
-    The density depends on the nodes only through F, so the assembled
-    gradient is sum_t A_t S_t g_{t,i} at each vertex i; it matches central
-    finite differences of ``trial_energy`` to rounding error.
+    ``F`` is the gradient batch of a feasible configuration, as returned by
+    ``trial_energy``.  The density depends on the nodes only through F, so
+    the assembled gradient is sum_t A_t S_t g_{t,i} at each vertex i; it
+    matches central finite differences of ``trial_energy`` to rounding error.
     """
-    F, J = _kinematics(mesh, config.surface, config.positions)
-    _require_oriented(J)
     S = pk1_batch(model, F)                        # (m, 3, 2)
     contrib = mesh.ref_area[:, None, None] * np.einsum(
         "tab,tvb->tva", S, mesh.shape_grads

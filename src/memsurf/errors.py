@@ -41,17 +41,6 @@ class DegenerateElementError(MemsurfError):
     """A mesh element is degenerate in the reference configuration."""
 
 
-class NegativeJError(MemsurfError):
-    """One or more elements violate the orientation constraint.
-
-    Carries the offending element indices in ``elements``.
-    """
-
-    def __init__(self, message, elements=None):
-        super().__init__(message)
-        self.elements = list(elements) if elements is not None else []
-
-
 class InfeasibleStartError(MemsurfError):
     """Initial configuration has elements at or below the area-ratio floor."""
 

@@ -50,6 +50,8 @@ class MinimizeOptions:
     j_floor: float = J_FLOOR_DEFAULT
 
     def __post_init__(self):
+        if not self.max_iter >= 0:
+            raise ValueError("max_iter must be nonnegative")
         if not 0 < self.armijo_c < 1:
             raise ValueError("armijo_c must lie in (0, 1)")
         if not 0 < self.backtrack_ratio < 1:
@@ -69,14 +71,12 @@ class MinimizeOptions:
 class MinimizeReport:
     """Outcome of one minimization run."""
 
-    status: str                      # converged | max_iter | infeasible_start
+    status: str                      # converged | max_iter
     iterations: int
     energy_history: list = field(default_factory=list)
     grad_history: list = field(default_factory=list)
     min_j_history: list = field(default_factory=list)
     step_history: list = field(default_factory=list)
-    final_grad_norm: float = np.nan
-    min_element_j: float = np.nan
     wall_time: float = 0.0
 
 
@@ -94,14 +94,6 @@ def initialize(surface, mesh, f0, j_floor=J_FLOOR_DEFAULT):
     return config
 
 
-def _tangent_gradient(surface, config, grad, free_mask):
-    gt = np.zeros_like(grad)
-    gt[free_mask] = surface.tangent_project_unchecked(
-        config.positions[free_mask], grad[free_mask]
-    )
-    return gt
-
-
 def minimize(model, surface, mesh, f0, options=None):
     """Descend the total energy from f0; returns (configuration, report).
 
@@ -114,7 +106,7 @@ def minimize(model, surface, mesh, f0, options=None):
     grad_tol = options.resolved_grad_tol(mesh)
     free = mesh.interior_mask()
 
-    energy, min_j, _ = trial_energy(
+    energy, min_j, _, F = trial_energy(
         model, mesh, surface, config.positions, options.j_floor
     )
     report = MinimizeReport(status="max_iter", iterations=0)
@@ -124,22 +116,25 @@ def minimize(model, surface, mesh, f0, options=None):
     alpha = options.initial_step
     prev_pos = None
     prev_gt = None
-    gnorm = np.nan
 
-    for it in range(options.max_iter):
-        grad = energy_gradient(model, mesh, config)
-        gt = _tangent_gradient(surface, config, grad, free)
-        gnorm = float(np.linalg.norm(gt[free]))
+    for it in range(options.max_iter + 1):
+        # Tangent gradient of the free rows at the accepted point, from the
+        # F its trial evaluation formed.
+        grad = energy_gradient(model, mesh, F)
+        gt = surface.tangent_project_unchecked(config.positions[free], grad[free])
+        gnorm = float(np.linalg.norm(gt))
         report.grad_history.append(gnorm)
         if gnorm <= grad_tol:
             report.status = "converged"
-            report.iterations = it
+            break
+        if it == options.max_iter:
             break
 
         # Spectral step from the last accepted move, clipped for safety.
+        x = config.positions[free]
         if prev_pos is not None:
-            dy = (config.positions[free] - prev_pos).ravel()
-            dg = (gt[free] - prev_gt).ravel()
+            dy = (x - prev_pos).ravel()
+            dg = (gt - prev_gt).ravel()
             denom = float(dy @ dg)
             if denom > 0:
                 alpha = float(dy @ dy) / denom
@@ -147,21 +142,20 @@ def minimize(model, surface, mesh, f0, options=None):
                 alpha = alpha / options.backtrack_ratio
         alpha = float(np.clip(alpha, 1e-12, 1e6))
 
-        prev_pos = config.positions[free].copy()
-        prev_gt = gt[free].copy()
+        prev_pos, prev_gt = x, gt
 
         accepted = False
         float_floor = 4.0 * np.finfo(float).eps * (1.0 + abs(energy))
         while alpha >= STEP_UNDERFLOW:
             trial = config.positions.copy()
             try:
-                trial[free] = surface.project(trial[free] - alpha * gt[free])
+                trial[free] = surface.project(x - alpha * gt)
             except (AmbiguousProjectionError, NoConvergenceError):
                 alpha *= options.backtrack_ratio  # failed retraction: reject
                 continue
             if np.array_equal(trial, config.positions):
                 break  # move below float resolution: no progress possible
-            e_new, mj_new, feasible = trial_energy(
+            e_new, mj_new, feasible, F_new = trial_energy(
                 model, mesh, surface, trial, options.j_floor
             )
             required = options.armijo_c * alpha * gnorm**2
@@ -172,7 +166,7 @@ def minimize(model, surface, mesh, f0, options=None):
                 or (required <= float_floor and e_new <= energy)
             ):
                 config.positions = trial
-                energy, min_j = e_new, mj_new
+                energy, min_j, F = e_new, mj_new, F_new
                 accepted = True
                 break
             alpha *= options.backtrack_ratio
@@ -185,15 +179,7 @@ def minimize(model, surface, mesh, f0, options=None):
         report.energy_history.append(energy)
         report.min_j_history.append(min_j)
         report.step_history.append(alpha)
-        report.iterations = it + 1
-    else:
-        # Loop exhausted: record the final gradient norm for the report.
-        grad = energy_gradient(model, mesh, config)
-        gt = _tangent_gradient(surface, config, grad, free)
-        gnorm = float(np.linalg.norm(gt[free]))
-        report.grad_history.append(gnorm)
 
-    report.final_grad_norm = gnorm
-    report.min_element_j = float(np.min(oriented_area_ratios(mesh, config)))
+    report.iterations = it
     report.wall_time = time.perf_counter() - t0
     return config, report

@@ -74,6 +74,9 @@ seed: 7
                 "model: {ogden_terms: [{b: -1.0, gamma: 3.0}], b: 1.0,"
                 " theta: {c: 1.5, q: 2.0, r: 4.0}}"
             )
+        # A block where a mapping belongs is malformed, not a crash.
+        with pytest.raises(ConfigError, match="malformed"):
+            parse_config("model: {theta: 3}")
 
     def test_yaml_error_is_line_anchored(self):
         with pytest.raises(ConfigError, match="line"):
@@ -96,15 +99,25 @@ seed: 7
             "minimize: {grad_tol: true}",
             "minimize: {initial_step: true}",
             "minimize: {max_iter: 2.7}",
+            # PyYAML reads an exponent without a decimal point as a string.
+            "minimize: {grad_tol: 5e-2}",
+            "minimize: {initial_step: '2'}",
+            "minimize: {max_iter: '10'}",
         ],
     )
     def test_booleans_and_fractional_counts_exit_2(self, tmp_path, text):
-        # YAML booleans are Python ints; none may stand in for a number.
+        # YAML booleans are Python ints; none may stand in for a
+        # number, and neither may a string.
         with pytest.raises(ConfigError):
             parse_config(text)
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"{text}\noutput_dir: \"{tmp_path / 'out'}\"\n")
         assert main(["residual", str(cfg)]) == 2
+
+    def test_string_number_error_names_key_and_spelling(self):
+        with pytest.raises(ConfigError, match=r"minimize\.grad_tol .*5\.0e-2"):
+            parse_config("minimize: {grad_tol: 5e-2}")
+        assert parse_config("minimize: {grad_tol: 5.0e-2}").minimize_options().grad_tol == 0.05
 
     def test_map_surface_mismatch(self):
         with pytest.raises(ConfigError):

@@ -332,3 +332,14 @@ class TestIsotropicModel:
         d = model.to_dict()
         m2 = IsotropicModel.from_dict(d)
         assert m2 == model
+
+    def test_from_dict_missing_keys_take_class_defaults(self, model):
+        # Each missing key falls back to the IsotropicModel / ThetaModel
+        # default, so a partial dict of the default values is the default.
+        for missing in ("ogden_terms", "b", "theta", "label"):
+            d = model.to_dict()
+            del d[missing]
+            assert IsotropicModel.from_dict(d) == default_model(), missing
+        partial = IsotropicModel.from_dict({"theta": {"c": 2.0}})
+        assert partial.theta == ThetaModel(c=2.0)
+        assert IsotropicModel.from_dict({}) == default_model()

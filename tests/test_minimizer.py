@@ -10,7 +10,12 @@ from memsurf import (
     initialize,
     minimize,
 )
-from memsurf.discretization import trial_energy
+from memsurf.discretization import (
+    deformation_gradients,
+    energy_gradient,
+    oriented_area_ratios,
+    trial_energy,
+)
 from memsurf.maps import make_initial_map
 
 
@@ -23,8 +28,6 @@ class TestInitialize:
         disk = build_mesh("disk", 0.2)
         f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         cfg = initialize(sphere, disk, f0)
-        from memsurf.discretization import oriented_area_ratios
-
         assert np.all(oriented_area_ratios(disk, cfg) > 1e-8)
 
     def test_collapsed_triangle_infeasible(self, plane, square_mesh):
@@ -41,8 +44,9 @@ class TestInitialize:
         f0 = make_initial_map(
             plane, "affine", matrix=np.array([[0.0, 1.0], [1.0, 0.0]])
         )
-        with pytest.raises(InfeasibleStartError):
+        with pytest.raises(InfeasibleStartError) as err:
             initialize(plane, square_mesh, f0)
+        assert len(err.value.elements) == square_mesh.num_triangles
 
 
 class TestOptions:
@@ -53,6 +57,8 @@ class TestOptions:
             MinimizeOptions(backtrack_ratio=1.0)
         with pytest.raises(ValueError):
             MinimizeOptions(j_floor=0.0)
+        with pytest.raises(ValueError):
+            MinimizeOptions(max_iter=-1)
 
     def test_default_grad_tol_scales_with_area(self, square_mesh):
         opts = MinimizeOptions()
@@ -72,6 +78,20 @@ class TestMinimizePlane:
         assert report.energy_history[-1] == pytest.approx(4.0, abs=1e-12)
         ident = plane.embed(square_mesh.vertices)
         assert np.abs(cfg.positions - ident).max() < 1e-10
+
+    def test_converged_start_without_iterations(self, model, plane, square_mesh):
+        # The gradient of the last iterate is checked against the tolerance
+        # even when no iteration is left.
+        _, report = minimize(
+            model,
+            plane,
+            square_mesh,
+            make_initial_map(plane, "identity"),
+            MinimizeOptions(max_iter=0),
+        )
+        assert report.status == "converged"
+        assert report.iterations == 0
+        assert len(report.grad_history) == 1 and not report.step_history
 
     def test_affine_data_homogeneous_minimizer(self, model, plane):
         A = np.array([[1.2, 0.0], [0.0, 0.9]])
@@ -117,8 +137,8 @@ class TestReportInvariants:
     def test_sphere_cap_converges(self, cap_run, sphere):
         mesh, f0, cfg, report = cap_run
         assert report.status == "converged"
-        assert report.final_grad_norm <= 1e-7 * mesh.total_area
-        assert report.min_element_j > 1e-8
+        assert report.grad_history[-1] <= 1e-7 * mesh.total_area
+        assert report.min_j_history[-1] > 1e-8
 
     def test_energy_history_monotone(self, cap_run):
         _, _, _, report = cap_run
@@ -152,6 +172,33 @@ class TestReportInvariants:
         assert report.energy_history[-1] <= trial_energy(model, mesh, sphere, start)[0]
         assert trial_energy(model, mesh, sphere, cfg.positions)[0] == pytest.approx(
             report.energy_history[-1], rel=1e-12
+        )
+
+
+def _recomputed_grad_norm(model, surface, mesh, cfg):
+    """Free-row tangent gradient norm recomputed from the positions alone."""
+    grad = energy_gradient(model, mesh, deformation_gradients(mesh, cfg))
+    free = mesh.interior_mask()
+    gt = surface.tangent_project_unchecked(cfg.positions[free], grad[free])
+    return float(np.linalg.norm(gt))
+
+
+class TestAcceptedStateHandoff:
+    """The reported final gradient and min J belong to the final positions."""
+
+    @pytest.mark.parametrize("max_iter", [25, 5000])
+    def test_last_history_entries_match_final_positions(self, model, sphere, max_iter):
+        mesh = build_mesh("disk", 0.2)
+        f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        cfg, report = minimize(
+            model, sphere, mesh, f0, MinimizeOptions(max_iter=max_iter)
+        )
+        assert report.status == ("max_iter" if max_iter == 25 else "converged")
+        assert report.grad_history[-1] == _recomputed_grad_norm(
+            model, sphere, mesh, cfg
+        )
+        assert report.min_j_history[-1] == float(
+            np.min(oriented_area_ratios(mesh, cfg))
         )
 
 
