@@ -24,6 +24,7 @@ from .errors import (
     ChartSpanFailureError,
     IrregularValueError,
 )
+from .geometry import _as_points, _orthonormal_frame, _unpack
 
 __all__ = [
     "DegreeResult",
@@ -41,6 +42,8 @@ DEGREE_MARGIN = 1e-6
 OVERLAP_AREA_TOL = 1e-12
 # Overlapping pairs kept in an OverlapReport, worst first.
 MAX_RECORDED_OVERLAPS = 100
+# Sorted elements per block of the injectivity sweep (bounds its temporaries).
+_SWEEP_BLOCK = 128
 
 
 def _bump_mass_constant():
@@ -84,14 +87,34 @@ def _segment_distances(point, starts, ends):
     return np.linalg.norm(point - closest, axis=1)
 
 
-def _boundary_image_distance(mesh, config, y):
-    dmin = np.inf
-    for loop in mesh.boundary_loops:
-        idx = np.asarray(loop)
-        pts = config.positions[idx]
-        nxt = np.roll(pts, -1, axis=0)
-        dmin = min(dmin, float(np.min(_segment_distances(y, pts, nxt))))
-    return dmin
+class _Image:
+    """What every degree target reads of one configuration, computed once."""
+
+    def __init__(self, mesh, config):
+        P = config.positions[mesh.triangles]            # (m, 3, 3)
+        edges = np.stack(
+            [
+                P[:, 1] - P[:, 0],
+                P[:, 2] - P[:, 1],
+                P[:, 0] - P[:, 2],
+            ],
+            axis=1,
+        )
+        edge_len = np.linalg.norm(edges, axis=2)
+        self.P = P
+        self.diam = edge_len.max(axis=1)
+        self.mean_edge = float(np.mean(edge_len))
+        self.signs = np.sign(oriented_area_ratios(mesh, config)).astype(int)
+        self.boundary = []                              # (starts, ends) per loop
+        for loop in mesh.boundary_loops:
+            pts = config.positions[np.asarray(loop)]
+            self.boundary.append((pts, np.roll(pts, -1, axis=0)))
+
+    def boundary_distance(self, y):
+        return min(
+            (float(np.min(_segment_distances(y, s, e))) for s, e in self.boundary),
+            default=np.inf,
+        )
 
 
 def _point_in_triangles(w, tri_uv, edge_eps):
@@ -132,17 +155,26 @@ def _point_in_triangles(w, tri_uv, edge_eps):
 
 
 def _subdivide(tris):
-    """One midpoint split: (k, 3, 2) -> (4k, 3, 2), orientation preserved."""
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    """One midpoint split of k triangles stored by corner, (3, 2, k) -> (3, 2, 4k).
+
+    The four children of every triangle keep its orientation; child q of
+    triangle t is column q * k + t.
+    """
+    a, b, c = tris
     ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-    return np.concatenate(
-        [
-            np.stack([a, ab, ca], axis=1),
-            np.stack([ab, b, bc], axis=1),
-            np.stack([ca, bc, c], axis=1),
-            np.stack([ab, bc, ca], axis=1),
-        ]
-    )
+    k = tris.shape[2]
+    out = np.empty((3, 2, 4 * k))
+    children = ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))
+    for q, child in enumerate(children):
+        for v, corner in enumerate(child):
+            out[v, :, q * k:(q + 1) * k] = corner
+    return out
+
+
+def _distances(tris, w):
+    """Distances from w to the centroids of triangles stored by corner."""
+    d = ((tris[0] + tris[1]) + tris[2]) / 3.0 - w[:, None]
+    return np.sqrt(d[0] * d[0] + d[1] * d[1])
 
 
 def brouwer_degree(
@@ -153,7 +185,12 @@ def brouwer_degree(
     mollifier_radius=None,
     nudge=True,
 ):
-    """Degree of the nodal map at on-surface point y, by two methods.
+    """Degree of the nodal map at on-surface point(s) y, by two methods.
+
+    ``y`` is one point (3,), giving one DegreeResult, or a batch (k, 3),
+    giving a list of k results equal to those of k single calls; a batch
+    shares the per-configuration work (edge lengths, orientation signs,
+    boundary segments) between its targets.
 
     The signed cover count sums the orientation signs of the elements whose
     chart image contains the chart coordinates of y (exact for PL maps); the
@@ -164,27 +201,35 @@ def brouwer_degree(
     A target landing exactly on an image edge is irregular for the signed
     count; with ``nudge`` the count is taken at a deterministic offset far
     below the boundary margin (the degree is locally constant there), and
-    with ``nudge=False`` such targets raise IrregularValueError.
+    with ``nudge=False`` such targets raise IrregularValueError.  In a batch,
+    the first target that fails raises, naming its index and point.
     """
-    y = np.asarray(y, dtype=float)
-    bdist = _boundary_image_distance(mesh, config, y)
+    ys, single = _as_points(y)
+    image = _Image(mesh, config)
+    results = []
+    for k, target in enumerate(ys):
+        try:
+            results.append(
+                _degree_at(surface, image, target, mollifier_radius, nudge)
+            )
+        except (BoundaryTooCloseError, ChartSpanFailureError, IrregularValueError) as exc:
+            if single:
+                raise
+            raise type(exc)(
+                f"degree target {k} at {target.tolist()}: {exc}"
+            ) from exc
+    return _unpack(results, single)
+
+
+def _degree_at(surface, image, y, mollifier_radius, nudge):
+    """DegreeResult of one target; see ``brouwer_degree``."""
+    bdist = image.boundary_distance(y)
     if bdist < DEGREE_MARGIN:
         raise BoundaryTooCloseError(
             f"target point is {bdist:.3e} from the boundary image "
             f"(margin {DEGREE_MARGIN:.1e})"
         )
-    P = config.positions[mesh.triangles]            # (m, 3, 3)
-    edges = np.stack(
-        [
-            P[:, 1] - P[:, 0],
-            P[:, 2] - P[:, 1],
-            P[:, 0] - P[:, 2],
-        ],
-        axis=1,
-    )
-    edge_len = np.linalg.norm(edges, axis=2)
-    diam = edge_len.max(axis=1)
-    mean_edge = float(np.mean(edge_len))
+    P, diam, mean_edge = image.P, image.diam, image.mean_edge
     vert_dist = np.linalg.norm(P - y, axis=2).min(axis=1)
 
     # Bump radius: a few image edges, clamped inside the boundary clearance
@@ -225,7 +270,7 @@ def brouwer_degree(
     uv = chart.inverse_map(P[near_idx].reshape(-1, 3)).reshape(-1, 3, 2)
     w = chart.inverse_map(y)[0]
 
-    signs = np.sign(oriented_area_ratios(mesh, config)[near_idx]).astype(int)
+    signs = image.signs[near_idx]
     local_scale = float(np.median(np.linalg.norm(uv[:, 1] - uv[:, 0], axis=1)))
     offset = local_scale * 1e-7 * np.array([np.cos(0.7), np.sin(0.7)])
     shift = np.zeros(2)
@@ -242,19 +287,17 @@ def brouwer_degree(
     # Mollified integral over the signed chart image.  A midpoint split
     # halves the sub-triangle width; past three splits only sub-triangles
     # that can reach the bump support are split again (the others add 0).
-    tris = uv
+    tris = np.ascontiguousarray(uv.transpose(1, 2, 0))
     for _ in range(3):
         tris = _subdivide(tris)
     size = float(np.max(np.linalg.norm(uv - np.roll(uv, 1, axis=1), axis=2))) / 8
     while size > radius:
-        reach_bump = np.linalg.norm(tris.mean(axis=1) - w, axis=1) <= radius + size
-        tris = _subdivide(tris[reach_bump])
+        tris = _subdivide(tris[:, :, _distances(tris, w) <= radius + size])
         size /= 2
-    e1 = tris[:, 1] - tris[:, 0]
-    e2 = tris[:, 2] - tris[:, 0]
-    signed_area = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    centroids = tris.mean(axis=1)
-    dist = np.linalg.norm(centroids - w, axis=1)
+    e1 = tris[1] - tris[0]
+    e2 = tris[2] - tris[0]
+    signed_area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
+    dist = _distances(tris, w)
     integral = float(np.sum(signed_area * _bump(dist, radius)))
 
     return DegreeResult(
@@ -342,70 +385,102 @@ def _triangle_overlap_area(t1, t2):
     return 0.5 * abs(area)
 
 
+def _separated(uv):
+    """Separating-axis test of triangle pairs ``uv`` (n, 6, 2), rows 0-2 vs 3-5.
+
+    True where an edge normal of either triangle separates the two (Ericson
+    2004, ch. 4-5).  Touching counts as separated: such pairs share no area.
+    """
+    tri = uv.reshape(-1, 2, 3, 2)
+    edges = np.roll(tri, -1, axis=2) - tri
+    normals = np.stack([edges[..., 1], -edges[..., 0]], axis=-1).reshape(-1, 6, 2)
+    proj = np.einsum("nac,nvc->nav", normals, uv)
+    a, b = proj[..., :3], proj[..., 3:]
+    apart = (a.max(axis=2) <= b.min(axis=2)) | (b.max(axis=2) <= a.min(axis=2))
+    return apart.any(axis=1)
+
+
+def _sweep_pairs(stop, start, end):
+    """Sweep pairs (ii, jj) of sorted elements ii in [start, end), ii < jj < stop[ii]."""
+    ii = np.arange(start, end)
+    counts = stop[start:end] - ii - 1
+    first = np.repeat(ii, counts)
+    ranks = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return first, first + 1 + ranks
+
+
 def injectivity_check(surface, mesh, config):
     """Image-overlap scan of all non-adjacent element pairs.
 
-    Pairs whose axis-aligned image boxes intersect are tested exactly in a
-    shared chart; a clean report (no overlap area above ``OVERLAP_AREA_TOL``)
-    is the discrete injectivity certificate.
+    A sweep over the elements sorted by their lowest image x gives the
+    candidate pairs; those whose axis-aligned image boxes intersect and that
+    share fewer than two vertices are the checked pairs.  Each checked pair
+    is mapped into the tangent-plane chart of its first element (or, where
+    that chart cannot cover it, one centered on the pair), and a
+    separating-axis test drops the pairs whose chart images are disjoint or
+    only touch.  Only the rest are clipped exactly, in sweep order.  A clean
+    report (no overlap area above ``OVERLAP_AREA_TOL``) is the discrete
+    injectivity certificate.  Raises ChartSpanFailureError, naming the
+    first such pair, when a checked pair fits no single chart.
     """
-    P = config.positions[mesh.triangles]
-    m = P.shape[0]
+    tris = mesh.triangles
+    P = config.positions[tris]
     lo = P.min(axis=1)
     hi = P.max(axis=1)
-    tris = mesh.triangles
-
     order = np.argsort(lo[:, 0], kind="stable")
-    lo_s, hi_s = lo[order], hi[order]
+    stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
 
-    # Shared-chart strategy: one chart for the whole scan when the surface
-    # has a global chart (infinite chart radius), and otherwise a cached
-    # tangent-plane chart per element, centered at its projected centroid
-    # (candidate pairs are ambient-close).  Overlap areas are chart areas;
-    # any diffeomorphic chart preserves zero vs positive.
-    global_chart = None
-    if np.isinf(surface.chart_radius):
-        global_chart = surface.chart_at(
-            surface.project(config.positions.mean(axis=0))
+    # One chart for the whole scan when the surface has a global chart
+    # (infinite chart radius), and otherwise the tangent-plane chart of each
+    # element, centered at its projected centroid (candidate pairs are
+    # ambient-close), with the frame ``Surface.chart_at`` gives it.  Overlap
+    # areas are chart areas; any diffeomorphic chart preserves zero vs
+    # positive.
+    radius = surface.chart_radius
+    if np.isinf(radius):
+        chart = surface.chart_at(surface.project(config.positions.mean(axis=0)))
+        centers = np.broadcast_to(chart.center, (len(P), 3))
+        frames = np.broadcast_to(np.stack([chart.t1, chart.t2]), (len(P), 2, 3))
+    else:
+        centers = surface.project(P.mean(axis=1))
+        frames = np.stack(
+            _orthonormal_frame(surface.normal_unchecked(centers)), axis=1
         )
-    chart_cache = {}
 
-    def chart_for(i):
-        if global_chart is not None:
-            return global_chart
-        if i not in chart_cache:
-            chart_cache[i] = surface.chart_at(surface.project(P[i].mean(axis=0)))
-        return chart_cache[i]
-
-    tri_sets = [set(map(int, tris[i])) for i in range(m)]
     checked = 0
     overlaps = []
     total = 0.0
-    for ii in range(m):
-        i = order[ii]
-        jj = ii + 1
-        while jj < m and lo_s[jj, 0] <= hi_s[ii, 0]:
-            j = order[jj]
-            jj += 1
-            if np.any(lo[j] > hi[i]) or np.any(lo[i] > hi[j]):
-                continue
-            if len(tri_sets[i] & tri_sets[j]) >= 2:
-                continue  # edge-adjacent by construction; point contacts stay
-            checked += 1
-            chart = chart_for(i)
-            pts = np.concatenate([P[i], P[j]])
-            if not np.all(chart.contains(pts)):
-                # A chart centered on the pair itself reaches half as far.
-                chart = surface.chart_at(surface.project(pts.mean(axis=0)))
-            if not np.all(chart.contains(pts)):
+    for start in range(0, len(P), _SWEEP_BLOCK):
+        first, second = _sweep_pairs(stop, start, min(start + _SWEEP_BLOCK, len(P)))
+        i, j = order[first], order[second]
+        keep = ~(np.any(lo[j] > hi[i], axis=1) | np.any(lo[i] > hi[j], axis=1))
+        # Edge-adjacent pairs share two vertices; point contacts stay.
+        shared = (tris[i][:, :, None] == tris[j][:, None, :]).sum(axis=(1, 2))
+        keep &= shared < 2
+        i, j = i[keep], j[keep]
+        checked += len(i)
+
+        pts = np.concatenate([P[i], P[j]], axis=1)   # (n, 6, 3)
+        d = pts - centers[i][:, None]
+        uv = np.einsum("nvk,nck->nvc", d, frames[i])
+        covered = np.all(np.linalg.norm(d, axis=-1) < radius, axis=1)
+        for q in np.flatnonzero(~covered):
+            # A chart centered on the pair itself reaches half as far.
+            pair_chart = surface.chart_at(surface.project(pts[q].mean(axis=0)))
+            if not np.all(pair_chart.contains(pts[q])):
+                chord = np.linalg.norm(pts[q][:, None] - pts[q][None], axis=-1).max()
                 raise ChartSpanFailureError(
-                    f"element pair ({int(i)}, {int(j)}) is not covered by a "
-                    "single chart"
+                    f"element pair ({int(i[q])}, {int(j[q])}) is not covered by "
+                    f"a single chart: its largest chord {chord:.4g} is too long "
+                    f"for the {surface.kind} chart radius {radius:.4g}; use a "
+                    "smaller domain.resolution"
                 )
-            uv = chart.inverse_map(pts)
-            area = _triangle_overlap_area(uv[:3], uv[3:])
+            uv[q] = pair_chart.inverse_map(pts[q])
+
+        for q in np.flatnonzero(~_separated(uv)):
+            area = _triangle_overlap_area(uv[q, :3], uv[q, 3:])
             if area > OVERLAP_AREA_TOL:
-                overlaps.append((int(i), int(j), float(area)))
+                overlaps.append((int(i[q]), int(j[q]), float(area)))
                 total += float(area)
     overlaps.sort(key=lambda rec: -rec[2])
     return OverlapReport(

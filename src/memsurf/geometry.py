@@ -40,15 +40,24 @@ def _unpack(values, single):
     return values[0] if single else values
 
 
+def _dots(a, b):
+    """Row dot products of (k, 3) arrays, each taken as ``np.dot`` takes it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
+
+
 def _orthonormal_frame(n):
-    """Deterministic right-handed frame (t1, t2, n) for a unit vector n."""
-    n = np.asarray(n, dtype=float)
-    axis = np.zeros(3)
-    axis[np.argmin(np.abs(n))] = 1.0
-    t1 = axis - np.dot(axis, n) * n
-    t1 /= np.linalg.norm(t1)
+    """Deterministic right-handed frame (t1, t2, n) for unit vector(s) n.
+
+    ``n`` is one vector (3,) or a batch (k, 3); a batch gives each row the
+    bits a single call gives it.
+    """
+    n, single = _as_points(n)
+    axis = np.zeros_like(n)
+    axis[np.arange(len(n)), np.argmin(np.abs(n), axis=1)] = 1.0
+    t1 = axis - _dots(axis, n) * n
+    t1 /= np.sqrt(_dots(t1, t1))
     t2 = np.cross(n, t1)
-    return t1, t2
+    return _unpack(t1, single), _unpack(t2, single)
 
 
 class Surface:

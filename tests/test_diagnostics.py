@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from memsurf import (
     BoundaryTooCloseError,
+    ChartSpanFailureError,
     Configuration,
     IrregularValueError,
     boundary_winding,
@@ -12,7 +15,9 @@ from memsurf import (
     injectivity_check,
     minimize,
 )
+from memsurf.diagnostics import OVERLAP_AREA_TOL, _triangle_overlap_area
 from memsurf.maps import make_initial_map
+from memsurf.mesh import TriMesh
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +47,43 @@ def annulus_winding(plane):
 
     cfg = Configuration.from_map(plane, mesh, doubled_angle)
     return mesh, cfg
+
+
+@pytest.fixture(scope="module")
+def plane_suite(plane, disk_identity, annulus_winding):
+    """(mesh, config, targets, expected degree): identity, reflection, winding 2."""
+    rng = np.random.default_rng(20)
+    mesh_i, cfg_i = disk_identity
+    cfg_r = Configuration.from_map(
+        plane,
+        mesh_i,
+        make_initial_map(plane, "affine", matrix=np.array([[0.0, 1.0], [1.0, 0.0]])),
+    )
+    mesh_w, cfg_w = annulus_winding
+    suite = []
+    for mesh, cfg, rmap, expected in [
+        (mesh_i, cfg_i, lambda r: r * 0.85, 1),
+        (mesh_i, cfg_r, lambda r: r * 0.85, -1),
+        (mesh_w, cfg_w, lambda r: 0.55 + 0.4 * r, 2),
+    ]:
+        targets = []
+        for _ in range(10):
+            ang = rng.uniform(0, 2 * np.pi)
+            rr = rmap(rng.uniform(0.05, 0.95))
+            targets.append([rr * np.cos(ang), rr * np.sin(ang), 0.0])
+        suite.append((mesh, cfg, np.array(targets), expected))
+    return suite
+
+
+@pytest.fixture(scope="module")
+def cap_targets(model, sphere):
+    """Converged cap on a 0.15 disk mesh and ten targets inside its image."""
+    mesh = build_mesh("disk", 0.15)
+    f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+    cfg, _ = minimize(model, sphere, mesh, f0)
+    rng = np.random.default_rng(22)
+    targets = np.array([f0(rng.uniform(-0.5, 0.5, 2)[None])[0] for _ in range(10)])
+    return mesh, cfg, targets
 
 
 class TestDegree:
@@ -81,25 +123,9 @@ class TestDegree:
         assert res.mollified_integral == pytest.approx(0.0, abs=1e-9)
         assert boundary_winding(plane, mesh, cfg, y) == 0
 
-    def test_oracle_matches_both_methods_on_suite(self, plane, disk_identity, annulus_winding):
-        rng = np.random.default_rng(20)
-        cases = []
-        mesh_i, cfg_i = disk_identity
-        cases.append((mesh_i, cfg_i, lambda r: r * 0.85, 1))
-        mesh_r, _ = disk_identity
-        cfg_r = Configuration.from_map(
-            plane,
-            mesh_r,
-            make_initial_map(plane, "affine", matrix=np.array([[0.0, 1.0], [1.0, 0.0]])),
-        )
-        cases.append((mesh_r, cfg_r, lambda r: r * 0.85, -1))
-        mesh_w, cfg_w = annulus_winding
-        cases.append((mesh_w, cfg_w, lambda r: 0.55 + 0.4 * r, 2))
-        for mesh, cfg, rmap, expected in cases:
-            for _ in range(10):
-                ang = rng.uniform(0, 2 * np.pi)
-                rr = rmap(rng.uniform(0.05, 0.95))
-                y = np.array([rr * np.cos(ang), rr * np.sin(ang), 0.0])
+    def test_oracle_matches_both_methods_on_suite(self, plane, plane_suite):
+        for mesh, cfg, targets, expected in plane_suite:
+            for y in targets:
                 res = brouwer_degree(plane, mesh, cfg, y)
                 oracle = boundary_winding(plane, mesh, cfg, y)
                 assert res.degree == oracle == expected
@@ -153,17 +179,105 @@ class TestDegree:
         assert r0.degree == r1.degree
         assert round(r0.mollified_integral) == round(r1.mollified_integral)
 
-    def test_on_sphere_cap(self, model, sphere):
-        mesh = build_mesh("disk", 0.15)
-        f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
-        cfg, _ = minimize(model, sphere, mesh, f0)
-        rng = np.random.default_rng(22)
-        for _ in range(10):
-            x = rng.uniform(-0.5, 0.5, 2)
-            y = np.asarray(f0(x[None]))[0]
+    def test_on_sphere_cap(self, sphere, cap_targets):
+        mesh, cfg, targets = cap_targets
+        for y in targets:
             res = brouwer_degree(sphere, mesh, cfg, y)
             assert res.degree == 1
             assert res.methods_agree
+
+    def test_batch_equals_singles(self, plane, sphere, plane_suite, cap_targets):
+        cases = [(plane, mesh, cfg, targets) for mesh, cfg, targets, _ in plane_suite]
+        cases.append((sphere, *cap_targets))
+        for surface, mesh, cfg, targets in cases:
+            batch = brouwer_degree(surface, mesh, cfg, targets)
+            assert len(batch) == len(targets)
+            for y, res in zip(targets, batch):
+                one = brouwer_degree(surface, mesh, cfg, y)
+                assert res.degree == one.degree
+                assert res.mollified_integral == one.mollified_integral
+                assert res.mollifier_radius == one.mollifier_radius
+                assert res.methods_agree == one.methods_agree
+                assert np.array_equal(res.target_point, y)
+
+    def test_batch_error_names_first_failing_target(self, plane, disk_identity):
+        mesh, cfg = disk_identity
+        loop = mesh.boundary_loops[0]
+        on_edge = 0.5 * (cfg.positions[loop[0]] + cfg.positions[loop[1]])
+        regular = [[0.2, 0.1, 0.0], [-0.3, 0.25, 0.0], [0.1, -0.4, 0.0]]
+        # Targets 2 (boundary) and 3 (on an image edge) both fail; 2 comes first.
+        targets = np.array(regular[:2] + [on_edge, np.zeros(3)] + regular[2:])
+        with pytest.raises(BoundaryTooCloseError) as err:
+            brouwer_degree(plane, mesh, cfg, targets, nudge=False)
+        assert str(err.value).startswith(f"degree target 2 at {on_edge.tolist()}: ")
+        assert "from the boundary image" in str(err.value)
+        with pytest.raises(IrregularValueError, match=r"^degree target 1 at \[0\.0, 0\.0, 0\.0\]: "):
+            brouwer_degree(plane, mesh, cfg, targets[[0, 3, 1]], nudge=False)
+
+
+def _reference_overlaps(surface, mesh, cfg):
+    """Brute-force injectivity scan: (checked pairs, {(i, j): overlap area}).
+
+    Every element pair whose image boxes intersect and that shares fewer
+    than two vertices is clipped exactly, in the chart of the pair's first
+    element in x-sorted order (the one ``injectivity_check`` uses), or in one
+    centered on the pair where that chart cannot cover it.
+    """
+    P = cfg.positions[mesh.triangles]
+    lo, hi = P.min(axis=1), P.max(axis=1)
+    rank = np.empty(len(P), dtype=int)
+    rank[np.argsort(lo[:, 0], kind="stable")] = np.arange(len(P))
+    checked, overlaps = 0, {}
+    for a in range(len(P)):
+        for b in range(a + 1, len(P)):
+            if np.any(lo[a] > hi[b]) or np.any(lo[b] > hi[a]):
+                continue
+            if len(set(mesh.triangles[a]) & set(mesh.triangles[b])) >= 2:
+                continue
+            checked += 1
+            i, j = (a, b) if rank[a] < rank[b] else (b, a)
+            pts = np.concatenate([P[i], P[j]])
+            center = cfg.positions.mean(axis=0)
+            if np.isfinite(surface.chart_radius):
+                center = P[i].mean(axis=0)
+            chart = surface.chart_at(surface.project(center))
+            if not np.all(chart.contains(pts)):
+                chart = surface.chart_at(surface.project(pts.mean(axis=0)))
+            uv = chart.inverse_map(pts)
+            area = _triangle_overlap_area(uv[:3], uv[3:])
+            if area > OVERLAP_AREA_TOL:
+                overlaps[(i, j)] = area
+    return checked, overlaps
+
+
+def _assert_matches_reference(surface, mesh, cfg):
+    rep = injectivity_check(surface, mesh, cfg)
+    checked, ref = _reference_overlaps(surface, mesh, cfg)
+    assert rep.checked_pairs == checked
+    assert rep.overlapping_pairs == len(ref) <= 100
+    assert {(i, j) for i, j, _ in rep.pairs} == set(ref)
+    for i, j, area in rep.pairs:
+        assert area == pytest.approx(ref[(i, j)], rel=1e-12, abs=1e-15)
+    assert rep.total_overlap_area == pytest.approx(sum(ref.values()), rel=1e-12)
+    return rep
+
+
+def _pair_mesh(surface, image):
+    """A mesh whose only checked pair is triangles (0, 1, 2) and the last one.
+
+    Five image points give a fan of three triangles around vertex 0, whose
+    first and last share only that vertex; six give two separate triangles.
+    """
+    image = np.asarray(image, dtype=float)
+    if len(image) == 5:
+        vertices = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)]
+        triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4)]
+    else:
+        vertices = [(0, 0), (1, 0), (0, 1), (2, 0), (3, 0), (2, 1)]
+        triangles = [(0, 1, 2), (3, 4, 5)]
+    mesh = TriMesh.from_arrays(vertices, triangles)
+    positions = np.column_stack([image, np.zeros(len(image))])
+    return mesh, Configuration(surface, positions)
 
 
 class TestInjectivity:
@@ -207,6 +321,56 @@ class TestInjectivity:
                 # excluded from the pair scan.
                 h = 1 / 16
                 assert 0.5 - 2 * h <= rep.total_overlap_area <= 0.5 + 1e-12
+
+    def test_coarse_torus_names_pair_and_chart_radius(self, torus):
+        mesh = build_mesh("unit_square", 1 / 8)
+        cfg = Configuration.from_map(torus, mesh, make_initial_map(torus, "torus_band"))
+        with pytest.raises(ChartSpanFailureError) as err:
+            injectivity_check(torus, mesh, cfg)
+        msg = str(err.value)
+        assert re.search(r"element pair \(\d+, \d+\)", msg)
+        assert "largest chord" in msg
+        assert f"chart radius {torus.chart_radius:.4g}" in msg
+        assert "domain.resolution" in msg
+
+    @pytest.mark.parametrize("kind", ["plane", "graph", "torus"])
+    def test_filter_matches_brute_force(self, kind, plane, graph_surface, torus):
+        surface = {"plane": plane, "graph": graph_surface, "torus": torus}[kind]
+        if kind == "torus":
+            square = make_initial_map(
+                torus, "torus_band", theta_range=(0.0, 0.2), psi_range=(-0.3, 0.3)
+            )
+        else:
+            square = _square_onto(surface)
+        mesh = build_mesh("unit_square", 0.25)
+        interior = mesh.interior_mask()
+        overlapping = 0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            x = mesh.vertices.copy()
+            if seed % 2:
+                # Folded across the diagonal, then jittered.
+                x = np.column_stack([x.max(axis=1), x.min(axis=1)])
+                x[interior] += 0.05 * rng.standard_normal((int(interior.sum()), 2))
+            else:
+                # Jittered past inversion.
+                x[interior] += 0.15 * rng.standard_normal((int(interior.sum()), 2))
+            cfg = Configuration(surface, square(x))
+            overlapping += _assert_matches_reference(surface, mesh, cfg).overlapping_pairs
+        assert overlapping > 0
+
+    def test_touching_pairs_and_real_overlaps(self, plane):
+        # One shared vertex: images that only touch there, then overlap.
+        touch = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)]
+        fold = [(0, 0), (1, 0), (0, 1), (1, 0.5), (0.5, 1)]
+        # No shared vertex: an edge lying along an edge, apex out, then in.
+        along = [(0, 0), (1, 0), (0, 1), (0.2, 0), (0.8, 0), (0.5, -0.5)]
+        across = [(0, 0), (1, 0), (0, 1), (0.2, 0), (0.8, 0), (0.5, 0.3)]
+        for image, overlaps in [(touch, 0), (fold, 1), (along, 0), (across, 1)]:
+            mesh, cfg = _pair_mesh(plane, image)
+            rep = _assert_matches_reference(plane, mesh, cfg)
+            assert rep.checked_pairs == 1
+            assert rep.overlapping_pairs == overlaps
 
     def test_converged_cap_injective(self, model, sphere):
         mesh = build_mesh("disk", 0.15)
