@@ -21,10 +21,7 @@ from .diagnostics import (
     first_variation_residual,
     injectivity_check,
 )
-from .discretization import (
-    Configuration,
-    energy_gradient,
-)
+from .discretization import energy_gradient, interpolate
 from .errors import (
     AmbiguousProjectionError,
     BoundaryTooCloseError,

@@ -23,13 +23,8 @@ from .diagnostics import (
     first_variation_residual,
     injectivity_check,
 )
-from .discretization import Configuration, oriented_area_ratios
-from .errors import (
-    ConfigError,
-    InfeasibleStartError,
-    LineSearchStallError,
-    MemsurfError,
-)
+from .discretization import interpolate, oriented_area_ratios
+from .errors import ConfigError, InfeasibleStartError, MemsurfError
 from .mesh import save_mesh
 from .minimizer import minimize
 from .verification import run_all_checks
@@ -88,11 +83,11 @@ def _cmd_verify(config, out):
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-def _sample_degree_targets(mesh, config_obj, n, seed):
+def _sample_degree_targets(surface, mesh, positions, n, seed):
     """Deterministic interior target points: random barycentric draws."""
     rng = np.random.default_rng(seed)
-    P = config_obj.positions[mesh.triangles]
-    areas = np.abs(oriented_area_ratios(mesh, config_obj)) * mesh.ref_area
+    P = positions[mesh.triangles]
+    areas = np.abs(oriented_area_ratios(mesh, surface, positions)) * mesh.ref_area
     prob = areas / areas.sum()
     idx = rng.choice(len(prob), size=n, p=prob)
     # Barycentric weights kept away from edges so targets are regular.
@@ -102,17 +97,15 @@ def _sample_degree_targets(mesh, config_obj, n, seed):
 
 
 def _write_degrees(out, config, results):
-    """Write degree.csv from (target point, DegreeResult) pairs."""
+    """Write degree.csv from DegreeResults, one row per target point."""
     rows = [
         (
-            float(y[0]),
-            float(y[1]),
-            float(y[2]),
+            *map(float, res.target_point),
             res.degree,
             res.mollified_integral,
             str(res.methods_agree).lower(),
         )
-        for y, res in results
+        for res in results
     ]
     _write_csv(
         os.path.join(out, "degree.csv"),
@@ -149,24 +142,26 @@ def _write_residuals(out, config, results):
     return max(abs(r.lagrangian_residual) / max(r.normalization, 1e-300) for r in results)
 
 
-def _run_diagnostics(config, surface, mesh, config_obj, out, grad_tol):
+def _run_diagnostics(config, surface, mesh, positions, out, grad_tol):
     diag = config.diagnostics_params()
     model = config.model()
     lines = []
     if diag["injectivity"]:
-        rep = injectivity_check(surface, mesh, config_obj)
+        rep = injectivity_check(surface, mesh, positions)
         lines.append(f"injectivity_checked_pairs: {rep.checked_pairs}")
         lines.append(f"injectivity_overlapping_pairs: {rep.overlapping_pairs}")
         lines.append(f"injectivity_overlap_area: {rep.total_overlap_area!r}")
         lines.append(f"injective: {str(rep.injective).lower()}")
     if diag["degree_points"] > 0:
         targets = surface.project(
-            _sample_degree_targets(mesh, config_obj, diag["degree_points"], config.seed)
+            _sample_degree_targets(
+                surface, mesh, positions, diag["degree_points"], config.seed
+            )
         )
         # One call per target: perfbench's traced run counts degree calls
         # as targets (perfbench/test_perfbench.py).
-        results = [(y, brouwer_degree(surface, mesh, config_obj, y)) for y in targets]
-        agree = sum(res.methods_agree for _, res in results)
+        results = [brouwer_degree(surface, mesh, positions, y) for y in targets]
+        agree = sum(res.methods_agree for res in results)
         _write_degrees(out, config, results)
         lines.append(f"degree_points: {len(results)}")
         lines.append(f"degree_method_agreement: {agree}/{len(results)}")
@@ -175,7 +170,7 @@ def _run_diagnostics(config, surface, mesh, config_obj, out, grad_tol):
             model,
             surface,
             mesh,
-            config_obj,
+            positions,
             family_size=diag["residual_fields"],
             seed=config.seed,
         )
@@ -192,14 +187,7 @@ def _cmd_minimize(config, out):
     mesh = config.mesh()
     f0 = config.initial_map(surface)
     options = config.minimize_options()
-    try:
-        final, report = minimize(model, surface, mesh, f0, options)
-    except InfeasibleStartError as exc:
-        print(f"infeasible start: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except LineSearchStallError as exc:
-        print(f"line search stall: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    positions, report = minimize(model, surface, mesh, f0, options)
 
     rows = zip(
         range(len(report.energy_history)),
@@ -222,7 +210,7 @@ def _cmd_minimize(config, out):
     )
     save_mesh(
         os.path.join(out, "final_config.obj"),
-        final.positions,
+        positions,
         mesh.triangles,
         comments=[f"config_hash={config.config_hash}", "deformed configuration"],
     )
@@ -240,7 +228,7 @@ def _cmd_minimize(config, out):
         f"wall_time_s: {report.wall_time:.3f}",
     ]
     if report.status == "converged":
-        lines += _run_diagnostics(config, surface, mesh, final, out, grad_tol)
+        lines += _run_diagnostics(config, surface, mesh, positions, out, grad_tol)
     _write_text(
         os.path.join(out, "summary.txt"), config.config_hash, "\n".join(lines) + "\n"
     )
@@ -253,10 +241,10 @@ def _cmd_degree(config, out, point):
     surface = config.surface()
     mesh = config.mesh()
     f0 = config.initial_map(surface)
-    config_obj = Configuration.from_map(surface, mesh, f0)
+    positions = interpolate(surface, mesh, f0)
     y = surface.project(np.asarray(point, dtype=float))
-    res = brouwer_degree(surface, mesh, config_obj, y)
-    _write_degrees(out, config, [(y, res)])
+    res = brouwer_degree(surface, mesh, positions, y)
+    _write_degrees(out, config, [res])
     print(f"degree: {res.degree}")
     print(f"mollified_integral: {res.mollified_integral!r}")
     print(f"methods_agree: {str(res.methods_agree).lower()}")
@@ -268,13 +256,13 @@ def _cmd_residual(config, out):
     model = config.model()
     mesh = config.mesh()
     f0 = config.initial_map(surface)
-    config_obj = Configuration.from_map(surface, mesh, f0)
+    positions = interpolate(surface, mesh, f0)
     diag = config.diagnostics_params()
     results = first_variation_residual(
         model,
         surface,
         mesh,
-        config_obj,
+        positions,
         family_size=max(1, diag["residual_fields"]),
         seed=config.seed,
     )

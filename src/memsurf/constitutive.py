@@ -64,10 +64,6 @@ class ThetaModel:
         J = np.asarray(J, dtype=float)
         return self.c * (J**self.q + J ** (-self.r) - 2.0)
 
-    def derivative(self, J):
-        J = np.asarray(J, dtype=float)
-        return self.c * (self.q * J ** (self.q - 1.0) - self.r * J ** (-self.r - 1.0))
-
     def second_derivative(self, J):
         J = np.asarray(J, dtype=float)
         return self.c * (

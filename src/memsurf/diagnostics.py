@@ -44,6 +44,8 @@ OVERLAP_AREA_TOL = 1e-12
 MAX_RECORDED_OVERLAPS = 100
 # Sorted elements per block of the injectivity sweep (bounds its temporaries).
 _SWEEP_BLOCK = 128
+# Random tangent directions per residual test-field anchor.
+_TEST_DIRECTIONS = 3
 
 
 def _bump_mass_constant():
@@ -90,8 +92,8 @@ def _segment_distances(point, starts, ends):
 class _Image:
     """What every degree target reads of one configuration, computed once."""
 
-    def __init__(self, mesh, config):
-        P = config.positions[mesh.triangles]            # (m, 3, 3)
+    def __init__(self, surface, mesh, positions):
+        P = positions[mesh.triangles]                   # (m, 3, 3)
         edges = np.stack(
             [
                 P[:, 1] - P[:, 0],
@@ -104,10 +106,10 @@ class _Image:
         self.P = P
         self.diam = edge_len.max(axis=1)
         self.mean_edge = float(np.mean(edge_len))
-        self.signs = np.sign(oriented_area_ratios(mesh, config)).astype(int)
+        self.signs = np.sign(oriented_area_ratios(mesh, surface, positions)).astype(int)
         self.boundary = []                              # (starts, ends) per loop
         for loop in mesh.boundary_loops:
-            pts = config.positions[np.asarray(loop)]
+            pts = positions[np.asarray(loop)]
             self.boundary.append((pts, np.roll(pts, -1, axis=0)))
 
     def boundary_distance(self, y):
@@ -180,7 +182,7 @@ def _distances(tris, w):
 def brouwer_degree(
     surface,
     mesh,
-    config,
+    positions,
     y,
     mollifier_radius=None,
     nudge=True,
@@ -205,7 +207,7 @@ def brouwer_degree(
     the first target that fails raises, naming its index and point.
     """
     ys, single = _as_points(y)
-    image = _Image(mesh, config)
+    image = _Image(surface, mesh, positions)
     results = []
     for k, target in enumerate(ys):
         try:
@@ -309,7 +311,7 @@ def _degree_at(surface, image, y, mollifier_radius, nudge):
     )
 
 
-def boundary_winding(surface, mesh, config, y):
+def boundary_winding(surface, mesh, positions, y):
     """Independent degree oracle: winding of the boundary image around y.
 
     Uses the chart at y and the boundary loops oriented with the domain on
@@ -319,7 +321,7 @@ def boundary_winding(surface, mesh, config, y):
     w = chart.inverse_map(np.asarray(y, dtype=float))[0]
     total = 0.0
     for loop in mesh.boundary_loops:
-        pts = chart.inverse_map(config.positions[np.asarray(loop)]) - w
+        pts = chart.inverse_map(positions[np.asarray(loop)]) - w
         nxt = np.roll(pts, -1, axis=0)
         cross = pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0]
         dot = np.einsum("ij,ij->i", pts, nxt)
@@ -409,7 +411,7 @@ def _sweep_pairs(stop, start, end):
     return first, first + 1 + ranks
 
 
-def injectivity_check(surface, mesh, config):
+def injectivity_check(surface, mesh, positions):
     """Image-overlap scan of all non-adjacent element pairs.
 
     A sweep over the elements sorted by their lowest image x gives the
@@ -424,7 +426,7 @@ def injectivity_check(surface, mesh, config):
     first such pair, when a checked pair fits no single chart.
     """
     tris = mesh.triangles
-    P = config.positions[tris]
+    P = positions[tris]
     lo = P.min(axis=1)
     hi = P.max(axis=1)
     order = np.argsort(lo[:, 0], kind="stable")
@@ -438,7 +440,7 @@ def injectivity_check(surface, mesh, config):
     # positive.
     radius = surface.chart_radius
     if np.isinf(radius):
-        chart = surface.chart_at(surface.project(config.positions.mean(axis=0)))
+        chart = surface.chart_at(surface.project(positions.mean(axis=0)))
         centers = np.broadcast_to(chart.center, (len(P), 3))
         frames = np.broadcast_to(np.stack([chart.t1, chart.t2]), (len(P), 2, 3))
     else:
@@ -506,7 +508,7 @@ class ResidualResult:
     admissible: bool
 
 
-def _test_fields(surface, mesh, config, family_size, seed, directions=3):
+def _test_fields(surface, mesh, positions, family_size, seed):
     """Tangent test fields beta(y) P_T(y) v vanishing on the boundary image.
 
     beta is the C^1 squared-distance bump (1 - |y - y0|^2 / Rc^2)_+^2 around
@@ -514,34 +516,34 @@ def _test_fields(surface, mesh, config, family_size, seed, directions=3):
     """
     rng = np.random.default_rng(seed)
     interior = np.nonzero(mesh.interior_mask())[0]
-    boundary_pts = config.positions[mesh.boundary_vertices]
-    n_cut = max(1, -(-family_size // directions))
+    boundary_pts = positions[mesh.boundary_vertices]
+    n_cut = max(1, -(-family_size // _TEST_DIRECTIONS))
     anchors = []
     attempts = 0
     while len(anchors) < n_cut and attempts < 100 * n_cut:
         attempts += 1
         idx = int(rng.choice(interior))
-        y0 = config.positions[idx]
+        y0 = positions[idx]
         clearance = float(np.min(np.linalg.norm(boundary_pts - y0, axis=1)))
         if clearance <= 1e-12:
             continue
         anchors.append((y0, 0.95 * clearance))
-    dirs = rng.standard_normal((directions, 3))
+    dirs = rng.standard_normal((_TEST_DIRECTIONS, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     fields = []
     for k in range(family_size):
-        v = dirs[k % directions]
-        y0, rc = anchors[(k // directions) % len(anchors)]
-        d2 = np.sum((config.positions - y0) ** 2, axis=1)
+        v = dirs[k % _TEST_DIRECTIONS]
+        y0, rc = anchors[(k // _TEST_DIRECTIONS) % len(anchors)]
+        d2 = np.sum((positions - y0) ** 2, axis=1)
         beta = np.maximum(0.0, 1.0 - d2 / rc**2) ** 2
         psi = beta[:, None] * surface.tangent_project_unchecked(
-            config.positions, np.broadcast_to(v, config.positions.shape)
+            positions, np.broadcast_to(v, positions.shape)
         )
         fields.append((k, v, y0, rc, psi))
     return fields
 
 
-def first_variation_residual(model, surface, mesh, config, family_size=12, seed=0):
+def first_variation_residual(model, surface, mesh, positions, family_size=12, seed=0):
     """Discrete stationarity residuals for a family of tangent test fields.
 
     The Lagrangian residual pairs the assembled energy gradient with the
@@ -551,7 +553,7 @@ def first_variation_residual(model, surface, mesh, config, family_size=12, seed=
     agree to rounding error.  Admissibility of the variation is spot-checked
     at tau = +/- 1e-3 (all elements keep positive orientation).
     """
-    F = deformation_gradients(mesh, config)
+    F = deformation_gradients(mesh, positions)
     S = pk1_batch(model, F)
     l1, l2, *_ = _spectral_batch(F)
     area_ratio = l1 * l2
@@ -566,7 +568,7 @@ def first_variation_residual(model, surface, mesh, config, family_size=12, seed=
     Fplus = np.einsum("tjk,tik->tji", Cinv, F)      # (t, 2, 3)
 
     results = []
-    for k, v, y0, rc, psi in _test_fields(surface, mesh, config, family_size, seed):
+    for k, v, y0, rc, psi in _test_fields(surface, mesh, positions, family_size, seed):
         psi_tri = psi[mesh.triangles]                # (t, 3verts, 3)
         Psi = np.einsum("tva,tvb->tab", psi_tri, mesh.shape_grads)
         lag = float(np.sum(mesh.ref_area * np.einsum("tab,tab->t", S, Psi)))
@@ -581,7 +583,7 @@ def first_variation_residual(model, surface, mesh, config, family_size=12, seed=
         norm = float(np.linalg.norm(psi))
         admissible = True
         for tau in (1e-3, -1e-3):
-            ok = trial_energy(model, mesh, surface, config.positions + tau * psi)[2]
+            ok = trial_energy(model, mesh, surface, positions + tau * psi)[2]
             admissible = admissible and ok
         results.append(
             ResidualResult(

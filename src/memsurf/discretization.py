@@ -1,7 +1,9 @@
 """Piecewise-linear configurations on a surface and energy assembly.
 
-A configuration places every mesh vertex on the target surface; per element
-the deformation gradient F of the linear interpolant is constant, so
+A configuration is the (n, 3) array of nodal positions, one point of the
+target surface per mesh vertex, passed beside the surface it lies on
+(``interpolate`` builds one from a closed-form map).  Per element the
+deformation gradient F of the linear interpolant is constant, so
 one-point quadrature integrates the stored energy exactly.  The oriented
 area ratio J pairs the element's image cross product with the surface normal
 at the projected element centroid; its sign flags orientation violations
@@ -10,8 +12,6 @@ while the energy itself is evaluated through the principal stretches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .constitutive import _spectral_batch, pk1_batch
@@ -19,7 +19,7 @@ from .errors import AmbiguousProjectionError, NoConvergenceError, OffSurfaceErro
 from .mesh import TriMesh
 
 __all__ = [
-    "Configuration",
+    "interpolate",
     "trial_energy",
     "energy_gradient",
 ]
@@ -27,38 +27,26 @@ __all__ = [
 J_FLOOR_DEFAULT = 1e-8
 
 
-@dataclass
-class Configuration:
-    """Nodal surface positions for a reference mesh."""
+def interpolate(surface, mesh, f0):
+    """Nodal positions (n, 3) of a closed-form map at the mesh vertices.
 
-    surface: object
-    positions: np.ndarray  # (n, 3)
-
-    @classmethod
-    def from_map(cls, surface, mesh, f0, check_on_surface=True):
-        """Evaluate a closed-form map at the mesh vertices.
-
-        ``f0`` maps (n, 2) reference coordinates to (n, 3) surface points.
-        Boundary values are taken exactly as returned, never projected.
-        """
-        pos = np.asarray(f0(mesh.vertices), dtype=float)
-        if pos.shape != (mesh.num_vertices, 3):
-            raise ValueError("initial map must return one 3-vector per vertex")
-        if check_on_surface:
-            d = np.atleast_1d(surface.distance(pos))
-            if np.any(d > surface.on_surface_tol):
-                raise OffSurfaceError(
-                    f"initial map leaves the surface by {float(np.max(d)):.3e}"
-                )
-        return cls(surface=surface, positions=pos)
-
-    def copy(self):
-        return Configuration(self.surface, self.positions.copy())
+    ``f0`` maps (n, 2) reference coordinates to (n, 3) surface points.
+    Boundary values are taken exactly as returned, never projected.
+    """
+    pos = np.asarray(f0(mesh.vertices), dtype=float)
+    if pos.shape != (mesh.num_vertices, 3):
+        raise ValueError("initial map must return one 3-vector per vertex")
+    d = np.atleast_1d(surface.distance(pos))
+    if np.any(d > surface.on_surface_tol):
+        raise OffSurfaceError(
+            f"initial map leaves the surface by {float(np.max(d)):.3e}"
+        )
+    return pos
 
 
-def _gradients(mesh, Y):
-    """F_t = sum_i y_i (x) g_i from the element vertex positions Y (m, 3, 3)."""
-    return np.einsum("tva,tvb->tab", Y, mesh.shape_grads)
+def deformation_gradients(mesh: TriMesh, positions):
+    """Constant per-element gradients F_t = sum_i y_i (x) g_i, shape (m, 3, 2)."""
+    return np.einsum("tva,tvb->tab", positions[mesh.triangles], mesh.shape_grads)
 
 
 def _kinematics(mesh, surface, positions):
@@ -67,7 +55,7 @@ def _kinematics(mesh, surface, positions):
     J_t = n(projected centroid) . (F e1 x F e2).
     """
     Y = positions[mesh.triangles]                  # (m, 3verts, 3)
-    F = _gradients(mesh, Y)
+    F = np.einsum("tva,tvb->tab", Y, mesh.shape_grads)
     cross = np.cross(F[:, :, 0], F[:, :, 1])
     normals = surface.normal_unchecked(surface.project(Y.mean(axis=1)))
     return F, np.einsum("ti,ti->t", normals, cross)
@@ -78,14 +66,9 @@ def _energy(model, mesh, F):
     return float(np.sum(mesh.ref_area * model.energy_from_stretches(l1, l2)))
 
 
-def deformation_gradients(mesh: TriMesh, config: Configuration):
-    """Constant per-element gradients F_t = sum_i y_i (x) g_i, shape (m, 3, 2)."""
-    return _gradients(mesh, config.positions[mesh.triangles])
-
-
-def oriented_area_ratios(mesh: TriMesh, config: Configuration):
+def oriented_area_ratios(mesh: TriMesh, surface, positions):
     """Oriented J per element: n(projected centroid) . (F e1 x F e2)."""
-    return _kinematics(mesh, config.surface, config.positions)[1]
+    return _kinematics(mesh, surface, positions)[1]
 
 
 def trial_energy(model, mesh, surface, positions, j_floor=J_FLOOR_DEFAULT):

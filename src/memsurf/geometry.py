@@ -27,6 +27,11 @@ __all__ = [
     "make_surface",
 ]
 
+# Residual tolerance and iteration cap of the Newton closest-point solves
+# (ellipsoid, height graph).
+_PROJECT_TOL = 1e-12
+_PROJECT_MAX_ITER = 50
+
 
 def _as_points(p):
     """Return (points, was_single) with points shaped (n, 3)."""
@@ -334,7 +339,7 @@ class Ellipsoid(Surface):
     def normal_lipschitz(self):
         return 1.0 / self.curvature_radius
 
-    def project(self, p, tol=1e-12, max_iter=50):
+    def project(self, p):
         """Newton solve of the closest-point condition y_i = p_i a_i^2/(a_i^2+mu).
 
         The root mu in (-min(a_i^2), inf) is unique and yields the nearest
@@ -357,9 +362,9 @@ class Ellipsoid(Surface):
             dh = -2.0 * np.sum((p**2) * a2[None, :] / den**3, axis=-1)
             return h, dh
 
-        for _ in range(max_iter):
+        for _ in range(_PROJECT_MAX_ITER):
             h, dh = h_and_dh(mu)
-            converged = np.abs(h) < tol
+            converged = np.abs(h) < _PROJECT_TOL
             if np.all(converged):
                 break
             lo = np.where(h > 0, np.maximum(lo, mu), lo)
@@ -371,7 +376,7 @@ class Ellipsoid(Surface):
             mu = np.where(converged, mu, mu_new)
         else:
             h, _ = h_and_dh(mu)
-            if np.any(np.abs(h) > np.sqrt(tol)):
+            if np.any(np.abs(h) > np.sqrt(_PROJECT_TOL)):
                 raise NoConvergenceError("ellipsoid projection did not converge")
         y = p * a2[None, :] / (a2[None, :] + mu[:, None])
         return _unpack(y, single)
@@ -461,15 +466,15 @@ class GraphSurface(Surface):
         j22 = 1.0 + hy * hy + dz * hyy
         return d2, ru, rv, j11, j12, j22
 
-    def project(self, p, tol=1e-12, max_iter=50):
+    def project(self, p):
         """Damped Newton on the stationarity condition of |y(u, v) - p|^2."""
         p, single = _as_points(p)
         uv = p[:, :2].copy()
         scale = max(1.0, self.extent)
-        for _ in range(max_iter):
+        for _ in range(_PROJECT_MAX_ITER):
             d2, ru, rv, j11, j12, j22 = self._sqdist_grad(uv, p)
             res = np.hypot(ru, rv)
-            if np.all(res < tol * scale):
+            if np.all(res < _PROJECT_TOL * scale):
                 break
             # Newton direction; fall back to gradient when H is not SPD.
             det = j11 * j22 - j12 * j12
@@ -479,7 +484,7 @@ class GraphSurface(Surface):
             # Backtrack on the squared distance far from the solution; close
             # to it the distance hits the float floor, so take full steps.
             step = np.ones(uv.shape[0])
-            active = res >= tol * scale
+            active = res >= _PROJECT_TOL * scale
             guarded = active & (res >= 1e-6 * scale)
             for _ in range(40):
                 trial = uv - step[:, None] * np.column_stack([du, dv])

@@ -94,17 +94,14 @@ class TriMesh:
         mask[self.boundary_vertices] = False
         return mask
 
-    def vertex_triangles(self):
-        """List of triangle index arrays incident to each vertex."""
-        out = [[] for _ in range(self.num_vertices)]
-        for t, tri in enumerate(self.triangles):
-            for v in tri:
-                out[v].append(t)
-        return [np.asarray(a, dtype=np.int64) for a in out]
-
 
 def _boundary_loops(num_vertices, triangles):
-    """Ordered boundary loops, with the domain on the left of each edge."""
+    """Ordered boundary loops, with the domain on the left of each edge.
+
+    Raises ValueError at a vertex with two outgoing boundary edges (two
+    triangles that share it without a fan between them), where the loops
+    are not well defined.
+    """
     counts = {}
     for tri in triangles:
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
@@ -114,6 +111,11 @@ def _boundary_loops(num_vertices, triangles):
     for tri in triangles:
         for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
             if counts[(min(a, b), max(a, b))] == 1:
+                if int(a) in nxt:
+                    raise ValueError(
+                        f"vertex {int(a)} has two outgoing boundary edges "
+                        "(a bowtie vertex); the boundary is not a set of loops"
+                    )
                 nxt[int(a)] = int(b)
     loops = []
     seen = set()

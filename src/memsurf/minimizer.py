@@ -1,7 +1,9 @@
 """Projected gradient descent over surface-constrained configurations.
 
-Free nodes move along the tangent-projected energy gradient and are retracted
-back onto the surface by closest-point projection; boundary nodes never move.
+A configuration is the (n, 3) array of nodal positions on the surface;
+``initialize`` and ``minimize`` return it as a plain array.  Free nodes move
+along the tangent-projected energy gradient and are retracted back onto the
+surface by closest-point projection; boundary nodes never move.
 Step lengths come from a spectral (Barzilai-Borwein) guess safeguarded by
 Armijo backtracking, and any trial step that drives an element's oriented
 area ratio to the floor is rejected outright, which keeps every accepted
@@ -17,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretization import (
-    Configuration,
     J_FLOOR_DEFAULT,
     energy_gradient,
+    interpolate,
     oriented_area_ratios,
     trial_energy,
 )
@@ -81,9 +83,9 @@ class MinimizeReport:
 
 
 def initialize(surface, mesh, f0, j_floor=J_FLOOR_DEFAULT):
-    """Nodal interpolation of f0 with a feasibility check on every element."""
-    config = Configuration.from_map(surface, mesh, f0)
-    J = oriented_area_ratios(mesh, config)
+    """Nodal positions of f0, with a feasibility check on every element."""
+    positions = interpolate(surface, mesh, f0)
+    J = oriented_area_ratios(mesh, surface, positions)
     bad = np.nonzero(J <= j_floor)[0]
     if bad.size:
         raise InfeasibleStartError(
@@ -91,23 +93,23 @@ def initialize(surface, mesh, f0, j_floor=J_FLOOR_DEFAULT):
             f"area-ratio floor {j_floor:.1e}",
             elements=bad.tolist(),
         )
-    return config
+    return positions
 
 
 def minimize(model, surface, mesh, f0, options=None):
-    """Descend the total energy from f0; returns (configuration, report).
+    """Descend the total energy from f0; returns (positions, report).
 
     Raises InfeasibleStartError when f0 violates the element floor and
     LineSearchStallError if backtracking underflows.
     """
     options = options or MinimizeOptions()
     t0 = time.perf_counter()
-    config = initialize(surface, mesh, f0, options.j_floor)
+    positions = initialize(surface, mesh, f0, options.j_floor)
     grad_tol = options.resolved_grad_tol(mesh)
     free = mesh.interior_mask()
 
     energy, min_j, _, F = trial_energy(
-        model, mesh, surface, config.positions, options.j_floor
+        model, mesh, surface, positions, options.j_floor
     )
     report = MinimizeReport(status="max_iter", iterations=0)
     report.energy_history.append(energy)
@@ -121,7 +123,7 @@ def minimize(model, surface, mesh, f0, options=None):
         # Tangent gradient of the free rows at the accepted point, from the
         # F its trial evaluation formed.
         grad = energy_gradient(model, mesh, F)
-        gt = surface.tangent_project_unchecked(config.positions[free], grad[free])
+        gt = surface.tangent_project_unchecked(positions[free], grad[free])
         gnorm = float(np.linalg.norm(gt))
         report.grad_history.append(gnorm)
         if gnorm <= grad_tol:
@@ -131,7 +133,7 @@ def minimize(model, surface, mesh, f0, options=None):
             break
 
         # Spectral step from the last accepted move, clipped for safety.
-        x = config.positions[free]
+        x = positions[free]
         if prev_pos is not None:
             dy = (x - prev_pos).ravel()
             dg = (gt - prev_gt).ravel()
@@ -147,13 +149,13 @@ def minimize(model, surface, mesh, f0, options=None):
         accepted = False
         float_floor = 4.0 * np.finfo(float).eps * (1.0 + abs(energy))
         while alpha >= STEP_UNDERFLOW:
-            trial = config.positions.copy()
+            trial = positions.copy()
             try:
                 trial[free] = surface.project(x - alpha * gt)
             except (AmbiguousProjectionError, NoConvergenceError):
                 alpha *= options.backtrack_ratio  # failed retraction: reject
                 continue
-            if np.array_equal(trial, config.positions):
+            if np.array_equal(trial, positions):
                 break  # move below float resolution: no progress possible
             e_new, mj_new, feasible, F_new = trial_energy(
                 model, mesh, surface, trial, options.j_floor
@@ -165,7 +167,7 @@ def minimize(model, surface, mesh, f0, options=None):
                 e_new <= energy - required
                 or (required <= float_floor and e_new <= energy)
             ):
-                config.positions = trial
+                positions = trial
                 energy, min_j, F = e_new, mj_new, F_new
                 accepted = True
                 break
@@ -182,4 +184,4 @@ def minimize(model, surface, mesh, f0, options=None):
 
     report.iterations = it
     report.wall_time = time.perf_counter() - t0
-    return config, report
+    return positions, report

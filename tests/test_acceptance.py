@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from memsurf import (
-    Configuration,
     MinimizeOptions,
     boundary_winding,
     brouwer_degree,
@@ -25,6 +24,7 @@ from memsurf import (
     default_model,
     first_variation_residual,
     injectivity_check,
+    interpolate,
     minimize,
     rank_one_counterexample,
 )
@@ -162,7 +162,7 @@ def test_criterion_6_affine_dirichlet(model, plane):
         assert report.energy_history[-1] == pytest.approx(target_energy, rel=1e-6)
         target_nodes = plane.embed(mesh.vertices @ A.T)
         interior = mesh.interior_mask()
-        assert np.abs(cfg.positions[interior] - target_nodes[interior]).max() <= 1e-6
+        assert np.abs(cfg[interior] - target_nodes[interior]).max() <= 1e-6
         e = report.energy_history
         assert all(b <= a for a, b in zip(e, e[1:]))
 
@@ -175,7 +175,7 @@ def test_criterion_6_affine_dirichlet(model, plane):
             pos[interior, :2] += (0.10 / 32.0) * rng.standard_normal(
                 (int(interior.sum()), 2)
             )
-            if np.min(oriented_area_ratios(mesh, Configuration(plane, pos))) <= 1e-8:
+            if np.min(oriented_area_ratios(mesh, plane, pos)) <= 1e-8:
                 continue
             restarts += 1
             _, rep = minimize(
@@ -208,8 +208,8 @@ def test_criterion_7_sphere_cap_run(model, sphere, cap_state):
         assert overlap.overlapping_pairs == 0
 
         rng = np.random.default_rng(7)
-        P = cfg.positions[mesh.triangles]
-        areas = np.abs(oriented_area_ratios(mesh, cfg)) * mesh.ref_area
+        P = cfg[mesh.triangles]
+        areas = np.abs(oriented_area_ratios(mesh, sphere, cfg)) * mesh.ref_area
         prob = areas / areas.sum()
         idx = rng.choice(len(prob), size=100, p=prob)
         w = rng.uniform(0.2, 0.6, size=(100, 3))
@@ -257,7 +257,7 @@ def test_criterion_8_degree_oracle_equivalence(plane):
             (annulus, doubled, lambda: rng.uniform(0.58, 0.92), 2),
         ]
         for mesh, f0, rdraw, expected in cases:
-            cfg = Configuration.from_map(plane, mesh, f0)
+            cfg = interpolate(plane, mesh, f0)
             for _ in range(15):
                 ang = rng.uniform(0, 2 * np.pi)
                 rr = rdraw()
@@ -274,18 +274,14 @@ def test_criterion_9_residual_identity(model, plane, sphere, cap_state):
     with criterion(9, "Lagrangian and Eulerian residuals agree to 1e-10 relative"):
         mesh_cap, f0_cap, cfg_cap, _, _ = cap_state
         configs = [(sphere, mesh_cap, cfg_cap)]
-        configs.append(
-            (sphere, mesh_cap, Configuration.from_map(sphere, mesh_cap, f0_cap))
-        )
+        configs.append((sphere, mesh_cap, interpolate(sphere, mesh_cap, f0_cap)))
         sq = build_mesh("unit_square", 0.1)
         A = np.array([[1.2, 0.0], [0.0, 0.9]])
         configs.append(
             (
                 plane,
                 sq,
-                Configuration.from_map(
-                    plane, sq, make_initial_map(plane, "affine", matrix=A)
-                ),
+                interpolate(plane, sq, make_initial_map(plane, "affine", matrix=A)),
             )
         )
         from memsurf import Torus
@@ -296,7 +292,7 @@ def test_criterion_9_residual_identity(model, plane, sphere, cap_state):
             (
                 torus,
                 tb,
-                Configuration.from_map(torus, tb, make_initial_map(torus, "torus_band")),
+                interpolate(torus, tb, make_initial_map(torus, "torus_band")),
             )
         )
         for surface, mesh, config in configs:

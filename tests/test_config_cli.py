@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from memsurf import ConfigError, parse_config
+from memsurf import ConfigError, LineSearchStallError, parse_config
 from memsurf.cli import main
 from memsurf.mesh import load_mesh
 
@@ -235,6 +235,15 @@ output_dir: "%s"
 """
         cfg, _ = write_config(tmp_path, text)
         assert main(["minimize", str(cfg)]) == 4
+
+    def test_line_search_stall_exit_5(self, tmp_path, capsys, monkeypatch):
+        def stall(*args, **kwargs):
+            raise LineSearchStallError("line search underflowed at iteration 7")
+
+        monkeypatch.setattr("memsurf.cli.minimize", stall)
+        cfg, _ = write_config(tmp_path, MINIMAL_PLANE)
+        assert main(["minimize", str(cfg)]) == 5
+        assert "line search underflowed at iteration 7" in capsys.readouterr().err
 
     def test_determinism_bitwise(self, tmp_path):
         cfg, out = write_config(tmp_path, MINIMAL_PLANE)

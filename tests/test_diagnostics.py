@@ -6,13 +6,13 @@ import pytest
 from memsurf import (
     BoundaryTooCloseError,
     ChartSpanFailureError,
-    Configuration,
     IrregularValueError,
     boundary_winding,
     brouwer_degree,
     build_mesh,
     first_variation_residual,
     injectivity_check,
+    interpolate,
     minimize,
 )
 from memsurf.diagnostics import OVERLAP_AREA_TOL, _triangle_overlap_area
@@ -23,7 +23,7 @@ from memsurf.mesh import TriMesh
 @pytest.fixture(scope="module")
 def disk_identity(plane):
     mesh = build_mesh("disk", 0.15)
-    cfg = Configuration.from_map(plane, mesh, make_initial_map(plane, "identity"))
+    cfg = interpolate(plane, mesh, make_initial_map(plane, "identity"))
     return mesh, cfg
 
 
@@ -45,7 +45,7 @@ def annulus_winding(plane):
         th = np.arctan2(x[:, 1], x[:, 0])
         return plane.embed(np.column_stack([r * np.cos(2 * th), r * np.sin(2 * th)]))
 
-    cfg = Configuration.from_map(plane, mesh, doubled_angle)
+    cfg = interpolate(plane, mesh, doubled_angle)
     return mesh, cfg
 
 
@@ -54,7 +54,7 @@ def plane_suite(plane, disk_identity, annulus_winding):
     """(mesh, config, targets, expected degree): identity, reflection, winding 2."""
     rng = np.random.default_rng(20)
     mesh_i, cfg_i = disk_identity
-    cfg_r = Configuration.from_map(
+    cfg_r = interpolate(
         plane,
         mesh_i,
         make_initial_map(plane, "affine", matrix=np.array([[0.0, 1.0], [1.0, 0.0]])),
@@ -96,7 +96,7 @@ class TestDegree:
 
     def test_reflection_gives_minus_one(self, plane, disk_identity):
         mesh, _ = disk_identity
-        cfg = Configuration.from_map(
+        cfg = interpolate(
             plane,
             mesh,
             make_initial_map(plane, "affine", matrix=np.array([[0.0, 1.0], [1.0, 0.0]])),
@@ -134,7 +134,7 @@ class TestDegree:
     def test_boundary_proximity_rejected(self, plane, disk_identity):
         mesh, cfg = disk_identity
         loop = mesh.boundary_loops[0]
-        on_edge = 0.5 * (cfg.positions[loop[0]] + cfg.positions[loop[1]])
+        on_edge = 0.5 * (cfg[loop[0]] + cfg[loop[1]])
         with pytest.raises(BoundaryTooCloseError):
             brouwer_degree(plane, mesh, cfg, on_edge)
 
@@ -143,7 +143,7 @@ class TestDegree:
         # must keep resolving it down to the degree margin.
         mesh, cfg = disk_identity
         loop = mesh.boundary_loops[0]
-        a, b = cfg.positions[loop[0]], cfg.positions[loop[1]]
+        a, b = cfg[loop[0]], cfg[loop[1]]
         d = b - a
         inward = np.array([-d[1], d[0], 0.0]) / np.linalg.norm(d)
         for gap in (1e-3, 1e-5, 2e-6):
@@ -160,12 +160,12 @@ class TestDegree:
         mesh, _ = disk_identity
         rng = np.random.default_rng(21)
         y = np.array([0.3, 0.2, 0.0])
-        base = Configuration.from_map(plane, mesh, make_initial_map(plane, "identity"))
+        base = interpolate(plane, mesh, make_initial_map(plane, "identity"))
         d0 = brouwer_degree(plane, mesh, base, y).degree
         interior = mesh.interior_mask()
         for _ in range(10):
-            cfg = Configuration(plane, base.positions.copy())
-            cfg.positions[interior, :2] += 0.002 * rng.standard_normal(
+            cfg = base.copy()
+            cfg[interior, :2] += 0.002 * rng.standard_normal(
                 (int(interior.sum()), 2)
             )
             res = brouwer_degree(plane, mesh, cfg, y)
@@ -203,7 +203,7 @@ class TestDegree:
     def test_batch_error_names_first_failing_target(self, plane, disk_identity):
         mesh, cfg = disk_identity
         loop = mesh.boundary_loops[0]
-        on_edge = 0.5 * (cfg.positions[loop[0]] + cfg.positions[loop[1]])
+        on_edge = 0.5 * (cfg[loop[0]] + cfg[loop[1]])
         regular = [[0.2, 0.1, 0.0], [-0.3, 0.25, 0.0], [0.1, -0.4, 0.0]]
         # Targets 2 (boundary) and 3 (on an image edge) both fail; 2 comes first.
         targets = np.array(regular[:2] + [on_edge, np.zeros(3)] + regular[2:])
@@ -223,7 +223,7 @@ def _reference_overlaps(surface, mesh, cfg):
     element in x-sorted order (the one ``injectivity_check`` uses), or in one
     centered on the pair where that chart cannot cover it.
     """
-    P = cfg.positions[mesh.triangles]
+    P = cfg[mesh.triangles]
     lo, hi = P.min(axis=1), P.max(axis=1)
     rank = np.empty(len(P), dtype=int)
     rank[np.argsort(lo[:, 0], kind="stable")] = np.arange(len(P))
@@ -237,7 +237,7 @@ def _reference_overlaps(surface, mesh, cfg):
             checked += 1
             i, j = (a, b) if rank[a] < rank[b] else (b, a)
             pts = np.concatenate([P[i], P[j]])
-            center = cfg.positions.mean(axis=0)
+            center = cfg.mean(axis=0)
             if np.isfinite(surface.chart_radius):
                 center = P[i].mean(axis=0)
             chart = surface.chart_at(surface.project(center))
@@ -276,8 +276,7 @@ def _pair_mesh(surface, image):
         vertices = [(0, 0), (1, 0), (0, 1), (2, 0), (3, 0), (2, 1)]
         triangles = [(0, 1, 2), (3, 4, 5)]
     mesh = TriMesh.from_arrays(vertices, triangles)
-    positions = np.column_stack([image, np.zeros(len(image))])
-    return mesh, Configuration(surface, positions)
+    return mesh, np.column_stack([image, np.zeros(len(image))])
 
 
 class TestInjectivity:
@@ -295,7 +294,7 @@ class TestInjectivity:
         # centered on the pair rather than on one element.
         mesh = build_mesh("unit_square", 1 / 16)
         for surface in (plane, graph_surface, torus):
-            cfg = Configuration.from_map(surface, mesh, _square_onto(surface))
+            cfg = interpolate(surface, mesh, _square_onto(surface))
             rep = injectivity_check(surface, mesh, cfg)
             assert rep.injective
             assert rep.overlapping_pairs == 0
@@ -311,7 +310,7 @@ class TestInjectivity:
                 v = np.minimum(x[:, 0], x[:, 1])
                 return square(np.column_stack([u, v]))
 
-            cfg = Configuration.from_map(surface, mesh, fold)
+            cfg = interpolate(surface, mesh, fold)
             rep = injectivity_check(surface, mesh, cfg)
             assert not rep.injective
             assert rep.overlapping_pairs > 0
@@ -324,7 +323,7 @@ class TestInjectivity:
 
     def test_coarse_torus_names_pair_and_chart_radius(self, torus):
         mesh = build_mesh("unit_square", 1 / 8)
-        cfg = Configuration.from_map(torus, mesh, make_initial_map(torus, "torus_band"))
+        cfg = interpolate(torus, mesh, make_initial_map(torus, "torus_band"))
         with pytest.raises(ChartSpanFailureError) as err:
             injectivity_check(torus, mesh, cfg)
         msg = str(err.value)
@@ -355,7 +354,7 @@ class TestInjectivity:
             else:
                 # Jittered past inversion.
                 x[interior] += 0.15 * rng.standard_normal((int(interior.sum()), 2))
-            cfg = Configuration(surface, square(x))
+            cfg = square(x)
             overlapping += _assert_matches_reference(surface, mesh, cfg).overlapping_pairs
         assert overlapping > 0
 
@@ -385,10 +384,8 @@ class TestInjectivity:
 
         mesh = build_mesh("unit_square", 0.1)
         A = np.array([[1.1, 0.2], [0.0, 0.9]])
-        cfg = Configuration.from_map(
-            plane, mesh, make_initial_map(plane, "affine", matrix=A)
-        )
-        J = oriented_area_ratios(mesh, cfg)
+        cfg = interpolate(plane, mesh, make_initial_map(plane, "affine", matrix=A))
+        J = oriented_area_ratios(mesh, plane, cfg)
         image_area = float(np.sum(mesh.ref_area * np.abs(J)))
         assert image_area == pytest.approx(abs(np.linalg.det(A)), abs=1e-8)
 
@@ -402,8 +399,8 @@ class TestInjectivity:
             v = np.minimum(x[:, 0], x[:, 1])
             return plane.embed(np.column_stack([u, v]))
 
-        cfg = Configuration.from_map(plane, mesh, fold)
-        J = oriented_area_ratios(mesh, cfg)
+        cfg = interpolate(plane, mesh, fold)
+        J = oriented_area_ratios(mesh, plane, cfg)
         image_area = float(np.sum(mesh.ref_area * np.abs(J)))
         # Covered region has area 1/2 but is traversed twice.
         assert image_area == pytest.approx(1.0, abs=1e-12)
@@ -430,7 +427,7 @@ class TestResiduals:
         mesh, f0, cfg, _ = cap
         for surface, config in [
             (sphere, cfg),
-            (sphere, Configuration.from_map(sphere, mesh, f0)),
+            (sphere, interpolate(sphere, mesh, f0)),
         ]:
             for r in first_variation_residual(model, surface, mesh, config, 8, seed=3):
                 assert abs(r.lagrangian_residual - r.eulerian_residual) <= 1e-10 * max(
@@ -440,14 +437,14 @@ class TestResiduals:
     def test_nonstationary_residual_large(self, model, sphere, cap):
         mesh, f0, _, _ = cap
         grad_tol = 1e-7 * mesh.total_area
-        cfg0 = Configuration.from_map(sphere, mesh, f0)
+        cfg0 = interpolate(sphere, mesh, f0)
         results = first_variation_residual(model, sphere, mesh, cfg0, 12, seed=0)
         worst = max(abs(r.lagrangian_residual) / r.normalization for r in results)
         assert worst > 1e3 * grad_tol
 
     def test_stress_free_identity_zero_residual(self, model, plane):
         mesh = build_mesh("disk", 0.2)
-        cfg = Configuration.from_map(plane, mesh, make_initial_map(plane, "identity"))
+        cfg = interpolate(plane, mesh, make_initial_map(plane, "identity"))
         for r in first_variation_residual(model, plane, mesh, cfg, 6, seed=1):
             assert abs(r.lagrangian_residual) < 1e-12
 
@@ -462,5 +459,5 @@ class TestResiduals:
         mesh, _, cfg, _ = cap
         for _, _, _, _, psi in _test_fields(sphere, mesh, cfg, 12, seed=0):
             assert np.abs(psi[mesh.boundary_vertices]).max() == 0.0
-            n = sphere.normal(cfg.positions)
+            n = sphere.normal(cfg)
             assert np.abs(np.einsum("ij,ij->i", psi, n)).max() < 1e-12

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from memsurf import (
-    Configuration,
     OffSurfaceError,
     build_mesh,
     energy_gradient,
+    interpolate,
 )
 from memsurf.discretization import (
     deformation_gradients,
@@ -19,12 +19,12 @@ F_ID = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
 def identity_config(plane, mesh):
-    return Configuration.from_map(plane, mesh, make_initial_map(plane, "identity"))
+    return interpolate(plane, mesh, make_initial_map(plane, "identity"))
 
 
-def energy(model, mesh, cfg):
+def energy(model, mesh, surface, cfg):
     """Total stored energy of a feasible configuration via ``trial_energy``."""
-    E, _, feasible, _ = trial_energy(model, mesh, cfg.surface, cfg.positions)
+    E, _, feasible, _ = trial_energy(model, mesh, surface, cfg)
     assert feasible
     return E
 
@@ -39,37 +39,37 @@ class TestElementKinematics:
         cfg = identity_config(plane, square_mesh)
         F = deformation_gradients(square_mesh, cfg)
         assert np.abs(F - F_ID).max() < 1e-14
-        J = oriented_area_ratios(square_mesh, cfg)
+        J = oriented_area_ratios(square_mesh, plane, cfg)
         assert np.abs(J - 1.0).max() < 1e-14
 
     def test_uniform_dilation(self, model, plane, square_mesh):
-        cfg = Configuration.from_map(
+        cfg = interpolate(
             plane, square_mesh, make_initial_map(plane, "affine", matrix=2 * np.eye(2))
         )
         F = deformation_gradients(square_mesh, cfg)
         assert np.abs(F - 2 * F_ID).max() < 1e-14
-        J = oriented_area_ratios(square_mesh, cfg)
+        J = oriented_area_ratios(square_mesh, plane, cfg)
         assert np.abs(J - 4.0).max() < 1e-14
 
     def test_reflection_flips_sign(self, plane, square_mesh):
-        cfg = Configuration.from_map(
+        cfg = interpolate(
             plane,
             square_mesh,
             make_initial_map(plane, "affine", matrix=np.array([[0.0, 1.0], [1.0, 0.0]])),
         )
-        J = oriented_area_ratios(square_mesh, cfg)
+        J = oriented_area_ratios(square_mesh, plane, cfg)
         assert np.all(J < 0)
         assert np.abs(np.abs(J) - 1.0).max() < 1e-14
 
     def test_area_ratio_vs_stretch_product(self, model, sphere):
         disk = build_mesh("disk", 0.2)
-        cfg = Configuration.from_map(
+        cfg = interpolate(
             sphere, disk, make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         )
         from memsurf.constitutive import _spectral_batch
 
         F = deformation_gradients(disk, cfg)
-        J = oriented_area_ratios(disk, cfg)
+        J = oriented_area_ratios(disk, sphere, cfg)
         l1, l2, *_ = _spectral_batch(F)
         cross_mag = np.linalg.norm(np.cross(F[:, :, 0], F[:, :, 1]), axis=1)
         # |f_,1 x f_,2| equals the stretch product exactly; the oriented J
@@ -79,7 +79,7 @@ class TestElementKinematics:
 
     def test_off_surface_map_rejected(self, sphere, square_mesh):
         with pytest.raises(OffSurfaceError):
-            Configuration.from_map(
+            interpolate(
                 sphere, square_mesh, lambda x: np.column_stack([x, np.ones(len(x))])
             )
 
@@ -92,54 +92,52 @@ class TestElementKinematics:
     def test_trial_returns_its_gradients(self, model, plane, sphere, square_mesh):
         cfg = identity_config(plane, square_mesh)
         F = deformation_gradients(square_mesh, cfg)
-        _, _, _, F_trial = trial_energy(model, square_mesh, plane, cfg.positions)
+        _, _, _, F_trial = trial_energy(model, square_mesh, plane, cfg)
         assert np.array_equal(F_trial, F)
         # A trial rejected at the floor still hands back the F it formed.
         _, _, feasible, F_rejected = trial_energy(
-            model, square_mesh, plane, cfg.positions, j_floor=2.0
+            model, square_mesh, plane, cfg, j_floor=2.0
         )
         assert not feasible and np.array_equal(F_rejected, F)
         disk = build_mesh("disk", 0.2)
-        cap = Configuration.from_map(
+        cap = interpolate(
             sphere, disk, make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         )
-        _, min_j, feasible, F = trial_energy(model, disk, sphere, cap.positions)
+        _, min_j, feasible, F = trial_energy(model, disk, sphere, cap)
         assert feasible and np.array_equal(F, deformation_gradients(disk, cap))
-        assert min_j == float(np.min(oriented_area_ratios(disk, cap)))
+        assert min_j == float(np.min(oriented_area_ratios(disk, sphere, cap)))
 
     def test_degenerate_flag(self, model, plane, square_mesh):
         cfg = identity_config(plane, square_mesh)
-        assert trial_energy(model, square_mesh, plane, cfg.positions)[2]
-        squeezed = Configuration.from_map(
+        assert trial_energy(model, square_mesh, plane, cfg)[2]
+        squeezed = interpolate(
             plane,
             square_mesh,
             make_initial_map(plane, "affine", matrix=np.diag([1.0, 1e-9])),
         )
-        assert not trial_energy(model, square_mesh, plane, squeezed.positions)[2]
+        assert not trial_energy(model, square_mesh, plane, squeezed)[2]
 
 
 class TestTotalEnergy:
     def test_identity_energy(self, model, plane, square_mesh):
         cfg = identity_config(plane, square_mesh)
-        assert energy(model, square_mesh, cfg) == pytest.approx(4.0, abs=1e-12)
+        assert energy(model, square_mesh, plane, cfg) == pytest.approx(4.0, abs=1e-12)
 
     def test_affine_exactness_any_mesh(self, model, plane):
         A = np.array([[1.2, 0.3], [-0.1, 0.9]])
         lam = np.sqrt(np.linalg.eigvalsh(A.T @ A))
         WA = float(model.energy_from_stretches(lam[1], lam[0]))
         for mesh in (build_mesh("unit_square", 0.5), build_mesh("unit_square", 0.11)):
-            cfg = Configuration.from_map(
-                plane, mesh, make_initial_map(plane, "affine", matrix=A)
-            )
-            E = energy(model, mesh, cfg)
+            cfg = interpolate(plane, mesh, make_initial_map(plane, "affine", matrix=A))
+            E = energy(model, mesh, plane, cfg)
             assert E == pytest.approx(mesh.total_area * WA, rel=1e-12)
 
     def test_sphere_cap_refinement_convergence(self, model, sphere):
         f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         coarse = build_mesh("disk", 0.2)
         fine = build_mesh("disk", 0.02)
-        e_coarse = energy(model, coarse, Configuration.from_map(sphere, coarse, f0))
-        e_fine = energy(model, fine, Configuration.from_map(sphere, fine, f0))
+        e_coarse = energy(model, coarse, sphere, interpolate(sphere, coarse, f0))
+        e_fine = energy(model, fine, sphere, interpolate(sphere, fine, f0))
         assert abs(e_coarse - e_fine) / abs(e_fine) < 0.02
 
 
@@ -166,19 +164,14 @@ class TestEnergyGradient:
             surf = Torus(2.0, 0.5)
             mesh = build_mesh("unit_square", 0.25)
             f0 = make_initial_map(surf, "torus_band")
-        base = Configuration.from_map(surf, mesh, f0)
+        base = interpolate(surf, mesh, f0)
         h = 1e-6
         worst = 0.0
         # 20 random feasible states per surface, tangentially perturbed.
         for _ in range(20):
-            cfg = base.copy()
-            bump = 0.02 * surf.curvature_radius * rng.standard_normal(
-                cfg.positions.shape
-            )
-            cfg.positions = surf.project(
-                cfg.positions + surf.tangent_project(cfg.positions, bump)
-            )
-            _, _, feasible, F = trial_energy(model, mesh, surf, cfg.positions)
+            bump = 0.02 * surf.curvature_radius * rng.standard_normal(base.shape)
+            cfg = surf.project(base + surf.tangent_project(base, bump))
+            _, _, feasible, F = trial_energy(model, mesh, surf, cfg)
             if not feasible:
                 continue
             g = energy_gradient(model, mesh, F)
@@ -186,8 +179,8 @@ class TestEnergyGradient:
                 i = int(rng.integers(0, mesh.num_vertices))
                 d = rng.standard_normal(3)
                 d /= np.linalg.norm(d)
-                pp = cfg.positions.copy()
-                pm = cfg.positions.copy()
+                pp = cfg.copy()
+                pm = cfg.copy()
                 pp[i] += h * d
                 pm[i] -= h * d
                 ep, _, okp, _ = trial_energy(model, mesh, surf, pp)
@@ -200,12 +193,11 @@ class TestEnergyGradient:
 
     def test_rotation_invariant_norm(self, model, plane, square_mesh):
         A = np.array([[1.2, 0.0], [0.0, 0.9]])
-        cfg = Configuration.from_map(
-            plane, square_mesh, make_initial_map(plane, "affine", matrix=A)
-        )
+        f0 = make_initial_map(plane, "affine", matrix=A)
+        cfg = interpolate(plane, square_mesh, f0)
         rng = np.random.default_rng(12)
-        cfg.positions[square_mesh.interior_mask()] += 0.02 * plane.tangent_project(
-            cfg.positions[square_mesh.interior_mask()],
+        cfg[square_mesh.interior_mask()] += 0.02 * plane.tangent_project(
+            cfg[square_mesh.interior_mask()],
             rng.standard_normal((int(square_mesh.interior_mask().sum()), 3)),
         )
         g1 = gradient(model, square_mesh, cfg)
@@ -217,16 +209,15 @@ class TestEnergyGradient:
                 [0.0, 0.0, 1.0],
             ]
         )
-        rotated = Configuration(plane, cfg.positions @ Q.T)
+        rotated = cfg @ Q.T
         g2 = gradient(model, square_mesh, rotated)
         assert np.linalg.norm(g1) == pytest.approx(np.linalg.norm(g2), rel=1e-10)
 
     def test_orientation_flip_negates_j(self, model, square_mesh):
         plus = Plane(orientation_sign=1)
         minus = Plane(orientation_sign=-1)
-        cfg_p = identity_config(plus, square_mesh)
-        cfg_m = Configuration(minus, cfg_p.positions.copy())
-        Jp = oriented_area_ratios(square_mesh, cfg_p)
-        Jm = oriented_area_ratios(square_mesh, cfg_m)
+        cfg = identity_config(plus, square_mesh)
+        Jp = oriented_area_ratios(square_mesh, plus, cfg)
+        Jm = oriented_area_ratios(square_mesh, minus, cfg)
         assert np.allclose(Jp, -Jm, atol=1e-14)
         assert np.allclose(np.abs(Jp), np.abs(Jm), atol=1e-14)

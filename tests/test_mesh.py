@@ -104,6 +104,14 @@ def test_degenerate_triangle_rejected():
         )
 
 
+def test_bowtie_vertex_rejected():
+    # Two triangles meeting only at vertex 0: its boundary loops are ambiguous.
+    with pytest.raises(ValueError, match="vertex 0"):
+        TriMesh.from_arrays(
+            [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1, 2), (0, 3, 4)]
+        )
+
+
 def test_unknown_domain():
     with pytest.raises(ValueError):
         build_mesh("hexagon", 0.1)
