@@ -195,11 +195,23 @@ def _cmd_minimize(config, out):
         report.grad_history,
         report.min_j_history,
         [0.0] + report.step_history,
+        [0] + report.backtracks,
+        [0] + report.infeasible_trials,
+        [0] + report.projection_failures,
     )
     _write_csv(
         os.path.join(out, "energy_history.csv"),
         config.config_hash,
-        ["iteration", "energy", "grad_norm", "min_J", "step"],
+        [
+            "iteration",
+            "energy",
+            "grad_norm",
+            "min_J",
+            "step",
+            "backtracks",
+            "infeasible_trials",
+            "projection_failures",
+        ],
         rows,
     )
     save_mesh(
@@ -219,6 +231,10 @@ def _cmd_minimize(config, out):
     lines = [
         f"status: {report.status}",
         f"iterations: {report.iterations}",
+        f"trials: {report.trials}",
+        f"backtracks: {sum(report.backtracks)}",
+        f"infeasible_trials: {sum(report.infeasible_trials)}",
+        f"projection_failures: {sum(report.projection_failures)}",
         f"energy: {report.energy_history[-1]!r}",
         f"final_grad_norm: {report.grad_history[-1]!r}",
         f"grad_tol: {grad_tol!r}",

@@ -236,9 +236,10 @@ def _spectral_batch(F):
     pair is valid there).
     """
     F = np.asarray(F, dtype=float)
-    c11 = np.einsum("...i,...i->...", F[..., :, 0], F[..., :, 0])
-    c22 = np.einsum("...i,...i->...", F[..., :, 1], F[..., :, 1])
-    c12 = np.einsum("...i,...i->...", F[..., :, 0], F[..., :, 1])
+    a, b = F[..., 0], F[..., 1]
+    c11 = a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1] + a[..., 2] * a[..., 2]
+    c22 = b[..., 0] * b[..., 0] + b[..., 1] * b[..., 1] + b[..., 2] * b[..., 2]
+    c12 = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
     det = c11 * c22 - c12**2
     mean = 0.5 * (c11 + c22)
     diff = 0.5 * (c11 - c22)
@@ -250,19 +251,18 @@ def _spectral_batch(F):
     l2 = np.sqrt(e2)
 
     repeated = rad <= REPEATED_STRETCH_REL * np.maximum(e1, 1e-300)
-    # Eigenvector of C for e1, branch chosen for conditioning.
-    v1a = np.stack([rad + diff, c12], axis=-1)
-    v1b = np.stack([c12, rad - diff], axis=-1)
-    v1 = np.where((diff >= 0)[..., None], v1a, v1b)
-    v1 = np.where(repeated[..., None], np.broadcast_to([1.0, 0.0], v1.shape), v1)
-    norm = np.linalg.norm(v1, axis=-1, keepdims=True)
-    v1 = v1 / np.where(norm > 0, norm, 1.0)
-    v2 = np.stack([-v1[..., 1], v1[..., 0]], axis=-1)
+    # Eigenvector (vx, vy) of C for e1, branch chosen for conditioning.
+    major = diff >= 0
+    vx = np.where(repeated, 1.0, np.where(major, rad + diff, c12))
+    vy = np.where(repeated, 0.0, np.where(major, c12, rad - diff))
+    norm = np.hypot(vx, vy)
+    norm = np.where(norm > 0, norm, 1.0)
+    vx, vy = vx / norm, vy / norm
+    v1 = np.stack([vx, vy], axis=-1)
+    v2 = np.stack([-vy, vx], axis=-1)
 
-    d1 = np.einsum("...ij,...j->...i", F, v1)
-    d2 = np.einsum("...ij,...j->...i", F, v2)
-    d1 = d1 / np.maximum(l1[..., None], 1e-300)
-    d2 = d2 / np.maximum(l2[..., None], 1e-300)
+    d1 = (a * vx[..., None] + b * vy[..., None]) / np.maximum(l1[..., None], 1e-300)
+    d2 = (b * vx[..., None] - a * vy[..., None]) / np.maximum(l2[..., None], 1e-300)
     return l1, l2, v1, v2, d1, d2
 
 
@@ -284,14 +284,21 @@ def energy_density_batch(model, F):
     return model.energy_from_stretches(l1, l2)
 
 
-def pk1_batch(model, F):
-    """Vectorized PK1 stress over a (n, 3, 2) batch."""
-    l1, l2, r1, r2, d1, d2 = _spectral_batch(F)
+def pk1_batch(model, F, spectral=None):
+    """Vectorized PK1 stress over a (n, 3, 2) batch.
+
+    ``spectral`` is ``_spectral_batch(F)`` when the caller already has it
+    (``trial_energy`` hands it along with F); the result is the same bits.
+    """
+    l1, l2, r1, r2, d1, d2 = _spectral_batch(F) if spectral is None else spectral
     s1, s2 = model.scaled_stress_coefficients(l1, l2)
-    p1, p2 = s1 / l1, s2 / l2
-    return p1[..., None, None] * np.einsum(
-        "...i,...j->...ij", d1, r1
-    ) + p2[..., None, None] * np.einsum("...i,...j->...ij", d2, r2)
+    u1 = (s1 / l1)[..., None] * d1
+    u2 = (s2 / l2)[..., None] * d2
+    # S = u1 (x) r1 + u2 (x) r2, assembled one column at a time.
+    return np.stack(
+        [u1 * r1[..., :1] + u2 * r2[..., :1], u1 * r1[..., 1:] + u2 * r2[..., 1:]],
+        axis=-1,
+    )
 
 
 def phi_split_batch(model, F, J):

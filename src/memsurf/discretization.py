@@ -46,7 +46,12 @@ def interpolate(surface, mesh, f0):
 
 def deformation_gradients(mesh: TriMesh, positions):
     """Constant per-element gradients F_t = sum_i y_i (x) g_i, shape (m, 3, 2)."""
-    return np.einsum("tva,tvb->tab", positions[mesh.triangles], mesh.shape_grads)
+    return _element_gradients(mesh, np.take(positions, mesh.triangles, axis=0))
+
+
+def _element_gradients(mesh, Y):
+    """F from the (m, 3verts, 3) corner positions: F_t = Y_t^T G_t."""
+    return np.matmul(np.swapaxes(Y, 1, 2), mesh.shape_grads)
 
 
 def _kinematics(mesh, surface, positions):
@@ -54,16 +59,17 @@ def _kinematics(mesh, surface, positions):
 
     J_t = n(projected centroid) . (F e1 x F e2).
     """
-    Y = positions[mesh.triangles]                  # (m, 3verts, 3)
-    F = np.einsum("tva,tvb->tab", Y, mesh.shape_grads)
-    cross = np.cross(F[:, :, 0], F[:, :, 1])
-    normals = surface.normal_unchecked(surface.project(Y.mean(axis=1)))
-    return F, np.einsum("ti,ti->t", normals, cross)
-
-
-def _energy(model, mesh, F):
-    l1, l2, *_ = _spectral_batch(F)
-    return float(np.sum(mesh.ref_area * model.energy_from_stretches(l1, l2)))
+    Y = np.take(positions, mesh.triangles, axis=0)  # (m, 3verts, 3)
+    F = _element_gradients(mesh, Y)
+    centroids = (Y[:, 0] + Y[:, 1] + Y[:, 2]) / 3.0
+    n = surface.normal_unchecked(surface.project(centroids))
+    a, b = F[..., 0], F[..., 1]
+    J = (
+        n[:, 0] * (a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1])
+        + n[:, 1] * (a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2])
+        + n[:, 2] * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+    )
+    return F, J
 
 
 def oriented_area_ratios(mesh: TriMesh, surface, positions):
@@ -74,34 +80,46 @@ def oriented_area_ratios(mesh: TriMesh, surface, positions):
 def trial_energy(model, mesh, surface, positions, j_floor=J_FLOOR_DEFAULT):
     """Non-raising energy evaluation for line-search trials.
 
-    Returns (energy, min_J, feasible, F); energy is only meaningful when
-    feasible is True, and F is the (m, 3, 2) gradient batch that
-    ``energy_gradient`` takes.  A centroid projection that fails (no
-    convergence, or a point on the medial axis) makes the trial infeasible
-    with min_J NaN and F None.
+    Returns (energy, min_J, feasible, F, spectral); energy is only
+    meaningful when feasible is True.  F is the (m, 3, 2) gradient batch and
+    spectral its ``_spectral_batch`` data, the pair ``energy_gradient``
+    takes; spectral is None when the trial is infeasible.  A centroid
+    projection that fails (no convergence, or a point on the medial axis)
+    makes the trial infeasible with min_J NaN and F None.
     """
     try:
         F, J = _kinematics(mesh, surface, positions)
     except (AmbiguousProjectionError, NoConvergenceError):
-        return np.inf, np.nan, False, None
+        return np.inf, np.nan, False, None, None
     min_j = float(np.min(J)) if J.size else np.inf
     if min_j <= j_floor:
-        return np.inf, min_j, False, F
-    return _energy(model, mesh, F), min_j, True, F
+        return np.inf, min_j, False, F, None
+    spectral = _spectral_batch(F)
+    energy = float(np.sum(mesh.ref_area * model.energy_from_stretches(*spectral[:2])))
+    return energy, min_j, True, F, spectral
 
 
-def energy_gradient(model, mesh, F):
+def energy_gradient(model, mesh, F, spectral=None):
     """Ambient gradient of the total energy with respect to nodal positions.
 
-    ``F`` is the gradient batch of a feasible configuration, as returned by
-    ``trial_energy``.  The density depends on the nodes only through F, so
-    the assembled gradient is sum_t A_t S_t g_{t,i} at each vertex i; it
-    matches central finite differences of ``trial_energy`` to rounding error.
+    ``F`` is the gradient batch of a feasible configuration and ``spectral``
+    its spectral data, as ``trial_energy`` returns them (computed from F when
+    None).  The density depends on the nodes only through F, so the
+    assembled gradient is sum_t A_t S_t g_{t,i} at each vertex i; it matches
+    central finite differences of ``trial_energy`` to rounding error.
     """
-    S = pk1_batch(model, F)                        # (m, 3, 2)
-    contrib = mesh.ref_area[:, None, None] * np.einsum(
-        "tab,tvb->tva", S, mesh.shape_grads
+    SA = mesh.ref_area[:, None, None] * pk1_batch(model, F, spectral)
+    G = mesh.shape_grads
+    # Vertex row v of element t gets A_t S_t g_{t,v}; one np.bincount per
+    # coordinate sums the rows per node, adding in the order np.add.at does.
+    idx = mesh.triangles.ravel()
+    return np.column_stack(
+        [
+            np.bincount(
+                idx,
+                weights=(G[..., 0] * SA[:, a, 0, None] + G[..., 1] * SA[:, a, 1, None]).ravel(),
+                minlength=mesh.num_vertices,
+            )
+            for a in range(3)
+        ]
     )
-    grad = np.zeros((mesh.num_vertices, 3))
-    np.add.at(grad, mesh.triangles, contrib)
-    return grad

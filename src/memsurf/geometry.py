@@ -146,11 +146,17 @@ class Surface:
         return self.tangent_project_unchecked(y, v)
 
     def tangent_project_unchecked(self, y, v):
+        """Tangent projection at near-surface y, one normal per point of y.
+
+        ``v`` has y's shape, or stacks j such fields as (j, n, 3); the
+        normals are evaluated once for the whole stack.
+        """
         y, single = _as_points(y)
         v, _ = _as_points(v)
         n = np.atleast_2d(self.normal_unchecked(y))
-        out = v - np.sum(v * n, axis=-1, keepdims=True) * n
-        return _unpack(out, single)
+        vn = v[..., 0] * n[:, 0] + v[..., 1] * n[:, 1] + v[..., 2] * n[:, 2]
+        out = vn[..., None] * n
+        return _unpack(np.subtract(v, out, out=out), single)
 
     # -- charts ----------------------------------------------------------------
     def chart_at(self, y):
@@ -493,7 +499,20 @@ class GraphSurface(Surface):
                 if not np.any(worse):
                     break
                 step = np.where(worse, 0.5 * step, step)
-            uv = np.where(active[:, None], uv - step[:, None] * np.column_stack([du, dv]), uv)
+            else:
+                raise NoConvergenceError(
+                    "graph projection did not converge: a damped step no "
+                    "longer decreases the distance"
+                )
+            moved = np.where(active[:, None], uv - step[:, None] * np.column_stack([du, dv]), uv)
+            # Each point's iteration depends on its own (u, v) alone, so a
+            # point that did not move would repeat this step forever.
+            if np.any(active & np.all(moved == uv, axis=1)):
+                raise NoConvergenceError(
+                    "graph projection did not converge: a point stopped "
+                    "moving short of the tolerance"
+                )
+            uv = moved
         else:
             raise NoConvergenceError("graph projection did not converge")
         z = self.height(uv[:, 0], uv[:, 1])

@@ -1,14 +1,17 @@
-"""Projected gradient descent over surface-constrained configurations.
+"""Riemannian L-BFGS over surface-constrained configurations.
 
 A configuration is the (n, 3) array of nodal positions on the surface;
 ``initialize`` and ``minimize`` return it as a plain array.  Free nodes move
-along the tangent-projected energy gradient and are retracted back onto the
-surface by closest-point projection; boundary nodes never move.
-Step lengths come from a spectral (Barzilai-Borwein) guess safeguarded by
-Armijo backtracking, and any trial step that drives an element's oriented
-area ratio to the floor is rejected outright, which keeps every accepted
-iterate inside the discrete admissible set.  A trial whose closest-point
-projection fails (retraction or element centroid) is rejected the same way.
+along a limited-memory quasi-Newton direction in the tangent space and are
+retracted back onto the surface by closest-point projection; boundary nodes
+never move.  The direction is the two-loop L-BFGS recursion (Liu & Nocedal
+1989) over the last ``LBFGS_MEMORY`` curvature pairs, which are carried from
+one iterate's tangent space to the next by tangent projection (Huang,
+Gallivan & Absil 2015).  Step lengths come from Armijo backtracking from a
+unit step, and any trial step that drives an element's oriented area ratio
+to the floor is rejected outright, which keeps every accepted iterate
+inside the discrete admissible set.  A trial whose closest-point projection
+fails (retraction or element centroid) is rejected the same way.
 """
 
 from __future__ import annotations
@@ -35,13 +38,16 @@ from .errors import (
 __all__ = ["MinimizeOptions", "MinimizeReport", "initialize", "minimize"]
 
 STEP_UNDERFLOW = 1e-16
+# Curvature pairs kept by the L-BFGS recursion.
+LBFGS_MEMORY = 10
 
 
 @dataclass(frozen=True)
 class MinimizeOptions:
     """Tuning knobs for the descent loop.
 
-    ``grad_tol`` of None resolves to 1e-7 times the reference area.
+    ``grad_tol`` of None resolves to 1e-7 times the reference area, and
+    ``initial_step`` scales the first direction, -initial_step * g_T.
     """
 
     max_iter: int = 5000
@@ -71,7 +77,14 @@ class MinimizeOptions:
 
 @dataclass
 class MinimizeReport:
-    """Outcome of one minimization run."""
+    """Outcome of one minimization run.
+
+    ``step_history`` holds the accepted line-search step along each L-BFGS
+    direction, and the three counter lists hold, per iteration, the
+    rejected trials (``backtracks``), and among them those rejected at the
+    area-ratio floor (``infeasible_trials``) and those whose closest-point
+    projection failed (``projection_failures``).
+    """
 
     status: str                      # converged | max_iter
     iterations: int
@@ -79,7 +92,15 @@ class MinimizeReport:
     grad_history: list = field(default_factory=list)
     min_j_history: list = field(default_factory=list)
     step_history: list = field(default_factory=list)
+    backtracks: list = field(default_factory=list)
+    infeasible_trials: list = field(default_factory=list)
+    projection_failures: list = field(default_factory=list)
     wall_time: float = 0.0
+
+    @property
+    def trials(self):
+        """Trial steps tried: one accepted per iteration plus the rejected."""
+        return len(self.step_history) + sum(self.backtracks)
 
 
 def initialize(surface, mesh, f0, j_floor=J_FLOOR_DEFAULT):
@@ -96,11 +117,97 @@ def initialize(surface, mesh, f0, j_floor=J_FLOOR_DEFAULT):
     return positions
 
 
+def _lbfgs_direction(g, s, y):
+    """Two-loop L-BFGS direction at a point with gradient g.
+
+    ``s`` and ``y`` stack the curvature pairs, oldest first, as (k, ...)
+    arrays of g's shape, all in g's tangent space.  Pairs with s.y <= 0 are
+    dropped; H0 is (s.y / y.y) I from the newest pair kept.  Returns
+    (d, s, y) with the pairs kept.  When the result is not a descent
+    direction (g.d >= 0) the memory is cleared and d is -g.
+    """
+    sy = np.einsum("ki,ki->k", s.reshape(len(s), g.size), y.reshape(len(y), g.size))
+    keep = sy > 0
+    if not keep.all():
+        s, y, sy = s[keep], y[keep], sy[keep]
+    q = g.copy()
+    a = np.empty(len(sy))
+    for i in range(len(sy) - 1, -1, -1):
+        a[i] = np.vdot(s[i], q) / sy[i]
+        q -= a[i] * y[i]
+    if len(sy):
+        q *= sy[-1] / np.vdot(y[-1], y[-1])
+    for i in range(len(sy)):
+        q += (a[i] - np.vdot(y[i], q) / sy[i]) * s[i]
+    d = -q
+    if not np.vdot(g, d) < 0:
+        return -g, s[:0], y[:0]
+    return d, s, y
+
+
+def _transport(surface, x, grad, step, prev_g, mem_s, mem_y):
+    """Tangent gradient at x, and the memory carried to the tangent space at x.
+
+    One stacked tangent projection moves the gradient, the last step, the
+    last tangent gradient and the memory pairs; the new pair (step,
+    g - prev_g) joins the memory, which keeps the newest ``LBFGS_MEMORY``.
+    """
+    k = len(mem_s)
+    moved = surface.tangent_project_unchecked(
+        x, np.concatenate([grad[None], step[None], prev_g[None], mem_s, mem_y])
+    )
+    g = moved[0].copy()
+    first = 3 + max(k + 1 - LBFGS_MEMORY, 0)  # oldest pair kept
+    mem_s = np.concatenate([moved[first : 3 + k], moved[1:2]])
+    mem_y = np.concatenate([moved[k + first : 3 + 2 * k], (g - moved[2])[None]])
+    return g, mem_s, mem_y
+
+
+def _line_search(model, mesh, surface, free, positions, energy, g, d, options, counts):
+    """Backtrack from a unit step along the tangent direction d.
+
+    Returns (alpha, trial positions, its ``trial_energy`` result) for the
+    first trial that is feasible and passes the Armijo test on the slope
+    g.d, or None once the step underflows or the move falls below float
+    resolution.  Each rejected trial is added to ``counts``.
+    """
+    x = positions[free]
+    slope = float(np.vdot(g, d))
+    float_floor = 4.0 * np.finfo(float).eps * (1.0 + abs(energy))
+    alpha = 1.0
+    while alpha >= STEP_UNDERFLOW:
+        trial = positions.copy()
+        try:
+            trial[free] = surface.project(x + alpha * d)
+        except (AmbiguousProjectionError, NoConvergenceError):
+            evaluation = None  # failed retraction: reject
+        else:
+            if np.array_equal(trial, positions):
+                return None  # move below float resolution: no progress possible
+            evaluation = trial_energy(model, mesh, surface, trial, options.j_floor)
+            e_new, _, feasible, _, _ = evaluation
+            required = -options.armijo_c * alpha * slope
+            # Armijo decrease, or plain non-increase once the requested
+            # decrease falls below what float64 can resolve.
+            if feasible and (
+                e_new <= energy - required
+                or (required <= float_floor and e_new <= energy)
+            ):
+                return alpha, trial, evaluation
+        counts["backtracks"] += 1
+        if evaluation is None or evaluation[3] is None:
+            counts["projection_failures"] += 1
+        elif not evaluation[2]:
+            counts["infeasible_trials"] += 1
+        alpha *= options.backtrack_ratio
+    return None
+
+
 def minimize(model, surface, mesh, f0, options=None):
     """Descend the total energy from f0; returns (positions, report).
 
     Raises InfeasibleStartError when f0 violates the element floor and
-    LineSearchStallError if backtracking underflows.
+    LineSearchStallError if backtracking underflows along -g_T.
     """
     options = options or MinimizeOptions()
     t0 = time.perf_counter()
@@ -108,22 +215,28 @@ def minimize(model, surface, mesh, f0, options=None):
     grad_tol = options.resolved_grad_tol(mesh)
     free = mesh.interior_mask()
 
-    energy, min_j, _, F = trial_energy(
+    energy, min_j, _, F, spectral = trial_energy(
         model, mesh, surface, positions, options.j_floor
     )
     report = MinimizeReport(status="max_iter", iterations=0)
     report.energy_history.append(energy)
     report.min_j_history.append(min_j)
 
-    alpha = options.initial_step
-    prev_pos = None
-    prev_gt = None
+    x = positions[free]
+    no_pairs = np.empty((0, *x.shape))
+    mem_s = mem_y = no_pairs             # curvature pairs, oldest first
+    prev_x = prev_g = None
 
     for it in range(options.max_iter + 1):
         # Tangent gradient of the free rows at the accepted point, from the
         # F its trial evaluation formed.
-        grad = energy_gradient(model, mesh, F)
-        gt = surface.tangent_project_unchecked(positions[free], grad[free])
+        grad = energy_gradient(model, mesh, F, spectral)[free]
+        if prev_x is None:
+            gt = surface.tangent_project_unchecked(x, grad)
+        else:
+            gt, mem_s, mem_y = _transport(
+                surface, x, grad, x - prev_x, prev_g, mem_s, mem_y
+            )
         gnorm = float(np.linalg.norm(gt))
         report.grad_history.append(gnorm)
         if gnorm <= grad_tol:
@@ -132,55 +245,34 @@ def minimize(model, surface, mesh, f0, options=None):
         if it == options.max_iter:
             break
 
-        # Spectral step from the last accepted move, clipped for safety.
-        x = positions[free]
-        if prev_pos is not None:
-            dy = (x - prev_pos).ravel()
-            dg = (gt - prev_gt).ravel()
-            denom = float(dy @ dg)
-            if denom > 0:
-                alpha = float(dy @ dy) / denom
-            else:
-                alpha = alpha / options.backtrack_ratio
-        alpha = float(np.clip(alpha, 1e-12, 1e6))
-
-        prev_pos, prev_gt = x, gt
-
-        accepted = False
-        float_floor = 4.0 * np.finfo(float).eps * (1.0 + abs(energy))
-        while alpha >= STEP_UNDERFLOW:
-            trial = positions.copy()
-            try:
-                trial[free] = surface.project(x - alpha * gt)
-            except (AmbiguousProjectionError, NoConvergenceError):
-                alpha *= options.backtrack_ratio  # failed retraction: reject
-                continue
-            if np.array_equal(trial, positions):
-                break  # move below float resolution: no progress possible
-            e_new, mj_new, feasible, F_new = trial_energy(
-                model, mesh, surface, trial, options.j_floor
+        if prev_x is None:
+            d = -options.initial_step * gt
+        else:
+            d, mem_s, mem_y = _lbfgs_direction(gt, mem_s, mem_y)
+        counts = dict.fromkeys(("backtracks", "infeasible_trials", "projection_failures"), 0)
+        found = _line_search(
+            model, mesh, surface, free, positions, energy, gt, d, options, counts
+        )
+        if found is None and len(mem_s):
+            # The quasi-Newton model failed here (at the float noise floor,
+            # typically): clear the memory and search along -g_T.
+            mem_s = mem_y = no_pairs
+            found = _line_search(
+                model, mesh, surface, free, positions, energy, gt, -gt, options, counts
             )
-            required = options.armijo_c * alpha * gnorm**2
-            # Armijo decrease, or plain non-increase once the requested
-            # decrease falls below what float64 can resolve.
-            if feasible and (
-                e_new <= energy - required
-                or (required <= float_floor and e_new <= energy)
-            ):
-                positions = trial
-                energy, min_j, F = e_new, mj_new, F_new
-                accepted = True
-                break
-            alpha *= options.backtrack_ratio
-        if not accepted:
+        if found is None:
             raise LineSearchStallError(
                 f"line search underflowed at iteration {it} "
                 f"(|g_T| = {gnorm:.3e}, tol = {grad_tol:.3e})"
             )
+        alpha, positions, (energy, min_j, _, F, spectral) = found
+        prev_x, prev_g, x = x, gt, positions[free]
 
         report.energy_history.append(energy)
         report.min_j_history.append(min_j)
         report.step_history.append(alpha)
+        for key, n in counts.items():
+            getattr(report, key).append(n)
 
     report.iterations = it
     report.wall_time = time.perf_counter() - t0

@@ -201,7 +201,10 @@ class TestMinimizeCommand:
         assert "status: converged" in text
         history = (out / "energy_history.csv").read_text().splitlines()
         assert history[0].startswith("# config_hash=")
-        assert history[1] == "iteration,energy,grad_norm,min_J,step"
+        assert history[1] == (
+            "iteration,energy,grad_norm,min_J,step,"
+            "backtracks,infeasible_trials,projection_failures"
+        )
         pos, tri = load_mesh(out / "final_config.obj")
         assert pos.shape[1] == 3
         ref_pos, ref_tri = load_mesh(out / "reference_mesh.obj")
@@ -225,6 +228,35 @@ output_dir: "%s"
         cfg, out = write_config(tmp_path, text)
         assert main(["minimize", str(cfg)]) == 3
         assert "status: max_iter" in (out / "summary.txt").read_text()
+
+    def test_counters_in_history_and_summary(self, tmp_path):
+        # The first sphere-cap steps backtrack, some of them at the J floor;
+        # the summary totals are the column sums of energy_history.csv.
+        text = """
+surface: {kind: sphere, radius: 1.0}
+domain: {kind: disk, resolution: 0.3}
+initial_map: {kind: stereographic_cap, latitude: 1.0471975511965976}
+minimize: {max_iter: 8}
+diagnostics: {injectivity: false, degree_points: 0, residual_fields: 0}
+output_dir: "%s"
+"""
+        cfg, out = write_config(tmp_path, text)
+        main(["minimize", str(cfg)])
+        lines = (out / "energy_history.csv").read_text().splitlines()[1:]
+        rows = list(csv.DictReader(io.StringIO("\n".join(lines))))
+        summary = dict(
+            line.split(": ", 1)
+            for line in (out / "summary.txt").read_text().splitlines()[1:]
+        )
+        totals = {}
+        for key in ("backtracks", "infeasible_trials", "projection_failures"):
+            assert rows[0][key] == "0"
+            totals[key] = sum(int(row[key]) for row in rows)
+            assert summary[key] == str(totals[key])
+        assert 0 < totals["infeasible_trials"] <= totals["backtracks"]
+        iterations = int(summary["iterations"])
+        assert len(rows) == iterations + 1
+        assert summary["trials"] == str(iterations + totals["backtracks"])
 
     def test_infeasible_start_exit_4(self, tmp_path):
         text = """

@@ -7,6 +7,7 @@ from memsurf import (
     energy_gradient,
     interpolate,
 )
+from memsurf.constitutive import pk1_batch
 from memsurf.discretization import (
     deformation_gradients,
     oriented_area_ratios,
@@ -24,7 +25,7 @@ def identity_config(plane, mesh):
 
 def energy(model, mesh, surface, cfg):
     """Total stored energy of a feasible configuration via ``trial_energy``."""
-    E, _, feasible, _ = trial_energy(model, mesh, surface, cfg)
+    E, _, feasible, _, _ = trial_energy(model, mesh, surface, cfg)
     assert feasible
     return E
 
@@ -86,24 +87,25 @@ class TestElementKinematics:
     def test_failed_centroid_projection_is_infeasible(self, model, sphere, square_mesh):
         # Every centroid at the sphere center: the projection is ambiguous.
         origin = np.zeros((square_mesh.num_vertices, 3))
-        energy, min_j, feasible, F = trial_energy(model, square_mesh, sphere, origin)
-        assert not feasible and energy == np.inf and np.isnan(min_j) and F is None
+        energy, min_j, feasible, F, spectral = trial_energy(model, square_mesh, sphere, origin)
+        assert not feasible and energy == np.inf and np.isnan(min_j)
+        assert F is None and spectral is None
 
     def test_trial_returns_its_gradients(self, model, plane, sphere, square_mesh):
         cfg = identity_config(plane, square_mesh)
         F = deformation_gradients(square_mesh, cfg)
-        _, _, _, F_trial = trial_energy(model, square_mesh, plane, cfg)
+        _, _, _, F_trial, _ = trial_energy(model, square_mesh, plane, cfg)
         assert np.array_equal(F_trial, F)
         # A trial rejected at the floor still hands back the F it formed.
-        _, _, feasible, F_rejected = trial_energy(
+        _, _, feasible, F_rejected, spectral = trial_energy(
             model, square_mesh, plane, cfg, j_floor=2.0
         )
-        assert not feasible and np.array_equal(F_rejected, F)
+        assert not feasible and np.array_equal(F_rejected, F) and spectral is None
         disk = build_mesh("disk", 0.2)
         cap = interpolate(
             sphere, disk, make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         )
-        _, min_j, feasible, F = trial_energy(model, disk, sphere, cap)
+        _, min_j, feasible, F, _ = trial_energy(model, disk, sphere, cap)
         assert feasible and np.array_equal(F, deformation_gradients(disk, cap))
         assert min_j == float(np.min(oriented_area_ratios(disk, sphere, cap)))
 
@@ -147,6 +149,33 @@ class TestEnergyGradient:
         g = gradient(model, square_mesh, cfg)
         assert np.abs(g).max() < 1e-13
 
+    def test_carried_spectral_data_gives_the_same_stress(self, model, sphere):
+        disk = build_mesh("disk", 0.2)
+        cap = interpolate(
+            sphere, disk, make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        )
+        _, _, feasible, F, spectral = trial_energy(model, disk, sphere, cap)
+        assert feasible
+        assert np.array_equal(pk1_batch(model, F, spectral), pk1_batch(model, F))
+        assert np.array_equal(
+            energy_gradient(model, disk, F, spectral), energy_gradient(model, disk, F)
+        )
+
+    def test_scatter_matches_add_at(self, model, sphere):
+        disk = build_mesh("disk", 0.2)
+        cap = interpolate(
+            sphere, disk, make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        )
+        F = deformation_gradients(disk, cap)
+        # Reference: the same per-element rows A_t S_t g_{t,v}, summed per
+        # node with np.add.at.
+        SA = disk.ref_area[:, None, None] * pk1_batch(model, F)
+        G = disk.shape_grads
+        rows = G[:, :, None, 0] * SA[:, None, :, 0] + G[:, :, None, 1] * SA[:, None, :, 1]
+        reference = np.zeros((disk.num_vertices, 3))
+        np.add.at(reference, disk.triangles, rows)
+        assert np.array_equal(energy_gradient(model, disk, F), reference)
+
     @pytest.mark.parametrize("surface_kind", ["plane", "sphere", "torus"])
     def test_matches_finite_differences(self, model, surface_kind):
         rng = np.random.default_rng(11)
@@ -171,10 +200,10 @@ class TestEnergyGradient:
         for _ in range(20):
             bump = 0.02 * surf.curvature_radius * rng.standard_normal(base.shape)
             cfg = surf.project(base + surf.tangent_project(base, bump))
-            _, _, feasible, F = trial_energy(model, mesh, surf, cfg)
+            _, _, feasible, F, spectral = trial_energy(model, mesh, surf, cfg)
             if not feasible:
                 continue
-            g = energy_gradient(model, mesh, F)
+            g = energy_gradient(model, mesh, F, spectral)
             for _ in range(4):
                 i = int(rng.integers(0, mesh.num_vertices))
                 d = rng.standard_normal(3)
@@ -183,8 +212,8 @@ class TestEnergyGradient:
                 pm = cfg.copy()
                 pp[i] += h * d
                 pm[i] -= h * d
-                ep, _, okp, _ = trial_energy(model, mesh, surf, pp)
-                em, _, okm, _ = trial_energy(model, mesh, surf, pm)
+                ep, _, okp, _, _ = trial_energy(model, mesh, surf, pp)
+                em, _, okm, _, _ = trial_energy(model, mesh, surf, pm)
                 assert okp and okm
                 fd = (ep - em) / (2 * h)
                 an = float(g[i] @ d)

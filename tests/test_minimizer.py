@@ -17,6 +17,7 @@ from memsurf.discretization import (
     trial_energy,
 )
 from memsurf.maps import make_initial_map
+from memsurf.minimizer import LBFGS_MEMORY, _lbfgs_direction
 
 
 class TestInitialize:
@@ -155,6 +156,16 @@ class TestReportInvariants:
         assert len(report.grad_history) == report.iterations + 1
         assert len(report.min_j_history) == report.iterations + 1
         assert len(report.step_history) == report.iterations
+        assert len(report.backtracks) == report.iterations
+        assert len(report.infeasible_trials) == report.iterations
+        assert len(report.projection_failures) == report.iterations
+
+    def test_about_one_trial_per_iteration(self, cap_run):
+        # L-BFGS directions are well scaled, so the unit step is nearly
+        # always accepted; a deterministic count, not a timing.
+        _, _, _, report = cap_run
+        assert report.trials == report.iterations + sum(report.backtracks)
+        assert report.trials <= 1.3 * report.iterations
 
     def test_boundary_nodes_pinned_bitwise(self, model, sphere, cap_run):
         mesh, f0, cfg, _ = cap_run
@@ -203,11 +214,19 @@ class TestAcceptedStateHandoff:
 
 
 class TestRejectedTrials:
-    def test_failed_trial_projection_backtracks(self, model):
+    def test_failed_trial_projection_backtracks(self, model, monkeypatch):
         # A step of 1e6 throws the first trial far off the graph, where the
         # projection Newton solve fails; the trial is rejected, not fatal.
         surface = GraphSurface(coeffs=[[0, 0, 0.5], [0, 0, 0], [0.5, 0, 0]])
         mesh = build_mesh("unit_square", 0.1)
+        evaluations = []
+        sqdist_grad = GraphSurface._sqdist_grad
+
+        def counted(self, uv, p):
+            evaluations.append(len(uv))
+            return sqdist_grad(self, uv, p)
+
+        monkeypatch.setattr(GraphSurface, "_sqdist_grad", counted)
 
         def f0(x):
             return np.column_stack([x[:, 0], x[:, 1], surface.height(x[:, 0], x[:, 1])])
@@ -220,6 +239,67 @@ class TestRejectedTrials:
         assert all(b <= a for a, b in zip(e, e[1:]))
         b = mesh.boundary_vertices
         assert np.array_equal(cfg[b], f0(mesh.vertices)[b])
+        assert report.projection_failures[0] >= 5
+        assert sum(report.projection_failures) == report.projection_failures[0]
+        # A failing projection stops once a point can make no more progress
+        # instead of running out 50 Newton steps of up to 40 halvings each
+        # (about 10 000 evaluations in this run before it did).
+        assert len(evaluations) < 3000
+
+
+class TestLbfgsDirection:
+    """The two-loop recursion on plain vectors."""
+
+    def test_no_pairs_is_steepest_descent(self):
+        g = np.array([1.0, -2.0, 0.5])
+        d, s, y = _lbfgs_direction(g, np.empty((0, 3)), np.empty((0, 3)))
+        assert np.array_equal(d, -g) and len(s) == len(y) == 0
+
+    def test_pair_without_positive_curvature_is_dropped(self):
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal(4)
+        good_s, good_y = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
+        good_y += 3.0 * good_s                   # s.y > 0 for both
+        bad_s = rng.standard_normal(4)
+        for bad_y in (-bad_s, np.zeros(4)):      # s.y < 0, then s.y = 0
+            s = np.stack([good_s[0], bad_s, good_s[1]])
+            y = np.stack([good_y[0], bad_y, good_y[1]])
+            d, s_kept, y_kept = _lbfgs_direction(g, s, y)
+            assert np.array_equal(s_kept, good_s) and np.array_equal(y_kept, good_y)
+            assert np.array_equal(d, _lbfgs_direction(g, good_s, good_y)[0])
+            assert g @ d < 0
+
+    def test_non_descent_direction_resets_to_minus_gradient(self):
+        # A pair whose curvature overflows passes the s.y > 0 test but makes
+        # the scaled H0 NaN, so g.d < 0 fails.
+        g = np.array([1.0, 2.0])
+        s = np.array([[1e300, 0.0]])
+        y = np.array([[1e300, 1e300]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            d, s_kept, y_kept = _lbfgs_direction(g, s, y)
+        assert np.array_equal(d, -g)
+        assert s_kept.shape == y_kept.shape == (0, 2)
+
+    def test_quadratic_inverse_hessian_after_dim_pairs(self):
+        # Pairs of an SPD quadratic along A-conjugate steps (the steps of
+        # exact line searches): with memory >= dim, H is A^-1 after dim pairs.
+        dim = 6
+        assert LBFGS_MEMORY >= dim
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((dim, dim))
+        A = M @ M.T + dim * np.eye(dim)
+        s = []
+        for v in rng.standard_normal((dim, dim)):
+            for u in s:
+                v = v - (u @ A @ v) / (u @ A @ u) * u
+            s.append(v)
+        s = np.array(s)
+        y = s @ A                                # y_i = A s_i
+        g = rng.standard_normal(dim)
+        d, s_kept, _ = _lbfgs_direction(g, s, y)
+        assert len(s_kept) == dim
+        expected = -np.linalg.solve(A, g)
+        assert np.abs(d - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
 class TestFrameCovariance:
