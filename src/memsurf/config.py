@@ -10,17 +10,19 @@ form stamps every output file for provenance.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import yaml
 
 from .constitutive import IsotropicModel
 from .errors import ConfigError, InvalidModelError
-from .geometry import make_surface
-from .maps import make_initial_map
-from .mesh import build_mesh
+from .geometry import SURFACE_KINDS, make_surface
+from .maps import MAP_KINDS, make_initial_map
+from .mesh import DOMAIN_KINDS, build_mesh
 from .minimizer import MinimizeOptions
+from .verification import run_all_checks
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file", "DEFAULT_CONFIG"]
 
@@ -29,21 +31,12 @@ DEFAULT_CONFIG = {
     "model": IsotropicModel().to_dict(),
     "domain": {"kind": "unit_square", "resolution": 0.125},
     "initial_map": {"kind": "identity"},
-    "minimize": {
-        "max_iter": 5000,
-        "grad_tol": None,
-        "armijo_c": 1e-4,
-        "backtrack_ratio": 0.5,
-        "initial_step": 1.0,
-        "j_floor": 1e-8,
-    },
+    "minimize": asdict(MinimizeOptions()),
+    # run_all_checks' keyword defaults; its seed is the top-level one.
     "verify": {
-        "rotation_samples": 1000,
-        "convexity_samples": 100_000,
-        "stress_growth_samples": 100_000,
-        "perturbation_samples": 10_000,
-        "perturbation_delta": 0.01,
-        "growth_samples": 100_000,
+        name: param.default
+        for name, param in inspect.signature(run_all_checks).parameters.items()
+        if param.default is not param.empty and name != "seed"
     },
     "diagnostics": {
         "injectivity": True,
@@ -54,25 +47,11 @@ DEFAULT_CONFIG = {
     "seed": 42,
 }
 
-_SURFACE_KEYS = {
-    "plane": {"normal_dir", "offset", "orientation_sign"},
-    "sphere": {"radius", "orientation_sign"},
-    "torus": {"major_radius", "minor_radius", "orientation_sign"},
-    "ellipsoid": {"semi_axes", "orientation_sign"},
-    "graph": {"coeffs", "orientation_sign", "extent"},
-}
-
-_DOMAIN_KEYS = {
-    "unit_square": {"resolution"},
-    "disk": {"resolution", "radius"},
-    "annulus": {"resolution", "inner_radius", "outer_radius"},
-}
-
-_MAP_KEYS = {
-    "identity": set(),
-    "affine": {"matrix"},
-    "stereographic_cap": {"latitude"},
-    "torus_band": {"theta_range", "psi_range"},
+# The {kind: ...} blocks and the kind table of each block's factory.
+_KIND_TABLES = {
+    "surface": SURFACE_KINDS,
+    "domain": DOMAIN_KINDS,
+    "initial_map": MAP_KINDS,
 }
 
 
@@ -82,11 +61,7 @@ def _merge_defaults(data, defaults, path=""):
     for key, dval in defaults.items():
         if key in data:
             val = data[key]
-            if isinstance(dval, dict) and isinstance(val, dict) and key not in (
-                "surface",
-                "domain",
-                "initial_map",
-            ):
+            if isinstance(dval, dict) and isinstance(val, dict) and key not in _KIND_TABLES:
                 out[key] = _merge_defaults(val, dval, f"{path}{key}.")
             else:
                 out[key] = val
@@ -98,18 +73,6 @@ def _merge_defaults(data, defaults, path=""):
     return out
 
 
-def _split_kind(block, table, label):
-    """Kind and parameters of a ``{kind: ...}`` block, checked against ``table``."""
-    params = dict(block)
-    kind = params.pop("kind", None)
-    if kind not in table:
-        raise ConfigError(f"{label}.kind must be one of {sorted(table)}")
-    for key in params:
-        if key not in table[kind]:
-            raise ConfigError(f"unknown {label} parameter {key!r} for kind {kind!r}")
-    return kind, params
-
-
 def _is_int(val):
     """True for a YAML integer; booleans are not numbers here."""
     return isinstance(val, int) and not isinstance(val, bool)
@@ -117,6 +80,13 @@ def _is_int(val):
 
 def _is_number(val):
     return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+def _is_numeric(val):
+    """A number or a (nested) list of numbers."""
+    if isinstance(val, list):
+        return all(_is_numeric(v) for v in val)
+    return _is_number(val)
 
 
 @dataclass
@@ -133,12 +103,39 @@ class RunConfig:
     def output_dir(self):
         return str(self.data["output_dir"])
 
-    def surface(self):
-        kind, params = _split_kind(self.data["surface"], _SURFACE_KEYS, "surface")
+    def _kind_params(self, label, supplied=0):
+        """Kind and parameters of a ``{kind: ...}`` block, checked against its table.
+
+        Each parameter must name a keyword of the kind's builder, past the
+        ``supplied`` leading arguments its factory passes itself, and be a
+        number or a list of numbers (YAML booleans are neither).
+        """
+        table = _KIND_TABLES[label]
+        block = self.data[label]
+        params = dict(block) if isinstance(block, dict) else {}
+        kind = params.pop("kind", None)
+        if not (isinstance(kind, str) and kind in table):
+            raise ConfigError(f"{label}.kind must be one of {sorted(table)}")
+        keywords = list(inspect.signature(table[kind]).parameters)[supplied:]
+        for key, val in params.items():
+            if key not in keywords:
+                raise ConfigError(f"unknown {label} parameter {key!r} for kind {kind!r}")
+            if not _is_numeric(val):
+                raise ConfigError(
+                    f"{label}.{key} must be a number or a list of numbers, got {val!r}"
+                )
+        return kind, params
+
+    def _build(self, label, factory, *args):
+        """Call a block's factory as ``factory(*args, kind, **params)``."""
+        kind, params = self._kind_params(label, len(args))
         try:
-            return make_surface(kind, **params)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"surface: {exc}") from exc
+            return factory(*args, kind, **params)
+        except (ValueError, TypeError, IndexError) as exc:
+            raise ConfigError(f"{label}: {exc}") from exc
+
+    def surface(self):
+        return self._build("surface", make_surface)
 
     def model(self):
         try:
@@ -148,20 +145,11 @@ class RunConfig:
         except InvalidModelError as exc:
             raise ConfigError(f"model: {exc}") from exc
 
-    def _domain(self):
-        kind, params = _split_kind(self.data["domain"], _DOMAIN_KEYS, "domain")
-        resolution = params.pop("resolution", None)
-        if not _is_number(resolution) or resolution <= 0:
-            raise ConfigError("domain.resolution must be a positive number")
-        return kind, float(resolution), params
-
     def mesh(self):
-        kind, resolution, params = self._domain()
-        return build_mesh(kind, resolution, **params)
+        return self._build("domain", build_mesh)
 
     def initial_map(self, surface):
-        kind, params = _split_kind(self.data["initial_map"], _MAP_KEYS, "initial_map")
-        return make_initial_map(surface, kind, **params)
+        return self._build("initial_map", make_initial_map, surface)
 
     def minimize_options(self):
         block = self.data["minimize"]
@@ -174,15 +162,8 @@ class RunConfig:
         if isinstance(block["max_iter"], float) and not block["max_iter"].is_integer():
             raise ConfigError("minimize.max_iter must be an integer")
         try:
-            return MinimizeOptions(
-                max_iter=int(block["max_iter"]),
-                grad_tol=None if block["grad_tol"] is None else float(block["grad_tol"]),
-                armijo_c=float(block["armijo_c"]),
-                backtrack_ratio=float(block["backtrack_ratio"]),
-                initial_step=float(block["initial_step"]),
-                j_floor=float(block["j_floor"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return MinimizeOptions(**{**block, "max_iter": int(block["max_iter"])})
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"minimize: {exc}") from exc
 
     def verify_params(self):
@@ -202,11 +183,17 @@ class RunConfig:
         return hashlib.sha256(self.serialize().encode()).hexdigest()[:16]
 
     def validate(self):
-        """Construct every parameterized object once, before any computation."""
+        """Construct every parameterized object once, before any computation.
+
+        The mesh is the exception: parsing only checks its block's keys and
+        resolution, and ``mesh()`` reports its other values.
+        """
         surface = self.surface()
         self.model()
         self.minimize_options()
-        self._domain()
+        resolution = self._kind_params("domain")[1].get("resolution")
+        if not _is_number(resolution) or resolution <= 0:
+            raise ConfigError("domain.resolution must be a positive number")
         self.initial_map(surface)
         verify = self.data["verify"]
         for key, val in verify.items():

@@ -23,6 +23,7 @@ from .errors import (
     BoundaryTooCloseError,
     ChartSpanFailureError,
     IrregularValueError,
+    MemsurfError,
 )
 from .geometry import _as_points, _orthonormal_frame, _unpack
 
@@ -516,6 +517,10 @@ def _test_fields(surface, mesh, positions, family_size, seed):
     """
     rng = np.random.default_rng(seed)
     interior = np.nonzero(mesh.interior_mask())[0]
+    if interior.size == 0:
+        raise MemsurfError(
+            "the mesh has no interior vertex to anchor a residual test field"
+        )
     boundary_pts = positions[mesh.boundary_vertices]
     n_cut = max(1, -(-family_size // _TEST_DIRECTIONS))
     anchors = []

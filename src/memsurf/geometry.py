@@ -180,7 +180,10 @@ class Plane(Surface):
     def __init__(self, normal_dir=(0.0, 0.0, 1.0), offset=0.0, orientation_sign=1):
         super().__init__(orientation_sign)
         n = np.asarray(normal_dir, dtype=float)
-        self._n = n / np.linalg.norm(n)
+        norm = np.linalg.norm(n)
+        if n.shape != (3,) or not norm > 0:
+            raise ValueError("plane normal_dir must be a nonzero 3-vector")
+        self._n = n / norm
         self.offset = float(offset)
         self.origin = self.offset * self._n
         self.t1, self.t2 = _orthonormal_frame(self._n)
@@ -418,6 +421,11 @@ class GraphSurface(Surface):
         self._cxx = _poly_dx(self._cx)
         self._cxy = _poly_dy(self._cx)
         self._cyy = _poly_dy(self._cy)
+        # Sampled curvature bound over the working box [-extent, extent]^2.
+        s = np.linspace(-self.extent, self.extent, 41)
+        hxx, hxy, hyy = self.height_hess(*np.meshgrid(s, s))
+        kappa = np.abs(hxx) + np.abs(hyy) + 2 * np.abs(hxy)
+        self._curvature_radius = float(min(1.0, 1.0 / max(np.max(kappa), 1e-6)))
 
     def height(self, x, y):
         return np.polynomial.polynomial.polyval2d(x, y, self.coeffs)
@@ -445,12 +453,7 @@ class GraphSurface(Surface):
 
     @property
     def curvature_radius(self):
-        # Sampled curvature bound over the working box [-extent, extent]^2.
-        s = np.linspace(-self.extent, self.extent, 41)
-        X, Y = np.meshgrid(s, s)
-        hxx, hxy, hyy = self.height_hess(X, Y)
-        kappa = np.abs(hxx) + np.abs(hyy) + 2 * np.abs(hxy)
-        return float(min(1.0, 1.0 / max(np.max(kappa), 1e-6)))
+        return self._curvature_radius
 
     @property
     def normal_lipschitz(self):
@@ -553,7 +556,7 @@ class Chart:
         return np.linalg.norm(d, axis=-1) < self.radius
 
 
-_SURFACE_KINDS = {
+SURFACE_KINDS = {
     "plane": Plane,
     "sphere": Sphere,
     "torus": Torus,
@@ -565,9 +568,9 @@ _SURFACE_KINDS = {
 def make_surface(kind, **params):
     """Construct a surface by family name (used by the run configuration)."""
     try:
-        cls = _SURFACE_KINDS[kind]
+        cls = SURFACE_KINDS[kind]
     except KeyError:
         raise ValueError(
-            f"unknown surface kind {kind!r}; expected one of {sorted(_SURFACE_KINDS)}"
+            f"unknown surface kind {kind!r}; expected one of {sorted(SURFACE_KINDS)}"
         ) from None
     return cls(**params)

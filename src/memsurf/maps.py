@@ -27,7 +27,7 @@ def affine_map(surface, matrix):
     return lambda x: surface.embed(np.atleast_2d(x) @ A.T)
 
 
-def stereographic_cap_map(surface, latitude):
+def stereographic_cap_map(surface, latitude=np.pi / 3):
     """Inverse stereographic placement of the unit disk onto a polar cap.
 
     ``latitude`` is the polar (colatitude) angle of the cap boundary; the
@@ -63,8 +63,8 @@ def torus_band_map(surface, theta_range=(0.0, np.pi / 2), psi_range=(-np.pi / 3,
     """
     if not isinstance(surface, Torus):
         raise ConfigError("torus_band initial map requires a torus")
-    th0, th1 = float(theta_range[0]), float(theta_range[1])
-    ps0, ps1 = float(psi_range[0]), float(psi_range[1])
+    th0, th1 = map(float, theta_range)
+    ps0, ps1 = map(float, psi_range)
     if not (th1 > th0 and ps1 > ps0):
         raise ConfigError("torus band angle ranges must be increasing")
 
@@ -77,22 +77,20 @@ def torus_band_map(surface, theta_range=(0.0, np.pi / 2), psi_range=(-np.pi / 3,
     return f0
 
 
+MAP_KINDS = {
+    "identity": identity_map,
+    "affine": affine_map,
+    "stereographic_cap": stereographic_cap_map,
+    "torus_band": torus_band_map,
+}
+
+
 def make_initial_map(surface, kind, **params):
-    """Initial-map factory used by the run configuration."""
-    if kind == "identity":
-        return identity_map(surface)
-    if kind == "affine":
-        return affine_map(surface, params.get("matrix"))
-    if kind == "stereographic_cap":
-        return stereographic_cap_map(surface, float(params.get("latitude", np.pi / 3)))
-    if kind == "torus_band":
-        kw = {}
-        if "theta_range" in params:
-            kw["theta_range"] = tuple(params["theta_range"])
-        if "psi_range" in params:
-            kw["psi_range"] = tuple(params["psi_range"])
-        return torus_band_map(surface, **kw)
-    raise ConfigError(
-        f"unknown initial map kind {kind!r}; expected identity, affine, "
-        "stereographic_cap, or torus_band"
-    )
+    """Initial-map factory; ``params`` are the keywords of ``MAP_KINDS[kind]``."""
+    try:
+        build = MAP_KINDS[kind]
+    except KeyError:
+        raise ConfigError(
+            f"unknown initial map kind {kind!r}; expected one of {sorted(MAP_KINDS)}"
+        ) from None
+    return build(surface, **params)

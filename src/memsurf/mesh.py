@@ -196,7 +196,9 @@ def _stitch(inner_ids, outer_ids, angles_inner, angles_outer, tris):
             j += 1
 
 
-def _disk_mesh(radius, resolution):
+def _disk_mesh(resolution, radius=1.0):
+    if not radius > 0:
+        raise ValueError("disk radius must be positive")
     n_rings = max(1, round(radius / resolution))
     dr = radius / n_rings
     verts = [np.zeros((1, 2))]
@@ -222,7 +224,7 @@ def _disk_mesh(radius, resolution):
     return TriMesh.from_arrays(verts, np.asarray(tris))
 
 
-def _annulus_mesh(inner_radius, outer_radius, resolution):
+def _annulus_mesh(resolution, inner_radius=0.5, outer_radius=1.0):
     if not 0 < inner_radius < outer_radius:
         raise ValueError("annulus requires 0 < inner_radius < outer_radius")
     n_rings = max(1, round((outer_radius - inner_radius) / resolution))
@@ -246,25 +248,29 @@ def _annulus_mesh(inner_radius, outer_radius, resolution):
     return TriMesh.from_arrays(verts, np.asarray(tris))
 
 
+DOMAIN_KINDS = {
+    "unit_square": _square_mesh,
+    "disk": _disk_mesh,
+    "annulus": _annulus_mesh,
+}
+
+
 def build_mesh(domain, resolution, **params):
     """Triangulate one of the builtin domains at a target edge length.
 
-    domain: "unit_square", "disk" (param: radius), or "annulus"
-    (params: inner_radius, outer_radius).
+    ``params`` are the keyword arguments of the domain's builder in
+    ``DOMAIN_KINDS``: ``radius`` for a disk, ``inner_radius`` and
+    ``outer_radius`` for an annulus.
     """
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    if domain == "unit_square":
-        return _square_mesh(resolution)
-    if domain == "disk":
-        return _disk_mesh(params.get("radius", 1.0), resolution)
-    if domain == "annulus":
-        return _annulus_mesh(
-            params.get("inner_radius", 0.5),
-            params.get("outer_radius", 1.0),
-            resolution,
-        )
-    raise ValueError(f"unknown domain {domain!r}")
+    try:
+        build = DOMAIN_KINDS[domain]
+    except KeyError:
+        raise ValueError(
+            f"unknown domain {domain!r}; expected one of {sorted(DOMAIN_KINDS)}"
+        ) from None
+    return build(resolution, **params)
 
 
 def save_mesh(path, positions, triangles, comments=()):

@@ -4,7 +4,7 @@ import io
 import numpy as np
 import pytest
 
-from memsurf import ConfigError, LineSearchStallError, parse_config
+from memsurf import ConfigError, LineSearchStallError, Sphere, make_initial_map, parse_config
 from memsurf.cli import main
 from memsurf.mesh import load_mesh
 
@@ -103,13 +103,32 @@ seed: 7
             "minimize: {grad_tol: 5e-2}",
             "minimize: {initial_step: '2'}",
             "minimize: {max_iter: '10'}",
+            # Kind blocks: booleans (nested ones too), wrong types, bad
+            # values and blocks that are not a {kind: ...} mapping.
+            "surface: {kind: sphere, radius: true}\ninitial_map: {kind: stereographic_cap}",
+            "surface: {kind: plane, orientation_sign: true}",
+            "surface: {kind: plane, normal_dir: [0.0, 0.0, 0.0]}",
+            "surface: plane",
+            "surface: {kind: [plane]}",
+            "domain: {kind: annulus, resolution: 0.2, inner_radius: 2.0, outer_radius: 1.0}",
+            "domain: {kind: disk, resolution: 0.2, radius: -1.0}",
+            "domain: {kind: disk, resolution: 0.2, radius: 'a'}",
+            "surface: {kind: sphere}\ninitial_map: {kind: stereographic_cap, latitude: true}",
+            "surface: {kind: sphere}\ninitial_map: {kind: stereographic_cap, latitude: 'abc'}",
+            "initial_map: {kind: affine, matrix: [[true, 0.0], [0.0, 1.0]]}",
+            "initial_map: {kind: affine, matrix: 'x'}",
+            "surface: {kind: torus}\ninitial_map: {kind: torus_band, theta_range: 5}",
+            "surface: {kind: torus}\ninitial_map: {kind: torus_band, theta_range: [0.0]}",
         ],
     )
     def test_booleans_and_fractional_counts_exit_2(self, tmp_path, text):
         # YAML booleans are Python ints; none may stand in for a
-        # number, and neither may a string.
+        # number, and neither may a string.  Parsing does not build the
+        # mesh, so only a domain block may pass it and fail in mesh().
         with pytest.raises(ConfigError):
-            parse_config(text)
+            config = parse_config(text)
+            assert text.startswith("domain:")
+            config.mesh()
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"{text}\noutput_dir: \"{tmp_path / 'out'}\"\n")
         assert main(["residual", str(cfg)]) == 2
@@ -118,6 +137,15 @@ seed: 7
         with pytest.raises(ConfigError, match=r"minimize\.grad_tol .*5\.0e-2"):
             parse_config("minimize: {grad_tol: 5e-2}")
         assert parse_config("minimize: {grad_tol: 5.0e-2}").minimize_options().grad_tol == 0.05
+
+    def test_factories_reject_misspelt_keywords(self):
+        # The config checks a kind block's keys against the builders' signatures.
+        with pytest.raises(TypeError, match="latitud"):
+            make_initial_map(Sphere(), "stereographic_cap", latitud=0.3)
+        with pytest.raises(ConfigError, match="unknown domain parameter 'radiuss'"):
+            parse_config("domain: {kind: disk, resolution: 0.2, radiuss: 3.0}")
+        with pytest.raises(ConfigError, match="unknown initial_map parameter 'surface'"):
+            parse_config("surface: {kind: sphere}\ninitial_map: {kind: stereographic_cap, surface: 1.0}")
 
     def test_map_surface_mismatch(self):
         with pytest.raises(ConfigError):
@@ -184,6 +212,14 @@ class TestVerifyCommand:
         cfg = tmp_path / "broken.yaml"
         cfg.write_text("model:\n  ogden_terms: [\n")
         assert main(["verify", str(cfg)]) == 2
+
+    def test_misspelt_domain_key_exit_2(self, tmp_path, capsys):
+        # verify builds no mesh, yet the domain block is checked.
+        cfg, _ = write_config(
+            tmp_path, "domain: {kind: disk, resolution: 0.2, radiuss: 3.0}\n" + SMALL_VERIFY
+        )
+        assert main(["verify", str(cfg)]) == 2
+        assert "radiuss" in capsys.readouterr().err
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.yaml")]) == 2
@@ -319,3 +355,10 @@ seed: 5
         lines = (out / "residuals.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "test_field_id"
         assert len(lines) == 2 + 6
+
+    @pytest.mark.parametrize("command", ["residual", "minimize"])
+    def test_mesh_without_interior_vertex_exit_5(self, tmp_path, capsys, command):
+        text = 'domain: {kind: unit_square, resolution: 2.0}\noutput_dir: "%s"\n'
+        cfg, _ = write_config(tmp_path, text)
+        assert main([command, str(cfg)]) == 5
+        assert "no interior vertex" in capsys.readouterr().err

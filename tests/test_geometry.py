@@ -223,6 +223,12 @@ def test_make_surface_factory():
         make_surface("cone")
 
 
+@pytest.mark.parametrize("normal_dir", [(0.0, 0.0, 0.0), (1.0, 0.0)])
+def test_plane_rejects_degenerate_normal(normal_dir):
+    with pytest.raises(ValueError, match="normal_dir"):
+        Plane(normal_dir=normal_dir)
+
+
 def test_ellipsoid_projection_on_surface(ellipsoid):
     rng = np.random.default_rng(10)
     p = rng.uniform(-3, 3, (500, 3))

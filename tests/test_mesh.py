@@ -117,6 +117,10 @@ def test_unknown_domain():
         build_mesh("hexagon", 0.1)
     with pytest.raises(ValueError):
         build_mesh("disk", -0.1)
+    with pytest.raises(ValueError, match="radius"):
+        build_mesh("disk", 0.2, radius=0.0)
+    with pytest.raises(TypeError, match="radiuss"):
+        build_mesh("disk", 0.2, radiuss=3.0)
 
 
 def test_wavefront_roundtrip(tmp_path):
