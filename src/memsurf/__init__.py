@@ -7,11 +7,7 @@ convexity failure), and topological/variational diagnostics of computed
 states (Brouwer degree, injectivity, first-variation residuals).
 """
 
-from .constitutive import (
-    IsotropicModel,
-    ThetaModel,
-    default_model,
-)
+from .constitutive import IsotropicModel, ThetaModel
 from .diagnostics import (
     DegreeResult,
     OverlapReport,

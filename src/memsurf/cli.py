@@ -298,9 +298,9 @@ def main(argv=None):
     for name in ("verify", "minimize", "residual"):
         p = sub.add_parser(name)
         p.add_argument("config", help="path to the YAML run configuration")
-    p = sub.add_parser("degree")
-    p.add_argument("config", help="path to the YAML run configuration")
-    p.add_argument(
+    degree = sub.add_parser("degree")
+    degree.add_argument("config", help="path to the YAML run configuration")
+    degree.add_argument(
         "--point",
         nargs=3,
         type=float,
@@ -309,6 +309,8 @@ def main(argv=None):
         help="ambient target point (projected onto the surface)",
     )
     args = parser.parse_args(argv)
+    if args.command == "degree" and not np.all(np.isfinite(args.point)):
+        degree.error(f"--point must be finite, got {' '.join(map(repr, args.point))}")
 
     try:
         config = parse_config_file(args.config)

@@ -9,6 +9,7 @@ form stamps every output file for provenance.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import inspect
 import io
@@ -22,7 +23,7 @@ from .geometry import SURFACE_KINDS, make_surface
 from .maps import MAP_KINDS, make_initial_map
 from .mesh import DOMAIN_KINDS, build_mesh
 from .minimizer import MinimizeOptions
-from .verification import run_all_checks
+from .verification import max_perturbation_delta, run_all_checks
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file", "DEFAULT_CONFIG"]
 
@@ -36,7 +37,7 @@ DEFAULT_CONFIG = {
     "verify": {
         name: param.default
         for name, param in inspect.signature(run_all_checks).parameters.items()
-        if param.default is not param.empty and name != "seed"
+        if param.default is not param.empty
     },
     "diagnostics": {
         "injectivity": True,
@@ -189,7 +190,7 @@ class RunConfig:
         resolution, and ``mesh()`` reports its other values.
         """
         surface = self.surface()
-        self.model()
+        model = self.model()
         self.minimize_options()
         resolution = self._kind_params("domain")[1].get("resolution")
         if not _is_number(resolution) or resolution <= 0:
@@ -198,8 +199,12 @@ class RunConfig:
         verify = self.data["verify"]
         for key, val in verify.items():
             if key == "perturbation_delta":
-                if not (_is_number(val) and 0 < val < 1):
-                    raise ConfigError("verify.perturbation_delta must lie in (0, 1)")
+                bound = max_perturbation_delta(model)
+                if not (_is_number(val) and 0 < val < bound):
+                    raise ConfigError(
+                        "verify.perturbation_delta must lie in (0, 1/(2K)) = "
+                        f"(0, {bound:.6g}) for the configured model, got {val!r}"
+                    )
             elif not (_is_int(val) and val > 0):
                 raise ConfigError(f"verify.{key} must be a positive integer")
         diag = self.data["diagnostics"]
@@ -208,8 +213,8 @@ class RunConfig:
         for key in ("degree_points", "residual_fields"):
             if not (_is_int(diag[key]) and diag[key] >= 0):
                 raise ConfigError(f"diagnostics.{key} must be a nonnegative integer")
-        if not _is_int(self.data["seed"]):
-            raise ConfigError("seed must be an integer")
+        if not (_is_int(self.data["seed"]) and self.data["seed"] >= 0):
+            raise ConfigError("seed must be a nonnegative integer")
         return self
 
 
@@ -225,7 +230,8 @@ def parse_config(text):
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a mapping at the top level")
-    merged = _merge_defaults(raw, DEFAULT_CONFIG)
+    # A copy, so a caller that edits its config leaves the defaults alone.
+    merged = _merge_defaults(raw, copy.deepcopy(DEFAULT_CONFIG))
     return RunConfig(merged).validate()
 
 

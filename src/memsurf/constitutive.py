@@ -32,7 +32,6 @@ from .errors import (
 __all__ = [
     "ThetaModel",
     "IsotropicModel",
-    "default_model",
     "energy_density_batch",
     "pk1_batch",
     "phi_split_batch",
@@ -64,13 +63,6 @@ class ThetaModel:
         J = np.asarray(J, dtype=float)
         return self.c * (J**self.q + J ** (-self.r) - 2.0)
 
-    def second_derivative(self, J):
-        J = np.asarray(J, dtype=float)
-        return self.c * (
-            self.q * (self.q - 1.0) * J ** (self.q - 2.0)
-            + self.r * (self.r + 1.0) * J ** (-self.r - 2.0)
-        )
-
     def j_times_derivative(self, J):
         """J Theta'(J) = c (q J^q - r J^(-r)), the area-ratio stress term."""
         J = np.asarray(J, dtype=float)
@@ -94,7 +86,8 @@ class IsotropicModel:
     ``ogden_terms`` is a sequence of (coefficient, exponent) pairs with
     coefficient > 0 and exponent >= 1; ``b`` scales the convex (F.F)/J term.
     The model must keep the total density nonnegative, which holds whenever
-    2 b + min Theta >= 0 (the remaining terms are nonnegative).
+    2 b + min Theta >= 0 (the remaining terms are nonnegative).  The
+    defaults are stress free at the identity.
     """
 
     ogden_terms: tuple = ((1.0, 3.0),)
@@ -220,11 +213,6 @@ class IsotropicModel:
         if "label" in data:
             kwargs["label"] = str(data["label"])
         return cls(**kwargs)
-
-
-def default_model():
-    """Stress-free-at-identity default: a=1, gamma=3, b=1, c=1.5, q=2, r=4."""
-    return IsotropicModel()
 
 
 def _spectral_batch(F):

@@ -548,7 +548,7 @@ def _test_fields(surface, mesh, positions, family_size, seed):
     return fields
 
 
-def first_variation_residual(model, surface, mesh, positions, family_size=12, seed=0):
+def first_variation_residual(model, surface, mesh, positions, family_size, seed):
     """Discrete stationarity residuals for a family of tangent test fields.
 
     The Lagrangian residual pairs the assembled energy gradient with the

@@ -1,10 +1,11 @@
 """Randomized certificates for the constitutive hypotheses.
 
 Each check draws a deterministic sample set from its seed, measures the
-worst violation of the inequality it certifies, and reports pass/fail
-against a fixed tolerance.  A report's ``worst_violation <= tolerance``
-is equivalent to ``passed``, and re-running with the same (seed, n) is
-bitwise reproducible.
+worst violation of the inequality it certifies, and passes when that is
+within a fixed tolerance (``CheckReport.passed``).  Sample counts, seeds
+and the perturbation size come from ``run_all_checks``; the sampled
+ranges are the module constants below.  Re-running with the same
+(seed, n) is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -30,12 +31,25 @@ __all__ = [
     "check_perturbed_stress_bound",
     "check_growth",
     "run_all_checks",
+    "max_perturbation_delta",
     "shear_over_j",
     "shear_over_j_squared",
 ]
 
-DEFAULT_EPS_GRID = (0.2, 0.1, 0.05, 0.01)
+# Relative energy change allowed under a rotation (objectivity, isotropy).
+INVARIANCE_TOLERANCE = 1e-9
 CONVEXITY_SLACK = 1e-10
+# Random convex weights tested per (F, J) pair, beside the midpoint.
+WEIGHTS_PER_PAIR = 10
+# Stretch pair (lam, mu) of the rank-one witnesses and the eps grid,
+# decreasing, along which their gap must grow.
+RANK_ONE_STRETCHES = (1.0, 1.0)
+RANK_ONE_EPS_GRID = (0.2, 0.1, 0.05, 0.01)
+# Log-uniform stretch ranges: the invariance checks, the two stress bounds
+# and the coercivity bound.
+INVARIANCE_STRETCH_RANGE = (0.05, 20.0)
+STRESS_STRETCH_RANGE = (1e-3, 1e3)
+GROWTH_STRETCH_RANGE = (1e-4, 1e4)
 
 
 @dataclass
@@ -47,27 +61,13 @@ class CheckReport:
     seed: int
     tolerance: float
     worst_violation: float
-    passed: bool
     worst_witness: dict = field(default_factory=dict)
     empirical_constant: float | None = None
     details: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "check_name": self.check_name,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "worst_violation": self.worst_violation,
-            "passed": self.passed,
-            "worst_witness": self.worst_witness,
-            "empirical_constant": self.empirical_constant,
-            "details": self.details,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(**data)
+    @property
+    def passed(self):
+        return bool(self.worst_violation <= self.tolerance)
 
     def to_text(self):
         lines = [
@@ -89,17 +89,27 @@ class CheckReport:
         return "\n".join(lines) + "\n"
 
 
-def _finish(report: CheckReport):
-    report.passed = bool(report.worst_violation <= report.tolerance)
-    return report
+def _log_uniform(rng, lo, hi, size):
+    return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
 
 
-def _random_gradients(rng, n, lo=0.05, hi=20.0):
-    """Full-rank 3x2 gradients with log-uniform stretches in [lo, hi]."""
+def _random_svd_factors(rng, n, stretch_range):
+    """U (n, 3, 2), stretches (n, 2) and V (n, 2, 2) of F = U diag(lam) V^T."""
     U = np.linalg.qr(rng.standard_normal((n, 3, 3)))[0][:, :, :2]
-    lam = np.exp(rng.uniform(np.log(lo), np.log(hi), (n, 2)))
+    lam = _log_uniform(rng, *stretch_range, (n, 2))
     V = np.linalg.qr(rng.standard_normal((n, 2, 2)))[0]
+    return U, lam, V
+
+
+def _random_gradients(rng, n):
+    """Full-rank 3x2 gradients with stretches in INVARIANCE_STRETCH_RANGE."""
+    U, lam, V = _random_svd_factors(rng, n, INVARIANCE_STRETCH_RANGE)
     return np.einsum("nik,nk,njk->nij", U, lam, V)
+
+
+def _sorted_stretches(lam):
+    """(l1, l2) with l1 >= l2 from an (n, 2) stretch array."""
+    return np.maximum(lam[:, 0], lam[:, 1]), np.minimum(lam[:, 0], lam[:, 1])
 
 
 def _random_rotations(rng, n):
@@ -109,7 +119,7 @@ def _random_rotations(rng, n):
     return Q
 
 
-def check_objectivity(model, n=1000, seed=42, tolerance=1e-9):
+def check_objectivity(model, n, seed):
     """max_F,Q |W(QF) - W(F)| / (1 + W(F)) over random rotations."""
     rng = np.random.default_rng(seed)
     F = _random_gradients(rng, n)
@@ -118,19 +128,17 @@ def check_objectivity(model, n=1000, seed=42, tolerance=1e-9):
     W1 = energy_density_batch(model, np.einsum("nij,njk->nik", Q, F))
     dev = np.abs(W1 - W0) / (1.0 + W0)
     i = int(np.argmax(dev))
-    report = CheckReport(
+    return CheckReport(
         check_name="objectivity",
         samples=n,
         seed=seed,
-        tolerance=tolerance,
+        tolerance=INVARIANCE_TOLERANCE,
         worst_violation=float(dev[i]),
-        passed=False,
         worst_witness={"F": F[i].tolist(), "Q": Q[i].tolist()},
     )
-    return _finish(report)
 
 
-def check_isotropy(model, n=1000, seed=43, tolerance=1e-9):
+def check_isotropy(model, n, seed):
     """max_F,R |W(F R) - W(F)| / (1 + W(F)) over random in-plane rotations."""
     rng = np.random.default_rng(seed)
     F = _random_gradients(rng, n)
@@ -143,23 +151,22 @@ def check_isotropy(model, n=1000, seed=43, tolerance=1e-9):
     W1 = energy_density_batch(model, np.einsum("nij,njk->nik", F, R))
     dev = np.abs(W1 - W0) / (1.0 + W0)
     i = int(np.argmax(dev))
-    report = CheckReport(
+    return CheckReport(
         check_name="isotropy",
         samples=n,
         seed=seed,
-        tolerance=tolerance,
+        tolerance=INVARIANCE_TOLERANCE,
         worst_violation=float(dev[i]),
-        passed=False,
         worst_witness={"F": F[i].tolist(), "angle": float(ang[i])},
     )
-    return _finish(report)
 
 
-def _sample_fj_pairs(rng, n, f_norm_max=10.0, j_lo=0.05, j_hi=20.0):
+def _sample_fj_pairs(rng, n):
+    """|F| uniform in [0, 10] along random directions, J log-uniform in [0.05, 20]."""
     G = rng.standard_normal((n, 3, 2))
     G /= np.linalg.norm(G, axis=(1, 2), keepdims=True)
-    F = G * (f_norm_max * rng.uniform(0.0, 1.0, (n, 1, 1)))
-    J = np.exp(rng.uniform(np.log(j_lo), np.log(j_hi), n))
+    F = G * (10.0 * rng.uniform(0.0, 1.0, (n, 1, 1)))
+    J = _log_uniform(rng, 0.05, 20.0, n)
     return F, J
 
 
@@ -173,13 +180,11 @@ def shear_over_j_squared(F, J):
     return np.einsum("nij,nij->n", F, F) / J**2
 
 
-def check_midpoint_convexity(
-    phi, n=100_000, seed=44, name="split_convexity", weights_per_pair=10
-):
+def check_midpoint_convexity(phi, n, seed):
     """Sampled convexity of a (F, J) functional along random segments.
 
     ``phi`` maps ((k, 3, 2), (k,)) batches to (k,) values.  Every pair is
-    tested at the midpoint and at ``weights_per_pair`` random convex weights;
+    tested at the midpoint and at ``WEIGHTS_PER_PAIR`` random convex weights;
     an excess above the rounding slack 1e-10 (1 + phi1 + phi2) counts as a
     violation.
     """
@@ -189,7 +194,7 @@ def check_midpoint_convexity(
     p1 = np.asarray(phi(F1, J1))
     p2 = np.asarray(phi(F2, J2))
     slack = CONVEXITY_SLACK * (1.0 + p1 + p2)
-    weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, weights_per_pair)])
+    weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, WEIGHTS_PER_PAIR)])
     worst = -np.inf
     witness = {}
     violations = 0
@@ -209,37 +214,30 @@ def check_midpoint_convexity(
                 "weight": float(w),
                 "excess": float(excess[i]),
             }
-    report = CheckReport(
-        check_name=name,
+    return CheckReport(
+        check_name="split_convexity",
         samples=n,
         seed=seed,
         tolerance=0.0,
         worst_violation=worst,
-        passed=False,
         worst_witness=witness,
-        details={"violations": violations, "weights_per_pair": weights_per_pair},
+        details={"violations": violations, "weights_per_pair": WEIGHTS_PER_PAIR},
     )
-    return _finish(report)
 
 
-def check_negative_control(n=100_000, seed=44):
+def check_negative_control(n, seed):
     """(F.F)/J^2 must exhibit at least one midpoint-convexity violation."""
-    inner = check_midpoint_convexity(
-        shear_over_j_squared, n=n, seed=seed, name="split_convexity_negative_control"
-    )
-    found = inner.details["violations"]
-    report = CheckReport(
+    inner = check_midpoint_convexity(shear_over_j_squared, n=n, seed=seed)
+    return CheckReport(
         check_name="split_convexity_negative_control",
         samples=n,
         seed=seed,
         tolerance=0.0,
         # Negative of the best excess: passing means a violation was found.
         worst_violation=-inner.worst_violation,
-        passed=False,
         worst_witness=inner.worst_witness,
-        details={"violations": found},
+        details={"violations": inner.details["violations"]},
     )
-    return _finish(report)
 
 
 @dataclass(frozen=True)
@@ -261,7 +259,7 @@ class RankOneWitness:
         return self.W_bar - 0.5 * (self.W_plus + self.W_minus)
 
 
-def rank_one_counterexample(model, lam=1.0, mu=1.0, eps=0.1):
+def rank_one_counterexample(model, lam, mu, eps):
     """Build the rank-one connected pair whose midpoint raises the energy.
 
     F+ and F- share the same stretch pair (lam, mu) while their average has
@@ -290,23 +288,24 @@ def rank_one_counterexample(model, lam=1.0, mu=1.0, eps=0.1):
     )
 
 
-def check_rank_one(model, lam=1.0, mu=1.0, eps_grid=DEFAULT_EPS_GRID, seed=0):
-    """Positive gaps across the eps grid, growing as eps shrinks."""
-    eps_grid = tuple(sorted(eps_grid, reverse=True))
-    witnesses = [rank_one_counterexample(model, lam, mu, e) for e in eps_grid]
+def check_rank_one(model, seed):
+    """Positive gaps across RANK_ONE_EPS_GRID, growing as eps shrinks.
+
+    The check draws nothing; ``seed`` is only recorded in the report.
+    """
+    lam, mu = RANK_ONE_STRETCHES
+    witnesses = [rank_one_counterexample(model, lam, mu, e) for e in RANK_ONE_EPS_GRID]
     gaps = [w.gap for w in witnesses]
     required_positive = list(gaps)
     # Monotonicity: smaller eps must give a strictly larger gap.
     required_positive += [b - a for a, b in zip(gaps, gaps[1:])]
-    worst = -float(min(required_positive))
     w0 = witnesses[0]
-    report = CheckReport(
+    return CheckReport(
         check_name="rank_one_failure",
-        samples=len(eps_grid),
+        samples=len(RANK_ONE_EPS_GRID),
         seed=seed,
         tolerance=0.0,
-        worst_violation=worst,
-        passed=False,
+        worst_violation=-float(min(required_positive)),
         worst_witness={
             "lam": lam,
             "mu": mu,
@@ -315,73 +314,60 @@ def check_rank_one(model, lam=1.0, mu=1.0, eps_grid=DEFAULT_EPS_GRID, seed=0):
             "F_bar": w0.F_bar.tolist(),
         },
         details={
-            "eps_grid": list(eps_grid),
+            "eps_grid": list(RANK_ONE_EPS_GRID),
             "gaps": [float(g) for g in gaps],
             "W_endpoints": [float(w.W_plus) for w in witnesses],
         },
     )
-    return _finish(report)
 
 
-def _stress_growth_ratios(model, l1, l2):
-    s1, s2 = model.scaled_stress_coefficients(l1, l2)
-    phi = model.energy_from_stretches(l1, l2)
-    return np.hypot(s1, s2) / (phi + 1.0)
-
-
-def check_stress_growth(model, n=100_000, seed=45, stretch_lo=1e-3, stretch_hi=1e3):
+def check_stress_growth(model, n, seed):
     """Kirchhoff-stress growth |(l1 Phi_1, l2 Phi_2)| <= K (Phi + 1).
 
     K is the model's analytic bound, so the check is an inequality test, not
-    an empirical sup chase; the empirical sup is recorded alongside.
+    an empirical sup chase; the empirical sup is recorded alongside.  The
+    corners of STRESS_STRETCH_RANGE are sampled too.
     """
     rng = np.random.default_rng(seed)
-    lam = np.exp(rng.uniform(np.log(stretch_lo), np.log(stretch_hi), (n, 2)))
-    corners = np.array(
-        [
-            [stretch_lo, stretch_lo],
-            [stretch_hi, stretch_hi],
-            [stretch_lo, stretch_hi],
-            [stretch_hi, stretch_lo],
-            [1.0, 1.0],
-        ]
-    )
+    lo, hi = STRESS_STRETCH_RANGE
+    lam = _log_uniform(rng, lo, hi, (n, 2))
+    corners = np.array([[lo, lo], [hi, hi], [lo, hi], [hi, lo], [1.0, 1.0]])
     lam = np.concatenate([lam, corners])
-    l1 = np.maximum(lam[:, 0], lam[:, 1])
-    l2 = np.minimum(lam[:, 0], lam[:, 1])
-    ratios = _stress_growth_ratios(model, l1, l2)
+    l1, l2 = _sorted_stretches(lam)
+    s1, s2 = model.scaled_stress_coefficients(l1, l2)
+    ratios = np.hypot(s1, s2) / (model.energy_from_stretches(l1, l2) + 1.0)
     K = model.stress_bound_constant()
     i = int(np.argmax(ratios))
-    report = CheckReport(
+    return CheckReport(
         check_name="stress_growth",
         samples=int(lam.shape[0]),
         seed=seed,
         tolerance=0.0,
         worst_violation=float(ratios[i] - K),
-        passed=False,
         worst_witness={"l1": float(l1[i]), "l2": float(l2[i]), "ratio": float(ratios[i])},
         empirical_constant=float(ratios[i]),
         details={"K_declared": K},
     )
-    return _finish(report)
 
 
-def check_perturbed_stress_bound(model, delta=0.01, n=10_000, seed=46, stretch_lo=1e-3, stretch_hi=1e3):
+def max_perturbation_delta(model):
+    """1/(2K): the perturbed stress bound needs delta strictly below it."""
+    return 1.0 / (2.0 * model.stress_bound_constant())
+
+
+def check_perturbed_stress_bound(model, delta, n, seed):
     """Perturbed stress bound |W_F(TA) A^T| <= C (W(A) + 1), C = 2K/(1-2K delta).
 
     T ranges over linear maps of the range of A with |T - 1| < delta; delta
-    must stay below 1/(2K) for the constant to make sense.
+    must stay below ``max_perturbation_delta(model)`` for C to make sense.
     """
+    bound = max_perturbation_delta(model)
+    if not delta < bound:
+        raise DeltaTooLargeError(f"delta = {delta} must be below 1/(2K) = {bound:.6g}")
     K = model.stress_bound_constant()
-    if not delta < 1.0 / (2.0 * K):
-        raise DeltaTooLargeError(
-            f"delta = {delta} must be below 1/(2K) = {1.0 / (2.0 * K):.6g}"
-        )
     C = 2.0 * K / (1.0 - 2.0 * K * delta)
     rng = np.random.default_rng(seed)
-    U = np.linalg.qr(rng.standard_normal((n, 3, 3)))[0][:, :, :2]
-    lam = np.exp(rng.uniform(np.log(stretch_lo), np.log(stretch_hi), (n, 2)))
-    V = np.linalg.qr(rng.standard_normal((n, 2, 2)))[0]
+    U, lam, V = _random_svd_factors(rng, n, STRESS_STRETCH_RANGE)
     A = np.einsum("nik,nk,njk->nij", U, lam, V)
     E = rng.standard_normal((n, 2, 2))
     E *= (delta * 0.999 * rng.uniform(0.0, 1.0, (n, 1, 1))) / np.linalg.norm(
@@ -395,35 +381,33 @@ def check_perturbed_stress_bound(model, delta=0.01, n=10_000, seed=46, stretch_l
     rhs = energy_density_batch(model, A) + 1.0
     ratios = lhs / rhs
     i = int(np.argmax(ratios))
-    report = CheckReport(
+    l1, l2 = _sorted_stretches(lam)
+    return CheckReport(
         check_name="perturbed_stress_bound",
         samples=n,
         seed=seed,
         tolerance=0.0,
         worst_violation=float(ratios[i] - C),
-        passed=False,
         worst_witness={
-            "l1": float(np.maximum(lam[i, 0], lam[i, 1])),
-            "l2": float(np.minimum(lam[i, 0], lam[i, 1])),
+            "l1": float(l1[i]),
+            "l2": float(l2[i]),
             "T_deviation": float(np.linalg.norm(E[i])),
             "ratio": float(ratios[i]),
         },
         empirical_constant=float(ratios[i]),
         details={"delta": delta, "K_declared": K, "C": C},
     )
-    return _finish(report)
 
 
-def check_growth(model, n=100_000, seed=47, stretch_lo=1e-4, stretch_hi=1e4):
+def check_growth(model, n, seed):
     """Coercivity flags plus the sampled lower bound W >= C1(|F|^p + J^-r) + C2.
 
     The fitted constants are C1 = min(min_j b_j, c)/2 and C2 = -4c; the
-    blowup of Theta is probed at J = 1e-6 against the 1e10 floor.
+    stretches span GROWTH_STRETCH_RANGE, and the blowup of Theta is probed
+    at J = 1e-6 against the 1e10 floor.
     """
     rng = np.random.default_rng(seed)
-    lam = np.exp(rng.uniform(np.log(stretch_lo), np.log(stretch_hi), (n, 2)))
-    l1 = np.maximum(lam[:, 0], lam[:, 1])
-    l2 = np.minimum(lam[:, 0], lam[:, 1])
+    l1, l2 = _sorted_stretches(_log_uniform(rng, *GROWTH_STRETCH_RANGE, (n, 2)))
     W = model.energy_from_stretches(l1, l2)
     p = model.growth_exponent
     r = model.theta.r
@@ -435,37 +419,32 @@ def check_growth(model, n=100_000, seed=47, stretch_lo=1e-4, stretch_hi=1e4):
     shortfall = (lower - W) / (1.0 + np.abs(W))
     i = int(np.argmax(shortfall))
     blowup = float(model.theta.value(1e-6))
-    components = {
-        "coercivity_satisfied": model.coercivity_satisfied,
-        "strong_coercivity_satisfied": model.strong_coercivity_satisfied,
-        "sampled_bound_shortfall": float(shortfall[i]),
-        "theta_blowup_at_1e-6": blowup,
-    }
     worst = float(shortfall[i])
     for ok in (model.coercivity_satisfied, model.strong_coercivity_satisfied, blowup >= 1e10):
         if not ok:
             worst = max(worst, 1.0)
-    report = CheckReport(
+    return CheckReport(
         check_name="coercivity_and_blowup",
         samples=n,
         seed=seed,
         tolerance=0.0,
         worst_violation=worst,
-        passed=False,
         worst_witness={"l1": float(l1[i]), "l2": float(l2[i]), "W": float(W[i])},
         details={
-            **components,
+            "coercivity_satisfied": model.coercivity_satisfied,
+            "strong_coercivity_satisfied": model.strong_coercivity_satisfied,
+            "sampled_bound_shortfall": float(shortfall[i]),
+            "theta_blowup_at_1e-6": blowup,
             "C1": c1,
             "C2": c2,
             "growth_exponent": p,
         },
     )
-    return _finish(report)
 
 
 def run_all_checks(
     model: IsotropicModel,
-    seed=42,
+    seed,
     convexity_samples=100_000,
     rotation_samples=1000,
     stress_growth_samples=100_000,
@@ -473,7 +452,10 @@ def run_all_checks(
     perturbation_delta=0.01,
     growth_samples=100_000,
 ):
-    """The full certificate battery in a fixed order (eight reports)."""
+    """The full certificate battery in a fixed order (eight reports).
+
+    The keyword defaults are the ``verify`` block of ``config.DEFAULT_CONFIG``.
+    """
 
     def phi_model(F, J):
         return phi_split_batch(model, F, J)

@@ -4,17 +4,17 @@ import pytest
 from memsurf import (
     Ellipsoid,
     GraphSurface,
+    IsotropicModel,
     Plane,
     Sphere,
     Torus,
     build_mesh,
-    default_model,
 )
 
 
 @pytest.fixture(scope="session")
 def model():
-    return default_model()
+    return IsotropicModel()
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ from memsurf import (
     check_negative_control,
     check_objectivity,
     check_stress_growth,
-    default_model,
     first_variation_residual,
     injectivity_check,
     interpolate,

@@ -1,10 +1,20 @@
+import copy
 import csv
 import io
 
 import numpy as np
 import pytest
 
-from memsurf import ConfigError, LineSearchStallError, Sphere, make_initial_map, parse_config
+from memsurf import (
+    ConfigError,
+    IsotropicModel,
+    LineSearchStallError,
+    MinimizeOptions,
+    Sphere,
+    make_initial_map,
+    parse_config,
+)
+import memsurf.config as config_module
 from memsurf.cli import main
 from memsurf.mesh import load_mesh
 
@@ -90,6 +100,10 @@ seed: 7
         "text",
         [
             "seed: true",
+            "seed: -1",
+            # At or above 1/(2K): 0.0518 for the default model, 0.0244 for r = 8.
+            "verify: {perturbation_delta: 0.2}",
+            "model: {theta: {r: 8.0}}\nverify: {perturbation_delta: 0.04}",
             "verify: {rotation_samples: true}",
             "verify: {growth_samples: true}",
             "diagnostics: {degree_points: true}",
@@ -132,6 +146,18 @@ seed: 7
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"{text}\noutput_dir: \"{tmp_path / 'out'}\"\n")
         assert main(["residual", str(cfg)]) == 2
+
+    def test_parsed_configs_do_not_share_defaults(self, monkeypatch):
+        # Parse against a private copy of the defaults, so that a shared
+        # sub-dict cannot leak an edit into other tests.
+        defaults = copy.deepcopy(config_module.DEFAULT_CONFIG)
+        monkeypatch.setattr(config_module, "DEFAULT_CONFIG", copy.deepcopy(defaults))
+        parse_config("{}").to_dict()["minimize"]["max_iter"] = 7
+        parse_config("model: {b: 1.0}").to_dict()["model"]["ogden_terms"][0]["gamma"] = 9.0
+        fresh = parse_config("{}")
+        assert fresh.minimize_options().max_iter == MinimizeOptions().max_iter
+        assert fresh.model() == IsotropicModel()
+        assert config_module.DEFAULT_CONFIG == defaults
 
     def test_string_number_error_names_key_and_spelling(self):
         with pytest.raises(ConfigError, match=r"minimize\.grad_tol .*5\.0e-2"):
@@ -340,6 +366,15 @@ seed: 3
         printed = capsys.readouterr().out
         assert "degree: -1" in printed
         assert (out / "degree.csv").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_degree_nonfinite_point_exit_2(self, tmp_path, capsys, value):
+        cfg, out = write_config(tmp_path, MINIMAL_PLANE)
+        with pytest.raises(SystemExit) as exc:
+            main(["degree", str(cfg), "--point", value, "0", "0"])
+        assert exc.value.code == 2
+        assert f"--point must be finite, got {value} 0.0 0.0" in capsys.readouterr().err
+        assert not (out / "degree.csv").exists()
 
     def test_residual_initial_config(self, tmp_path, capsys):
         text = """

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -112,7 +110,7 @@ class TestRankOne:
             rank_one_counterexample(model, 1.0, 1.0, 1.0)
 
     def test_check_report(self, model):
-        rep = check_rank_one(model)
+        rep = check_rank_one(model, seed=0)
         assert rep.passed
         assert rep.details["gaps"][0] < rep.details["gaps"][-1]
 
@@ -163,12 +161,12 @@ class TestPerturbedStressBound:
         assert rep.empirical_constant <= rep.details["K_declared"] * (1 + 1e-6)
 
     def test_near_degenerate_samples_included(self, model):
-        rep = check_perturbed_stress_bound(model, delta=0.01, n=5000, seed=6, stretch_lo=1e-3)
+        rep = check_perturbed_stress_bound(model, delta=0.01, n=5000, seed=6)
         assert rep.passed
 
     def test_delta_too_large(self, model):
         with pytest.raises(DeltaTooLargeError):
-            check_perturbed_stress_bound(model, delta=0.06, n=10)
+            check_perturbed_stress_bound(model, delta=0.06, n=10, seed=0)
 
 
 class TestGrowth:
@@ -193,20 +191,16 @@ class TestGrowth:
 
 
 class TestReports:
-    def test_serialization_roundtrip(self, model):
-        rep = check_stress_growth(model, n=2000, seed=10)
-        data = json.loads(json.dumps(rep.to_dict()))
-        clone = CheckReport.from_dict(data)
-        assert clone.to_dict() == rep.to_dict()
-
     def test_deterministic_given_seed(self, model):
-        a = check_perturbed_stress_bound(model, delta=0.01, n=2000, seed=11).to_dict()
-        b = check_perturbed_stress_bound(model, delta=0.01, n=2000, seed=11).to_dict()
+        a = check_perturbed_stress_bound(model, delta=0.01, n=2000, seed=11)
+        b = check_perturbed_stress_bound(model, delta=0.01, n=2000, seed=11)
         assert a == b
+        assert a.to_text() == b.to_text()
 
     def test_passed_iff_within_tolerance(self, model):
         reps = run_all_checks(
             model,
+            seed=42,
             convexity_samples=5000,
             rotation_samples=200,
             stress_growth_samples=5000,
@@ -217,6 +211,14 @@ class TestReports:
         for rep in reps:
             assert rep.passed == (rep.worst_violation <= rep.tolerance)
             assert rep.passed
+
+    def test_passed_derived_from_tolerance(self):
+        def report(worst):
+            return CheckReport("c", samples=1, seed=0, tolerance=0.5, worst_violation=worst)
+
+        assert report(0.5).passed
+        assert not report(0.5000001).passed
+        assert "passed: false" in report(1.0).to_text()
 
     def test_to_text_contains_outcome(self, model):
         rep = check_objectivity(model, n=100, seed=12)
