@@ -288,6 +288,26 @@ def _cmd_residual(config, out):
     return EXIT_OK
 
 
+def _as_point_values(argv):
+    """argv with the three tokens after ``--point`` read as values.
+
+    argparse takes a token such as ``-inf`` or ``-nan`` (unlike ``-0.5``)
+    for an option flag.  A leading space makes any token a value, and
+    ``float`` ignores it, so a non-finite point reaches the finite check.
+    """
+    argv = list(argv)
+    for i, token in enumerate(argv):
+        if token != "--point":
+            continue
+        for j in range(i + 1, min(i + 4, len(argv))):
+            try:
+                float(argv[j])
+            except ValueError:
+                continue
+            argv[j] = " " + argv[j]
+    return argv
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="memsurf",
@@ -308,7 +328,7 @@ def main(argv=None):
         metavar=("X", "Y", "Z"),
         help="ambient target point (projected onto the surface)",
     )
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_as_point_values(sys.argv[1:] if argv is None else argv))
     if args.command == "degree" and not np.all(np.isfinite(args.point)):
         degree.error(f"--point must be finite, got {' '.join(map(repr, args.point))}")
 

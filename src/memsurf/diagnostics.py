@@ -559,9 +559,9 @@ def first_variation_residual(model, surface, mesh, positions, family_size, seed)
     at tau = +/- 1e-3 (all elements keep positive orientation).
     """
     F = deformation_gradients(mesh, positions)
-    S = pk1_batch(model, F)
-    l1, l2, *_ = _spectral_batch(F)
-    area_ratio = l1 * l2
+    spectral = _spectral_batch(F)
+    S = pk1_batch(model, F, spectral)
+    area_ratio = spectral[0] * spectral[1]
     cauchy = np.einsum("tij,tkj->tik", S, F) / area_ratio[:, None, None]
     # Pseudo-inverse of F on its range: F^+ = (F^T F)^-1 F^T.
     C = np.einsum("tij,tik->tjk", F, F)

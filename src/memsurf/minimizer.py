@@ -7,11 +7,18 @@ retracted back onto the surface by closest-point projection; boundary nodes
 never move.  The direction is the two-loop L-BFGS recursion (Liu & Nocedal
 1989) over the last ``LBFGS_MEMORY`` curvature pairs, which are carried from
 one iterate's tangent space to the next by tangent projection (Huang,
-Gallivan & Absil 2015).  Step lengths come from Armijo backtracking from a
-unit step, and any trial step that drives an element's oriented area ratio
-to the floor is rejected outright, which keeps every accepted iterate
-inside the discrete admissible set.  A trial whose closest-point projection
-fails (retraction or element centroid) is rejected the same way.
+Gallivan & Absil 2015).  Its initial inverse Hessian is gamma P K^-1 P, with
+K the P1 stiffness matrix of the reference mesh on the free nodes, P the
+tangent projection and gamma = (s.Ks)/(s.y) from the newest pair: a Sobolev
+gradient (Neuberger 1997), which keeps the iteration count independent of
+the mesh size, since the energy's Hessian is spectrally close to K.  The
+first direction, -P K^-1 g_T, is scaled to the minimizer of the quadratic
+model along it, its curvature taken from one forward difference of the
+tangent gradient.  Step lengths come from Armijo backtracking from a unit
+step, and any trial step that drives an element's oriented area ratio to
+the floor is rejected outright, which keeps every accepted iterate inside
+the discrete admissible set.  A trial whose closest-point projection fails
+(retraction or element centroid) is rejected the same way.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 
 from .discretization import (
     J_FLOOR_DEFAULT,
+    deformation_gradients,
     energy_gradient,
     interpolate,
     oriented_area_ratios,
@@ -34,12 +42,17 @@ from .errors import (
     LineSearchStallError,
     NoConvergenceError,
 )
+from .stiffness import StiffnessSolver
 
 __all__ = ["MinimizeOptions", "MinimizeReport", "initialize", "minimize"]
 
 STEP_UNDERFLOW = 1e-16
 # Curvature pairs kept by the L-BFGS recursion.
 LBFGS_MEMORY = 10
+# Largest nodal move of the forward difference that measures the curvature
+# along the first direction, relative to the extent of the configuration:
+# the square root of the float64 resolution, as for any forward difference.
+CURVATURE_PROBE = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -47,7 +60,8 @@ class MinimizeOptions:
     """Tuning knobs for the descent loop.
 
     ``grad_tol`` of None resolves to 1e-7 times the reference area, and
-    ``initial_step`` scales the first direction, -initial_step * g_T.
+    ``initial_step`` scales the first direction, -initial_step * t P K^-1 g_T,
+    where t minimizes the quadratic model of the energy along P K^-1 g_T.
     """
 
     max_iter: int = 5000
@@ -117,14 +131,15 @@ def initialize(surface, mesh, f0, j_floor=J_FLOOR_DEFAULT):
     return positions
 
 
-def _lbfgs_direction(g, s, y):
+def _lbfgs_direction(g, s, y, solve, stiffness):
     """Two-loop L-BFGS direction at a point with gradient g.
 
     ``s`` and ``y`` stack the curvature pairs, oldest first, as (k, ...)
     arrays of g's shape, all in g's tangent space.  Pairs with s.y <= 0 are
-    dropped; H0 is (s.y / y.y) I from the newest pair kept.  Returns
-    (d, s, y) with the pairs kept.  When the result is not a descent
-    direction (g.d >= 0) the memory is cleared and d is -g.
+    dropped.  H0 is gamma * ``solve``, where ``solve(v)`` is P K^-1 v and
+    gamma = s.Ks / s.y of the newest pair kept, with K v = ``stiffness(v)``.
+    Returns (d, s, y) with the pairs kept.  When the result is not a descent
+    direction (g.d >= 0) the memory is cleared and d is -solve(g).
     """
     sy = np.einsum("ki,ki->k", s.reshape(len(s), g.size), y.reshape(len(y), g.size))
     keep = sy > 0
@@ -135,14 +150,35 @@ def _lbfgs_direction(g, s, y):
     for i in range(len(sy) - 1, -1, -1):
         a[i] = np.vdot(s[i], q) / sy[i]
         q -= a[i] * y[i]
+    q = solve(q)
     if len(sy):
-        q *= sy[-1] / np.vdot(y[-1], y[-1])
+        q *= np.vdot(s[-1], stiffness(s[-1])) / sy[-1]
     for i in range(len(sy)):
         q += (a[i] - np.vdot(y[i], q) / sy[i]) * s[i]
     d = -q
     if not np.vdot(g, d) < 0:
-        return -g, s[:0], y[:0]
+        return -solve(g), s[:0], y[:0]
     return d, s, y
+
+
+def _curvature_step(model, mesh, surface, free, positions, g, d):
+    """Step t that minimizes the quadratic model of the energy along d.
+
+    The curvature d.Hess d comes from one forward difference of the tangent
+    gradient along the retracted move; t is 1 when the curvature is not
+    positive or the probe cannot be retracted.
+    """
+    extent = float(np.max(np.ptp(positions, axis=0)))
+    h = CURVATURE_PROBE * extent / float(np.max(np.abs(d)))
+    probe = positions.copy()
+    try:
+        probe[free] = surface.project(positions[free] + h * d)
+    except (AmbiguousProjectionError, NoConvergenceError):
+        return 1.0
+    grad = energy_gradient(model, mesh, deformation_gradients(mesh, probe))[free]
+    moved = surface.tangent_project_unchecked(probe[free], grad)
+    curvature = float(np.vdot(d, moved - g)) / h
+    return -float(np.vdot(g, d)) / curvature if curvature > 0 else 1.0
 
 
 def _transport(surface, x, grad, step, prev_g, mem_s, mem_y):
@@ -207,7 +243,7 @@ def minimize(model, surface, mesh, f0, options=None):
     """Descend the total energy from f0; returns (positions, report).
 
     Raises InfeasibleStartError when f0 violates the element floor and
-    LineSearchStallError if backtracking underflows along -g_T.
+    LineSearchStallError if backtracking underflows along -P K^-1 g_T.
     """
     options = options or MinimizeOptions()
     t0 = time.perf_counter()
@@ -226,6 +262,11 @@ def minimize(model, surface, mesh, f0, options=None):
     no_pairs = np.empty((0, *x.shape))
     mem_s = mem_y = no_pairs             # curvature pairs, oldest first
     prev_x = prev_g = None
+    solver = None                        # factored at the first direction
+
+    def precondition(v):
+        """P K^-1 v at the current point x."""
+        return surface.tangent_project_unchecked(x, solver.solve(v))
 
     for it in range(options.max_iter + 1):
         # Tangent gradient of the free rows at the accepted point, from the
@@ -245,20 +286,28 @@ def minimize(model, surface, mesh, f0, options=None):
         if it == options.max_iter:
             break
 
+        if solver is None:
+            solver = StiffnessSolver(mesh)
         if prev_x is None:
-            d = -options.initial_step * gt
+            d = -precondition(gt)
+            d *= options.initial_step * _curvature_step(
+                model, mesh, surface, free, positions, gt, d
+            )
         else:
-            d, mem_s, mem_y = _lbfgs_direction(gt, mem_s, mem_y)
+            d, mem_s, mem_y = _lbfgs_direction(
+                gt, mem_s, mem_y, precondition, solver.apply
+            )
         counts = dict.fromkeys(("backtracks", "infeasible_trials", "projection_failures"), 0)
         found = _line_search(
             model, mesh, surface, free, positions, energy, gt, d, options, counts
         )
         if found is None and len(mem_s):
             # The quasi-Newton model failed here (at the float noise floor,
-            # typically): clear the memory and search along -g_T.
+            # typically): clear the memory and search along -P K^-1 g_T.
             mem_s = mem_y = no_pairs
             found = _line_search(
-                model, mesh, surface, free, positions, energy, gt, -gt, options, counts
+                model, mesh, surface, free, positions, energy, gt,
+                -precondition(gt), options, counts,
             )
         if found is None:
             raise LineSearchStallError(

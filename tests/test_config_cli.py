@@ -292,13 +292,13 @@ output_dir: "%s"
         assert "status: max_iter" in (out / "summary.txt").read_text()
 
     def test_counters_in_history_and_summary(self, tmp_path):
-        # The first sphere-cap steps backtrack, some of them at the J floor;
-        # the summary totals are the column sums of energy_history.csv.
+        # A first step 16 times the model minimizer backtracks, once at the
+        # J floor; the summary totals are the column sums of energy_history.csv.
         text = """
 surface: {kind: sphere, radius: 1.0}
 domain: {kind: disk, resolution: 0.3}
 initial_map: {kind: stereographic_cap, latitude: 1.0471975511965976}
-minimize: {max_iter: 8}
+minimize: {max_iter: 8, initial_step: 16}
 diagnostics: {injectivity: false, degree_points: 0, residual_fields: 0}
 output_dir: "%s"
 """
@@ -374,6 +374,16 @@ seed: 3
             main(["degree", str(cfg), "--point", value, "0", "0"])
         assert exc.value.code == 2
         assert f"--point must be finite, got {value} 0.0 0.0" in capsys.readouterr().err
+        assert not (out / "degree.csv").exists()
+
+    @pytest.mark.parametrize("value,shown", [("-inf", "-inf"), ("-nan", "nan")])
+    def test_degree_negative_nonfinite_point_exit_2(self, tmp_path, capsys, value, shown):
+        # argparse reads "-inf" as an option flag unless it is kept a value.
+        cfg, out = write_config(tmp_path, MINIMAL_PLANE)
+        with pytest.raises(SystemExit) as exc:
+            main(["degree", str(cfg), "--point", "0", value, "0"])
+        assert exc.value.code == 2
+        assert f"--point must be finite, got 0.0 {shown} 0.0" in capsys.readouterr().err
         assert not (out / "degree.csv").exists()
 
     def test_residual_initial_config(self, tmp_path, capsys):
