@@ -15,8 +15,8 @@ import numpy as np
 
 from .constitutive import _spectral_batch, pk1_batch
 from .discretization import (
+    _element_kinematics,
     deformation_gradients,
-    oriented_area_ratios,
     trial_energy,
 )
 from .errors import (
@@ -49,13 +49,8 @@ _SWEEP_BLOCK = 128
 _TEST_DIRECTIONS = 3
 
 
-def _bump_mass_constant():
-    """integral over [0, 1) of exp(-1/(1-s^2)) s ds, by substitution u = 1-s^2."""
-    u = np.linspace(1e-12, 1.0, 200_001)
-    return 0.5 * float(np.trapezoid(np.exp(-1.0 / u), u))
-
-
-_BUMP_C0 = _bump_mass_constant()
+# integral over [0, 1) of exp(-1/(1-s^2)) s ds (a test re-derives it by quadrature).
+_BUMP_C0 = 0.07424775338834423
 
 
 def _bump(dist, radius):
@@ -91,10 +86,16 @@ def _segment_distances(point, starts, ends):
 
 
 class _Image:
-    """What every degree target reads of one configuration, computed once."""
+    """What every degree target reads of one configuration, on any surface.
 
-    def __init__(self, surface, mesh, positions):
-        P = positions[mesh.triangles]                   # (m, 3, 3)
+    Only mesh- and positions-derived arrays live here; ``_image_of`` keeps
+    the last one and builds a new one when the mesh or the positions differ.
+    """
+
+    def __init__(self, mesh, positions):
+        self.mesh = mesh
+        self.positions = np.array(positions, dtype=float)   # private copy
+        P = self.positions[mesh.triangles]              # (m, 3, 3)
         edges = np.stack(
             [
                 P[:, 1] - P[:, 0],
@@ -104,13 +105,11 @@ class _Image:
             axis=1,
         )
         edge_len = np.linalg.norm(edges, axis=2)
-        self.P = P
         self.diam = edge_len.max(axis=1)
         self.mean_edge = float(np.mean(edge_len))
-        self.signs = np.sign(oriented_area_ratios(mesh, surface, positions)).astype(int)
         self.boundary = []                              # (starts, ends) per loop
         for loop in mesh.boundary_loops:
-            pts = positions[np.asarray(loop)]
+            pts = self.positions[np.asarray(loop)]
             self.boundary.append((pts, np.roll(pts, -1, axis=0)))
 
     def boundary_distance(self, y):
@@ -118,6 +117,22 @@ class _Image:
             (float(np.min(_segment_distances(y, s, e))) for s, e in self.boundary),
             default=np.inf,
         )
+
+
+_last_image = None
+
+
+def _image_of(mesh, positions):
+    """The _Image of (mesh, positions): the last one built when it matches."""
+    global _last_image
+    image = _last_image
+    if (
+        image is None
+        or image.mesh is not mesh
+        or not np.array_equal(image.positions, positions)
+    ):
+        image = _last_image = _Image(mesh, positions)
+    return image
 
 
 def _point_in_triangles(w, tri_uv, edge_eps):
@@ -180,6 +195,13 @@ def _distances(tris, w):
     return np.sqrt(d[0] * d[0] + d[1] * d[1])
 
 
+def _signed_areas(tris):
+    """Signed areas of triangles stored by corner."""
+    e1 = tris[1] - tris[0]
+    e2 = tris[2] - tris[0]
+    return 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
+
+
 def brouwer_degree(
     surface,
     mesh,
@@ -191,9 +213,11 @@ def brouwer_degree(
     """Degree of the nodal map at on-surface point(s) y, by two methods.
 
     ``y`` is one point (3,), giving one DegreeResult, or a batch (k, 3),
-    giving a list of k results equal to those of k single calls; a batch
-    shares the per-configuration work (edge lengths, orientation signs,
-    boundary segments) between its targets.
+    giving a list of k results equal to those of k single calls.  The
+    per-configuration work (edge lengths, boundary segments) is done once
+    and reused by later calls on the same mesh object and equal positions,
+    so a batch and a loop of single calls cost the same; each target then
+    pays only for the elements near it.
 
     The signed cover count sums the orientation signs of the elements whose
     chart image contains the chart coordinates of y (exact for PL maps); the
@@ -206,9 +230,16 @@ def brouwer_degree(
     below the boundary margin (the degree is locally constant there), and
     with ``nudge=False`` such targets raise IrregularValueError.  In a batch,
     the first target that fails raises, naming its index and point.
+    ``mollifier_radius``, when given, must be finite and positive.
     """
+    if mollifier_radius is not None and not (
+        np.isfinite(mollifier_radius) and mollifier_radius > 0
+    ):
+        raise ValueError(
+            f"mollifier_radius must be finite and positive, got {mollifier_radius!r}"
+        )
     ys, single = _as_points(y)
-    image = _Image(surface, mesh, positions)
+    image = _image_of(mesh, positions)
     results = []
     for k, target in enumerate(ys):
         try:
@@ -232,8 +263,9 @@ def _degree_at(surface, image, y, mollifier_radius, nudge):
             f"target point is {bdist:.3e} from the boundary image "
             f"(margin {DEGREE_MARGIN:.1e})"
         )
-    P, diam, mean_edge = image.P, image.diam, image.mean_edge
-    vert_dist = np.linalg.norm(P - y, axis=2).min(axis=1)
+    diam, mean_edge = image.diam, image.mean_edge
+    triangles = image.mesh.triangles
+    vert_dist = np.linalg.norm(image.positions - y, axis=1)[triangles].min(axis=1)
 
     # Bump radius: a few image edges, clamped inside the boundary clearance
     # (where the degree is constant) and the chart's validity radius.
@@ -247,10 +279,9 @@ def _degree_at(surface, image, y, mollifier_radius, nudge):
 
     reach = diam + 1.6 * radius + mean_edge
     near_idx = np.nonzero(vert_dist <= reach)[0]
+    P = image.positions[triangles[near_idx]]            # (k, 3, 3) near corners
     chart = surface.chart_at(y)
-    ok = (
-        chart.contains(P[near_idx].reshape(-1, 3)).reshape(-1, 3).all(axis=1)
-    )
+    ok = chart.contains(P.reshape(-1, 3)).reshape(-1, 3).all(axis=1)
     if not np.all(ok):
         # Elements beyond the chart's validity contribute only if their
         # image can reach the bump support; those that provably cannot are
@@ -261,7 +292,7 @@ def _degree_at(surface, image, y, mollifier_radius, nudge):
                 "elements near the target point exceed the chart's validity "
                 "radius; the mesh is too coarse for a chart-local degree here"
             )
-        near_idx = near_idx[ok]
+        near_idx, P = near_idx[ok], P[ok]
     if near_idx.size == 0:
         return DegreeResult(
             target_point=y,
@@ -270,10 +301,9 @@ def _degree_at(surface, image, y, mollifier_radius, nudge):
             mollifier_radius=radius,
             methods_agree=True,
         )
-    uv = chart.inverse_map(P[near_idx].reshape(-1, 3)).reshape(-1, 3, 2)
+    uv = chart.inverse_map(P.reshape(-1, 3)).reshape(-1, 3, 2)
     w = chart.inverse_map(y)[0]
 
-    signs = image.signs[near_idx]
     local_scale = float(np.median(np.linalg.norm(uv[:, 1] - uv[:, 0], axis=1)))
     offset = local_scale * 1e-7 * np.array([np.cos(0.7), np.sin(0.7)])
     shift = np.zeros(2)
@@ -285,23 +315,37 @@ def _degree_at(surface, image, y, mollifier_radius, nudge):
             if not nudge or attempt == 3:
                 raise
             shift = offset * 2.0**attempt
-    count = int(np.sum(signs[inside]))
+    # Orientation signs of the covering elements only.
+    J = _element_kinematics(surface, P[inside], image.mesh.shape_grads[near_idx[inside]])[1]
+    count = int(np.sum(np.sign(J).astype(int)))
 
     # Mollified integral over the signed chart image.  A midpoint split
     # halves the sub-triangle width; past three splits only sub-triangles
     # that can reach the bump support are split again (the others add 0).
+    # Every sub-triangle centroid lies within its element's longest side of
+    # the element centroid, so an element farther than radius + that side
+    # + size from w adds 0 and is never split again: it is dropped first.
     tris = np.ascontiguousarray(uv.transpose(1, 2, 0))
+    sides = np.linalg.norm(uv - np.roll(uv, 1, axis=1), axis=2)
+    size = float(np.max(sides)) / 8
+    far = _distances(tris, w) > radius + sides.max(axis=1) + size
+    kept = tris[:, :, ~far]
     for _ in range(3):
-        tris = _subdivide(tris)
-    size = float(np.max(np.linalg.norm(uv - np.roll(uv, 1, axis=1), axis=2))) / 8
+        kept = _subdivide(kept)
+    split_again = size > radius
     while size > radius:
-        tris = _subdivide(tris[:, :, _distances(tris, w) <= radius + size])
+        kept = _subdivide(kept[:, :, _distances(kept, w) <= radius + size])
         size /= 2
-    e1 = tris[1] - tris[0]
-    e2 = tris[2] - tris[0]
-    signed_area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-    dist = _distances(tris, w)
-    integral = float(np.sum(signed_area * _bump(dist, radius)))
+    products = _signed_areas(kept) * _bump(_distances(kept, w), radius)
+    if far.any() and not split_again:
+        # Back into the unpruned layout (child j of element t at column
+        # j * k + t), so np.sum adds in the same order; a dropped element's
+        # 64 children each add a zero of its orientation's sign.
+        full = np.empty((64, len(far)))
+        full[:, far] = np.copysign(0.0, _signed_areas(tris[:, :, far]))
+        full[:, ~far] = products.reshape(64, -1)
+        products = full.ravel()
+    integral = float(np.sum(products))
 
     return DegreeResult(
         target_point=y,

@@ -46,21 +46,21 @@ def interpolate(surface, mesh, f0):
 
 def deformation_gradients(mesh: TriMesh, positions):
     """Constant per-element gradients F_t = sum_i y_i (x) g_i, shape (m, 3, 2)."""
-    return _element_gradients(mesh, np.take(positions, mesh.triangles, axis=0))
+    return _element_gradients(np.take(positions, mesh.triangles, axis=0), mesh.shape_grads)
 
 
-def _element_gradients(mesh, Y):
-    """F from the (m, 3verts, 3) corner positions: F_t = Y_t^T G_t."""
-    return np.matmul(np.swapaxes(Y, 1, 2), mesh.shape_grads)
+def _element_gradients(Y, G):
+    """F from corner positions Y (k, 3verts, 3) and shape gradients G: F_t = Y_t^T G_t."""
+    return np.matmul(np.swapaxes(Y, 1, 2), G)
 
 
-def _kinematics(mesh, surface, positions):
-    """Per-element gradients F (m, 3, 2) and oriented area ratios J (m,).
+def _element_kinematics(surface, Y, G):
+    """Gradients F (k, 3, 2) and oriented area ratios J (k,) of the elements
+    with corner positions Y (k, 3verts, 3) and shape gradients G (k, 3verts, 2).
 
     J_t = n(projected centroid) . (F e1 x F e2).
     """
-    Y = np.take(positions, mesh.triangles, axis=0)  # (m, 3verts, 3)
-    F = _element_gradients(mesh, Y)
+    F = _element_gradients(Y, G)
     centroids = (Y[:, 0] + Y[:, 1] + Y[:, 2]) / 3.0
     n = surface.normal_unchecked(surface.project(centroids))
     a, b = F[..., 0], F[..., 1]
@@ -70,6 +70,12 @@ def _kinematics(mesh, surface, positions):
         + n[:, 2] * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
     )
     return F, J
+
+
+def _kinematics(mesh, surface, positions):
+    """F (m, 3, 2) and J (m,) of every element of the configuration."""
+    Y = np.take(positions, mesh.triangles, axis=0)
+    return _element_kinematics(surface, Y, mesh.shape_grads)
 
 
 def oriented_area_ratios(mesh: TriMesh, surface, positions):

@@ -1,3 +1,5 @@
+import copy
+import math
 import re
 
 import numpy as np
@@ -7,6 +9,8 @@ from memsurf import (
     BoundaryTooCloseError,
     ChartSpanFailureError,
     IrregularValueError,
+    MemsurfError,
+    Sphere,
     boundary_winding,
     brouwer_degree,
     build_mesh,
@@ -15,7 +19,20 @@ from memsurf import (
     interpolate,
     minimize,
 )
-from memsurf.diagnostics import OVERLAP_AREA_TOL, _triangle_overlap_area
+from memsurf import diagnostics
+from memsurf.diagnostics import (
+    _BUMP_C0,
+    DEGREE_MARGIN,
+    OVERLAP_AREA_TOL,
+    DegreeResult,
+    _bump,
+    _distances,
+    _point_in_triangles,
+    _segment_distances,
+    _subdivide,
+    _triangle_overlap_area,
+)
+from memsurf.discretization import oriented_area_ratios
 from memsurf.maps import make_initial_map
 from memsurf.mesh import TriMesh
 
@@ -215,6 +232,168 @@ class TestDegree:
             brouwer_degree(plane, mesh, cfg, targets[[0, 3, 1]], nudge=False)
 
 
+def _reference_degree(surface, mesh, positions, y, mollifier_radius=None, nudge=True):
+    """The degree of one target as computed before the per-target pruning.
+
+    Orientation signs of every element, the mesh-wide vertex distances from
+    the corner array, and the three midpoint splits of every near element
+    before any is dropped; nothing is shared with an earlier call.
+    """
+    P = positions[mesh.triangles]
+    edges = np.stack([P[:, 1] - P[:, 0], P[:, 2] - P[:, 1], P[:, 0] - P[:, 2]], axis=1)
+    edge_len = np.linalg.norm(edges, axis=2)
+    diam = edge_len.max(axis=1)
+    mean_edge = float(np.mean(edge_len))
+    signs = np.sign(oriented_area_ratios(mesh, surface, positions)).astype(int)
+    bdist = min(
+        float(np.min(_segment_distances(y, pts, np.roll(pts, -1, axis=0))))
+        for pts in (positions[np.asarray(loop)] for loop in mesh.boundary_loops)
+    )
+    if bdist < DEGREE_MARGIN:
+        raise BoundaryTooCloseError("too close")
+    vert_dist = np.linalg.norm(P - y, axis=2).min(axis=1)
+    if mollifier_radius is None:
+        radius = min(3.0 * mean_edge, 0.9 * bdist)
+        if np.isfinite(surface.chart_radius):
+            radius = min(radius, 0.25 * surface.chart_radius)
+    else:
+        radius = float(mollifier_radius)
+    near_idx = np.nonzero(vert_dist <= diam + 1.6 * radius + mean_edge)[0]
+    chart = surface.chart_at(y)
+    ok = chart.contains(P[near_idx].reshape(-1, 3)).reshape(-1, 3).all(axis=1)
+    if not np.all(ok):
+        bad = near_idx[~ok]
+        if np.any(vert_dist[bad] <= diam[bad] + 1.3 * radius):
+            raise ChartSpanFailureError("chart span")
+        near_idx = near_idx[ok]
+    if near_idx.size == 0:
+        return DegreeResult(y, 0, 0.0, radius, True)
+    uv = chart.inverse_map(P[near_idx].reshape(-1, 3)).reshape(-1, 3, 2)
+    w = chart.inverse_map(y)[0]
+    local_scale = float(np.median(np.linalg.norm(uv[:, 1] - uv[:, 0], axis=1)))
+    offset = local_scale * 1e-7 * np.array([np.cos(0.7), np.sin(0.7)])
+    shift = np.zeros(2)
+    for attempt in range(4):
+        try:
+            inside = _point_in_triangles(w + shift, uv, edge_eps=1e-12)
+            break
+        except IrregularValueError:
+            if not nudge or attempt == 3:
+                raise
+            shift = offset * 2.0**attempt
+    count = int(np.sum(signs[near_idx][inside]))
+    tris = np.ascontiguousarray(uv.transpose(1, 2, 0))
+    for _ in range(3):
+        tris = _subdivide(tris)
+    size = float(np.max(np.linalg.norm(uv - np.roll(uv, 1, axis=1), axis=2))) / 8
+    while size > radius:
+        tris = _subdivide(tris[:, :, _distances(tris, w) <= radius + size])
+        size /= 2
+    e1 = tris[1] - tris[0]
+    e2 = tris[2] - tris[0]
+    signed_area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
+    integral = float(np.sum(signed_area * _bump(_distances(tris, w), radius)))
+    return DegreeResult(y, count, integral, radius, bool(abs(integral - count) < 0.5))
+
+
+def _outcome(compute, *args, **kwargs):
+    """A degree result as comparable values (the integral by its bits), or the error type."""
+    try:
+        res = compute(*args, **kwargs)
+    except MemsurfError as exc:
+        return type(exc)
+    return res.degree, res.mollified_integral.hex(), res.methods_agree, res.mollifier_radius
+
+
+def _assert_as_reference(surface, mesh, cfg, targets, **kwargs):
+    for y in targets:
+        assert _outcome(brouwer_degree, surface, mesh, cfg, y, **kwargs) == _outcome(
+            _reference_degree, surface, mesh, cfg, y, **kwargs
+        )
+
+
+class TestDegreeEquivalence:
+    """The pruned, memoized degree is bit for bit the whole-mesh computation."""
+
+    def test_sphere_cap_targets(self, sphere, cap_targets):
+        mesh, cfg, targets = cap_targets
+        _assert_as_reference(sphere, mesh, cfg, targets)
+        _assert_as_reference(sphere, mesh, cfg, targets, mollifier_radius=0.02)
+
+    def test_plane_suite(self, plane, plane_suite):
+        for mesh, cfg, targets, _ in plane_suite:
+            _assert_as_reference(plane, mesh, cfg, targets)
+
+    def test_extra_splits_and_errors(self, plane, sphere, disk_identity, cap_targets, monkeypatch):
+        splits = []
+        subdivide = diagnostics._subdivide
+
+        def counted(tris):
+            splits.append(tris.shape[2])
+            return subdivide(tris)
+
+        mesh, cfg = disk_identity
+        loop = mesh.boundary_loops[0]
+        a, b = cfg[loop[0]], cfg[loop[1]]
+        d = b - a
+        inward = np.array([-d[1], d[0], 0.0]) / np.linalg.norm(d)
+        near_boundary = [0.5 * (a + b) + gap * inward for gap in (1e-3, 1e-5, 2e-6, 0.0)]
+        monkeypatch.setattr(diagnostics, "_subdivide", counted)
+        brouwer_degree(plane, mesh, cfg, near_boundary[0])
+        assert len(splits) > 3           # the bump is narrower than the sub-triangles
+        _assert_as_reference(plane, mesh, cfg, near_boundary)
+        _assert_as_reference(plane, mesh, cfg, [np.zeros(3)], nudge=False)
+        cap_mesh, cap_cfg, targets = cap_targets
+        splits.clear()
+        brouwer_degree(sphere, cap_mesh, cap_cfg, targets[0], mollifier_radius=0.005)
+        assert len(splits) > 3
+        _assert_as_reference(sphere, cap_mesh, cap_cfg, targets, mollifier_radius=0.005)
+
+
+class TestDegreeMemo:
+    """A single call after another on a changed configuration sees the change."""
+
+    def test_positions_edited_in_place(self, plane, disk_identity):
+        mesh, base = disk_identity
+        cfg = base.copy()
+        y = np.array([0.3, 0.2, 0.0])
+        before = brouwer_degree(plane, mesh, cfg, y)
+        interior = mesh.interior_mask()
+        cfg[interior, :2] += 0.01 * np.random.default_rng(23).standard_normal(
+            (int(interior.sum()), 2)
+        )
+        after = _outcome(brouwer_degree, plane, mesh, cfg, y)
+        assert after == _outcome(_reference_degree, plane, mesh, cfg, y)
+        assert after[1] != before.mollified_integral.hex()
+
+    def test_equal_mesh_copy(self, sphere, cap_targets):
+        mesh, cfg, targets = cap_targets
+        brouwer_degree(sphere, mesh, cfg, targets[0])
+        _assert_as_reference(sphere, copy.deepcopy(mesh), cfg.copy(), targets[:3])
+
+    def test_flipped_orientation_flips_degree(self, sphere, cap_targets):
+        mesh, cfg, targets = cap_targets
+        flipped = Sphere(sphere.radius, orientation_sign=-1)
+        for y in targets[:3]:
+            up = brouwer_degree(sphere, mesh, cfg, y)
+            down = _outcome(brouwer_degree, flipped, mesh, cfg, y)
+            assert down == _outcome(_reference_degree, flipped, mesh, cfg, y)
+            assert down[0] == -up.degree == -1
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.1, np.nan, np.inf])
+def test_bad_mollifier_radius_raises(plane, disk_identity, radius):
+    mesh, cfg = disk_identity
+    with pytest.raises(ValueError, match=f"mollifier_radius .* got {radius!r}"):
+        brouwer_degree(plane, mesh, cfg, np.array([0.3, 0.2, 0.0]), mollifier_radius=radius)
+
+
+def test_bump_mass_constant_matches_quadrature():
+    # integral over [0, 1) of exp(-1/(1-s^2)) s ds, by substitution u = 1-s^2.
+    u = np.linspace(1e-12, 1.0, 200_001)
+    c0 = 0.5 * float(np.trapezoid(np.exp(-1.0 / u), u))
+    assert abs(_BUMP_C0 - c0) <= math.ulp(c0)
+
 def _reference_overlaps(surface, mesh, cfg):
     """Brute-force injectivity scan: (checked pairs, {(i, j): overlap area}).
 
@@ -380,8 +559,6 @@ class TestInjectivity:
         assert rep.total_overlap_area <= 1e-12
 
     def test_image_area_additivity_for_injective_affine(self, model, plane):
-        from memsurf.discretization import oriented_area_ratios
-
         mesh = build_mesh("unit_square", 0.1)
         A = np.array([[1.1, 0.2], [0.0, 0.9]])
         cfg = interpolate(plane, mesh, make_initial_map(plane, "affine", matrix=A))
@@ -390,8 +567,6 @@ class TestInjectivity:
         assert image_area == pytest.approx(abs(np.linalg.det(A)), abs=1e-8)
 
     def test_folded_map_double_counts_area(self, model, plane):
-        from memsurf.discretization import oriented_area_ratios
-
         mesh = build_mesh("unit_square", 0.1)
 
         def fold(x):
