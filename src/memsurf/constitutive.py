@@ -13,7 +13,9 @@ indifferent and isotropic by construction.  Each quantity has one batch
 entry point over (n, 3, 2) gradients: ``energy_density_batch`` for W (with
 the rank check), ``phi_split_batch`` for Phi(F, J) and ``pk1_batch`` for
 the first Piola-Kirchhoff stress; ``IsotropicModel.scaled_stress_coefficients``
-gives the principal Kirchhoff stresses.
+gives the principal Kirchhoff stresses.  The two energy entry points need
+only the stretches (``_stretches``); the stress also needs the principal
+directions (``_spectral_batch``).
 """
 
 from __future__ import annotations
@@ -215,13 +217,12 @@ class IsotropicModel:
         return cls(**kwargs)
 
 
-def _spectral_batch(F):
-    """Closed-form spectral data of a batch of 3x2 matrices.
+def _principal_parts(F):
+    """Principal stretches of a batch of 3x2 matrices, with the C entries.
 
-    Returns (l1, l2, r1, r2, d1, d2) with l1 >= l2 >= 0.  The small
-    eigenvalue is computed as det(C)/e1 to avoid cancellation; at repeated
-    stretches the right pair defaults to the coordinate axes (any orthonormal
-    pair is valid there).
+    Returns (l1, l2, a, b, c12, diff, rad, e1): l1 >= l2 >= 0, the columns
+    a, b of F and the pieces of C = F^T F the eigenvectors are built from.
+    The small eigenvalue is computed as det(C)/e1 to avoid cancellation.
     """
     F = np.asarray(F, dtype=float)
     a, b = F[..., 0], F[..., 1]
@@ -237,7 +238,22 @@ def _spectral_batch(F):
     e2 = np.clip(det / safe_e1, 0.0, None)
     l1 = np.sqrt(np.clip(e1, 0.0, None))
     l2 = np.sqrt(e2)
+    return l1, l2, a, b, c12, diff, rad, e1
 
+
+def _stretches(F):
+    """(l1, l2) of ``_spectral_batch`` without the eigenvectors, same bits."""
+    return _principal_parts(F)[:2]
+
+
+def _spectral_batch(F):
+    """Closed-form spectral data of a batch of 3x2 matrices.
+
+    Returns (l1, l2, r1, r2, d1, d2) with l1 >= l2 >= 0 (``_principal_parts``);
+    at repeated stretches the right pair defaults to the coordinate axes (any
+    orthonormal pair is valid there).
+    """
+    l1, l2, a, b, c12, diff, rad, e1 = _principal_parts(F)
     repeated = rad <= REPEATED_STRETCH_REL * np.maximum(e1, 1e-300)
     # Eigenvector (vx, vy) of C for e1, branch chosen for conditioning.
     major = diff >= 0
@@ -267,7 +283,7 @@ def _check_rank(l1, l2):
 
 def energy_density_batch(model, F):
     """Vectorized stored energy over a (n, 3, 2) batch."""
-    l1, l2, *_ = _spectral_batch(F)
+    l1, l2 = _stretches(F)
     _check_rank(l1, l2)
     return model.energy_from_stretches(l1, l2)
 
@@ -293,7 +309,7 @@ def phi_split_batch(model, F, J):
     """Vectorized Phi(F, J) over batches; F may be rank deficient here."""
     F = np.asarray(F, dtype=float)
     J = np.asarray(J, dtype=float)
-    if np.any(J <= 0):
+    if not np.all(J > 0):
         raise NonpositiveJError("Phi(F, J) requires J > 0")
-    l1, l2, *_ = _spectral_batch(F)
+    l1, l2 = _stretches(F)
     return model.phi(l1, l2, J)

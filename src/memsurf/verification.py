@@ -180,64 +180,87 @@ def shear_over_j_squared(F, J):
     return np.einsum("nij,nij->n", F, F) / J**2
 
 
-def check_midpoint_convexity(phi, n, seed):
-    """Sampled convexity of a (F, J) functional along random segments.
+def _convexity_sweep(n, seed, *phis):
+    """One split-convexity report per functional, all on one segment draw.
 
-    ``phi`` maps ((k, 3, 2), (k,)) batches to (k,) values.  Every pair is
-    tested at the midpoint and at ``WEIGHTS_PER_PAIR`` random convex weights;
-    an excess above the rounding slack 1e-10 (1 + phi1 + phi2) counts as a
-    violation.
+    Every functional is evaluated on the same (F, J) pairs and the same
+    convex combinations of them: the midpoint and ``WEIGHTS_PER_PAIR``
+    random weights.  An excess above the rounding slack 1e-10 (1 + phi1 +
+    phi2) counts as a violation; a non-finite excess makes the worst
+    violation NaN, which fails the check and its negative control.
     """
     rng = np.random.default_rng(seed)
     F1, J1 = _sample_fj_pairs(rng, n)
     F2, J2 = _sample_fj_pairs(rng, n)
-    p1 = np.asarray(phi(F1, J1))
-    p2 = np.asarray(phi(F2, J2))
-    slack = CONVEXITY_SLACK * (1.0 + p1 + p2)
+    ends = []
+    for phi in phis:
+        p1 = np.asarray(phi(F1, J1))
+        p2 = np.asarray(phi(F2, J2))
+        ends.append((p1, p2, CONVEXITY_SLACK * (1.0 + p1 + p2)))
     weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, WEIGHTS_PER_PAIR)])
-    worst = -np.inf
-    witness = {}
-    violations = 0
+    worst = [-np.inf] * len(phis)
+    witness = [{}] * len(phis)
+    violations = [0] * len(phis)
     for w in weights:
         Fm = w * F1 + (1.0 - w) * F2
         Jm = w * J1 + (1.0 - w) * J2
-        excess = np.asarray(phi(Fm, Jm)) - (w * p1 + (1.0 - w) * p2) - slack
-        violations += int(np.count_nonzero(excess > 0))
-        i = int(np.argmax(excess))
-        if excess[i] > worst:
-            worst = float(excess[i])
-            witness = {
-                "F1": F1[i].tolist(),
-                "J1": float(J1[i]),
-                "F2": F2[i].tolist(),
-                "J2": float(J2[i]),
-                "weight": float(w),
-                "excess": float(excess[i]),
-            }
-    return CheckReport(
-        check_name="split_convexity",
-        samples=n,
-        seed=seed,
-        tolerance=0.0,
-        worst_violation=worst,
-        worst_witness=witness,
-        details={"violations": violations, "weights_per_pair": WEIGHTS_PER_PAIR},
-    )
+        for k, (phi, (p1, p2, slack)) in enumerate(zip(phis, ends)):
+            excess = np.asarray(phi(Fm, Jm)) - (w * p1 + (1.0 - w) * p2) - slack
+            violations[k] += int(np.count_nonzero(excess > 0))
+            nonfinite = np.flatnonzero(~np.isfinite(excess))
+            i = int(nonfinite[0]) if nonfinite.size else int(np.argmax(excess))
+            value = math.nan if nonfinite.size else float(excess[i])
+            # Once NaN, always NaN: no later finite excess can clear it.
+            if not math.isnan(worst[k]) and not value <= worst[k]:
+                worst[k] = value
+                witness[k] = {
+                    "F1": F1[i].tolist(),
+                    "J1": float(J1[i]),
+                    "F2": F2[i].tolist(),
+                    "J2": float(J2[i]),
+                    "weight": float(w),
+                    "excess": float(excess[i]),
+                }
+    return [
+        CheckReport(
+            check_name="split_convexity",
+            samples=n,
+            seed=seed,
+            tolerance=0.0,
+            worst_violation=worst[k],
+            worst_witness=witness[k],
+            details={"violations": violations[k], "weights_per_pair": WEIGHTS_PER_PAIR},
+        )
+        for k in range(len(phis))
+    ]
 
 
-def check_negative_control(n, seed):
-    """(F.F)/J^2 must exhibit at least one midpoint-convexity violation."""
-    inner = check_midpoint_convexity(shear_over_j_squared, n=n, seed=seed)
+def _negative_control(inner):
+    """The control's report from the convexity report of (F.F)/J^2."""
     return CheckReport(
         check_name="split_convexity_negative_control",
-        samples=n,
-        seed=seed,
+        samples=inner.samples,
+        seed=inner.seed,
         tolerance=0.0,
         # Negative of the best excess: passing means a violation was found.
         worst_violation=-inner.worst_violation,
         worst_witness=inner.worst_witness,
         details={"violations": inner.details["violations"]},
     )
+
+
+def check_midpoint_convexity(phi, n, seed):
+    """Sampled convexity of a (F, J) functional along random segments.
+
+    ``phi`` maps ((k, 3, 2), (k,)) batches to (k,) values; see
+    ``_convexity_sweep`` for the samples and the slack.
+    """
+    return _convexity_sweep(n, seed, phi)[0]
+
+
+def check_negative_control(n, seed):
+    """(F.F)/J^2 must exhibit at least one midpoint-convexity violation."""
+    return _negative_control(_convexity_sweep(n, seed, shear_over_j_squared)[0])
 
 
 @dataclass(frozen=True)
@@ -460,11 +483,15 @@ def run_all_checks(
     def phi_model(F, J):
         return phi_split_batch(model, F, J)
 
+    # The convexity check and its negative control share one segment draw.
+    split, control = _convexity_sweep(
+        convexity_samples, seed + 2, phi_model, shear_over_j_squared
+    )
     return [
         check_objectivity(model, n=rotation_samples, seed=seed),
         check_isotropy(model, n=rotation_samples, seed=seed + 1),
-        check_midpoint_convexity(phi_model, n=convexity_samples, seed=seed + 2),
-        check_negative_control(n=convexity_samples, seed=seed + 2),
+        split,
+        _negative_control(control),
         check_rank_one(model, seed=seed),
         check_stress_growth(model, n=stress_growth_samples, seed=seed + 3),
         check_perturbed_stress_bound(model, delta=perturbation_delta, n=perturbation_samples, seed=seed + 4),

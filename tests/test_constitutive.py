@@ -12,6 +12,7 @@ from memsurf import (
 )
 from memsurf.constitutive import (
     _spectral_batch,
+    _stretches,
     energy_density_batch,
     phi_split_batch,
     pk1_batch,
@@ -82,6 +83,35 @@ class TestStretches:
         np.testing.assert_allclose(
             l1**2 + l2**2, np.trace(C, axis1=1, axis2=2), rtol=1e-12
         )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stretches_bitwise_equal_spectral(self, seed):
+        """The energy-only path gives the bits of the full spectral path."""
+        rng = np.random.default_rng(seed)
+        n = 500
+        U = np.linalg.qr(rng.standard_normal((n, 3, 3)))[0][:, :, :2]
+        V = np.linalg.qr(rng.standard_normal((n, 2, 2)))[0]
+        # Stretches 1e-4 to 1e4 apart, equal ones on random frames and
+        # exactly repeated ones on the coordinate axes.
+        lam = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), (n, 2)))
+        wide = np.einsum("nik,nk,njk->nij", U, lam, V)
+        equal = np.einsum("nik,n,njk->nij", U, lam[:, 0], V)
+        axes = np.zeros((n, 3, 2))
+        axes[:, 0, 0] = axes[:, 1, 1] = lam[:, 1]
+        axes[1::2] *= -1.0
+        rank_one = np.einsum(
+            "ni,nj->nij", rng.standard_normal((n, 3)), rng.standard_normal((n, 2))
+        )
+        F = np.concatenate(
+            [rng.standard_normal((n, 3, 2)), np.zeros((n, 3, 2)), rank_one, wide, equal, axes]
+        )
+        F = F[rng.permutation(len(F))]
+        spectral = _spectral_batch(F)
+        for got, want in zip(_stretches(F), spectral[:2]):
+            assert got.tobytes() == want.tobytes()
+        # The sample does reach the exactly repeated and the zero branches.
+        assert np.any(spectral[0] == spectral[1])
+        assert np.any(spectral[0] == 0.0)
 
     def test_rank_deficient_raises(self, model):
         with pytest.raises(RankDeficientError):
@@ -231,6 +261,11 @@ class TestPhiSplit:
             phi_split_batch(model, F_IDENTITY[None], np.zeros(1))
         with pytest.raises(NonpositiveJError):
             phi_split_batch(model, F_IDENTITY[None], -np.ones(1))
+
+    def test_nan_j_raises(self, model):
+        F = np.repeat(F_IDENTITY[None], 2, axis=0)
+        with pytest.raises(NonpositiveJError, match=r"^Phi\(F, J\) requires J > 0$"):
+            phi_split_batch(model, F, [np.nan, 1.0])
 
 
 class TestThetaModel:

@@ -18,8 +18,20 @@ from memsurf import (
     rank_one_counterexample,
     run_all_checks,
 )
+from memsurf import verification
 from memsurf.constitutive import energy_density_batch, phi_split_batch
 from memsurf.verification import shear_over_j, shear_over_j_squared
+
+
+def all_nan(F, J):
+    return np.full(len(J), np.nan)
+
+
+def half_nan_nonconvex(F, J):
+    """The non-convex negative-control functional, NaN on every other sample."""
+    out = shear_over_j_squared(F, J)
+    out[::2] = np.nan
+    return out
 
 
 class TestObjectivityIsotropy:
@@ -68,6 +80,20 @@ class TestMidpointConvexity:
         )
         assert rep.passed
         assert rep.details["violations"] == 0
+
+    @pytest.mark.parametrize("phi", [all_nan, half_nan_nonconvex])
+    def test_nan_functional_fails(self, phi):
+        rep = check_midpoint_convexity(phi, n=1000, seed=0)
+        assert np.isnan(rep.worst_violation)
+        assert not rep.passed
+        assert "passed: false" in rep.to_text()
+
+    @pytest.mark.parametrize("phi", [all_nan, half_nan_nonconvex])
+    def test_nan_negative_control_fails(self, phi, monkeypatch):
+        monkeypatch.setattr(verification, "shear_over_j_squared", phi)
+        rep = check_negative_control(n=1000, seed=0)
+        assert np.isnan(rep.worst_violation)
+        assert not rep.passed
 
 
 class TestRankOne:
@@ -211,6 +237,15 @@ class TestReports:
         for rep in reps:
             assert rep.passed == (rep.worst_violation <= rep.tolerance)
             assert rep.passed
+
+    def test_battery_convexity_reports_equal_standalone(self, model):
+        """One shared segment draw gives the reports of the two separate checks."""
+        reps = run_all_checks(model, seed=42, convexity_samples=3000)
+        split = check_midpoint_convexity(
+            lambda F, J: phi_split_batch(model, F, J), n=3000, seed=44
+        )
+        assert reps[2].to_text() == split.to_text()
+        assert reps[3].to_text() == check_negative_control(n=3000, seed=44).to_text()
 
     def test_passed_derived_from_tolerance(self):
         def report(worst):
