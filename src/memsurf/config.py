@@ -13,6 +13,7 @@ import copy
 import hashlib
 import inspect
 import io
+import math
 from dataclasses import asdict, dataclass
 
 import yaml
@@ -173,9 +174,6 @@ class RunConfig:
     def diagnostics_params(self):
         return dict(self.data["diagnostics"])
 
-    def to_dict(self):
-        return self.data
-
     def serialize(self):
         return yaml.safe_dump(self.data, sort_keys=True, default_flow_style=False)
 
@@ -193,8 +191,8 @@ class RunConfig:
         model = self.model()
         self.minimize_options()
         resolution = self._kind_params("domain")[1].get("resolution")
-        if not _is_number(resolution) or resolution <= 0:
-            raise ConfigError("domain.resolution must be a positive number")
+        if not (_is_number(resolution) and 0 < resolution < math.inf):
+            raise ConfigError("domain.resolution must be a finite positive number")
         self.initial_map(surface)
         verify = self.data["verify"]
         for key, val in verify.items():

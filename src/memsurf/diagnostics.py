@@ -14,18 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import _spectral_batch, pk1_batch
-from .discretization import (
-    _element_kinematics,
-    deformation_gradients,
-    trial_energy,
-)
+from .discretization import _element_kinematics, _kinematics, trial_energy
 from .errors import (
     BoundaryTooCloseError,
     ChartSpanFailureError,
     IrregularValueError,
     MemsurfError,
 )
-from .geometry import _as_points, _orthonormal_frame, _unpack
+from .geometry import _orthonormal_frame
 
 __all__ = [
     "DegreeResult",
@@ -210,14 +206,12 @@ def brouwer_degree(
     mollifier_radius=None,
     nudge=True,
 ):
-    """Degree of the nodal map at on-surface point(s) y, by two methods.
+    """Degree of the nodal map at the on-surface point y (3,), by two methods.
 
-    ``y`` is one point (3,), giving one DegreeResult, or a batch (k, 3),
-    giving a list of k results equal to those of k single calls.  The
-    per-configuration work (edge lengths, boundary segments) is done once
-    and reused by later calls on the same mesh object and equal positions,
-    so a batch and a loop of single calls cost the same; each target then
-    pays only for the elements near it.
+    One call takes one target.  The per-configuration work (edge lengths,
+    boundary segments) is done once and reused by later calls on the same
+    mesh object and equal positions, so a loop of calls costs what a batch
+    would; each target then pays only for the elements near it.
 
     The signed cover count sums the orientation signs of the elements whose
     chart image contains the chart coordinates of y (exact for PL maps); the
@@ -228,8 +222,7 @@ def brouwer_degree(
     A target landing exactly on an image edge is irregular for the signed
     count; with ``nudge`` the count is taken at a deterministic offset far
     below the boundary margin (the degree is locally constant there), and
-    with ``nudge=False`` such targets raise IrregularValueError.  In a batch,
-    the first target that fails raises, naming its index and point.
+    with ``nudge=False`` such targets raise IrregularValueError.
     ``mollifier_radius``, when given, must be finite and positive.
     """
     if mollifier_radius is not None and not (
@@ -238,25 +231,13 @@ def brouwer_degree(
         raise ValueError(
             f"mollifier_radius must be finite and positive, got {mollifier_radius!r}"
         )
-    ys, single = _as_points(y)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (3,):
+        raise ValueError(
+            f"brouwer_degree takes one target point of shape (3,), got shape "
+            f"{y.shape}; call it once per target"
+        )
     image = _image_of(mesh, positions)
-    results = []
-    for k, target in enumerate(ys):
-        try:
-            results.append(
-                _degree_at(surface, image, target, mollifier_radius, nudge)
-            )
-        except (BoundaryTooCloseError, ChartSpanFailureError, IrregularValueError) as exc:
-            if single:
-                raise
-            raise type(exc)(
-                f"degree target {k} at {target.tolist()}: {exc}"
-            ) from exc
-    return _unpack(results, single)
-
-
-def _degree_at(surface, image, y, mollifier_radius, nudge):
-    """DegreeResult of one target; see ``brouwer_degree``."""
     bdist = image.boundary_distance(y)
     if bdist < DEGREE_MARGIN:
         raise BoundaryTooCloseError(
@@ -602,7 +583,7 @@ def first_variation_residual(model, surface, mesh, positions, family_size, seed)
     agree to rounding error.  Admissibility of the variation is spot-checked
     at tau = +/- 1e-3 (all elements keep positive orientation).
     """
-    F = deformation_gradients(mesh, positions)
+    F = _kinematics(mesh, surface, positions)[0]
     spectral = _spectral_batch(F)
     S = pk1_batch(model, F, spectral)
     area_ratio = spectral[0] * spectral[1]

@@ -37,30 +37,21 @@ def interpolate(surface, mesh, f0):
     if pos.shape != (mesh.num_vertices, 3):
         raise ValueError("initial map must return one 3-vector per vertex")
     d = np.atleast_1d(surface.distance(pos))
-    if np.any(d > surface.on_surface_tol):
+    if not np.all(d <= surface.on_surface_tol):
         raise OffSurfaceError(
             f"initial map leaves the surface by {float(np.max(d)):.3e}"
         )
     return pos
 
 
-def deformation_gradients(mesh: TriMesh, positions):
-    """Constant per-element gradients F_t = sum_i y_i (x) g_i, shape (m, 3, 2)."""
-    return _element_gradients(np.take(positions, mesh.triangles, axis=0), mesh.shape_grads)
-
-
-def _element_gradients(Y, G):
-    """F from corner positions Y (k, 3verts, 3) and shape gradients G: F_t = Y_t^T G_t."""
-    return np.matmul(np.swapaxes(Y, 1, 2), G)
-
-
 def _element_kinematics(surface, Y, G):
     """Gradients F (k, 3, 2) and oriented area ratios J (k,) of the elements
     with corner positions Y (k, 3verts, 3) and shape gradients G (k, 3verts, 2).
 
+    F_t = Y_t^T G_t = sum_i y_i (x) g_i and
     J_t = n(projected centroid) . (F e1 x F e2).
     """
-    F = _element_gradients(Y, G)
+    F = np.matmul(np.swapaxes(Y, 1, 2), G)
     centroids = (Y[:, 0] + Y[:, 1] + Y[:, 2]) / 3.0
     n = surface.normal_unchecked(surface.project(centroids))
     a, b = F[..., 0], F[..., 1]
@@ -98,7 +89,7 @@ def trial_energy(model, mesh, surface, positions, j_floor=J_FLOOR_DEFAULT):
     except (AmbiguousProjectionError, NoConvergenceError):
         return np.inf, np.nan, False, None, None
     min_j = float(np.min(J)) if J.size else np.inf
-    if min_j <= j_floor:
+    if not min_j > j_floor:
         return np.inf, min_j, False, F, None
     spectral = _spectral_batch(F)
     energy = float(np.sum(mesh.ref_area * model.energy_from_stretches(*spectral[:2])))

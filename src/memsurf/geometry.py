@@ -103,11 +103,6 @@ class Surface:
     def medial_tol(self):
         return 1e-3 * self.curvature_radius
 
-    @property
-    def normal_lipschitz(self):
-        """Upper bound for |n(y1)-n(y2)| / |y1-y2| at close range."""
-        return 1.0 / self.curvature_radius
-
     # -- core operations -----------------------------------------------------
     def distance(self, p):
         """Approximate unsigned distance to the surface."""
@@ -118,16 +113,11 @@ class Surface:
 
     def _require_on_surface(self, y):
         d = np.atleast_1d(self.distance(y))
-        if np.any(d > self.on_surface_tol):
+        if not np.all(d <= self.on_surface_tol):
             raise OffSurfaceError(
                 f"point at distance {float(np.max(d)):.3e} from {self.kind} "
                 f"surface exceeds tolerance {self.on_surface_tol:.3e}"
             )
-
-    def normal(self, y):
-        """Oriented unit normal at an on-surface point."""
-        self._require_on_surface(y)
-        return self.normal_unchecked(y)
 
     def normal_unchecked(self, p):
         """Oriented unit normal field extended to near-surface points."""
@@ -139,11 +129,6 @@ class Surface:
     def project(self, p):
         """Closest point on the surface (raises near the medial axis)."""
         raise NotImplementedError
-
-    def tangent_project(self, y, v):
-        """Project ambient vectors onto the tangent plane at on-surface y."""
-        self._require_on_surface(y)
-        return self.tangent_project_unchecked(y, v)
 
     def tangent_project_unchecked(self, y, v):
         """Tangent projection at near-surface y, one normal per point of y.
@@ -181,8 +166,10 @@ class Plane(Surface):
         super().__init__(orientation_sign)
         n = np.asarray(normal_dir, dtype=float)
         norm = np.linalg.norm(n)
-        if n.shape != (3,) or not norm > 0:
-            raise ValueError("plane normal_dir must be a nonzero 3-vector")
+        if n.shape != (3,) or not 0 < norm < np.inf:
+            raise ValueError("plane normal_dir must be a finite nonzero 3-vector")
+        if not np.isfinite(offset):
+            raise ValueError(f"plane offset must be finite, got {offset!r}")
         self._n = n / norm
         self.offset = float(offset)
         self.origin = self.offset * self._n
@@ -199,10 +186,6 @@ class Plane(Surface):
     @property
     def curvature_radius(self):
         return 1.0
-
-    @property
-    def normal_lipschitz(self):
-        return 0.0
 
     def project(self, p):
         p, single = _as_points(p)
@@ -230,8 +213,8 @@ class Sphere(Surface):
 
     def __init__(self, radius=1.0, orientation_sign=1):
         super().__init__(orientation_sign)
-        if radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        if not 0 < radius < np.inf:
+            raise ValueError(f"sphere radius must be finite and positive, got {radius!r}")
         self.radius = float(radius)
 
     def implicit(self, p):
@@ -266,8 +249,8 @@ class Torus(Surface):
 
     def __init__(self, major_radius=2.0, minor_radius=0.5, orientation_sign=1):
         super().__init__(orientation_sign)
-        if not (major_radius > minor_radius > 0):
-            raise ValueError("torus requires major_radius > minor_radius > 0")
+        if not (np.inf > major_radius > minor_radius > 0):
+            raise ValueError("torus requires finite major_radius > minor_radius > 0")
         self.major_radius = float(major_radius)
         self.minor_radius = float(minor_radius)
 
@@ -328,8 +311,8 @@ class Ellipsoid(Surface):
     def __init__(self, semi_axes=(1.0, 1.0, 1.0), orientation_sign=1):
         super().__init__(orientation_sign)
         axes = np.asarray(semi_axes, dtype=float)
-        if axes.shape != (3,) or np.any(axes <= 0):
-            raise ValueError("semi_axes must be three positive numbers")
+        if axes.shape != (3,) or not np.all((axes > 0) & (axes < np.inf)):
+            raise ValueError("semi_axes must be three finite positive numbers")
         self.semi_axes = axes
 
     def implicit(self, p):
@@ -343,10 +326,6 @@ class Ellipsoid(Surface):
     @property
     def curvature_radius(self):
         return float(np.min(self.semi_axes) ** 2 / np.max(self.semi_axes))
-
-    @property
-    def normal_lipschitz(self):
-        return 1.0 / self.curvature_radius
 
     def project(self, p):
         """Newton solve of the closest-point condition y_i = p_i a_i^2/(a_i^2+mu).
@@ -415,6 +394,10 @@ class GraphSurface(Surface):
     def __init__(self, coeffs=((0.0,),), orientation_sign=1, extent=2.0):
         super().__init__(orientation_sign)
         self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ValueError("graph coeffs must be finite")
+        if not 0 < extent < np.inf:
+            raise ValueError(f"graph extent must be finite and positive, got {extent!r}")
         self.extent = float(extent)
         self._cx = _poly_dx(self.coeffs)
         self._cy = _poly_dy(self.coeffs)
@@ -454,10 +437,6 @@ class GraphSurface(Surface):
     @property
     def curvature_radius(self):
         return self._curvature_radius
-
-    @property
-    def normal_lipschitz(self):
-        return 2.0 / self.curvature_radius
 
     def _sqdist_grad(self, uv, p):
         """Squared distance to p (halved), its gradient and Hessian in (u, v)."""

@@ -22,8 +22,8 @@ def affine_map(surface, matrix):
     if not isinstance(surface, Plane):
         raise ConfigError("affine initial map requires a plane surface")
     A = np.asarray(matrix, dtype=float)
-    if A.shape != (2, 2):
-        raise ConfigError("affine initial map needs a 2x2 matrix")
+    if A.shape != (2, 2) or not np.all(np.isfinite(A)):
+        raise ConfigError("affine initial map needs a finite 2x2 matrix")
     return lambda x: surface.embed(np.atleast_2d(x) @ A.T)
 
 
@@ -65,8 +65,10 @@ def torus_band_map(surface, theta_range=(0.0, np.pi / 2), psi_range=(-np.pi / 3,
         raise ConfigError("torus_band initial map requires a torus")
     th0, th1 = map(float, theta_range)
     ps0, ps1 = map(float, psi_range)
-    if not (th1 > th0 and ps1 > ps0):
-        raise ConfigError("torus band angle ranges must be increasing")
+    if not (np.inf > th1 > th0 > -np.inf and np.inf > ps1 > ps0 > -np.inf):
+        raise ConfigError(
+            "torus band theta_range and psi_range must be finite and increasing"
+        )
 
     def f0(x):
         x = np.atleast_2d(x)

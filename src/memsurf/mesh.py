@@ -82,13 +82,6 @@ class TriMesh:
     def total_area(self):
         return float(np.sum(self.ref_area))
 
-    def edges(self):
-        """Unique undirected edges as a (k, 2) sorted-index array."""
-        t = self.triangles
-        e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        e = np.sort(e, axis=1)
-        return np.unique(e, axis=0)
-
     def interior_mask(self):
         mask = np.ones(self.num_vertices, dtype=bool)
         mask[self.boundary_vertices] = False
@@ -174,8 +167,6 @@ def _stitch(inner_ids, outer_ids, angles_inner, angles_outer, tris):
     """Triangulate the strip between two concentric rings by angle merge."""
     mi, mo = len(inner_ids), len(outer_ids)
     i = j = 0
-    # Align the starting outer vertex with the first inner angle.
-    j0 = int(np.argmin(np.mod(angles_outer - angles_inner[0], 2.0 * np.pi)))
     off_o = np.mod(angles_outer - angles_inner[0], 2.0 * np.pi)
     off_i = np.mod(angles_inner - angles_inner[0], 2.0 * np.pi)
     order_o = np.argsort(off_o, kind="stable")
@@ -196,56 +187,51 @@ def _stitch(inner_ids, outer_ids, angles_inner, angles_outer, tris):
             j += 1
 
 
+def _ring_mesh(radii, resolution, center):
+    """Triangulate concentric rings at ``radii``, stitched strip by strip.
+
+    Ring k is staggered by half its spacing when k is odd.  The boundary
+    rings keep their chordal sagitta small: the last ring, and the first
+    unless ``center`` replaces it by one vertex at the origin, fanned to
+    ring 1.
+    """
+    verts, ring_ids, ring_angles = [], [], []
+    nv = 0
+    last = len(radii) - 1
+    for k, rk in enumerate(radii):
+        if center and k == 0:
+            pts = np.zeros((1, 2))
+        else:
+            boundary = k == last or (k == 0 and not center)
+            m = _ring_count(rk, resolution, sagitta_limited=boundary)
+            pts = _ring(rk, m, stagger=(k % 2 == 1))
+        verts.append(pts)
+        ring_ids.append(list(range(nv, nv + len(pts))))
+        ring_angles.append(np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi))
+        nv += len(pts)
+    tris = []
+    if center:
+        first = ring_ids[1]
+        tris.extend((0, a, b) for a, b in zip(first, first[1:] + first[:1]))
+    for k in range(int(center), last):
+        _stitch(ring_ids[k], ring_ids[k + 1], ring_angles[k], ring_angles[k + 1], tris)
+    return TriMesh.from_arrays(np.concatenate(verts), np.asarray(tris))
+
+
 def _disk_mesh(resolution, radius=1.0):
-    if not radius > 0:
-        raise ValueError("disk radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError("disk radius must be finite and positive")
     n_rings = max(1, round(radius / resolution))
     dr = radius / n_rings
-    verts = [np.zeros((1, 2))]
-    ring_ids = [[0]]
-    ring_angles = [np.zeros(1)]
-    nv = 1
-    for k in range(1, n_rings + 1):
-        rk = k * dr
-        m = _ring_count(rk, resolution, sagitta_limited=(k == n_rings))
-        pts = _ring(rk, m, stagger=(k % 2 == 1))
-        verts.append(pts)
-        ring_ids.append(list(range(nv, nv + m)))
-        ring_angles.append(np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi))
-        nv += m
-    verts = np.concatenate(verts)
-    tris = []
-    # Fan around the center.
-    first = ring_ids[1]
-    for a, b in zip(first, first[1:] + first[:1]):
-        tris.append((0, a, b))
-    for k in range(1, n_rings):
-        _stitch(ring_ids[k], ring_ids[k + 1], ring_angles[k], ring_angles[k + 1], tris)
-    return TriMesh.from_arrays(verts, np.asarray(tris))
+    return _ring_mesh([k * dr for k in range(n_rings + 1)], resolution, center=True)
 
 
 def _annulus_mesh(resolution, inner_radius=0.5, outer_radius=1.0):
-    if not 0 < inner_radius < outer_radius:
-        raise ValueError("annulus requires 0 < inner_radius < outer_radius")
+    if not 0 < inner_radius < outer_radius < np.inf:
+        raise ValueError("annulus requires 0 < inner_radius < outer_radius < inf")
     n_rings = max(1, round((outer_radius - inner_radius) / resolution))
     radii = np.linspace(inner_radius, outer_radius, n_rings + 1)
-    verts = []
-    ring_ids = []
-    ring_angles = []
-    nv = 0
-    for k, rk in enumerate(radii):
-        sag = k == 0 or k == n_rings
-        m = _ring_count(rk, resolution, sagitta_limited=sag)
-        pts = _ring(rk, m, stagger=(k % 2 == 1))
-        verts.append(pts)
-        ring_ids.append(list(range(nv, nv + m)))
-        ring_angles.append(np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi))
-        nv += m
-    verts = np.concatenate(verts)
-    tris = []
-    for k in range(n_rings):
-        _stitch(ring_ids[k], ring_ids[k + 1], ring_angles[k], ring_angles[k + 1], tris)
-    return TriMesh.from_arrays(verts, np.asarray(tris))
+    return _ring_mesh(radii, resolution, center=False)
 
 
 DOMAIN_KINDS = {
@@ -262,8 +248,8 @@ def build_mesh(domain, resolution, **params):
     ``DOMAIN_KINDS``: ``radius`` for a disk, ``inner_radius`` and
     ``outer_radius`` for an annulus.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < np.inf:
+        raise ValueError("resolution must be finite and positive")
     try:
         build = DOMAIN_KINDS[domain]
     except KeyError:
@@ -288,9 +274,12 @@ def save_mesh(path, positions, triangles, comments=()):
 
 
 def load_mesh(path):
-    """Read a Wavefront-style mesh back as (positions (n,3), triangles)."""
+    """Read a Wavefront-style mesh back as (positions (n,3), triangles).
+
+    Every face record names exactly three vertices by one-based index.
+    """
     positions = []
-    triangles = []
+    faces = []  # (line number, vertex references)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -299,8 +288,18 @@ def load_mesh(path):
             parts = line.split()
             if parts[0] == "v" and len(parts) >= 4:
                 positions.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f" and len(parts) >= 4:
-                triangles.append([int(x.split("/")[0]) - 1 for x in parts[1:4]])
+            elif parts[0] == "f":
+                faces.append((lineno, parts[1:]))
             else:
                 raise ValueError(f"{path}:{lineno}: unrecognized record {parts[0]!r}")
+    n = len(positions)
+    triangles = []
+    for lineno, refs in faces:
+        ids = [ref.split("/")[0] for ref in refs]
+        if len(ids) != 3 or not all(i.isdigit() and 1 <= int(i) <= n for i in ids):
+            raise ValueError(
+                f"{path}:{lineno}: a face needs three vertex indices in 1..{n}, "
+                f"got {' '.join(refs)!r}"
+            )
+        triangles.append([int(i) - 1 for i in ids])
     return np.asarray(positions, dtype=float), np.asarray(triangles, dtype=np.int64)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .discretization import (
     J_FLOOR_DEFAULT,
-    deformation_gradients,
+    _kinematics,
     energy_gradient,
     interpolate,
     oriented_area_ratios,
@@ -82,6 +82,8 @@ class MinimizeOptions:
             raise ValueError("j_floor must be positive")
         if not self.initial_step > 0:
             raise ValueError("initial_step must be positive")
+        if self.grad_tol is not None and not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be finite and positive, or None")
 
     def resolved_grad_tol(self, mesh):
         if self.grad_tol is not None:
@@ -121,7 +123,7 @@ def initialize(surface, mesh, f0, j_floor=J_FLOOR_DEFAULT):
     """Nodal positions of f0, with a feasibility check on every element."""
     positions = interpolate(surface, mesh, f0)
     J = oriented_area_ratios(mesh, surface, positions)
-    bad = np.nonzero(J <= j_floor)[0]
+    bad = np.nonzero(~(J > j_floor))[0]
     if bad.size:
         raise InfeasibleStartError(
             f"initial configuration has {bad.size} elements at or below the "
@@ -166,16 +168,17 @@ def _curvature_step(model, mesh, surface, free, positions, g, d):
 
     The curvature d.Hess d comes from one forward difference of the tangent
     gradient along the retracted move; t is 1 when the curvature is not
-    positive or the probe cannot be retracted.
+    positive or the probe or its element centroids cannot be projected.
     """
     extent = float(np.max(np.ptp(positions, axis=0)))
     h = CURVATURE_PROBE * extent / float(np.max(np.abs(d)))
     probe = positions.copy()
     try:
         probe[free] = surface.project(positions[free] + h * d)
+        F = _kinematics(mesh, surface, probe)[0]
     except (AmbiguousProjectionError, NoConvergenceError):
         return 1.0
-    grad = energy_gradient(model, mesh, deformation_gradients(mesh, probe))[free]
+    grad = energy_gradient(model, mesh, F)[free]
     moved = surface.tangent_project_unchecked(probe[free], grad)
     curvature = float(np.vdot(d, moved - g)) / h
     return -float(np.vdot(g, d)) / curvature if curvature > 0 else 1.0

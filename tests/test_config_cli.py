@@ -67,7 +67,7 @@ seed: 7
 """
         first = parse_config(text)
         second = parse_config(first.serialize())
-        assert first.to_dict() == second.to_dict()
+        assert first.data == second.data
         assert first.config_hash == second.config_hash
 
     def test_unknown_top_level_key(self):
@@ -152,8 +152,8 @@ seed: 7
         # sub-dict cannot leak an edit into other tests.
         defaults = copy.deepcopy(config_module.DEFAULT_CONFIG)
         monkeypatch.setattr(config_module, "DEFAULT_CONFIG", copy.deepcopy(defaults))
-        parse_config("{}").to_dict()["minimize"]["max_iter"] = 7
-        parse_config("model: {b: 1.0}").to_dict()["model"]["ogden_terms"][0]["gamma"] = 9.0
+        parse_config("{}").data["minimize"]["max_iter"] = 7
+        parse_config("model: {b: 1.0}").data["model"]["ogden_terms"][0]["gamma"] = 9.0
         fresh = parse_config("{}")
         assert fresh.minimize_options().max_iter == MinimizeOptions().max_iter
         assert fresh.model() == IsotropicModel()
@@ -252,6 +252,34 @@ class TestVerifyCommand:
 
 
 class TestMinimizeCommand:
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("surface: {kind: sphere, radius: .nan}\ninitial_map: {kind: stereographic_cap}", "radius"),
+            ("surface: {kind: sphere, radius: .inf}\ninitial_map: {kind: stereographic_cap}", "radius"),
+            ("surface: {kind: torus, major_radius: .inf}\ninitial_map: {kind: torus_band}", "major_radius"),
+            ("surface: {kind: torus, minor_radius: .nan}\ninitial_map: {kind: torus_band}", "minor_radius"),
+            ("surface: {kind: ellipsoid, semi_axes: [1.0, .nan, 1.0]}", "semi_axes"),
+            ("surface: {kind: ellipsoid, semi_axes: [1.0, 1.0, .inf]}", "semi_axes"),
+            ("surface: {kind: plane, offset: .nan}", "offset"),
+            ("surface: {kind: plane, normal_dir: [.inf, 0.0, 1.0]}", "normal_dir"),
+            ("surface: {kind: graph, extent: .nan}", "extent"),
+            ("surface: {kind: graph, coeffs: [[0.0, .inf]]}", "coeffs"),
+            ("initial_map: {kind: affine, matrix: [[1.0, 0.0], [0.0, .nan]]}", "matrix"),
+            ("surface: {kind: torus}\ninitial_map: {kind: torus_band, theta_range: [0.0, .inf]}", "theta_range"),
+            ("minimize: {grad_tol: .nan}", "grad_tol"),
+            ("minimize: {grad_tol: -1.0}", "grad_tol"),
+            ("minimize: {grad_tol: .inf}", "grad_tol"),
+            ("domain: {kind: unit_square, resolution: .nan}", "resolution"),
+            ("domain: {kind: disk, resolution: 0.2, radius: .inf}", "radius"),
+        ],
+    )
+    def test_non_finite_or_non_positive_value_exit_2(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"{text}\noutput_dir: \"{tmp_path / 'out'}\"\n")
+        assert main(["minimize", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_plane_identity_run(self, tmp_path, capsys):
         import time
 

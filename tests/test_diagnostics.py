@@ -203,33 +203,11 @@ class TestDegree:
             assert res.degree == 1
             assert res.methods_agree
 
-    def test_batch_equals_singles(self, plane, sphere, plane_suite, cap_targets):
-        cases = [(plane, mesh, cfg, targets) for mesh, cfg, targets, _ in plane_suite]
-        cases.append((sphere, *cap_targets))
-        for surface, mesh, cfg, targets in cases:
-            batch = brouwer_degree(surface, mesh, cfg, targets)
-            assert len(batch) == len(targets)
-            for y, res in zip(targets, batch):
-                one = brouwer_degree(surface, mesh, cfg, y)
-                assert res.degree == one.degree
-                assert res.mollified_integral == one.mollified_integral
-                assert res.mollifier_radius == one.mollifier_radius
-                assert res.methods_agree == one.methods_agree
-                assert np.array_equal(res.target_point, y)
-
-    def test_batch_error_names_first_failing_target(self, plane, disk_identity):
+    @pytest.mark.parametrize("shape", [(1, 3), (4, 3), (2,)])
+    def test_one_target_per_call(self, plane, disk_identity, shape):
         mesh, cfg = disk_identity
-        loop = mesh.boundary_loops[0]
-        on_edge = 0.5 * (cfg[loop[0]] + cfg[loop[1]])
-        regular = [[0.2, 0.1, 0.0], [-0.3, 0.25, 0.0], [0.1, -0.4, 0.0]]
-        # Targets 2 (boundary) and 3 (on an image edge) both fail; 2 comes first.
-        targets = np.array(regular[:2] + [on_edge, np.zeros(3)] + regular[2:])
-        with pytest.raises(BoundaryTooCloseError) as err:
-            brouwer_degree(plane, mesh, cfg, targets, nudge=False)
-        assert str(err.value).startswith(f"degree target 2 at {on_edge.tolist()}: ")
-        assert "from the boundary image" in str(err.value)
-        with pytest.raises(IrregularValueError, match=r"^degree target 1 at \[0\.0, 0\.0, 0\.0\]: "):
-            brouwer_degree(plane, mesh, cfg, targets[[0, 3, 1]], nudge=False)
+        with pytest.raises(ValueError, match="call it once per target"):
+            brouwer_degree(plane, mesh, cfg, np.zeros(shape))
 
 
 def _reference_degree(surface, mesh, positions, y, mollifier_radius=None, nudge=True):
@@ -634,5 +612,5 @@ class TestResiduals:
         mesh, _, cfg, _ = cap
         for _, _, _, _, psi in _test_fields(sphere, mesh, cfg, 12, seed=0):
             assert np.abs(psi[mesh.boundary_vertices]).max() == 0.0
-            n = sphere.normal(cfg)
+            n = sphere.normal_unchecked(cfg)
             assert np.abs(np.einsum("ij,ij->i", psi, n)).max() < 1e-12

@@ -9,7 +9,7 @@ from memsurf import (
 )
 from memsurf.constitutive import pk1_batch
 from memsurf.discretization import (
-    deformation_gradients,
+    _kinematics,
     oriented_area_ratios,
     trial_energy,
 )
@@ -30,15 +30,20 @@ def energy(model, mesh, surface, cfg):
     return E
 
 
-def gradient(model, mesh, cfg):
+def element_gradients(mesh, surface, cfg):
+    """Per-element deformation gradients F (m, 3, 2) of ``cfg``."""
+    return _kinematics(mesh, surface, cfg)[0]
+
+
+def gradient(model, mesh, surface, cfg):
     """Assembled energy gradient at ``cfg`` from its deformation gradients."""
-    return energy_gradient(model, mesh, deformation_gradients(mesh, cfg))
+    return energy_gradient(model, mesh, element_gradients(mesh, surface, cfg))
 
 
 class TestElementKinematics:
     def test_identity_gradients(self, plane, square_mesh):
         cfg = identity_config(plane, square_mesh)
-        F = deformation_gradients(square_mesh, cfg)
+        F = element_gradients(square_mesh, plane, cfg)
         assert np.abs(F - F_ID).max() < 1e-14
         J = oriented_area_ratios(square_mesh, plane, cfg)
         assert np.abs(J - 1.0).max() < 1e-14
@@ -47,7 +52,7 @@ class TestElementKinematics:
         cfg = interpolate(
             plane, square_mesh, make_initial_map(plane, "affine", matrix=2 * np.eye(2))
         )
-        F = deformation_gradients(square_mesh, cfg)
+        F = element_gradients(square_mesh, plane, cfg)
         assert np.abs(F - 2 * F_ID).max() < 1e-14
         J = oriented_area_ratios(square_mesh, plane, cfg)
         assert np.abs(J - 4.0).max() < 1e-14
@@ -69,7 +74,7 @@ class TestElementKinematics:
         )
         from memsurf.constitutive import _spectral_batch
 
-        F = deformation_gradients(disk, cfg)
+        F = element_gradients(disk, sphere, cfg)
         J = oriented_area_ratios(disk, sphere, cfg)
         l1, l2, *_ = _spectral_batch(F)
         cross_mag = np.linalg.norm(np.cross(F[:, :, 0], F[:, :, 1]), axis=1)
@@ -84,6 +89,25 @@ class TestElementKinematics:
                 sphere, square_mesh, lambda x: np.column_stack([x, np.ones(len(x))])
             )
 
+    def test_nan_row_is_off_surface(self, sphere):
+        disk = build_mesh("disk", 0.2)
+        f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+
+        def f0_with_nan(x):
+            pos = f0(x)
+            pos[3] = np.nan
+            return pos
+
+        with pytest.raises(OffSurfaceError):
+            interpolate(sphere, disk, f0_with_nan)
+
+    def test_nan_node_is_infeasible(self, model, plane, square_mesh):
+        cfg = identity_config(plane, square_mesh)
+        cfg[np.flatnonzero(square_mesh.interior_mask())[0]] = np.nan
+        energy, min_j, feasible, _, spectral = trial_energy(model, square_mesh, plane, cfg)
+        assert not feasible and energy == np.inf and np.isnan(min_j)
+        assert spectral is None
+
     def test_failed_centroid_projection_is_infeasible(self, model, sphere, square_mesh):
         # Every centroid at the sphere center: the projection is ambiguous.
         origin = np.zeros((square_mesh.num_vertices, 3))
@@ -93,7 +117,7 @@ class TestElementKinematics:
 
     def test_trial_returns_its_gradients(self, model, plane, sphere, square_mesh):
         cfg = identity_config(plane, square_mesh)
-        F = deformation_gradients(square_mesh, cfg)
+        F = element_gradients(square_mesh, plane, cfg)
         _, _, _, F_trial, _ = trial_energy(model, square_mesh, plane, cfg)
         assert np.array_equal(F_trial, F)
         # A trial rejected at the floor still hands back the F it formed.
@@ -106,7 +130,7 @@ class TestElementKinematics:
             sphere, disk, make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         )
         _, min_j, feasible, F, _ = trial_energy(model, disk, sphere, cap)
-        assert feasible and np.array_equal(F, deformation_gradients(disk, cap))
+        assert feasible and np.array_equal(F, element_gradients(disk, sphere, cap))
         assert min_j == float(np.min(oriented_area_ratios(disk, sphere, cap)))
 
     def test_degenerate_flag(self, model, plane, square_mesh):
@@ -146,7 +170,7 @@ class TestTotalEnergy:
 class TestEnergyGradient:
     def test_zero_at_stress_free_identity(self, model, plane, square_mesh):
         cfg = identity_config(plane, square_mesh)
-        g = gradient(model, square_mesh, cfg)
+        g = gradient(model, square_mesh, plane, cfg)
         assert np.abs(g).max() < 1e-13
 
     def test_carried_spectral_data_gives_the_same_stress(self, model, sphere):
@@ -166,7 +190,7 @@ class TestEnergyGradient:
         cap = interpolate(
             sphere, disk, make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         )
-        F = deformation_gradients(disk, cap)
+        F = element_gradients(disk, sphere, cap)
         # Reference: the same per-element rows A_t S_t g_{t,v}, summed per
         # node with np.add.at.
         SA = disk.ref_area[:, None, None] * pk1_batch(model, F)
@@ -199,7 +223,7 @@ class TestEnergyGradient:
         # 20 random feasible states per surface, tangentially perturbed.
         for _ in range(20):
             bump = 0.02 * surf.curvature_radius * rng.standard_normal(base.shape)
-            cfg = surf.project(base + surf.tangent_project(base, bump))
+            cfg = surf.project(base + surf.tangent_project_unchecked(base, bump))
             _, _, feasible, F, spectral = trial_energy(model, mesh, surf, cfg)
             if not feasible:
                 continue
@@ -225,11 +249,11 @@ class TestEnergyGradient:
         f0 = make_initial_map(plane, "affine", matrix=A)
         cfg = interpolate(plane, square_mesh, f0)
         rng = np.random.default_rng(12)
-        cfg[square_mesh.interior_mask()] += 0.02 * plane.tangent_project(
+        cfg[square_mesh.interior_mask()] += 0.02 * plane.tangent_project_unchecked(
             cfg[square_mesh.interior_mask()],
             rng.standard_normal((int(square_mesh.interior_mask().sum()), 3)),
         )
-        g1 = gradient(model, square_mesh, cfg)
+        g1 = gradient(model, square_mesh, plane, cfg)
         ang = 0.7
         Q = np.array(
             [
@@ -239,7 +263,7 @@ class TestEnergyGradient:
             ]
         )
         rotated = cfg @ Q.T
-        g2 = gradient(model, square_mesh, rotated)
+        g2 = gradient(model, square_mesh, plane, rotated)
         assert np.linalg.norm(g1) == pytest.approx(np.linalg.norm(g2), rel=1e-10)
 
     def test_orientation_flip_negates_j(self, model, square_mesh):

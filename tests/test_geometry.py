@@ -16,22 +16,22 @@ from conftest import surface_samples
 
 
 def test_sphere_normal_radial(sphere):
-    assert np.allclose(sphere.normal([0.0, 0.0, 1.0]), [0.0, 0.0, 1.0], atol=1e-14)
+    assert np.allclose(sphere.normal_unchecked([0.0, 0.0, 1.0]), [0.0, 0.0, 1.0], atol=1e-14)
 
 
 def test_plane_normal(plane):
-    assert np.allclose(plane.normal([3.0, -2.0, 0.0]), [0.0, 0.0, 1.0], atol=1e-14)
+    assert np.allclose(plane.normal_unchecked([3.0, -2.0, 0.0]), [0.0, 0.0, 1.0], atol=1e-14)
 
 
 def test_torus_normal_outer_equator(torus):
-    n = torus.normal([2.5, 0.0, 0.0])
+    n = torus.normal_unchecked([2.5, 0.0, 0.0])
     assert np.allclose(n, [1.0, 0.0, 0.0], atol=1e-13)
 
 
 def test_torus_normal_matches_levelset_gradient(torus):
     rng = np.random.default_rng(0)
     pts = surface_samples(torus, rng, 50)
-    n = torus.normal(pts)
+    n = torus.normal_unchecked(pts)
     h = 1e-6
     for k in range(3):
         dp = pts.copy()
@@ -47,26 +47,34 @@ def test_normal_unit_length(all_surfaces):
     rng = np.random.default_rng(1)
     for surf in all_surfaces:
         pts = surface_samples(surf, rng, 200)
-        n = surf.normal(pts)
+        n = surf.normal_unchecked(pts)
         assert np.abs(np.linalg.norm(n, axis=1) - 1.0).max() < 1e-12
 
 
-def test_normal_off_surface_raises(sphere):
+@pytest.mark.parametrize("y", [[0.0, 0.0, 1.5], [0.0, np.nan, 1.0]])
+def test_chart_off_surface_raises(sphere, y):
     with pytest.raises(OffSurfaceError):
-        sphere.normal([0.0, 0.0, 1.5])
+        sphere.chart_at(y)
+
+
+def _normal_lipschitz(surf):
+    """Bound on |n(y1) - n(y2)| / |y1 - y2| at close range."""
+    if surf.kind == "plane":
+        return 0.0
+    return (2.0 if surf.kind == "graph" else 1.0) / surf.curvature_radius
 
 
 def test_normal_continuity_lipschitz(all_surfaces):
     rng = np.random.default_rng(2)
     for surf in all_surfaces:
-        L = surf.normal_lipschitz
+        L = _normal_lipschitz(surf)
         pts = surface_samples(surf, rng, 300)
         h = 1e-3 * surf.curvature_radius
         t = rng.standard_normal((300, 3))
         t = surf.tangent_project_unchecked(pts, t)
         t /= np.linalg.norm(t, axis=1, keepdims=True)
         nearby = surf.project(pts + h * t)
-        dn = np.linalg.norm(surf.normal(nearby) - surf.normal(pts), axis=1)
+        dn = np.linalg.norm(surf.normal_unchecked(nearby) - surf.normal_unchecked(pts), axis=1)
         dy = np.linalg.norm(nearby - pts, axis=1)
         assert np.all(dn <= 1.5 * L * dy + 1e-12)
 
@@ -82,7 +90,7 @@ def test_projection_idempotent(all_surfaces):
     for surf in all_surfaces:
         base = surface_samples(surf, rng, 300)
         offsets = rng.uniform(-0.3, 0.6, (300, 1)) * surf.curvature_radius
-        p = base + offsets * surf.normal(base)
+        p = base + offsets * surf.normal_unchecked(base)
         y = surf.project(p)
         assert np.abs(surf.project(y) - y).max() < 1e-10
         assert np.max(surf.distance(y)) < 1e-10 * max(1.0, surf.curvature_radius)
@@ -95,7 +103,7 @@ def test_projection_optimality_sampled(all_surfaces):
     n = 10_000
     for surf in all_surfaces:
         base = surface_samples(surf, rng, n)
-        p = base + rng.uniform(-0.3, 0.6, (n, 1)) * surf.curvature_radius * surf.normal(base)
+        p = base + rng.uniform(-0.3, 0.6, (n, 1)) * surf.curvature_radius * surf.normal_unchecked(base)
         y = surf.project(p)
         d_proj = np.linalg.norm(y - p, axis=1)
         alt = surface_samples(surf, rng, 100)
@@ -108,11 +116,11 @@ def test_projection_residual_parallel_to_normal(plane, sphere, torus):
     rng = np.random.default_rng(5)
     for surf in (plane, sphere, torus):
         base = surface_samples(surf, rng, 200)
-        p = base + rng.uniform(0.05, 0.4, (200, 1)) * surf.curvature_radius * surf.normal(base)
+        p = base + rng.uniform(0.05, 0.4, (200, 1)) * surf.curvature_radius * surf.normal_unchecked(base)
         y = surf.project(p)
         w = p - y
         wn = np.linalg.norm(w, axis=1)
-        cosang = np.abs(np.einsum("ij,ij->i", w, surf.normal(y))) / wn
+        cosang = np.abs(np.einsum("ij,ij->i", w, surf.normal_unchecked(y))) / wn
         assert np.min(cosang) > 1.0 - 1e-8
 
 
@@ -126,11 +134,11 @@ def test_medial_axis_errors(sphere, torus):
 
 
 def test_tangent_project(sphere, plane):
-    out = sphere.tangent_project([0.0, 0.0, 1.0], [1.0, 0.0, 5.0])
+    out = sphere.tangent_project_unchecked([0.0, 0.0, 1.0], [1.0, 0.0, 5.0])
     assert np.allclose(out, [1.0, 0.0, 0.0], atol=1e-12)
-    n = sphere.normal([0.0, 0.0, 1.0])
-    assert np.allclose(sphere.tangent_project([0.0, 0.0, 1.0], n), 0.0, atol=1e-12)
-    out = plane.tangent_project([0.5, -1.0, 0.0], [3.0, 4.0, 5.0])
+    n = sphere.normal_unchecked([0.0, 0.0, 1.0])
+    assert np.allclose(sphere.tangent_project_unchecked([0.0, 0.0, 1.0], n), 0.0, atol=1e-12)
+    out = plane.tangent_project_unchecked([0.5, -1.0, 0.0], [3.0, 4.0, 5.0])
     assert np.allclose(out, [3.0, 4.0, 0.0], atol=1e-12)
 
 
@@ -139,8 +147,8 @@ def test_tangent_project_orthogonal(all_surfaces):
     for surf in all_surfaces:
         pts = surface_samples(surf, rng, 100)
         v = rng.standard_normal((100, 3))
-        t = surf.tangent_project(pts, v)
-        n = surf.normal(pts)
+        t = surf.tangent_project_unchecked(pts, v)
+        n = surf.normal_unchecked(pts)
         assert np.abs(np.einsum("ij,ij->i", t, n)).max() < 1e-12
 
 
@@ -172,7 +180,7 @@ def test_chart_area_sign_follows_normal(all_surfaces):
                 uv = s.chart_at(center).inverse_map(tri)
                 e1, e2 = uv[1] - uv[0], uv[2] - uv[0]
                 area = e1[0] * e2[1] - e1[1] * e2[0]
-                triple = s.normal(center) @ cross
+                triple = s.normal_unchecked(center) @ cross
                 assert abs(triple) > 1e-3 * np.linalg.norm(cross)
                 assert np.sign(area) == np.sign(triple)
 
@@ -213,7 +221,7 @@ def test_orientation_sign_flips_normal():
     s_out = Sphere(1.0, orientation_sign=1)
     s_in = Sphere(1.0, orientation_sign=-1)
     y = np.array([0.0, 0.0, 1.0])
-    assert np.allclose(s_out.normal(y), -s_in.normal(y))
+    assert np.allclose(s_out.normal_unchecked(y), -s_in.normal_unchecked(y))
 
 
 def test_make_surface_factory():

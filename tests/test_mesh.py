@@ -5,7 +5,9 @@ from memsurf import DegenerateElementError, TriMesh, build_mesh, load_mesh, save
 
 
 def euler_characteristic(mesh):
-    return mesh.num_vertices - len(mesh.edges()) + mesh.num_triangles
+    sides = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges = np.unique(sides, axis=0)
+    return mesh.num_vertices - len(edges) + mesh.num_triangles
 
 
 def test_unit_square_minimal():
@@ -37,15 +39,30 @@ def test_annulus_euler_formula(resolution):
     assert len(m.boundary_loops) == 2
 
 
+def assert_boundary_sagitta(mesh, radii, resolution):
+    """Each boundary loop lies on one of the circles ``radii``, and its chords
+    stay within resolution^2 / 8 of that circle."""
+    assert len(mesh.boundary_loops) == len(radii)
+    for loop in mesh.boundary_loops:
+        pts = mesh.vertices[np.asarray(loop)]
+        r = np.linalg.norm(pts, axis=1)
+        radius = min(radii, key=lambda R: abs(R - r[0]))
+        assert np.abs(r - radius).max() < 1e-12
+        mids = 0.5 * (pts + np.roll(pts, -1, axis=0))
+        sagitta = radius - np.linalg.norm(mids, axis=1)
+        assert sagitta.max() <= resolution**2 / 8 + 1e-12
+
+
 @pytest.mark.parametrize("resolution", [0.5, 0.2, 0.1])
 def test_disk_boundary_hausdorff(resolution):
-    m = build_mesh("disk", resolution)
-    loop = np.asarray(m.boundary_loops[0])
-    pts = m.vertices[loop]
-    assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12
-    mids = 0.5 * (pts + np.roll(pts, -1, axis=0))
-    sagitta = 1.0 - np.linalg.norm(mids, axis=1)
-    assert sagitta.max() <= resolution**2 / 8 + 1e-12
+    assert_boundary_sagitta(build_mesh("disk", resolution), [1.0], resolution)
+
+
+@pytest.mark.parametrize("radii", [(0.5, 1.0), (0.2, 1.7)])
+@pytest.mark.parametrize("resolution", [0.2, 0.1, 0.05])
+def test_annulus_boundary_hausdorff(radii, resolution):
+    m = build_mesh("annulus", resolution, inner_radius=radii[0], outer_radius=radii[1])
+    assert_boundary_sagitta(m, radii, resolution)
 
 
 def test_boundary_loop_orientation():
@@ -150,6 +167,25 @@ def test_wavefront_rejects_garbage(tmp_path):
     path.write_text("v 0 0 0\nq 1 2 3\n")
     with pytest.raises(ValueError, match="unrecognized record"):
         load_mesh(path)
+
+
+@pytest.mark.parametrize(
+    "face",
+    ["f 1 2 3 4", "f 0 1 2", "f 1 2 4", "f 1 2", "f -1 1 2", "f 1 2 x"],
+    ids=["four_indices", "zero_index", "past_vertex_count", "two_indices",
+         "negative_index", "not_a_number"],
+)
+def test_wavefront_rejects_malformed_face(tmp_path, face):
+    path = tmp_path / "bad.obj"
+    path.write_text(f"v 0 0 0\nv 1 0 0\n{face}\nv 0 1 0\n")
+    with pytest.raises(ValueError, match=r"bad\.obj:3: a face needs three vertex indices in 1\.\.3"):
+        load_mesh(path)
+
+
+def test_wavefront_face_before_its_vertices(tmp_path):
+    path = tmp_path / "mesh.obj"
+    path.write_text("f 1 2 3\nv 0 0 0\nv 1 0 0\nv 0 1 0\n")
+    assert np.array_equal(load_mesh(path)[1], [[0, 1, 2]])
 
 
 def test_lf_line_endings(tmp_path):

@@ -5,19 +5,21 @@ from memsurf import (
     GraphSurface,
     InfeasibleStartError,
     MinimizeOptions,
+    Sphere,
     build_mesh,
     initialize,
     interpolate,
     minimize,
 )
 from memsurf.discretization import (
-    deformation_gradients,
+    _kinematics,
     energy_gradient,
     oriented_area_ratios,
     trial_energy,
 )
 from memsurf.maps import make_initial_map
-from memsurf.minimizer import LBFGS_MEMORY, _lbfgs_direction
+from memsurf.errors import NoConvergenceError
+from memsurf.minimizer import LBFGS_MEMORY, _curvature_step, _lbfgs_direction
 
 
 class TestInitialize:
@@ -188,7 +190,7 @@ class TestReportInvariants:
 
 def _recomputed_grad_norm(model, surface, mesh, cfg):
     """Free-row tangent gradient norm recomputed from the positions alone."""
-    grad = energy_gradient(model, mesh, deformation_gradients(mesh, cfg))
+    grad = energy_gradient(model, mesh, _kinematics(mesh, surface, cfg)[0])
     free = mesh.interior_mask()
     gt = surface.tangent_project_unchecked(cfg[free], grad[free])
     return float(np.linalg.norm(gt))
@@ -245,6 +247,56 @@ class TestRejectedTrials:
         # instead of running out 50 Newton steps of up to 40 halvings each
         # (about 10 000 evaluations in this run before it did).
         assert len(evaluations) < 3000
+
+
+class TestCurvatureStep:
+    """The first step minimizes the energy's quadratic model along d."""
+
+    @pytest.fixture
+    def cap_start(self, model):
+        # A sphere of its own, since a test patches its projection.
+        sphere = Sphere(1.0)
+        mesh = build_mesh("disk", 0.2)
+        f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        positions = interpolate(sphere, mesh, f0)
+        free = mesh.interior_mask()
+        _, _, _, F, spectral = trial_energy(model, mesh, sphere, positions)
+        grad = energy_gradient(model, mesh, F, spectral)[free]
+        g = sphere.tangent_project_unchecked(positions[free], grad)
+        return sphere, mesh, free, positions, g
+
+    def test_matches_central_difference_curvature(self, model, cap_start):
+        sphere, mesh, free, positions, g = cap_start
+        d = -g
+        step = _curvature_step(model, mesh, sphere, free, positions, g, d)
+
+        def energy_along(t):
+            moved = positions.copy()
+            moved[free] = sphere.project(positions[free] + t * d)
+            return trial_energy(model, mesh, sphere, moved)[0]
+
+        h = 1e-4
+        curvature = (energy_along(h) - 2 * energy_along(0.0) + energy_along(-h)) / h**2
+        expected = -float(np.vdot(g, d)) / curvature
+        assert step == pytest.approx(expected, rel=1e-4)
+
+    @pytest.mark.parametrize("failing_call", [1, 2], ids=["retraction", "centroids"])
+    def test_failed_probe_projection_gives_unit_step(
+        self, model, cap_start, monkeypatch, failing_call
+    ):
+        sphere, mesh, free, positions, g = cap_start
+        project = sphere.project
+        calls = []
+
+        def flaky(p):
+            calls.append(len(p))
+            if len(calls) == failing_call:
+                raise NoConvergenceError("probe projection failed")
+            return project(p)
+
+        monkeypatch.setattr(sphere, "project", flaky)
+        assert _curvature_step(model, mesh, sphere, free, positions, g, -g) == 1.0
+        assert len(calls) == failing_call
 
 
 def _identity(v):
@@ -414,7 +466,8 @@ class TestInvariantsAllSurfaces:
         jitter = 0.02 * rng.standard_normal(base.shape)
         start = base.copy()
         start[interior] = surface.project(
-            base[interior] + surface.tangent_project(base[interior], jitter[interior])
+            base[interior]
+            + surface.tangent_project_unchecked(base[interior], jitter[interior])
         )
 
         def f0(x):
