@@ -24,7 +24,13 @@ from .diagnostics import (
     injectivity_check,
 )
 from .discretization import interpolate, oriented_area_ratios
-from .errors import ConfigError, InfeasibleStartError, MemsurfError
+from .errors import (
+    AmbiguousProjectionError,
+    ConfigError,
+    InfeasibleStartError,
+    MemsurfError,
+    NoConvergenceError,
+)
 from .mesh import save_mesh
 from .minimizer import minimize
 from .verification import run_all_checks
@@ -258,7 +264,15 @@ def _cmd_degree(config, out, point):
     mesh = config.mesh()
     f0 = config.initial_map(surface)
     positions = interpolate(surface, mesh, f0)
-    y = surface.project(np.asarray(point, dtype=float))
+    try:
+        y = surface.project(np.asarray(point, dtype=float))
+    except (AmbiguousProjectionError, NoConvergenceError) as exc:
+        shown = " ".join(map(repr, point))
+        print(
+            f"error: --point {shown} has no closest point on the surface: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
     res = brouwer_degree(surface, mesh, positions, y)
     _write_degrees(out, config, [res])
     print(f"degree: {res.degree}")

@@ -10,6 +10,7 @@ form stamps every output file for provenance.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import inspect
 import io
@@ -177,8 +178,12 @@ class RunConfig:
     def serialize(self):
         return yaml.safe_dump(self.data, sort_keys=True, default_flow_style=False)
 
-    @property
+    @functools.cached_property
     def config_hash(self):
+        """Short hash of the canonical form, computed once per config.
+
+        Every output file stamps it; a config is not edited after parsing.
+        """
         return hashlib.sha256(self.serialize().encode()).hexdigest()[:16]
 
     def validate(self):

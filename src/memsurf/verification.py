@@ -11,6 +11,8 @@ ranges are the module constants below.  Re-running with the same
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +43,9 @@ INVARIANCE_TOLERANCE = 1e-9
 CONVEXITY_SLACK = 1e-10
 # Random convex weights tested per (F, J) pair, beside the midpoint.
 WEIGHTS_PER_PAIR = 10
+# Rows per block of the convexity sweep: a block's endpoint and combination
+# batches stay cache-sized, and the blocks spread over the usable cores.
+SWEEP_BLOCK_ROWS = 16384
 # Stretch pair (lam, mu) of the rank-one witnesses and the eps grid,
 # decreasing, along which their gap must grow.
 RANK_ONE_STRETCHES = (1.0, 1.0)
@@ -180,7 +185,43 @@ def shear_over_j_squared(F, J):
     return np.einsum("nij,nij->n", F, F) / J**2
 
 
-def _convexity_sweep(n, seed, *phis):
+def _usable_cores():
+    """Cores this process may run on: the sweep's worker threads plus the caller."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # platforms without CPU affinity (macOS, Windows)
+
+
+def _sweep_block(phis, F1, J1, F2, J2, weights, start):
+    """The sweep's per-weight, per-functional summaries on one row block.
+
+    Each summary is (violations, row, excess at row, non-finite) for the
+    block's rows from ``start``: row is the block's first non-finite excess,
+    or else its first largest one, as a row of the whole draw.
+    """
+    stop = start + SWEEP_BLOCK_ROWS
+    F1, J1, F2, J2 = F1[start:stop], J1[start:stop], F2[start:stop], J2[start:stop]
+    ends = []
+    for phi in phis:
+        p1 = np.asarray(phi(F1, J1))
+        p2 = np.asarray(phi(F2, J2))
+        ends.append((p1, p2, CONVEXITY_SLACK * (1.0 + p1 + p2)))
+    summaries = []
+    for w in weights:
+        Fm = w * F1 + (1.0 - w) * F2
+        Jm = w * J1 + (1.0 - w) * J2
+        row = []
+        for phi, (p1, p2, slack) in zip(phis, ends):
+            excess = np.asarray(phi(Fm, Jm)) - (w * p1 + (1.0 - w) * p2) - slack
+            nonfinite = np.flatnonzero(~np.isfinite(excess))
+            i = int(nonfinite[0]) if nonfinite.size else int(np.argmax(excess))
+            violations = int(np.count_nonzero(excess > 0))
+            row.append((violations, start + i, float(excess[i]), bool(nonfinite.size)))
+        summaries.append(row)
+    return summaries
+
+
+class _ConvexitySweep:
     """One split-convexity report per functional, all on one segment draw.
 
     Every functional is evaluated on the same (F, J) pairs and the same
@@ -188,51 +229,101 @@ def _convexity_sweep(n, seed, *phis):
     random weights.  An excess above the rounding slack 1e-10 (1 + phi1 +
     phi2) counts as a violation; a non-finite excess makes the worst
     violation NaN, which fails the check and its negative control.
+
+    The functionals must be row-wise (row i of the result depends only on
+    row i of F and J): the rows are evaluated in blocks of
+    ``SWEEP_BLOCK_ROWS``.  Construction draws the segments and starts one
+    worker thread per usable core beyond the first; the workers take blocks
+    in row order from a shared counter, NumPy releasing the GIL in its loops.
+    ``reports`` has the calling thread take blocks too, joins the workers and
+    merges the blocks in row order, so every report is the one a single pass
+    over all rows gives, for any core count.  If blocks raise, ``reports``
+    raises the lowest one's error once every taken block is done.
     """
-    rng = np.random.default_rng(seed)
-    F1, J1 = _sample_fj_pairs(rng, n)
-    F2, J2 = _sample_fj_pairs(rng, n)
-    ends = []
-    for phi in phis:
-        p1 = np.asarray(phi(F1, J1))
-        p2 = np.asarray(phi(F2, J2))
-        ends.append((p1, p2, CONVEXITY_SLACK * (1.0 + p1 + p2)))
-    weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, WEIGHTS_PER_PAIR)])
-    worst = [-np.inf] * len(phis)
-    witness = [{}] * len(phis)
-    violations = [0] * len(phis)
-    for w in weights:
-        Fm = w * F1 + (1.0 - w) * F2
-        Jm = w * J1 + (1.0 - w) * J2
-        for k, (phi, (p1, p2, slack)) in enumerate(zip(phis, ends)):
-            excess = np.asarray(phi(Fm, Jm)) - (w * p1 + (1.0 - w) * p2) - slack
-            violations[k] += int(np.count_nonzero(excess > 0))
-            nonfinite = np.flatnonzero(~np.isfinite(excess))
-            i = int(nonfinite[0]) if nonfinite.size else int(np.argmax(excess))
-            value = math.nan if nonfinite.size else float(excess[i])
-            # Once NaN, always NaN: no later finite excess can clear it.
-            if not math.isnan(worst[k]) and not value <= worst[k]:
-                worst[k] = value
-                witness[k] = {
-                    "F1": F1[i].tolist(),
-                    "J1": float(J1[i]),
-                    "F2": F2[i].tolist(),
-                    "J2": float(J2[i]),
-                    "weight": float(w),
-                    "excess": float(excess[i]),
-                }
-    return [
-        CheckReport(
-            check_name="split_convexity",
-            samples=n,
-            seed=seed,
-            tolerance=0.0,
-            worst_violation=worst[k],
-            worst_witness=witness[k],
-            details={"violations": violations[k], "weights_per_pair": WEIGHTS_PER_PAIR},
-        )
-        for k in range(len(phis))
-    ]
+
+    def __init__(self, n, seed, *phis):
+        rng = np.random.default_rng(seed)
+        F1, J1 = _sample_fj_pairs(rng, n)
+        F2, J2 = _sample_fj_pairs(rng, n)
+        weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, WEIGHTS_PER_PAIR)])
+        self.n, self.seed, self.phis = n, seed, phis
+        self.draw = (F1, J1, F2, J2, weights)
+        # One block even when n == 0, so an empty draw fails as a single pass does.
+        self._starts = range(0, max(n, 1), SWEEP_BLOCK_ROWS)
+        self._summaries = [None] * len(self._starts)
+        self._errors = {}
+        self._taken = 0
+        self._stop = False
+        self._lock = threading.Lock()
+        self._workers = [
+            threading.Thread(target=self._work, daemon=True)
+            for _ in range(_usable_cores() - 1)
+        ]
+        for worker in self._workers:
+            worker.start()
+
+    def _work(self):
+        while True:
+            with self._lock:
+                b = self._taken
+                if self._stop or b >= len(self._starts):
+                    return
+                self._taken += 1
+            try:
+                self._summaries[b] = _sweep_block(self.phis, *self.draw, self._starts[b])
+            except Exception as exc:
+                self._errors[b] = exc
+                self._stop = True
+
+    def reports(self, finish=True):
+        """The reports, after this thread takes blocks too (unless not ``finish``)."""
+        try:
+            if finish:
+                self._work()
+        finally:
+            self._stop = True
+            for worker in self._workers:
+                worker.join()
+        if self._errors:
+            raise self._errors[min(self._errors)]
+        F1, J1, F2, J2, weights = self.draw
+        reports = []
+        for k in range(len(self.phis)):
+            worst, witness, violations = -np.inf, {}, 0
+            for j, w in enumerate(weights):
+                cells = [summary[j][k] for summary in self._summaries]
+                violations += sum(cell[0] for cell in cells)
+                flagged = [cell for cell in cells if cell[3]]
+                _, i, excess, nonfinite = flagged[0] if flagged else max(cells, key=lambda c: c[2])
+                value = math.nan if nonfinite else excess
+                # Once NaN, always NaN: no later finite excess can clear it.
+                if not math.isnan(worst) and not value <= worst:
+                    worst = value
+                    witness = {
+                        "F1": F1[i].tolist(),
+                        "J1": float(J1[i]),
+                        "F2": F2[i].tolist(),
+                        "J2": float(J2[i]),
+                        "weight": float(w),
+                        "excess": excess,
+                    }
+            reports.append(
+                CheckReport(
+                    check_name="split_convexity",
+                    samples=self.n,
+                    seed=self.seed,
+                    tolerance=0.0,
+                    worst_violation=worst,
+                    worst_witness=witness,
+                    details={"violations": violations, "weights_per_pair": WEIGHTS_PER_PAIR},
+                )
+            )
+        return reports
+
+
+def _convexity_sweep(n, seed, *phis):
+    """The reports of one sweep of row-wise ``phis``; see ``_ConvexitySweep``."""
+    return _ConvexitySweep(n, seed, *phis).reports()
 
 
 def _negative_control(inner):
@@ -252,8 +343,10 @@ def _negative_control(inner):
 def check_midpoint_convexity(phi, n, seed):
     """Sampled convexity of a (F, J) functional along random segments.
 
-    ``phi`` maps ((k, 3, 2), (k,)) batches to (k,) values; see
-    ``_convexity_sweep`` for the samples and the slack.
+    ``phi`` maps ((k, 3, 2), (k,)) batches to (k,) values and must be
+    row-wise: value i depends only on F[i] and J[i], since the sweep
+    evaluates blocks of rows.  See ``_ConvexitySweep`` for the samples and
+    the slack.
     """
     return _convexity_sweep(n, seed, phi)[0]
 
@@ -484,16 +577,24 @@ def run_all_checks(
         return phi_split_batch(model, F, J)
 
     # The convexity check and its negative control share one segment draw.
-    split, control = _convexity_sweep(
-        convexity_samples, seed + 2, phi_model, shear_over_j_squared
-    )
-    return [
-        check_objectivity(model, n=rotation_samples, seed=seed),
-        check_isotropy(model, n=rotation_samples, seed=seed + 1),
-        split,
-        _negative_control(control),
-        check_rank_one(model, seed=seed),
-        check_stress_growth(model, n=stress_growth_samples, seed=seed + 3),
-        check_perturbed_stress_bound(model, delta=perturbation_delta, n=perturbation_samples, seed=seed + 4),
-        check_growth(model, n=growth_samples, seed=seed + 5),
-    ]
+    # Its workers start first; this thread runs the other checks (so every
+    # check runs on the calling thread), then takes sweep blocks too.
+    sweep = _ConvexitySweep(convexity_samples, seed + 2, phi_model, shear_over_j_squared)
+    try:
+        objectivity = check_objectivity(model, n=rotation_samples, seed=seed)
+        isotropy = check_isotropy(model, n=rotation_samples, seed=seed + 1)
+        rest = [
+            check_rank_one(model, seed=seed),
+            check_stress_growth(model, n=stress_growth_samples, seed=seed + 3),
+            check_perturbed_stress_bound(
+                model, delta=perturbation_delta, n=perturbation_samples, seed=seed + 4
+            ),
+            check_growth(model, n=growth_samples, seed=seed + 5),
+        ]
+    except BaseException as exc:
+        # The sweep came first in the battery's order, so its error wins; an
+        # interrupt does not wait for the remaining blocks.
+        sweep.reports(finish=isinstance(exc, Exception))
+        raise
+    split, control = sweep.reports()
+    return [objectivity, isotropy, split, _negative_control(control), *rest]

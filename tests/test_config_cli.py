@@ -10,6 +10,8 @@ from memsurf import (
     IsotropicModel,
     LineSearchStallError,
     MinimizeOptions,
+    NoConvergenceError,
+    Plane,
     Sphere,
     make_initial_map,
     parse_config,
@@ -69,6 +71,14 @@ seed: 7
         second = parse_config(first.serialize())
         assert first.data == second.data
         assert first.config_hash == second.config_hash
+
+    def test_config_hash_serializes_once(self, monkeypatch):
+        cfg = parse_config("seed: 3")
+        calls = []
+        serialize = cfg.serialize
+        monkeypatch.setattr(cfg, "serialize", lambda: calls.append(1) or serialize())
+        assert cfg.config_hash == cfg.config_hash == parse_config("seed: 3").config_hash
+        assert len(calls) == 1
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown configuration key"):
@@ -412,6 +422,31 @@ seed: 3
             main(["degree", str(cfg), "--point", "0", value, "0"])
         assert exc.value.code == 2
         assert f"--point must be finite, got 0.0 {shown} 0.0" in capsys.readouterr().err
+        assert not (out / "degree.csv").exists()
+
+    def test_degree_point_at_sphere_center_exit_2(self, tmp_path, capsys):
+        text = """
+surface: {kind: sphere, radius: 1.0}
+domain: {kind: disk, resolution: 0.25}
+initial_map: {kind: stereographic_cap, latitude: 1.0471975511965976}
+output_dir: "%s"
+"""
+        cfg, out = write_config(tmp_path, text)
+        assert main(["degree", str(cfg), "--point", "0", "0", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--point 0.0 0.0 0.0 has no closest point on the surface" in err
+        assert "sphere center" in err
+        assert not (out / "degree.csv").exists()
+
+    def test_degree_point_projection_no_convergence_exit_2(self, tmp_path, capsys, monkeypatch):
+        def fail(self, points):
+            raise NoConvergenceError("graph projection did not converge")
+
+        monkeypatch.setattr(Plane, "project", fail)
+        cfg, out = write_config(tmp_path, MINIMAL_PLANE)
+        assert main(["degree", str(cfg), "--point", "0.5", "-0.25", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "--point 0.5 -0.25 0.0 has no closest point on the surface" in err
         assert not (out / "degree.csv").exists()
 
     def test_residual_initial_config(self, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import math
+import threading
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,14 @@ from memsurf import (
 )
 from memsurf import verification
 from memsurf.constitutive import energy_density_batch, phi_split_batch
-from memsurf.verification import shear_over_j, shear_over_j_squared
+from memsurf.verification import (
+    CONVEXITY_SLACK,
+    SWEEP_BLOCK_ROWS,
+    WEIGHTS_PER_PAIR,
+    _sample_fj_pairs,
+    shear_over_j,
+    shear_over_j_squared,
+)
 
 
 def all_nan(F, J):
@@ -94,6 +104,153 @@ class TestMidpointConvexity:
         rep = check_negative_control(n=1000, seed=0)
         assert np.isnan(rep.worst_violation)
         assert not rep.passed
+
+
+def sequential_sweep(n, seed, *phis):
+    """The convexity sweep as one pass over all rows: the blocked sweep's reference."""
+    rng = np.random.default_rng(seed)
+    F1, J1 = _sample_fj_pairs(rng, n)
+    F2, J2 = _sample_fj_pairs(rng, n)
+    ends = []
+    for phi in phis:
+        p1 = np.asarray(phi(F1, J1))
+        p2 = np.asarray(phi(F2, J2))
+        ends.append((p1, p2, CONVEXITY_SLACK * (1.0 + p1 + p2)))
+    weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, WEIGHTS_PER_PAIR)])
+    worst = [-np.inf] * len(phis)
+    witness = [{}] * len(phis)
+    violations = [0] * len(phis)
+    for w in weights:
+        Fm = w * F1 + (1.0 - w) * F2
+        Jm = w * J1 + (1.0 - w) * J2
+        for k, (phi, (p1, p2, slack)) in enumerate(zip(phis, ends)):
+            excess = np.asarray(phi(Fm, Jm)) - (w * p1 + (1.0 - w) * p2) - slack
+            violations[k] += int(np.count_nonzero(excess > 0))
+            nonfinite = np.flatnonzero(~np.isfinite(excess))
+            i = int(nonfinite[0]) if nonfinite.size else int(np.argmax(excess))
+            value = math.nan if nonfinite.size else float(excess[i])
+            if not math.isnan(worst[k]) and not value <= worst[k]:
+                worst[k] = value
+                witness[k] = {
+                    "F1": F1[i].tolist(),
+                    "J1": float(J1[i]),
+                    "F2": F2[i].tolist(),
+                    "J2": float(J2[i]),
+                    "weight": float(w),
+                    "excess": float(excess[i]),
+                }
+    return [
+        CheckReport(
+            check_name="split_convexity",
+            samples=n,
+            seed=seed,
+            tolerance=0.0,
+            worst_violation=worst[k],
+            worst_witness=witness[k],
+            details={"violations": violations[k], "weights_per_pair": WEIGHTS_PER_PAIR},
+        )
+        for k in range(len(phis))
+    ]
+
+
+B = SWEEP_BLOCK_ROWS
+
+
+class TestBlockedSweep:
+    """The blocked, threaded sweep reproduces the single pass for any core count."""
+
+    @pytest.fixture(scope="class")
+    def phis(self, model):
+        def phi_model(F, J):
+            return phi_split_batch(model, F, J)
+
+        return (phi_model, shear_over_j, shear_over_j_squared, all_nan, half_nan_nonconvex)
+
+    @pytest.mark.parametrize("n", [1, 7, B - 1, B, B + 1, 3 * B + 5])
+    def test_reports_equal_single_pass(self, phis, n, monkeypatch):
+        expected = [rep.to_text() for rep in sequential_sweep(n, 5, *phis)]
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(verification, "_usable_cores", lambda: cores)
+            got = [rep.to_text() for rep in verification._convexity_sweep(n, 5, *phis)]
+            assert got == expected, f"{cores} usable cores"
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_error_is_single_pass_error(self, cores, monkeypatch):
+        n = 3 * B + 5
+        J1 = _sample_fj_pairs(np.random.default_rng(5), n)[1]
+        # Marked rows in the second and fourth blocks; a pass over all rows
+        # names the first of them, as must the blocked sweep.
+        marked = J1[[B + 3, 3 * B + 1]]
+
+        def raises_on_marked(F, J):
+            hit = np.isin(J, marked)
+            if hit.any():
+                raise ValueError(f"marked J {float(J[hit][0])!r}")
+            return shear_over_j(F, J)
+
+        with pytest.raises(ValueError) as single:
+            sequential_sweep(n, 5, shear_over_j, raises_on_marked)
+        monkeypatch.setattr(verification, "_usable_cores", lambda: cores)
+        before = threading.active_count()
+        with pytest.raises(ValueError) as blocked:
+            verification._convexity_sweep(n, 5, shear_over_j, raises_on_marked)
+        assert str(blocked.value) == str(single.value) == f"marked J {float(marked[0])!r}"
+        assert threading.active_count() == before
+
+
+class TestBatteryThreads:
+    SIZES = dict(
+        convexity_samples=2 * B + 1,
+        rotation_samples=200,
+        stress_growth_samples=2000,
+        perturbation_samples=500,
+        growth_samples=2000,
+    )
+
+    def test_checks_run_on_main_thread(self, model, monkeypatch):
+        monkeypatch.setattr(verification, "_usable_cores", lambda: 3)
+        calls = []
+
+        def on_main(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append((name, threading.current_thread() is threading.main_thread()))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        names = [name for name in vars(verification) if name.startswith("check_")]
+        for name in names + ["pk1_batch"]:
+            monkeypatch.setattr(verification, name, on_main(name, getattr(verification, name)))
+        run_all_checks(model, seed=42, **self.SIZES)
+        called = {name for name, _ in calls}
+        assert called == set(names) - {"check_midpoint_convexity", "check_negative_control"} | {
+            "pk1_batch"
+        }
+        assert all(main for _, main in calls)
+
+    def test_reports_equal_for_one_and_two_cores(self, model, monkeypatch):
+        texts = []
+        for cores in (1, 2):
+            monkeypatch.setattr(verification, "_usable_cores", lambda: cores)
+            texts.append([rep.to_text() for rep in run_all_checks(model, seed=42, **self.SIZES)])
+        assert len(texts[0]) == 8
+        assert texts[0] == texts[1]
+
+    def test_check_error_waits_for_sweep_error(self, model, monkeypatch):
+        # The sweep comes first in the battery's order, so its error wins.
+        def sweep_fails(F, J):
+            raise ValueError("sweep failed")
+
+        def check_fails(*args, **kwargs):
+            raise RuntimeError("check failed")
+
+        monkeypatch.setattr(verification, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(verification, "shear_over_j_squared", sweep_fails)
+        monkeypatch.setattr(verification, "check_growth", check_fails)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="sweep failed"):
+            run_all_checks(model, seed=42, **self.SIZES)
+        assert threading.active_count() == before
 
 
 class TestRankOne:
