@@ -104,7 +104,7 @@ class RunConfig:
 
     @property
     def output_dir(self):
-        return str(self.data["output_dir"])
+        return self.data["output_dir"]
 
     def _kind_params(self, label, supplied=0):
         """Kind and parameters of a ``{kind: ...}`` block, checked against its table.
@@ -192,6 +192,12 @@ class RunConfig:
         The mesh is the exception: parsing only checks its block's keys and
         resolution, and ``mesh()`` reports its other values.
         """
+        for label in ("minimize", "verify", "diagnostics"):
+            if not isinstance(self.data[label], dict):
+                raise ConfigError(f"{label} must be a mapping, got {self.data[label]!r}")
+        output_dir = self.data["output_dir"]
+        if not (isinstance(output_dir, str) and output_dir):
+            raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
         surface = self.surface()
         model = self.model()
         self.minimize_options()

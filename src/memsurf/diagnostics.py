@@ -198,14 +198,7 @@ def _signed_areas(tris):
     return 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
 
 
-def brouwer_degree(
-    surface,
-    mesh,
-    positions,
-    y,
-    mollifier_radius=None,
-    nudge=True,
-):
+def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     """Degree of the nodal map at the on-surface point y (3,), by two methods.
 
     One call takes one target.  The per-configuration work (edge lengths,
@@ -220,9 +213,9 @@ def brouwer_degree(
     sub-triangle is at most as wide as the bump (three splits at least).
 
     A target landing exactly on an image edge is irregular for the signed
-    count; with ``nudge`` the count is taken at a deterministic offset far
-    below the boundary margin (the degree is locally constant there), and
-    with ``nudge=False`` such targets raise IrregularValueError.
+    count, which is then taken at a deterministic offset far below the
+    boundary margin (the degree is locally constant there), doubled on each
+    of three retries; IrregularValueError is raised if all of them fail.
     ``mollifier_radius``, when given, must be finite and positive.
     """
     if mollifier_radius is not None and not (
@@ -293,7 +286,7 @@ def brouwer_degree(
             inside = _point_in_triangles(w + shift, uv, edge_eps=1e-12)
             break
         except IrregularValueError:
-            if not nudge or attempt == 3:
+            if attempt == 3:
                 raise
             shift = offset * 2.0**attempt
     # Orientation signs of the covering elements only.

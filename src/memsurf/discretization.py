@@ -24,7 +24,7 @@ __all__ = [
     "energy_gradient",
 ]
 
-J_FLOOR_DEFAULT = 1e-8
+J_FLOOR = 1e-8  # oriented area ratio that every feasible configuration exceeds
 
 
 def interpolate(surface, mesh, f0):
@@ -74,11 +74,12 @@ def oriented_area_ratios(mesh: TriMesh, surface, positions):
     return _kinematics(mesh, surface, positions)[1]
 
 
-def trial_energy(model, mesh, surface, positions, j_floor=J_FLOOR_DEFAULT):
+def trial_energy(model, mesh, surface, positions):
     """Non-raising energy evaluation for line-search trials.
 
     Returns (energy, min_J, feasible, F, spectral); energy is only
-    meaningful when feasible is True.  F is the (m, 3, 2) gradient batch and
+    meaningful when feasible is True, that is when every element's oriented
+    area ratio exceeds ``J_FLOOR``.  F is the (m, 3, 2) gradient batch and
     spectral its ``_spectral_batch`` data, the pair ``energy_gradient``
     takes; spectral is None when the trial is infeasible.  A centroid
     projection that fails (no convergence, or a point on the medial axis)
@@ -89,7 +90,7 @@ def trial_energy(model, mesh, surface, positions, j_floor=J_FLOOR_DEFAULT):
     except (AmbiguousProjectionError, NoConvergenceError):
         return np.inf, np.nan, False, None, None
     min_j = float(np.min(J)) if J.size else np.inf
-    if not min_j > j_floor:
+    if not min_j > J_FLOOR:
         return np.inf, min_j, False, F, None
     spectral = _spectral_batch(F)
     energy = float(np.sum(mesh.ref_area * model.energy_from_stretches(*spectral[:2])))

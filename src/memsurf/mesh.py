@@ -276,7 +276,8 @@ def save_mesh(path, positions, triangles, comments=()):
 def load_mesh(path):
     """Read a Wavefront-style mesh back as (positions (n,3), triangles).
 
-    Every face record names exactly three vertices by one-based index.
+    Every vertex record holds exactly three finite coordinates, and every
+    face record names exactly three vertices by one-based index.
     """
     positions = []
     faces = []  # (line number, vertex references)
@@ -286,8 +287,17 @@ def load_mesh(path):
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if parts[0] == "v" and len(parts) >= 4:
-                positions.append([float(x) for x in parts[1:4]])
+            if parts[0] == "v":
+                try:
+                    xyz = [float(x) for x in parts[1:]]
+                except ValueError:
+                    xyz = []
+                if len(xyz) != 3 or not np.all(np.isfinite(xyz)):
+                    raise ValueError(
+                        f"{path}:{lineno}: a vertex needs three finite coordinates, "
+                        f"got {' '.join(parts[1:])!r}"
+                    )
+                positions.append(xyz)
             elif parts[0] == "f":
                 faces.append((lineno, parts[1:]))
             else:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretization import (
-    J_FLOOR_DEFAULT,
+    J_FLOOR,
     _kinematics,
     energy_gradient,
     interpolate,
@@ -47,6 +47,10 @@ from .stiffness import StiffnessSolver
 __all__ = ["MinimizeOptions", "MinimizeReport", "initialize", "minimize"]
 
 STEP_UNDERFLOW = 1e-16
+# Sufficient-decrease constant of the Armijo test, and the factor each
+# rejected trial step is shrunk by.
+ARMIJO_C = 1e-4
+BACKTRACK_RATIO = 0.5
 # Curvature pairs kept by the L-BFGS recursion.
 LBFGS_MEMORY = 10
 # Largest nodal move of the forward difference that measures the curvature
@@ -57,31 +61,17 @@ CURVATURE_PROBE = float(np.sqrt(np.finfo(float).eps))
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    """Tuning knobs for the descent loop.
+    """When the descent loop stops; the line search has no settings.
 
-    ``grad_tol`` of None resolves to 1e-7 times the reference area, and
-    ``initial_step`` scales the first direction, -initial_step * t P K^-1 g_T,
-    where t minimizes the quadratic model of the energy along P K^-1 g_T.
+    ``grad_tol`` of None resolves to 1e-7 times the reference area.
     """
 
     max_iter: int = 5000
     grad_tol: float | None = None
-    armijo_c: float = 1e-4
-    backtrack_ratio: float = 0.5
-    initial_step: float = 1.0
-    j_floor: float = J_FLOOR_DEFAULT
 
     def __post_init__(self):
         if not self.max_iter >= 0:
             raise ValueError("max_iter must be nonnegative")
-        if not 0 < self.armijo_c < 1:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not 0 < self.backtrack_ratio < 1:
-            raise ValueError("backtrack_ratio must lie in (0, 1)")
-        if not self.j_floor > 0:
-            raise ValueError("j_floor must be positive")
-        if not self.initial_step > 0:
-            raise ValueError("initial_step must be positive")
         if self.grad_tol is not None and not 0 < self.grad_tol < np.inf:
             raise ValueError("grad_tol must be finite and positive, or None")
 
@@ -119,15 +109,15 @@ class MinimizeReport:
         return len(self.step_history) + sum(self.backtracks)
 
 
-def initialize(surface, mesh, f0, j_floor=J_FLOOR_DEFAULT):
+def initialize(surface, mesh, f0):
     """Nodal positions of f0, with a feasibility check on every element."""
     positions = interpolate(surface, mesh, f0)
     J = oriented_area_ratios(mesh, surface, positions)
-    bad = np.nonzero(~(J > j_floor))[0]
+    bad = np.nonzero(~(J > J_FLOOR))[0]
     if bad.size:
         raise InfeasibleStartError(
             f"initial configuration has {bad.size} elements at or below the "
-            f"area-ratio floor {j_floor:.1e}",
+            f"area-ratio floor {J_FLOOR:.1e}",
             elements=bad.tolist(),
         )
     return positions
@@ -202,7 +192,7 @@ def _transport(surface, x, grad, step, prev_g, mem_s, mem_y):
     return g, mem_s, mem_y
 
 
-def _line_search(model, mesh, surface, free, positions, energy, g, d, options, counts):
+def _line_search(model, mesh, surface, free, positions, energy, g, d, counts):
     """Backtrack from a unit step along the tangent direction d.
 
     Returns (alpha, trial positions, its ``trial_energy`` result) for the
@@ -223,9 +213,9 @@ def _line_search(model, mesh, surface, free, positions, energy, g, d, options, c
         else:
             if np.array_equal(trial, positions):
                 return None  # move below float resolution: no progress possible
-            evaluation = trial_energy(model, mesh, surface, trial, options.j_floor)
+            evaluation = trial_energy(model, mesh, surface, trial)
             e_new, _, feasible, _, _ = evaluation
-            required = -options.armijo_c * alpha * slope
+            required = -ARMIJO_C * alpha * slope
             # Armijo decrease, or plain non-increase once the requested
             # decrease falls below what float64 can resolve.
             if feasible and (
@@ -238,7 +228,7 @@ def _line_search(model, mesh, surface, free, positions, energy, g, d, options, c
             counts["projection_failures"] += 1
         elif not evaluation[2]:
             counts["infeasible_trials"] += 1
-        alpha *= options.backtrack_ratio
+        alpha *= BACKTRACK_RATIO
     return None
 
 
@@ -250,13 +240,11 @@ def minimize(model, surface, mesh, f0, options=None):
     """
     options = options or MinimizeOptions()
     t0 = time.perf_counter()
-    positions = initialize(surface, mesh, f0, options.j_floor)
+    positions = initialize(surface, mesh, f0)
     grad_tol = options.resolved_grad_tol(mesh)
     free = mesh.interior_mask()
 
-    energy, min_j, _, F, spectral = trial_energy(
-        model, mesh, surface, positions, options.j_floor
-    )
+    energy, min_j, _, F, spectral = trial_energy(model, mesh, surface, positions)
     report = MinimizeReport(status="max_iter", iterations=0)
     report.energy_history.append(energy)
     report.min_j_history.append(min_j)
@@ -293,24 +281,19 @@ def minimize(model, surface, mesh, f0, options=None):
             solver = StiffnessSolver(mesh)
         if prev_x is None:
             d = -precondition(gt)
-            d *= options.initial_step * _curvature_step(
-                model, mesh, surface, free, positions, gt, d
-            )
+            d *= _curvature_step(model, mesh, surface, free, positions, gt, d)
         else:
             d, mem_s, mem_y = _lbfgs_direction(
                 gt, mem_s, mem_y, precondition, solver.apply
             )
         counts = dict.fromkeys(("backtracks", "infeasible_trials", "projection_failures"), 0)
-        found = _line_search(
-            model, mesh, surface, free, positions, energy, gt, d, options, counts
-        )
+        found = _line_search(model, mesh, surface, free, positions, energy, gt, d, counts)
         if found is None and len(mem_s):
             # The quasi-Newton model failed here (at the float noise floor,
             # typically): clear the memory and search along -P K^-1 g_T.
             mem_s = mem_y = no_pairs
             found = _line_search(
-                model, mesh, surface, free, positions, energy, gt,
-                -precondition(gt), options, counts,
+                model, mesh, surface, free, positions, energy, gt, -precondition(gt), counts
             )
         if found is None:
             raise LineSearchStallError(

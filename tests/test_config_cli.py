@@ -1,6 +1,7 @@
 import copy
 import csv
 import io
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,11 +16,15 @@ from memsurf import (
     Sphere,
     make_initial_map,
     parse_config,
+    parse_config_file,
 )
 import memsurf.config as config_module
+import memsurf.minimizer as minimizer_module
 from memsurf.cli import main
 from memsurf.mesh import load_mesh
 
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 MINIMAL_PLANE = """
 surface: {kind: plane}
@@ -121,11 +126,9 @@ seed: 7
             "domain: {kind: unit_square, resolution: true}",
             "minimize: {max_iter: true}",
             "minimize: {grad_tol: true}",
-            "minimize: {initial_step: true}",
             "minimize: {max_iter: 2.7}",
             # PyYAML reads an exponent without a decimal point as a string.
             "minimize: {grad_tol: 5e-2}",
-            "minimize: {initial_step: '2'}",
             "minimize: {max_iter: '10'}",
             # Kind blocks: booleans (nested ones too), wrong types, bad
             # values and blocks that are not a {kind: ...} mapping.
@@ -168,6 +171,42 @@ seed: 7
         assert fresh.minimize_options().max_iter == MinimizeOptions().max_iter
         assert fresh.model() == IsotropicModel()
         assert config_module.DEFAULT_CONFIG == defaults
+
+    @pytest.mark.parametrize("block", ["minimize", "verify", "diagnostics"])
+    @pytest.mark.parametrize("value", ["5", "[1, 2]", "'x'", ""])
+    @pytest.mark.parametrize("command", ["verify", "minimize"])
+    def test_block_that_is_not_a_mapping_exit_2(self, tmp_path, capsys, block, value, command):
+        # Under verify, exit 1 would mean a failed check.
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"{block}: {value}\noutput_dir: \"{tmp_path / 'out'}\"\n")
+        assert main([command, str(cfg)]) == 2
+        assert f"{block} must be a mapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["", "''", "[a, b]", "5", "true"])
+    def test_output_dir_must_be_a_non_empty_string(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"output_dir: {value}\n")
+        assert main(["verify", str(cfg)]) == 2
+        assert "output_dir must be a non-empty string" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "key", ["armijo_c", "backtrack_ratio", "initial_step", "j_floor"]
+    )
+    def test_removed_line_search_keys_are_unknown(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"minimize: {{{key}: 1.0e-4}}\noutput_dir: \"{tmp_path / 'out'}\"\n")
+        assert main(["minimize", str(cfg)]) == 2
+        assert f"unknown configuration key minimize.{key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path", sorted(CONFIGS.glob("*.yaml")), ids=lambda path: path.stem
+    )
+    def test_shipped_configs_parse(self, path):
+        config = parse_config_file(path)
+        assert config.minimize_options().max_iter > 0
+        assert config.output_dir == f"runs/{path.stem}"
 
     def test_string_number_error_names_key_and_spelling(self):
         with pytest.raises(ConfigError, match=r"minimize\.grad_tol .*5\.0e-2"):
@@ -329,17 +368,21 @@ output_dir: "%s"
         assert main(["minimize", str(cfg)]) == 3
         assert "status: max_iter" in (out / "summary.txt").read_text()
 
-    def test_counters_in_history_and_summary(self, tmp_path):
+    def test_counters_in_history_and_summary(self, tmp_path, monkeypatch):
         # A first step 16 times the model minimizer backtracks, once at the
         # J floor; the summary totals are the column sums of energy_history.csv.
         text = """
 surface: {kind: sphere, radius: 1.0}
 domain: {kind: disk, resolution: 0.3}
 initial_map: {kind: stereographic_cap, latitude: 1.0471975511965976}
-minimize: {max_iter: 8, initial_step: 16}
+minimize: {max_iter: 8}
 diagnostics: {injectivity: false, degree_points: 0, residual_fields: 0}
 output_dir: "%s"
 """
+        curvature_step = minimizer_module._curvature_step
+        monkeypatch.setattr(
+            minimizer_module, "_curvature_step", lambda *args: 16 * curvature_step(*args)
+        )
         cfg, out = write_config(tmp_path, text)
         main(["minimize", str(cfg)])
         lines = (out / "energy_history.csv").read_text().splitlines()[1:]

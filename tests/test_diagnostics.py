@@ -168,10 +168,22 @@ class TestDegree:
             assert res.degree == 1
             assert res.methods_agree
 
-    def test_irregular_value_without_nudge(self, plane, disk_identity):
+    def test_irregular_value_after_every_nudge(self, plane, disk_identity, monkeypatch):
+        # Every nudged target lands on an edge too: after the unshifted try
+        # and three doubling offsets the target is reported irregular.
         mesh, cfg = disk_identity
+        tried = []
+
+        def on_edge(w, tri_uv, edge_eps):
+            tried.append(w.copy())
+            raise IrregularValueError("target lies on an image edge")
+
+        monkeypatch.setattr(diagnostics, "_point_in_triangles", on_edge)
         with pytest.raises(IrregularValueError):
-            brouwer_degree(plane, mesh, cfg, np.zeros(3), nudge=False)
+            brouwer_degree(plane, mesh, cfg, np.array([0.3, 0.2, 0.0]))
+        shifts = [w - tried[0] for w in tried[1:]]
+        assert len(tried) == 4 and np.any(shifts[0] != 0)
+        assert np.allclose(shifts[1], 2 * shifts[0]) and np.allclose(shifts[2], 4 * shifts[0])
 
     def test_invariant_under_interior_perturbation(self, plane, disk_identity):
         mesh, _ = disk_identity
@@ -210,7 +222,7 @@ class TestDegree:
             brouwer_degree(plane, mesh, cfg, np.zeros(shape))
 
 
-def _reference_degree(surface, mesh, positions, y, mollifier_radius=None, nudge=True):
+def _reference_degree(surface, mesh, positions, y, mollifier_radius=None):
     """The degree of one target as computed before the per-target pruning.
 
     Orientation signs of every element, the mesh-wide vertex distances from
@@ -256,7 +268,7 @@ def _reference_degree(surface, mesh, positions, y, mollifier_radius=None, nudge=
             inside = _point_in_triangles(w + shift, uv, edge_eps=1e-12)
             break
         except IrregularValueError:
-            if not nudge or attempt == 3:
+            if attempt == 3:
                 raise
             shift = offset * 2.0**attempt
     count = int(np.sum(signs[near_idx][inside]))
@@ -320,7 +332,7 @@ class TestDegreeEquivalence:
         brouwer_degree(plane, mesh, cfg, near_boundary[0])
         assert len(splits) > 3           # the bump is narrower than the sub-triangles
         _assert_as_reference(plane, mesh, cfg, near_boundary)
-        _assert_as_reference(plane, mesh, cfg, [np.zeros(3)], nudge=False)
+        _assert_as_reference(plane, mesh, cfg, [np.zeros(3)])  # nudged off an edge
         cap_mesh, cap_cfg, targets = cap_targets
         splits.clear()
         brouwer_degree(sphere, cap_mesh, cap_cfg, targets[0], mollifier_radius=0.005)

@@ -120,11 +120,18 @@ class TestElementKinematics:
         F = element_gradients(square_mesh, plane, cfg)
         _, _, _, F_trial, _ = trial_energy(model, square_mesh, plane, cfg)
         assert np.array_equal(F_trial, F)
-        # A trial rejected at the floor still hands back the F it formed.
-        _, _, feasible, F_rejected, spectral = trial_energy(
-            model, square_mesh, plane, cfg, j_floor=2.0
+        # A trial rejected at the floor (here an inverted, reversed-affine
+        # configuration) still hands back the F it formed.
+        inverted = interpolate(
+            plane,
+            square_mesh,
+            make_initial_map(plane, "affine", matrix=np.array([[0.0, 1.0], [1.0, 0.0]])),
         )
-        assert not feasible and np.array_equal(F_rejected, F) and spectral is None
+        _, min_j, feasible, F_rejected, spectral = trial_energy(
+            model, square_mesh, plane, inverted
+        )
+        assert not feasible and min_j < 0 and spectral is None
+        assert np.array_equal(F_rejected, element_gradients(square_mesh, plane, inverted))
         disk = build_mesh("disk", 0.2)
         cap = interpolate(
             sphere, disk, make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)

@@ -182,6 +182,18 @@ def test_wavefront_rejects_malformed_face(tmp_path, face):
         load_mesh(path)
 
 
+@pytest.mark.parametrize(
+    "vertex",
+    ["v 1 2", "v a b c", "v nan 0 0", "v 0 inf 0", "v 1 2 3 4"],
+    ids=["two_coordinates", "not_a_number", "nan", "inf", "four_coordinates"],
+)
+def test_wavefront_rejects_malformed_vertex(tmp_path, vertex):
+    path = tmp_path / "bad.obj"
+    path.write_text(f"v 0 0 0\nv 1 0 0\n{vertex}\nf 1 2 3\n")
+    with pytest.raises(ValueError, match=r"bad\.obj:3: a vertex needs three finite coordinates"):
+        load_mesh(path)
+
+
 def test_wavefront_face_before_its_vertices(tmp_path):
     path = tmp_path / "mesh.obj"
     path.write_text("f 1 2 3\nv 0 0 0\nv 1 0 0\nv 0 1 0\n")
