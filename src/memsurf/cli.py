@@ -64,9 +64,7 @@ def _write_text(path, config_hash, text):
 
 
 def _cmd_verify(config, out):
-    reports = run_all_checks(
-        config.model(), seed=config.seed, **config.verify_params()
-    )
+    reports = run_all_checks(config.model(), seed=config.seed)
     rows = [
         (r.check_name, r.samples, r.worst_violation, str(r.passed).lower())
         for r in reports
@@ -353,7 +351,11 @@ def main(argv=None):
         return EXIT_CONFIG
 
     out = config.output_dir
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: output_dir {out!r}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         if args.command == "verify":

@@ -25,7 +25,7 @@ from .geometry import SURFACE_KINDS, make_surface
 from .maps import MAP_KINDS, make_initial_map
 from .mesh import DOMAIN_KINDS, build_mesh
 from .minimizer import MinimizeOptions
-from .verification import max_perturbation_delta, run_all_checks
+from .verification import PERTURBATION_DELTA, max_perturbation_delta
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file", "DEFAULT_CONFIG"]
 
@@ -35,12 +35,6 @@ DEFAULT_CONFIG = {
     "domain": {"kind": "unit_square", "resolution": 0.125},
     "initial_map": {"kind": "identity"},
     "minimize": asdict(MinimizeOptions()),
-    # run_all_checks' keyword defaults; its seed is the top-level one.
-    "verify": {
-        name: param.default
-        for name, param in inspect.signature(run_all_checks).parameters.items()
-        if param.default is not param.empty
-    },
     "diagnostics": {
         "injectivity": True,
         "degree_points": 100,
@@ -169,9 +163,6 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"minimize: {exc}") from exc
 
-    def verify_params(self):
-        return dict(self.data["verify"])
-
     def diagnostics_params(self):
         return dict(self.data["diagnostics"])
 
@@ -192,7 +183,7 @@ class RunConfig:
         The mesh is the exception: parsing only checks its block's keys and
         resolution, and ``mesh()`` reports its other values.
         """
-        for label in ("minimize", "verify", "diagnostics"):
+        for label in ("minimize", "diagnostics"):
             if not isinstance(self.data[label], dict):
                 raise ConfigError(f"{label} must be a mapping, got {self.data[label]!r}")
         output_dir = self.data["output_dir"]
@@ -205,17 +196,12 @@ class RunConfig:
         if not (_is_number(resolution) and 0 < resolution < math.inf):
             raise ConfigError("domain.resolution must be a finite positive number")
         self.initial_map(surface)
-        verify = self.data["verify"]
-        for key, val in verify.items():
-            if key == "perturbation_delta":
-                bound = max_perturbation_delta(model)
-                if not (_is_number(val) and 0 < val < bound):
-                    raise ConfigError(
-                        "verify.perturbation_delta must lie in (0, 1/(2K)) = "
-                        f"(0, {bound:.6g}) for the configured model, got {val!r}"
-                    )
-            elif not (_is_int(val) and val > 0):
-                raise ConfigError(f"verify.{key} must be a positive integer")
+        bound = max_perturbation_delta(model)
+        if not PERTURBATION_DELTA < bound:
+            raise ConfigError(
+                f"model: 1/(2K) = {bound:.6g} must exceed the perturbation size "
+                f"{PERTURBATION_DELTA} of the verify battery (K: stress-growth constant)"
+            )
         diag = self.data["diagnostics"]
         if not isinstance(diag["injectivity"], bool):
             raise ConfigError("diagnostics.injectivity must be boolean")

@@ -95,7 +95,6 @@ class IsotropicModel:
     ogden_terms: tuple = ((1.0, 3.0),)
     b: float = 1.0
     theta: ThetaModel = field(default_factory=ThetaModel)
-    label: str = "default"
 
     def __post_init__(self):
         terms = tuple((float(bj), float(gj)) for bj, gj in self.ogden_terms)
@@ -195,7 +194,6 @@ class IsotropicModel:
             "ogden_terms": [{"b": bj, "gamma": gj} for bj, gj in self.ogden_terms],
             "b": self.b,
             "theta": {"c": self.theta.c, "q": self.theta.q, "r": self.theta.r},
-            "label": self.label,
         }
 
     @classmethod
@@ -212,8 +210,6 @@ class IsotropicModel:
             kwargs["theta"] = ThetaModel(
                 **{key: float(val) for key, val in data["theta"].items()}
             )
-        if "label" in data:
-            kwargs["label"] = str(data["label"])
         return cls(**kwargs)
 
 

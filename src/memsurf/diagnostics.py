@@ -551,6 +551,10 @@ def _test_fields(surface, mesh, positions, family_size, seed):
         if clearance <= 1e-12:
             continue
         anchors.append((y0, 0.95 * clearance))
+    if not anchors:
+        raise MemsurfError(
+            "no interior vertex clears the boundary image to anchor a residual test field"
+        )
     dirs = rng.standard_normal((_TEST_DIRECTIONS, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     fields = []
@@ -576,6 +580,8 @@ def first_variation_residual(model, surface, mesh, positions, family_size, seed)
     agree to rounding error.  Admissibility of the variation is spot-checked
     at tau = +/- 1e-3 (all elements keep positive orientation).
     """
+    # The fields first: a mesh without an anchor fails before any stress.
+    fields = _test_fields(surface, mesh, positions, family_size, seed)
     F = _kinematics(mesh, surface, positions)[0]
     spectral = _spectral_batch(F)
     S = pk1_batch(model, F, spectral)
@@ -591,7 +597,7 @@ def first_variation_residual(model, surface, mesh, positions, family_size, seed)
     Fplus = np.einsum("tjk,tik->tji", Cinv, F)      # (t, 2, 3)
 
     results = []
-    for k, v, y0, rc, psi in _test_fields(surface, mesh, positions, family_size, seed):
+    for k, v, y0, rc, psi in fields:
         psi_tri = psi[mesh.triangles]                # (t, 3verts, 3)
         Psi = np.einsum("tva,tvb->tab", psi_tri, mesh.shape_grads)
         lag = float(np.sum(mesh.ref_area * np.einsum("tab,tab->t", S, Psi)))

@@ -95,21 +95,20 @@ def _boundary_loops(num_vertices, triangles):
     triangles that share it without a fan between them), where the loops
     are not well defined.
     """
-    counts = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            counts[key] = counts.get(key, 0) + 1
-    nxt = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            if counts[(min(a, b), max(a, b))] == 1:
-                if int(a) in nxt:
-                    raise ValueError(
-                        f"vertex {int(a)} has two outgoing boundary edges "
-                        "(a bowtie vertex); the boundary is not a set of loops"
-                    )
-                nxt[int(a)] = int(b)
+    # Directed edges (a, b), (b, c), (c, a) of each triangle, in triangle order.
+    edges = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1).reshape(-1, 2)
+    keys = edges.min(axis=1) * num_vertices + edges.max(axis=1)
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    src, dst = edges[counts[inverse] == 1].T
+    _, first = np.unique(src, return_index=True)
+    if first.size < src.size:
+        again = np.ones(src.size, dtype=bool)
+        again[first] = False
+        raise ValueError(
+            f"vertex {int(src[np.argmax(again)])} has two outgoing boundary edges "
+            "(a bowtie vertex); the boundary is not a set of loops"
+        )
+    nxt = dict(zip(src.tolist(), dst.tolist()))
     loops = []
     seen = set()
     for start in sorted(nxt):

@@ -2,10 +2,10 @@
 
 Each check draws a deterministic sample set from its seed, measures the
 worst violation of the inequality it certifies, and passes when that is
-within a fixed tolerance (``CheckReport.passed``).  Sample counts, seeds
-and the perturbation size come from ``run_all_checks``; the sampled
-ranges are the module constants below.  Re-running with the same
-(seed, n) is bitwise reproducible.
+within a fixed tolerance (``CheckReport.passed``).  ``run_all_checks``
+derives each check's seed from its own; the battery's sample counts, the
+perturbation size and the sampled ranges are the module constants below.
+Re-running with the same (seed, n) is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -38,6 +38,13 @@ __all__ = [
     "shear_over_j_squared",
 ]
 
+# The battery's sample counts and perturbation size (``run_all_checks``).
+CONVEXITY_SAMPLES = 100_000
+ROTATION_SAMPLES = 1000
+STRESS_GROWTH_SAMPLES = 100_000
+PERTURBATION_SAMPLES = 10_000
+PERTURBATION_DELTA = 0.01
+GROWTH_SAMPLES = 100_000
 # Relative energy change allowed under a rotation (objectivity, isotropy).
 INVARIANCE_TOLERANCE = 1e-9
 CONVEXITY_SLACK = 1e-10
@@ -558,19 +565,10 @@ def check_growth(model, n, seed):
     )
 
 
-def run_all_checks(
-    model: IsotropicModel,
-    seed,
-    convexity_samples=100_000,
-    rotation_samples=1000,
-    stress_growth_samples=100_000,
-    perturbation_samples=10_000,
-    perturbation_delta=0.01,
-    growth_samples=100_000,
-):
+def run_all_checks(model: IsotropicModel, seed):
     """The full certificate battery in a fixed order (eight reports).
 
-    The keyword defaults are the ``verify`` block of ``config.DEFAULT_CONFIG``.
+    The sample counts and the perturbation size are the module constants.
     """
 
     def phi_model(F, J):
@@ -579,17 +577,17 @@ def run_all_checks(
     # The convexity check and its negative control share one segment draw.
     # Its workers start first; this thread runs the other checks (so every
     # check runs on the calling thread), then takes sweep blocks too.
-    sweep = _ConvexitySweep(convexity_samples, seed + 2, phi_model, shear_over_j_squared)
+    sweep = _ConvexitySweep(CONVEXITY_SAMPLES, seed + 2, phi_model, shear_over_j_squared)
     try:
-        objectivity = check_objectivity(model, n=rotation_samples, seed=seed)
-        isotropy = check_isotropy(model, n=rotation_samples, seed=seed + 1)
+        objectivity = check_objectivity(model, n=ROTATION_SAMPLES, seed=seed)
+        isotropy = check_isotropy(model, n=ROTATION_SAMPLES, seed=seed + 1)
         rest = [
             check_rank_one(model, seed=seed),
-            check_stress_growth(model, n=stress_growth_samples, seed=seed + 3),
+            check_stress_growth(model, n=STRESS_GROWTH_SAMPLES, seed=seed + 3),
             check_perturbed_stress_bound(
-                model, delta=perturbation_delta, n=perturbation_samples, seed=seed + 4
+                model, delta=PERTURBATION_DELTA, n=PERTURBATION_SAMPLES, seed=seed + 4
             ),
-            check_growth(model, n=growth_samples, seed=seed + 5),
+            check_growth(model, n=GROWTH_SAMPLES, seed=seed + 5),
         ]
     except BaseException as exc:
         # The sweep came first in the battery's order, so its error wins; an

@@ -312,13 +312,6 @@ domain: {{kind: disk, resolution: 0.2}}
 initial_map: {{kind: stereographic_cap, latitude: 1.0471975511965976}}
 minimize: {{grad_tol: 1.0e-06}}
 diagnostics: {{injectivity: true, degree_points: 25, residual_fields: 12}}
-verify:
-  rotation_samples: 500
-  convexity_samples: 10000
-  stress_growth_samples: 10000
-  perturbation_samples: 2000
-  perturbation_delta: 0.01
-  growth_samples: 10000
 output_dir: "{out}"
 seed: 42
 """

@@ -36,13 +36,6 @@ seed: 42
 """
 
 SMALL_VERIFY = """
-verify:
-  rotation_samples: 300
-  convexity_samples: 5000
-  stress_growth_samples: 5000
-  perturbation_samples: 1000
-  perturbation_delta: 0.01
-  growth_samples: 5000
 output_dir: "%s"
 seed: 42
 """
@@ -116,11 +109,6 @@ seed: 7
         [
             "seed: true",
             "seed: -1",
-            # At or above 1/(2K): 0.0518 for the default model, 0.0244 for r = 8.
-            "verify: {perturbation_delta: 0.2}",
-            "model: {theta: {r: 8.0}}\nverify: {perturbation_delta: 0.04}",
-            "verify: {rotation_samples: true}",
-            "verify: {growth_samples: true}",
             "diagnostics: {degree_points: true}",
             "diagnostics: {residual_fields: true}",
             "domain: {kind: unit_square, resolution: true}",
@@ -172,7 +160,7 @@ seed: 7
         assert fresh.model() == IsotropicModel()
         assert config_module.DEFAULT_CONFIG == defaults
 
-    @pytest.mark.parametrize("block", ["minimize", "verify", "diagnostics"])
+    @pytest.mark.parametrize("block", ["minimize", "diagnostics"])
     @pytest.mark.parametrize("value", ["5", "[1, 2]", "'x'", ""])
     @pytest.mark.parametrize("command", ["verify", "minimize"])
     def test_block_that_is_not_a_mapping_exit_2(self, tmp_path, capsys, block, value, command):
@@ -190,6 +178,46 @@ seed: 7
         assert main(["verify", str(cfg)]) == 2
         assert "output_dir must be a non-empty string" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command", ["verify", "minimize"])
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"])
+    def test_output_dir_that_cannot_be_made_exit_2(
+        self, tmp_path, monkeypatch, capsys, command, target
+    ):
+        # Under verify, exit 1 would mean a failed check.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"output_dir: {target}\n")
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output_dir {target!r}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "minimize"])
+    @pytest.mark.parametrize("value", ["{rotation_samples: 1000}", "{}", "5"])
+    def test_verify_block_is_unknown(self, tmp_path, capsys, command, value):
+        # The battery's sample counts and perturbation size are constants.
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"verify: {value}\noutput_dir: \"{tmp_path / 'out'}\"\n")
+        assert main([command, str(cfg)]) == 2
+        assert "unknown configuration key 'verify'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_model_label_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"model: {{label: default}}\noutput_dir: \"{tmp_path / 'out'}\"\n")
+        assert main(["verify", str(cfg)]) == 2
+        assert "unknown configuration key model.'label'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "minimize"])
+    def test_model_below_battery_perturbation_exit_2(self, tmp_path, capsys, command):
+        # theta.r = 20 gives 1/(2K) = 0.0089, below the battery's delta 0.01.
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"model: {{theta: {{r: 20}}}}\noutput_dir: \"{tmp_path / 'out'}\"\n")
+        assert main([command, str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "model: 1/(2K) = 0.00891376 must exceed the perturbation size 0.01" in err
 
     @pytest.mark.parametrize(
         "key", ["armijo_c", "backtrack_ratio", "initial_step", "j_floor"]
@@ -513,3 +541,18 @@ seed: 5
         cfg, _ = write_config(tmp_path, text)
         assert main([command, str(cfg)]) == 5
         assert "no interior vertex" in capsys.readouterr().err
+
+    def test_no_anchor_off_the_boundary_image_exit_5(self, tmp_path, capsys):
+        # The map flattens the square onto its bottom edge, so every
+        # interior vertex lands on the boundary image.
+        text = """
+surface: {kind: plane}
+domain: {kind: unit_square, resolution: 0.25}
+initial_map: {kind: affine, matrix: [[1.0, 0.0], [0.0, 0.0]]}
+output_dir: "%s"
+"""
+        cfg, out = write_config(tmp_path, text)
+        assert main(["residual", str(cfg)]) == 5
+        err = capsys.readouterr().err
+        assert "no interior vertex clears the boundary image" in err
+        assert not (out / "residuals.csv").exists()

@@ -371,7 +371,7 @@ class TestIsotropicModel:
     def test_from_dict_missing_keys_take_class_defaults(self, model):
         # Each missing key falls back to the IsotropicModel / ThetaModel
         # default, so a partial dict of the default values is the default.
-        for missing in ("ogden_terms", "b", "theta", "label"):
+        for missing in ("ogden_terms", "b", "theta"):
             d = model.to_dict()
             del d[missing]
             assert IsotropicModel.from_dict(d) == IsotropicModel(), missing

@@ -199,13 +199,8 @@ class TestBlockedSweep:
 
 
 class TestBatteryThreads:
-    SIZES = dict(
-        convexity_samples=2 * B + 1,
-        rotation_samples=200,
-        stress_growth_samples=2000,
-        perturbation_samples=500,
-        growth_samples=2000,
-    )
+    def test_battery_sweep_spans_several_blocks(self):
+        assert verification.CONVEXITY_SAMPLES > 2 * B
 
     def test_checks_run_on_main_thread(self, model, monkeypatch):
         monkeypatch.setattr(verification, "_usable_cores", lambda: 3)
@@ -221,7 +216,7 @@ class TestBatteryThreads:
         names = [name for name in vars(verification) if name.startswith("check_")]
         for name in names + ["pk1_batch"]:
             monkeypatch.setattr(verification, name, on_main(name, getattr(verification, name)))
-        run_all_checks(model, seed=42, **self.SIZES)
+        run_all_checks(model, seed=42)
         called = {name for name, _ in calls}
         assert called == set(names) - {"check_midpoint_convexity", "check_negative_control"} | {
             "pk1_batch"
@@ -232,7 +227,7 @@ class TestBatteryThreads:
         texts = []
         for cores in (1, 2):
             monkeypatch.setattr(verification, "_usable_cores", lambda: cores)
-            texts.append([rep.to_text() for rep in run_all_checks(model, seed=42, **self.SIZES)])
+            texts.append([rep.to_text() for rep in run_all_checks(model, seed=42)])
         assert len(texts[0]) == 8
         assert texts[0] == texts[1]
 
@@ -249,7 +244,7 @@ class TestBatteryThreads:
         monkeypatch.setattr(verification, "check_growth", check_fails)
         before = threading.active_count()
         with pytest.raises(ValueError, match="sweep failed"):
-            run_all_checks(model, seed=42, **self.SIZES)
+            run_all_checks(model, seed=42)
         assert threading.active_count() == before
 
 
@@ -381,15 +376,7 @@ class TestReports:
         assert a.to_text() == b.to_text()
 
     def test_passed_iff_within_tolerance(self, model):
-        reps = run_all_checks(
-            model,
-            seed=42,
-            convexity_samples=5000,
-            rotation_samples=200,
-            stress_growth_samples=5000,
-            perturbation_samples=1000,
-            growth_samples=5000,
-        )
+        reps = run_all_checks(model, seed=42)
         assert len(reps) == 8
         for rep in reps:
             assert rep.passed == (rep.worst_violation <= rep.tolerance)
@@ -397,12 +384,26 @@ class TestReports:
 
     def test_battery_convexity_reports_equal_standalone(self, model):
         """One shared segment draw gives the reports of the two separate checks."""
-        reps = run_all_checks(model, seed=42, convexity_samples=3000)
-        split = check_midpoint_convexity(
-            lambda F, J: phi_split_batch(model, F, J), n=3000, seed=44
-        )
+        n = verification.CONVEXITY_SAMPLES
+        reps = run_all_checks(model, seed=42)
+        split = check_midpoint_convexity(lambda F, J: phi_split_batch(model, F, J), n=n, seed=44)
         assert reps[2].to_text() == split.to_text()
-        assert reps[3].to_text() == check_negative_control(n=3000, seed=44).to_text()
+        assert reps[3].to_text() == check_negative_control(n=n, seed=44).to_text()
+
+    def test_battery_samples_are_the_module_constants(self, model):
+        reps = {rep.check_name: rep for rep in run_all_checks(model, seed=42)}
+        assert {name: rep.samples for name, rep in reps.items()} == {
+            "objectivity": verification.ROTATION_SAMPLES,
+            "isotropy": verification.ROTATION_SAMPLES,
+            "split_convexity": verification.CONVEXITY_SAMPLES,
+            "split_convexity_negative_control": verification.CONVEXITY_SAMPLES,
+            "rank_one_failure": len(verification.RANK_ONE_EPS_GRID),
+            # The draw plus the five corners of the stretch range.
+            "stress_growth": verification.STRESS_GROWTH_SAMPLES + 5,
+            "perturbed_stress_bound": verification.PERTURBATION_SAMPLES,
+            "coercivity_and_blowup": verification.GROWTH_SAMPLES,
+        }
+        assert reps["perturbed_stress_bound"].details["delta"] == verification.PERTURBATION_DELTA
 
     def test_passed_derived_from_tolerance(self):
         def report(worst):
