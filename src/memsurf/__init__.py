@@ -48,7 +48,7 @@ from .geometry import (
 )
 from .maps import make_initial_map
 from .mesh import TriMesh, build_mesh, load_mesh, save_mesh
-from .minimizer import MinimizeOptions, MinimizeReport, initialize, minimize
+from .minimizer import MinimizeReport, initialize, minimize
 from .verification import (
     CheckReport,
     RankOneWitness,

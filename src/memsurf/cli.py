@@ -190,8 +190,7 @@ def _cmd_minimize(config, out):
     model = config.model()
     mesh = config.mesh()
     f0 = config.initial_map(surface)
-    options = config.minimize_options()
-    positions, report = minimize(model, surface, mesh, f0, options)
+    positions, report = minimize(model, surface, mesh, f0, config.grad_tol())
 
     rows = zip(
         range(len(report.energy_history)),
@@ -231,7 +230,6 @@ def _cmd_minimize(config, out):
         comments=[f"config_hash={config.config_hash}", "deformed configuration"],
     )
 
-    grad_tol = options.resolved_grad_tol(mesh)
     lines = [
         f"status: {report.status}",
         f"iterations: {report.iterations}",
@@ -241,14 +239,14 @@ def _cmd_minimize(config, out):
         f"projection_failures: {sum(report.projection_failures)}",
         f"energy: {report.energy_history[-1]!r}",
         f"final_grad_norm: {report.grad_history[-1]!r}",
-        f"grad_tol: {grad_tol!r}",
+        f"grad_tol: {report.grad_tol!r}",
         f"min_element_J: {report.min_j_history[-1]!r}",
         f"vertices: {mesh.num_vertices}",
         f"triangles: {mesh.num_triangles}",
         f"wall_time_s: {report.wall_time:.3f}",
     ]
     if report.status == "converged":
-        lines += _run_diagnostics(config, surface, mesh, positions, out, grad_tol)
+        lines += _run_diagnostics(config, surface, mesh, positions, out, report.grad_tol)
     _write_text(
         os.path.join(out, "summary.txt"), config.config_hash, "\n".join(lines) + "\n"
     )

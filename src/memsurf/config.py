@@ -1,10 +1,11 @@
 """Run configuration: one YAML file drives every CLI command.
 
 The file is a nested key/value document; unknown keys are rejected so a
-config cannot silently misspell a parameter.  Parsing normalizes the
-document, validates every parameter against its module's constructor, and
-the canonical re-serialization round-trips.  A short hash of the canonical
-form stamps every output file for provenance.
+config cannot silently misspell a parameter, and a boolean or a string is
+not read as a number.  Parsing normalizes the document, validates every
+parameter against its module's constructor (``minimize`` takes only
+``grad_tol``), and the canonical re-serialization round-trips.  A short hash
+of the canonical form stamps every output file for provenance.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import hashlib
 import inspect
 import io
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import yaml
 
@@ -24,7 +25,7 @@ from .errors import ConfigError, InvalidModelError
 from .geometry import SURFACE_KINDS, make_surface
 from .maps import MAP_KINDS, make_initial_map
 from .mesh import DOMAIN_KINDS, build_mesh
-from .minimizer import MinimizeOptions
+from .minimizer import check_grad_tol
 from .verification import PERTURBATION_DELTA, max_perturbation_delta
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file", "DEFAULT_CONFIG"]
@@ -34,7 +35,7 @@ DEFAULT_CONFIG = {
     "model": IsotropicModel().to_dict(),
     "domain": {"kind": "unit_square", "resolution": 0.125},
     "initial_map": {"kind": "identity"},
-    "minimize": asdict(MinimizeOptions()),
+    "minimize": {"grad_tol": None},
     "diagnostics": {
         "injectivity": True,
         "degree_points": 100,
@@ -53,17 +54,23 @@ _KIND_TABLES = {
 
 
 def _merge_defaults(data, defaults, path=""):
-    """Fill missing keys from defaults; reject unknown keys in known blocks."""
+    """Fill missing keys from defaults; reject unknown keys in known blocks.
+
+    A value whose default is a float must be a number, and the entries of
+    ``model.ogden_terms`` must be mappings with exactly the default's keys.
+    """
     out = {}
     for key, dval in defaults.items():
-        if key in data:
-            val = data[key]
-            if isinstance(dval, dict) and isinstance(val, dict) and key not in _KIND_TABLES:
-                out[key] = _merge_defaults(val, dval, f"{path}{key}.")
-            else:
-                out[key] = val
-        else:
-            out[key] = dval
+        val, where = data.get(key, dval), f"{path}{key}"
+        if isinstance(dval, dict) and isinstance(val, dict) and key not in _KIND_TABLES:
+            val = _merge_defaults(val, dval, f"{where}.")
+        elif isinstance(dval, float) and not _is_number(val):
+            raise ConfigError(f"{where} must be a number, got {val!r}")
+        elif isinstance(dval, list) and isinstance(val, list):  # model.ogden_terms
+            if not all(isinstance(t, dict) and set(t) >= set(dval[0]) for t in val):
+                raise ConfigError(f"{where} entries must be mappings with keys {list(dval[0])}")
+            val = [_merge_defaults(t, dval[0], f"{where}[{i}].") for i, t in enumerate(val)]
+        out[key] = val
     for key in data:
         if key not in defaults:
             raise ConfigError(f"unknown configuration key {path}{key!r}")
@@ -137,7 +144,7 @@ class RunConfig:
     def model(self):
         try:
             return IsotropicModel.from_dict(self.data["model"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"model: malformed block ({exc})") from exc
         except InvalidModelError as exc:
             raise ConfigError(f"model: {exc}") from exc
@@ -148,20 +155,19 @@ class RunConfig:
     def initial_map(self, surface):
         return self._build("initial_map", make_initial_map, surface)
 
-    def minimize_options(self):
-        block = self.data["minimize"]
-        for key, val in block.items():
-            if val is not None and not _is_number(val):
-                raise ConfigError(
-                    f"minimize.{key} must be a number, got {val!r} "
-                    "(write an exponent with a decimal point: 5.0e-2, not 5e-2)"
-                )
-        if isinstance(block["max_iter"], float) and not block["max_iter"].is_integer():
-            raise ConfigError("minimize.max_iter must be an integer")
+    def grad_tol(self):
+        """The minimize block's gradient tolerance; None takes ``minimize``'s default."""
+        val = self.data["minimize"]["grad_tol"]
+        if val is not None and not _is_number(val):
+            raise ConfigError(
+                f"minimize.grad_tol must be a number, got {val!r} "
+                "(write an exponent with a decimal point: 5.0e-2, not 5e-2)"
+            )
         try:
-            return MinimizeOptions(**{**block, "max_iter": int(block["max_iter"])})
-        except (TypeError, ValueError) as exc:
+            check_grad_tol(val)
+        except ValueError as exc:
             raise ConfigError(f"minimize: {exc}") from exc
+        return val
 
     def diagnostics_params(self):
         return dict(self.data["diagnostics"])
@@ -183,7 +189,7 @@ class RunConfig:
         The mesh is the exception: parsing only checks its block's keys and
         resolution, and ``mesh()`` reports its other values.
         """
-        for label in ("minimize", "diagnostics"):
+        for label in ("model", "minimize", "diagnostics"):
             if not isinstance(self.data[label], dict):
                 raise ConfigError(f"{label} must be a mapping, got {self.data[label]!r}")
         output_dir = self.data["output_dir"]
@@ -191,7 +197,7 @@ class RunConfig:
             raise ConfigError(f"output_dir must be a non-empty string, got {output_dir!r}")
         surface = self.surface()
         model = self.model()
-        self.minimize_options()
+        self.grad_tol()
         resolution = self._kind_params("domain")[1].get("resolution")
         if not (_is_number(resolution) and 0 < resolution < math.inf):
             raise ConfigError("domain.resolution must be a finite positive number")

@@ -54,12 +54,12 @@ class ThetaModel:
     r: float = 4.0
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise InvalidModelError("theta coefficient c must be > 0")
-        if not self.q > 1:
-            raise InvalidModelError("theta exponent q must be > 1")
-        if not self.r > 0:
-            raise InvalidModelError("theta exponent r must be > 0")
+        if not 0 < self.c < math.inf:
+            raise InvalidModelError("theta coefficient c must be finite and > 0")
+        if not 1 < self.q < math.inf:
+            raise InvalidModelError("theta exponent q must be finite and > 1")
+        if not 0 < self.r < math.inf:
+            raise InvalidModelError("theta exponent r must be finite and > 0")
 
     def value(self, J):
         J = np.asarray(J, dtype=float)
@@ -102,12 +102,12 @@ class IsotropicModel:
         if not terms:
             raise InvalidModelError("at least one ogden term is required")
         for bj, gj in terms:
-            if not bj > 0:
-                raise InvalidModelError("ogden coefficients must be > 0")
-            if not gj >= 1:
-                raise InvalidModelError("ogden exponents must be >= 1")
-        if self.b < 0:
-            raise InvalidModelError("shear coefficient b must be >= 0")
+            if not 0 < bj < math.inf:
+                raise InvalidModelError("ogden coefficients must be finite and > 0")
+            if not 1 <= gj < math.inf:
+                raise InvalidModelError("ogden exponents must be finite and >= 1")
+        if not 0 <= self.b < math.inf:
+            raise InvalidModelError("shear coefficient b must be finite and >= 0")
         if 2.0 * self.b + self.theta.minimum_value < 0:
             raise InvalidModelError(
                 "density can go negative: need 2*b + min(Theta) >= 0, got "

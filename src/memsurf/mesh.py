@@ -91,37 +91,37 @@ class TriMesh:
 def _boundary_loops(num_vertices, triangles):
     """Ordered boundary loops, with the domain on the left of each edge.
 
-    Raises ValueError at a vertex with two outgoing boundary edges (two
-    triangles that share it without a fan between them), where the loops
-    are not well defined.
+    Raises ValueError unless each boundary vertex has one outgoing and one
+    incoming boundary edge: at a bowtie vertex (two triangles that share it
+    without a fan between them), a triangle listed twice or an edge of three
+    triangles, the loops are not well defined.
     """
     # Directed edges (a, b), (b, c), (c, a) of each triangle, in triangle order.
     edges = np.stack([triangles, np.roll(triangles, -1, axis=1)], axis=-1).reshape(-1, 2)
     keys = edges.min(axis=1) * num_vertices + edges.max(axis=1)
     _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
     src, dst = edges[counts[inverse] == 1].T
-    _, first = np.unique(src, return_index=True)
-    if first.size < src.size:
-        again = np.ones(src.size, dtype=bool)
-        again[first] = False
+    outgoing = np.bincount(src, minlength=num_vertices)
+    incoming = np.bincount(dst, minlength=num_vertices)
+    if np.any(outgoing > 1):
         raise ValueError(
-            f"vertex {int(src[np.argmax(again)])} has two outgoing boundary edges "
+            f"vertex {int(np.argmax(outgoing > 1))} has two outgoing boundary edges "
             "(a bowtie vertex); the boundary is not a set of loops"
         )
+    if np.any(incoming != outgoing):
+        v = int(np.argmax(incoming != outgoing))
+        raise ValueError(
+            f"vertex {v} has {incoming[v]} incoming and {outgoing[v]} outgoing "
+            "boundary edges; the boundary is not a set of loops"
+        )
+    # Each boundary vertex has one successor, so each walk closes its loop.
     nxt = dict(zip(src.tolist(), dst.tolist()))
     loops = []
-    seen = set()
     for start in sorted(nxt):
-        if start in seen:
-            continue
-        loop = [start]
-        seen.add(start)
-        cur = nxt[start]
-        while cur != start:
-            loop.append(cur)
-            seen.add(cur)
-            cur = nxt[cur]
-        loops.append(loop)
+        if start in nxt:
+            loops.append([start])
+            while (cur := nxt.pop(loops[-1][-1])) != start:
+                loops[-1].append(cur)
     return loops
 
 

@@ -18,7 +18,8 @@ tangent gradient.  Step lengths come from Armijo backtracking from a unit
 step, and any trial step that drives an element's oriented area ratio to
 the floor is rejected outright, which keeps every accepted iterate inside
 the discrete admissible set.  A trial whose closest-point projection fails
-(retraction or element centroid) is rejected the same way.
+(retraction or element centroid) is rejected the same way.  The run stops
+at the gradient tolerance ``grad_tol``, the one setting of ``minimize``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .stiffness import StiffnessSolver
 
-__all__ = ["MinimizeOptions", "MinimizeReport", "initialize", "minimize"]
+__all__ = ["MinimizeReport", "initialize", "minimize"]
 
 STEP_UNDERFLOW = 1e-16
 # Sufficient-decrease constant of the Armijo test, and the factor each
@@ -53,32 +54,19 @@ ARMIJO_C = 1e-4
 BACKTRACK_RATIO = 0.5
 # Curvature pairs kept by the L-BFGS recursion.
 LBFGS_MEMORY = 10
+# Iteration cap: a guard against a run that never reaches the gradient
+# tolerance, not a stopping rule (converging runs take a few dozen).
+MAX_ITER = 5000
 # Largest nodal move of the forward difference that measures the curvature
 # along the first direction, relative to the extent of the configuration:
 # the square root of the float64 resolution, as for any forward difference.
 CURVATURE_PROBE = float(np.sqrt(np.finfo(float).eps))
 
 
-@dataclass(frozen=True)
-class MinimizeOptions:
-    """When the descent loop stops; the line search has no settings.
-
-    ``grad_tol`` of None resolves to 1e-7 times the reference area.
-    """
-
-    max_iter: int = 5000
-    grad_tol: float | None = None
-
-    def __post_init__(self):
-        if not self.max_iter >= 0:
-            raise ValueError("max_iter must be nonnegative")
-        if self.grad_tol is not None and not 0 < self.grad_tol < np.inf:
-            raise ValueError("grad_tol must be finite and positive, or None")
-
-    def resolved_grad_tol(self, mesh):
-        if self.grad_tol is not None:
-            return float(self.grad_tol)
-        return 1e-7 * mesh.total_area
+def check_grad_tol(grad_tol):
+    """Raise ValueError unless grad_tol is finite and positive, or None."""
+    if grad_tol is not None and not 0 < grad_tol < np.inf:
+        raise ValueError("grad_tol must be finite and positive, or None")
 
 
 @dataclass
@@ -94,6 +82,7 @@ class MinimizeReport:
 
     status: str                      # converged | max_iter
     iterations: int
+    grad_tol: float                  # the tolerance the run stopped against
     energy_history: list = field(default_factory=list)
     grad_history: list = field(default_factory=list)
     min_j_history: list = field(default_factory=list)
@@ -232,20 +221,22 @@ def _line_search(model, mesh, surface, free, positions, energy, g, d, counts):
     return None
 
 
-def minimize(model, surface, mesh, f0, options=None):
+def minimize(model, surface, mesh, f0, grad_tol=None):
     """Descend the total energy from f0; returns (positions, report).
 
-    Raises InfeasibleStartError when f0 violates the element floor and
-    LineSearchStallError if backtracking underflows along -P K^-1 g_T.
+    Stops once |g_T| <= ``grad_tol`` (None: 1e-7 times the reference area)
+    or after ``MAX_ITER`` iterations.  Raises InfeasibleStartError when f0
+    violates the element floor and LineSearchStallError if backtracking
+    underflows along -P K^-1 g_T.
     """
-    options = options or MinimizeOptions()
+    check_grad_tol(grad_tol)
     t0 = time.perf_counter()
     positions = initialize(surface, mesh, f0)
-    grad_tol = options.resolved_grad_tol(mesh)
+    grad_tol = 1e-7 * mesh.total_area if grad_tol is None else float(grad_tol)
     free = mesh.interior_mask()
 
     energy, min_j, _, F, spectral = trial_energy(model, mesh, surface, positions)
-    report = MinimizeReport(status="max_iter", iterations=0)
+    report = MinimizeReport(status="max_iter", iterations=0, grad_tol=grad_tol)
     report.energy_history.append(energy)
     report.min_j_history.append(min_j)
 
@@ -259,7 +250,7 @@ def minimize(model, surface, mesh, f0, options=None):
         """P K^-1 v at the current point x."""
         return surface.tangent_project_unchecked(x, solver.solve(v))
 
-    for it in range(options.max_iter + 1):
+    for it in range(MAX_ITER + 1):
         # Tangent gradient of the free rows at the accepted point, from the
         # F its trial evaluation formed.
         grad = energy_gradient(model, mesh, F, spectral)[free]
@@ -274,7 +265,7 @@ def minimize(model, surface, mesh, f0, options=None):
         if gnorm <= grad_tol:
             report.status = "converged"
             break
-        if it == options.max_iter:
+        if it == MAX_ITER:
             break
 
         if solver is None:

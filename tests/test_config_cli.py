@@ -10,7 +10,6 @@ from memsurf import (
     ConfigError,
     IsotropicModel,
     LineSearchStallError,
-    MinimizeOptions,
     NoConvergenceError,
     Plane,
     Sphere,
@@ -112,12 +111,9 @@ seed: 7
             "diagnostics: {degree_points: true}",
             "diagnostics: {residual_fields: true}",
             "domain: {kind: unit_square, resolution: true}",
-            "minimize: {max_iter: true}",
             "minimize: {grad_tol: true}",
-            "minimize: {max_iter: 2.7}",
             # PyYAML reads an exponent without a decimal point as a string.
             "minimize: {grad_tol: 5e-2}",
-            "minimize: {max_iter: '10'}",
             # Kind blocks: booleans (nested ones too), wrong types, bad
             # values and blocks that are not a {kind: ...} mapping.
             "surface: {kind: sphere, radius: true}\ninitial_map: {kind: stereographic_cap}",
@@ -153,10 +149,10 @@ seed: 7
         # sub-dict cannot leak an edit into other tests.
         defaults = copy.deepcopy(config_module.DEFAULT_CONFIG)
         monkeypatch.setattr(config_module, "DEFAULT_CONFIG", copy.deepcopy(defaults))
-        parse_config("{}").data["minimize"]["max_iter"] = 7
+        parse_config("{}").data["minimize"]["grad_tol"] = 7.0
         parse_config("model: {b: 1.0}").data["model"]["ogden_terms"][0]["gamma"] = 9.0
         fresh = parse_config("{}")
-        assert fresh.minimize_options().max_iter == MinimizeOptions().max_iter
+        assert fresh.grad_tol() is None
         assert fresh.model() == IsotropicModel()
         assert config_module.DEFAULT_CONFIG == defaults
 
@@ -204,6 +200,38 @@ seed: 7
         assert "unknown configuration key 'verify'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ("{ogden_terms: [{b: 1.0, gamma: 3.0, gama: 2.0}]}",
+             "unknown configuration key model.ogden_terms[0].'gama'"),
+            ("{b: true}", "model.b must be a number, got True"),
+            ("{theta: {c: true}}", "model.theta.c must be a number, got True"),
+            ("{ogden_terms: [{b: true, gamma: 3.0}]}",
+             "model.ogden_terms[0].b must be a number, got True"),
+            ("{b: '2.0'}", "model.b must be a number, got '2.0'"),
+            ("{theta: {q: '3'}}", "model.theta.q must be a number, got '3'"),
+            ("{b: .nan}", "model: shear coefficient b must be finite and >= 0"),
+            ("{ogden_terms: [{b: .inf, gamma: 3.0}]}",
+             "model: ogden coefficients must be finite and > 0"),
+            ("{ogden_terms: [{b: 1.0}]}",
+             "model.ogden_terms entries must be mappings with keys ['b', 'gamma']"),
+            ("{ogden_terms: [5]}", "model.ogden_terms entries must be mappings"),
+            ("{ogden_terms: {b: 1.0, gamma: 3.0}}", "model: malformed block"),
+            ("{b: 1" + "0" * 400 + "}", "model: malformed block (int too large"),
+            ("5", "model must be a mapping, got 5"),
+        ],
+    )
+    def test_malformed_model_block_exit_2(self, tmp_path, capsys, block, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"model: {block}")
+        assert message in str(err.value)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"model: {block}\noutput_dir: \"{tmp_path / 'out'}\"\n")
+        assert main(["verify", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_model_label_is_unknown(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"model: {{label: default}}\noutput_dir: \"{tmp_path / 'out'}\"\n")
@@ -219,8 +247,9 @@ seed: 7
         err = capsys.readouterr().err
         assert "model: 1/(2K) = 0.00891376 must exceed the perturbation size 0.01" in err
 
+    # The line-search knobs and the iteration cap (minimizer.MAX_ITER) are constants.
     @pytest.mark.parametrize(
-        "key", ["armijo_c", "backtrack_ratio", "initial_step", "j_floor"]
+        "key", ["armijo_c", "backtrack_ratio", "initial_step", "j_floor", "max_iter"]
     )
     def test_removed_line_search_keys_are_unknown(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.yaml"
@@ -233,13 +262,13 @@ seed: 7
     )
     def test_shipped_configs_parse(self, path):
         config = parse_config_file(path)
-        assert config.minimize_options().max_iter > 0
+        assert config.grad_tol() is None  # each stops at the default tolerance
         assert config.output_dir == f"runs/{path.stem}"
 
     def test_string_number_error_names_key_and_spelling(self):
         with pytest.raises(ConfigError, match=r"minimize\.grad_tol .*5\.0e-2"):
             parse_config("minimize: {grad_tol: 5e-2}")
-        assert parse_config("minimize: {grad_tol: 5.0e-2}").minimize_options().grad_tol == 0.05
+        assert parse_config("minimize: {grad_tol: 5.0e-2}").grad_tol() == 0.05
 
     def test_factories_reject_misspelt_keywords(self):
         # The config checks a kind block's keys against the builders' signatures.
@@ -383,18 +412,23 @@ class TestMinimizeCommand:
         assert (out / "degree.csv").exists()
         assert (out / "residuals.csv").exists()
 
-    def test_max_iter_exit_3(self, tmp_path):
+    def test_max_iter_exit_3(self, tmp_path, monkeypatch):
         text = """
 surface: {kind: sphere, radius: 1.0}
 domain: {kind: disk, resolution: 0.3}
 initial_map: {kind: stereographic_cap, latitude: 1.0471975511965976}
-minimize: {max_iter: 2}
 diagnostics: {injectivity: false, degree_points: 0, residual_fields: 0}
 output_dir: "%s"
 """
+        monkeypatch.setattr(minimizer_module, "MAX_ITER", 2)
         cfg, out = write_config(tmp_path, text)
         assert main(["minimize", str(cfg)]) == 3
-        assert "status: max_iter" in (out / "summary.txt").read_text()
+        summary = (out / "summary.txt").read_text()
+        assert "status: max_iter" in summary
+        assert "iterations: 2\n" in summary
+        # The default tolerance the run stopped against, 1e-7 times the area.
+        mesh = parse_config_file(cfg).mesh()
+        assert f"grad_tol: {1e-7 * mesh.total_area!r}\n" in summary
 
     def test_counters_in_history_and_summary(self, tmp_path, monkeypatch):
         # A first step 16 times the model minimizer backtracks, once at the
@@ -403,10 +437,10 @@ output_dir: "%s"
 surface: {kind: sphere, radius: 1.0}
 domain: {kind: disk, resolution: 0.3}
 initial_map: {kind: stereographic_cap, latitude: 1.0471975511965976}
-minimize: {max_iter: 8}
 diagnostics: {injectivity: false, degree_points: 0, residual_fields: 0}
 output_dir: "%s"
 """
+        monkeypatch.setattr(minimizer_module, "MAX_ITER", 8)
         curvature_step = minimizer_module._curvature_step
         monkeypatch.setattr(
             minimizer_module, "_curvature_step", lambda *args: 16 * curvature_step(*args)

@@ -317,6 +317,9 @@ class TestThetaModel:
             ThetaModel(q=1.0)
         with pytest.raises(InvalidModelError):
             ThetaModel(r=0.0)
+        for name in ("c", "q", "r"):
+            with pytest.raises(InvalidModelError, match=f"{name} must be finite"):
+                ThetaModel(**{name: np.inf})
 
 
 class TestIsotropicModel:
@@ -343,6 +346,12 @@ class TestIsotropicModel:
             IsotropicModel(b=-1.0)
         with pytest.raises(InvalidModelError):
             IsotropicModel(ogden_terms=())
+        for b in (np.inf, np.nan):
+            with pytest.raises(InvalidModelError, match="b must be finite"):
+                IsotropicModel(b=b)
+        for term in ((np.inf, 3.0), (1.0, np.inf)):
+            with pytest.raises(InvalidModelError, match="must be finite"):
+                IsotropicModel(ogden_terms=(term,))
 
     def test_rejects_negative_density_models(self):
         # With b = 0 the Theta dip can push the density negative.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from memsurf import DegenerateElementError, TriMesh, build_mesh, load_mesh, save_mesh
+from memsurf.mesh import _boundary_loops
 
 
 def euler_characteristic(mesh):
@@ -127,6 +128,23 @@ def test_bowtie_vertex_rejected():
         TriMesh.from_arrays(
             [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)], [(0, 1, 2), (0, 3, 4)]
         )
+
+
+def test_triangle_listed_twice_rejected():
+    # The doubled triangle's edges are no longer boundary edges, so the
+    # boundary stops at vertex 2 instead of closing at vertex 0.
+    with pytest.raises(ValueError, match="vertex 0 has 0 incoming and 1 outgoing"):
+        TriMesh.from_arrays(
+            [(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3), (0, 2, 3)]
+        )
+
+
+def test_vertex_with_two_incoming_boundary_edges_rejected():
+    # Edge (0, 2) is shared by three triangles: vertex 0 has two incoming
+    # boundary edges and vertex 2 none, so a walk from vertex 1 would enter
+    # the loop 0 -> 3 -> 4 -> 0 and never return.
+    with pytest.raises(ValueError, match="vertex 0 has 2 incoming and 1 outgoing"):
+        _boundary_loops(5, np.array([[2, 0, 3], [1, 0, 2], [2, 3, 4], [4, 0, 2]]))
 
 
 def test_unknown_domain():

@@ -4,7 +4,6 @@ import pytest
 from memsurf import (
     GraphSurface,
     InfeasibleStartError,
-    MinimizeOptions,
     Sphere,
     build_mesh,
     initialize,
@@ -55,16 +54,18 @@ class TestInitialize:
 
 
 class TestOptions:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MinimizeOptions(max_iter=-1)
+    @pytest.mark.parametrize("grad_tol", [0.0, -1e-5, np.inf, np.nan])
+    def test_validation(self, model, plane, square_mesh, grad_tol):
+        identity = make_initial_map(plane, "identity")
+        with pytest.raises(ValueError, match="grad_tol must be finite and positive"):
+            minimize(model, plane, square_mesh, identity, grad_tol)
 
-    def test_default_grad_tol_scales_with_area(self, square_mesh):
-        opts = MinimizeOptions()
-        assert opts.resolved_grad_tol(square_mesh) == pytest.approx(
-            1e-7 * square_mesh.total_area
-        )
-        assert MinimizeOptions(grad_tol=1e-5).resolved_grad_tol(square_mesh) == 1e-5
+    def test_default_grad_tol_scales_with_area(self, model, plane, square_mesh):
+        identity = make_initial_map(plane, "identity")
+        _, report = minimize(model, plane, square_mesh, identity)
+        assert report.grad_tol == pytest.approx(1e-7 * square_mesh.total_area)
+        _, report = minimize(model, plane, square_mesh, identity, grad_tol=1e-5)
+        assert report.grad_tol == 1e-5
 
 
 class TestMinimizePlane:
@@ -78,15 +79,14 @@ class TestMinimizePlane:
         ident = plane.embed(square_mesh.vertices)
         assert np.abs(cfg - ident).max() < 1e-10
 
-    def test_converged_start_without_iterations(self, model, plane, square_mesh):
+    def test_converged_start_without_iterations(
+        self, model, plane, square_mesh, monkeypatch
+    ):
         # The gradient of the last iterate is checked against the tolerance
         # even when no iteration is left.
+        monkeypatch.setattr(minimizer_module, "MAX_ITER", 0)
         _, report = minimize(
-            model,
-            plane,
-            square_mesh,
-            make_initial_map(plane, "identity"),
-            MinimizeOptions(max_iter=0),
+            model, plane, square_mesh, make_initial_map(plane, "identity")
         )
         assert report.status == "converged"
         assert report.iterations == 0
@@ -115,9 +115,7 @@ class TestMinimizePlane:
             y[interior, :2] += 0.012 * rng.standard_normal((int(interior.sum()), 2))
             return y
 
-        cfg, report = minimize(
-            model, plane, mesh, perturbed, MinimizeOptions(max_iter=600)
-        )
+        cfg, report = minimize(model, plane, mesh, perturbed)
         assert report.energy_history[0] > WA
         assert report.energy_history[-1] == pytest.approx(WA, rel=1e-8)
         # Homogeneous-state optimality: no iterate ever beats the bound.
@@ -196,12 +194,13 @@ class TestAcceptedStateHandoff:
     """The reported final gradient and min J belong to the final positions."""
 
     @pytest.mark.parametrize("max_iter", [10, 5000])
-    def test_last_history_entries_match_final_positions(self, model, sphere, max_iter):
+    def test_last_history_entries_match_final_positions(
+        self, model, sphere, max_iter, monkeypatch
+    ):
         mesh = build_mesh("disk", 0.2)
         f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
-        cfg, report = minimize(
-            model, sphere, mesh, f0, MinimizeOptions(max_iter=max_iter)
-        )
+        monkeypatch.setattr(minimizer_module, "MAX_ITER", max_iter)
+        cfg, report = minimize(model, sphere, mesh, f0)
         assert report.status == ("max_iter" if max_iter == 10 else "converged")
         assert report.grad_history[-1] == _recomputed_grad_norm(
             model, sphere, mesh, cfg
@@ -471,7 +470,7 @@ class TestInvariantsAllSurfaces:
         def f0(x):
             return start.copy()
 
-        cfg, report = minimize(model, surface, mesh, f0, MinimizeOptions(max_iter=150))
+        cfg, report = minimize(model, surface, mesh, f0)
         assert len(report.min_j_history) == report.iterations + 1
         assert all(j > J_FLOOR for j in report.min_j_history)
         e = report.energy_history
