@@ -56,16 +56,23 @@ _KIND_TABLES = {
 def _merge_defaults(data, defaults, path=""):
     """Fill missing keys from defaults; reject unknown keys in known blocks.
 
-    A value whose default is a float must be a number, and the entries of
-    ``model.ogden_terms`` must be mappings with exactly the default's keys.
+    A value whose default is a float must be a number, stored as a float
+    (``b: 2`` and ``b: 2.0`` hash alike; an integer too large for a float is
+    left for the model to reject).  The entries of ``model.ogden_terms`` must
+    be mappings with exactly the default's keys.
     """
     out = {}
     for key, dval in defaults.items():
         val, where = data.get(key, dval), f"{path}{key}"
         if isinstance(dval, dict) and isinstance(val, dict) and key not in _KIND_TABLES:
             val = _merge_defaults(val, dval, f"{where}.")
-        elif isinstance(dval, float) and not _is_number(val):
-            raise ConfigError(f"{where} must be a number, got {val!r}")
+        elif isinstance(dval, float):
+            if not _is_number(val):
+                raise ConfigError(f"{where} must be a number, got {val!r}")
+            try:
+                val = float(val)
+            except OverflowError:
+                pass
         elif isinstance(dval, list) and isinstance(val, list):  # model.ogden_terms
             if not all(isinstance(t, dict) and set(t) >= set(dval[0]) for t in val):
                 raise ConfigError(f"{where} entries must be mappings with keys {list(dval[0])}")

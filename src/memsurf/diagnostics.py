@@ -9,17 +9,20 @@ residuals of a configuration.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constitutive import _spectral_batch, pk1_batch
-from .discretization import _element_kinematics, _kinematics, trial_energy
+from .discretization import J_FLOOR, _element_kinematics, _kinematics
 from .errors import (
+    AmbiguousProjectionError,
     BoundaryTooCloseError,
     ChartSpanFailureError,
     IrregularValueError,
     MemsurfError,
+    NoConvergenceError,
 )
 from .geometry import _orthonormal_frame
 
@@ -69,14 +72,16 @@ class DegreeResult:
     methods_agree: bool
 
 
+def _extent(a, b, c):
+    """Elementwise (min, max) of three arrays, faster than a length-3 axis reduction."""
+    return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
+
+
 def _segment_distances(point, starts, ends):
     d = ends - starts
     denom = np.einsum("ij,ij->i", d, d)
-    t = np.clip(
-        np.einsum("ij,ij->i", point - starts, d) / np.where(denom > 0, denom, 1.0),
-        0.0,
-        1.0,
-    )
+    t = np.einsum("ij,ij->i", point - starts, d) / np.where(denom > 0, denom, 1.0)
+    t = np.clip(t, 0.0, 1.0)
     closest = starts + t[:, None] * d
     return np.linalg.norm(point - closest, axis=1)
 
@@ -84,35 +89,30 @@ def _segment_distances(point, starts, ends):
 class _Image:
     """What every degree target reads of one configuration, on any surface.
 
-    Only mesh- and positions-derived arrays live here; ``_image_of`` keeps
-    the last one and builds a new one when the mesh or the positions differ.
+    Only mesh- and positions-derived arrays live here: the corner-index
+    columns, contiguous so a target's vertex distances are three gathers,
+    the element diameters and mean edge, and the segments of every boundary
+    loop stacked into one array.  ``_image_of`` keeps the last one and
+    builds a new one when the mesh or the positions differ.
     """
 
     def __init__(self, mesh, positions):
         self.mesh = mesh
         self.positions = np.array(positions, dtype=float)   # private copy
+        self.corners = tuple(np.ascontiguousarray(c) for c in mesh.triangles.T)
         P = self.positions[mesh.triangles]              # (m, 3, 3)
-        edges = np.stack(
-            [
-                P[:, 1] - P[:, 0],
-                P[:, 2] - P[:, 1],
-                P[:, 0] - P[:, 2],
-            ],
-            axis=1,
-        )
-        edge_len = np.linalg.norm(edges, axis=2)
+        edge_len = np.linalg.norm(P[:, [1, 2, 0]] - P, axis=2)
         self.diam = edge_len.max(axis=1)
         self.mean_edge = float(np.mean(edge_len))
-        self.boundary = []                              # (starts, ends) per loop
-        for loop in mesh.boundary_loops:
-            pts = self.positions[np.asarray(loop)]
-            self.boundary.append((pts, np.roll(pts, -1, axis=0)))
+        loops = [self.positions[np.asarray(loop)] for loop in mesh.boundary_loops]
+        loops = loops or [np.empty((0, 3))]
+        self.starts = np.concatenate(loops)
+        self.ends = np.concatenate([np.roll(pts, -1, axis=0) for pts in loops])
 
     def boundary_distance(self, y):
-        return min(
-            (float(np.min(_segment_distances(y, s, e))) for s, e in self.boundary),
-            default=np.inf,
-        )
+        if not len(self.starts):
+            return np.inf
+        return float(np.min(_segment_distances(y, self.starts, self.ends)))
 
 
 _last_image = None
@@ -132,40 +132,36 @@ def _image_of(mesh, positions):
 
 
 def _point_in_triangles(w, tri_uv, edge_eps):
-    """Containment mask of point w in 2D triangles; raises on-edge hits."""
-    a, b, c = tri_uv[:, 0], tri_uv[:, 1], tri_uv[:, 2]
+    """Containment mask of point w in 2D triangles; raises on-edge hits.
+
+    Only the elements whose box, widened by ``edge_eps``, holds w get the
+    edge tests: strict containment implies boxed, and an on-edge hit counts
+    only in a boxed element.
+    """
+    lo, hi = _extent(tri_uv[:, 0], tri_uv[:, 1], tri_uv[:, 2])
+    in_box = (w >= lo - edge_eps) & (w <= hi + edge_eps)
+    boxed = np.flatnonzero(in_box[:, 0] & in_box[:, 1])
+    a, b, c = tri_uv[boxed].transpose(1, 0, 2)
 
     def edge(p, q):
-        return (q[:, 0] - p[:, 0]) * (w[1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (
-            w[0] - p[:, 0]
-        )
+        return (q[:, 0] - p[:, 0]) * (w[1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (w[0] - p[:, 0])
 
     e0, e1, e2 = edge(a, b), edge(b, c), edge(c, a)
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
-        c[:, 0] - a[:, 0]
-    )
-    scale = np.abs(det) + 1e-300
-    inside_pos = (e0 > 0) & (e1 > 0) & (e2 > 0)
-    inside_neg = (e0 < 0) & (e1 < 0) & (e2 < 0)
-    inside = inside_pos | inside_neg
+    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
     # A hit within rounding distance of an edge but close to the triangle
     # makes the count ill-defined for this target.
-    near_edge = (
-        (np.abs(e0) <= edge_eps * scale)
-        | (np.abs(e1) <= edge_eps * scale)
-        | (np.abs(e2) <= edge_eps * scale)
-    )
-    boxed = (
-        (w[0] >= tri_uv[:, :, 0].min(axis=1) - edge_eps)
-        & (w[0] <= tri_uv[:, :, 0].max(axis=1) + edge_eps)
-        & (w[1] >= tri_uv[:, :, 1].min(axis=1) - edge_eps)
-        & (w[1] <= tri_uv[:, :, 1].max(axis=1) + edge_eps)
-    )
-    if np.any(near_edge & boxed):
-        raise IrregularValueError(
-            "target point lies on an image edge; perturb the target"
-        )
+    if np.any(np.abs([e0, e1, e2]) <= edge_eps * (np.abs(det) + 1e-300)):
+        raise IrregularValueError("target point lies on an image edge; perturb the target")
+    inside = np.zeros(len(tri_uv), dtype=bool)
+    inside[boxed] = ((e0 > 0) & (e1 > 0) & (e2 > 0)) | ((e0 < 0) & (e1 < 0) & (e2 < 0))
     return inside
+
+
+# The corners of _subdivide's four children in the points (a, b, c, ab, bc, ca),
+# and its gather table: out[v, coord, q] is row 2 s + coord of the (6 points x 2
+# coords) stack, where point s is corner v of child q.
+_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
+_SPLIT_ROWS = 2 * _CHILDREN.T[:, None] + np.arange(2)[:, None]
 
 
 def _subdivide(tris):
@@ -175,20 +171,21 @@ def _subdivide(tris):
     triangle t is column q * k + t.
     """
     a, b, c = tris
-    ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
     k = tris.shape[2]
-    out = np.empty((3, 2, 4 * k))
-    children = ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))
-    for q, child in enumerate(children):
-        for v, corner in enumerate(child):
-            out[v, :, q * k:(q + 1) * k] = corner
-    return out
+    pts = np.empty((6, 2, k))
+    pts[:3] = tris
+    pts[3], pts[4], pts[5] = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+    return pts.reshape(12, k)[_SPLIT_ROWS].reshape(3, 2, 4 * k)
 
 
 def _distances(tris, w):
     """Distances from w to the centroids of triangles stored by corner."""
-    d = ((tris[0] + tris[1]) + tris[2]) / 3.0 - w[:, None]
-    return np.sqrt(d[0] * d[0] + d[1] * d[1])
+    d = tris[0] + tris[1]
+    d += tris[2]
+    d /= 3.0
+    d -= w[:, None]
+    d *= d
+    return np.sqrt(d[0] + d[1])
 
 
 def _signed_areas(tris):
@@ -216,14 +213,13 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     count, which is then taken at a deterministic offset far below the
     boundary margin (the degree is locally constant there), doubled on each
     of three retries; IrregularValueError is raised if all of them fail.
-    ``mollifier_radius``, when given, must be finite and positive.
+    ``mollifier_radius``, when given, must be a finite positive real number
+    (a boolean is not one).
     """
-    if mollifier_radius is not None and not (
-        np.isfinite(mollifier_radius) and mollifier_radius > 0
-    ):
-        raise ValueError(
-            f"mollifier_radius must be finite and positive, got {mollifier_radius!r}"
-        )
+    r = mollifier_radius
+    real = isinstance(r, numbers.Real) and type(r) is not bool
+    if r is not None and not (real and 0 < r < np.inf):
+        raise ValueError(f"mollifier_radius must be finite and positive, got {r!r}")
     y = np.asarray(y, dtype=float)
     if y.shape != (3,):
         raise ValueError(
@@ -238,8 +234,9 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
             f"(margin {DEGREE_MARGIN:.1e})"
         )
     diam, mean_edge = image.diam, image.mean_edge
-    triangles = image.mesh.triangles
-    vert_dist = np.linalg.norm(image.positions - y, axis=1)[triangles].min(axis=1)
+    node_dist = np.linalg.norm(image.positions - y, axis=1)
+    c0, c1, c2 = image.corners
+    vert_dist = _extent(node_dist[c0], node_dist[c1], node_dist[c2])[0]
 
     # Bump radius: a few image edges, clamped inside the boundary clearance
     # (where the degree is constant) and the chart's validity radius.
@@ -253,7 +250,7 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
 
     reach = diam + 1.6 * radius + mean_edge
     near_idx = np.nonzero(vert_dist <= reach)[0]
-    P = image.positions[triangles[near_idx]]            # (k, 3, 3) near corners
+    P = image.positions[image.mesh.triangles[near_idx]]   # (k, 3, 3) near corners
     chart = surface.chart_at(y)
     ok = chart.contains(P.reshape(-1, 3)).reshape(-1, 3).all(axis=1)
     if not np.all(ok):
@@ -269,17 +266,11 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
         near_idx, P = near_idx[ok], P[ok]
     if near_idx.size == 0:
         return DegreeResult(
-            target_point=y,
-            degree=0,
-            mollified_integral=0.0,
-            mollifier_radius=radius,
-            methods_agree=True,
+            y, degree=0, mollified_integral=0.0, mollifier_radius=radius, methods_agree=True
         )
     uv = chart.inverse_map(P.reshape(-1, 3)).reshape(-1, 3, 2)
     w = chart.inverse_map(y)[0]
 
-    local_scale = float(np.median(np.linalg.norm(uv[:, 1] - uv[:, 0], axis=1)))
-    offset = local_scale * 1e-7 * np.array([np.cos(0.7), np.sin(0.7)])
     shift = np.zeros(2)
     for attempt in range(4):
         try:
@@ -288,6 +279,10 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
         except IrregularValueError:
             if attempt == 3:
                 raise
+            if attempt == 0:
+                # The nudge scale: the median first edge of the near elements.
+                local_scale = float(np.median(np.linalg.norm(uv[:, 1] - uv[:, 0], axis=1)))
+                offset = local_scale * 1e-7 * np.array([np.cos(0.7), np.sin(0.7)])
             shift = offset * 2.0**attempt
     # Orientation signs of the covering elements only.
     J = _element_kinematics(surface, P[inside], image.mesh.shape_grads[near_idx[inside]])[1]
@@ -300,9 +295,10 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     # the element centroid, so an element farther than radius + that side
     # + size from w adds 0 and is never split again: it is dropped first.
     tris = np.ascontiguousarray(uv.transpose(1, 2, 0))
-    sides = np.linalg.norm(uv - np.roll(uv, 1, axis=1), axis=2)
-    size = float(np.max(sides)) / 8
-    far = _distances(tris, w) > radius + sides.max(axis=1) + size
+    e = tris - tris[[2, 0, 1]]
+    longest = _extent(*np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]))[1]
+    size = float(np.max(longest)) / 8
+    far = _distances(tris, w) > radius + longest + size
     kept = tris[:, :, ~far]
     for _ in range(3):
         kept = _subdivide(kept)
@@ -316,17 +312,13 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
         # j * k + t), so np.sum adds in the same order; a dropped element's
         # 64 children each add a zero of its orientation's sign.
         full = np.empty((64, len(far)))
-        full[:, far] = np.copysign(0.0, _signed_areas(tris[:, :, far]))
-        full[:, ~far] = products.reshape(64, -1)
+        full[:] = np.copysign(0.0, _signed_areas(tris))
+        full[:, np.flatnonzero(~far)] = products.reshape(64, -1)
         products = full.ravel()
     integral = float(np.sum(products))
 
     return DegreeResult(
-        target_point=y,
-        degree=count,
-        mollified_integral=integral,
-        mollifier_radius=radius,
-        methods_agree=bool(abs(integral - count) < 0.5),
+        y, count, integral, radius, methods_agree=bool(abs(integral - count) < 0.5)
     )
 
 
@@ -413,12 +405,13 @@ def _separated(uv):
     2004, ch. 4-5).  Touching counts as separated: such pairs share no area.
     """
     tri = uv.reshape(-1, 2, 3, 2)
-    edges = np.roll(tri, -1, axis=2) - tri
-    normals = np.stack([edges[..., 1], -edges[..., 0]], axis=-1).reshape(-1, 6, 2)
-    proj = np.einsum("nac,nvc->nav", normals, uv)
-    a, b = proj[..., :3], proj[..., 3:]
-    apart = (a.max(axis=2) <= b.min(axis=2)) | (b.max(axis=2) <= a.min(axis=2))
-    return apart.any(axis=1)
+    edges = tri[:, :, [1, 2, 0]] - tri
+    nx = edges[..., 1].reshape(-1, 6, 1)
+    ny = -edges[..., 0].reshape(-1, 6, 1)
+    proj = nx * uv[:, None, :, 0] + ny * uv[:, None, :, 1]    # (n, 6 normals, 6 points)
+    a_min, a_max = _extent(proj[..., 0], proj[..., 1], proj[..., 2])
+    b_min, b_max = _extent(proj[..., 3], proj[..., 4], proj[..., 5])
+    return ((a_max <= b_min) | (b_max <= a_min)).any(axis=1)
 
 
 def _sweep_pairs(stop, start, end):
@@ -434,10 +427,11 @@ def injectivity_check(surface, mesh, positions):
     """Image-overlap scan of all non-adjacent element pairs.
 
     A sweep over the elements sorted by their lowest image x gives the
-    candidate pairs; those whose axis-aligned image boxes intersect and that
-    share fewer than two vertices are the checked pairs.  Each checked pair
-    is mapped into the tangent-plane chart of its first element (or, where
-    that chart cannot cover it, one centered on the pair), and a
+    candidate pairs.  The checked pairs are those whose axis-aligned image
+    boxes intersect on all three axes, the test applied first and on every
+    candidate, and that, among those, share fewer than two vertices.  Each
+    checked pair is mapped into the tangent-plane chart of its first element
+    (or, where that chart cannot cover it, one centered on the pair), and a
     separating-axis test drops the pairs whose chart images are disjoint or
     only touch.  Only the rest are clipped exactly, in sweep order.  A clean
     report (no overlap area above ``OVERLAP_AREA_TOL``) is the discrete
@@ -449,7 +443,9 @@ def injectivity_check(surface, mesh, positions):
     lo = P.min(axis=1)
     hi = P.max(axis=1)
     order = np.argsort(lo[:, 0], kind="stable")
-    stop = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    # Per-axis rows in sweep order, so the box test gathers contiguous columns.
+    lo_s, hi_s = np.ascontiguousarray(lo[order].T), np.ascontiguousarray(hi[order].T)
+    stop = np.searchsorted(lo_s[0], hi_s[0], side="right")
 
     # One chart for the whole scan when the surface has a global chart
     # (infinite chart radius), and otherwise the tangent-plane chart of each
@@ -464,20 +460,22 @@ def injectivity_check(surface, mesh, positions):
         frames = np.broadcast_to(np.stack([chart.t1, chart.t2]), (len(P), 2, 3))
     else:
         centers = surface.project(P.mean(axis=1))
-        frames = np.stack(
-            _orthonormal_frame(surface.normal_unchecked(centers)), axis=1
-        )
+        frames = np.stack(_orthonormal_frame(surface.normal_unchecked(centers)), axis=1)
 
     checked = 0
     overlaps = []
     total = 0.0
     for start in range(0, len(P), _SWEEP_BLOCK):
         first, second = _sweep_pairs(stop, start, min(start + _SWEEP_BLOCK, len(P)))
-        i, j = order[first], order[second]
-        keep = ~(np.any(lo[j] > hi[i], axis=1) | np.any(lo[i] > hi[j], axis=1))
+        # Box test on every axis, in negated form so a NaN coordinate keeps the pair.
+        apart = np.zeros(len(first), dtype=bool)
+        for lo_a, hi_a in zip(lo_s, hi_s):
+            apart |= (lo_a[second] > hi_a[first]) | (lo_a[first] > hi_a[second])
+        i, j = order[first[~apart]], order[second[~apart]]
         # Edge-adjacent pairs share two vertices; point contacts stay.
-        shared = (tris[i][:, :, None] == tris[j][:, None, :]).sum(axis=(1, 2))
-        keep &= shared < 2
+        ti, tj = tris[i].T, tris[j].T
+        shared = sum((ti[a] == tj[b]).view(np.int8) for a in range(3) for b in range(3))
+        keep = shared < 2
         i, j = i[keep], j[keep]
         checked += len(i)
 
@@ -505,11 +503,7 @@ def injectivity_check(surface, mesh, positions):
                 total += float(area)
     overlaps.sort(key=lambda rec: -rec[2])
     return OverlapReport(
-        checked_pairs=checked,
-        overlapping_pairs=len(overlaps),
-        total_overlap_area=total,
-        injective=total <= OVERLAP_AREA_TOL,
-        pairs=overlaps[:MAX_RECORDED_OVERLAPS],
+        checked, len(overlaps), total, total <= OVERLAP_AREA_TOL, overlaps[:MAX_RECORDED_OVERLAPS]
     )
 
 
@@ -536,9 +530,7 @@ def _test_fields(surface, mesh, positions, family_size, seed):
     rng = np.random.default_rng(seed)
     interior = np.nonzero(mesh.interior_mask())[0]
     if interior.size == 0:
-        raise MemsurfError(
-            "the mesh has no interior vertex to anchor a residual test field"
-        )
+        raise MemsurfError("the mesh has no interior vertex to anchor a residual test field")
     boundary_pts = positions[mesh.boundary_vertices]
     n_cut = max(1, -(-family_size // _TEST_DIRECTIONS))
     anchors = []
@@ -557,17 +549,28 @@ def _test_fields(surface, mesh, positions, family_size, seed):
         )
     dirs = rng.standard_normal((_TEST_DIRECTIONS, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # Each direction's tangent field, projected once as a (j, n, 3) stack.
+    tangent = surface.tangent_project_unchecked(
+        positions, np.broadcast_to(dirs[:, None], (_TEST_DIRECTIONS, *positions.shape))
+    )
     fields = []
     for k in range(family_size):
         v = dirs[k % _TEST_DIRECTIONS]
         y0, rc = anchors[(k // _TEST_DIRECTIONS) % len(anchors)]
         d2 = np.sum((positions - y0) ** 2, axis=1)
         beta = np.maximum(0.0, 1.0 - d2 / rc**2) ** 2
-        psi = beta[:, None] * surface.tangent_project_unchecked(
-            positions, np.broadcast_to(v, positions.shape)
-        )
-        fields.append((k, v, y0, rc, psi))
+        fields.append((k, v, y0, rc, beta[:, None] * tangent[k % _TEST_DIRECTIONS]))
     return fields
+
+
+def _admissible(mesh, surface, positions):
+    """Whether every element keeps its oriented J above ``J_FLOOR`` and every
+    centroid projects: the feasibility ``trial_energy`` reports, without the energy."""
+    try:
+        J = _kinematics(mesh, surface, positions)[1]
+    except (AmbiguousProjectionError, NoConvergenceError):
+        return False
+    return not J.size or bool(np.min(J) > J_FLOOR)
 
 
 def first_variation_residual(model, surface, mesh, positions, family_size, seed):
@@ -578,7 +581,8 @@ def first_variation_residual(model, surface, mesh, positions, family_size, seed)
     induced piecewise-linear variation); the Eulerian residual is the same
     elementwise sum rewritten through the spatial Cauchy stress, so the two
     agree to rounding error.  Admissibility of the variation is spot-checked
-    at tau = +/- 1e-3 (all elements keep positive orientation).
+    at tau = +/- 1e-3 by ``_admissible``: every element keeps its oriented J
+    above ``J_FLOOR`` and every centroid projects; no energy is evaluated.
     """
     # The fields first: a mesh without an anchor fails before any stress.
     fields = _test_fields(surface, mesh, positions, family_size, seed)
@@ -602,28 +606,10 @@ def first_variation_residual(model, surface, mesh, positions, family_size, seed)
         Psi = np.einsum("tva,tvb->tab", psi_tri, mesh.shape_grads)
         lag = float(np.sum(mesh.ref_area * np.einsum("tab,tab->t", S, Psi)))
         D = np.einsum("tab,tbj->taj", Psi, Fplus)    # spatial gradient, (t, 3, 3)
-        eul = float(
-            np.sum(
-                mesh.ref_area
-                * area_ratio
-                * np.einsum("tij,tij->t", cauchy, D)
-            )
-        )
+        eul = float(np.sum(mesh.ref_area * area_ratio * np.einsum("tij,tij->t", cauchy, D)))
         norm = float(np.linalg.norm(psi))
-        admissible = True
-        for tau in (1e-3, -1e-3):
-            ok = trial_energy(model, mesh, surface, positions + tau * psi)[2]
-            admissible = admissible and ok
-        results.append(
-            ResidualResult(
-                test_field_id=k,
-                direction=v,
-                anchor=y0,
-                cutoff_radius=rc,
-                lagrangian_residual=lag,
-                eulerian_residual=eul,
-                normalization=norm,
-                admissible=admissible,
-            )
+        admissible = all(
+            _admissible(mesh, surface, positions + tau * psi) for tau in (1e-3, -1e-3)
         )
+        results.append(ResidualResult(k, v, y0, rc, lag, eul, norm, admissible))
     return results

@@ -259,17 +259,20 @@ def build_mesh(domain, resolution, **params):
 
 
 def save_mesh(path, positions, triangles, comments=()):
-    """Write a Wavefront-style mesh; positions may be (n, 2) or (n, 3)."""
+    """Write a Wavefront-style mesh; positions may be (n, 2) or (n, 3).
+
+    Records print from ``tolist`` rows (Python floats and ints), 1024 rows at
+    a time, so no list of the whole mesh's Python objects is held."""
     positions = np.asarray(positions, dtype=float)
     if positions.shape[1] == 2:
         positions = np.column_stack([positions, np.zeros(positions.shape[0])])
-    lines = [f"# {c}" for c in comments]
-    for p in positions:
-        lines.append(f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}")
-    for t in np.asarray(triangles, dtype=np.int64):
-        lines.append(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}")
+    faces = np.asarray(triangles, dtype=np.int64) + 1
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(f"# {c}\n" for c in comments)
+        for s in range(0, len(positions), 1024):
+            fh.writelines(f"v {x!r} {y!r} {z!r}\n" for x, y, z in positions[s:s + 1024].tolist())
+        for s in range(0, len(faces), 1024):
+            fh.writelines(f"f {i} {j} {k}\n" for i, j, k in faces[s:s + 1024].tolist())
 
 
 def load_mesh(path):

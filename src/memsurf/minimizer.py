@@ -24,6 +24,7 @@ at the gradient tolerance ``grad_tol``, the one setting of ``minimize``.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -64,8 +65,10 @@ CURVATURE_PROBE = float(np.sqrt(np.finfo(float).eps))
 
 
 def check_grad_tol(grad_tol):
-    """Raise ValueError unless grad_tol is finite and positive, or None."""
-    if grad_tol is not None and not 0 < grad_tol < np.inf:
+    """Raise ValueError unless grad_tol is None or a finite positive real (not a boolean)."""
+    if grad_tol is not None and not (
+        isinstance(grad_tol, numbers.Real) and type(grad_tol) is not bool and 0 < grad_tol < np.inf
+    ):
         raise ValueError("grad_tol must be finite and positive, or None")
 
 

@@ -77,6 +77,34 @@ seed: 7
         assert cfg.config_hash == cfg.config_hash == parse_config("seed: 3").config_hash
         assert len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "integer, real",
+        [
+            ("{b: 2}", "{b: 2.0}"),
+            ("{theta: {c: 2}}", "{theta: {c: 2.0}}"),
+            ("{theta: {q: 3}}", "{theta: {q: 3.0}}"),
+            ("{theta: {r: 5}}", "{theta: {r: 5.0}}"),
+            ("{ogden_terms: [{b: 2, gamma: 3.0}]}", "{ogden_terms: [{b: 2.0, gamma: 3.0}]}"),
+            ("{ogden_terms: [{b: 1.0, gamma: 4}]}", "{ogden_terms: [{b: 1.0, gamma: 4.0}]}"),
+        ],
+    )
+    def test_integer_and_float_material_hash_alike(self, integer, real):
+        a, b = parse_config(f"model: {integer}"), parse_config(f"model: {real}")
+        assert a.data == b.data and a.serialize() == b.serialize()
+        assert a.config_hash == b.config_hash
+
+    def test_shipped_config_hashes(self):
+        hashes = {
+            path.stem: parse_config_file(path).config_hash
+            for path in CONFIGS.glob("*.yaml")
+        }
+        assert hashes == {
+            "sphere_cap": "fc327e66b2fbe8cd",
+            "plane_affine": "4be04914b386959a",
+            "torus_band": "0e3ae9140dda7f64",
+            "verify_default": "20c531b2d564601e",
+        }
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             parse_config("modle: {}")

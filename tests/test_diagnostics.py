@@ -25,14 +25,15 @@ from memsurf.diagnostics import (
     DEGREE_MARGIN,
     OVERLAP_AREA_TOL,
     DegreeResult,
+    _admissible,
     _bump,
     _distances,
-    _point_in_triangles,
     _segment_distances,
-    _subdivide,
+    _test_fields,
     _triangle_overlap_area,
 )
-from memsurf.discretization import oriented_area_ratios
+from memsurf.discretization import J_FLOOR, oriented_area_ratios, trial_energy
+from memsurf.errors import AmbiguousProjectionError
 from memsurf.maps import make_initial_map
 from memsurf.mesh import TriMesh
 
@@ -101,6 +102,17 @@ def cap_targets(model, sphere):
     rng = np.random.default_rng(22)
     targets = np.array([f0(rng.uniform(-0.5, 0.5, 2)[None])[0] for _ in range(10)])
     return mesh, cfg, targets
+
+
+@pytest.fixture(scope="module")
+def torus_band_start(torus):
+    """The shipped torus band's initial configuration and ten targets in its image."""
+    mesh = build_mesh("unit_square", 0.03)
+    f0 = make_initial_map(
+        torus, "torus_band", theta_range=(0.0, np.pi / 2), psi_range=(-np.pi / 3, np.pi / 3)
+    )
+    targets = f0(np.random.default_rng(24).uniform(0.05, 0.95, (10, 2)))
+    return mesh, interpolate(torus, mesh, f0), targets
 
 
 class TestDegree:
@@ -222,6 +234,55 @@ class TestDegree:
             brouwer_degree(plane, mesh, cfg, np.zeros(shape))
 
 
+def _reference_point_in_triangles(w, tri_uv, edge_eps):
+    """Containment mask of point w in 2D triangles, raising on-edge hits, with
+    the edge tests on every element: the module's version before its box-first
+    rewrite, kept here so the reference does not share it."""
+    a, b, c = tri_uv[:, 0], tri_uv[:, 1], tri_uv[:, 2]
+
+    def edge(p, q):
+        return (q[:, 0] - p[:, 0]) * (w[1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (
+            w[0] - p[:, 0]
+        )
+
+    e0, e1, e2 = edge(a, b), edge(b, c), edge(c, a)
+    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (
+        c[:, 0] - a[:, 0]
+    )
+    scale = np.abs(det) + 1e-300
+    inside_pos = (e0 > 0) & (e1 > 0) & (e2 > 0)
+    inside_neg = (e0 < 0) & (e1 < 0) & (e2 < 0)
+    near_edge = (
+        (np.abs(e0) <= edge_eps * scale)
+        | (np.abs(e1) <= edge_eps * scale)
+        | (np.abs(e2) <= edge_eps * scale)
+    )
+    boxed = (
+        (w[0] >= tri_uv[:, :, 0].min(axis=1) - edge_eps)
+        & (w[0] <= tri_uv[:, :, 0].max(axis=1) + edge_eps)
+        & (w[1] >= tri_uv[:, :, 1].min(axis=1) - edge_eps)
+        & (w[1] <= tri_uv[:, :, 1].max(axis=1) + edge_eps)
+    )
+    if np.any(near_edge & boxed):
+        raise IrregularValueError("target point lies on an image edge")
+    return inside_pos | inside_neg
+
+
+def _reference_subdivide(tris):
+    """One midpoint split (3, 2, k) -> (3, 2, 4k), child q of triangle t at
+    column q * k + t, written slice by slice (the module's version before its
+    one-gather rewrite)."""
+    a, b, c = tris
+    ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
+    k = tris.shape[2]
+    out = np.empty((3, 2, 4 * k))
+    children = ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))
+    for q, child in enumerate(children):
+        for v, corner in enumerate(child):
+            out[v, :, q * k:(q + 1) * k] = corner
+    return out
+
+
 def _reference_degree(surface, mesh, positions, y, mollifier_radius=None):
     """The degree of one target as computed before the per-target pruning.
 
@@ -265,7 +326,7 @@ def _reference_degree(surface, mesh, positions, y, mollifier_radius=None):
     shift = np.zeros(2)
     for attempt in range(4):
         try:
-            inside = _point_in_triangles(w + shift, uv, edge_eps=1e-12)
+            inside = _reference_point_in_triangles(w + shift, uv, edge_eps=1e-12)
             break
         except IrregularValueError:
             if attempt == 3:
@@ -274,10 +335,10 @@ def _reference_degree(surface, mesh, positions, y, mollifier_radius=None):
     count = int(np.sum(signs[near_idx][inside]))
     tris = np.ascontiguousarray(uv.transpose(1, 2, 0))
     for _ in range(3):
-        tris = _subdivide(tris)
+        tris = _reference_subdivide(tris)
     size = float(np.max(np.linalg.norm(uv - np.roll(uv, 1, axis=1), axis=2))) / 8
     while size > radius:
-        tris = _subdivide(tris[:, :, _distances(tris, w) <= radius + size])
+        tris = _reference_subdivide(tris[:, :, _distances(tris, w) <= radius + size])
         size /= 2
     e1 = tris[1] - tris[0]
     e2 = tris[2] - tris[0]
@@ -313,6 +374,14 @@ class TestDegreeEquivalence:
     def test_plane_suite(self, plane, plane_suite):
         for mesh, cfg, targets, _ in plane_suite:
             _assert_as_reference(plane, mesh, cfg, targets)
+
+    def test_torus_band_start(self, torus, torus_band_start):
+        # Tangent-plane charts of finite radius, on a surface of two curvatures.
+        mesh, cfg, targets = torus_band_start
+        assert torus.chart_radius == 0.375
+        assert [brouwer_degree(torus, mesh, cfg, y).degree for y in targets] == [1] * 10
+        _assert_as_reference(torus, mesh, cfg, targets)
+        _assert_as_reference(torus, mesh, cfg, targets, mollifier_radius=0.02)
 
     def test_extra_splits_and_errors(self, plane, sphere, disk_identity, cap_targets, monkeypatch):
         splits = []
@@ -371,11 +440,18 @@ class TestDegreeMemo:
             assert down[0] == -up.degree == -1
 
 
-@pytest.mark.parametrize("radius", [0.0, -0.1, np.nan, np.inf])
+@pytest.mark.parametrize("radius", [0.0, -0.1, np.nan, np.inf, True, np.True_, "0.1"])
 def test_bad_mollifier_radius_raises(plane, disk_identity, radius):
     mesh, cfg = disk_identity
-    with pytest.raises(ValueError, match=f"mollifier_radius .* got {radius!r}"):
+    with pytest.raises(ValueError, match=f"mollifier_radius .* got {re.escape(repr(radius))}"):
         brouwer_degree(plane, mesh, cfg, np.array([0.3, 0.2, 0.0]), mollifier_radius=radius)
+
+
+def test_boolean_mollifier_radius_on_cap_raises(sphere, cap_targets):
+    # True once ran as radius 1.0, beyond the sphere's chart radius.
+    mesh, cfg, targets = cap_targets
+    with pytest.raises(ValueError, match="mollifier_radius .* got True"):
+        brouwer_degree(sphere, mesh, cfg, targets[0], mollifier_radius=True)
 
 
 def test_bump_mass_constant_matches_quadrature():
@@ -618,9 +694,48 @@ class TestResiduals:
         results = first_variation_residual(model, sphere, mesh, cfg, 12, seed=0)
         assert all(r.admissible for r in results)
 
-    def test_fields_vanish_on_boundary(self, model, sphere, cap):
-        from memsurf.diagnostics import _test_fields
+    def test_admissible_is_trial_feasibility(self, model, sphere, cap):
+        # Without the energy, the same verdict as trial_energy: a small
+        # variation stays feasible, a large one folds elements below J_FLOOR,
+        # and the two steps that bracket the floor (by bisection) split.
+        mesh, _, cfg, _ = cap
+        psi = _test_fields(sphere, mesh, cfg, 1, seed=0)[0][4]
+        lo, hi = 1e-3, 0.3
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if np.min(oriented_area_ratios(mesh, sphere, cfg + mid * psi)) > J_FLOOR:
+                lo = mid
+            else:
+                hi = mid
+        verdicts = set()
+        for tau in (1e-3, -1e-3, lo, hi, 1.0, 3.0, -3.0):
+            moved = cfg + tau * psi
+            ok = _admissible(mesh, sphere, moved)
+            assert ok is trial_energy(model, mesh, sphere, moved)[2]
+            if not ok:
+                assert not np.min(oriented_area_ratios(mesh, sphere, moved)) > J_FLOOR
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
+    def test_failed_projection_is_inadmissible(self, model, cap, monkeypatch):
+        # The base configuration projects; every varied one lands on the
+        # medial axis, which makes the variation inadmissible, not an error.
+        mesh, _, cfg, _ = cap
+        surface = Sphere(1.0)
+        project, calls = surface.project, []
+
+        def medial(p):
+            calls.append(1)
+            if len(calls) > 1:
+                raise AmbiguousProjectionError("point on the medial axis")
+            return project(p)
+
+        monkeypatch.setattr(surface, "project", medial)
+        results = first_variation_residual(model, surface, mesh, cfg, 6, seed=0)
+        assert len(results) == 6 and not any(r.admissible for r in results)
+        assert _admissible(mesh, surface, cfg) is trial_energy(model, mesh, surface, cfg)[2] is False
+
+    def test_fields_vanish_on_boundary(self, model, sphere, cap):
         mesh, _, cfg, _ = cap
         for _, _, _, _, psi in _test_fields(sphere, mesh, cfg, 12, seed=0):
             assert np.abs(psi[mesh.boundary_vertices]).max() == 0.0

@@ -180,6 +180,37 @@ def test_wavefront_3d_positions(tmp_path):
     assert np.array_equal(tri, tri2)
 
 
+def _row_by_row_records(positions, triangles):
+    """The records as save_mesh used to format them, one numpy row at a time."""
+    positions = np.asarray(positions, dtype=float)
+    if positions.shape[1] == 2:
+        positions = np.column_stack([positions, np.zeros(positions.shape[0])])
+    lines = [f"v {float(p[0])!r} {float(p[1])!r} {float(p[2])!r}" for p in positions]
+    lines += [f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in np.asarray(triangles, dtype=np.int64)]
+    return lines
+
+
+@pytest.mark.parametrize(
+    "positions, triangles",
+    [
+        ([[-0.0, 5e-324, 1e308], [0.1 + 0.2, -1e-300, 1.0], [2.0, -0.0, 3.5]], [[0, 1, 2]]),
+        (np.array([[0.5, -0.0], [0.1 + 0.2, 5e-324], [1e308, 2.0]]), np.array([[2, 1, 0]])),
+        ([[1.0, 2.0, 3.0]], np.empty((0, 3), dtype=int)),
+        ([[1.0, 2.0, 3.0]], []),
+        (
+            np.random.default_rng(0).standard_normal((2500, 3)) * 1e3,
+            np.random.default_rng(1).integers(0, 2500, (3000, 3)),
+        ),
+    ],
+    ids=["edge_floats", "two_columns", "no_faces", "empty_list", "several_blocks"],
+)
+def test_wavefront_records_match_row_by_row_format(tmp_path, positions, triangles):
+    path = tmp_path / "mesh.obj"
+    save_mesh(path, positions, triangles, comments=["config_hash=abc123"])
+    expected = ["# config_hash=abc123", *_row_by_row_records(positions, triangles)]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 def test_wavefront_rejects_garbage(tmp_path):
     path = tmp_path / "bad.obj"
     path.write_text("v 0 0 0\nq 1 2 3\n")

@@ -54,7 +54,7 @@ class TestInitialize:
 
 
 class TestOptions:
-    @pytest.mark.parametrize("grad_tol", [0.0, -1e-5, np.inf, np.nan])
+    @pytest.mark.parametrize("grad_tol", [0.0, -1e-5, np.inf, np.nan, True, np.True_, "0.1"])
     def test_validation(self, model, plane, square_mesh, grad_tol):
         identity = make_initial_map(plane, "identity")
         with pytest.raises(ValueError, match="grad_tol must be finite and positive"):
