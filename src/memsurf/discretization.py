@@ -36,7 +36,7 @@ def interpolate(surface, mesh, f0):
     pos = np.asarray(f0(mesh.vertices), dtype=float)
     if pos.shape != (mesh.num_vertices, 3):
         raise ValueError("initial map must return one 3-vector per vertex")
-    d = np.atleast_1d(surface.distance(pos))
+    d = surface.distance(pos)
     if not np.all(d <= surface.on_surface_tol):
         raise OffSurfaceError(
             f"initial map leaves the surface by {float(np.max(d)):.3e}"

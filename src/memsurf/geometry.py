@@ -2,8 +2,9 @@
 
 Every surface is a smooth oriented 2-manifold embedded in R^3, described in
 closed form (plane, sphere, torus, ellipsoid, polynomial height graph).  All
-point-valued operations accept either a single 3-vector or an (n, 3) batch
-and are pure, so surfaces are safe to share between threads.
+point-valued operations accept any (..., 3) array (one point, a batch or a
+stack of batches) and are pure, so surfaces are safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -33,36 +34,17 @@ _PROJECT_TOL = 1e-12
 _PROJECT_MAX_ITER = 50
 
 
-def _as_points(p):
-    """Return (points, was_single) with points shaped (n, 3)."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 1:
-        return p[None, :], True
-    return p, False
-
-
-def _unpack(values, single):
-    return values[0] if single else values
-
-
 def _dots(a, b):
-    """Row dot products of (k, 3) arrays, each taken as ``np.dot`` takes it."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
+    """Dot products (..., 1) of (..., 3) arrays, each taken as ``np.dot`` takes it."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
 
 
 def _orthonormal_frame(n):
-    """Deterministic right-handed frame (t1, t2, n) for unit vector(s) n.
-
-    ``n`` is one vector (3,) or a batch (k, 3); a batch gives each row the
-    bits a single call gives it.
-    """
-    n, single = _as_points(n)
-    axis = np.zeros_like(n)
-    axis[np.arange(len(n)), np.argmin(np.abs(n), axis=1)] = 1.0
+    """Deterministic right-handed frame (t1, t2, n) for unit vectors n (..., 3)."""
+    axis = (np.arange(3) == np.argmin(np.abs(n), axis=-1)[..., None]).astype(float)
     t1 = axis - _dots(axis, n) * n
     t1 /= np.sqrt(_dots(t1, t1))
-    t2 = np.cross(n, t1)
-    return _unpack(t1, single), _unpack(t2, single)
+    return t1, np.cross(n, t1)
 
 
 class Surface:
@@ -106,13 +88,11 @@ class Surface:
     # -- core operations -----------------------------------------------------
     def distance(self, p):
         """Approximate unsigned distance to the surface."""
-        p, single = _as_points(p)
-        g = self.implicit(p)
         dg = np.linalg.norm(self.implicit_grad(p), axis=-1)
-        return _unpack(np.abs(g) / np.maximum(dg, 1e-300), single)
+        return np.abs(self.implicit(p)) / np.maximum(dg, 1e-300)
 
     def _require_on_surface(self, y):
-        d = np.atleast_1d(self.distance(y))
+        d = self.distance(y)
         if not np.all(d <= self.on_surface_tol):
             raise OffSurfaceError(
                 f"point at distance {float(np.max(d)):.3e} from {self.kind} "
@@ -121,10 +101,8 @@ class Surface:
 
     def normal_unchecked(self, p):
         """Oriented unit normal field extended to near-surface points."""
-        p, single = _as_points(p)
         g = self.implicit_grad(p)
-        n = g / np.linalg.norm(g, axis=-1, keepdims=True)
-        return _unpack(self.orientation_sign * n, single)
+        return self.orientation_sign * (g / np.linalg.norm(g, axis=-1, keepdims=True))
 
     def project(self, p):
         """Closest point on the surface (raises near the medial axis)."""
@@ -136,12 +114,11 @@ class Surface:
         ``v`` has y's shape, or stacks j such fields as (j, n, 3); the
         normals are evaluated once for the whole stack.
         """
-        y, single = _as_points(y)
-        v, _ = _as_points(v)
-        n = np.atleast_2d(self.normal_unchecked(y))
-        vn = v[..., 0] * n[:, 0] + v[..., 1] * n[:, 1] + v[..., 2] * n[:, 2]
+        v = np.asarray(v, dtype=float)
+        n = self.normal_unchecked(y)
+        vn = v[..., 0] * n[..., 0] + v[..., 1] * n[..., 1] + v[..., 2] * n[..., 2]
         out = vn[..., None] * n
-        return _unpack(np.subtract(v, out, out=out), single)
+        return np.subtract(v, out, out=out)
 
     # -- charts ----------------------------------------------------------------
     def chart_at(self, y):
@@ -176,26 +153,23 @@ class Plane(Surface):
         self.t1, self.t2 = _orthonormal_frame(self._n)
 
     def implicit(self, p):
-        p, single = _as_points(p)
-        return _unpack(p @ self._n - self.offset, single)
+        return np.asarray(p, dtype=float) @ self._n - self.offset
 
     def implicit_grad(self, p):
-        p, single = _as_points(p)
-        return _unpack(np.broadcast_to(self._n, p.shape).copy(), single)
+        return np.broadcast_to(self._n, np.shape(p)).copy()
 
     @property
     def curvature_radius(self):
         return 1.0
 
     def project(self, p):
-        p, single = _as_points(p)
-        h = p @ self._n - self.offset
-        return _unpack(p - h[:, None] * self._n, single)
+        p = np.asarray(p, dtype=float)
+        return p - self.implicit(p)[..., None] * self._n
 
     def embed(self, x):
-        """Map reference coordinates (n, 2) into the plane."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.origin + x[:, :1] * self.t1 + x[:, 1:2] * self.t2
+        """Map reference coordinates (..., 2) into the plane."""
+        x = np.asarray(x, dtype=float)
+        return self.origin + x[..., :1] * self.t1 + x[..., 1:2] * self.t2
 
     def chart_at(self, y):
         self._require_on_surface(y)
@@ -218,24 +192,22 @@ class Sphere(Surface):
         self.radius = float(radius)
 
     def implicit(self, p):
-        p, single = _as_points(p)
-        return _unpack(np.linalg.norm(p, axis=-1) - self.radius, single)
+        return np.linalg.norm(p, axis=-1) - self.radius
 
     def implicit_grad(self, p):
-        p, single = _as_points(p)
-        r = np.linalg.norm(p, axis=-1, keepdims=True)
-        return _unpack(p / np.maximum(r, 1e-300), single)
+        p = np.asarray(p, dtype=float)
+        return p / np.maximum(np.linalg.norm(p, axis=-1, keepdims=True), 1e-300)
 
     @property
     def curvature_radius(self):
         return self.radius
 
     def project(self, p):
-        p, single = _as_points(p)
-        r = np.linalg.norm(p, axis=-1)
+        p = np.asarray(p, dtype=float)
+        r = np.linalg.norm(p, axis=-1, keepdims=True)
         if np.any(r < self.medial_tol):
             raise AmbiguousProjectionError("projection queried at the sphere center")
-        return _unpack(self.radius * p / r[:, None], single)
+        return self.radius * p / r
 
     @property
     def chart_radius(self):
@@ -255,39 +227,32 @@ class Torus(Surface):
         self.minor_radius = float(minor_radius)
 
     def _ring_point(self, p):
-        rho = np.linalg.norm(p[:, :2], axis=-1)
+        """Nearest core-circle point q, the offset p - q and the axis distance."""
+        p = np.asarray(p, dtype=float)
+        rho = np.linalg.norm(p[..., :2], axis=-1, keepdims=True)
         q = np.zeros_like(p)
-        safe = np.maximum(rho, 1e-300)
-        q[:, 0] = self.major_radius * p[:, 0] / safe
-        q[:, 1] = self.major_radius * p[:, 1] / safe
-        return q, rho
+        q[..., :2] = self.major_radius * p[..., :2] / np.maximum(rho, 1e-300)
+        return q, p - q, rho
 
     def implicit(self, p):
-        p, single = _as_points(p)
-        q, _ = self._ring_point(p)
-        return _unpack(np.linalg.norm(p - q, axis=-1) - self.minor_radius, single)
+        return np.linalg.norm(self._ring_point(p)[1], axis=-1) - self.minor_radius
 
     def implicit_grad(self, p):
-        p, single = _as_points(p)
-        q, _ = self._ring_point(p)
-        d = p - q
-        nd = np.linalg.norm(d, axis=-1, keepdims=True)
-        return _unpack(d / np.maximum(nd, 1e-300), single)
+        d = self._ring_point(p)[1]
+        return d / np.maximum(np.linalg.norm(d, axis=-1, keepdims=True), 1e-300)
 
     @property
     def curvature_radius(self):
         return self.minor_radius
 
     def project(self, p):
-        p, single = _as_points(p)
-        q, rho = self._ring_point(p)
-        d = p - q
-        nd = np.linalg.norm(d, axis=-1)
+        q, d, rho = self._ring_point(p)
+        nd = np.linalg.norm(d, axis=-1, keepdims=True)
         if np.any(rho < self.medial_tol) or np.any(nd < self.medial_tol):
             raise AmbiguousProjectionError(
                 "projection queried on the torus axis or core circle"
             )
-        return _unpack(q + self.minor_radius * d / nd[:, None], single)
+        return q + self.minor_radius * d / nd
 
     def from_angles(self, psi, theta):
         psi = np.asarray(psi, dtype=float)
@@ -316,12 +281,10 @@ class Ellipsoid(Surface):
         self.semi_axes = axes
 
     def implicit(self, p):
-        p, single = _as_points(p)
-        return _unpack(np.sum((p / self.semi_axes) ** 2, axis=-1) - 1.0, single)
+        return np.sum((p / self.semi_axes) ** 2, axis=-1) - 1.0
 
     def implicit_grad(self, p):
-        p, single = _as_points(p)
-        return _unpack(2.0 * p / self.semi_axes**2, single)
+        return 2.0 * np.asarray(p, dtype=float) / self.semi_axes**2
 
     @property
     def curvature_radius(self):
@@ -333,21 +296,21 @@ class Ellipsoid(Surface):
         The root mu in (-min(a_i^2), inf) is unique and yields the nearest
         point for queries away from the interior medial region.
         """
-        p, single = _as_points(p)
+        p = np.asarray(p, dtype=float)
         if np.any(np.linalg.norm(p, axis=-1) < self.medial_tol):
             raise AmbiguousProjectionError(
                 "projection queried near the ellipsoid center"
             )
         a2 = self.semi_axes**2
-        lo = np.full(p.shape[0], -a2.min() * (1.0 - 1e-12))
+        lo = np.full(p.shape[:-1], -a2.min() * (1.0 - 1e-12))
         # h is decreasing in mu; h(hi) < 0 needs hi > |p| a_max^2.
         hi = (np.linalg.norm(p, axis=-1) + 1.0) * a2.max()
-        mu = np.where(np.asarray(self.implicit(p)) >= 0, 0.0, 0.5 * lo)
+        mu = np.where(self.implicit(p) >= 0, 0.0, 0.5 * lo)
 
         def h_and_dh(mu):
-            den = a2[None, :] + mu[:, None]
-            h = np.sum((p**2) * a2[None, :] / den**2, axis=-1) - 1.0
-            dh = -2.0 * np.sum((p**2) * a2[None, :] / den**3, axis=-1)
+            den = a2 + mu[..., None]
+            h = np.sum((p**2) * a2 / den**2, axis=-1) - 1.0
+            dh = -2.0 * np.sum((p**2) * a2 / den**3, axis=-1)
             return h, dh
 
         for _ in range(_PROJECT_MAX_ITER):
@@ -366,8 +329,7 @@ class Ellipsoid(Surface):
             h, _ = h_and_dh(mu)
             if np.any(np.abs(h) > np.sqrt(_PROJECT_TOL)):
                 raise NoConvergenceError("ellipsoid projection did not converge")
-        y = p * a2[None, :] / (a2[None, :] + mu[:, None])
-        return _unpack(y, single)
+        return p * a2 / (a2 + mu[..., None])
 
     @property
     def chart_radius(self):
@@ -425,14 +387,13 @@ class GraphSurface(Surface):
         return hxx, hxy, hyy
 
     def implicit(self, p):
-        p, single = _as_points(p)
-        return _unpack(p[:, 2] - self.height(p[:, 0], p[:, 1]), single)
+        p = np.asarray(p, dtype=float)
+        return p[..., 2] - self.height(p[..., 0], p[..., 1])
 
     def implicit_grad(self, p):
-        p, single = _as_points(p)
-        hx, hy = self.height_grad(p[:, 0], p[:, 1])
-        g = np.stack([-hx, -hy, np.ones_like(hx)], axis=-1)
-        return _unpack(g, single)
+        p = np.asarray(p, dtype=float)
+        hx, hy = self.height_grad(p[..., 0], p[..., 1])
+        return np.stack([-hx, -hy, np.ones_like(hx)], axis=-1)
 
     @property
     def curvature_radius(self):
@@ -455,8 +416,12 @@ class GraphSurface(Surface):
         return d2, ru, rv, j11, j12, j22
 
     def project(self, p):
-        """Damped Newton on the stationarity condition of |y(u, v) - p|^2."""
-        p, single = _as_points(p)
+        """Damped Newton on the stationarity condition of |y(u, v) - p|^2.
+
+        Each point iterates on its own, so the solve runs on the (k, 3) rows.
+        """
+        shape = np.shape(p)
+        p = np.asarray(p, dtype=float).reshape(-1, 3)
         uv = p[:, :2].copy()
         scale = max(1.0, self.extent)
         for _ in range(_PROJECT_MAX_ITER):
@@ -498,7 +463,7 @@ class GraphSurface(Surface):
         else:
             raise NoConvergenceError("graph projection did not converge")
         z = self.height(uv[:, 0], uv[:, 1])
-        return _unpack(np.column_stack([uv, z]), single)
+        return np.column_stack([uv, z]).reshape(shape)
 
     def chart_at(self, y):
         """Global (x, y) chart, offset to y."""
@@ -535,13 +500,9 @@ class Chart:
         return np.linalg.norm(d, axis=-1) < self.radius
 
 
-SURFACE_KINDS = {
-    "plane": Plane,
-    "sphere": Sphere,
-    "torus": Torus,
-    "ellipsoid": Ellipsoid,
-    "graph": GraphSurface,
-}
+# The kinds a run configuration may name: those an initial map in ``maps``
+# accepts.  Ellipsoid and GraphSurface are library surfaces only.
+SURFACE_KINDS = {"plane": Plane, "sphere": Sphere, "torus": Torus}
 
 
 def make_surface(kind, **params):

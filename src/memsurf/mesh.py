@@ -264,9 +264,14 @@ def save_mesh(path, positions, triangles, comments=()):
     Records print from ``tolist`` rows (Python floats and ints), 1024 rows at
     a time, so no list of the whole mesh's Python objects is held."""
     positions = np.asarray(positions, dtype=float)
+    faces = np.asarray(triangles, dtype=np.int64) + 1
+    # Checked before the file is opened, so a bad call leaves no partial file.
+    if positions.ndim != 2 or positions.shape[1] not in (2, 3):
+        raise ValueError(f"mesh positions must have shape (n, 2) or (n, 3), got {positions.shape}")
+    if faces.size and (faces.ndim != 2 or faces.shape[1] != 3):
+        raise ValueError(f"mesh triangles must have shape (m, 3), got {faces.shape}")
     if positions.shape[1] == 2:
         positions = np.column_stack([positions, np.zeros(positions.shape[0])])
-    faces = np.asarray(triangles, dtype=np.int64) + 1
     with open(path, "w", newline="\n") as fh:
         fh.writelines(f"# {c}\n" for c in comments)
         for s in range(0, len(positions), 1024):
@@ -308,7 +313,7 @@ def load_mesh(path):
     triangles = []
     for lineno, refs in faces:
         ids = [ref.split("/")[0] for ref in refs]
-        if len(ids) != 3 or not all(i.isdigit() and 1 <= int(i) <= n for i in ids):
+        if len(ids) != 3 or not all(i.isdecimal() and 1 <= int(i) <= n for i in ids):
             raise ValueError(
                 f"{path}:{lineno}: a face needs three vertex indices in 1..{n}, "
                 f"got {' '.join(refs)!r}"

@@ -5,12 +5,15 @@ import pytest
 
 from memsurf import (
     AmbiguousProjectionError,
+    Ellipsoid,
+    GraphSurface,
     OffSurfaceError,
     Plane,
     Sphere,
     Torus,
     make_surface,
 )
+from memsurf.geometry import _orthonormal_frame
 
 from conftest import surface_samples
 
@@ -133,6 +136,53 @@ def test_medial_axis_errors(sphere, torus):
         torus.project([2.0, 0.0, 0.0])  # on the core circle
 
 
+def _assert_shape_contract(f, stack):
+    """f on one point equals its row of the batch call, and f on a (j, n, ...)
+    stack equals the per-slice calls, bit for bit."""
+    flat = stack.reshape(-1, stack.shape[-1])
+    batch = f(flat)
+    for i, x in enumerate(flat):
+        assert np.array_equal(f(x), batch[i])
+    assert np.array_equal(f(stack), np.stack([f(s) for s in stack]))
+
+
+def test_point_operations_accept_any_leading_shape(all_surfaces):
+    rng = np.random.default_rng(11)
+    for surf in all_surfaces:
+        base = surface_samples(surf, rng, 14)
+        off = rng.uniform(-0.2, 0.2, (14, 1)) * surf.curvature_radius
+        pts = (base + off * surf.normal_unchecked(base)).reshape(2, 7, 3)
+        for f in (surf.project, surf.implicit, surf.implicit_grad, surf.distance, surf.normal_unchecked):
+            _assert_shape_contract(f, pts)
+        v = rng.standard_normal((2, 7, 3))
+        both = np.concatenate([pts, v], axis=-1)
+        _assert_shape_contract(lambda yv: surf.tangent_project_unchecked(yv[..., :3], yv[..., 3:]), both)
+        normals = surf.normal_unchecked(pts)
+        _assert_shape_contract(lambda n: np.stack(_orthonormal_frame(n), axis=-2), normals)
+    plane = all_surfaces[0]
+    _assert_shape_contract(plane.embed, rng.uniform(-2.0, 2.0, (2, 7, 2)))
+
+
+@pytest.mark.parametrize(
+    "surf, point",
+    [
+        (Sphere(1.0), [0.0, 0.0, 0.0]),
+        (Torus(2.0, 0.5), [0.0, 0.0, 0.7]),
+        (Torus(2.0, 0.5), [2.0, 0.0, 0.0]),
+        (Ellipsoid((1.5, 1.0, 0.75)), [0.0, 0.0, 0.0]),
+    ],
+    ids=["sphere_center", "torus_axis", "torus_core_circle", "ellipsoid_center"],
+)
+def test_medial_axis_error_alike_for_point_and_batch(surf, point):
+    good = surf.project([3.0, 1.0, 0.5])
+    messages = set()
+    for p in (point, [good, point], [[good, point], [good, good]]):
+        with pytest.raises(AmbiguousProjectionError) as info:
+            surf.project(p)
+        messages.add(str(info.value))
+    assert len(messages) == 1
+
+
 def test_tangent_project(sphere, plane):
     out = sphere.tangent_project_unchecked([0.0, 0.0, 1.0], [1.0, 0.0, 5.0])
     assert np.allclose(out, [1.0, 0.0, 0.0], atol=1e-12)
@@ -229,6 +279,25 @@ def test_make_surface_factory():
     assert isinstance(s, Sphere) and s.radius == 2.0
     with pytest.raises(ValueError):
         make_surface("cone")
+    # Library surfaces that no initial map accepts are not configurable kinds.
+    for kind in ("ellipsoid", "graph"):
+        with pytest.raises(ValueError, match=r"expected one of \['plane', 'sphere', 'torus'\]"):
+            make_surface(kind)
+
+
+@pytest.mark.parametrize(
+    "build, key",
+    [
+        (lambda: Ellipsoid((1.0, np.nan, 1.0)), "semi_axes"),
+        (lambda: Ellipsoid((1.0, 1.0, np.inf)), "semi_axes"),
+        (lambda: GraphSurface(extent=np.nan), "extent"),
+        (lambda: GraphSurface([[0.0, np.inf]]), "coeffs"),
+    ],
+    ids=["ellipsoid_nan_axis", "ellipsoid_inf_axis", "graph_nan_extent", "graph_inf_coeff"],
+)
+def test_library_surfaces_reject_non_finite_parameters(build, key):
+    with pytest.raises(ValueError, match=key):
+        build()
 
 
 @pytest.mark.parametrize("normal_dir", [(0.0, 0.0, 0.0), (1.0, 0.0)])

@@ -211,6 +211,24 @@ def test_wavefront_records_match_row_by_row_format(tmp_path, positions, triangle
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
+@pytest.mark.parametrize(
+    "positions, triangles, shape",
+    [
+        (np.zeros((3, 4)), [[0, 1, 2]], r"positions .* got \(3, 4\)"),
+        (np.zeros(3), [[0, 1, 2]], r"positions .* got \(3,\)"),
+        (np.zeros((3, 3)), [[0, 1, 2, 0]], r"triangles .* got \(1, 4\)"),
+        (np.zeros((3, 3)), [0, 1, 2], r"triangles .* got \(3,\)"),
+    ],
+    ids=["four_columns", "one_dimensional", "four_corners", "flat_faces"],
+)
+def test_save_mesh_rejects_bad_shapes_before_writing(tmp_path, positions, triangles, shape):
+    path = tmp_path / "mesh.obj"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError, match=shape):
+        save_mesh(path, positions, triangles, comments=["config_hash=abc123"])
+    assert path.read_bytes() == b"kept\n"
+
+
 def test_wavefront_rejects_garbage(tmp_path):
     path = tmp_path / "bad.obj"
     path.write_text("v 0 0 0\nq 1 2 3\n")
@@ -220,9 +238,9 @@ def test_wavefront_rejects_garbage(tmp_path):
 
 @pytest.mark.parametrize(
     "face",
-    ["f 1 2 3 4", "f 0 1 2", "f 1 2 4", "f 1 2", "f -1 1 2", "f 1 2 x"],
+    ["f 1 2 3 4", "f 0 1 2", "f 1 2 4", "f 1 2", "f -1 1 2", "f 1 2 x", "f 1 2 \u00b3"],
     ids=["four_indices", "zero_index", "past_vertex_count", "two_indices",
-         "negative_index", "not_a_number"],
+         "negative_index", "not_a_number", "superscript_digit"],
 )
 def test_wavefront_rejects_malformed_face(tmp_path, face):
     path = tmp_path / "bad.obj"
