@@ -31,15 +31,12 @@ from .errors import (
     IrregularValueError,
     LineSearchStallError,
     MemsurfError,
-    NoConvergenceError,
     NonpositiveJError,
     OffSurfaceError,
     RankDeficientError,
 )
 from .geometry import (
     Chart,
-    Ellipsoid,
-    GraphSurface,
     Plane,
     Sphere,
     Surface,

@@ -29,7 +29,6 @@ from .errors import (
     ConfigError,
     InfeasibleStartError,
     MemsurfError,
-    NoConvergenceError,
 )
 from .mesh import save_mesh
 from .minimizer import minimize
@@ -262,7 +261,7 @@ def _cmd_degree(config, out, point):
     positions = interpolate(surface, mesh, f0)
     try:
         y = surface.project(np.asarray(point, dtype=float))
-    except (AmbiguousProjectionError, NoConvergenceError) as exc:
+    except AmbiguousProjectionError as exc:
         shown = " ".join(map(repr, point))
         print(
             f"error: --point {shown} has no closest point on the surface: {exc}",

@@ -22,7 +22,6 @@ from .errors import (
     ChartSpanFailureError,
     IrregularValueError,
     MemsurfError,
-    NoConvergenceError,
 )
 from .geometry import _orthonormal_frame
 
@@ -568,7 +567,7 @@ def _admissible(mesh, surface, positions):
     centroid projects: the feasibility ``trial_energy`` reports, without the energy."""
     try:
         J = _kinematics(mesh, surface, positions)[1]
-    except (AmbiguousProjectionError, NoConvergenceError):
+    except AmbiguousProjectionError:
         return False
     return not J.size or bool(np.min(J) > J_FLOOR)
 

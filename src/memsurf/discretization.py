@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .constitutive import _spectral_batch, pk1_batch
-from .errors import AmbiguousProjectionError, NoConvergenceError, OffSurfaceError
+from .errors import AmbiguousProjectionError, OffSurfaceError
 from .mesh import TriMesh
 
 __all__ = [
@@ -82,12 +82,12 @@ def trial_energy(model, mesh, surface, positions):
     area ratio exceeds ``J_FLOOR``.  F is the (m, 3, 2) gradient batch and
     spectral its ``_spectral_batch`` data, the pair ``energy_gradient``
     takes; spectral is None when the trial is infeasible.  A centroid
-    projection that fails (no convergence, or a point on the medial axis)
-    makes the trial infeasible with min_J NaN and F None.
+    projection that fails (a point on the medial axis) makes the trial
+    infeasible with min_J NaN and F None.
     """
     try:
         F, J = _kinematics(mesh, surface, positions)
-    except (AmbiguousProjectionError, NoConvergenceError):
+    except AmbiguousProjectionError:
         return np.inf, np.nan, False, None, None
     min_j = float(np.min(J)) if J.size else np.inf
     if not min_j > J_FLOOR:

@@ -13,10 +13,6 @@ class AmbiguousProjectionError(MemsurfError):
     """Closest-point projection queried at or near the medial axis."""
 
 
-class NoConvergenceError(MemsurfError):
-    """An iterative geometric solve (a closest-point projection) failed."""
-
-
 class RankDeficientError(MemsurfError):
     """Deformation gradient is (numerically) rank deficient."""
 

@@ -1,38 +1,26 @@
 """Analytic target surfaces with oriented normals, projections, and charts.
 
-Every surface is a smooth oriented 2-manifold embedded in R^3, described in
-closed form (plane, sphere, torus, ellipsoid, polynomial height graph).  All
-point-valued operations accept any (..., 3) array (one point, a batch or a
-stack of batches) and are pure, so surfaces are safe to share between
-threads.
+Every surface is a smooth oriented 2-manifold embedded in R^3 (plane,
+sphere, torus), with its implicit description and closest-point projection
+in closed form.  All point-valued operations accept any (..., 3) array (one
+point, a batch or a stack of batches) and are pure, so surfaces are safe to
+share between threads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    AmbiguousProjectionError,
-    NoConvergenceError,
-    OffSurfaceError,
-)
+from .errors import AmbiguousProjectionError, OffSurfaceError
 
 __all__ = [
     "Surface",
     "Plane",
     "Sphere",
     "Torus",
-    "Ellipsoid",
-    "GraphSurface",
     "Chart",
     "make_surface",
 ]
-
-# Residual tolerance and iteration cap of the Newton closest-point solves
-# (ellipsoid, height graph).
-_PROJECT_TOL = 1e-12
-_PROJECT_MAX_ITER = 50
-
 
 def _dots(a, b):
     """Dot products (..., 1) of (..., 3) arrays, each taken as ``np.dot`` takes it."""
@@ -50,8 +38,8 @@ def _orthonormal_frame(n):
 class Surface:
     """Base class: oriented surface with closest-point projection.
 
-    Subclasses provide the implicit description and closed-form (or Newton)
-    projections.  ``orientation_sign`` selects which of the two continuous
+    Subclasses provide the implicit description and a closed-form
+    projection.  ``orientation_sign`` selects which of the two continuous
     unit-normal fields is used everywhere.
     """
 
@@ -153,7 +141,7 @@ class Plane(Surface):
         self.t1, self.t2 = _orthonormal_frame(self._n)
 
     def implicit(self, p):
-        return np.asarray(p, dtype=float) @ self._n - self.offset
+        return _dots(np.asarray(p, dtype=float), self._n)[..., 0] - self.offset
 
     def implicit_grad(self, p):
         return np.broadcast_to(self._n, np.shape(p)).copy()
@@ -268,221 +256,13 @@ class Torus(Surface):
         return 0.75 * self.minor_radius
 
 
-class Ellipsoid(Surface):
-    """Axis-aligned ellipsoid sum((p_i/a_i)^2) = 1."""
-
-    kind = "ellipsoid"
-
-    def __init__(self, semi_axes=(1.0, 1.0, 1.0), orientation_sign=1):
-        super().__init__(orientation_sign)
-        axes = np.asarray(semi_axes, dtype=float)
-        if axes.shape != (3,) or not np.all((axes > 0) & (axes < np.inf)):
-            raise ValueError("semi_axes must be three finite positive numbers")
-        self.semi_axes = axes
-
-    def implicit(self, p):
-        return np.sum((p / self.semi_axes) ** 2, axis=-1) - 1.0
-
-    def implicit_grad(self, p):
-        return 2.0 * np.asarray(p, dtype=float) / self.semi_axes**2
-
-    @property
-    def curvature_radius(self):
-        return float(np.min(self.semi_axes) ** 2 / np.max(self.semi_axes))
-
-    def project(self, p):
-        """Newton solve of the closest-point condition y_i = p_i a_i^2/(a_i^2+mu).
-
-        The root mu in (-min(a_i^2), inf) is unique and yields the nearest
-        point for queries away from the interior medial region.
-        """
-        p = np.asarray(p, dtype=float)
-        if np.any(np.linalg.norm(p, axis=-1) < self.medial_tol):
-            raise AmbiguousProjectionError(
-                "projection queried near the ellipsoid center"
-            )
-        a2 = self.semi_axes**2
-        lo = np.full(p.shape[:-1], -a2.min() * (1.0 - 1e-12))
-        # h is decreasing in mu; h(hi) < 0 needs hi > |p| a_max^2.
-        hi = (np.linalg.norm(p, axis=-1) + 1.0) * a2.max()
-        mu = np.where(self.implicit(p) >= 0, 0.0, 0.5 * lo)
-
-        def h_and_dh(mu):
-            den = a2 + mu[..., None]
-            h = np.sum((p**2) * a2 / den**2, axis=-1) - 1.0
-            dh = -2.0 * np.sum((p**2) * a2 / den**3, axis=-1)
-            return h, dh
-
-        for _ in range(_PROJECT_MAX_ITER):
-            h, dh = h_and_dh(mu)
-            converged = np.abs(h) < _PROJECT_TOL
-            if np.all(converged):
-                break
-            lo = np.where(h > 0, np.maximum(lo, mu), lo)
-            hi = np.where(h < 0, np.minimum(hi, mu), hi)
-            step = h / np.where(np.abs(dh) > 1e-300, dh, 1.0)
-            mu_new = mu - step
-            bad = (mu_new <= lo) | (mu_new >= hi) | ~np.isfinite(mu_new)
-            mu_new = np.where(bad, 0.5 * (lo + hi), mu_new)
-            mu = np.where(converged, mu, mu_new)
-        else:
-            h, _ = h_and_dh(mu)
-            if np.any(np.abs(h) > np.sqrt(_PROJECT_TOL)):
-                raise NoConvergenceError("ellipsoid projection did not converge")
-        return p * a2 / (a2 + mu[..., None])
-
-    @property
-    def chart_radius(self):
-        return 0.6 * self.curvature_radius
-
-
-def _poly_dx(c):
-    if c.shape[0] == 1:
-        return np.zeros((1, 1))
-    return c[1:, :] * np.arange(1, c.shape[0])[:, None]
-
-
-def _poly_dy(c):
-    if c.shape[1] == 1:
-        return np.zeros((1, 1))
-    return c[:, 1:] * np.arange(1, c.shape[1])[None, :]
-
-
-class GraphSurface(Surface):
-    """Height graph z = sum_ij c[i][j] x^i y^j over the whole (x, y) plane."""
-
-    kind = "graph"
-
-    def __init__(self, coeffs=((0.0,),), orientation_sign=1, extent=2.0):
-        super().__init__(orientation_sign)
-        self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("graph coeffs must be finite")
-        if not 0 < extent < np.inf:
-            raise ValueError(f"graph extent must be finite and positive, got {extent!r}")
-        self.extent = float(extent)
-        self._cx = _poly_dx(self.coeffs)
-        self._cy = _poly_dy(self.coeffs)
-        self._cxx = _poly_dx(self._cx)
-        self._cxy = _poly_dy(self._cx)
-        self._cyy = _poly_dy(self._cy)
-        # Sampled curvature bound over the working box [-extent, extent]^2.
-        s = np.linspace(-self.extent, self.extent, 41)
-        hxx, hxy, hyy = self.height_hess(*np.meshgrid(s, s))
-        kappa = np.abs(hxx) + np.abs(hyy) + 2 * np.abs(hxy)
-        self._curvature_radius = float(min(1.0, 1.0 / max(np.max(kappa), 1e-6)))
-
-    def height(self, x, y):
-        return np.polynomial.polynomial.polyval2d(x, y, self.coeffs)
-
-    def height_grad(self, x, y):
-        hx = np.polynomial.polynomial.polyval2d(x, y, self._cx)
-        hy = np.polynomial.polynomial.polyval2d(x, y, self._cy)
-        return hx, hy
-
-    def height_hess(self, x, y):
-        hxx = np.polynomial.polynomial.polyval2d(x, y, self._cxx)
-        hxy = np.polynomial.polynomial.polyval2d(x, y, self._cxy)
-        hyy = np.polynomial.polynomial.polyval2d(x, y, self._cyy)
-        return hxx, hxy, hyy
-
-    def implicit(self, p):
-        p = np.asarray(p, dtype=float)
-        return p[..., 2] - self.height(p[..., 0], p[..., 1])
-
-    def implicit_grad(self, p):
-        p = np.asarray(p, dtype=float)
-        hx, hy = self.height_grad(p[..., 0], p[..., 1])
-        return np.stack([-hx, -hy, np.ones_like(hx)], axis=-1)
-
-    @property
-    def curvature_radius(self):
-        return self._curvature_radius
-
-    def _sqdist_grad(self, uv, p):
-        """Squared distance to p (halved), its gradient and Hessian in (u, v)."""
-        z = self.height(uv[:, 0], uv[:, 1])
-        hx, hy = self.height_grad(uv[:, 0], uv[:, 1])
-        dz = z - p[:, 2]
-        du = uv[:, 0] - p[:, 0]
-        dv = uv[:, 1] - p[:, 1]
-        d2 = 0.5 * (du**2 + dv**2 + dz**2)
-        ru = du + dz * hx
-        rv = dv + dz * hy
-        hxx, hxy, hyy = self.height_hess(uv[:, 0], uv[:, 1])
-        j11 = 1.0 + hx * hx + dz * hxx
-        j12 = hx * hy + dz * hxy
-        j22 = 1.0 + hy * hy + dz * hyy
-        return d2, ru, rv, j11, j12, j22
-
-    def project(self, p):
-        """Damped Newton on the stationarity condition of |y(u, v) - p|^2.
-
-        Each point iterates on its own, so the solve runs on the (k, 3) rows.
-        """
-        shape = np.shape(p)
-        p = np.asarray(p, dtype=float).reshape(-1, 3)
-        uv = p[:, :2].copy()
-        scale = max(1.0, self.extent)
-        for _ in range(_PROJECT_MAX_ITER):
-            d2, ru, rv, j11, j12, j22 = self._sqdist_grad(uv, p)
-            res = np.hypot(ru, rv)
-            if np.all(res < _PROJECT_TOL * scale):
-                break
-            # Newton direction; fall back to gradient when H is not SPD.
-            det = j11 * j22 - j12 * j12
-            spd = (det > 1e-300) & (j11 > 0)
-            du = np.where(spd, (j22 * ru - j12 * rv) / np.where(spd, det, 1.0), ru)
-            dv = np.where(spd, (j11 * rv - j12 * ru) / np.where(spd, det, 1.0), rv)
-            # Backtrack on the squared distance far from the solution; close
-            # to it the distance hits the float floor, so take full steps.
-            step = np.ones(uv.shape[0])
-            active = res >= _PROJECT_TOL * scale
-            guarded = active & (res >= 1e-6 * scale)
-            for _ in range(40):
-                trial = uv - step[:, None] * np.column_stack([du, dv])
-                d2_new = self._sqdist_grad(trial, p)[0]
-                worse = guarded & (d2_new > d2)
-                if not np.any(worse):
-                    break
-                step = np.where(worse, 0.5 * step, step)
-            else:
-                raise NoConvergenceError(
-                    "graph projection did not converge: a damped step no "
-                    "longer decreases the distance"
-                )
-            moved = np.where(active[:, None], uv - step[:, None] * np.column_stack([du, dv]), uv)
-            # Each point's iteration depends on its own (u, v) alone, so a
-            # point that did not move would repeat this step forever.
-            if np.any(active & np.all(moved == uv, axis=1)):
-                raise NoConvergenceError(
-                    "graph projection did not converge: a point stopped "
-                    "moving short of the tolerance"
-                )
-            uv = moved
-        else:
-            raise NoConvergenceError("graph projection did not converge")
-        z = self.height(uv[:, 0], uv[:, 1])
-        return np.column_stack([uv, z]).reshape(shape)
-
-    def chart_at(self, y):
-        """Global (x, y) chart, offset to y."""
-        self._require_on_surface(y)
-        e1, e2 = np.eye(3)[:2]
-        return Chart(y, e1, self.orientation_sign * e2, np.inf)
-
-    @property
-    def chart_radius(self):
-        return np.inf
-
-
 class Chart:
     """Planar chart p -> ((p - c) . t1, (p - c) . t2) about on-surface c.
 
-    ``t1, t2`` span the tangent plane at c (the (x, y) plane on a height
-    graph) and ``t1 x t2`` lies on the side of the oriented normal, so chart
-    areas carry the orientation of the surface.  The chart is valid for
-    points within chord distance ``radius`` of the center.
+    ``t1, t2`` span the tangent plane at c and ``t1 x t2`` lies on the side
+    of the oriented normal, so chart areas carry the orientation of the
+    surface.  The chart is valid for points within chord distance
+    ``radius`` of the center.
     """
 
     def __init__(self, center, t1, t2, radius):
@@ -500,8 +280,7 @@ class Chart:
         return np.linalg.norm(d, axis=-1) < self.radius
 
 
-# The kinds a run configuration may name: those an initial map in ``maps``
-# accepts.  Ellipsoid and GraphSurface are library surfaces only.
+# The kinds a run configuration may name.
 SURFACE_KINDS = {"plane": Plane, "sphere": Sphere, "torus": Torus}
 
 

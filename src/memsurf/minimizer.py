@@ -42,7 +42,6 @@ from .errors import (
     AmbiguousProjectionError,
     InfeasibleStartError,
     LineSearchStallError,
-    NoConvergenceError,
 )
 from .stiffness import StiffnessSolver
 
@@ -158,7 +157,7 @@ def _curvature_step(model, mesh, surface, free, positions, g, d):
     try:
         probe[free] = surface.project(positions[free] + h * d)
         F = _kinematics(mesh, surface, probe)[0]
-    except (AmbiguousProjectionError, NoConvergenceError):
+    except AmbiguousProjectionError:
         return 1.0
     grad = energy_gradient(model, mesh, F)[free]
     moved = surface.tangent_project_unchecked(probe[free], grad)
@@ -200,7 +199,7 @@ def _line_search(model, mesh, surface, free, positions, energy, g, d, counts):
         trial = positions.copy()
         try:
             trial[free] = surface.project(x + alpha * d)
-        except (AmbiguousProjectionError, NoConvergenceError):
+        except AmbiguousProjectionError:
             evaluation = None  # failed retraction: reject
         else:
             if np.array_equal(trial, positions):

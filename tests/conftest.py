@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from memsurf import (
-    Ellipsoid,
-    GraphSurface,
     IsotropicModel,
     Plane,
     Sphere,
@@ -33,18 +31,8 @@ def torus():
 
 
 @pytest.fixture(scope="session")
-def ellipsoid():
-    return Ellipsoid((1.5, 1.0, 0.75))
-
-
-@pytest.fixture(scope="session")
-def graph_surface():
-    return GraphSurface([[0.0, 0.0, 0.1], [0.0, 0.2, 0.0], [0.05, 0.0, 0.0]])
-
-
-@pytest.fixture(scope="session")
-def all_surfaces(plane, sphere, torus, ellipsoid, graph_surface):
-    return [plane, sphere, torus, ellipsoid, graph_surface]
+def all_surfaces(plane, sphere, torus):
+    return [plane, sphere, torus]
 
 
 @pytest.fixture(scope="session")
@@ -68,11 +56,4 @@ def surface_samples(surface, rng, n):
         return surface.from_angles(
             rng.uniform(-np.pi, np.pi, n), rng.uniform(-np.pi, np.pi, n)
         )
-    if surface.kind == "ellipsoid":
-        w = rng.standard_normal((n, 3))
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        return surface.project(2.0 * np.max(surface.semi_axes) * w)
-    if surface.kind == "graph":
-        uv = rng.uniform(-surface.extent, surface.extent, (n, 2))
-        return np.column_stack([uv, surface.height(uv[:, 0], uv[:, 1])])
     raise ValueError(surface.kind)

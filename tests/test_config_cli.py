@@ -10,8 +10,6 @@ from memsurf import (
     ConfigError,
     IsotropicModel,
     LineSearchStallError,
-    NoConvergenceError,
-    Plane,
     Sphere,
     make_initial_map,
     parse_config,
@@ -385,8 +383,8 @@ class TestVerifyCommand:
         assert main(["verify", str(tmp_path / "nope.yaml")]) == 2
 
     @pytest.mark.parametrize("kind", ["ellipsoid", "graph"])
-    def test_library_only_surface_kind_exit_2(self, tmp_path, capsys, kind):
-        # No initial map accepts these surfaces, so a config may not name them.
+    def test_unknown_surface_kind_exit_2(self, tmp_path, capsys, kind):
+        # Surface families this package does not define are unknown kinds.
         cfg, _ = write_config(tmp_path, f"surface: {{kind: {kind}}}\n" + SMALL_VERIFY)
         assert main(["verify", str(cfg)]) == 2
         assert "surface.kind must be one of ['plane', 'sphere', 'torus']" in capsys.readouterr().err
@@ -574,15 +572,17 @@ output_dir: "%s"
         assert "sphere center" in err
         assert not (out / "degree.csv").exists()
 
-    def test_degree_point_projection_no_convergence_exit_2(self, tmp_path, capsys, monkeypatch):
-        def fail(self, points):
-            raise NoConvergenceError("graph projection did not converge")
-
-        monkeypatch.setattr(Plane, "project", fail)
-        cfg, out = write_config(tmp_path, MINIMAL_PLANE)
-        assert main(["degree", str(cfg), "--point", "0.5", "-0.25", "0"]) == 2
+    def test_degree_point_on_torus_axis_exit_2(self, tmp_path, capsys):
+        text = """
+surface: {kind: torus, major_radius: 2.0, minor_radius: 0.5}
+domain: {kind: unit_square, resolution: 0.25}
+initial_map: {kind: torus_band}
+output_dir: "%s"
+"""
+        cfg, out = write_config(tmp_path, text)
+        assert main(["degree", str(cfg), "--point", "0", "0", "0.3"]) == 2
         err = capsys.readouterr().err
-        assert "--point 0.5 -0.25 0.0 has no closest point on the surface" in err
+        assert "--point 0.0 0.0 0.3 has no closest point on the surface" in err
         assert not (out / "degree.csv").exists()
 
     def test_residual_initial_config(self, tmp_path, capsys):

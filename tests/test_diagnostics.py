@@ -49,8 +49,6 @@ def _square_onto(surface):
     """Orientation-preserving embedding of the unit square into a surface patch."""
     if surface.kind == "torus":
         return make_initial_map(surface, "torus_band")
-    if surface.kind == "graph":
-        return lambda x: np.column_stack([x, surface.height(x[:, 0], x[:, 1])])
     return surface.embed
 
 
@@ -533,21 +531,21 @@ class TestInjectivity:
         assert rep.total_overlap_area == 0.0
         assert rep.checked_pairs > 0
 
-    def test_square_clean(self, plane, graph_surface, torus):
-        # One global chart (plane, graph) or tangent charts (torus); the torus
+    def test_square_clean(self, plane, torus):
+        # One global chart (plane) or tangent charts (torus); the torus
         # band's elements are long enough that some pairs need a chart
         # centered on the pair rather than on one element.
         mesh = build_mesh("unit_square", 1 / 16)
-        for surface in (plane, graph_surface, torus):
+        for surface in (plane, torus):
             cfg = interpolate(surface, mesh, _square_onto(surface))
             rep = injectivity_check(surface, mesh, cfg)
             assert rep.injective
             assert rep.overlapping_pairs == 0
             assert rep.checked_pairs > 0
 
-    def test_fold_overlap_area(self, plane, graph_surface, torus):
+    def test_fold_overlap_area(self, plane, torus):
         mesh = build_mesh("unit_square", 1 / 16)
-        for surface in (plane, graph_surface, torus):
+        for surface in (plane, torus):
             square = _square_onto(surface)
 
             def fold(x):
@@ -577,13 +575,15 @@ class TestInjectivity:
         assert f"chart radius {torus.chart_radius:.4g}" in msg
         assert "domain.resolution" in msg
 
-    @pytest.mark.parametrize("kind", ["plane", "graph", "torus"])
-    def test_filter_matches_brute_force(self, kind, plane, graph_surface, torus):
-        surface = {"plane": plane, "graph": graph_surface, "torus": torus}[kind]
+    @pytest.mark.parametrize("kind", ["plane", "sphere", "torus"])
+    def test_filter_matches_brute_force(self, kind, plane, sphere, torus):
+        surface = {"plane": plane, "sphere": sphere, "torus": torus}[kind]
         if kind == "torus":
             square = make_initial_map(
                 torus, "torus_band", theta_range=(0.0, 0.2), psi_range=(-0.3, 0.3)
             )
+        elif kind == "sphere":
+            square = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         else:
             square = _square_onto(surface)
         mesh = build_mesh("unit_square", 0.25)
