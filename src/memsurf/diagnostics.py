@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import _spectral_batch, pk1_batch
-from .discretization import J_FLOOR, _element_kinematics, _kinematics
+from .discretization import J_FLOOR, _assemble, _element_kinematics, _kinematics
 from .errors import (
     AmbiguousProjectionError,
     BoundaryTooCloseError,
@@ -88,16 +88,17 @@ def _segment_distances(point, starts, ends):
 class _Image:
     """What every degree target reads of one configuration, on any surface.
 
-    Only mesh- and positions-derived arrays live here: the corner-index
-    columns, contiguous so a target's vertex distances are three gathers,
-    the element diameters and mean edge, and the segments of every boundary
-    loop stacked into one array.  ``_image_of`` keeps the last one and
-    builds a new one when the mesh or the positions differ.
+    The corner-index columns, contiguous so a target's vertex distances are
+    three gathers, the element diameters and mean edge, the segments of
+    every boundary loop stacked into one array, and the orientation sign of
+    every element on the surface.  ``_image_of`` keeps the last one and
+    builds a new one when the mesh, the surface or the positions differ.
     """
 
-    def __init__(self, mesh, positions):
-        self.mesh = mesh
+    def __init__(self, mesh, surface, positions):
+        self.mesh, self.surface = mesh, surface
         self.positions = np.array(positions, dtype=float)   # private copy
+        self.signs = np.sign(_kinematics(mesh, surface, self.positions)[1]).astype(int)
         self.corners = tuple(np.ascontiguousarray(c) for c in mesh.triangles.T)
         P = self.positions[mesh.triangles]              # (m, 3, 3)
         edge_len = np.linalg.norm(P[:, [1, 2, 0]] - P, axis=2)
@@ -109,24 +110,23 @@ class _Image:
         self.ends = np.concatenate([np.roll(pts, -1, axis=0) for pts in loops])
 
     def boundary_distance(self, y):
-        if not len(self.starts):
-            return np.inf
-        return float(np.min(_segment_distances(y, self.starts, self.ends)))
+        return float(np.min(_segment_distances(y, self.starts, self.ends), initial=np.inf))
 
 
 _last_image = None
 
 
-def _image_of(mesh, positions):
-    """The _Image of (mesh, positions): the last one built when it matches."""
+def _image_of(mesh, surface, positions):
+    """The _Image of (mesh, surface, positions): the last one built when it matches."""
     global _last_image
     image = _last_image
     if (
         image is None
         or image.mesh is not mesh
+        or image.surface is not surface
         or not np.array_equal(image.positions, positions)
     ):
-        image = _last_image = _Image(mesh, positions)
+        image = _last_image = _Image(mesh, surface, positions)
     return image
 
 
@@ -198,9 +198,10 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     """Degree of the nodal map at the on-surface point y (3,), by two methods.
 
     One call takes one target.  The per-configuration work (edge lengths,
-    boundary segments) is done once and reused by later calls on the same
-    mesh object and equal positions, so a loop of calls costs what a batch
-    would; each target then pays only for the elements near it.
+    boundary segments, element orientation signs) is done once and reused
+    by later calls on the same mesh and surface objects and equal positions,
+    so a loop of calls costs what a batch would; each target then pays only
+    for the elements near it.
 
     The signed cover count sums the orientation signs of the elements whose
     chart image contains the chart coordinates of y (exact for PL maps); the
@@ -225,7 +226,7 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
             f"brouwer_degree takes one target point of shape (3,), got shape "
             f"{y.shape}; call it once per target"
         )
-    image = _image_of(mesh, positions)
+    image = _image_of(mesh, surface, positions)
     bdist = image.boundary_distance(y)
     if bdist < DEGREE_MARGIN:
         raise BoundaryTooCloseError(
@@ -235,7 +236,7 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     diam, mean_edge = image.diam, image.mean_edge
     node_dist = np.linalg.norm(image.positions - y, axis=1)
     c0, c1, c2 = image.corners
-    vert_dist = _extent(node_dist[c0], node_dist[c1], node_dist[c2])[0]
+    vert_dist = np.minimum(np.minimum(node_dist[c0], node_dist[c1]), node_dist[c2])
 
     # Bump radius: a few image edges, clamped inside the boundary clearance
     # (where the degree is constant) and the chart's validity radius.
@@ -264,9 +265,7 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
             )
         near_idx, P = near_idx[ok], P[ok]
     if near_idx.size == 0:
-        return DegreeResult(
-            y, degree=0, mollified_integral=0.0, mollifier_radius=radius, methods_agree=True
-        )
+        return DegreeResult(y, 0, 0.0, radius, methods_agree=True)
     uv = chart.inverse_map(P.reshape(-1, 3)).reshape(-1, 3, 2)
     w = chart.inverse_map(y)[0]
 
@@ -283,9 +282,7 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
                 local_scale = float(np.median(np.linalg.norm(uv[:, 1] - uv[:, 0], axis=1)))
                 offset = local_scale * 1e-7 * np.array([np.cos(0.7), np.sin(0.7)])
             shift = offset * 2.0**attempt
-    # Orientation signs of the covering elements only.
-    J = _element_kinematics(surface, P[inside], image.mesh.shape_grads[near_idx[inside]])[1]
-    count = int(np.sum(np.sign(J).astype(int)))
+    count = int(np.sum(image.signs[near_idx[inside]]))
 
     # Mollified integral over the signed chart image.  A midpoint split
     # halves the sub-triangle width; past three splits only sub-triangles
@@ -562,11 +559,14 @@ def _test_fields(surface, mesh, positions, family_size, seed):
     return fields
 
 
-def _admissible(mesh, surface, positions):
-    """Whether every element keeps its oriented J above ``J_FLOOR`` and every
-    centroid projects: the feasibility ``trial_energy`` reports, without the energy."""
+def _admissible(mesh, surface, positions, elements=slice(None)):
+    """Whether the ``elements`` (all by default) of the configuration, or of
+    every one in a (j, n, 3) stack, keep their oriented J above ``J_FLOOR``
+    and their centroids project: ``trial_energy``'s feasibility, without the energy."""
+    Y = positions[..., mesh.triangles[elements], :]
+    G = np.broadcast_to(mesh.shape_grads[elements], (*Y.shape[:-1], 2))
     try:
-        J = _kinematics(mesh, surface, positions)[1]
+        J = _element_kinematics(surface, Y.reshape(-1, 3, 3), G.reshape(-1, 3, 2))[1]
     except AmbiguousProjectionError:
         return False
     return not J.size or bool(np.min(J) > J_FLOOR)
@@ -575,40 +575,40 @@ def _admissible(mesh, surface, positions):
 def first_variation_residual(model, surface, mesh, positions, family_size, seed):
     """Discrete stationarity residuals for a family of tangent test fields.
 
-    The Lagrangian residual pairs the assembled energy gradient with the
-    nodal test-field values (the exact derivative of the energy along the
-    induced piecewise-linear variation); the Eulerian residual is the same
-    elementwise sum rewritten through the spatial Cauchy stress, so the two
-    agree to rounding error.  Admissibility of the variation is spot-checked
-    at tau = +/- 1e-3 by ``_admissible``: every element keeps its oriented J
-    above ``J_FLOOR`` and every centroid projects; no energy is evaluated.
+    Both pair the nodal test-field values psi with a nodal vector assembled
+    once: the Lagrangian residual with the energy gradient sum_t A_t S_t g_t
+    (the exact derivative of the energy along the induced piecewise-linear
+    variation), the Eulerian one with the same sum of A_t J_t sigma_t F_t^+T
+    through the spatial Cauchy stress sigma, so the two agree to rounding
+    error.  A variation is admissible when at tau = +/- 1e-3 the elements it
+    moves keep their oriented J above ``J_FLOOR`` and their centroids
+    project, and the others already do; no energy is evaluated.
     """
     # The fields first: a mesh without an anchor fails before any stress.
     fields = _test_fields(surface, mesh, positions, family_size, seed)
-    F = _kinematics(mesh, surface, positions)[0]
+    F, J = _kinematics(mesh, surface, positions)
     spectral = _spectral_batch(F)
     S = pk1_batch(model, F, spectral)
     area_ratio = spectral[0] * spectral[1]
     cauchy = np.einsum("tij,tkj->tik", S, F) / area_ratio[:, None, None]
-    # Pseudo-inverse of F on its range: F^+ = (F^T F)^-1 F^T.
+    # Pseudo-inverse of F on its range: F^+ = C^-1 F^T, C = F^T F.  C is symmetric,
+    # so its adjugate is C reversed on both axes with the off-diagonal negated.
     C = np.einsum("tij,tik->tjk", F, F)
     det = C[:, 0, 0] * C[:, 1, 1] - C[:, 0, 1] * C[:, 1, 0]
-    Cinv = np.empty_like(C)
-    Cinv[:, 0, 0] = C[:, 1, 1] / det
-    Cinv[:, 1, 1] = C[:, 0, 0] / det
-    Cinv[:, 0, 1] = Cinv[:, 1, 0] = -C[:, 0, 1] / det
+    Cinv = C[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]]) / det[:, None, None]
     Fplus = np.einsum("tjk,tik->tji", Cinv, F)      # (t, 2, 3)
+    lagrangian = _assemble(mesh, mesh.ref_area[:, None, None] * S)
+    weight = (mesh.ref_area * area_ratio)[:, None, None]
+    eulerian = _assemble(mesh, (weight * cauchy) @ np.swapaxes(Fplus, 1, 2))
 
     results = []
     for k, v, y0, rc, psi in fields:
-        psi_tri = psi[mesh.triangles]                # (t, 3verts, 3)
-        Psi = np.einsum("tva,tvb->tab", psi_tri, mesh.shape_grads)
-        lag = float(np.sum(mesh.ref_area * np.einsum("tab,tab->t", S, Psi)))
-        D = np.einsum("tab,tbj->taj", Psi, Fplus)    # spatial gradient, (t, 3, 3)
-        eul = float(np.sum(mesh.ref_area * area_ratio * np.einsum("tij,tij->t", cauchy, D)))
+        # Only the elements with a node where psi != 0 move; the others keep J.
+        moved = np.flatnonzero(np.any(np.any(psi != 0, axis=1)[mesh.triangles], axis=1))
+        steps = positions + np.multiply.outer((1e-3, -1e-3), psi)
+        unmoved_ok = bool(np.all(np.delete(J, moved) > J_FLOOR))
+        admissible = unmoved_ok and _admissible(mesh, surface, steps, moved)
+        lag, eul = float(np.sum(psi * lagrangian)), float(np.sum(psi * eulerian))
         norm = float(np.linalg.norm(psi))
-        admissible = all(
-            _admissible(mesh, surface, positions + tau * psi) for tau in (1e-3, -1e-3)
-        )
         results.append(ResidualResult(k, v, y0, rc, lag, eul, norm, admissible))
     return results

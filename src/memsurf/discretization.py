@@ -106,16 +106,22 @@ def energy_gradient(model, mesh, F, spectral=None):
     assembled gradient is sum_t A_t S_t g_{t,i} at each vertex i; it matches
     central finite differences of ``trial_energy`` to rounding error.
     """
-    SA = mesh.ref_area[:, None, None] * pk1_batch(model, F, spectral)
+    return _assemble(mesh, mesh.ref_area[:, None, None] * pk1_batch(model, F, spectral))
+
+
+def _assemble(mesh, T):
+    """Nodal sums (n, 3) of T_t g_{t,v} over the elements t and corners v at each node.
+
+    ``T`` is one (3, 2) matrix per element; one np.bincount per coordinate
+    sums the rows per node, adding in the order np.add.at does.
+    """
     G = mesh.shape_grads
-    # Vertex row v of element t gets A_t S_t g_{t,v}; one np.bincount per
-    # coordinate sums the rows per node, adding in the order np.add.at does.
     idx = mesh.triangles.ravel()
     return np.column_stack(
         [
             np.bincount(
                 idx,
-                weights=(G[..., 0] * SA[:, a, 0, None] + G[..., 1] * SA[:, a, 1, None]).ravel(),
+                weights=(G[..., 0] * T[:, a, 0, None] + G[..., 1] * T[:, a, 1, None]).ravel(),
                 minlength=mesh.num_vertices,
             )
             for a in range(3)

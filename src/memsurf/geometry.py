@@ -27,12 +27,18 @@ def _dots(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
 
 
+# Coordinate k's two successors, k + 1 and k + 2 (mod 3).
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _orthonormal_frame(n):
     """Deterministic right-handed frame (t1, t2, n) for unit vectors n (..., 3)."""
     axis = (np.arange(3) == np.argmin(np.abs(n), axis=-1)[..., None]).astype(float)
     t1 = axis - _dots(axis, n) * n
     t1 /= np.sqrt(_dots(t1, t1))
-    return t1, np.cross(n, t1)
+    # n x t1 as (n1 t2 - n2 t1, n2 t0 - n0 t2, n0 t1 - n1 t0): the bits of
+    # np.cross, without its per-call overhead.
+    return t1, n[..., _NEXT] * t1[..., _PREV] - n[..., _PREV] * t1[..., _NEXT]
 
 
 class Surface:

@@ -60,7 +60,9 @@ class TriMesh:
         r2 = np.stack([-e1[:, 1] * inv_det, e1[:, 0] * inv_det], axis=-1)
         grads = np.stack([-(r1 + r2), r1, r2], axis=1)
         loops = _boundary_loops(vertices.shape[0], triangles)
-        bverts = np.unique(np.concatenate([np.asarray(l) for l in loops]) if loops else np.empty(0, np.int64))
+        # Each boundary vertex lies on exactly one loop, once (_boundary_loops
+        # checks it), so sorting is np.unique without importing numpy.ma.
+        bverts = np.sort(np.concatenate(loops) if loops else np.empty(0, np.int64))
         return cls(
             vertices=vertices,
             triangles=triangles,

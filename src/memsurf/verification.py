@@ -239,22 +239,20 @@ class _ConvexitySweep:
 
     The functionals must be row-wise (row i of the result depends only on
     row i of F and J): the rows are evaluated in blocks of
-    ``SWEEP_BLOCK_ROWS``.  Construction draws the segments and starts one
-    worker thread per usable core beyond the first; the workers take blocks
-    in row order from a shared counter, NumPy releasing the GIL in its loops.
-    ``reports`` has the calling thread take blocks too, joins the workers and
-    merges the blocks in row order, so every report is the one a single pass
-    over all rows gives, for any core count.  If blocks raise, ``reports``
+    ``SWEEP_BLOCK_ROWS``.  Construction starts one worker thread per usable
+    core beyond the first; the workers take blocks in row order from a
+    shared counter, NumPy releasing the GIL in its loops.  The first thread
+    to take a block draws the segments, once, for all.  ``reports`` has the
+    calling thread take blocks too, joins the workers and merges the blocks
+    in row order, so every report is the one a single pass over all rows
+    gives, for any core count.  If blocks (or the draw) raise, ``reports``
     raises the lowest one's error once every taken block is done.
     """
 
     def __init__(self, n, seed, *phis):
-        rng = np.random.default_rng(seed)
-        F1, J1 = _sample_fj_pairs(rng, n)
-        F2, J2 = _sample_fj_pairs(rng, n)
-        weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, WEIGHTS_PER_PAIR)])
         self.n, self.seed, self.phis = n, seed, phis
-        self.draw = (F1, J1, F2, J2, weights)
+        self.draw = None
+        self._draw_lock = threading.Lock()
         # One block even when n == 0, so an empty draw fails as a single pass does.
         self._starts = range(0, max(n, 1), SWEEP_BLOCK_ROWS)
         self._summaries = [None] * len(self._starts)
@@ -277,13 +275,28 @@ class _ConvexitySweep:
                     return
                 self._taken += 1
             try:
-                self._summaries[b] = _sweep_block(self.phis, *self.draw, self._starts[b])
+                self._summaries[b] = _sweep_block(self.phis, *self._segments(), self._starts[b])
             except Exception as exc:
                 self._errors[b] = exc
                 self._stop = True
 
+    def _segments(self):
+        """The (F1, J1, F2, J2, weights) draw, made by the first thread that asks."""
+        with self._draw_lock:
+            if self.draw is None:
+                rng = np.random.default_rng(self.seed)
+                F1, J1 = _sample_fj_pairs(rng, self.n)
+                F2, J2 = _sample_fj_pairs(rng, self.n)
+                weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, WEIGHTS_PER_PAIR)])
+                self.draw = (F1, J1, F2, J2, weights)
+        return self.draw
+
     def reports(self, finish=True):
-        """The reports, after this thread takes blocks too (unless not ``finish``)."""
+        """The reports, after this thread takes blocks too.
+
+        Unless ``finish``, only stops and joins the workers and returns None,
+        raising nothing, so an interrupt that calls it propagates as itself.
+        """
         try:
             if finish:
                 self._work()
@@ -291,6 +304,8 @@ class _ConvexitySweep:
             self._stop = True
             for worker in self._workers:
                 worker.join()
+        if not finish:
+            return None
         if self._errors:
             raise self._errors[min(self._errors)]
         F1, J1, F2, J2, weights = self.draw
@@ -575,8 +590,9 @@ def run_all_checks(model: IsotropicModel, seed):
         return phi_split_batch(model, F, J)
 
     # The convexity check and its negative control share one segment draw.
-    # Its workers start first; this thread runs the other checks (so every
-    # check runs on the calling thread), then takes sweep blocks too.
+    # Its workers start first and draw the segments; this thread runs the
+    # other checks (so every check runs on the calling thread), then takes
+    # sweep blocks too, drawing the segments itself when no worker exists.
     sweep = _ConvexitySweep(CONVEXITY_SAMPLES, seed + 2, phi_model, shear_over_j_squared)
     try:
         objectivity = check_objectivity(model, n=ROTATION_SAMPLES, seed=seed)
@@ -591,7 +607,7 @@ def run_all_checks(model: IsotropicModel, seed):
         ]
     except BaseException as exc:
         # The sweep came first in the battery's order, so its error wins; an
-        # interrupt does not wait for the remaining blocks.
+        # interrupt does not wait for the remaining blocks and stays itself.
         sweep.reports(finish=isinstance(exc, Exception))
         raise
     split, control = sweep.reports()

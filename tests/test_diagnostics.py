@@ -10,6 +10,7 @@ from memsurf import (
     ChartSpanFailureError,
     IrregularValueError,
     MemsurfError,
+    Plane,
     Sphere,
     boundary_winding,
     brouwer_degree,
@@ -32,7 +33,8 @@ from memsurf.diagnostics import (
     _test_fields,
     _triangle_overlap_area,
 )
-from memsurf.discretization import J_FLOOR, oriented_area_ratios, trial_energy
+from memsurf.constitutive import _spectral_batch, pk1_batch
+from memsurf.discretization import J_FLOOR, _kinematics, oriented_area_ratios, trial_energy
 from memsurf.errors import AmbiguousProjectionError
 from memsurf.maps import make_initial_map
 from memsurf.mesh import TriMesh
@@ -428,6 +430,17 @@ class TestDegreeMemo:
         brouwer_degree(sphere, mesh, cfg, targets[0])
         _assert_as_reference(sphere, copy.deepcopy(mesh), cfg.copy(), targets[:3])
 
+    def test_orientation_sign_back_to_back(self, cap_targets):
+        # Same mesh and positions, the other orientation: the element signs
+        # must be those of the new surface, not of the last image built.
+        mesh, cfg, targets = cap_targets
+        for y in targets[:2]:
+            degrees = [
+                brouwer_degree(Sphere(1.0, orientation_sign=sign), mesh, cfg, y).degree
+                for sign in (1, -1, 1)
+            ]
+            assert degrees == [1, -1, 1]
+
     def test_flipped_orientation_flips_degree(self, sphere, cap_targets):
         mesh, cfg, targets = cap_targets
         flipped = Sphere(sphere.radius, orientation_sign=-1)
@@ -655,6 +668,30 @@ def cap(model, sphere):
     return mesh, f0, cfg, report
 
 
+def _reference_residuals(model, surface, mesh, positions, family_size, seed):
+    """Per-field (lagrangian, eulerian, normalization, admissible), element by element.
+
+    The residuals as sums over every element of A_t S:Psi_t and of
+    A_t J_t sigma:D_t with D_t = Psi_t F_t^+, and admissibility from the
+    full-mesh ``_admissible`` of both varied configurations.
+    """
+    F = _kinematics(mesh, surface, positions)[0]
+    spectral = _spectral_batch(F)
+    S = pk1_batch(model, F, spectral)
+    area_ratio = spectral[0] * spectral[1]
+    cauchy = np.einsum("tij,tkj->tik", S, F) / area_ratio[:, None, None]
+    Fplus = np.linalg.inv(np.einsum("tij,tik->tjk", F, F)) @ np.swapaxes(F, 1, 2)
+    out = []
+    for *_, psi in _test_fields(surface, mesh, positions, family_size, seed):
+        Psi = np.einsum("tva,tvb->tab", psi[mesh.triangles], mesh.shape_grads)
+        lag = float(np.sum(mesh.ref_area * np.einsum("tab,tab->t", S, Psi)))
+        D = np.einsum("tab,tbj->taj", Psi, Fplus)
+        eul = float(np.sum(mesh.ref_area * area_ratio * np.einsum("tij,tij->t", cauchy, D)))
+        admissible = all(_admissible(mesh, surface, positions + t * psi) for t in (1e-3, -1e-3))
+        out.append((lag, eul, float(np.linalg.norm(psi)), admissible))
+    return out
+
+
 class TestResiduals:
     def test_converged_residual_small(self, model, sphere, cap):
         mesh, _, cfg, report = cap
@@ -734,6 +771,77 @@ class TestResiduals:
         results = first_variation_residual(model, surface, mesh, cfg, 6, seed=0)
         assert len(results) == 6 and not any(r.admissible for r in results)
         assert _admissible(mesh, surface, cfg) is trial_energy(model, mesh, surface, cfg)[2] is False
+
+    def test_assembled_residuals_match_per_element_sums(
+        self, model, sphere, torus, plane, cap, torus_band_start
+    ):
+        square = build_mesh("unit_square", 0.05)
+
+        def bent(x):
+            u, v = x[:, 0], x[:, 1]
+            return plane.embed(np.column_stack([u * (1 + 0.2 * v), v + 0.1 * u**2]))
+
+        cases = [
+            (sphere, cap[0], cap[2]),
+            (torus, *torus_band_start[:2]),
+            (plane, square, interpolate(plane, square, bent)),
+        ]
+        worst = []
+        for surface, mesh, cfg in cases:
+            results = first_variation_residual(model, surface, mesh, cfg, 12, seed=0)
+            reference = _reference_residuals(model, surface, mesh, cfg, 12, seed=0)
+            assert len(results) == 12
+            for r, (lag, eul, norm, admissible) in zip(results, reference):
+                assert r.normalization == norm > 0
+                assert abs(r.lagrangian_residual - lag) <= 1e-14 * norm
+                assert abs(r.eulerian_residual - eul) <= 1e-14 * norm
+                assert r.admissible is admissible
+            worst.append(max(abs(lag) / norm for lag, _, norm, _ in reference))
+        # The converged cap, then two starts far from stationary.
+        assert worst[0] < 1e-6 and min(worst[1:]) > 1e-3
+
+    def test_admissible_only_moved_elements_recomputed(self, model):
+        # Each field's verdict must be the full-mesh one at both steps: on a
+        # clean square, with a folded element that no field moves, and with
+        # a nearly flat element on the rim of a support, which that field folds.
+        plane = Plane()
+        mesh = build_mesh("unit_square", 0.1)
+        clean = plane.embed(mesh.vertices)
+
+        folded = clean.copy()
+        corner = int(np.flatnonzero(np.all(mesh.vertices == [1.0, 0.0], axis=1))[0])
+        folded[corner, :2] = [0.94, 0.06]       # across its triangle's far edge
+        bad = np.flatnonzero(oriented_area_ratios(mesh, plane, folded) <= J_FLOOR)
+        assert len(bad) == 1
+        for *_, psi in _test_fields(plane, mesh, folded, 12, seed=0):
+            assert not psi[mesh.triangles[bad]].any()    # outside every support
+
+        # An element t on the rim of the first field's support: psi vanishes
+        # at its interior vertex w, which goes almost onto the far edge.
+        on = np.any(_test_fields(plane, mesh, clean, 1, seed=0)[0][4] != 0, axis=1)
+        interior = mesh.interior_mask()
+        t, w = next(
+            (t, w)
+            for t, tri in enumerate(mesh.triangles)
+            if on[tri].any()
+            for w in tri
+            if not on[w] and interior[w]
+        )
+        thin = clean.copy()
+        mid = clean[[u for u in mesh.triangles[t] if u != w]].mean(axis=0)
+        thin[w] = mid + 1e-4 * (clean[w] - mid)   # J_t about 1e-4
+        assert 0 < oriented_area_ratios(mesh, plane, thin)[t] < 1e-3
+        on = np.any(_test_fields(plane, mesh, thin, 1, seed=0)[0][4] != 0, axis=1)
+        assert 0 < on[mesh.triangles[t]].sum() < 3
+
+        verdicts = []
+        for cfg in (clean, folded, thin):
+            results = first_variation_residual(model, plane, mesh, cfg, 12, seed=0)
+            flags = [r.admissible for r in results]
+            reference = _reference_residuals(model, plane, mesh, cfg, 12, seed=0)
+            assert flags == [admissible for *_, admissible in reference]
+            verdicts.append(set(flags))
+        assert verdicts == [{True}, {False}, {True, False}]
 
     def test_fields_vanish_on_boundary(self, model, sphere, cap):
         mesh, _, cfg, _ = cap

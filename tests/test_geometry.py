@@ -161,6 +161,22 @@ def test_point_operations_accept_any_leading_shape(all_surfaces):
     _assert_shape_contract(plane.embed, rng.uniform(-2.0, 2.0, (2, 7, 2)))
 
 
+def test_frame_cross_product_bits_are_np_cross():
+    # Random unit normals plus the six axis directions, whose frames take
+    # the exact zeros np.cross must reproduce.
+    rng = np.random.default_rng(31)
+    n = rng.standard_normal((20_000, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    n[:6] = np.concatenate([np.eye(3), -np.eye(3)])
+    t1, t2 = _orthonormal_frame(n)
+    assert t2.shape == (20_000, 3)
+    assert t2.tobytes() == np.cross(n, t1).tobytes()
+    for row in n[:50]:
+        t1, t2 = _orthonormal_frame(row)
+        assert t2.shape == (3,)
+        assert t2.tobytes() == np.cross(row, t1).tobytes()
+
+
 @pytest.mark.parametrize("op", ["implicit", "project", "distance"])
 def test_tilted_plane_rows_independent_of_batch(op):
     # A tilted plane on a long batch: a BLAS matrix-vector product would

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from memsurf import DegenerateElementError, TriMesh, build_mesh, load_mesh, save_mesh
 from memsurf.mesh import _boundary_loops
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def euler_characteristic(mesh):
@@ -89,6 +95,42 @@ def test_boundary_detection_square():
         | (np.abs(m.vertices[:, 1] - 1) < 1e-12)
     )
     assert np.array_equal(np.sort(np.nonzero(on_edge)[0]), m.boundary_vertices)
+
+
+_MINIMIZE_MODULES = """
+import sys
+import numpy as np
+before = set(sys.modules)
+from memsurf import IsotropicModel, Plane, build_mesh, make_initial_map, minimize
+plane = Plane()
+mesh = build_mesh("disk", 0.3)
+minimize(IsotropicModel(), plane, mesh, make_initial_map(plane, "identity"))
+print(sorted(name for name in set(sys.modules) - before if name.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_minimize_loads_no_numpy_ma():
+    # numpy.ma costs milliseconds to import; a bare np.unique loads it on
+    # NumPy 2.4.  Compared with what ``import numpy`` itself loaded, so an
+    # older NumPy that imports numpy.ma eagerly passes too.
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MINIMIZE_MODULES],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
+
+def test_boundary_vertices_sorted_and_unique():
+    for domain in ("disk", "annulus", "unit_square"):
+        m = build_mesh(domain, 0.2)
+        loops = np.concatenate([np.asarray(loop) for loop in m.boundary_loops])
+        assert np.array_equal(m.boundary_vertices, np.unique(loops))
+        assert m.boundary_vertices.dtype == np.int64
 
 
 def test_shape_gradients_sum_to_zero():

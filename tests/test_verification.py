@@ -248,6 +248,65 @@ class TestBatteryThreads:
         assert threading.active_count() == before
 
 
+class TestSweepDraw:
+    """The segments are drawn once, by the first thread that takes a block."""
+
+    def test_worker_draws_while_checks_run(self, model, monkeypatch):
+        # The first check waits until the segments exist: a worker must draw
+        # them, since this thread takes no block before every check is done.
+        drawn, threads = threading.Event(), []
+
+        def recording_draw(rng, n):
+            threads.append(threading.current_thread())
+            out = _sample_fj_pairs(rng, n)
+            if len(threads) == 2:
+                drawn.set()
+            return out
+
+        def waits_for_draw(*args, **kwargs):
+            assert drawn.wait(timeout=60)
+            return check_objectivity(*args, **kwargs)
+
+        monkeypatch.setattr(verification, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(verification, "_sample_fj_pairs", recording_draw)
+        monkeypatch.setattr(verification, "check_objectivity", waits_for_draw)
+        texts = [rep.to_text() for rep in run_all_checks(model, seed=42)]
+        assert len(threads) == 2 and threading.main_thread() not in threads
+        monkeypatch.setattr(verification, "check_objectivity", check_objectivity)
+        monkeypatch.setattr(verification, "_usable_cores", lambda: 1)
+        threads.clear()
+        assert [rep.to_text() for rep in run_all_checks(model, seed=42)] == texts
+        assert threads == [threading.main_thread()] * 2
+
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_draw_error_raised_from_reports(self, model, cores, monkeypatch):
+        def draw_fails(rng, n):
+            raise ValueError("draw failed")
+
+        monkeypatch.setattr(verification, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(verification, "_sample_fj_pairs", draw_fails)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="draw failed"):
+            verification._convexity_sweep(3 * B + 5, 5, shear_over_j)
+        with pytest.raises(ValueError, match="draw failed"):
+            run_all_checks(model, seed=42)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_interrupt_in_a_check_stays_an_interrupt(self, model, cores, monkeypatch):
+        # reports(finish=False) stops and joins the workers and builds no
+        # report from the blocks left undone.
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verification, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(verification, "check_growth", interrupted)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_all_checks(model, seed=42)
+        assert threading.active_count() == before
+
+
 class TestRankOne:
     def test_witness_values(self, model):
         w = rank_one_counterexample(model, 1.0, 1.0, 0.1)
