@@ -99,8 +99,8 @@ def _sample_degree_targets(surface, mesh, positions, n, seed):
     return np.einsum("nv,nvi->ni", w, P[idx])
 
 
-def _write_degrees(out, config, results):
-    """Write degree.csv from DegreeResults, one row per target point."""
+def _write_degrees(path, config, results):
+    """Write a degree table from DegreeResults, one row per target point."""
     rows = [
         (
             *map(float, res.target_point),
@@ -111,15 +111,15 @@ def _write_degrees(out, config, results):
         for res in results
     ]
     _write_csv(
-        os.path.join(out, "degree.csv"),
+        path,
         config.config_hash,
         ["x", "y", "z", "degree", "mollified_integral", "methods_agree"],
         rows,
     )
 
 
-def _write_residuals(out, config, results):
-    """Write residuals.csv; returns the worst normalized Lagrangian residual."""
+def _write_residuals(path, config, results):
+    """Write a residual table; returns the worst normalized Lagrangian residual."""
     rows = [
         (
             r.test_field_id,
@@ -131,7 +131,7 @@ def _write_residuals(out, config, results):
         for r in results
     ]
     _write_csv(
-        os.path.join(out, "residuals.csv"),
+        path,
         config.config_hash,
         [
             "test_field_id",
@@ -165,7 +165,7 @@ def _run_diagnostics(config, surface, mesh, positions, out, grad_tol):
         # as targets (perfbench/test_perfbench.py).
         results = [brouwer_degree(surface, mesh, positions, y) for y in targets]
         agree = sum(res.methods_agree for res in results)
-        _write_degrees(out, config, results)
+        _write_degrees(os.path.join(out, "degree.csv"), config, results)
         lines.append(f"degree_points: {len(results)}")
         lines.append(f"degree_method_agreement: {agree}/{len(results)}")
     if diag["residual_fields"] > 0:
@@ -177,7 +177,7 @@ def _run_diagnostics(config, surface, mesh, positions, out, grad_tol):
             family_size=diag["residual_fields"],
             seed=config.seed,
         )
-        worst = _write_residuals(out, config, results)
+        worst = _write_residuals(os.path.join(out, "residuals.csv"), config, results)
         lines.append(f"residual_fields: {len(results)}")
         lines.append(f"max_normalized_residual: {worst!r}")
         lines.append(f"residual_within_10_grad_tol: {str(worst <= 10 * grad_tol).lower()}")
@@ -269,7 +269,7 @@ def _cmd_degree(config, out, point):
         )
         return EXIT_CONFIG
     res = brouwer_degree(surface, mesh, positions, y)
-    _write_degrees(out, config, [res])
+    _write_degrees(os.path.join(out, "initial_degree.csv"), config, [res])
     print(f"degree: {res.degree}")
     print(f"mollified_integral: {res.mollified_integral!r}")
     print(f"methods_agree: {str(res.methods_agree).lower()}")
@@ -291,7 +291,7 @@ def _cmd_residual(config, out):
         family_size=max(1, diag["residual_fields"]),
         seed=config.seed,
     )
-    worst = _write_residuals(out, config, results)
+    worst = _write_residuals(os.path.join(out, "initial_residuals.csv"), config, results)
     print(f"test_fields: {len(results)}")
     print(f"max_normalized_residual: {worst!r}")
     return EXIT_OK

@@ -23,7 +23,6 @@ from .errors import (
     IrregularValueError,
     MemsurfError,
 )
-from .geometry import _orthonormal_frame
 
 __all__ = [
     "DegreeResult",
@@ -252,7 +251,7 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     near_idx = np.nonzero(vert_dist <= reach)[0]
     P = image.positions[image.mesh.triangles[near_idx]]   # (k, 3, 3) near corners
     chart = surface.chart_at(y)
-    ok = chart.contains(P.reshape(-1, 3)).reshape(-1, 3).all(axis=1)
+    ok = chart.contains(P).all(axis=1)
     if not np.all(ok):
         # Elements beyond the chart's validity contribute only if their
         # image can reach the bump support; those that provably cannot are
@@ -266,8 +265,8 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
         near_idx, P = near_idx[ok], P[ok]
     if near_idx.size == 0:
         return DegreeResult(y, 0, 0.0, radius, methods_agree=True)
-    uv = chart.inverse_map(P.reshape(-1, 3)).reshape(-1, 3, 2)
-    w = chart.inverse_map(y)[0]
+    uv = chart.inverse_map(P)
+    w = chart.inverse_map(y)
 
     shift = np.zeros(2)
     for attempt in range(4):
@@ -325,7 +324,7 @@ def boundary_winding(surface, mesh, positions, y):
     the left; exact for polygonal loops away from the target.
     """
     chart = surface.chart_at(np.asarray(y, dtype=float))
-    w = chart.inverse_map(np.asarray(y, dtype=float))[0]
+    w = chart.inverse_map(y)
     total = 0.0
     for loop in mesh.boundary_loops:
         pts = chart.inverse_map(positions[np.asarray(loop)]) - w
@@ -426,13 +425,16 @@ def injectivity_check(surface, mesh, positions):
     candidate pairs.  The checked pairs are those whose axis-aligned image
     boxes intersect on all three axes, the test applied first and on every
     candidate, and that, among those, share fewer than two vertices.  Each
-    checked pair is mapped into the tangent-plane chart of its first element
-    (or, where that chart cannot cover it, one centered on the pair), and a
-    separating-axis test drops the pairs whose chart images are disjoint or
-    only touch.  Only the rest are clipped exactly, in sweep order.  A clean
-    report (no overlap area above ``OVERLAP_AREA_TOL``) is the discrete
-    injectivity certificate.  Raises ChartSpanFailureError, naming the
-    first such pair, when a checked pair fits no single chart.
+    checked pair is mapped into the tangent-plane chart ``Surface.chart_at``
+    gives at the projection of the pair's vertex mean, so its overlap area
+    does not depend on which element sorts first, and a separating-axis
+    test drops the pairs whose chart images are disjoint or only touch.
+    Only the rest are clipped exactly, in sweep order.  Overlap areas are
+    chart areas; any diffeomorphic chart preserves zero vs positive.  A
+    clean report (no overlap area above ``OVERLAP_AREA_TOL``) is the
+    discrete injectivity certificate.  Raises ChartSpanFailureError, naming
+    the first such pair in sweep order, when that chart does not cover a
+    checked pair.
     """
     tris = mesh.triangles
     P = positions[tris]
@@ -442,21 +444,6 @@ def injectivity_check(surface, mesh, positions):
     # Per-axis rows in sweep order, so the box test gathers contiguous columns.
     lo_s, hi_s = np.ascontiguousarray(lo[order].T), np.ascontiguousarray(hi[order].T)
     stop = np.searchsorted(lo_s[0], hi_s[0], side="right")
-
-    # One chart for the whole scan when the surface has a global chart
-    # (infinite chart radius), and otherwise the tangent-plane chart of each
-    # element, centered at its projected centroid (candidate pairs are
-    # ambient-close), with the frame ``Surface.chart_at`` gives it.  Overlap
-    # areas are chart areas; any diffeomorphic chart preserves zero vs
-    # positive.
-    radius = surface.chart_radius
-    if np.isinf(radius):
-        chart = surface.chart_at(surface.project(positions.mean(axis=0)))
-        centers = np.broadcast_to(chart.center, (len(P), 3))
-        frames = np.broadcast_to(np.stack([chart.t1, chart.t2]), (len(P), 2, 3))
-    else:
-        centers = surface.project(P.mean(axis=1))
-        frames = np.stack(_orthonormal_frame(surface.normal_unchecked(centers)), axis=1)
 
     checked = 0
     overlaps = []
@@ -476,22 +463,18 @@ def injectivity_check(surface, mesh, positions):
         checked += len(i)
 
         pts = np.concatenate([P[i], P[j]], axis=1)   # (n, 6, 3)
-        d = pts - centers[i][:, None]
-        uv = np.einsum("nvk,nck->nvc", d, frames[i])
-        covered = np.all(np.linalg.norm(d, axis=-1) < radius, axis=1)
-        for q in np.flatnonzero(~covered):
-            # A chart centered on the pair itself reaches half as far.
-            pair_chart = surface.chart_at(surface.project(pts[q].mean(axis=0)))
-            if not np.all(pair_chart.contains(pts[q])):
-                chord = np.linalg.norm(pts[q][:, None] - pts[q][None], axis=-1).max()
-                raise ChartSpanFailureError(
-                    f"element pair ({int(i[q])}, {int(j[q])}) is not covered by "
-                    f"a single chart: its largest chord {chord:.4g} is too long "
-                    f"for the {surface.kind} chart radius {radius:.4g}; use a "
-                    "smaller domain.resolution"
-                )
-            uv[q] = pair_chart.inverse_map(pts[q])
-
+        charts = surface.chart_at(surface.project(pts.mean(axis=1, keepdims=True)))
+        uncovered = np.flatnonzero(~charts.contains(pts).all(axis=1))
+        if uncovered.size:
+            q = uncovered[0]
+            chord = np.linalg.norm(pts[q][:, None] - pts[q][None], axis=-1).max()
+            raise ChartSpanFailureError(
+                f"element pair ({int(i[q])}, {int(j[q])}) is not covered by "
+                f"a single chart: its largest chord {chord:.4g} is too long "
+                f"for the {surface.kind} chart radius {surface.chart_radius:.4g}; "
+                "use a smaller domain.resolution"
+            )
+        uv = charts.inverse_map(pts)
         for q in np.flatnonzero(~_separated(uv)):
             area = _triangle_overlap_area(uv[q, :3], uv[q, 3:])
             if area > OVERLAP_AREA_TOL:

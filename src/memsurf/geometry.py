@@ -116,7 +116,8 @@ class Surface:
 
     # -- charts ----------------------------------------------------------------
     def chart_at(self, y):
-        """Oriented tangent-plane chart centered at on-surface y."""
+        """Oriented tangent-plane chart centered at on-surface y (..., 3); a stack
+        of centers gives one chart per center (centers (n, 1, 3) map (n, k, 3))."""
         self._require_on_surface(y)
         y = np.asarray(y, dtype=float)
         t1, t2 = _orthonormal_frame(self.normal_unchecked(y))
@@ -164,10 +165,6 @@ class Plane(Surface):
         """Map reference coordinates (..., 2) into the plane."""
         x = np.asarray(x, dtype=float)
         return self.origin + x[..., :1] * self.t1 + x[..., 1:2] * self.t2
-
-    def chart_at(self, y):
-        self._require_on_surface(y)
-        return Chart(y, self.t1, self.orientation_sign * self.t2, np.inf)
 
     @property
     def chart_radius(self):
@@ -268,7 +265,8 @@ class Chart:
     ``t1, t2`` span the tangent plane at c and ``t1 x t2`` lies on the side
     of the oriented normal, so chart areas carry the orientation of the
     surface.  The chart is valid for points within chord distance
-    ``radius`` of the center.
+    ``radius`` of the center.  Points (..., 3) broadcast against the center
+    and frame (each may be a stack) and map to (..., 2), each row as alone.
     """
 
     def __init__(self, center, t1, t2, radius):
@@ -278,11 +276,11 @@ class Chart:
         self.radius = float(radius)
 
     def inverse_map(self, points):
-        d = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
-        return np.column_stack([d @ self.t1, d @ self.t2])
+        d = np.asarray(points, dtype=float) - self.center
+        return np.concatenate([_dots(d, self.t1), _dots(d, self.t2)], axis=-1)
 
     def contains(self, points):
-        d = np.atleast_2d(np.asarray(points, dtype=float)) - self.center
+        d = np.asarray(points, dtype=float) - self.center
         return np.linalg.norm(d, axis=-1) < self.radius
 
 

@@ -537,7 +537,7 @@ seed: 3
         assert code == 0
         printed = capsys.readouterr().out
         assert "degree: -1" in printed
-        assert (out / "degree.csv").exists()
+        assert (out / "initial_degree.csv").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_degree_nonfinite_point_exit_2(self, tmp_path, capsys, value):
@@ -546,7 +546,7 @@ seed: 3
             main(["degree", str(cfg), "--point", value, "0", "0"])
         assert exc.value.code == 2
         assert f"--point must be finite, got {value} 0.0 0.0" in capsys.readouterr().err
-        assert not (out / "degree.csv").exists()
+        assert not (out / "initial_degree.csv").exists()
 
     @pytest.mark.parametrize("value,shown", [("-inf", "-inf"), ("-nan", "nan")])
     def test_degree_negative_nonfinite_point_exit_2(self, tmp_path, capsys, value, shown):
@@ -556,7 +556,7 @@ seed: 3
             main(["degree", str(cfg), "--point", "0", value, "0"])
         assert exc.value.code == 2
         assert f"--point must be finite, got 0.0 {shown} 0.0" in capsys.readouterr().err
-        assert not (out / "degree.csv").exists()
+        assert not (out / "initial_degree.csv").exists()
 
     def test_degree_point_at_sphere_center_exit_2(self, tmp_path, capsys):
         text = """
@@ -570,7 +570,7 @@ output_dir: "%s"
         err = capsys.readouterr().err
         assert "--point 0.0 0.0 0.0 has no closest point on the surface" in err
         assert "sphere center" in err
-        assert not (out / "degree.csv").exists()
+        assert not (out / "initial_degree.csv").exists()
 
     def test_degree_point_on_torus_axis_exit_2(self, tmp_path, capsys):
         text = """
@@ -583,7 +583,7 @@ output_dir: "%s"
         assert main(["degree", str(cfg), "--point", "0", "0", "0.3"]) == 2
         err = capsys.readouterr().err
         assert "--point 0.0 0.0 0.3 has no closest point on the surface" in err
-        assert not (out / "degree.csv").exists()
+        assert not (out / "initial_degree.csv").exists()
 
     def test_residual_initial_config(self, tmp_path, capsys):
         text = """
@@ -596,9 +596,30 @@ seed: 5
 """
         cfg, out = write_config(tmp_path, text)
         assert main(["residual", str(cfg)]) == 0
-        lines = (out / "residuals.csv").read_text().splitlines()
+        lines = (out / "initial_residuals.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "test_field_id"
         assert len(lines) == 2 + 6
+
+    def test_initial_diagnostics_keep_minimize_outputs(self, tmp_path, capsys):
+        # residual and degree evaluate the initial configuration; a minimize
+        # run's tables in the same output_dir keep their bytes.
+        text = """
+surface: {kind: sphere, radius: 1.0}
+domain: {kind: disk, resolution: 0.15}
+initial_map: {kind: stereographic_cap, latitude: 1.0471975511965976}
+diagnostics: {injectivity: false, degree_points: 5, residual_fields: 3}
+output_dir: "%s"
+"""
+        cfg, out = write_config(tmp_path, text)
+        assert main(["minimize", str(cfg)]) == 0
+        tables = ("degree.csv", "residuals.csv")
+        before = {name: (out / name).read_bytes() for name in tables}
+        assert main(["residual", str(cfg)]) == 0
+        assert main(["degree", str(cfg), "--point", "0.3", "0.2", "0.93"]) == 0
+        for name in tables:
+            assert (out / name).read_bytes() == before[name]
+        assert (out / "initial_residuals.csv").read_bytes() != before["residuals.csv"]
+        assert len((out / "initial_degree.csv").read_text().splitlines()) == 3
 
     @pytest.mark.parametrize("command", ["residual", "minimize"])
     def test_mesh_without_interior_vertex_exit_5(self, tmp_path, capsys, command):
@@ -620,4 +641,4 @@ output_dir: "%s"
         assert main(["residual", str(cfg)]) == 5
         err = capsys.readouterr().err
         assert "no interior vertex clears the boundary image" in err
-        assert not (out / "residuals.csv").exists()
+        assert not (out / "initial_residuals.csv").exists()

@@ -311,7 +311,7 @@ def _reference_degree(surface, mesh, positions, y, mollifier_radius=None):
         radius = float(mollifier_radius)
     near_idx = np.nonzero(vert_dist <= diam + 1.6 * radius + mean_edge)[0]
     chart = surface.chart_at(y)
-    ok = chart.contains(P[near_idx].reshape(-1, 3)).reshape(-1, 3).all(axis=1)
+    ok = chart.contains(P[near_idx]).all(axis=1)
     if not np.all(ok):
         bad = near_idx[~ok]
         if np.any(vert_dist[bad] <= diam[bad] + 1.3 * radius):
@@ -319,8 +319,8 @@ def _reference_degree(surface, mesh, positions, y, mollifier_radius=None):
         near_idx = near_idx[ok]
     if near_idx.size == 0:
         return DegreeResult(y, 0, 0.0, radius, True)
-    uv = chart.inverse_map(P[near_idx].reshape(-1, 3)).reshape(-1, 3, 2)
-    w = chart.inverse_map(y)[0]
+    uv = chart.inverse_map(P[near_idx])
+    w = chart.inverse_map(y)
     local_scale = float(np.median(np.linalg.norm(uv[:, 1] - uv[:, 0], axis=1)))
     offset = local_scale * 1e-7 * np.array([np.cos(0.7), np.sin(0.7)])
     shift = np.zeros(2)
@@ -475,9 +475,8 @@ def _reference_overlaps(surface, mesh, cfg):
     """Brute-force injectivity scan: (checked pairs, {(i, j): overlap area}).
 
     Every element pair whose image boxes intersect and that shares fewer
-    than two vertices is clipped exactly, in the chart of the pair's first
-    element in x-sorted order (the one ``injectivity_check`` uses), or in one
-    centered on the pair where that chart cannot cover it.
+    than two vertices is clipped exactly, in the chart at the projection of
+    the pair's vertex mean; a pair that chart does not cover raises.
     """
     P = cfg[mesh.triangles]
     lo, hi = P.min(axis=1), P.max(axis=1)
@@ -493,12 +492,9 @@ def _reference_overlaps(surface, mesh, cfg):
             checked += 1
             i, j = (a, b) if rank[a] < rank[b] else (b, a)
             pts = np.concatenate([P[i], P[j]])
-            center = cfg.mean(axis=0)
-            if np.isfinite(surface.chart_radius):
-                center = P[i].mean(axis=0)
-            chart = surface.chart_at(surface.project(center))
+            chart = surface.chart_at(surface.project(pts.mean(axis=0)))
             if not np.all(chart.contains(pts)):
-                chart = surface.chart_at(surface.project(pts.mean(axis=0)))
+                raise ChartSpanFailureError(f"element pair ({i}, {j})")
             uv = chart.inverse_map(pts)
             area = _triangle_overlap_area(uv[:3], uv[3:])
             if area > OVERLAP_AREA_TOL:
@@ -545,9 +541,9 @@ class TestInjectivity:
         assert rep.checked_pairs > 0
 
     def test_square_clean(self, plane, torus):
-        # One global chart (plane) or tangent charts (torus); the torus
-        # band's elements are long enough that some pairs need a chart
-        # centered on the pair rather than on one element.
+        # Each pair in the chart at its own midpoint; the torus band's
+        # elements are long enough that a chart centered on one element
+        # would not cover some pairs.
         mesh = build_mesh("unit_square", 1 / 16)
         for surface in (plane, torus):
             cfg = interpolate(surface, mesh, _square_onto(surface))
@@ -615,6 +611,33 @@ class TestInjectivity:
             cfg = square(x)
             overlapping += _assert_matches_reference(surface, mesh, cfg).overlapping_pairs
         assert overlapping > 0
+
+    @pytest.mark.parametrize("kind", ["sphere", "torus"])
+    def test_mirror_reports_same_overlaps(self, kind, sphere, torus):
+        # A folded, jittered cap and its mirror x -> -x, which reverses the
+        # x sweep order of many pairs, report the same pairs and areas.
+        surface = {"sphere": sphere, "torus": torus}[kind]
+        if kind == "torus":
+            square = make_initial_map(
+                torus, "torus_band", theta_range=(-0.1, 0.1), psi_range=(-0.3, 0.3)
+            )
+        else:
+            square = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        mesh = build_mesh("unit_square", 0.25)
+        interior = mesh.interior_mask()
+        x = np.column_stack([mesh.vertices.max(axis=1), mesh.vertices.min(axis=1)])
+        x[interior] += 0.05 * np.random.default_rng(1).standard_normal((int(interior.sum()), 2))
+        cfg = square(x)
+        rep = injectivity_check(surface, mesh, cfg)
+        rep_m = injectivity_check(surface, mesh, cfg * np.array([-1.0, 1.0, 1.0]))
+        assert rep.overlapping_pairs > 0
+        assert rep_m.checked_pairs == rep.checked_pairs
+        assert rep_m.overlapping_pairs == rep.overlapping_pairs
+        areas = {(min(i, j), max(i, j)): area for i, j, area in rep.pairs}
+        mirrored = {(min(i, j), max(i, j)): area for i, j, area in rep_m.pairs}
+        assert mirrored.keys() == areas.keys()
+        for key, area in areas.items():
+            assert mirrored[key] == pytest.approx(area, rel=1e-12, abs=1e-15)
 
     def test_touching_pairs_and_real_overlaps(self, plane):
         # One shared vertex: images that only touch there, then overlap.

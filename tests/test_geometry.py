@@ -157,6 +157,9 @@ def test_point_operations_accept_any_leading_shape(all_surfaces):
         _assert_shape_contract(lambda yv: surf.tangent_project_unchecked(yv[..., :3], yv[..., 3:]), both)
         normals = surf.normal_unchecked(pts)
         _assert_shape_contract(lambda n: np.stack(_orthonormal_frame(n), axis=-2), normals)
+        chart = surf.chart_at(base[0])
+        _assert_shape_contract(chart.inverse_map, pts)
+        _assert_shape_contract(chart.contains, pts)
     plane = all_surfaces[0]
     _assert_shape_contract(plane.embed, rng.uniform(-2.0, 2.0, (2, 7, 2)))
 
@@ -177,12 +180,28 @@ def test_frame_cross_product_bits_are_np_cross():
         assert t2.tobytes() == np.cross(row, t1).tobytes()
 
 
-@pytest.mark.parametrize("op", ["implicit", "project", "distance"])
-def test_tilted_plane_rows_independent_of_batch(op):
-    # A tilted plane on a long batch: a BLAS matrix-vector product would
-    # round some rows differently by their position in the batch.
-    f = getattr(Plane((0.3, -1.2, 0.7), 0.45), op)
-    pts = np.random.default_rng(11).uniform(-2.0, 2.0, (2, 150, 3))
+_TILTED = Plane((0.3, -1.2, 0.7), 0.45)
+
+
+def _chart_map(surf):
+    return surf.chart_at(surf.project([0.9, 0.4, 0.6])).inverse_map
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        _TILTED.implicit,
+        _TILTED.project,
+        _TILTED.distance,
+        *(_chart_map(s) for s in (_TILTED, Sphere(1.0), Torus(2.0, 0.5))),
+    ],
+    ids=["implicit", "project", "distance", "plane_chart", "sphere_chart", "torus_chart"],
+)
+def test_tilted_plane_rows_independent_of_batch(f):
+    # A tilted plane, and charts of every surface, on a long batch: a BLAS
+    # matrix-vector product would round some rows differently by their
+    # position in the batch.
+    pts = np.random.default_rng(11).uniform(-2.0, 2.0, (2, 450, 3))
     _assert_shape_contract(f, pts)
 
 
@@ -237,7 +256,7 @@ def test_chart_center_maps_to_origin(all_surfaces):
     for surf in all_surfaces:
         for center in surface_samples(surf, rng, 5):
             chart = surf.chart_at(center)
-            assert np.array_equal(chart.inverse_map(center), np.zeros((1, 2)))
+            assert np.array_equal(chart.inverse_map(center), np.zeros(2))
 
 
 def test_chart_area_sign_follows_normal(all_surfaces):
@@ -272,11 +291,39 @@ def test_chart_contains_within_radius(all_surfaces):
             assert np.array_equal(chart.contains(pts), chord < radius)
 
 
+def test_stacked_charts_map_as_single_charts(all_surfaces):
+    # Charts built at (n, 1, 3) centers map (n, k, 3) points, each row as the
+    # chart at that center alone maps it.
+    rng = np.random.default_rng(13)
+    for surf in all_surfaces:
+        centers = surface_samples(surf, rng, 5)[:, None]
+        pts = centers + 0.5 * surf.curvature_radius * rng.standard_normal((5, 6, 3))
+        charts = surf.chart_at(centers)
+        uv, inside = charts.inverse_map(pts), charts.contains(pts)
+        assert uv.shape == (5, 6, 2) and inside.shape == (5, 6)
+        for center, p, u, k in zip(centers, pts, uv, inside):
+            chart = surf.chart_at(center[0])
+            assert np.array_equal(chart.inverse_map(p), u)
+            assert np.array_equal(chart.contains(p), k)
+
+
 def test_plane_chart_global(plane):
     rng = np.random.default_rng(10)
     pts = plane.embed(rng.uniform(-1e3, 1e3, (20, 2)))
     assert plane.chart_radius == np.inf
     assert plane.chart_at(surface_samples(plane, rng, 1)[0]).contains(pts).all()
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("normal_dir, offset", [((0.0, 0.0, 1.0), 0.0), ((0.3, -1.2, 0.7), 0.45)])
+def test_plane_chart_frame_is_plane_frame(normal_dir, offset, sign):
+    # Every plane chart, at one center or a stack of them, has the plane's
+    # own frame (t1, sign * t2), bit for bit.
+    plane = Plane(normal_dir, offset, orientation_sign=sign)
+    centers = plane.embed(np.random.default_rng(12).uniform(-3.0, 3.0, (4, 1, 2)))
+    for chart in (plane.chart_at(centers[0, 0]), plane.chart_at(centers)):
+        assert np.array_equal(chart.t1, np.broadcast_to(plane.t1, chart.t1.shape))
+        assert np.array_equal(chart.t2, np.broadcast_to(sign * plane.t2, chart.t2.shape))
 
 
 def test_orientation_sign_flips_normal():
