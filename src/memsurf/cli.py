@@ -163,7 +163,13 @@ def _run_diagnostics(config, surface, mesh, positions, out, grad_tol):
         )
         # One call per target: perfbench's traced run counts degree calls
         # as targets (perfbench/test_perfbench.py).
-        results = [brouwer_degree(surface, mesh, positions, y) for y in targets]
+        results = []
+        for i, y in enumerate(targets):
+            try:
+                results.append(brouwer_degree(surface, mesh, positions, y))
+            except MemsurfError as exc:
+                where = ", ".join(f"{c:.6g}" for c in y)
+                raise type(exc)(f"degree target {i} at [{where}]: {exc}") from exc
         agree = sum(res.methods_agree for res in results)
         _write_degrees(os.path.join(out, "degree.csv"), config, results)
         lines.append(f"degree_points: {len(results)}")

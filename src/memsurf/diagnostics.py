@@ -9,6 +9,7 @@ residuals of a configuration.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -23,6 +24,7 @@ from .errors import (
     IrregularValueError,
     MemsurfError,
 )
+from .geometry import _row_norms
 
 __all__ = [
     "DegreeResult",
@@ -50,13 +52,17 @@ _TEST_DIRECTIONS = 3
 _BUMP_C0 = 0.07424775338834423
 
 
-def _bump(dist, radius):
-    """Compactly supported smooth bump of unit plane integral."""
-    s2 = (dist / radius) ** 2
+def _bump_profile(s2):
+    """exp(-1/(1 - s2)) where s2 < 1, else 0, evaluated only where s2 < 1."""
     out = np.zeros_like(s2)
     inside = s2 < 1.0
     out[inside] = np.exp(-1.0 / (1.0 - s2[inside]))
-    return out / (2.0 * np.pi * _BUMP_C0 * radius**2)
+    return out
+
+
+def _bump(dist, radius):
+    """Compactly supported smooth bump of unit plane integral."""
+    return _bump_profile((dist / radius) ** 2) / (2.0 * np.pi * _BUMP_C0 * radius**2)
 
 
 @dataclass(frozen=True)
@@ -75,13 +81,12 @@ def _extent(a, b, c):
     return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
 
 
-def _segment_distances(point, starts, ends):
-    d = ends - starts
-    denom = np.einsum("ij,ij->i", d, d)
-    t = np.einsum("ij,ij->i", point - starts, d) / np.where(denom > 0, denom, 1.0)
+def _segment_distances(point, starts, d, d2):
+    """Distances from point to the segments starts + t d, t in [0, 1], d2 = |d|^2."""
+    t = np.einsum("ij,ij->i", point - starts, d) / np.where(d2 > 0, d2, 1.0)
     t = np.clip(t, 0.0, 1.0)
     closest = starts + t[:, None] * d
-    return np.linalg.norm(point - closest, axis=1)
+    return _row_norms(point - closest)
 
 
 class _Image:
@@ -89,9 +94,10 @@ class _Image:
 
     The corner-index columns, contiguous so a target's vertex distances are
     three gathers, the element diameters and mean edge, the segments of
-    every boundary loop stacked into one array, and the orientation sign of
-    every element on the surface.  ``_image_of`` keeps the last one and
-    builds a new one when the mesh, the surface or the positions differ.
+    every boundary loop stacked into one array with their directions and
+    squared lengths, and the orientation sign of every element on the
+    surface.  ``_image_of`` keeps the last one and builds a new one when
+    the mesh, the surface or the positions differ.
     """
 
     def __init__(self, mesh, surface, positions):
@@ -100,16 +106,19 @@ class _Image:
         self.signs = np.sign(_kinematics(mesh, surface, self.positions)[1]).astype(int)
         self.corners = tuple(np.ascontiguousarray(c) for c in mesh.triangles.T)
         P = self.positions[mesh.triangles]              # (m, 3, 3)
-        edge_len = np.linalg.norm(P[:, [1, 2, 0]] - P, axis=2)
+        edge_len = _row_norms(P[:, [1, 2, 0]] - P)
         self.diam = edge_len.max(axis=1)
         self.mean_edge = float(np.mean(edge_len))
         loops = [self.positions[np.asarray(loop)] for loop in mesh.boundary_loops]
         loops = loops or [np.empty((0, 3))]
         self.starts = np.concatenate(loops)
-        self.ends = np.concatenate([np.roll(pts, -1, axis=0) for pts in loops])
+        ends = np.concatenate([np.roll(pts, -1, axis=0) for pts in loops])
+        self.seg = ends - self.starts
+        self.seg_len2 = np.einsum("ij,ij->i", self.seg, self.seg)
 
     def boundary_distance(self, y):
-        return float(np.min(_segment_distances(y, self.starts, self.ends), initial=np.inf))
+        distances = _segment_distances(y, self.starts, self.seg, self.seg_len2)
+        return float(np.min(distances, initial=np.inf))
 
 
 _last_image = None
@@ -193,6 +202,27 @@ def _signed_areas(tris):
     return 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
 
 
+def _centroid_stencil():
+    """Barycentric centroid weights (64, 3) of the children of three midpoint
+    splits of one triangle, row j for ``_subdivide``'s child column j.
+
+    The splits run on the identity triangle (0, 0), (1, 0), (0, 1), whose
+    corners are its own last two barycentric coordinates; every child corner
+    then sits on the 1/8 grid, so its first coordinate 1 - u - v and the sum
+    of three corners are exact, and each weight is one rounded division.
+    """
+    tris = np.array([[[0.0], [0.0]], [[1.0], [0.0]], [[0.0], [1.0]]])
+    for _ in range(3):
+        tris = _subdivide(tris)
+    bary = np.concatenate([1.0 - tris.sum(axis=1, keepdims=True), tris], axis=1)
+    return ((bary[0] + bary[1] + bary[2]) / 3.0).T
+
+
+# Child j of an element with chart corners (a, b, c) has centroid
+# _STENCIL[j] . (a, b, c) after three midpoint splits, and 1/64 of its area.
+_STENCIL = _centroid_stencil()
+
+
 def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     """Degree of the nodal map at the on-surface point y (3,), by two methods.
 
@@ -200,20 +230,28 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     boundary segments, element orientation signs) is done once and reused
     by later calls on the same mesh and surface objects and equal positions,
     so a loop of calls costs what a batch would; each target then pays only
-    for the elements near it.
+    for the elements near it, and maps each of their distinct nodes into the
+    chart at y once.
 
     The signed cover count sums the orientation signs of the elements whose
-    chart image contains the chart coordinates of y (exact for PL maps); the
-    mollified integral integrates a unit-mass bump against the signed chart
-    area of the image, by midpoint quadrature on elements split until every
-    sub-triangle is at most as wide as the bump (three splits at least).
+    chart image contains the chart coordinates of y (exact for PL maps).
+    The mollified integral integrates a unit-mass bump against the signed
+    chart area of the image by midpoint quadrature on the 64 children of
+    three midpoint splits of every element: their centroids come from a
+    fixed barycentric stencil and each has 1/64 of its element's signed
+    area.  Each element's children are summed alone and the element sums
+    exactly, so the integral does not depend on which elements too far
+    from y to reach the bump are skipped.  Only when the bump is narrower
+    than 1/8 of the longest near side are the elements split explicitly,
+    again and again, until every sub-triangle is at most as wide as it.
 
     A target landing exactly on an image edge is irregular for the signed
     count, which is then taken at a deterministic offset far below the
     boundary margin (the degree is locally constant there), doubled on each
     of three retries; IrregularValueError is raised if all of them fail.
-    ``mollifier_radius``, when given, must be a finite positive real number
-    (a boolean is not one).
+    ChartSpanFailureError names the first element near y that the chart at
+    y does not cover.  ``mollifier_radius``, when given, must be a finite
+    positive real number (a boolean is not one).
     """
     r = mollifier_radius
     real = isinstance(r, numbers.Real) and type(r) is not bool
@@ -233,7 +271,7 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
             f"(margin {DEGREE_MARGIN:.1e})"
         )
     diam, mean_edge = image.diam, image.mean_edge
-    node_dist = np.linalg.norm(image.positions - y, axis=1)
+    node_dist = _row_norms(image.positions - y)
     c0, c1, c2 = image.corners
     vert_dist = np.minimum(np.minimum(node_dist[c0], node_dist[c1]), node_dist[c2])
 
@@ -249,23 +287,35 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
 
     reach = diam + 1.6 * radius + mean_edge
     near_idx = np.nonzero(vert_dist <= reach)[0]
-    P = image.positions[image.mesh.triangles[near_idx]]   # (k, 3, 3) near corners
+    near_tris = image.mesh.triangles[near_idx]          # (k, 3) near corners
     chart = surface.chart_at(y)
-    ok = chart.contains(P).all(axis=1)
+    # The chart covers a node within chord distance chart.radius of y.
+    ok = (node_dist[near_tris] < chart.radius).all(axis=1)
     if not np.all(ok):
         # Elements beyond the chart's validity contribute only if their
         # image can reach the bump support; those that provably cannot are
         # outside the local planar representative and are dropped.
         bad = near_idx[~ok]
-        if np.any(vert_dist[bad] <= diam[bad] + 1.3 * radius):
+        reaching = bad[vert_dist[bad] <= diam[bad] + 1.3 * radius]
+        if reaching.size:
+            t = int(reaching[0])
+            farthest = float(np.max(node_dist[image.mesh.triangles[t]]))
             raise ChartSpanFailureError(
-                "elements near the target point exceed the chart's validity "
-                "radius; the mesh is too coarse for a chart-local degree here"
+                f"near element {t} reaches past the {surface.kind} chart radius "
+                f"{surface.chart_radius:.4g} (its vertices lie at chords "
+                f"{vert_dist[t]:.4g} to {farthest:.4g} from the target point); "
+                "the mesh is too coarse for a chart-local degree here; use a "
+                "smaller domain.resolution"
             )
-        near_idx, P = near_idx[ok], P[ok]
+        near_idx, near_tris = near_idx[ok], near_tris[ok]
     if near_idx.size == 0:
         return DegreeResult(y, 0, 0.0, radius, methods_agree=True)
-    uv = chart.inverse_map(P)
+    # Each distinct node once in the chart, then gathered per corner.
+    slot = np.zeros(len(node_dist), dtype=np.intp)
+    slot[near_tris] = 1
+    nodes = np.flatnonzero(slot)
+    slot[nodes] = np.arange(len(nodes))
+    uv = chart.inverse_map(image.positions[nodes])[slot[near_tris]]
     w = chart.inverse_map(y)
 
     shift = np.zeros(2)
@@ -278,39 +328,41 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
                 raise
             if attempt == 0:
                 # The nudge scale: the median first edge of the near elements.
-                local_scale = float(np.median(np.linalg.norm(uv[:, 1] - uv[:, 0], axis=1)))
+                local_scale = float(np.median(_row_norms(uv[:, 1] - uv[:, 0])))
                 offset = local_scale * 1e-7 * np.array([np.cos(0.7), np.sin(0.7)])
             shift = offset * 2.0**attempt
     count = int(np.sum(image.signs[near_idx[inside]]))
 
-    # Mollified integral over the signed chart image.  A midpoint split
-    # halves the sub-triangle width; past three splits only sub-triangles
-    # that can reach the bump support are split again (the others add 0).
-    # Every sub-triangle centroid lies within its element's longest side of
-    # the element centroid, so an element farther than radius + that side
-    # + size from w adds 0 and is never split again: it is dropped first.
+    # Mollified integral over the signed chart image.  Every child centroid
+    # lies within its element's longest side of the element centroid, so an
+    # element farther than radius + that side + size from w adds 0 (and,
+    # past three splits, is never split again): it is dropped first.
     tris = np.ascontiguousarray(uv.transpose(1, 2, 0))
     e = tris - tris[[2, 0, 1]]
     longest = _extent(*np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]))[1]
     size = float(np.max(longest)) / 8
     far = _distances(tris, w) > radius + longest + size
     kept = tris[:, :, ~far]
-    for _ in range(3):
-        kept = _subdivide(kept)
-    split_again = size > radius
-    while size > radius:
-        kept = _subdivide(kept[:, :, _distances(kept, w) <= radius + size])
-        size /= 2
-    products = _signed_areas(kept) * _bump(_distances(kept, w), radius)
-    if far.any() and not split_again:
-        # Back into the unpruned layout (child j of element t at column
-        # j * k + t), so np.sum adds in the same order; a dropped element's
-        # 64 children each add a zero of its orientation's sign.
-        full = np.empty((64, len(far)))
-        full[:] = np.copysign(0.0, _signed_areas(tris))
-        full[:, np.flatnonzero(~far)] = products.reshape(64, -1)
-        products = full.ravel()
-    integral = float(np.sum(products))
+    if size > radius:
+        # A bump narrower than the children: split again the sub-triangles
+        # that can reach its support, halving their width each time.
+        for _ in range(3):
+            kept = _subdivide(kept)
+        while size > radius:
+            kept = _subdivide(kept[:, :, _distances(kept, w) <= radius + size])
+            size /= 2
+        integral = float(np.sum(_signed_areas(kept) * _bump(_distances(kept, w), radius)))
+    else:
+        # Child centroids relative to w, (2, k, 64), and their squared
+        # distances in units of the bump radius.  Every child has 1/64 of
+        # its element's signed area, so the 64 joins the bump's mass.
+        d = np.einsum("vdt,jv->dtj", kept - w[:, None], _STENCIL)
+        s2 = d[0] * d[0]
+        s2 += d[1] * d[1]
+        s2 *= 1.0 / radius**2
+        per_element = _bump_profile(s2).sum(axis=1) * _signed_areas(kept)
+        mass = 64.0 * 2.0 * np.pi * _BUMP_C0 * radius**2
+        integral = math.fsum(per_element.tolist()) / mass
 
     return DegreeResult(
         y, count, integral, radius, methods_agree=bool(abs(integral - count) < 0.5)
@@ -467,7 +519,7 @@ def injectivity_check(surface, mesh, positions):
         uncovered = np.flatnonzero(~charts.contains(pts).all(axis=1))
         if uncovered.size:
             q = uncovered[0]
-            chord = np.linalg.norm(pts[q][:, None] - pts[q][None], axis=-1).max()
+            chord = _row_norms(pts[q][:, None] - pts[q][None]).max()
             raise ChartSpanFailureError(
                 f"element pair ({int(i[q])}, {int(j[q])}) is not covered by "
                 f"a single chart: its largest chord {chord:.4g} is too long "
@@ -518,7 +570,7 @@ def _test_fields(surface, mesh, positions, family_size, seed):
         attempts += 1
         idx = int(rng.choice(interior))
         y0 = positions[idx]
-        clearance = float(np.min(np.linalg.norm(boundary_pts - y0, axis=1)))
+        clearance = float(np.min(_row_norms(boundary_pts - y0)))
         if clearance <= 1e-12:
             continue
         anchors.append((y0, 0.95 * clearance))
@@ -527,7 +579,7 @@ def _test_fields(surface, mesh, positions, family_size, seed):
             "no interior vertex clears the boundary image to anchor a residual test field"
         )
     dirs = rng.standard_normal((_TEST_DIRECTIONS, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs /= _row_norms(dirs, keepdims=True)
     # Each direction's tangent field, projected once as a (j, n, 3) stack.
     tangent = surface.tangent_project_unchecked(
         positions, np.broadcast_to(dirs[:, None], (_TEST_DIRECTIONS, *positions.shape))

@@ -22,6 +22,20 @@ __all__ = [
     "make_surface",
 ]
 
+def _row_norms(x, keepdims=False):
+    """Euclidean norms over the last axis (length 2 or 3) of ``x``.
+
+    The squares are summed left to right as written, which is how
+    ``np.linalg.norm(x, axis=-1)`` adds them, so the bits are its bits
+    without its per-call overhead.
+    """
+    s = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
+    if x.shape[-1] == 3:
+        s += x[..., 2] * x[..., 2]
+    s = np.sqrt(s)
+    return s[..., None] if keepdims else s
+
+
 def _dots(a, b):
     """Dot products (..., 1) of (..., 3) arrays, each taken as ``np.dot`` takes it."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
@@ -82,7 +96,7 @@ class Surface:
     # -- core operations -----------------------------------------------------
     def distance(self, p):
         """Approximate unsigned distance to the surface."""
-        dg = np.linalg.norm(self.implicit_grad(p), axis=-1)
+        dg = _row_norms(self.implicit_grad(p))
         return np.abs(self.implicit(p)) / np.maximum(dg, 1e-300)
 
     def _require_on_surface(self, y):
@@ -96,7 +110,7 @@ class Surface:
     def normal_unchecked(self, p):
         """Oriented unit normal field extended to near-surface points."""
         g = self.implicit_grad(p)
-        return self.orientation_sign * (g / np.linalg.norm(g, axis=-1, keepdims=True))
+        return self.orientation_sign * (g / _row_norms(g, keepdims=True))
 
     def project(self, p):
         """Closest point on the surface (raises near the medial axis)."""
@@ -183,11 +197,11 @@ class Sphere(Surface):
         self.radius = float(radius)
 
     def implicit(self, p):
-        return np.linalg.norm(p, axis=-1) - self.radius
+        return _row_norms(np.asarray(p, dtype=float)) - self.radius
 
     def implicit_grad(self, p):
         p = np.asarray(p, dtype=float)
-        return p / np.maximum(np.linalg.norm(p, axis=-1, keepdims=True), 1e-300)
+        return p / np.maximum(_row_norms(p, keepdims=True), 1e-300)
 
     @property
     def curvature_radius(self):
@@ -195,7 +209,7 @@ class Sphere(Surface):
 
     def project(self, p):
         p = np.asarray(p, dtype=float)
-        r = np.linalg.norm(p, axis=-1, keepdims=True)
+        r = _row_norms(p, keepdims=True)
         if np.any(r < self.medial_tol):
             raise AmbiguousProjectionError("projection queried at the sphere center")
         return self.radius * p / r
@@ -220,17 +234,17 @@ class Torus(Surface):
     def _ring_point(self, p):
         """Nearest core-circle point q, the offset p - q and the axis distance."""
         p = np.asarray(p, dtype=float)
-        rho = np.linalg.norm(p[..., :2], axis=-1, keepdims=True)
+        rho = _row_norms(p[..., :2], keepdims=True)
         q = np.zeros_like(p)
         q[..., :2] = self.major_radius * p[..., :2] / np.maximum(rho, 1e-300)
         return q, p - q, rho
 
     def implicit(self, p):
-        return np.linalg.norm(self._ring_point(p)[1], axis=-1) - self.minor_radius
+        return _row_norms(self._ring_point(p)[1]) - self.minor_radius
 
     def implicit_grad(self, p):
         d = self._ring_point(p)[1]
-        return d / np.maximum(np.linalg.norm(d, axis=-1, keepdims=True), 1e-300)
+        return d / np.maximum(_row_norms(d, keepdims=True), 1e-300)
 
     @property
     def curvature_radius(self):
@@ -238,7 +252,7 @@ class Torus(Surface):
 
     def project(self, p):
         q, d, rho = self._ring_point(p)
-        nd = np.linalg.norm(d, axis=-1, keepdims=True)
+        nd = _row_norms(d, keepdims=True)
         if np.any(rho < self.medial_tol) or np.any(nd < self.medial_tol):
             raise AmbiguousProjectionError(
                 "projection queried on the torus axis or core circle"
@@ -281,7 +295,7 @@ class Chart:
 
     def contains(self, points):
         d = np.asarray(points, dtype=float) - self.center
-        return np.linalg.norm(d, axis=-1) < self.radius
+        return _row_norms(d) < self.radius
 
 
 # The kinds a run configuration may name.

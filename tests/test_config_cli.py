@@ -2,19 +2,23 @@ import copy
 import csv
 import io
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from memsurf import (
+    ChartSpanFailureError,
     ConfigError,
     IsotropicModel,
     LineSearchStallError,
+    MemsurfError,
     Sphere,
     make_initial_map,
     parse_config,
     parse_config_file,
 )
+import memsurf.cli as cli_module
 import memsurf.config as config_module
 import memsurf.minimizer as minimizer_module
 from memsurf.cli import main
@@ -510,6 +514,39 @@ output_dir: "%s"
         cfg, _ = write_config(tmp_path, MINIMAL_PLANE)
         assert main(["minimize", str(cfg)]) == 5
         assert "line search underflowed at iteration 7" in capsys.readouterr().err
+
+    def test_coarse_chart_degree_names_target_and_element_exit_5(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The shipped cap pinned near the far pole on a coarse disk converges,
+        # then its first degree target has a near element the chart misses.
+        text = (CONFIGS / "sphere_cap.yaml").read_text()
+        text = text.replace("latitude: 1.0471975511965976", "latitude: 2.8")
+        text = text.replace("resolution: 0.05", "resolution: 0.2")
+        text = text.replace("output_dir: runs/sphere_cap", 'output_dir: "%s"')
+        cfg, out = write_config(tmp_path, text)
+        raised = []
+        run_diagnostics = cli_module._run_diagnostics
+
+        def spy(*args, **kwargs):
+            try:
+                return run_diagnostics(*args, **kwargs)
+            except MemsurfError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(cli_module, "_run_diagnostics", spy)
+        assert main(["minimize", str(cfg)]) == 5
+        err = capsys.readouterr().err
+        assert [type(exc) for exc in raised] == [ChartSpanFailureError]
+        assert err == f"error: {raised[0]}\n"
+        assert re.match(
+            r"error: degree target 0 at \[\S+, \S+, \S+\]: near element \d+ reaches past "
+            r"the sphere chart radius 0\.9 \(its vertices lie at chords \S+ to \S+ from "
+            r"the target point\); .* use a smaller domain\.resolution$",
+            err,
+        )
+        assert (out / "energy_history.csv").exists()
 
     def test_determinism_bitwise(self, tmp_path):
         cfg, out = write_config(tmp_path, MINIMAL_PLANE)

@@ -29,13 +29,13 @@ from memsurf.diagnostics import (
     _admissible,
     _bump,
     _distances,
-    _segment_distances,
     _test_fields,
     _triangle_overlap_area,
 )
 from memsurf.constitutive import _spectral_batch, pk1_batch
 from memsurf.discretization import J_FLOOR, _kinematics, oriented_area_ratios, trial_energy
 from memsurf.errors import AmbiguousProjectionError
+from memsurf.geometry import Chart
 from memsurf.maps import make_initial_map
 from memsurf.mesh import TriMesh
 
@@ -269,13 +269,13 @@ def _reference_point_in_triangles(w, tri_uv, edge_eps):
 
 
 def _reference_subdivide(tris):
-    """One midpoint split (3, 2, k) -> (3, 2, 4k), child q of triangle t at
+    """One midpoint split (3, d, k) -> (3, d, 4k), child q of triangle t at
     column q * k + t, written slice by slice (the module's version before its
     one-gather rewrite)."""
     a, b, c = tris
     ab, bc, ca = 0.5 * (a + b), 0.5 * (b + c), 0.5 * (c + a)
-    k = tris.shape[2]
-    out = np.empty((3, 2, 4 * k))
+    d, k = tris.shape[1:]
+    out = np.empty((3, d, 4 * k))
     children = ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))
     for q, child in enumerate(children):
         for v, corner in enumerate(child):
@@ -283,12 +283,37 @@ def _reference_subdivide(tris):
     return out
 
 
-def _reference_degree(surface, mesh, positions, y, mollifier_radius=None):
+def _reference_stencil():
+    """Barycentric centroids (64, 3) of the children of three explicit
+    midpoint splits of the identity triangle, child j at row j."""
+    tris = np.eye(3)[:, :, None]        # corner v at barycentric e_v
+    for _ in range(3):
+        tris = _reference_subdivide(tris)
+    return ((tris[0] + tris[1] + tris[2]) / 3.0).T
+
+
+def _reference_boundary_distance(y, mesh, positions):
+    """Distance from y to the polygonal boundary image, loop by loop."""
+    dist = np.inf
+    for loop in mesh.boundary_loops:
+        starts = positions[np.asarray(loop)]
+        d = np.roll(starts, -1, axis=0) - starts
+        denom = np.einsum("ij,ij->i", d, d)
+        t = np.einsum("ij,ij->i", y - starts, d) / np.where(denom > 0, denom, 1.0)
+        closest = starts + np.clip(t, 0.0, 1.0)[:, None] * d
+        dist = min(dist, float(np.min(np.linalg.norm(y - closest, axis=1))))
+    return dist
+
+
+def _reference_degree(surface, mesh, positions, y, mollifier_radius=None, stencil=True):
     """The degree of one target as computed before the per-target pruning.
 
     Orientation signs of every element, the mesh-wide vertex distances from
-    the corner array, and the three midpoint splits of every near element
-    before any is dropped; nothing is shared with an earlier call.
+    the corner array, per-corner chart coordinates and the quadrature of
+    every near element before any is dropped; nothing is shared with an
+    earlier call.  The quadrature is the 64-child centroid stencil, or with
+    ``stencil=False`` the three materialised midpoint splits it replaced;
+    a bump narrower than the children splits explicitly either way.
     """
     P = positions[mesh.triangles]
     edges = np.stack([P[:, 1] - P[:, 0], P[:, 2] - P[:, 1], P[:, 0] - P[:, 2]], axis=1)
@@ -296,10 +321,7 @@ def _reference_degree(surface, mesh, positions, y, mollifier_radius=None):
     diam = edge_len.max(axis=1)
     mean_edge = float(np.mean(edge_len))
     signs = np.sign(oriented_area_ratios(mesh, surface, positions)).astype(int)
-    bdist = min(
-        float(np.min(_segment_distances(y, pts, np.roll(pts, -1, axis=0))))
-        for pts in (positions[np.asarray(loop)] for loop in mesh.boundary_loops)
-    )
+    bdist = _reference_boundary_distance(y, mesh, positions)
     if bdist < DEGREE_MARGIN:
         raise BoundaryTooCloseError("too close")
     vert_dist = np.linalg.norm(P - y, axis=2).min(axis=1)
@@ -334,9 +356,20 @@ def _reference_degree(surface, mesh, positions, y, mollifier_radius=None):
             shift = offset * 2.0**attempt
     count = int(np.sum(signs[near_idx][inside]))
     tris = np.ascontiguousarray(uv.transpose(1, 2, 0))
+    size = float(np.max(np.linalg.norm(uv - np.roll(uv, 1, axis=1), axis=2))) / 8
+    if stencil and size <= radius:
+        # Each element's 64 children summed alone, the element sums exactly.
+        d = np.einsum("vdt,jv->dtj", tris - w[:, None], _reference_stencil())
+        s2 = (d[0] * d[0] + d[1] * d[1]) * (1.0 / radius**2)
+        bump = np.zeros_like(s2)
+        bump[s2 < 1.0] = np.exp(-1.0 / (1.0 - s2[s2 < 1.0]))
+        e1 = tris[1] - tris[0]
+        e2 = tris[2] - tris[0]
+        per_element = bump.sum(axis=1) * (0.5 * (e1[0] * e2[1] - e1[1] * e2[0]))
+        integral = math.fsum(per_element) / (64.0 * 2.0 * np.pi * _BUMP_C0 * radius**2)
+        return DegreeResult(y, count, integral, radius, bool(abs(integral - count) < 0.5))
     for _ in range(3):
         tris = _reference_subdivide(tris)
-    size = float(np.max(np.linalg.norm(uv - np.roll(uv, 1, axis=1), axis=2))) / 8
     while size > radius:
         tris = _reference_subdivide(tris[:, :, _distances(tris, w) <= radius + size])
         size /= 2
@@ -407,6 +440,55 @@ class TestDegreeEquivalence:
         brouwer_degree(sphere, cap_mesh, cap_cfg, targets[0], mollifier_radius=0.005)
         assert len(splits) > 3
         _assert_as_reference(sphere, cap_mesh, cap_cfg, targets, mollifier_radius=0.005)
+
+
+class TestDegreeStencil:
+    """The 64-child stencil is the quadrature of three midpoint splits, and
+    each near node is mapped into the target's chart once."""
+
+    def test_weights_are_three_split_centroids(self):
+        assert np.array_equal(diagnostics._STENCIL, _reference_stencil())
+        assert np.all(np.abs(diagnostics._STENCIL.sum(axis=1) - 1.0) <= np.finfo(float).eps)
+
+    def test_matches_three_split_quadrature(
+        self, plane, sphere, torus, cap_targets, plane_suite, torus_band_start
+    ):
+        cases = [(sphere, *cap_targets), (torus, *torus_band_start)]
+        cases += [(plane, mesh, cfg, targets) for mesh, cfg, targets, _ in plane_suite]
+        for surface, mesh, cfg, targets in cases:
+            for kwargs in ({}, {"mollifier_radius": 0.02}):
+                for y in targets:
+                    res = brouwer_degree(surface, mesh, cfg, y, **kwargs)
+                    ref = _reference_degree(surface, mesh, cfg, y, stencil=False, **kwargs)
+                    assert res.degree == ref.degree
+                    assert abs(res.mollified_integral - ref.mollified_integral) <= 1e-14
+
+    def test_chart_maps_each_near_node_once(
+        self, plane, sphere, disk_identity, cap_targets, monkeypatch
+    ):
+        rows = []
+        inverse_map = Chart.inverse_map
+
+        def counted(chart, points):
+            out = inverse_map(chart, points)
+            rows.append(out[..., 0].size)
+            return out
+
+        monkeypatch.setattr(Chart, "inverse_map", counted)
+        cap_mesh, cap_cfg, cap_ys = cap_targets
+        for surface, mesh, cfg, y in [
+            (plane, *disk_identity, np.array([0.3, 0.2, 0.0])),
+            (sphere, cap_mesh, cap_cfg, cap_ys[0]),
+        ]:
+            rows.clear()
+            radius = brouwer_degree(surface, mesh, cfg, y).mollifier_radius
+            P = cfg[mesh.triangles]
+            edge_len = np.linalg.norm(P[:, [1, 2, 0]] - P, axis=2)
+            reach = edge_len.max(axis=1) + 1.6 * radius + np.mean(edge_len)
+            near = np.linalg.norm(P - y, axis=2).min(axis=1) <= reach
+            near_nodes = len(np.unique(mesh.triangles[near]))
+            # A chart row per corner would be 3 per near element.
+            assert 0 < sum(rows) <= near_nodes + 1 < 3 * int(near.sum())
 
 
 class TestDegreeMemo:

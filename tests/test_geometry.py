@@ -11,7 +11,7 @@ from memsurf import (
     Torus,
     make_surface,
 )
-from memsurf.geometry import _orthonormal_frame
+from memsurf.geometry import _orthonormal_frame, _row_norms
 
 from conftest import surface_samples
 
@@ -372,3 +372,23 @@ def test_surfaces_reject_non_finite_parameters(build, key):
 def test_plane_rejects_degenerate_normal(normal_dir):
     with pytest.raises(ValueError, match="normal_dir"):
         Plane(normal_dir=normal_dir)
+
+
+@pytest.mark.parametrize("shape", [(500, 3), (200, 6, 3), (500, 2)])
+def test_row_norms_are_linalg_norm_bits(shape):
+    # Random rows at many scales, each of comparable entries (so the order
+    # of the sum shows in the bits), and rows holding 0, inf, NaN and 1e200
+    # (whose square overflows).
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-150, 150, (*shape[:-1], 1))
+    flat = x.reshape(-1, shape[-1])
+    for i, value in enumerate([0.0, np.inf, -np.inf, np.nan, 1e200, -1e200]):
+        flat[i] = 0.0
+        flat[10 + i, i % shape[-1]] = value
+        flat[20 + i] = value
+    for keepdims in (False, True):
+        with np.errstate(over="ignore"):
+            got = _row_norms(x, keepdims=keepdims)
+            want = np.linalg.norm(x, axis=-1, keepdims=keepdims)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
