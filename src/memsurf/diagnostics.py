@@ -60,11 +60,6 @@ def _bump_profile(s2):
     return out
 
 
-def _bump(dist, radius):
-    """Compactly supported smooth bump of unit plane integral."""
-    return _bump_profile((dist / radius) ** 2) / (2.0 * np.pi * _BUMP_C0 * radius**2)
-
-
 @dataclass(frozen=True)
 class DegreeResult:
     """Degree of the configuration at one target point, by two methods."""
@@ -233,17 +228,21 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     for the elements near it, and maps each of their distinct nodes into the
     chart at y once.
 
-    The signed cover count sums the orientation signs of the elements whose
-    chart image contains the chart coordinates of y (exact for PL maps).
-    The mollified integral integrates a unit-mass bump against the signed
-    chart area of the image by midpoint quadrature on the 64 children of
-    three midpoint splits of every element: their centroids come from a
-    fixed barycentric stencil and each has 1/64 of its element's signed
-    area.  Each element's children are summed alone and the element sums
-    exactly, so the integral does not depend on which elements too far
-    from y to reach the bump are skipped.  Only when the bump is narrower
-    than 1/8 of the longest near side are the elements split explicitly,
-    again and again, until every sub-triangle is at most as wide as it.
+    Both methods read only the near elements whose chart centroid lies
+    within the bump radius plus their longest side plus 1/8 of the longest
+    near side of y: no other element can hold y, have it on an edge or
+    reach the bump.  The signed cover count sums the orientation signs of
+    those whose chart image contains the chart coordinates of y (exact for
+    PL maps).  The mollified integral integrates a unit-mass bump against
+    the signed chart area of the image by midpoint quadrature on the 64
+    children of three midpoint splits of every element: their centroids
+    come from a fixed barycentric stencil and each has 1/64 of its
+    element's signed area.  While the children are wider than the bump the
+    elements are first split at their edge midpoints, halving their width
+    each time, and only the sub-elements that can reach it are kept.  Each
+    (sub-)element's children are summed alone and the element sums
+    exactly, so the integral does not depend on which elements that add 0
+    are skipped.
 
     A target landing exactly on an image edge is irregular for the signed
     count, which is then taken at a deterministic offset far below the
@@ -318,6 +317,17 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     uv = chart.inverse_map(image.positions[nodes])[slot[near_tris]]
     w = chart.inverse_map(y)
 
+    # Every point of an element's box lies within its longest side of the
+    # element centroid, so an element farther than radius + that side + size
+    # from w neither holds w, nor has it on an edge or in its box, nor
+    # reaches the bump: only the kept elements are counted and integrated.
+    tris = np.ascontiguousarray(uv.transpose(1, 2, 0))
+    e = tris - tris[[2, 0, 1]]
+    longest = _extent(*np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]))[1]
+    size = float(np.max(longest)) / 8
+    kept = _distances(tris, w) <= radius + longest + size
+    uv, tris = uv[kept], tris[:, :, kept]
+
     shift = np.zeros(2)
     for attempt in range(4):
         try:
@@ -327,42 +337,31 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
             if attempt == 3:
                 raise
             if attempt == 0:
-                # The nudge scale: the median first edge of the near elements.
+                # The nudge scale: the median first edge of the kept elements.
                 local_scale = float(np.median(_row_norms(uv[:, 1] - uv[:, 0])))
                 offset = local_scale * 1e-7 * np.array([np.cos(0.7), np.sin(0.7)])
             shift = offset * 2.0**attempt
-    count = int(np.sum(image.signs[near_idx[inside]]))
+    count = int(np.sum(image.signs[near_idx[kept][inside]]))
 
-    # Mollified integral over the signed chart image.  Every child centroid
-    # lies within its element's longest side of the element centroid, so an
-    # element farther than radius + that side + size from w adds 0 (and,
-    # past three splits, is never split again): it is dropped first.
-    tris = np.ascontiguousarray(uv.transpose(1, 2, 0))
-    e = tris - tris[[2, 0, 1]]
-    longest = _extent(*np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]))[1]
-    size = float(np.max(longest)) / 8
-    far = _distances(tris, w) > radius + longest + size
-    kept = tris[:, :, ~far]
-    if size > radius:
-        # A bump narrower than the children: split again the sub-triangles
-        # that can reach its support, halving their width each time.
-        for _ in range(3):
-            kept = _subdivide(kept)
-        while size > radius:
-            kept = _subdivide(kept[:, :, _distances(kept, w) <= radius + size])
-            size /= 2
-        integral = float(np.sum(_signed_areas(kept) * _bump(_distances(kept, w), radius)))
-    else:
-        # Child centroids relative to w, (2, k, 64), and their squared
-        # distances in units of the bump radius.  Every child has 1/64 of
-        # its element's signed area, so the 64 joins the bump's mass.
-        d = np.einsum("vdt,jv->dtj", kept - w[:, None], _STENCIL)
-        s2 = d[0] * d[0]
-        s2 += d[1] * d[1]
-        s2 *= 1.0 / radius**2
-        per_element = _bump_profile(s2).sum(axis=1) * _signed_areas(kept)
-        mass = 64.0 * 2.0 * np.pi * _BUMP_C0 * radius**2
-        integral = math.fsum(per_element.tolist()) / mass
+    # Mollified integral over the signed chart image.  While the children
+    # (at most size wide) are wider than the bump, the elements are split at
+    # their edge midpoints, halving their width, and the sub-elements whose
+    # centroid lies farther than radius + their width (8 size) from w, which
+    # cannot reach it, are dropped.
+    while size > radius:
+        size /= 2
+        tris = _subdivide(tris)
+        tris = tris[:, :, _distances(tris, w) <= radius + 8.0 * size]
+    # Child centroids relative to w, (2, k, 64), and their squared distances
+    # in units of the bump radius.  Every child has 1/64 of its element's
+    # signed area, so the 64 joins the bump's mass.
+    d = np.einsum("vdt,jv->dtj", tris - w[:, None], _STENCIL)
+    s2 = d[0] * d[0]
+    s2 += d[1] * d[1]
+    s2 *= 1.0 / radius**2
+    per_element = _bump_profile(s2).sum(axis=1) * _signed_areas(tris)
+    mass = 64.0 * 2.0 * np.pi * _BUMP_C0 * radius**2
+    integral = math.fsum(per_element.tolist()) / mass
 
     return DegreeResult(
         y, count, integral, radius, methods_agree=bool(abs(integral - count) < 0.5)

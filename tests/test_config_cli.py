@@ -622,6 +622,17 @@ output_dir: "%s"
         assert "--point 0.0 0.0 0.3 has no closest point on the surface" in err
         assert not (out / "initial_degree.csv").exists()
 
+    def test_degree_point_on_boundary_image_exit_5(self, tmp_path, capsys):
+        # The corner of the unit square lies on the boundary image.
+        cfg, out = write_config(tmp_path, MINIMAL_PLANE)
+        assert main(["degree", str(cfg), "--point", "0", "0", "0"]) == 5
+        err = capsys.readouterr().err
+        assert (
+            "error: target point is 0.000e+00 from the boundary image (margin 1.0e-06)"
+            in err
+        )
+        assert not (out / "initial_degree.csv").exists()
+
     def test_residual_initial_config(self, tmp_path, capsys):
         text = """
 surface: {kind: sphere, radius: 1.0}

@@ -27,7 +27,6 @@ from memsurf.diagnostics import (
     OVERLAP_AREA_TOL,
     DegreeResult,
     _admissible,
-    _bump,
     _distances,
     _test_fields,
     _triangle_overlap_area,
@@ -305,15 +304,23 @@ def _reference_boundary_distance(y, mesh, positions):
     return dist
 
 
+def _reference_profile(s2):
+    """exp(-1/(1 - s2)) where s2 < 1, else 0."""
+    out = np.zeros_like(s2)
+    out[s2 < 1.0] = np.exp(-1.0 / (1.0 - s2[s2 < 1.0]))
+    return out
+
+
 def _reference_degree(surface, mesh, positions, y, mollifier_radius=None, stencil=True):
     """The degree of one target as computed before the per-target pruning.
 
     Orientation signs of every element, the mesh-wide vertex distances from
-    the corner array, per-corner chart coordinates and the quadrature of
-    every near element before any is dropped; nothing is shared with an
-    earlier call.  The quadrature is the 64-child centroid stencil, or with
-    ``stencil=False`` the three materialised midpoint splits it replaced;
-    a bump narrower than the children splits explicitly either way.
+    the corner array, per-corner chart coordinates, the containment test on
+    every near element and the quadrature of every near element before any
+    is dropped; nothing is shared with an earlier call.  The quadrature is
+    the 64-child centroid stencil, after splitting the elements while the
+    children are wider than the bump, or with ``stencil=False`` the three
+    and more materialised midpoint splits it replaced.
     """
     P = positions[mesh.triangles]
     edges = np.stack([P[:, 1] - P[:, 0], P[:, 2] - P[:, 1], P[:, 0] - P[:, 2]], axis=1)
@@ -357,12 +364,16 @@ def _reference_degree(surface, mesh, positions, y, mollifier_radius=None, stenci
     count = int(np.sum(signs[near_idx][inside]))
     tris = np.ascontiguousarray(uv.transpose(1, 2, 0))
     size = float(np.max(np.linalg.norm(uv - np.roll(uv, 1, axis=1), axis=2))) / 8
-    if stencil and size <= radius:
-        # Each element's 64 children summed alone, the element sums exactly.
+    if stencil:
+        # Split while the children are wider than the bump, dropping the
+        # sub-elements whose centroid is farther than bump + width (8 size);
+        # then each element's 64 children summed alone, the element sums exactly.
+        while size > radius:
+            size /= 2
+            tris = _reference_subdivide(tris)
+            tris = tris[:, :, _distances(tris, w) <= radius + 8.0 * size]
         d = np.einsum("vdt,jv->dtj", tris - w[:, None], _reference_stencil())
-        s2 = (d[0] * d[0] + d[1] * d[1]) * (1.0 / radius**2)
-        bump = np.zeros_like(s2)
-        bump[s2 < 1.0] = np.exp(-1.0 / (1.0 - s2[s2 < 1.0]))
+        bump = _reference_profile((d[0] * d[0] + d[1] * d[1]) * (1.0 / radius**2))
         e1 = tris[1] - tris[0]
         e2 = tris[2] - tris[0]
         per_element = bump.sum(axis=1) * (0.5 * (e1[0] * e2[1] - e1[1] * e2[0]))
@@ -376,8 +387,17 @@ def _reference_degree(surface, mesh, positions, y, mollifier_radius=None, stenci
     e1 = tris[1] - tris[0]
     e2 = tris[2] - tris[0]
     signed_area = 0.5 * (e1[0] * e2[1] - e1[1] * e2[0])
-    integral = float(np.sum(signed_area * _bump(_distances(tris, w), radius)))
+    bump = _reference_profile((_distances(tris, w) / radius) ** 2)
+    integral = float(np.sum(signed_area * (bump / (2.0 * np.pi * _BUMP_C0 * radius**2))))
     return DegreeResult(y, count, integral, radius, bool(abs(integral - count) < 0.5))
+
+
+def _near_elements(mesh, cfg, y, res):
+    """Mask of the elements near y for the bump radius of the DegreeResult res."""
+    P = cfg[mesh.triangles]
+    edge_len = np.linalg.norm(P[:, [1, 2, 0]] - P, axis=2)
+    reach = edge_len.max(axis=1) + 1.6 * res.mollifier_radius + np.mean(edge_len)
+    return np.linalg.norm(P - y, axis=2).min(axis=1) <= reach
 
 
 def _outcome(compute, *args, **kwargs):
@@ -432,14 +452,28 @@ class TestDegreeEquivalence:
         near_boundary = [0.5 * (a + b) + gap * inward for gap in (1e-3, 1e-5, 2e-6, 0.0)]
         monkeypatch.setattr(diagnostics, "_subdivide", counted)
         brouwer_degree(plane, mesh, cfg, near_boundary[0])
-        assert len(splits) > 3           # the bump is narrower than the sub-triangles
+        assert splits                    # the bump is narrower than the children
         _assert_as_reference(plane, mesh, cfg, near_boundary)
         _assert_as_reference(plane, mesh, cfg, [np.zeros(3)])  # nudged off an edge
         cap_mesh, cap_cfg, targets = cap_targets
         splits.clear()
         brouwer_degree(sphere, cap_mesh, cap_cfg, targets[0], mollifier_radius=0.005)
-        assert len(splits) > 3
+        assert splits
         _assert_as_reference(sphere, cap_mesh, cap_cfg, targets, mollifier_radius=0.005)
+
+    def test_count_sees_only_kept_elements(self, sphere, cap_targets, monkeypatch):
+        rows = []
+        point_in_triangles = diagnostics._point_in_triangles
+
+        def counted(w, tri_uv, edge_eps):
+            rows.append(len(tri_uv))
+            return point_in_triangles(w, tri_uv, edge_eps)
+
+        mesh, cfg, targets = cap_targets
+        monkeypatch.setattr(diagnostics, "_point_in_triangles", counted)
+        res = brouwer_degree(sphere, mesh, cfg, targets[0])
+        assert 0 < rows[0] < int(_near_elements(mesh, cfg, targets[0], res).sum())
+        _assert_as_reference(sphere, mesh, cfg, targets[:1])
 
 
 class TestDegreeStencil:
@@ -453,10 +487,14 @@ class TestDegreeStencil:
     def test_matches_three_split_quadrature(
         self, plane, sphere, torus, cap_targets, plane_suite, torus_band_start
     ):
-        cases = [(sphere, *cap_targets), (torus, *torus_band_start)]
-        cases += [(plane, mesh, cfg, targets) for mesh, cfg, targets, _ in plane_suite]
-        for surface, mesh, cfg, targets in cases:
-            for kwargs in ({}, {"mollifier_radius": 0.02}):
+        # Bumps of 0.02 and 0.005 are narrower than the cap's children: its
+        # kept elements are split once and three times before the stencil.
+        radii = ({}, {"mollifier_radius": 0.02})
+        cases = [(sphere, *cap_targets, radii + ({"mollifier_radius": 0.005},))]
+        cases += [(torus, *torus_band_start, radii)]
+        cases += [(plane, mesh, cfg, targets, radii) for mesh, cfg, targets, _ in plane_suite]
+        for surface, mesh, cfg, targets, inputs in cases:
+            for kwargs in inputs:
                 for y in targets:
                     res = brouwer_degree(surface, mesh, cfg, y, **kwargs)
                     ref = _reference_degree(surface, mesh, cfg, y, stencil=False, **kwargs)
@@ -481,11 +519,7 @@ class TestDegreeStencil:
             (sphere, cap_mesh, cap_cfg, cap_ys[0]),
         ]:
             rows.clear()
-            radius = brouwer_degree(surface, mesh, cfg, y).mollifier_radius
-            P = cfg[mesh.triangles]
-            edge_len = np.linalg.norm(P[:, [1, 2, 0]] - P, axis=2)
-            reach = edge_len.max(axis=1) + 1.6 * radius + np.mean(edge_len)
-            near = np.linalg.norm(P - y, axis=2).min(axis=1) <= reach
+            near = _near_elements(mesh, cfg, y, brouwer_degree(surface, mesh, cfg, y))
             near_nodes = len(np.unique(mesh.triangles[near]))
             # A chart row per corner would be 3 per near element.
             assert 0 < sum(rows) <= near_nodes + 1 < 3 * int(near.sum())
