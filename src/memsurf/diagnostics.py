@@ -21,7 +21,6 @@ from .errors import (
     AmbiguousProjectionError,
     BoundaryTooCloseError,
     ChartSpanFailureError,
-    IrregularValueError,
     MemsurfError,
 )
 from .geometry import _row_norms
@@ -133,30 +132,38 @@ def _image_of(mesh, surface, positions):
     return image
 
 
-def _point_in_triangles(w, tri_uv, edge_eps):
-    """Containment mask of point w in 2D triangles; raises on-edge hits.
+# Shewchuk's (1997) static error bound of the float orient2d, relative to
+# |left| + |right|.
+_ORIENT_BOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 
-    Only the elements whose box, widened by ``edge_eps``, holds w get the
-    edge tests: strict containment implies boxed, and an on-edge hit counts
-    only in a boxed element.
+
+def _orient2d(p, q, w):
+    """Exact signs of orient(p, q, w) = (q - p) x (w - p) over (k, ..., 2) points.
+
+    The float determinant left - right, with left = (q_x - p_x)(w_y - p_y)
+    and right = (q_y - p_y)(w_x - p_x), decides the rows where its magnitude
+    exceeds ``_ORIENT_BOUND`` (|left| + |right|) plus 2^-1070, which covers
+    the absolute rounding error of products that underflow.  The other rows
+    are evaluated in exact rationals of the float inputs.  An exact zero takes the sign at w moved
+    to w + (delta, delta^2) (Edelsbrunner & Muecke 1990): sign(p_y - q_y),
+    or sign(q_x - p_x) when p_y = q_y.  So 0 is left only where p = q, and
+    orient(q, p, w) = -orient(p, q, w) on every row.
     """
-    lo, hi = _extent(tri_uv[:, 0], tri_uv[:, 1], tri_uv[:, 2])
-    in_box = (w >= lo - edge_eps) & (w <= hi + edge_eps)
-    boxed = np.flatnonzero(in_box[:, 0] & in_box[:, 1])
-    a, b, c = tri_uv[boxed].transpose(1, 0, 2)
+    p, q, w = np.broadcast_arrays(p, q, w)
+    left = (q[..., 0] - p[..., 0]) * (w[..., 1] - p[..., 1])
+    right = (q[..., 1] - p[..., 1]) * (w[..., 0] - p[..., 0])
+    det = left - right
+    sign = np.sign(det)
+    undecided = np.abs(det) <= _ORIENT_BOUND * (np.abs(left) + np.abs(right)) + 2.0**-1070
+    if undecided.any():
+        from fractions import Fraction   # only rows the filter cannot decide pay for it
 
-    def edge(p, q):
-        return (q[:, 0] - p[:, 0]) * (w[1] - p[:, 1]) - (q[:, 1] - p[:, 1]) * (w[0] - p[:, 0])
-
-    e0, e1, e2 = edge(a, b), edge(b, c), edge(c, a)
-    det = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
-    # A hit within rounding distance of an edge but close to the triangle
-    # makes the count ill-defined for this target.
-    if np.any(np.abs([e0, e1, e2]) <= edge_eps * (np.abs(det) + 1e-300)):
-        raise IrregularValueError("target point lies on an image edge; perturb the target")
-    inside = np.zeros(len(tri_uv), dtype=bool)
-    inside[boxed] = ((e0 > 0) & (e1 > 0) & (e2 > 0)) | ((e0 < 0) & (e1 < 0) & (e2 < 0))
-    return inside
+        for i in map(tuple, np.argwhere(undecided)):
+            (px, py), (qx, qy), (wx, wy) = (map(Fraction, a[i].tolist()) for a in (p, q, w))
+            exact = (qx - px) * (wy - py) - (qy - py) * (wx - px)
+            sign[i] = (exact > 0) - (exact < 0)
+    dy, dx = p[..., 1] - q[..., 1], q[..., 0] - p[..., 0]
+    return np.where(sign != 0, sign, np.sign(np.where(dy != 0, dy, dx))).astype(int)
 
 
 # The corners of _subdivide's four children in the points (a, b, c, ab, bc, ca),
@@ -232,7 +239,7 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     within the bump radius plus their longest side plus 1/8 of the longest
     near side of y: no other element can hold y, have it on an edge or
     reach the bump.  The signed cover count sums the orientation signs of
-    those whose chart image contains the chart coordinates of y (exact for
+    those whose chart image covers the chart coordinates of y (exact for
     PL maps).  The mollified integral integrates a unit-mass bump against
     the signed chart area of the image by midpoint quadrature on the 64
     children of three midpoint splits of every element: their centroids
@@ -244,10 +251,12 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     exactly, so the integral does not depend on which elements that add 0
     are skipped.
 
-    A target landing exactly on an image edge is irregular for the signed
-    count, which is then taken at a deterministic offset far below the
-    boundary margin (the degree is locally constant there), doubled on each
-    of three retries; IrregularValueError is raised if all of them fail.
+    The cover test reads exact edge signs (``_orient2d``).  A target on an
+    edge is moved symbolically off it, to the same side for both elements
+    that share the edge, since their shared corners have the same chart
+    coordinates.  So a target on an image edge or vertex is counted at a
+    point infinitesimally near it, where the degree is the same because y
+    lies at least ``DEGREE_MARGIN`` from the boundary image.
     ChartSpanFailureError names the first element near y that the chart at
     y does not cover.  ``mollifier_radius``, when given, must be a finite
     positive real number (a boolean is not one).
@@ -277,10 +286,7 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     # Bump radius: a few image edges, clamped inside the boundary clearance
     # (where the degree is constant) and the chart's validity radius.
     if mollifier_radius is None:
-        radius = min(3.0 * mean_edge, 0.9 * bdist)
-        chart_radius = surface.chart_radius
-        if np.isfinite(chart_radius):
-            radius = min(radius, 0.25 * chart_radius)
+        radius = min(3.0 * mean_edge, 0.9 * bdist, 0.25 * surface.chart_radius)
     else:
         radius = float(mollifier_radius)
 
@@ -317,10 +323,10 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     uv = chart.inverse_map(image.positions[nodes])[slot[near_tris]]
     w = chart.inverse_map(y)
 
-    # Every point of an element's box lies within its longest side of the
-    # element centroid, so an element farther than radius + that side + size
-    # from w neither holds w, nor has it on an edge or in its box, nor
-    # reaches the bump: only the kept elements are counted and integrated.
+    # Every point of an element lies within its longest side of the element
+    # centroid, so an element farther than radius + that side + size from w
+    # neither holds w, nor has it on an edge, nor reaches the bump: only the
+    # kept elements are counted and integrated.
     tris = np.ascontiguousarray(uv.transpose(1, 2, 0))
     e = tris - tris[[2, 0, 1]]
     longest = _extent(*np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]))[1]
@@ -328,19 +334,9 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     kept = _distances(tris, w) <= radius + longest + size
     uv, tris = uv[kept], tris[:, :, kept]
 
-    shift = np.zeros(2)
-    for attempt in range(4):
-        try:
-            inside = _point_in_triangles(w + shift, uv, edge_eps=1e-12)
-            break
-        except IrregularValueError:
-            if attempt == 3:
-                raise
-            if attempt == 0:
-                # The nudge scale: the median first edge of the kept elements.
-                local_scale = float(np.median(_row_norms(uv[:, 1] - uv[:, 0])))
-                offset = local_scale * 1e-7 * np.array([np.cos(0.7), np.sin(0.7)])
-            shift = offset * 2.0**attempt
+    # Edge signs (k, 3): an element covers w when its three agree.
+    edge_signs = _orient2d(uv, uv[:, [1, 2, 0]], w)
+    inside = np.abs(edge_signs.sum(axis=1)) == 3
     count = int(np.sum(image.signs[near_idx[kept][inside]]))
 
     # Mollified integral over the signed chart image.  While the children

@@ -53,10 +53,6 @@ class BoundaryTooCloseError(MemsurfError):
     """Degree target point too close to the image of the domain boundary."""
 
 
-class IrregularValueError(MemsurfError):
-    """Degree target point lies on an image edge."""
-
-
 class ChartSpanFailureError(MemsurfError):
     """A geometric query could not be covered by a single chart."""
 

@@ -576,6 +576,16 @@ seed: 3
         assert "degree: -1" in printed
         assert (out / "initial_degree.csv").exists()
 
+    def test_degree_at_image_vertex(self, tmp_path, capsys):
+        # README's example: (0.6, 0.45) is the image of the grid vertex
+        # (0.5, 0.5), on the image edges of the six elements around it.
+        text = (CONFIGS / "plane_affine.yaml").read_text()
+        text = text.replace("output_dir: runs/plane_affine", 'output_dir: "%s"')
+        cfg, out = write_config(tmp_path, text)
+        assert main(["degree", str(cfg), "--point", "0.6", "0.45", "0.0"]) == 0
+        assert "degree: 1" in capsys.readouterr().out
+        assert (out / "initial_degree.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_degree_nonfinite_point_exit_2(self, tmp_path, capsys, value):
         cfg, out = write_config(tmp_path, MINIMAL_PLANE)

@@ -1,6 +1,10 @@
 import copy
 import math
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +12,6 @@ import pytest
 from memsurf import (
     BoundaryTooCloseError,
     ChartSpanFailureError,
-    IrregularValueError,
     MemsurfError,
     Plane,
     Sphere,
@@ -37,6 +40,8 @@ from memsurf.errors import AmbiguousProjectionError
 from memsurf.geometry import Chart
 from memsurf.maps import make_initial_map
 from memsurf.mesh import TriMesh
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.fixture(scope="module")
@@ -179,23 +184,6 @@ class TestDegree:
             assert res.degree == 1
             assert res.methods_agree
 
-    def test_irregular_value_after_every_nudge(self, plane, disk_identity, monkeypatch):
-        # Every nudged target lands on an edge too: after the unshifted try
-        # and three doubling offsets the target is reported irregular.
-        mesh, cfg = disk_identity
-        tried = []
-
-        def on_edge(w, tri_uv, edge_eps):
-            tried.append(w.copy())
-            raise IrregularValueError("target lies on an image edge")
-
-        monkeypatch.setattr(diagnostics, "_point_in_triangles", on_edge)
-        with pytest.raises(IrregularValueError):
-            brouwer_degree(plane, mesh, cfg, np.array([0.3, 0.2, 0.0]))
-        shifts = [w - tried[0] for w in tried[1:]]
-        assert len(tried) == 4 and np.any(shifts[0] != 0)
-        assert np.allclose(shifts[1], 2 * shifts[0]) and np.allclose(shifts[2], 4 * shifts[0])
-
     def test_invariant_under_interior_perturbation(self, plane, disk_identity):
         mesh, _ = disk_identity
         rng = np.random.default_rng(21)
@@ -233,10 +221,15 @@ class TestDegree:
             brouwer_degree(plane, mesh, cfg, np.zeros(shape))
 
 
+class _OnEdge(Exception):
+    """The reference's float containment test found the target on an image edge."""
+
+
 def _reference_point_in_triangles(w, tri_uv, edge_eps):
     """Containment mask of point w in 2D triangles, raising on-edge hits, with
-    the edge tests on every element: the module's version before its box-first
-    rewrite, kept here so the reference does not share it."""
+    float edge tests on every element.  With the nudge of ``_reference_degree``
+    it is an oracle independent of the module's exact signs, which move a
+    target on an edge off it in another direction."""
     a, b, c = tri_uv[:, 0], tri_uv[:, 1], tri_uv[:, 2]
 
     def edge(p, q):
@@ -263,7 +256,7 @@ def _reference_point_in_triangles(w, tri_uv, edge_eps):
         & (w[1] <= tri_uv[:, :, 1].max(axis=1) + edge_eps)
     )
     if np.any(near_edge & boxed):
-        raise IrregularValueError("target point lies on an image edge")
+        raise _OnEdge("target point lies on an image edge")
     return inside_pos | inside_neg
 
 
@@ -357,7 +350,7 @@ def _reference_degree(surface, mesh, positions, y, mollifier_radius=None, stenci
         try:
             inside = _reference_point_in_triangles(w + shift, uv, edge_eps=1e-12)
             break
-        except IrregularValueError:
+        except _OnEdge:
             if attempt == 3:
                 raise
             shift = offset * 2.0**attempt
@@ -454,7 +447,7 @@ class TestDegreeEquivalence:
         brouwer_degree(plane, mesh, cfg, near_boundary[0])
         assert splits                    # the bump is narrower than the children
         _assert_as_reference(plane, mesh, cfg, near_boundary)
-        _assert_as_reference(plane, mesh, cfg, [np.zeros(3)])  # nudged off an edge
+        _assert_as_reference(plane, mesh, cfg, [np.zeros(3)])  # a target on image edges
         cap_mesh, cap_cfg, targets = cap_targets
         splits.clear()
         brouwer_degree(sphere, cap_mesh, cap_cfg, targets[0], mollifier_radius=0.005)
@@ -463,17 +456,151 @@ class TestDegreeEquivalence:
 
     def test_count_sees_only_kept_elements(self, sphere, cap_targets, monkeypatch):
         rows = []
-        point_in_triangles = diagnostics._point_in_triangles
+        orient2d = diagnostics._orient2d
 
-        def counted(w, tri_uv, edge_eps):
-            rows.append(len(tri_uv))
-            return point_in_triangles(w, tri_uv, edge_eps)
+        def counted(p, q, w):
+            rows.append(len(p))
+            return orient2d(p, q, w)
 
         mesh, cfg, targets = cap_targets
-        monkeypatch.setattr(diagnostics, "_point_in_triangles", counted)
+        monkeypatch.setattr(diagnostics, "_orient2d", counted)
         res = brouwer_degree(sphere, mesh, cfg, targets[0])
         assert 0 < rows[0] < int(_near_elements(mesh, cfg, targets[0], res).sum())
         _assert_as_reference(sphere, mesh, cfg, targets[:1])
+
+
+def _exact_orient(p, q, w):
+    """orient(p, q, w) of one row of float points in exact rationals."""
+    (px, py), (qx, qy), (wx, wy) = ([Fraction(float(c)) for c in a] for a in (p, q, w))
+    return (qx - px) * (wy - py) - (qy - py) * (wx - px)
+
+
+def _covers(uv, w):
+    """Elements (k, 3, 2) whose exact edge signs all agree about w."""
+    return np.abs(diagnostics._orient2d(uv, uv[:, [1, 2, 0]], w).sum(axis=1)) == 3
+
+
+_RANDOM_TARGET_MODULES = """
+import sys
+import numpy as np
+before = set(sys.modules)
+from memsurf import Sphere, brouwer_degree, build_mesh, interpolate, make_initial_map
+sphere = Sphere(1.0)
+mesh = build_mesh("disk", 0.1)
+f0 = make_initial_map(sphere, "stereographic_cap", latitude=1.0)
+cfg = interpolate(sphere, mesh, f0)
+targets = f0(np.random.default_rng(7).uniform(-0.6, 0.6, (100, 2)))
+print(sorted({brouwer_degree(sphere, mesh, cfg, y).degree for y in targets}),
+      sorted({"fractions", "decimal"} & (set(sys.modules) - before)))
+"""
+
+
+class TestExactCount:
+    """Exact edge signs give the degree at targets on image edges and vertices."""
+
+    def test_vertex_targets_match_reference(
+        self, plane, sphere, torus, disk_identity, cap_targets, torus_band_start
+    ):
+        rng = np.random.default_rng(26)
+        cases = [(plane, disk_identity), (sphere, cap_targets), (torus, torus_band_start)]
+        for surface, (mesh, cfg, *_) in cases:
+            vertices = cfg[rng.choice(np.flatnonzero(mesh.interior_mask()), 10, replace=False)]
+            assert [brouwer_degree(surface, mesh, cfg, y).degree for y in vertices] == [1] * 10
+            _assert_as_reference(surface, mesh, cfg, vertices)
+
+    def test_interior_edge_target_covered_once(self, plane):
+        # Under the identity every node and edge midpoint of this grid has
+        # dyadic chart coordinates, so each midpoint lies exactly on its edge.
+        mesh = build_mesh("unit_square", 0.125)
+        cfg = interpolate(plane, mesh, make_initial_map(plane, "identity"))
+        sides = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2), axis=2)
+        keys = sides[..., 0] * mesh.num_vertices + sides[..., 1]
+        edges, counts = np.unique(keys, return_counts=True)
+        interior = edges[counts == 2]
+        assert len(interior) == 176
+        targets = []
+        for key in interior:
+            a, b = divmod(int(key), mesh.num_vertices)
+            pair = np.flatnonzero((keys == key).any(axis=1))
+            y = 0.5 * (cfg[a] + cfg[b])
+            chart = plane.chart_at(y)
+            uv, w = chart.inverse_map(cfg[mesh.triangles[pair]]), chart.inverse_map(y)
+            assert _exact_orient(*chart.inverse_map(cfg[[a, b]]), w) == 0
+            assert _covers(uv, w).sum() == 1
+            targets.append(y)
+        assert [brouwer_degree(plane, mesh, cfg, y).degree for y in targets] == [1] * 176
+        _assert_as_reference(plane, mesh, cfg, targets[::16])
+
+    def test_zero_length_edge_covers_nothing(self):
+        rng = np.random.default_rng(3)
+        a, c = rng.uniform(-1, 1, (2, 2))
+        uv = np.array([[a, a, c], [a, c, a], [c, a, a]])
+        for w in [a, c, 0.5 * (a + c), *rng.uniform(-1, 1, (20, 2))]:
+            assert not _covers(uv, w).any()
+        assert np.all(diagnostics._orient2d(a, a, rng.uniform(-1, 1, (20, 2))) == 0)
+
+    def test_signs_antisymmetric_on_near_collinear_rows(self):
+        # Targets computed on the lines pq, so nearly collinear, and 400 at p
+        # or q, exact zeros that the tie rule decides; swapping p and q flips
+        # every sign.
+        rng = np.random.default_rng(4)
+        p, q = rng.uniform(-1, 1, (2, 2000, 2))
+        w = p + rng.uniform(-0.5, 1.5, (2000, 1)) * (q - p)
+        w[:200], w[200:400] = p[:200], q[200:400]
+        forward, backward = diagnostics._orient2d(p, q, w), diagnostics._orient2d(q, p, w)
+        assert np.all(forward == -backward) and np.all(forward != 0)
+        exact = [_exact_orient(*row) for row in zip(p, q, w)]
+        zero = np.array([e == 0 for e in exact])
+        assert zero.sum() >= 400
+        assert all(s == (e > 0) - (e < 0) for s, e, z in zip(forward, exact, zero) if not z)
+        # On a tie, the move of w to w + (delta, delta^2) decides: the y's, then the x's.
+        tie = np.sign(p[:, 1] - q[:, 1])
+        tie[p[:, 1] == q[:, 1]] = np.sign(q[:, 0] - p[:, 0])[p[:, 1] == q[:, 1]]
+        assert np.array_equal(forward[zero], tie[zero])
+
+    def test_exact_branch_decides_float_zeros(self):
+        # Shewchuk's near-collinear points: the exact orient is -12 (j - i) 2^-53.
+        i, j = np.meshgrid(np.arange(256), np.arange(256), indexing="ij")
+        w = np.stack([0.5 + i * 2.0**-53, 0.5 + j * 2.0**-53], axis=-1)
+        p, q = np.array([24.0, 24.0]), np.array([12.0, 12.0])
+        det = (q[0] - p[0]) * (w[..., 1] - p[1]) - (q[1] - p[1]) * (w[..., 0] - p[0])
+        float_zero = (det == 0) & (i != j)
+        assert float_zero.sum() == 11492
+        signs = diagnostics._orient2d(p, q, w)
+        assert np.array_equal(signs, np.where(i == j, 1, np.sign(i - j)))
+
+    def test_underflowing_products_decided_exactly(self):
+        # Both products underflow, so their rounding error is absolute, not
+        # relative: the float determinant is the least subnormal, clears
+        # Shewchuk's relative bound, and has the wrong sign.
+        p, q, w = (
+            np.array([[float.fromhex(x), float.fromhex(y)]])
+            for x, y in [
+                ("-0x1.e9f63c1d668c8p-567", "0x1.4f59e91429a0ep-582"),
+                ("-0x1.28bc8d4a1821bp-513", "0x1.942ae6495e615p-513"),
+                ("0x1.86d253396fef8p-513", "-0x1.0a285d8caf70fp-512"),
+            ]
+        )
+        left = (q[0, 0] - p[0, 0]) * (w[0, 1] - p[0, 1])
+        right = (q[0, 1] - p[0, 1]) * (w[0, 0] - p[0, 0])
+        assert max(abs(left), abs(right)) < np.finfo(float).tiny
+        assert left - right > diagnostics._ORIENT_BOUND * (abs(left) + abs(right))
+        assert left - right > 0 > _exact_orient(p[0], q[0], w[0])
+        assert diagnostics._orient2d(p, q, w).tolist() == [-1]
+
+    def test_random_targets_load_no_rationals(self):
+        # Only targets the float filter cannot decide may import fractions
+        # (and decimal with it); random interior targets never need them.
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", _RANDOM_TARGET_MODULES],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[1] []"
 
 
 class TestDegreeStencil:
