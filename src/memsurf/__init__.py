@@ -43,7 +43,7 @@ from .geometry import (
     make_surface,
 )
 from .maps import make_initial_map
-from .mesh import TriMesh, build_mesh, load_mesh, save_mesh
+from .mesh import TriMesh, build_mesh, save_mesh
 from .minimizer import MinimizeReport, initialize, minimize
 from .verification import (
     CheckReport,

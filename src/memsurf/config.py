@@ -127,7 +127,9 @@ class RunConfig:
         kind = params.pop("kind", None)
         if not (isinstance(kind, str) and kind in table):
             raise ConfigError(f"{label}.kind must be one of {sorted(table)}")
-        keywords = list(inspect.signature(table[kind]).parameters)[supplied:]
+        # Read only when needed: for a class without __init__, such as Plane,
+        # inspect parses object's text signature (about 1 ms on first use).
+        keywords = list(inspect.signature(table[kind]).parameters)[supplied:] if params else []
         for key, val in params.items():
             if key not in keywords:
                 raise ConfigError(f"unknown {label} parameter {key!r} for kind {kind!r}")

@@ -1,10 +1,12 @@
 """Analytic target surfaces with oriented normals, projections, and charts.
 
-Every surface is a smooth oriented 2-manifold embedded in R^3 (plane,
-sphere, torus), with its implicit description and closest-point projection
-in closed form.  All point-valued operations accept any (..., 3) array (one
-point, a batch or a stack of batches) and are pure, so surfaces are safe to
-share between threads.
+Every surface is a smooth oriented 2-manifold embedded in R^3 in one fixed
+frame with one normal field: the plane z = 0 with normal +e3, the sphere
+centered at 0 and the torus around the z axis, both with outward normals.
+Each has a signed-distance implicit description and a closest-point
+projection in closed form.  All point-valued operations accept any (..., 3)
+array (one point, a batch or a stack of batches) and are pure, so surfaces
+are safe to share between threads.
 """
 
 from __future__ import annotations
@@ -58,25 +60,20 @@ def _orthonormal_frame(n):
 class Surface:
     """Base class: oriented surface with closest-point projection.
 
-    Subclasses provide the implicit description and a closed-form
-    projection.  ``orientation_sign`` selects which of the two continuous
-    unit-normal fields is used everywhere.
+    Subclasses provide a signed-distance implicit description, whose
+    gradient direction is the unit normal used everywhere, and a
+    closed-form projection.
     """
 
     kind = "abstract"
 
-    def __init__(self, orientation_sign=1):
-        if orientation_sign not in (1, -1):
-            raise ValueError("orientation_sign must be +1 or -1")
-        self.orientation_sign = int(orientation_sign)
-
     # -- implicit description ------------------------------------------------
     def implicit(self, p):
-        """Level-set value, zero on the surface."""
+        """Signed distance to the surface, positive on the normal's side."""
         raise NotImplementedError
 
     def implicit_grad(self, p):
-        """Gradient of the level-set function (not normalized)."""
+        """Gradient of ``implicit``, the outward or +e3 normal direction."""
         raise NotImplementedError
 
     # -- scale-derived tolerances --------------------------------------------
@@ -95,9 +92,8 @@ class Surface:
 
     # -- core operations -----------------------------------------------------
     def distance(self, p):
-        """Approximate unsigned distance to the surface."""
-        dg = _row_norms(self.implicit_grad(p))
-        return np.abs(self.implicit(p)) / np.maximum(dg, 1e-300)
+        """Unsigned distance to the surface, |implicit|."""
+        return np.abs(self.implicit(p))
 
     def _require_on_surface(self, y):
         d = self.distance(y)
@@ -110,7 +106,7 @@ class Surface:
     def normal_unchecked(self, p):
         """Oriented unit normal field extended to near-surface points."""
         g = self.implicit_grad(p)
-        return self.orientation_sign * (g / _row_norms(g, keepdims=True))
+        return g / _row_norms(g, keepdims=True)
 
     def project(self, p):
         """Closest point on the surface (raises near the medial axis)."""
@@ -144,25 +140,14 @@ class Surface:
 
 
 class Plane(Surface):
-    """Affine plane {p : p . normal_dir = offset}."""
+    """The plane z = 0 with normal +e3 and frame (t1, t2) = (e1, e2)."""
 
     kind = "plane"
-
-    def __init__(self, normal_dir=(0.0, 0.0, 1.0), offset=0.0, orientation_sign=1):
-        super().__init__(orientation_sign)
-        n = np.asarray(normal_dir, dtype=float)
-        norm = np.linalg.norm(n)
-        if n.shape != (3,) or not 0 < norm < np.inf:
-            raise ValueError("plane normal_dir must be a finite nonzero 3-vector")
-        if not np.isfinite(offset):
-            raise ValueError(f"plane offset must be finite, got {offset!r}")
-        self._n = n / norm
-        self.offset = float(offset)
-        self.origin = self.offset * self._n
-        self.t1, self.t2 = _orthonormal_frame(self._n)
+    _n = np.array([0.0, 0.0, 1.0])
+    t1, t2 = _orthonormal_frame(_n)
 
     def implicit(self, p):
-        return _dots(np.asarray(p, dtype=float), self._n)[..., 0] - self.offset
+        return _dots(np.asarray(p, dtype=float), self._n)[..., 0]
 
     def implicit_grad(self, p):
         return np.broadcast_to(self._n, np.shape(p)).copy()
@@ -178,7 +163,8 @@ class Plane(Surface):
     def embed(self, x):
         """Map reference coordinates (..., 2) into the plane."""
         x = np.asarray(x, dtype=float)
-        return self.origin + x[..., :1] * self.t1 + x[..., 1:2] * self.t2
+        # The 0.0 makes z +0.0 where both products are -0.0 (x < 0).
+        return 0.0 + x[..., :1] * self.t1 + x[..., 1:2] * self.t2
 
     @property
     def chart_radius(self):
@@ -186,12 +172,11 @@ class Plane(Surface):
 
 
 class Sphere(Surface):
-    """Sphere of radius R centered at the origin."""
+    """Sphere of radius R centered at 0."""
 
     kind = "sphere"
 
-    def __init__(self, radius=1.0, orientation_sign=1):
-        super().__init__(orientation_sign)
+    def __init__(self, radius=1.0):
         if not 0 < radius < np.inf:
             raise ValueError(f"sphere radius must be finite and positive, got {radius!r}")
         self.radius = float(radius)
@@ -224,15 +209,14 @@ class Torus(Surface):
 
     kind = "torus"
 
-    def __init__(self, major_radius=2.0, minor_radius=0.5, orientation_sign=1):
-        super().__init__(orientation_sign)
+    def __init__(self, major_radius=2.0, minor_radius=0.5):
         if not (np.inf > major_radius > minor_radius > 0):
             raise ValueError("torus requires finite major_radius > minor_radius > 0")
         self.major_radius = float(major_radius)
         self.minor_radius = float(minor_radius)
 
     def _ring_point(self, p):
-        """Nearest core-circle point q, the offset p - q and the axis distance."""
+        """Nearest core-circle point q, the displacement p - q and the axis distance."""
         p = np.asarray(p, dtype=float)
         rho = _row_norms(p[..., :2], keepdims=True)
         q = np.zeros_like(p)

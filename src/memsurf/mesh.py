@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateElementError
 
-__all__ = ["TriMesh", "build_mesh", "save_mesh", "load_mesh"]
+__all__ = ["TriMesh", "build_mesh", "save_mesh"]
 
 AREA_TOL = 1e-14
 
@@ -193,7 +193,7 @@ def _ring_mesh(radii, resolution, center):
 
     Ring k is staggered by half its spacing when k is odd.  The boundary
     rings keep their chordal sagitta small: the last ring, and the first
-    unless ``center`` replaces it by one vertex at the origin, fanned to
+    unless ``center`` replaces it by one vertex at (0, 0), fanned to
     ring 1.
     """
     verts, ring_ids, ring_angles = [], [], []
@@ -281,44 +281,3 @@ def save_mesh(path, positions, triangles, comments=()):
         for s in range(0, len(faces), 1024):
             fh.writelines(f"f {i} {j} {k}\n" for i, j, k in faces[s:s + 1024].tolist())
 
-
-def load_mesh(path):
-    """Read a Wavefront-style mesh back as (positions (n,3), triangles).
-
-    Every vertex record holds exactly three finite coordinates, and every
-    face record names exactly three vertices by one-based index.
-    """
-    positions = []
-    faces = []  # (line number, vertex references)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "v":
-                try:
-                    xyz = [float(x) for x in parts[1:]]
-                except ValueError:
-                    xyz = []
-                if len(xyz) != 3 or not np.all(np.isfinite(xyz)):
-                    raise ValueError(
-                        f"{path}:{lineno}: a vertex needs three finite coordinates, "
-                        f"got {' '.join(parts[1:])!r}"
-                    )
-                positions.append(xyz)
-            elif parts[0] == "f":
-                faces.append((lineno, parts[1:]))
-            else:
-                raise ValueError(f"{path}:{lineno}: unrecognized record {parts[0]!r}")
-    n = len(positions)
-    triangles = []
-    for lineno, refs in faces:
-        ids = [ref.split("/")[0] for ref in refs]
-        if len(ids) != 3 or not all(i.isdecimal() and 1 <= int(i) <= n for i in ids):
-            raise ValueError(
-                f"{path}:{lineno}: a face needs three vertex indices in 1..{n}, "
-                f"got {' '.join(refs)!r}"
-            )
-        triangles.append([int(i) - 1 for i in ids])
-    return np.asarray(positions, dtype=float), np.asarray(triangles, dtype=np.int64)

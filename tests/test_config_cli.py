@@ -22,7 +22,6 @@ import memsurf.cli as cli_module
 import memsurf.config as config_module
 import memsurf.minimizer as minimizer_module
 from memsurf.cli import main
-from memsurf.mesh import load_mesh
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -40,6 +39,15 @@ SMALL_VERIFY = """
 output_dir: "%s"
 seed: 42
 """
+
+
+def _obj_records(path):
+    """The v records (n, 3) and the f records (m, 3) of an OBJ file, as written."""
+    rows = [line.split() for line in path.read_text().splitlines()]
+    return (
+        np.array([r[1:] for r in rows if r[0] == "v"], dtype=float),
+        np.array([r[1:] for r in rows if r[0] == "f"], dtype=int),
+    )
 
 
 def write_config(tmp_path, template, name="run.yaml"):
@@ -147,8 +155,6 @@ seed: 7
             # Kind blocks: booleans (nested ones too), wrong types, bad
             # values and blocks that are not a {kind: ...} mapping.
             "surface: {kind: sphere, radius: true}\ninitial_map: {kind: stereographic_cap}",
-            "surface: {kind: plane, orientation_sign: true}",
-            "surface: {kind: plane, normal_dir: [0.0, 0.0, 0.0]}",
             "surface: plane",
             "surface: {kind: [plane]}",
             "domain: {kind: annulus, resolution: 0.2, inner_radius: 2.0, outer_radius: 1.0}",
@@ -393,6 +399,26 @@ class TestVerifyCommand:
         assert main(["verify", str(cfg)]) == 2
         assert "surface.kind must be one of ['plane', 'sphere', 'torus']" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["minimize", "verify"])
+    @pytest.mark.parametrize(
+        "kind, key, value",
+        [
+            ("plane", "orientation_sign", -1),
+            ("sphere", "orientation_sign", -1),
+            ("torus", "orientation_sign", -1),
+            ("plane", "normal_dir", [0.3, -1.2, 0.7]),
+            ("plane", "offset", 0.45),
+            ("plane", "origin", [0.0, 0.0, 0.45]),
+        ],
+    )
+    def test_surface_placement_and_orientation_keys_exit_2(self, tmp_path, capsys, command, kind, key, value):
+        # Every surface has one frame and one normal field: the plane is
+        # z = 0 with normal +e3, the sphere and the torus face outward.
+        cfg, out = write_config(tmp_path, f"surface: {{kind: {kind}, {key}: {value}}}\n" + SMALL_VERIFY)
+        assert main([command, str(cfg)]) == 2
+        assert not out.exists()
+        assert f"unknown surface parameter '{key}' for kind '{kind}'" in capsys.readouterr().err
+
 
 class TestMinimizeCommand:
     @pytest.mark.parametrize(
@@ -402,8 +428,6 @@ class TestMinimizeCommand:
             ("surface: {kind: sphere, radius: .inf}\ninitial_map: {kind: stereographic_cap}", "radius"),
             ("surface: {kind: torus, major_radius: .inf}\ninitial_map: {kind: torus_band}", "major_radius"),
             ("surface: {kind: torus, minor_radius: .nan}\ninitial_map: {kind: torus_band}", "minor_radius"),
-            ("surface: {kind: plane, offset: .nan}", "offset"),
-            ("surface: {kind: plane, normal_dir: [.inf, 0.0, 1.0]}", "normal_dir"),
             ("initial_map: {kind: affine, matrix: [[1.0, 0.0], [0.0, .nan]]}", "matrix"),
             ("surface: {kind: torus}\ninitial_map: {kind: torus_band, theta_range: [0.0, .inf]}", "theta_range"),
             ("minimize: {grad_tol: .nan}", "grad_tol"),
@@ -434,9 +458,9 @@ class TestMinimizeCommand:
             "iteration,energy,grad_norm,min_J,step,"
             "backtracks,infeasible_trials,projection_failures"
         )
-        pos, tri = load_mesh(out / "final_config.obj")
+        pos, tri = _obj_records(out / "final_config.obj")
         assert pos.shape[1] == 3
-        ref_pos, ref_tri = load_mesh(out / "reference_mesh.obj")
+        ref_pos, ref_tri = _obj_records(out / "reference_mesh.obj")
         assert np.all(ref_pos[:, 2] == 0.0)
         assert np.array_equal(tri, ref_tri)
         summary = (out / "summary.txt").read_text()

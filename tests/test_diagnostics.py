@@ -652,6 +652,9 @@ class TestDegreeStencil:
             assert 0 < sum(rows) <= near_nodes + 1 < 3 * int(near.sum())
 
 
+_MIRROR_X = np.array([-1.0, 1.0, 1.0])
+
+
 class TestDegreeMemo:
     """A single call after another on a changed configuration sees the change."""
 
@@ -673,24 +676,25 @@ class TestDegreeMemo:
         brouwer_degree(sphere, mesh, cfg, targets[0])
         _assert_as_reference(sphere, copy.deepcopy(mesh), cfg.copy(), targets[:3])
 
-    def test_orientation_sign_back_to_back(self, cap_targets):
-        # Same mesh and positions, the other orientation: the element signs
-        # must be those of the new surface, not of the last image built.
+    def test_mirror_back_to_back(self, sphere, cap_targets):
+        # Same mesh, the mirrored positions: the element signs must be those
+        # of the new configuration, not of the last image built.
         mesh, cfg, targets = cap_targets
         for y in targets[:2]:
             degrees = [
-                brouwer_degree(Sphere(1.0, orientation_sign=sign), mesh, cfg, y).degree
-                for sign in (1, -1, 1)
+                brouwer_degree(sphere, mesh, c, w).degree
+                for c, w in ((cfg, y), (cfg * _MIRROR_X, y * _MIRROR_X), (cfg, y))
             ]
             assert degrees == [1, -1, 1]
 
-    def test_flipped_orientation_flips_degree(self, sphere, cap_targets):
+    def test_mirrored_cap_flips_degree(self, sphere, cap_targets):
+        # The cap mirrored by x -> -x reverses the outward orientation.
         mesh, cfg, targets = cap_targets
-        flipped = Sphere(sphere.radius, orientation_sign=-1)
+        mirrored = cfg * _MIRROR_X
         for y in targets[:3]:
             up = brouwer_degree(sphere, mesh, cfg, y)
-            down = _outcome(brouwer_degree, flipped, mesh, cfg, y)
-            assert down == _outcome(_reference_degree, flipped, mesh, cfg, y)
+            down = _outcome(brouwer_degree, sphere, mesh, mirrored, y * _MIRROR_X)
+            assert down == _outcome(_reference_degree, sphere, mesh, mirrored, y * _MIRROR_X)
             assert down[0] == -up.degree == -1
 
 

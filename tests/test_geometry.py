@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,7 @@ from memsurf import (
     Plane,
     Sphere,
     Torus,
+    build_mesh,
     make_surface,
 )
 from memsurf.geometry import _orthonormal_frame, _row_norms
@@ -180,29 +179,33 @@ def test_frame_cross_product_bits_are_np_cross():
         assert t2.tobytes() == np.cross(row, t1).tobytes()
 
 
-_TILTED = Plane((0.3, -1.2, 0.7), 0.45)
-
-
 def _chart_map(surf):
     return surf.chart_at(surf.project([0.9, 0.4, 0.6])).inverse_map
 
 
+_SURFACES = {"plane": Plane(), "sphere": Sphere(1.0), "torus": Torus(2.0, 0.5)}
+
+
 @pytest.mark.parametrize(
     "f",
-    [
-        _TILTED.implicit,
-        _TILTED.project,
-        _TILTED.distance,
-        *(_chart_map(s) for s in (_TILTED, Sphere(1.0), Torus(2.0, 0.5))),
-    ],
-    ids=["implicit", "project", "distance", "plane_chart", "sphere_chart", "torus_chart"],
+    [_chart_map(s) for s in _SURFACES.values()],
+    ids=[f"{kind}_chart" for kind in _SURFACES],
 )
-def test_tilted_plane_rows_independent_of_batch(f):
-    # A tilted plane, and charts of every surface, on a long batch: a BLAS
+def test_chart_rows_independent_of_batch(f):
+    # Charts with a frame of no zero entries on a long batch: a BLAS
     # matrix-vector product would round some rows differently by their
     # position in the batch.
     pts = np.random.default_rng(11).uniform(-2.0, 2.0, (2, 450, 3))
     _assert_shape_contract(f, pts)
+
+
+@pytest.mark.parametrize("op", ["implicit", "project", "distance", "normal_unchecked"])
+@pytest.mark.parametrize("kind", list(_SURFACES))
+def test_point_rows_independent_of_batch(kind, op):
+    # The same long batch through every point operation: each row is the
+    # row of a single-point call, bit for bit.
+    pts = np.random.default_rng(11).uniform(-2.0, 2.0, (2, 450, 3))
+    _assert_shape_contract(getattr(_SURFACES[kind], op), pts)
 
 
 @pytest.mark.parametrize(
@@ -244,13 +247,6 @@ def test_tangent_project_orthogonal(all_surfaces):
         assert np.abs(np.einsum("ij,ij->i", t, n)).max() < 1e-12
 
 
-def _flipped(surf):
-    """The same surface with the opposite normal field."""
-    out = copy.copy(surf)
-    out.orientation_sign = -surf.orientation_sign
-    return out
-
-
 def test_chart_center_maps_to_origin(all_surfaces):
     rng = np.random.default_rng(7)
     for surf in all_surfaces:
@@ -268,13 +264,12 @@ def test_chart_area_sign_follows_normal(all_surfaces):
             step = h * rng.standard_normal((2, 3))
             tri = surf.project(center + np.vstack([np.zeros(3), step]))
             cross = np.cross(tri[1] - tri[0], tri[2] - tri[0])
-            for s in (surf, _flipped(surf)):
-                uv = s.chart_at(center).inverse_map(tri)
-                e1, e2 = uv[1] - uv[0], uv[2] - uv[0]
-                area = e1[0] * e2[1] - e1[1] * e2[0]
-                triple = s.normal_unchecked(center) @ cross
-                assert abs(triple) > 1e-3 * np.linalg.norm(cross)
-                assert np.sign(area) == np.sign(triple)
+            uv = surf.chart_at(center).inverse_map(tri)
+            e1, e2 = uv[1] - uv[0], uv[2] - uv[0]
+            area = e1[0] * e2[1] - e1[1] * e2[0]
+            triple = surf.normal_unchecked(center) @ cross
+            assert abs(triple) > 1e-3 * np.linalg.norm(cross)
+            assert np.sign(area) == np.sign(triple)
 
 
 def test_chart_contains_within_radius(all_surfaces):
@@ -314,23 +309,101 @@ def test_plane_chart_global(plane):
     assert plane.chart_at(surface_samples(plane, rng, 1)[0]).contains(pts).all()
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("normal_dir, offset", [((0.0, 0.0, 1.0), 0.0), ((0.3, -1.2, 0.7), 0.45)])
-def test_plane_chart_frame_is_plane_frame(normal_dir, offset, sign):
+def test_plane_chart_frame_is_plane_frame(plane):
     # Every plane chart, at one center or a stack of them, has the plane's
-    # own frame (t1, sign * t2), bit for bit.
-    plane = Plane(normal_dir, offset, orientation_sign=sign)
+    # own frame (t1, t2) = (e1, e2), bit for bit.
+    assert np.array_equal(plane.t1, [1.0, 0.0, 0.0]) and np.array_equal(plane.t2, [0.0, 1.0, 0.0])
     centers = plane.embed(np.random.default_rng(12).uniform(-3.0, 3.0, (4, 1, 2)))
     for chart in (plane.chart_at(centers[0, 0]), plane.chart_at(centers)):
         assert np.array_equal(chart.t1, np.broadcast_to(plane.t1, chart.t1.shape))
-        assert np.array_equal(chart.t2, np.broadcast_to(sign * plane.t2, chart.t2.shape))
+        assert np.array_equal(chart.t2, np.broadcast_to(plane.t2, chart.t2.shape))
 
 
-def test_orientation_sign_flips_normal():
-    s_out = Sphere(1.0, orientation_sign=1)
-    s_in = Sphere(1.0, orientation_sign=-1)
-    y = np.array([0.0, 0.0, 1.0])
-    assert np.allclose(s_out.normal_unchecked(y), -s_in.normal_unchecked(y))
+def test_plane_embed_gives_no_negative_zero(plane):
+    # Every disk vertex lands at z = +0.0, also where both reference
+    # coordinates are negative, and projecting it back keeps its bits.
+    y = plane.embed(build_mesh("disk", 0.3).vertices)
+    assert np.array_equal(y[:, 2], np.zeros(len(y)))
+    assert not np.signbit(y[:, 2]).any()
+    assert plane.project(y).tobytes() == y.tobytes()
+
+
+def test_plane_project_keeps_tangent_bits(plane):
+    # Projection onto z = 0 keeps every nonzero x and y bit for bit and
+    # lands every point off the plane at z = +0.0; a point on the plane,
+    # z = -0.0 included, projects to itself.
+    p = np.random.default_rng(13).uniform(-3.0, 3.0, (200, 3))
+    p[:20, :2] = -0.0
+    p[20:40, 2] = -0.0
+    y = plane.project(p)
+    assert np.array_equal(y[:, :2], p[:, :2])
+    assert y[20:, :2].tobytes() == p[20:, :2].tobytes()
+    assert y[20:40].tobytes() == p[20:40].tobytes()
+    off = np.r_[0:20, 40:200]
+    assert np.array_equal(y[off, 2], np.zeros(len(off)))
+    assert not np.signbit(y[off, 2]).any()
+    assert plane.project(y).tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(_SURFACES))
+def test_distance_is_distance_to_projection(kind):
+    # Every implicit is an exact signed distance, so |implicit| is the
+    # distance to the closest point.
+    surf = _SURFACES[kind]
+    rng = np.random.default_rng(14)
+    base = surface_samples(surf, rng, 300)
+    offsets = rng.uniform(-0.6, 0.6, (300, 1)) * surf.curvature_radius
+    p = base + offsets * surf.normal_unchecked(base)
+    d = surf.distance(p)
+    assert d.tobytes() == np.abs(surf.implicit(p)).tobytes()
+    assert np.allclose(d, np.linalg.norm(p - surf.project(p), axis=1), rtol=1e-12, atol=1e-14)
+    assert np.allclose(d, np.abs(offsets[:, 0]), rtol=1e-9, atol=1e-12)
+
+
+def _enclosed_side(surf, y):
+    """A point strictly inside the sphere or the torus tube from on-surface y,
+    or below the plane."""
+    if surf.kind == "plane":
+        return y - [0.0, 0.0, 1.0]
+    if surf.kind == "sphere":
+        return 0.5 * y
+    return surf._ring_point(y)[0]
+
+
+@pytest.mark.parametrize("kind", list(_SURFACES))
+def test_normal_points_away_from_enclosed_side(kind):
+    # One normal field per surface: +e3 on the plane, outward on the sphere
+    # and the torus, and the implicit grows along it.
+    surf = _SURFACES[kind]
+    rng = np.random.default_rng(15)
+    y = surface_samples(surf, rng, 200)
+    n = surf.normal_unchecked(y)
+    inward = _enclosed_side(surf, y) - y
+    assert np.all(np.einsum("ij,ij->i", n, inward) < -0.4 * np.linalg.norm(inward, axis=1))
+    h = 1e-3 * surf.curvature_radius
+    assert np.all(surf.implicit(y + h * n) > 0) and np.all(surf.implicit(y - h * n) < 0)
+    if kind == "plane":
+        assert np.array_equal(n, np.broadcast_to([0.0, 0.0, 1.0], n.shape))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Plane(normal_dir=(0.0, 0.0, -1.0)), "Plane() takes no arguments"),
+        (lambda: Plane(offset=0.45), "Plane() takes no arguments"),
+        (lambda: Plane(origin=(0.0, 0.0, 0.45)), "Plane() takes no arguments"),
+        (lambda: Plane(orientation_sign=-1), "Plane() takes no arguments"),
+        (lambda: Sphere(1.0, orientation_sign=-1), "keyword argument 'orientation_sign'"),
+        (lambda: Torus(2.0, 0.5, orientation_sign=-1), "keyword argument 'orientation_sign'"),
+    ],
+    ids=["plane_normal_dir", "plane_offset", "plane_origin", "plane_sign", "sphere_sign", "torus_sign"],
+)
+def test_surfaces_take_no_placement_or_orientation(build, message):
+    # The frame and the normal field are fixed per kind; nothing moves or
+    # flips them.
+    with pytest.raises(TypeError) as info:
+        build()
+    assert message in str(info.value)
 
 
 def test_make_surface_factory():
@@ -351,27 +424,17 @@ def test_make_surface_factory():
         (lambda: Sphere(np.inf), "radius"),
         (lambda: Torus(np.inf, 0.5), "major_radius"),
         (lambda: Torus(2.0, np.nan), "minor_radius"),
-        (lambda: Plane(offset=np.nan), "offset"),
-        (lambda: Plane(normal_dir=(np.inf, 0.0, 1.0)), "normal_dir"),
     ],
     ids=[
         "sphere_nan_radius",
         "sphere_inf_radius",
         "torus_inf_major",
         "torus_nan_minor",
-        "plane_nan_offset",
-        "plane_inf_normal",
     ],
 )
 def test_surfaces_reject_non_finite_parameters(build, key):
     with pytest.raises(ValueError, match=key):
         build()
-
-
-@pytest.mark.parametrize("normal_dir", [(0.0, 0.0, 0.0), (1.0, 0.0)])
-def test_plane_rejects_degenerate_normal(normal_dir):
-    with pytest.raises(ValueError, match="normal_dir"):
-        Plane(normal_dir=normal_dir)
 
 
 @pytest.mark.parametrize("shape", [(500, 3), (200, 6, 3), (500, 2)])
