@@ -10,7 +10,6 @@ residuals of a configuration.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,7 @@ from .errors import (
     BoundaryTooCloseError,
     ChartSpanFailureError,
     MemsurfError,
+    _is_real,
 )
 from .geometry import _row_norms
 
@@ -262,8 +262,7 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
     positive real number (a boolean is not one).
     """
     r = mollifier_radius
-    real = isinstance(r, numbers.Real) and type(r) is not bool
-    if r is not None and not (real and 0 < r < np.inf):
+    if r is not None and not (_is_real(r) and 0 < r < np.inf):
         raise ValueError(f"mollifier_radius must be finite and positive, got {r!r}")
     y = np.asarray(y, dtype=float)
     if y.shape != (3,):

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types, and the real-number test of argument checks, shared package-wide."""
+
+import numbers
+
+
+def _is_real(x):
+    """True for a real number that is not a boolean (``0 < True`` holds, so ranges miss it)."""
+    return isinstance(x, numbers.Real) and type(x) is not bool
 
 
 class MemsurfError(Exception):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import AmbiguousProjectionError, OffSurfaceError
+from .errors import AmbiguousProjectionError, OffSurfaceError, _is_real
 
 __all__ = [
     "Surface",
@@ -177,7 +177,7 @@ class Sphere(Surface):
     kind = "sphere"
 
     def __init__(self, radius=1.0):
-        if not 0 < radius < np.inf:
+        if not (_is_real(radius) and 0 < radius < np.inf):
             raise ValueError(f"sphere radius must be finite and positive, got {radius!r}")
         self.radius = float(radius)
 
@@ -210,7 +210,11 @@ class Torus(Surface):
     kind = "torus"
 
     def __init__(self, major_radius=2.0, minor_radius=0.5):
-        if not (np.inf > major_radius > minor_radius > 0):
+        if not (
+            _is_real(major_radius)
+            and _is_real(minor_radius)
+            and np.inf > major_radius > minor_radius > 0
+        ):
             raise ValueError("torus requires finite major_radius > minor_radius > 0")
         self.major_radius = float(major_radius)
         self.minor_radius = float(minor_radius)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _is_real
 from .geometry import Plane, Sphere, Torus
 
 __all__ = ["make_initial_map"]
@@ -36,7 +36,7 @@ def stereographic_cap_map(surface, latitude=np.pi / 3):
     """
     if not isinstance(surface, Sphere):
         raise ConfigError("stereographic_cap initial map requires a sphere")
-    if not 0 < latitude < np.pi:
+    if not (_is_real(latitude) and 0 < latitude < np.pi):
         raise ConfigError("cap latitude must lie in (0, pi)")
     s = np.tan(0.5 * latitude)
     R = surface.radius

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateElementError
+from .errors import DegenerateElementError, _is_real
 
 __all__ = ["TriMesh", "build_mesh", "save_mesh"]
 
@@ -220,7 +220,7 @@ def _ring_mesh(radii, resolution, center):
 
 
 def _disk_mesh(resolution, radius=1.0):
-    if not 0 < radius < np.inf:
+    if not (_is_real(radius) and 0 < radius < np.inf):
         raise ValueError("disk radius must be finite and positive")
     n_rings = max(1, round(radius / resolution))
     dr = radius / n_rings
@@ -228,7 +228,11 @@ def _disk_mesh(resolution, radius=1.0):
 
 
 def _annulus_mesh(resolution, inner_radius=0.5, outer_radius=1.0):
-    if not 0 < inner_radius < outer_radius < np.inf:
+    if not (
+        _is_real(inner_radius)
+        and _is_real(outer_radius)
+        and 0 < inner_radius < outer_radius < np.inf
+    ):
         raise ValueError("annulus requires 0 < inner_radius < outer_radius < inf")
     n_rings = max(1, round((outer_radius - inner_radius) / resolution))
     radii = np.linspace(inner_radius, outer_radius, n_rings + 1)
@@ -249,7 +253,7 @@ def build_mesh(domain, resolution, **params):
     ``DOMAIN_KINDS``: ``radius`` for a disk, ``inner_radius`` and
     ``outer_radius`` for an annulus.
     """
-    if not 0 < resolution < np.inf:
+    if not (_is_real(resolution) and 0 < resolution < np.inf):
         raise ValueError("resolution must be finite and positive")
     try:
         build = DOMAIN_KINDS[domain]

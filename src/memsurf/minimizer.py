@@ -24,7 +24,6 @@ at the gradient tolerance ``grad_tol``, the one setting of ``minimize``.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -42,6 +41,7 @@ from .errors import (
     AmbiguousProjectionError,
     InfeasibleStartError,
     LineSearchStallError,
+    _is_real,
 )
 from .stiffness import StiffnessSolver
 
@@ -65,9 +65,7 @@ CURVATURE_PROBE = float(np.sqrt(np.finfo(float).eps))
 
 def check_grad_tol(grad_tol):
     """Raise ValueError unless grad_tol is None or a finite positive real (not a boolean)."""
-    if grad_tol is not None and not (
-        isinstance(grad_tol, numbers.Real) and type(grad_tol) is not bool and 0 < grad_tol < np.inf
-    ):
+    if grad_tol is not None and not (_is_real(grad_tol) and 0 < grad_tol < np.inf):
         raise ValueError("grad_tol must be finite and positive, or None")
 
 

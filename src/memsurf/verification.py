@@ -5,7 +5,9 @@ worst violation of the inequality it certifies, and passes when that is
 within a fixed tolerance (``CheckReport.passed``).  ``run_all_checks``
 derives each check's seed from its own; the battery's sample counts, the
 perturbation size and the sampled ranges are the module constants below.
-Re-running with the same (seed, n) is bitwise reproducible.
+Re-running with the same (seed, n) is bitwise reproducible.  The
+convexity sweep draws its segments block by block, each block from (seed,
+block start) alone, so its reports are the same for any core count.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ CONVEXITY_SLACK = 1e-10
 WEIGHTS_PER_PAIR = 10
 # Rows per block of the convexity sweep: a block's endpoint and combination
 # batches stay cache-sized, and the blocks spread over the usable cores.
+# Each block draws its own rows, so this also fixes how the sample is split.
 SWEEP_BLOCK_ROWS = 16384
 # Stretch pair (lam, mu) of the rank-one witnesses and the eps grid,
 # decreasing, along which their gap must grow.
@@ -199,15 +202,18 @@ def _usable_cores():
     return os.cpu_count() or 1  # platforms without CPU affinity (macOS, Windows)
 
 
-def _sweep_block(phis, F1, J1, F2, J2, weights, start):
+def _sweep_block(phis, seed, weights, n, start):
     """The sweep's per-weight, per-functional summaries on one row block.
 
-    Each summary is (violations, row, excess at row, non-finite) for the
-    block's rows from ``start``: row is the block's first non-finite excess,
-    or else its first largest one, as a row of the whole draw.
+    The block draws its own ``min(SWEEP_BLOCK_ROWS, n - start)`` rows from
+    ``default_rng([seed, start])``: F1, J1, then F2, J2.  Each summary is
+    (violations, value, witness) at the block's first non-finite excess,
+    whose value is NaN, or else at its first largest one.
     """
-    stop = start + SWEEP_BLOCK_ROWS
-    F1, J1, F2, J2 = F1[start:stop], J1[start:stop], F2[start:stop], J2[start:stop]
+    rng = np.random.default_rng([seed, start])
+    rows = min(SWEEP_BLOCK_ROWS, n - start)
+    F1, J1 = _sample_fj_pairs(rng, rows)
+    F2, J2 = _sample_fj_pairs(rng, rows)
     ends = []
     for phi in phis:
         p1 = np.asarray(phi(F1, J1))
@@ -222,43 +228,51 @@ def _sweep_block(phis, F1, J1, F2, J2, weights, start):
             excess = np.asarray(phi(Fm, Jm)) - (w * p1 + (1.0 - w) * p2) - slack
             nonfinite = np.flatnonzero(~np.isfinite(excess))
             i = int(nonfinite[0]) if nonfinite.size else int(np.argmax(excess))
-            violations = int(np.count_nonzero(excess > 0))
-            row.append((violations, start + i, float(excess[i]), bool(nonfinite.size)))
+            value = math.nan if nonfinite.size else float(excess[i])
+            witness = {
+                "F1": F1[i].tolist(),
+                "J1": float(J1[i]),
+                "F2": F2[i].tolist(),
+                "J2": float(J2[i]),
+                "weight": float(w),
+                "excess": float(excess[i]),
+            }
+            row.append((int(np.count_nonzero(excess > 0)), value, witness))
         summaries.append(row)
     return summaries
 
 
 class _ConvexitySweep:
-    """One split-convexity report per functional, all on one segment draw.
+    """One split-convexity report per functional, all on the same segments.
 
     Every functional is evaluated on the same (F, J) pairs and the same
     convex combinations of them: the midpoint and ``WEIGHTS_PER_PAIR``
-    random weights.  An excess above the rounding slack 1e-10 (1 + phi1 +
-    phi2) counts as a violation; a non-finite excess makes the worst
-    violation NaN, which fails the check and its negative control.
+    random weights, drawn once from ``default_rng(seed)``.  An excess above
+    the rounding slack 1e-10 (1 + phi1 + phi2) counts as a violation; a
+    non-finite excess makes the worst violation NaN, which fails the check
+    and its negative control.
 
     The functionals must be row-wise (row i of the result depends only on
     row i of F and J): the rows are evaluated in blocks of
-    ``SWEEP_BLOCK_ROWS``.  Construction starts one worker thread per usable
-    core beyond the first; the workers take blocks in row order from a
-    shared counter, NumPy releasing the GIL in its loops.  The first thread
-    to take a block draws the segments, once, for all.  ``reports`` has the
-    calling thread take blocks too, joins the workers and merges the blocks
-    in row order, so every report is the one a single pass over all rows
-    gives, for any core count.  If blocks (or the draw) raise, ``reports``
-    raises the lowest one's error once every taken block is done.
+    ``SWEEP_BLOCK_ROWS``, and ``_sweep_block`` draws each block's rows from
+    (seed, block start) alone.  Construction starts one worker thread per
+    usable core beyond the first; the workers take blocks in row order from
+    a shared counter, NumPy releasing the GIL in its loops.  ``reports`` has
+    the calling thread take blocks too, joins the workers and merges the
+    blocks in row order, so the reports are the same for any core count.
+    A block that raises moves the counter past the end, and ``reports``
+    raises the first error in row order once every taken block is done.
     """
 
     def __init__(self, n, seed, *phis):
         self.n, self.seed, self.phis = n, seed, phis
-        self.draw = None
-        self._draw_lock = threading.Lock()
-        # One block even when n == 0, so an empty draw fails as a single pass does.
+        rng = np.random.default_rng(seed)
+        self.weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, WEIGHTS_PER_PAIR)])
+        # One block even when n == 0, so an empty sample fails as a single pass does.
         self._starts = range(0, max(n, 1), SWEEP_BLOCK_ROWS)
-        self._summaries = [None] * len(self._starts)
-        self._errors = {}
+        # Per block: its summaries, or the exception it raised.
+        self._results = [None] * len(self._starts)
         self._taken = 0
-        self._stop = False
         self._lock = threading.Lock()
         self._workers = [
             threading.Thread(target=self._work, daemon=True)
@@ -271,64 +285,45 @@ class _ConvexitySweep:
         while True:
             with self._lock:
                 b = self._taken
-                if self._stop or b >= len(self._starts):
+                if b >= len(self._starts):
                     return
                 self._taken += 1
             try:
-                self._summaries[b] = _sweep_block(self.phis, *self._segments(), self._starts[b])
+                self._results[b] = _sweep_block(
+                    self.phis, self.seed, self.weights, self.n, self._starts[b]
+                )
             except Exception as exc:
-                self._errors[b] = exc
-                self._stop = True
+                self._results[b] = exc
+                with self._lock:
+                    self._taken = len(self._starts)
 
-    def _segments(self):
-        """The (F1, J1, F2, J2, weights) draw, made by the first thread that asks."""
-        with self._draw_lock:
-            if self.draw is None:
-                rng = np.random.default_rng(self.seed)
-                F1, J1 = _sample_fj_pairs(rng, self.n)
-                F2, J2 = _sample_fj_pairs(rng, self.n)
-                weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, WEIGHTS_PER_PAIR)])
-                self.draw = (F1, J1, F2, J2, weights)
-        return self.draw
+    def stop(self):
+        """Let no thread take another block, then join the workers; raises nothing."""
+        with self._lock:
+            self._taken = len(self._starts)
+        for worker in self._workers:
+            worker.join()
 
-    def reports(self, finish=True):
-        """The reports, after this thread takes blocks too.
-
-        Unless ``finish``, only stops and joins the workers and returns None,
-        raising nothing, so an interrupt that calls it propagates as itself.
-        """
+    def reports(self):
+        """The reports, after this thread takes blocks too."""
         try:
-            if finish:
-                self._work()
+            self._work()
         finally:
-            self._stop = True
-            for worker in self._workers:
-                worker.join()
-        if not finish:
-            return None
-        if self._errors:
-            raise self._errors[min(self._errors)]
-        F1, J1, F2, J2, weights = self.draw
+            self.stop()
+        for result in self._results:
+            if isinstance(result, Exception):
+                raise result
         reports = []
         for k in range(len(self.phis)):
             worst, witness, violations = -np.inf, {}, 0
-            for j, w in enumerate(weights):
-                cells = [summary[j][k] for summary in self._summaries]
+            for j in range(len(self.weights)):
+                cells = [summary[j][k] for summary in self._results]
                 violations += sum(cell[0] for cell in cells)
-                flagged = [cell for cell in cells if cell[3]]
-                _, i, excess, nonfinite = flagged[0] if flagged else max(cells, key=lambda c: c[2])
-                value = math.nan if nonfinite else excess
+                flagged = [cell for cell in cells if math.isnan(cell[1])]
+                _, value, cell_witness = flagged[0] if flagged else max(cells, key=lambda c: c[1])
                 # Once NaN, always NaN: no later finite excess can clear it.
                 if not math.isnan(worst) and not value <= worst:
-                    worst = value
-                    witness = {
-                        "F1": F1[i].tolist(),
-                        "J1": float(J1[i]),
-                        "F2": F2[i].tolist(),
-                        "J2": float(J2[i]),
-                        "weight": float(w),
-                        "excess": excess,
-                    }
+                    worst, witness = value, cell_witness
             reports.append(
                 CheckReport(
                     check_name="split_convexity",
@@ -589,10 +584,9 @@ def run_all_checks(model: IsotropicModel, seed):
     def phi_model(F, J):
         return phi_split_batch(model, F, J)
 
-    # The convexity check and its negative control share one segment draw.
-    # Its workers start first and draw the segments; this thread runs the
-    # other checks (so every check runs on the calling thread), then takes
-    # sweep blocks too, drawing the segments itself when no worker exists.
+    # The convexity check and its negative control share one sweep.  Its
+    # workers start first; this thread runs the other checks (so every check
+    # runs on the calling thread), then takes sweep blocks too.
     sweep = _ConvexitySweep(CONVEXITY_SAMPLES, seed + 2, phi_model, shear_over_j_squared)
     try:
         objectivity = check_objectivity(model, n=ROTATION_SAMPLES, seed=seed)
@@ -608,7 +602,10 @@ def run_all_checks(model: IsotropicModel, seed):
     except BaseException as exc:
         # The sweep came first in the battery's order, so its error wins; an
         # interrupt does not wait for the remaining blocks and stays itself.
-        sweep.reports(finish=isinstance(exc, Exception))
+        if isinstance(exc, Exception):
+            sweep.reports()
+        else:
+            sweep.stop()
         raise
     split, control = sweep.reports()
     return [objectivity, isotropy, split, _negative_control(control), *rest]

@@ -335,6 +335,9 @@ seed: 7
                 "surface: {kind: sphere}\n"
                 "initial_map: {kind: stereographic_cap, latitude: 4.0}\n"
             )
+        # 0 < True < pi holds, so a library boolean would pass as a 1 rad cap.
+        with pytest.raises(ConfigError, match="latitude"):
+            make_initial_map(Sphere(1.0), "stereographic_cap", latitude=True)
         with pytest.raises(ConfigError, match="2x2"):
             parse_config(
                 "initial_map: {kind: affine, matrix: [[1.0, 0.0, 0.0]]}\n"

@@ -424,15 +424,24 @@ def test_make_surface_factory():
         (lambda: Sphere(np.inf), "radius"),
         (lambda: Torus(np.inf, 0.5), "major_radius"),
         (lambda: Torus(2.0, np.nan), "minor_radius"),
+        (lambda: Sphere(True), "radius"),
+        (lambda: Sphere(np.True_), "radius"),
+        (lambda: Torus(True, 0.5), "major_radius"),
+        (lambda: Torus(2.0, True), "minor_radius"),
     ],
     ids=[
         "sphere_nan_radius",
         "sphere_inf_radius",
         "torus_inf_major",
         "torus_nan_minor",
+        "sphere_true_radius",
+        "sphere_np_true_radius",
+        "torus_true_major",
+        "torus_true_minor",
     ],
 )
 def test_surfaces_reject_non_finite_parameters(build, key):
+    # Booleans too: 0 < True < inf holds, so one would pass the range test as 1.0.
     with pytest.raises(ValueError, match=key):
         build()
 

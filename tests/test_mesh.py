@@ -200,6 +200,23 @@ def test_unknown_domain():
         build_mesh("disk", 0.2, radiuss=3.0)
 
 
+@pytest.mark.parametrize(
+    "domain, resolution, params, message",
+    [
+        ("disk", True, {}, "resolution"),
+        ("unit_square", np.True_, {}, "resolution"),
+        ("disk", 0.2, {"radius": True}, "disk radius"),
+        ("annulus", 0.2, {"inner_radius": True, "outer_radius": 2.0}, "annulus"),
+        ("annulus", 0.2, {"outer_radius": True}, "annulus"),
+    ],
+    ids=["disk_resolution", "square_resolution", "disk_radius", "annulus_inner", "annulus_outer"],
+)
+def test_boolean_sizes_rejected(domain, resolution, params, message):
+    # 0 < True holds, so a boolean would pass the range test as 1.
+    with pytest.raises(ValueError, match=message):
+        build_mesh(domain, resolution, **params)
+
+
 def _read_records(path):
     """The comment lines, the v records (n, 3) and the f records (m, 3) as
     0-based indices of an OBJ file, by a plain line split."""

@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,16 +107,25 @@ class TestMidpointConvexity:
         assert not rep.passed
 
 
+def sweep_segments(n, seed):
+    """The sweep's (F1, J1, F2, J2): each block's own draw, concatenated in row order."""
+    blocks = []
+    for start in range(0, max(n, 1), SWEEP_BLOCK_ROWS):
+        rng = np.random.default_rng([seed, start])
+        rows = min(SWEEP_BLOCK_ROWS, n - start)
+        blocks.append(_sample_fj_pairs(rng, rows) + _sample_fj_pairs(rng, rows))
+    return [np.concatenate(parts) for parts in zip(*blocks)]
+
+
 def sequential_sweep(n, seed, *phis):
     """The convexity sweep as one pass over all rows: the blocked sweep's reference."""
-    rng = np.random.default_rng(seed)
-    F1, J1 = _sample_fj_pairs(rng, n)
-    F2, J2 = _sample_fj_pairs(rng, n)
+    F1, J1, F2, J2 = sweep_segments(n, seed)
     ends = []
     for phi in phis:
         p1 = np.asarray(phi(F1, J1))
         p2 = np.asarray(phi(F2, J2))
         ends.append((p1, p2, CONVEXITY_SLACK * (1.0 + p1 + p2)))
+    rng = np.random.default_rng(seed)
     weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, WEIGHTS_PER_PAIR)])
     worst = [-np.inf] * len(phis)
     witness = [{}] * len(phis)
@@ -177,7 +187,7 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_error_is_single_pass_error(self, cores, monkeypatch):
         n = 3 * B + 5
-        J1 = _sample_fj_pairs(np.random.default_rng(5), n)[1]
+        J1 = sweep_segments(n, 5)[1]
         # Marked rows in the second and fourth blocks; a pass over all rows
         # names the first of them, as must the blocked sweep.
         marked = J1[[B + 3, 3 * B + 1]]
@@ -249,34 +259,53 @@ class TestBatteryThreads:
 
 
 class TestSweepDraw:
-    """The segments are drawn once, by the first thread that takes a block."""
+    """Each block draws its own segments, on the thread that takes it."""
 
-    def test_worker_draws_while_checks_run(self, model, monkeypatch):
-        # The first check waits until the segments exist: a worker must draw
-        # them, since this thread takes no block before every check is done.
+    def test_worker_block_overlaps_checks(self, model, monkeypatch):
+        # The first check waits until a worker has drawn a block, since this
+        # thread takes no block before every check is done.
         drawn, threads = threading.Event(), []
 
         def recording_draw(rng, n):
-            threads.append(threading.current_thread())
             out = _sample_fj_pairs(rng, n)
-            if len(threads) == 2:
+            threads.append(threading.current_thread())
+            # Both halves of a block, F1, J1 and F2, J2, drawn by a worker.
+            if sum(thread is not threading.main_thread() for thread in threads) >= 2:
                 drawn.set()
             return out
 
-        def waits_for_draw(*args, **kwargs):
+        def waits_for_block(*args, **kwargs):
             assert drawn.wait(timeout=60)
             return check_objectivity(*args, **kwargs)
 
+        blocks = len(range(0, verification.CONVEXITY_SAMPLES, B))
         monkeypatch.setattr(verification, "_usable_cores", lambda: 2)
         monkeypatch.setattr(verification, "_sample_fj_pairs", recording_draw)
-        monkeypatch.setattr(verification, "check_objectivity", waits_for_draw)
+        monkeypatch.setattr(verification, "check_objectivity", waits_for_block)
         texts = [rep.to_text() for rep in run_all_checks(model, seed=42)]
-        assert len(threads) == 2 and threading.main_thread() not in threads
+        assert len(threads) == 2 * blocks
+        assert any(thread is not threading.main_thread() for thread in threads)
         monkeypatch.setattr(verification, "check_objectivity", check_objectivity)
         monkeypatch.setattr(verification, "_usable_cores", lambda: 1)
         threads.clear()
         assert [rep.to_text() for rep in run_all_checks(model, seed=42)] == texts
-        assert threads == [threading.main_thread()] * 2
+        assert threads == [threading.main_thread()] * (2 * blocks)
+
+    def test_one_core_sweep_holds_no_full_draw(self, model, monkeypatch):
+        # One full draw of (F1, J1, F2, J2) is 14 floats per row; the blocks
+        # together must never hold it.
+        def phi_model(F, J):
+            return phi_split_batch(model, F, J)
+
+        n = verification.CONVEXITY_SAMPLES
+        monkeypatch.setattr(verification, "_usable_cores", lambda: 1)
+        tracemalloc.start()
+        try:
+            verification._convexity_sweep(n, 44, phi_model, shear_over_j_squared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 14 * 8
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
     def test_draw_error_raised_from_reports(self, model, cores, monkeypatch):
@@ -294,8 +323,8 @@ class TestSweepDraw:
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_interrupt_in_a_check_stays_an_interrupt(self, model, cores, monkeypatch):
-        # reports(finish=False) stops and joins the workers and builds no
-        # report from the blocks left undone.
+        # stop() joins the workers and builds no report from the blocks
+        # left undone.
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
@@ -442,7 +471,7 @@ class TestReports:
             assert rep.passed
 
     def test_battery_convexity_reports_equal_standalone(self, model):
-        """One shared segment draw gives the reports of the two separate checks."""
+        """One sweep gives the reports of the two separate checks."""
         n = verification.CONVEXITY_SAMPLES
         reps = run_all_checks(model, seed=42)
         split = check_midpoint_convexity(lambda F, J: phi_split_batch(model, F, J), n=n, seed=44)
