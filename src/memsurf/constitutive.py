@@ -219,21 +219,40 @@ def _principal_parts(F):
     Returns (l1, l2, a, b, c12, diff, rad, e1): l1 >= l2 >= 0, the columns
     a, b of F and the pieces of C = F^T F the eigenvectors are built from.
     The small eigenvalue is computed as det(C)/e1 to avoid cancellation.
+    The radius sqrt(diff^2 + c12^2) uses no ``hypot``: ``det`` squares the
+    same C entries, so the valid range stays |F| between about 1e-77 and
+    1e77 either way.  The sums run in place on a few buffers, in the order
+    of the written-out expressions, so the bits are theirs.
     """
     F = np.asarray(F, dtype=float)
+    if F.ndim == 2:  # one gradient: a batch of one, since scalar entries take no out=
+        return tuple(x[0] for x in _principal_parts(F[None]))
     a, b = F[..., 0], F[..., 1]
-    c11 = a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1] + a[..., 2] * a[..., 2]
-    c22 = b[..., 0] * b[..., 0] + b[..., 1] * b[..., 1] + b[..., 2] * b[..., 2]
-    c12 = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-    det = c11 * c22 - c12**2
-    mean = 0.5 * (c11 + c22)
-    diff = 0.5 * (c11 - c22)
-    rad = np.hypot(diff, c12)
-    e1 = mean + rad
-    safe_e1 = np.where(e1 > 0, e1, 1.0)
-    e2 = np.clip(det / safe_e1, 0.0, None)
-    l1 = np.sqrt(np.clip(e1, 0.0, None))
-    l2 = np.sqrt(e2)
+    tmp = np.empty(F.shape[:-2])
+    c11 = a[..., 0] * a[..., 0]
+    c22 = b[..., 0] * b[..., 0]
+    c12 = a[..., 0] * b[..., 0]
+    for k in (1, 2):
+        c11 += np.multiply(a[..., k], a[..., k], out=tmp)
+        c22 += np.multiply(b[..., k], b[..., k], out=tmp)
+        c12 += np.multiply(a[..., k], b[..., k], out=tmp)
+    c12_sq = np.multiply(c12, c12, out=tmp)
+    det = c11 * c22
+    det -= c12_sq
+    diff = c11 - c22
+    diff *= 0.5
+    rad = diff * diff
+    rad += c12_sq
+    np.sqrt(rad, out=rad)
+    # e1 = (c11 + c22)/2 + rad, in c11's buffer.
+    e1 = c11
+    e1 += c22
+    e1 *= 0.5
+    e1 += rad
+    # e2 = det/e1, left at det where e1 is not positive (det/1 in effect).
+    l2 = np.divide(det, e1, out=det, where=e1 > 0)
+    np.sqrt(np.clip(l2, 0.0, None, out=l2), out=l2)
+    l1 = np.sqrt(np.clip(e1, 0.0, None, out=c22), out=c22)
     return l1, l2, a, b, c12, diff, rad, e1
 
 
@@ -255,7 +274,7 @@ def _spectral_batch(F):
     major = diff >= 0
     vx = np.where(repeated, 1.0, np.where(major, rad + diff, c12))
     vy = np.where(repeated, 0.0, np.where(major, c12, rad - diff))
-    norm = np.hypot(vx, vy)
+    norm = np.sqrt(vx * vx + vy * vy)
     norm = np.where(norm > 0, norm, 1.0)
     vx, vy = vx / norm, vy / norm
     v1 = np.stack([vx, vy], axis=-1)

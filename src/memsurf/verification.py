@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import IsotropicModel, energy_density_batch, pk1_batch, phi_split_batch
-from .errors import DeltaTooLargeError, InvalidEpsilonError
+from .errors import DeltaTooLargeError, InvalidEpsilonError, _is_real
 
 __all__ = [
     "CheckReport",
@@ -116,10 +116,36 @@ def _random_svd_factors(rng, n, stretch_range):
     return U, lam, V
 
 
+# The three batched products below are written out as broadcast products
+# in the summation order of their ``np.einsum`` forms, which they match bit
+# for bit (checked on NumPy 2.4.6) without the einsum's generic inner loop.
+def _svd_product(U, lam, V):
+    """U diag(lam) V^T, row by row: ``einsum("nik,nk,njk->nij", U, lam, V)``."""
+
+    def term(k):
+        return (U[:, :, k, None] * lam[:, k, None, None]) * V[:, None, :, k]
+
+    return term(0) + term(1)
+
+
+def _perturbed_svd_product(U, T, lam, V):
+    """U T diag(lam) V^T, row by row: ``einsum("nik,nkl,nl,nml->nim", U, T, lam, V)``."""
+
+    def term(k, l):
+        scaled = (U[:, :, k, None] * T[:, k, l, None, None]) * lam[:, l, None, None]
+        return scaled * V[:, None, :, l]
+
+    return (term(0, 0) + term(0, 1)) + (term(1, 0) + term(1, 1))
+
+
+def _times_transpose(S, A):
+    """S A^T, row by row, for (n, 3, 2) batches: ``einsum("nij,nkj->nik", S, A)``."""
+    return S[:, :, None, 0] * A[:, None, :, 0] + S[:, :, None, 1] * A[:, None, :, 1]
+
+
 def _random_gradients(rng, n):
     """Full-rank 3x2 gradients with stretches in INVARIANCE_STRETCH_RANGE."""
-    U, lam, V = _random_svd_factors(rng, n, INVARIANCE_STRETCH_RANGE)
-    return np.einsum("nik,nk,njk->nij", U, lam, V)
+    return _svd_product(*_random_svd_factors(rng, n, INVARIANCE_STRETCH_RANGE))
 
 
 def _sorted_stretches(lam):
@@ -179,7 +205,14 @@ def check_isotropy(model, n, seed):
 def _sample_fj_pairs(rng, n):
     """|F| uniform in [0, 10] along random directions, J log-uniform in [0.05, 20]."""
     G = rng.standard_normal((n, 3, 2))
-    G /= np.linalg.norm(G, axis=(1, 2), keepdims=True)
+    # |G| as six sequential adds of the squares: the bits of
+    # ``np.linalg.norm(G, axis=(1, 2))``, on two (n,) buffers.
+    g = G.reshape(n, 6)
+    norm = g[:, 0] * g[:, 0]
+    square = np.empty(n)
+    for k in range(1, 6):
+        norm += np.multiply(g[:, k], g[:, k], out=square)
+    G /= np.sqrt(norm, out=norm)[:, None, None]
     F = G * (10.0 * rng.uniform(0.0, 1.0, (n, 1, 1)))
     J = _log_uniform(rng, 0.05, 20.0, n)
     return F, J
@@ -202,13 +235,21 @@ def _usable_cores():
     return os.cpu_count() or 1  # platforms without CPU affinity (macOS, Windows)
 
 
+def _convex_combination(w, x1, x2, out, scratch):
+    """w x1 + (1 - w) x2 written into ``out``, with that expression's bits."""
+    np.multiply(x1, w, out=out)
+    out += np.multiply(x2, 1.0 - w, out=scratch)
+    return out
+
+
 def _sweep_block(phis, seed, weights, n, start):
     """The sweep's per-weight, per-functional summaries on one row block.
 
     The block draws its own ``min(SWEEP_BLOCK_ROWS, n - start)`` rows from
     ``default_rng([seed, start])``: F1, J1, then F2, J2.  Each summary is
     (violations, value, witness) at the block's first non-finite excess,
-    whose value is NaN, or else at its first largest one.
+    whose value is NaN, or else at its first largest one.  The combinations
+    of every weight share one set of buffers.
     """
     rng = np.random.default_rng([seed, start])
     rows = min(SWEEP_BLOCK_ROWS, n - start)
@@ -219,13 +260,16 @@ def _sweep_block(phis, seed, weights, n, start):
         p1 = np.asarray(phi(F1, J1))
         p2 = np.asarray(phi(F2, J2))
         ends.append((p1, p2, CONVEXITY_SLACK * (1.0 + p1 + p2)))
+    Fm, F_scratch = np.empty_like(F1), np.empty_like(F1)
+    Jm, mix, scratch = np.empty_like(J1), np.empty_like(J1), np.empty_like(J1)
     summaries = []
     for w in weights:
-        Fm = w * F1 + (1.0 - w) * F2
-        Jm = w * J1 + (1.0 - w) * J2
+        _convex_combination(w, F1, F2, Fm, F_scratch)
+        _convex_combination(w, J1, J2, Jm, scratch)
         row = []
         for phi, (p1, p2, slack) in zip(phis, ends):
-            excess = np.asarray(phi(Fm, Jm)) - (w * p1 + (1.0 - w) * p2) - slack
+            excess = np.asarray(phi(Fm, Jm)) - _convex_combination(w, p1, p2, mix, scratch)
+            excess -= slack
             nonfinite = np.flatnonzero(~np.isfinite(excess))
             i = int(nonfinite[0]) if nonfinite.size else int(np.argmax(excess))
             value = math.nan if nonfinite.size else float(excess[i])
@@ -362,8 +406,8 @@ def check_midpoint_convexity(phi, n, seed):
 
     ``phi`` maps ((k, 3, 2), (k,)) batches to (k,) values and must be
     row-wise: value i depends only on F[i] and J[i], since the sweep
-    evaluates blocks of rows.  See ``_ConvexitySweep`` for the samples and
-    the slack.
+    evaluates blocks of rows.  It must not keep F or J, whose buffers the
+    sweep reuses.  See ``_ConvexitySweep`` for the samples and the slack.
     """
     return _convexity_sweep(n, seed, phi)[0]
 
@@ -401,8 +445,8 @@ def rank_one_counterexample(model, lam, mu, eps):
     """
     if not (0.0 < eps < 1.0):
         raise InvalidEpsilonError("eps must lie in (0, 1)")
-    if not (lam > 0 and mu > 0):
-        raise ValueError("lam and mu must be positive")
+    if not all(_is_real(x) and 0 < x < math.inf for x in (lam, mu)):
+        raise ValueError("lam and mu must be positive and finite")
     root = math.sqrt(1.0 - eps**2)
     F_plus = np.array([[lam, 0.0], [0.0, eps * mu], [0.0, mu * root]])
     F_minus = np.array([[lam, 0.0], [0.0, eps * mu], [0.0, -mu * root]])
@@ -492,25 +536,29 @@ def check_perturbed_stress_bound(model, delta, n, seed):
     """Perturbed stress bound |W_F(TA) A^T| <= C (W(A) + 1), C = 2K/(1-2K delta).
 
     T ranges over linear maps of the range of A with |T - 1| < delta; delta
-    must stay below ``max_perturbation_delta(model)`` for C to make sense.
+    must lie in [0, ``max_perturbation_delta(model)``) for C to make sense.
     """
     bound = max_perturbation_delta(model)
+    if not (_is_real(delta) and delta >= 0):
+        raise ValueError(
+            f"delta = {delta!r} must be a real number in [0, 1/(2K)) = [0, {bound:.6g})"
+        )
     if not delta < bound:
         raise DeltaTooLargeError(f"delta = {delta} must be below 1/(2K) = {bound:.6g}")
     K = model.stress_bound_constant()
     C = 2.0 * K / (1.0 - 2.0 * K * delta)
     rng = np.random.default_rng(seed)
     U, lam, V = _random_svd_factors(rng, n, STRESS_STRETCH_RANGE)
-    A = np.einsum("nik,nk,njk->nij", U, lam, V)
+    A = _svd_product(U, lam, V)
     E = rng.standard_normal((n, 2, 2))
     E *= (delta * 0.999 * rng.uniform(0.0, 1.0, (n, 1, 1))) / np.linalg.norm(
         E, axis=(1, 2), keepdims=True
     )
     T2 = np.broadcast_to(np.eye(2), (n, 2, 2)) + E
     # T acts on range(A): TA = U T2 U^T A, and U^T A = diag(lam) V^T.
-    TA = np.einsum("nik,nkl,nl,nml->nim", U, T2, lam, V)
+    TA = _perturbed_svd_product(U, T2, lam, V)
     S = pk1_batch(model, TA)
-    lhs = np.linalg.norm(np.einsum("nij,nkj->nik", S, A), axis=(1, 2))
+    lhs = np.linalg.norm(_times_transpose(S, A), axis=(1, 2))
     rhs = energy_density_batch(model, A) + 1.0
     ratios = lhs / rhs
     i = int(np.argmax(ratios))

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,55 @@ def random_gradients(rng, n, lo=0.05, hi=20.0):
     return np.einsum("nik,nk,njk->nij", U, lam, V)
 
 
+def wide_sample(seed, n=500):
+    """Gradients that reach every branch of the closed-form spectral data.
+
+    Gaussian rows, zero rows, rank-one rows, stretches 1e-4 to 1e4 apart,
+    equal stretches on random frames and exactly repeated ones on the
+    coordinate axes, shuffled.
+    """
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((n, 3, 3)))[0][:, :, :2]
+    V = np.linalg.qr(rng.standard_normal((n, 2, 2)))[0]
+    lam = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), (n, 2)))
+    wide = np.einsum("nik,nk,njk->nij", U, lam, V)
+    equal = np.einsum("nik,n,njk->nij", U, lam[:, 0], V)
+    axes = np.zeros((n, 3, 2))
+    axes[:, 0, 0] = axes[:, 1, 1] = lam[:, 1]
+    axes[1::2] *= -1.0
+    rank_one = np.einsum("ni,nj->nij", rng.standard_normal((n, 3)), rng.standard_normal((n, 2)))
+    F = np.concatenate(
+        [rng.standard_normal((n, 3, 2)), np.zeros((n, 3, 2)), rank_one, wide, equal, axes]
+    )
+    return F[rng.permutation(len(F))]
+
+
+def hypot_spectral(F):
+    """The closed-form spectral data with the two radii taken by ``np.hypot``.
+
+    The kernel's former formula, kept as the reference for the ``hypot``-free
+    one: returns (l1, l2, v1, v2).
+    """
+    a, b = F[..., 0], F[..., 1]
+    c11 = a[..., 0] * a[..., 0] + a[..., 1] * a[..., 1] + a[..., 2] * a[..., 2]
+    c22 = b[..., 0] * b[..., 0] + b[..., 1] * b[..., 1] + b[..., 2] * b[..., 2]
+    c12 = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    det = c11 * c22 - c12**2
+    diff = 0.5 * (c11 - c22)
+    rad = np.hypot(diff, c12)
+    e1 = 0.5 * (c11 + c22) + rad
+    e2 = np.clip(det / np.where(e1 > 0, e1, 1.0), 0.0, None)
+    repeated = rad <= 1e-8 * np.maximum(e1, 1e-300)
+    major = diff >= 0
+    vx = np.where(repeated, 1.0, np.where(major, rad + diff, c12))
+    vy = np.where(repeated, 0.0, np.where(major, c12, rad - diff))
+    norm = np.hypot(vx, vy)
+    norm = np.where(norm > 0, norm, 1.0)
+    vx, vy = vx / norm, vy / norm
+    l1, l2 = np.sqrt(np.clip(e1, 0.0, None)), np.sqrt(e2)
+    return l1, l2, np.stack([vx, vy], axis=-1), np.stack([-vy, vx], axis=-1)
+
+
 class TestStretches:
     def test_identity(self):
         l1, l2, *_ = _spectral_batch(F_IDENTITY[None])
@@ -87,31 +137,42 @@ class TestStretches:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_stretches_bitwise_equal_spectral(self, seed):
         """The energy-only path gives the bits of the full spectral path."""
-        rng = np.random.default_rng(seed)
-        n = 500
-        U = np.linalg.qr(rng.standard_normal((n, 3, 3)))[0][:, :, :2]
-        V = np.linalg.qr(rng.standard_normal((n, 2, 2)))[0]
-        # Stretches 1e-4 to 1e4 apart, equal ones on random frames and
-        # exactly repeated ones on the coordinate axes.
-        lam = np.exp(rng.uniform(np.log(1e-4), np.log(1e4), (n, 2)))
-        wide = np.einsum("nik,nk,njk->nij", U, lam, V)
-        equal = np.einsum("nik,n,njk->nij", U, lam[:, 0], V)
-        axes = np.zeros((n, 3, 2))
-        axes[:, 0, 0] = axes[:, 1, 1] = lam[:, 1]
-        axes[1::2] *= -1.0
-        rank_one = np.einsum(
-            "ni,nj->nij", rng.standard_normal((n, 3)), rng.standard_normal((n, 2))
-        )
-        F = np.concatenate(
-            [rng.standard_normal((n, 3, 2)), np.zeros((n, 3, 2)), rank_one, wide, equal, axes]
-        )
-        F = F[rng.permutation(len(F))]
+        F = wide_sample(seed)
         spectral = _spectral_batch(F)
         for got, want in zip(_stretches(F), spectral[:2]):
             assert got.tobytes() == want.tobytes()
         # The sample does reach the exactly repeated and the zero branches.
         assert np.any(spectral[0] == spectral[1])
         assert np.any(spectral[0] == 0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_within_four_ulp_of_hypot_formula(self, seed):
+        """Dropping ``hypot`` moves the stretches and directions by rounding only."""
+        F = wide_sample(seed)
+        want = hypot_spectral(F)
+        for got in (_stretches(F), _spectral_batch(F)[:4]):
+            for g, w in zip(got, want):
+                np.testing.assert_array_max_ulp(g, w, maxulp=4)
+
+    def test_single_gradient_is_batch_row(self, model):
+        """A (3, 2) gradient gives row 0 of the (1, 3, 2) batch, bit for bit."""
+        F = random_gradients(np.random.default_rng(4), 1)
+        assert energy_density_batch(model, F[0]) == energy_density_batch(model, F)[0]
+        assert phi_split_batch(model, F[0], 0.7) == phi_split_batch(model, F, [0.7])[0]
+        assert pk1_batch(model, F[0]).tobytes() == pk1_batch(model, F)[0].tobytes()
+
+    @pytest.mark.parametrize("scale", [1e60, 1e-60])
+    def test_stretches_scale_without_warning(self, scale):
+        """No squared entry over- or underflows inside |F| from 1e-77 to 1e77."""
+        rng = np.random.default_rng(3)
+        n = 2000
+        # Stretch ratios up to 4, so det(C) keeps its relative accuracy.
+        F = random_gradients(rng, n, lo=0.5, hi=2.0)
+        F[::100] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for got, want in zip(_spectral_batch(scale * F)[:2], _stretches(F)):
+                np.testing.assert_allclose(got, scale * want, rtol=1e-14, atol=0.0)
 
     def test_rank_deficient_raises(self, model):
         with pytest.raises(RankDeficientError):

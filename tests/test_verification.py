@@ -1,4 +1,5 @@
 import math
+import re
 import threading
 import tracemalloc
 
@@ -375,6 +376,23 @@ class TestRankOne:
         with pytest.raises(InvalidEpsilonError):
             rank_one_counterexample(model, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "lam, mu",
+        [
+            (True, 1.0),
+            (1.0, True),
+            (np.True_, 1.0),
+            (math.inf, 1.0),
+            (1.0, math.inf),
+            (math.nan, 1.0),
+            (0.0, 1.0),
+            (1.0, -2.0),
+        ],
+    )
+    def test_invalid_stretches(self, model, lam, mu):
+        with pytest.raises(ValueError, match="lam and mu must be positive and finite"):
+            rank_one_counterexample(model, lam, mu, 0.1)
+
     def test_check_report(self, model):
         rep = check_rank_one(model, seed=0)
         assert rep.passed
@@ -433,6 +451,62 @@ class TestPerturbedStressBound:
     def test_delta_too_large(self, model):
         with pytest.raises(DeltaTooLargeError):
             check_perturbed_stress_bound(model, delta=0.06, n=10, seed=0)
+
+    @pytest.mark.parametrize("delta", [-0.01, -1.0, True, False, np.True_])
+    def test_negative_or_boolean_delta_rejected(self, model, delta):
+        with pytest.raises(ValueError, match=re.escape("must be a real number in [0, 1/(2K))")):
+            check_perturbed_stress_bound(model, delta=delta, n=10, seed=0)
+
+    def test_zero_delta_is_the_base_bound(self, model):
+        rep = check_perturbed_stress_bound(model, delta=0.0, n=100, seed=0)
+        assert rep.passed
+        assert rep.details["C"] == 2.0 * model.stress_bound_constant()
+
+
+class TestWrittenOutProducts:
+    """The broadcast products and the draw's norm give their NumPy forms' bits."""
+
+    N = 10_000
+
+    @pytest.fixture(scope="class")
+    def factors(self):
+        return verification._random_svd_factors(
+            np.random.default_rng(0), self.N, verification.STRESS_STRETCH_RANGE
+        )
+
+    def test_svd_product(self, factors):
+        U, lam, V = factors
+        np.testing.assert_array_max_ulp(
+            verification._svd_product(U, lam, V),
+            np.einsum("nik,nk,njk->nij", U, lam, V),
+            maxulp=0,
+        )
+
+    def test_perturbed_svd_product(self, factors):
+        U, lam, V = factors
+        T = np.eye(2) + 0.01 * np.random.default_rng(1).standard_normal((self.N, 2, 2))
+        np.testing.assert_array_max_ulp(
+            verification._perturbed_svd_product(U, T, lam, V),
+            np.einsum("nik,nkl,nl,nml->nim", U, T, lam, V),
+            maxulp=0,
+        )
+
+    def test_times_transpose(self, factors):
+        A = verification._svd_product(*factors)
+        S = np.random.default_rng(2).standard_normal((self.N, 3, 2))
+        np.testing.assert_array_max_ulp(
+            verification._times_transpose(S, A), np.einsum("nij,nkj->nik", S, A), maxulp=0
+        )
+
+    def test_sample_normalization(self):
+        F, J = _sample_fj_pairs(np.random.default_rng(3), self.N)
+        # The draw, normalized by np.linalg.norm.
+        rng = np.random.default_rng(3)
+        G = rng.standard_normal((self.N, 3, 2))
+        G /= np.linalg.norm(G, axis=(1, 2), keepdims=True)
+        want = G * (10.0 * rng.uniform(0.0, 1.0, (self.N, 1, 1)))
+        np.testing.assert_array_max_ulp(F, want, maxulp=0)
+        assert J.tobytes() == verification._log_uniform(rng, 0.05, 20.0, self.N).tobytes()
 
 
 class TestGrowth:
