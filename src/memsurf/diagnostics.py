@@ -21,7 +21,6 @@ from .errors import (
     BoundaryTooCloseError,
     ChartSpanFailureError,
     MemsurfError,
-    _is_real,
 )
 from .geometry import _row_norms
 
@@ -75,8 +74,11 @@ def _extent(a, b, c):
     return np.minimum(np.minimum(a, b), c), np.maximum(np.maximum(a, b), c)
 
 
-def _segment_distances(point, starts, d, d2):
-    """Distances from point to the segments starts + t d, t in [0, 1], d2 = |d|^2."""
+def _segment_distances(point, starts, ends):
+    """Distances from point to the segments from rows ``starts`` to rows ``ends``
+    (2-D or 3-D)."""
+    d = ends - starts
+    d2 = np.einsum("ij,ij->i", d, d)
     t = np.einsum("ij,ij->i", point - starts, d) / np.where(d2 > 0, d2, 1.0)
     t = np.clip(t, 0.0, 1.0)
     closest = starts + t[:, None] * d
@@ -88,10 +90,10 @@ class _Image:
 
     The corner-index columns, contiguous so a target's vertex distances are
     three gathers, the element diameters and mean edge, the segments of
-    every boundary loop stacked into one array with their directions and
-    squared lengths, and the orientation sign of every element on the
-    surface.  ``_image_of`` keeps the last one and builds a new one when
-    the mesh, the surface or the positions differ.
+    every boundary loop stacked into one array of their (start, end) nodes
+    and one of their (start, end) points, and the orientation sign of every
+    element on the surface.  ``_image_of`` keeps the last one and builds a
+    new one when the mesh, the surface or the positions differ.
     """
 
     def __init__(self, mesh, surface, positions):
@@ -103,16 +105,12 @@ class _Image:
         edge_len = _row_norms(P[:, [1, 2, 0]] - P)
         self.diam = edge_len.max(axis=1)
         self.mean_edge = float(np.mean(edge_len))
-        loops = [self.positions[np.asarray(loop)] for loop in mesh.boundary_loops]
-        loops = loops or [np.empty((0, 3))]
-        self.starts = np.concatenate(loops)
-        ends = np.concatenate([np.roll(pts, -1, axis=0) for pts in loops])
-        self.seg = ends - self.starts
-        self.seg_len2 = np.einsum("ij,ij->i", self.seg, self.seg)
-
-    def boundary_distance(self, y):
-        distances = _segment_distances(y, self.starts, self.seg, self.seg_len2)
-        return float(np.min(distances, initial=np.inf))
+        loops = [np.asarray(loop, dtype=np.intp) for loop in mesh.boundary_loops]
+        loops = loops or [np.empty(0, dtype=np.intp)]
+        self.segments = np.stack(
+            [np.concatenate(loops), np.concatenate([np.roll(loop, -1) for loop in loops])]
+        )
+        self.segment_ends = self.positions[self.segments]   # (2, s, 3)
 
 
 _last_image = None
@@ -189,12 +187,8 @@ def _subdivide(tris):
 
 def _distances(tris, w):
     """Distances from w to the centroids of triangles stored by corner."""
-    d = tris[0] + tris[1]
-    d += tris[2]
-    d /= 3.0
-    d -= w[:, None]
-    d *= d
-    return np.sqrt(d[0] + d[1])
+    d = (tris[0] + tris[1] + tris[2]) / 3.0 - w[:, None]
+    return np.sqrt(d[0] * d[0] + d[1] * d[1])
 
 
 def _signed_areas(tris):
@@ -225,45 +219,45 @@ def _centroid_stencil():
 _STENCIL = _centroid_stencil()
 
 
-def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
+def brouwer_degree(surface, mesh, positions, y):
     """Degree of the nodal map at the on-surface point y (3,), by two methods.
 
     One call takes one target.  The per-configuration work (edge lengths,
     boundary segments, element orientation signs) is done once and reused
     by later calls on the same mesh and surface objects and equal positions,
     so a loop of calls costs what a batch would; each target then pays only
-    for the elements near it, and maps each of their distinct nodes into the
-    chart at y once.
+    for the elements near it.
+
+    y must lie at least ``DEGREE_MARGIN`` from the boundary image in the
+    chart at y, where the degree is counted and integrated: from the chart
+    images of the boundary segments the chart covers (a boundary chord can
+    pass off the surface, so a target can clear it in space and not in the
+    chart).  The bump radius is min(3 mean edge, 0.9 spatial clearance,
+    chart clearance, chart radius / 4).
 
     Both methods read only the near elements whose chart centroid lies
-    within the bump radius plus their longest side plus 1/8 of the longest
-    near side of y: no other element can hold y, have it on an edge or
-    reach the bump.  The signed cover count sums the orientation signs of
-    those whose chart image covers the chart coordinates of y (exact for
-    PL maps).  The mollified integral integrates a unit-mass bump against
-    the signed chart area of the image by midpoint quadrature on the 64
-    children of three midpoint splits of every element: their centroids
-    come from a fixed barycentric stencil and each has 1/64 of its
-    element's signed area.  While the children are wider than the bump the
-    elements are first split at their edge midpoints, halving their width
-    each time, and only the sub-elements that can reach it are kept.  Each
-    (sub-)element's children are summed alone and the element sums
-    exactly, so the integral does not depend on which elements that add 0
-    are skipped.
+    within the bump radius plus the longest near chart side of y: no other
+    element can hold y, have it on an edge or reach the bump.  The signed
+    cover count sums the orientation signs of those whose chart image
+    covers the chart coordinates of y (exact for PL maps).  The mollified
+    integral integrates a unit-mass bump against the signed chart area of
+    the image by midpoint quadrature on the 64 children of three midpoint
+    splits of every element: their centroids come from a fixed barycentric
+    stencil and each has 1/64 of its element's signed area.  While the
+    children are wider than the bump the elements are first split at their
+    edge midpoints, halving their width each time, and only the
+    sub-elements that can reach it are kept.  Each (sub-)element's children
+    are summed alone and the element sums exactly, so the integral does not
+    depend on which elements that add 0 are skipped.
 
     The cover test reads exact edge signs (``_orient2d``).  A target on an
     edge is moved symbolically off it, to the same side for both elements
     that share the edge, since their shared corners have the same chart
     coordinates.  So a target on an image edge or vertex is counted at a
     point infinitesimally near it, where the degree is the same because y
-    lies at least ``DEGREE_MARGIN`` from the boundary image.
-    ChartSpanFailureError names the first element near y that the chart at
-    y does not cover.  ``mollifier_radius``, when given, must be a finite
-    positive real number (a boolean is not one).
+    clears the boundary image.  ChartSpanFailureError names the first
+    element near y that the chart at y does not cover.
     """
-    r = mollifier_radius
-    if r is not None and not (_is_real(r) and 0 < r < np.inf):
-        raise ValueError(f"mollifier_radius must be finite and positive, got {r!r}")
     y = np.asarray(y, dtype=float)
     if y.shape != (3,):
         raise ValueError(
@@ -271,29 +265,34 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
             f"{y.shape}; call it once per target"
         )
     image = _image_of(mesh, surface, positions)
-    bdist = image.boundary_distance(y)
-    if bdist < DEGREE_MARGIN:
+    bdist = float(np.min(_segment_distances(y, *image.segment_ends), initial=np.inf))
+    node_dist = _row_norms(image.positions - y)
+    chart = surface.chart_at(y)
+    w = chart.inverse_map(y)
+    # The clearance of w from the chart images of the boundary segments the
+    # chart covers (both ends within chord distance chart.radius of y).  The
+    # chart contracts distances, so a covered segment within the margin in
+    # space is within it here too; an uncovered one that close belongs to a
+    # near element the chart misses, which raises ChartSpanFailureError below.
+    covered = (node_dist[image.segments] < chart.radius).all(axis=0)
+    starts, ends = chart.inverse_map(image.segment_ends[:, covered])
+    clearance = float(np.min(_segment_distances(w, starts, ends), initial=np.inf))
+    if clearance < DEGREE_MARGIN:
         raise BoundaryTooCloseError(
-            f"target point is {bdist:.3e} from the boundary image "
+            f"target point is {clearance:.3e} from the boundary image in its chart "
             f"(margin {DEGREE_MARGIN:.1e})"
         )
     diam, mean_edge = image.diam, image.mean_edge
-    node_dist = _row_norms(image.positions - y)
     c0, c1, c2 = image.corners
     vert_dist = np.minimum(np.minimum(node_dist[c0], node_dist[c1]), node_dist[c2])
 
-    # Bump radius: a few image edges, clamped inside the boundary clearance
+    # Bump radius: a few image edges, clamped inside both boundary clearances
     # (where the degree is constant) and the chart's validity radius.
-    if mollifier_radius is None:
-        radius = min(3.0 * mean_edge, 0.9 * bdist, 0.25 * surface.chart_radius)
-    else:
-        radius = float(mollifier_radius)
+    radius = min(3.0 * mean_edge, 0.9 * bdist, clearance, 0.25 * surface.chart_radius)
 
     reach = diam + 1.6 * radius + mean_edge
     near_idx = np.nonzero(vert_dist <= reach)[0]
     near_tris = image.mesh.triangles[near_idx]          # (k, 3) near corners
-    chart = surface.chart_at(y)
-    # The chart covers a node within chord distance chart.radius of y.
     ok = (node_dist[near_tris] < chart.radius).all(axis=1)
     if not np.all(ok):
         # Elements beyond the chart's validity contribute only if their
@@ -314,23 +313,16 @@ def brouwer_degree(surface, mesh, positions, y, mollifier_radius=None):
         near_idx, near_tris = near_idx[ok], near_tris[ok]
     if near_idx.size == 0:
         return DegreeResult(y, 0, 0.0, radius, methods_agree=True)
-    # Each distinct node once in the chart, then gathered per corner.
-    slot = np.zeros(len(node_dist), dtype=np.intp)
-    slot[near_tris] = 1
-    nodes = np.flatnonzero(slot)
-    slot[nodes] = np.arange(len(nodes))
-    uv = chart.inverse_map(image.positions[nodes])[slot[near_tris]]
-    w = chart.inverse_map(y)
+    uv = chart.inverse_map(image.positions[near_tris])  # (k, 3, 2)
 
     # Every point of an element lies within its longest side of the element
-    # centroid, so an element farther than radius + that side + size from w
-    # neither holds w, nor has it on an edge, nor reaches the bump: only the
-    # kept elements are counted and integrated.
+    # centroid, and 8 size is the longest near side, so an element farther
+    # than radius + 8 size from w neither holds w, nor has it on an edge, nor
+    # reaches the bump: only the kept elements are counted and integrated.
     tris = np.ascontiguousarray(uv.transpose(1, 2, 0))
     e = tris - tris[[2, 0, 1]]
-    longest = _extent(*np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]))[1]
-    size = float(np.max(longest)) / 8
-    kept = _distances(tris, w) <= radius + longest + size
+    size = float(np.sqrt(np.max(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]))) / 8
+    kept = _distances(tris, w) <= radius + 8.0 * size
     uv, tris = uv[kept], tris[:, :, kept]
 
     # Edge signs (k, 3): an element covers w when its three agree.

@@ -542,6 +542,22 @@ output_dir: "%s"
         assert main(["minimize", str(cfg)]) == 5
         assert "line search underflowed at iteration 7" in capsys.readouterr().err
 
+    def test_failing_line_search_exit_5(self, tmp_path, capsys, monkeypatch):
+        # Every line search gives up, so the first iteration stalls.
+        text = """
+surface: {kind: sphere, radius: 1.0}
+domain: {kind: disk, resolution: 0.3}
+initial_map: {kind: stereographic_cap, latitude: 1.0471975511965976}
+output_dir: "%s"
+"""
+        monkeypatch.setattr(minimizer_module, "_line_search", lambda *args: None)
+        cfg, _ = write_config(tmp_path, text)
+        assert main(["minimize", str(cfg)]) == 5
+        assert re.fullmatch(
+            r"error: line search underflowed at iteration 0 \(\|g_T\| = \S+, tol = \S+\)\n",
+            capsys.readouterr().err,
+        )
+
     def test_coarse_chart_degree_names_target_and_element_exit_5(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -665,8 +681,33 @@ output_dir: "%s"
         assert main(["degree", str(cfg), "--point", "0", "0", "0"]) == 5
         err = capsys.readouterr().err
         assert (
-            "error: target point is 0.000e+00 from the boundary image (margin 1.0e-06)"
-            in err
+            "error: target point is 0.000e+00 from the boundary image in its chart "
+            "(margin 1.0e-06)" in err
+        )
+        assert not (out / "initial_degree.csv").exists()
+
+    def _shipped(self, tmp_path, name):
+        text = (CONFIGS / f"{name}.yaml").read_text()
+        return write_config(tmp_path, text.replace(f"output_dir: runs/{name}", 'output_dir: "%s"'))
+
+    def test_degree_far_from_image(self, tmp_path, capsys):
+        # No element of the cap lies near the south pole.
+        cfg, out = self._shipped(tmp_path, "sphere_cap")
+        assert main(["degree", str(cfg), "--point", "0", "0", "-1"]) == 0
+        assert capsys.readouterr().out == (
+            "degree: 0\nmollified_integral: 0.0\nmethods_agree: true\n"
+        )
+        assert (out / "initial_degree.csv").exists()
+
+    def test_degree_on_boundary_chord_image_exit_5(self, tmp_path, capsys):
+        # 3.2e-4 from the torus band's boundary chords in space, but on
+        # their image in the target's chart.
+        cfg, out = self._shipped(tmp_path, "torus_band")
+        point = ["2.248884557689365", "0.05353343547302427", "-0.4332885344537498"]
+        assert main(["degree", str(cfg), "--point", *point]) == 5
+        assert capsys.readouterr().err == (
+            "error: target point is 1.050e-16 from the boundary image in its chart "
+            "(margin 1.0e-06)\n"
         )
         assert not (out / "initial_degree.csv").exists()
 

@@ -37,7 +37,6 @@ from memsurf.diagnostics import (
 from memsurf.constitutive import _spectral_batch, pk1_batch
 from memsurf.discretization import J_FLOOR, _kinematics, oriented_area_ratios, trial_energy
 from memsurf.errors import AmbiguousProjectionError
-from memsurf.geometry import Chart
 from memsurf.maps import make_initial_map
 from memsurf.mesh import TriMesh
 
@@ -117,6 +116,48 @@ def torus_band_start(torus):
     )
     targets = f0(np.random.default_rng(24).uniform(0.05, 0.95, (10, 2)))
     return mesh, interpolate(torus, mesh, f0), targets
+
+
+@pytest.fixture(scope="module")
+def cap_minimizer(model, sphere):
+    """The shipped sphere cap's minimizer (disk 0.05)."""
+    mesh = build_mesh("disk", 0.05)
+    f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+    return mesh, minimize(model, sphere, mesh, f0)[0]
+
+
+@pytest.fixture(scope="module")
+def torus_minimizer(model, torus):
+    """The shipped torus band's minimizer (unit square 0.03)."""
+    mesh = build_mesh("unit_square", 0.03)
+    f0 = make_initial_map(
+        torus, "torus_band", theta_range=(0.0, np.pi / 2), psi_range=(-np.pi / 3, np.pi / 3)
+    )
+    return mesh, minimize(model, torus, mesh, f0)[0]
+
+
+def _inside_boundary(surface, mesh, cfg, gaps):
+    """Targets ``gap`` inside the midpoint of boundary edge (loop[0], loop[1]):
+    moved toward the third corner of that edge's element, then projected."""
+    a, b = mesh.boundary_loops[0][:2]
+    tri = next(t for t in mesh.triangles.tolist() if a in t and b in t)
+    (c,) = set(tri) - {a, b}
+    mid = 0.5 * (cfg[a] + cfg[b])
+    inward = (cfg[c] - mid) / np.linalg.norm(cfg[c] - mid)
+    return [surface.project(mid + gap * inward) for gap in gaps]
+
+
+def _splits(monkeypatch):
+    """A list that records the element count of every midpoint split."""
+    splits = []
+    subdivide = diagnostics._subdivide
+
+    def counted(tris):
+        splits.append(tris.shape[2])
+        return subdivide(tris)
+
+    monkeypatch.setattr(diagnostics, "_subdivide", counted)
+    return splits
 
 
 class TestDegree:
@@ -203,7 +244,7 @@ class TestDegree:
         mesh, cfg = disk_identity
         y = np.array([0.25, -0.15, 0.0])
         r0 = brouwer_degree(plane, mesh, cfg, y)
-        r1 = brouwer_degree(plane, mesh, cfg, y, mollifier_radius=r0.mollifier_radius / 2)
+        r1 = _reference_degree(plane, mesh, cfg, y, mollifier_radius=r0.mollifier_radius / 2)
         assert r0.degree == r1.degree
         assert round(r0.mollified_integral) == round(r1.mollified_integral)
 
@@ -213,6 +254,40 @@ class TestDegree:
             res = brouwer_degree(sphere, mesh, cfg, y)
             assert res.degree == 1
             assert res.methods_agree
+
+    def test_far_target_is_degree_zero(self, sphere, cap_targets):
+        # No element of the cap lies near the south pole.
+        mesh, cfg, _ = cap_targets
+        y = np.array([0.0, 0.0, -1.0])
+        res = brouwer_degree(sphere, mesh, cfg, y)
+        assert (res.degree, res.mollified_integral, res.methods_agree) == (0, 0.0, True)
+        assert _outcome(brouwer_degree, sphere, mesh, cfg, y) == _outcome(
+            _reference_degree, sphere, mesh, cfg, y
+        )
+
+    def test_clearance_measured_in_the_chart(self, torus, torus_band_start):
+        # A boundary chord of the torus band's start passes about 3e-4 off
+        # the surface: this target is that far from it in space, but on its
+        # chart image, where the degree is counted and integrated.
+        mesh, cfg, _ = torus_band_start
+        y = torus.project(np.array([2.248884557689365, 0.05353343547302427, -0.4332885344537498]))
+        in_space, in_chart = _reference_boundary_distances(y, mesh, cfg, torus.chart_at(y))
+        assert in_space > 3e-4 > 1e-15 > in_chart
+        with pytest.raises(BoundaryTooCloseError, match=r"e-16 from the boundary image in its chart"):
+            brouwer_degree(torus, mesh, cfg, y)
+        assert _outcome(_reference_degree, torus, mesh, cfg, y) is BoundaryTooCloseError
+
+    def test_curved_targets_near_boundary(
+        self, sphere, torus, cap_minimizer, torus_minimizer
+    ):
+        # The bump stays inside the chart clearance, so its integral is the degree.
+        for surface, (mesh, cfg) in ((sphere, cap_minimizer), (torus, torus_minimizer)):
+            targets = _inside_boundary(surface, mesh, cfg, (3e-4, 1e-4))
+            for y in targets:
+                res = brouwer_degree(surface, mesh, cfg, y)
+                assert res.degree == 1
+                assert abs(res.mollified_integral - 1.0) < 0.1
+            _assert_as_reference(surface, mesh, cfg, targets)
 
     @pytest.mark.parametrize("shape", [(1, 3), (4, 3), (2,)])
     def test_one_target_per_call(self, plane, disk_identity, shape):
@@ -284,17 +359,33 @@ def _reference_stencil():
     return ((tris[0] + tris[1] + tris[2]) / 3.0).T
 
 
-def _reference_boundary_distance(y, mesh, positions):
-    """Distance from y to the polygonal boundary image, loop by loop."""
-    dist = np.inf
+def _reference_segment_distance(w, starts, ends):
+    """Distance from w to the segments from rows ``starts`` to rows ``ends``."""
+    d = ends - starts
+    denom = np.einsum("ij,ij->i", d, d)
+    t = np.einsum("ij,ij->i", w - starts, d) / np.where(denom > 0, denom, 1.0)
+    closest = starts + np.clip(t, 0.0, 1.0)[:, None] * d
+    return float(np.min(np.linalg.norm(w - closest, axis=1), initial=np.inf))
+
+
+def _reference_boundary_distances(y, mesh, positions, chart):
+    """Distances from y to the polygonal boundary image, loop by loop, in
+    space and in the chart, there over the segments whose ends it covers."""
+    dist = chart_dist = np.inf
     for loop in mesh.boundary_loops:
         starts = positions[np.asarray(loop)]
-        d = np.roll(starts, -1, axis=0) - starts
-        denom = np.einsum("ij,ij->i", d, d)
-        t = np.einsum("ij,ij->i", y - starts, d) / np.where(denom > 0, denom, 1.0)
-        closest = starts + np.clip(t, 0.0, 1.0)[:, None] * d
-        dist = min(dist, float(np.min(np.linalg.norm(y - closest, axis=1))))
-    return dist
+        ends = np.roll(starts, -1, axis=0)
+        dist = min(dist, _reference_segment_distance(y, starts, ends))
+        covered = chart.contains(starts) & chart.contains(ends)
+        chart_dist = min(
+            chart_dist,
+            _reference_segment_distance(
+                chart.inverse_map(y),
+                chart.inverse_map(starts[covered]),
+                chart.inverse_map(ends[covered]),
+            ),
+        )
+    return dist, chart_dist
 
 
 def _reference_profile(s2):
@@ -313,7 +404,9 @@ def _reference_degree(surface, mesh, positions, y, mollifier_radius=None, stenci
     is dropped; nothing is shared with an earlier call.  The quadrature is
     the 64-child centroid stencil, after splitting the elements while the
     children are wider than the bump, or with ``stencil=False`` the three
-    and more materialised midpoint splits it replaced.
+    and more materialised midpoint splits it replaced.  The bump radius is
+    derived from the boundary clearances in space and in the chart unless
+    ``mollifier_radius`` gives it.
     """
     P = positions[mesh.triangles]
     edges = np.stack([P[:, 1] - P[:, 0], P[:, 2] - P[:, 1], P[:, 0] - P[:, 2]], axis=1)
@@ -321,18 +414,18 @@ def _reference_degree(surface, mesh, positions, y, mollifier_radius=None, stenci
     diam = edge_len.max(axis=1)
     mean_edge = float(np.mean(edge_len))
     signs = np.sign(oriented_area_ratios(mesh, surface, positions)).astype(int)
-    bdist = _reference_boundary_distance(y, mesh, positions)
-    if bdist < DEGREE_MARGIN:
+    chart = surface.chart_at(y)
+    bdist, chart_bdist = _reference_boundary_distances(y, mesh, positions, chart)
+    if min(bdist, chart_bdist) < DEGREE_MARGIN:
         raise BoundaryTooCloseError("too close")
     vert_dist = np.linalg.norm(P - y, axis=2).min(axis=1)
     if mollifier_radius is None:
-        radius = min(3.0 * mean_edge, 0.9 * bdist)
+        radius = min(3.0 * mean_edge, 0.9 * bdist, chart_bdist)
         if np.isfinite(surface.chart_radius):
             radius = min(radius, 0.25 * surface.chart_radius)
     else:
         radius = float(mollifier_radius)
     near_idx = np.nonzero(vert_dist <= diam + 1.6 * radius + mean_edge)[0]
-    chart = surface.chart_at(y)
     ok = chart.contains(P[near_idx]).all(axis=1)
     if not np.all(ok):
         bad = near_idx[~ok]
@@ -412,47 +505,55 @@ def _assert_as_reference(surface, mesh, cfg, targets, **kwargs):
 class TestDegreeEquivalence:
     """The pruned, memoized degree is bit for bit the whole-mesh computation."""
 
-    def test_sphere_cap_targets(self, sphere, cap_targets):
+    def test_sphere_cap_targets(self, sphere, cap_targets, cap_minimizer, monkeypatch):
         mesh, cfg, targets = cap_targets
         _assert_as_reference(sphere, mesh, cfg, targets)
-        _assert_as_reference(sphere, mesh, cfg, targets, mollifier_radius=0.02)
+        # Near the boundary the bump is narrower than the children: the kept
+        # elements are split twice (gap 3e-3) and four times (gap 1e-3).
+        mesh, cfg = cap_minimizer
+        splits = _splits(monkeypatch)
+        for y, count in zip(_inside_boundary(sphere, mesh, cfg, (3e-3, 1e-3)), (2, 4)):
+            splits.clear()
+            brouwer_degree(sphere, mesh, cfg, y)
+            assert len(splits) == count
+            _assert_as_reference(sphere, mesh, cfg, [y])
 
     def test_plane_suite(self, plane, plane_suite):
         for mesh, cfg, targets, _ in plane_suite:
             _assert_as_reference(plane, mesh, cfg, targets)
 
-    def test_torus_band_start(self, torus, torus_band_start):
+    def test_torus_band_start(self, torus, torus_band_start, torus_minimizer, monkeypatch):
         # Tangent-plane charts of finite radius, on a surface of two curvatures.
         mesh, cfg, targets = torus_band_start
         assert torus.chart_radius == 0.375
         assert [brouwer_degree(torus, mesh, cfg, y).degree for y in targets] == [1] * 10
         _assert_as_reference(torus, mesh, cfg, targets)
-        _assert_as_reference(torus, mesh, cfg, targets, mollifier_radius=0.02)
+        mesh, cfg = torus_minimizer
+        splits = _splits(monkeypatch)
+        for y, count in zip(_inside_boundary(torus, mesh, cfg, (1e-2, 3e-3)), (2, 4)):
+            splits.clear()
+            brouwer_degree(torus, mesh, cfg, y)
+            assert len(splits) == count
+            _assert_as_reference(torus, mesh, cfg, [y])
 
-    def test_extra_splits_and_errors(self, plane, sphere, disk_identity, cap_targets, monkeypatch):
-        splits = []
-        subdivide = diagnostics._subdivide
-
-        def counted(tris):
-            splits.append(tris.shape[2])
-            return subdivide(tris)
-
+    def test_extra_splits_and_errors(self, plane, sphere, disk_identity, cap_minimizer, monkeypatch):
         mesh, cfg = disk_identity
         loop = mesh.boundary_loops[0]
         a, b = cfg[loop[0]], cfg[loop[1]]
         d = b - a
         inward = np.array([-d[1], d[0], 0.0]) / np.linalg.norm(d)
         near_boundary = [0.5 * (a + b) + gap * inward for gap in (1e-3, 1e-5, 2e-6, 0.0)]
-        monkeypatch.setattr(diagnostics, "_subdivide", counted)
+        splits = _splits(monkeypatch)
         brouwer_degree(plane, mesh, cfg, near_boundary[0])
         assert splits                    # the bump is narrower than the children
         _assert_as_reference(plane, mesh, cfg, near_boundary)
         _assert_as_reference(plane, mesh, cfg, [np.zeros(3)])  # a target on image edges
-        cap_mesh, cap_cfg, targets = cap_targets
+        cap_mesh, cap_cfg = cap_minimizer
+        targets = _inside_boundary(sphere, cap_mesh, cap_cfg, (1e-3, 1e-4, 0.0))
         splits.clear()
-        brouwer_degree(sphere, cap_mesh, cap_cfg, targets[0], mollifier_radius=0.005)
+        brouwer_degree(sphere, cap_mesh, cap_cfg, targets[0])
         assert splits
-        _assert_as_reference(sphere, cap_mesh, cap_cfg, targets, mollifier_radius=0.005)
+        _assert_as_reference(sphere, cap_mesh, cap_cfg, targets)
 
     def test_count_sees_only_kept_elements(self, sphere, cap_targets, monkeypatch):
         rows = []
@@ -604,52 +705,32 @@ class TestExactCount:
 
 
 class TestDegreeStencil:
-    """The 64-child stencil is the quadrature of three midpoint splits, and
-    each near node is mapped into the target's chart once."""
+    """The 64-child stencil is the quadrature of three midpoint splits."""
 
     def test_weights_are_three_split_centroids(self):
         assert np.array_equal(diagnostics._STENCIL, _reference_stencil())
         assert np.all(np.abs(diagnostics._STENCIL.sum(axis=1) - 1.0) <= np.finfo(float).eps)
 
     def test_matches_three_split_quadrature(
-        self, plane, sphere, torus, cap_targets, plane_suite, torus_band_start
+        self, plane, sphere, torus, cap_targets, plane_suite, torus_band_start,
+        cap_minimizer, torus_minimizer,
     ):
-        # Bumps of 0.02 and 0.005 are narrower than the cap's children: its
-        # kept elements are split once and three times before the stencil.
-        radii = ({}, {"mollifier_radius": 0.02})
-        cases = [(sphere, *cap_targets, radii + ({"mollifier_radius": 0.005},))]
-        cases += [(torus, *torus_band_start, radii)]
-        cases += [(plane, mesh, cfg, targets, radii) for mesh, cfg, targets, _ in plane_suite]
-        for surface, mesh, cfg, targets, inputs in cases:
-            for kwargs in inputs:
-                for y in targets:
-                    res = brouwer_degree(surface, mesh, cfg, y, **kwargs)
-                    ref = _reference_degree(surface, mesh, cfg, y, stencil=False, **kwargs)
-                    assert res.degree == ref.degree
-                    assert abs(res.mollified_integral - ref.mollified_integral) <= 1e-14
-
-    def test_chart_maps_each_near_node_once(
-        self, plane, sphere, disk_identity, cap_targets, monkeypatch
-    ):
-        rows = []
-        inverse_map = Chart.inverse_map
-
-        def counted(chart, points):
-            out = inverse_map(chart, points)
-            rows.append(out[..., 0].size)
-            return out
-
-        monkeypatch.setattr(Chart, "inverse_map", counted)
-        cap_mesh, cap_cfg, cap_ys = cap_targets
-        for surface, mesh, cfg, y in [
-            (plane, *disk_identity, np.array([0.3, 0.2, 0.0])),
-            (sphere, cap_mesh, cap_cfg, cap_ys[0]),
-        ]:
-            rows.clear()
-            near = _near_elements(mesh, cfg, y, brouwer_degree(surface, mesh, cfg, y))
-            near_nodes = len(np.unique(mesh.triangles[near]))
-            # A chart row per corner would be 3 per near element.
-            assert 0 < sum(rows) <= near_nodes + 1 < 3 * int(near.sum())
+        # Near the boundary the bumps are narrower than the children: the
+        # kept elements are split two and four times before the stencil.
+        cases = [(sphere, *cap_targets[:2], cap_targets[2])]
+        cases += [(torus, *torus_band_start[:2], torus_band_start[2])]
+        cases += [(plane, mesh, cfg, targets) for mesh, cfg, targets, _ in plane_suite]
+        for surface, (mesh, cfg), gaps in (
+            (sphere, cap_minimizer, (3e-3, 1e-3)),
+            (torus, torus_minimizer, (1e-2, 3e-3)),
+        ):
+            cases += [(surface, mesh, cfg, _inside_boundary(surface, mesh, cfg, gaps))]
+        for surface, mesh, cfg, targets in cases:
+            for y in targets:
+                res = brouwer_degree(surface, mesh, cfg, y)
+                ref = _reference_degree(surface, mesh, cfg, y, stencil=False)
+                assert res.degree == ref.degree
+                assert abs(res.mollified_integral - ref.mollified_integral) <= 1e-14
 
 
 _MIRROR_X = np.array([-1.0, 1.0, 1.0])
@@ -696,20 +777,6 @@ class TestDegreeMemo:
             down = _outcome(brouwer_degree, sphere, mesh, mirrored, y * _MIRROR_X)
             assert down == _outcome(_reference_degree, sphere, mesh, mirrored, y * _MIRROR_X)
             assert down[0] == -up.degree == -1
-
-
-@pytest.mark.parametrize("radius", [0.0, -0.1, np.nan, np.inf, True, np.True_, "0.1"])
-def test_bad_mollifier_radius_raises(plane, disk_identity, radius):
-    mesh, cfg = disk_identity
-    with pytest.raises(ValueError, match=f"mollifier_radius .* got {re.escape(repr(radius))}"):
-        brouwer_degree(plane, mesh, cfg, np.array([0.3, 0.2, 0.0]), mollifier_radius=radius)
-
-
-def test_boolean_mollifier_radius_on_cap_raises(sphere, cap_targets):
-    # True once ran as radius 1.0, beyond the sphere's chart radius.
-    mesh, cfg, targets = cap_targets
-    with pytest.raises(ValueError, match="mollifier_radius .* got True"):
-        brouwer_degree(sphere, mesh, cfg, targets[0], mollifier_radius=True)
 
 
 def test_bump_mass_constant_matches_quadrature():

@@ -3,6 +3,7 @@ import pytest
 
 from memsurf import (
     InfeasibleStartError,
+    LineSearchStallError,
     Sphere,
     build_mesh,
     initialize,
@@ -20,6 +21,7 @@ from memsurf.maps import make_initial_map
 from memsurf.errors import AmbiguousProjectionError
 import memsurf.minimizer as minimizer_module
 from memsurf.minimizer import LBFGS_MEMORY, _curvature_step, _lbfgs_direction
+from memsurf.stiffness import StiffnessSolver
 
 
 class TestInitialize:
@@ -244,6 +246,123 @@ class TestRejectedTrials:
         assert failed == [int(mesh.interior_mask().sum())] * 5
         assert report.projection_failures[0] == 5
         assert sum(report.projection_failures) == 5
+
+
+class TestLineSearchFailure:
+    """A failed line search is retried once without the curvature memory; a
+    failed retry, or a failure with no memory to clear, stalls the run."""
+
+    @staticmethod
+    def _patched(monkeypatch, fails):
+        """Record every ``_line_search`` call as (direction, counts after it);
+        the calls whose 1-based number ``fails`` accepts reject three trials
+        at the J floor and give up."""
+        line_search = minimizer_module._line_search
+        calls = []
+
+        def search(model, mesh, surface, free, positions, energy, g, d, counts):
+            if fails(len(calls) + 1):
+                counts["backtracks"] += 3
+                counts["infeasible_trials"] += 3
+                found = None
+            else:
+                found = line_search(model, mesh, surface, free, positions, energy, g, d, counts)
+            calls.append((d, g, positions[free], dict(counts)))
+            return found
+
+        monkeypatch.setattr(minimizer_module, "_line_search", search)
+        return calls
+
+    def test_failure_with_memory_retries_along_preconditioned_gradient(
+        self, model, sphere, monkeypatch
+    ):
+        mesh = build_mesh("disk", 0.12)
+        f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        memory = []
+        lbfgs_direction = minimizer_module._lbfgs_direction
+
+        def direction(gt, mem_s, *rest):
+            memory.append(len(mem_s))
+            return lbfgs_direction(gt, mem_s, *rest)
+
+        monkeypatch.setattr(minimizer_module, "_lbfgs_direction", direction)
+        # Call 2 is iteration 1's search, the first with a curvature pair.
+        calls = self._patched(monkeypatch, lambda call: call == 2)
+        cfg, report = minimize(model, sphere, mesh, f0)
+        assert report.status == "converged"
+        e = report.energy_history
+        assert all(b <= a for a, b in zip(e, e[1:]))
+        assert len(calls) == report.iterations + 1
+        # The retry searched along -P K^-1 g_T, and iteration 2 held only
+        # the pair of the step it found.
+        d, g, x, counts = calls[2]
+        free = mesh.interior_mask()
+        solve = StiffnessSolver(mesh).solve
+        assert np.array_equal(d, -sphere.tangent_project_unchecked(x, solve(g)))
+        assert memory[:2] == [1, 1]
+        # Iteration 1's counters hold the failed search's rejections and the retry's.
+        assert report.backtracks[1] == counts["backtracks"] >= 3
+        assert report.infeasible_trials[1] == counts["infeasible_trials"] >= 3
+        assert report.trials == report.iterations + sum(report.backtracks)
+        assert np.array_equal(cfg[~free], f0(mesh.vertices)[~free])
+
+    def test_failed_retry_stalls(self, model, sphere, monkeypatch):
+        mesh = build_mesh("disk", 0.2)
+        f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        calls = self._patched(monkeypatch, lambda call: call > 1)
+        with pytest.raises(LineSearchStallError, match=r"underflowed at iteration 1 \(\|g_T\|"):
+            minimize(model, sphere, mesh, f0)
+        assert len(calls) == 3          # iteration 0, then iteration 1 and its retry
+
+    def test_failure_without_memory_stalls(self, model, sphere, monkeypatch):
+        mesh = build_mesh("disk", 0.2)
+        f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        calls = self._patched(monkeypatch, lambda call: True)
+        with pytest.raises(LineSearchStallError, match="underflowed at iteration 0"):
+            minimize(model, sphere, mesh, f0)
+        assert len(calls) == 1
+
+    @staticmethod
+    def _plane_state(model, plane):
+        mesh = build_mesh("unit_square", 0.25)
+        free = mesh.interior_mask()
+        positions = interpolate(plane, mesh, make_initial_map(plane, "identity"))
+        positions[free, :2] += 0.01
+        return mesh, free, positions, trial_energy(model, mesh, plane, positions)[0]
+
+    def test_direction_below_float_resolution(self, model, plane, monkeypatch):
+        # No trial moves a node, so none is evaluated.
+        mesh, free, positions, energy = self._plane_state(model, plane)
+        d = np.zeros((int(free.sum()), 3))
+        d[:, :2] = 1e-300
+        evaluated = []
+        monkeypatch.setattr(
+            minimizer_module, "trial_energy", lambda *args: evaluated.append(args)
+        )
+        counts = dict.fromkeys(("backtracks", "infeasible_trials", "projection_failures"), 0)
+        found = minimizer_module._line_search(
+            model, mesh, plane, free, positions, energy, -d, d, counts
+        )
+        assert found is None
+        assert evaluated == []
+        assert set(counts.values()) == {0}
+
+    def test_step_underflow(self, model, plane, monkeypatch):
+        # Every trial is rejected at the J floor until the step underflows.
+        mesh, free, positions, energy = self._plane_state(model, plane)
+        d = np.zeros((int(free.sum()), 3))
+        d[:, :2] = 1e3
+        monkeypatch.setattr(
+            minimizer_module, "trial_energy", lambda *args: (0.0, 0.0, False, "F", None)
+        )
+        counts = dict.fromkeys(("backtracks", "infeasible_trials", "projection_failures"), 0)
+        found = minimizer_module._line_search(
+            model, mesh, plane, free, positions, energy, -d, d, counts
+        )
+        assert found is None
+        # Steps 2^-k for k = 0, ..., 53: the first below STEP_UNDERFLOW is 2^-54.
+        assert 2.0**-53 >= minimizer_module.STEP_UNDERFLOW > 2.0**-54
+        assert counts == {"backtracks": 54, "infeasible_trials": 54, "projection_failures": 0}
 
 
 class TestCurvatureStep:
