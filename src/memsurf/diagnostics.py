@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constitutive import _spectral_batch, pk1_batch
-from .discretization import J_FLOOR, _assemble, _element_kinematics, _kinematics
+from .discretization import J_FLOOR, _assemble, _dot, _element_kinematics, _kinematics
 from .errors import (
     AmbiguousProjectionError,
     BoundaryTooCloseError,
@@ -630,6 +630,6 @@ def first_variation_residual(model, surface, mesh, positions, family_size, seed)
         unmoved_ok = bool(np.all(np.delete(J, moved) > J_FLOOR))
         admissible = unmoved_ok and _admissible(mesh, surface, steps, moved)
         lag, eul = float(np.sum(psi * lagrangian)), float(np.sum(psi * eulerian))
-        norm = float(np.linalg.norm(psi))
+        norm = math.sqrt(_dot(psi, psi))
         results.append(ResidualResult(k, v, y0, rc, lag, eul, norm, admissible))
     return results

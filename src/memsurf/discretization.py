@@ -127,3 +127,10 @@ def _assemble(mesh, T):
             for a in range(3)
         ]
     )
+
+
+def _dot(a, b):
+    """Inner product of two fields of one shape, by einsum rather than BLAS
+    ``ddot``, which splits a long sum across threads: the bits do not depend
+    on the BLAS thread count."""
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))

@@ -24,6 +24,7 @@ at the gradient tolerance ``grad_tol``, the one setting of ``minimize``.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -31,6 +32,7 @@ import numpy as np
 
 from .discretization import (
     J_FLOOR,
+    _dot,
     _kinematics,
     energy_gradient,
     interpolate,
@@ -129,15 +131,15 @@ def _lbfgs_direction(g, s, y, solve, stiffness):
     q = g.copy()
     a = np.empty(len(sy))
     for i in range(len(sy) - 1, -1, -1):
-        a[i] = np.vdot(s[i], q) / sy[i]
+        a[i] = _dot(s[i], q) / sy[i]
         q -= a[i] * y[i]
     q = solve(q)
     if len(sy):
-        q *= np.vdot(s[-1], stiffness(s[-1])) / sy[-1]
+        q *= _dot(s[-1], stiffness(s[-1])) / sy[-1]
     for i in range(len(sy)):
-        q += (a[i] - np.vdot(y[i], q) / sy[i]) * s[i]
+        q += (a[i] - _dot(y[i], q) / sy[i]) * s[i]
     d = -q
-    if not np.vdot(g, d) < 0:
+    if not _dot(g, d) < 0:
         return -solve(g), s[:0], y[:0]
     return d, s, y
 
@@ -159,8 +161,8 @@ def _curvature_step(model, mesh, surface, free, positions, g, d):
         return 1.0
     grad = energy_gradient(model, mesh, F)[free]
     moved = surface.tangent_project_unchecked(probe[free], grad)
-    curvature = float(np.vdot(d, moved - g)) / h
-    return -float(np.vdot(g, d)) / curvature if curvature > 0 else 1.0
+    curvature = _dot(d, moved - g) / h
+    return -_dot(g, d) / curvature if curvature > 0 else 1.0
 
 
 def _transport(surface, x, grad, step, prev_g, mem_s, mem_y):
@@ -190,7 +192,7 @@ def _line_search(model, mesh, surface, free, positions, energy, g, d, counts):
     resolution.  Each rejected trial is added to ``counts``.
     """
     x = positions[free]
-    slope = float(np.vdot(g, d))
+    slope = _dot(g, d)
     float_floor = 4.0 * np.finfo(float).eps * (1.0 + abs(energy))
     alpha = 1.0
     while alpha >= STEP_UNDERFLOW:
@@ -260,7 +262,7 @@ def minimize(model, surface, mesh, f0, grad_tol=None):
             gt, mem_s, mem_y = _transport(
                 surface, x, grad, x - prev_x, prev_g, mem_s, mem_y
             )
-        gnorm = float(np.linalg.norm(gt))
+        gnorm = math.sqrt(_dot(gt, gt))
         report.grad_history.append(gnorm)
         if gnorm <= grad_tol:
             report.status = "converged"

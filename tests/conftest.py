@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -57,3 +61,21 @@ def surface_samples(surface, rng, n):
             rng.uniform(-np.pi, np.pi, n), rng.uniform(-np.pi, np.pi, n)
         )
     raise ValueError(surface.kind)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def outputs_at_blas_threads(script):
+    """The stdout words of a Python script run in a subprocess at one and at
+    two BLAS threads, in that order."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outputs.append(proc.stdout.split())
+    return outputs

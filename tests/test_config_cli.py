@@ -1,8 +1,11 @@
 import copy
 import csv
 import io
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,11 +28,21 @@ from memsurf.cli import main
 
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 MINIMAL_PLANE = """
 surface: {kind: plane}
 domain: {kind: unit_square, resolution: 0.125}
 initial_map: {kind: identity}
+diagnostics: {injectivity: true, degree_points: 10, residual_fields: 6}
+output_dir: "%s"
+seed: 42
+"""
+
+SMALL_CAP = """
+surface: {kind: sphere, radius: 1.0}
+domain: {kind: disk, resolution: 0.1, radius: 1.0}
+initial_map: {kind: stereographic_cap, latitude: 1.0471975511965976}
 diagnostics: {injectivity: true, degree_points: 10, residual_fields: 6}
 output_dir: "%s"
 seed: 42
@@ -445,6 +458,25 @@ class TestMinimizeCommand:
         cfg.write_text(f"{text}\noutput_dir: \"{tmp_path / 'out'}\"\n")
         assert main(["minimize", str(cfg)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_run_never_imports_numpy_ma(self, tmp_path):
+        # numpy.ma costs milliseconds and about a megabyte to import; some
+        # NumPy calls (np.unique without a return_* flag on NumPy 2.4) pull
+        # it in.  A whole minimize run, diagnostics included, must not.
+        cfg, out = write_config(tmp_path, SMALL_CAP)
+        script = (
+            "import sys\n"
+            "from memsurf.cli import main\n"
+            f"code = main(['minimize', {str(cfg)!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split()[-2:] == ["0", "False"]
+        assert (out / "degree.csv").exists() and (out / "residuals.csv").exists()
 
     def test_plane_identity_run(self, tmp_path, capsys):
         import time

@@ -35,7 +35,7 @@ from memsurf.diagnostics import (
     _triangle_overlap_area,
 )
 from memsurf.constitutive import _spectral_batch, pk1_batch
-from memsurf.discretization import J_FLOOR, _kinematics, oriented_area_ratios, trial_energy
+from memsurf.discretization import J_FLOOR, _dot, _kinematics, oriented_area_ratios, trial_energy
 from memsurf.errors import AmbiguousProjectionError
 from memsurf.maps import make_initial_map
 from memsurf.mesh import TriMesh
@@ -1025,7 +1025,7 @@ def _reference_residuals(model, surface, mesh, positions, family_size, seed):
         D = np.einsum("tab,tbj->taj", Psi, Fplus)
         eul = float(np.sum(mesh.ref_area * area_ratio * np.einsum("tij,tij->t", cauchy, D)))
         admissible = all(_admissible(mesh, surface, positions + t * psi) for t in (1e-3, -1e-3))
-        out.append((lag, eul, float(np.linalg.norm(psi)), admissible))
+        out.append((lag, eul, math.sqrt(_dot(psi, psi)), admissible))
     return out
 
 

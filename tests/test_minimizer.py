@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import outputs_at_blas_threads
 from memsurf import (
     InfeasibleStartError,
     LineSearchStallError,
@@ -12,6 +15,7 @@ from memsurf import (
 )
 from memsurf.discretization import (
     J_FLOOR,
+    _dot,
     _kinematics,
     energy_gradient,
     oriented_area_ratios,
@@ -188,7 +192,7 @@ def _recomputed_grad_norm(model, surface, mesh, cfg):
     grad = energy_gradient(model, mesh, _kinematics(mesh, surface, cfg)[0])
     free = mesh.interior_mask()
     gt = surface.tangent_project_unchecked(cfg[free], grad[free])
-    return float(np.linalg.norm(gt))
+    return math.sqrt(_dot(gt, gt))
 
 
 class TestAcceptedStateHandoff:
@@ -580,3 +584,26 @@ class TestInvariantsAllSurfaces:
         assert all(b <= a for a, b in zip(e, e[1:]))
         b = mesh.boundary_vertices
         assert np.array_equal(cfg[b], base[b])
+
+
+_REDUCTION_BITS = """
+import hashlib
+import numpy as np
+from memsurf.discretization import _dot
+from memsurf.minimizer import _lbfgs_direction
+rng = np.random.default_rng(5)
+g = rng.standard_normal((10000, 3))
+s = rng.standard_normal((4, 10000, 3))
+y = s + 0.1 * rng.standard_normal(s.shape)
+d, kept, _ = _lbfgs_direction(g, s, y, lambda v: 0.5 * v, lambda v: 2.0 * v)
+print(len(kept), _dot(g, d).hex(), _dot(g, g).hex(), hashlib.sha256(d.tobytes()).hexdigest())
+"""
+
+
+def test_reductions_do_not_depend_on_blas_threads():
+    # 30 000 entries: above the size where OpenBLAS ddot splits its sum
+    # across threads.  The L-BFGS recursion's inner products and the
+    # gradient norm's sum must give the same bits at one and two threads.
+    outputs = outputs_at_blas_threads(_REDUCTION_BITS)
+    assert outputs[0][0] == "4"
+    assert outputs[0] == outputs[1]
