@@ -5,9 +5,9 @@ worst violation of the inequality it certifies, and passes when that is
 within a fixed tolerance (``CheckReport.passed``).  ``run_all_checks``
 derives each check's seed from its own; the battery's sample counts, the
 perturbation size and the sampled ranges are the module constants below.
-Re-running with the same (seed, n) is bitwise reproducible.  The
-convexity sweep draws its segments block by block, each block from (seed,
-block start) alone, so its reports are the same for any core count.
+Re-running with the same (seed, n) is bitwise reproducible.  The convexity
+sweep's row blocks, each drawn from (seed, block start) alone, run on worker
+threads beside the other checks, so its reports match for any core count.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "check_growth",
     "run_all_checks",
     "max_perturbation_delta",
-    "shear_over_j",
     "shear_over_j_squared",
 ]
 
@@ -218,11 +217,6 @@ def _sample_fj_pairs(rng, n):
     return F, J
 
 
-def shear_over_j(F, J):
-    """(F.F)/J, jointly convex on J > 0."""
-    return np.einsum("nij,nij->n", F, F) / J
-
-
 def shear_over_j_squared(F, J):
     """(F.F)/J^2, not jointly convex."""
     return np.einsum("nij,nij->n", F, F) / J**2
@@ -286,8 +280,8 @@ def _sweep_block(phis, seed, weights, n, start):
     return summaries
 
 
-class _ConvexitySweep:
-    """One split-convexity report per functional, all on the same segments.
+def _convexity_sweep(n, seed, phis, meanwhile=lambda: None):
+    """One split-convexity report per functional in ``phis``, and ``meanwhile()``.
 
     Every functional is evaluated on the same (F, J) pairs and the same
     convex combinations of them: the midpoint and ``WEIGHTS_PER_PAIR``
@@ -299,92 +293,79 @@ class _ConvexitySweep:
     The functionals must be row-wise (row i of the result depends only on
     row i of F and J): the rows are evaluated in blocks of
     ``SWEEP_BLOCK_ROWS``, and ``_sweep_block`` draws each block's rows from
-    (seed, block start) alone.  Construction starts one worker thread per
-    usable core beyond the first; the workers take blocks in row order from
-    a shared counter, NumPy releasing the GIL in its loops.  ``reports`` has
-    the calling thread take blocks too, joins the workers and merges the
-    blocks in row order, so the reports are the same for any core count.
-    A block that raises moves the counter past the end, and ``reports``
-    raises the first error in row order once every taken block is done.
+    (seed, block start) alone.  One worker thread per usable core beyond
+    the first, and per block beyond the first, takes blocks from a shared
+    iterator, NumPy releasing the GIL in its loops; the calling thread runs
+    ``meanwhile``, then takes blocks too, and joins the workers.  The blocks
+    merge in row order, so the reports are the same for any core count.  A
+    block that raises drains the iterator.  An interrupt stays itself and
+    lets no thread take another block; otherwise the first block error in
+    row order is raised, and then ``meanwhile``'s own exception.
     """
+    rng = np.random.default_rng(seed)
+    weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, WEIGHTS_PER_PAIR)])
+    # One block even when n == 0, so an empty sample fails as a single pass does.
+    starts = range(0, max(n, 1), SWEEP_BLOCK_ROWS)
+    # Per block: its summaries, or the exception it raised.
+    results = [None] * len(starts)
+    blocks = iter(range(len(starts)))
+    lock = threading.Lock()
 
-    def __init__(self, n, seed, *phis):
-        self.n, self.seed, self.phis = n, seed, phis
-        rng = np.random.default_rng(seed)
-        self.weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, WEIGHTS_PER_PAIR)])
-        # One block even when n == 0, so an empty sample fails as a single pass does.
-        self._starts = range(0, max(n, 1), SWEEP_BLOCK_ROWS)
-        # Per block: its summaries, or the exception it raised.
-        self._results = [None] * len(self._starts)
-        self._taken = 0
-        self._lock = threading.Lock()
-        self._workers = [
-            threading.Thread(target=self._work, daemon=True)
-            for _ in range(_usable_cores() - 1)
-        ]
-        for worker in self._workers:
-            worker.start()
+    def take():
+        with lock:
+            return next(blocks, None)
 
-    def _work(self):
-        while True:
-            with self._lock:
-                b = self._taken
-                if b >= len(self._starts):
-                    return
-                self._taken += 1
+    def drain():
+        for _ in iter(take, None):
+            pass
+
+    def work():
+        for b in iter(take, None):
             try:
-                self._results[b] = _sweep_block(
-                    self.phis, self.seed, self.weights, self.n, self._starts[b]
-                )
+                results[b] = _sweep_block(phis, seed, weights, n, starts[b])
             except Exception as exc:
-                self._results[b] = exc
-                with self._lock:
-                    self._taken = len(self._starts)
+                results[b] = exc
+                drain()
 
-    def stop(self):
-        """Let no thread take another block, then join the workers; raises nothing."""
-        with self._lock:
-            self._taken = len(self._starts)
-        for worker in self._workers:
-            worker.join()
-
-    def reports(self):
-        """The reports, after this thread takes blocks too."""
+    threads = min(_usable_cores(), len(starts)) - 1
+    workers = [threading.Thread(target=work, daemon=True) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    failed = None
+    try:
         try:
-            self._work()
-        finally:
-            self.stop()
-        for result in self._results:
-            if isinstance(result, Exception):
-                raise result
-        reports = []
-        for k in range(len(self.phis)):
-            worst, witness, violations = -np.inf, {}, 0
-            for j in range(len(self.weights)):
-                cells = [summary[j][k] for summary in self._results]
-                violations += sum(cell[0] for cell in cells)
-                flagged = [cell for cell in cells if math.isnan(cell[1])]
-                _, value, cell_witness = flagged[0] if flagged else max(cells, key=lambda c: c[1])
+            done = meanwhile()
+        except Exception as exc:
+            failed = exc
+        work()
+    finally:
+        drain()
+        for worker in workers:
+            worker.join()
+    for error in (*results, failed):
+        if isinstance(error, Exception):
+            raise error
+    reports = []
+    for k in range(len(phis)):
+        worst, witness, violations = -math.inf, {}, 0
+        for j in range(len(weights)):
+            for count, value, cell_witness in (summary[j][k] for summary in results):
+                violations += count
                 # Once NaN, always NaN: no later finite excess can clear it.
                 if not math.isnan(worst) and not value <= worst:
                     worst, witness = value, cell_witness
-            reports.append(
-                CheckReport(
-                    check_name="split_convexity",
-                    samples=self.n,
-                    seed=self.seed,
-                    tolerance=0.0,
-                    worst_violation=worst,
-                    worst_witness=witness,
-                    details={"violations": violations, "weights_per_pair": WEIGHTS_PER_PAIR},
-                )
+        reports.append(
+            CheckReport(
+                check_name="split_convexity",
+                samples=n,
+                seed=seed,
+                tolerance=0.0,
+                worst_violation=worst,
+                worst_witness=witness,
+                details={"violations": violations, "weights_per_pair": WEIGHTS_PER_PAIR},
             )
-        return reports
-
-
-def _convexity_sweep(n, seed, *phis):
-    """The reports of one sweep of row-wise ``phis``; see ``_ConvexitySweep``."""
-    return _ConvexitySweep(n, seed, *phis).reports()
+        )
+    return reports, done
 
 
 def _negative_control(inner):
@@ -407,14 +388,14 @@ def check_midpoint_convexity(phi, n, seed):
     ``phi`` maps ((k, 3, 2), (k,)) batches to (k,) values and must be
     row-wise: value i depends only on F[i] and J[i], since the sweep
     evaluates blocks of rows.  It must not keep F or J, whose buffers the
-    sweep reuses.  See ``_ConvexitySweep`` for the samples and the slack.
+    sweep reuses.  See ``_convexity_sweep`` for the samples and the slack.
     """
-    return _convexity_sweep(n, seed, phi)[0]
+    return _convexity_sweep(n, seed, [phi])[0][0]
 
 
 def check_negative_control(n, seed):
     """(F.F)/J^2 must exhibit at least one midpoint-convexity violation."""
-    return _negative_control(_convexity_sweep(n, seed, shear_over_j_squared)[0])
+    return _negative_control(_convexity_sweep(n, seed, [shear_over_j_squared])[0][0])
 
 
 @dataclass(frozen=True)
@@ -632,14 +613,10 @@ def run_all_checks(model: IsotropicModel, seed):
     def phi_model(F, J):
         return phi_split_batch(model, F, J)
 
-    # The convexity check and its negative control share one sweep.  Its
-    # workers start first; this thread runs the other checks (so every check
-    # runs on the calling thread), then takes sweep blocks too.
-    sweep = _ConvexitySweep(CONVEXITY_SAMPLES, seed + 2, phi_model, shear_over_j_squared)
-    try:
-        objectivity = check_objectivity(model, n=ROTATION_SAMPLES, seed=seed)
-        isotropy = check_isotropy(model, n=ROTATION_SAMPLES, seed=seed + 1)
-        rest = [
+    def other_checks():
+        return [
+            check_objectivity(model, n=ROTATION_SAMPLES, seed=seed),
+            check_isotropy(model, n=ROTATION_SAMPLES, seed=seed + 1),
             check_rank_one(model, seed=seed),
             check_stress_growth(model, n=STRESS_GROWTH_SAMPLES, seed=seed + 3),
             check_perturbed_stress_bound(
@@ -647,13 +624,10 @@ def run_all_checks(model: IsotropicModel, seed):
             ),
             check_growth(model, n=GROWTH_SAMPLES, seed=seed + 5),
         ]
-    except BaseException as exc:
-        # The sweep came first in the battery's order, so its error wins; an
-        # interrupt does not wait for the remaining blocks and stays itself.
-        if isinstance(exc, Exception):
-            sweep.reports()
-        else:
-            sweep.stop()
-        raise
-    split, control = sweep.reports()
+
+    # The convexity check and its negative control share one sweep, whose
+    # workers overlap the other checks; those run on the calling thread.
+    (split, control), (objectivity, isotropy, *rest) = _convexity_sweep(
+        CONVEXITY_SAMPLES, seed + 2, [phi_model, shear_over_j_squared], other_checks
+    )
     return [objectivity, isotropy, split, _negative_control(control), *rest]

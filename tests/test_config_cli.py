@@ -459,15 +459,25 @@ class TestMinimizeCommand:
         assert main(["minimize", str(cfg)]) == 2
         assert key in capsys.readouterr().err
 
-    def test_run_never_imports_numpy_ma(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command, extra, outputs",
+        [
+            ("minimize", [], ["degree.csv", "residuals.csv"]),
+            ("verify", [], ["verify_summary.csv"]),
+            ("degree", ["--point", "0.3", "0.2", "0.93"], ["initial_degree.csv"]),
+            ("residual", [], ["initial_residuals.csv"]),
+        ],
+        ids=["minimize", "verify", "degree", "residual"],
+    )
+    def test_run_never_imports_numpy_ma(self, tmp_path, command, extra, outputs):
         # numpy.ma costs milliseconds and about a megabyte to import; some
         # NumPy calls (np.unique without a return_* flag on NumPy 2.4) pull
-        # it in.  A whole minimize run, diagnostics included, must not.
+        # it in.  No subcommand may, a minimize run's diagnostics included.
         cfg, out = write_config(tmp_path, SMALL_CAP)
         script = (
             "import sys\n"
             "from memsurf.cli import main\n"
-            f"code = main(['minimize', {str(cfg)!r}])\n"
+            f"code = main([{command!r}, {str(cfg)!r}, *{extra!r}])\n"
             "print(code, 'numpy.ma' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -476,7 +486,7 @@ class TestMinimizeCommand:
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.split()[-2:] == ["0", "False"]
-        assert (out / "degree.csv").exists() and (out / "residuals.csv").exists()
+        assert all((out / name).exists() for name in outputs)
 
     def test_plane_identity_run(self, tmp_path, capsys):
         import time

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import threading
 import tracemalloc
 
@@ -30,9 +31,13 @@ from memsurf.verification import (
     SWEEP_BLOCK_ROWS,
     WEIGHTS_PER_PAIR,
     _sample_fj_pairs,
-    shear_over_j,
     shear_over_j_squared,
 )
+
+
+def shear_over_j(F, J):
+    """(F.F)/J, jointly convex on J > 0."""
+    return np.einsum("nij,nij->n", F, F) / J
 
 
 def all_nan(F, J):
@@ -182,7 +187,7 @@ class TestBlockedSweep:
         expected = [rep.to_text() for rep in sequential_sweep(n, 5, *phis)]
         for cores in (1, 2, 3):
             monkeypatch.setattr(verification, "_usable_cores", lambda: cores)
-            got = [rep.to_text() for rep in verification._convexity_sweep(n, 5, *phis)]
+            got = [rep.to_text() for rep in verification._convexity_sweep(n, 5, phis)[0]]
             assert got == expected, f"{cores} usable cores"
 
     @pytest.mark.parametrize("cores", [1, 2, 3])
@@ -204,9 +209,55 @@ class TestBlockedSweep:
         monkeypatch.setattr(verification, "_usable_cores", lambda: cores)
         before = threading.active_count()
         with pytest.raises(ValueError) as blocked:
-            verification._convexity_sweep(n, 5, shear_over_j, raises_on_marked)
+            verification._convexity_sweep(n, 5, [shear_over_j, raises_on_marked])
         assert str(blocked.value) == str(single.value) == f"marked J {float(marked[0])!r}"
         assert threading.active_count() == before
+
+    def test_no_more_workers_than_blocks(self, phis, monkeypatch):
+        # Eight usable cores: a one-block sweep starts no thread, a
+        # four-block one starts three.
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        monkeypatch.setattr(verification, "_usable_cores", lambda: 8)
+        rep = check_midpoint_convexity(shear_over_j, n=1000, seed=5)
+        assert started == []
+        assert rep.to_text() == sequential_sweep(1000, 5, shear_over_j)[0].to_text()
+        n = 3 * B + 5
+        got = [rep.to_text() for rep in verification._convexity_sweep(n, 5, phis)[0]]
+        assert len(started) == 3
+        assert got == [rep.to_text() for rep in sequential_sweep(n, 5, *phis)]
+
+    def test_each_block_taken_once_under_thread_switches(self, monkeypatch):
+        # Six threads on small blocks, switching as often as the interpreter
+        # allows: a block taken twice or skipped shows in the record.
+        taken = []
+        sweep_block = verification._sweep_block
+
+        def recording_block(phis, seed, weights, n, start):
+            taken.append(start)
+            return sweep_block(phis, seed, weights, n, start)
+
+        monkeypatch.setattr(verification, "SWEEP_BLOCK_ROWS", 64)
+        monkeypatch.setattr(verification, "_sweep_block", recording_block)
+        texts = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 6):
+                monkeypatch.setattr(verification, "_usable_cores", lambda: cores)
+                taken.clear()
+                reports = verification._convexity_sweep(64 * 40 + 3, 5, [shear_over_j])[0]
+                texts.append(reports[0].to_text())
+                assert sorted(taken) == list(range(0, 64 * 40 + 3, 64))
+        finally:
+            sys.setswitchinterval(interval)
+        assert texts[0] == texts[1]
 
 
 class TestBatteryThreads:
@@ -258,6 +309,18 @@ class TestBatteryThreads:
             run_all_checks(model, seed=42)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_check_error_raised_after_sweep(self, model, cores, monkeypatch):
+        def check_fails(*args, **kwargs):
+            raise RuntimeError("check failed")
+
+        monkeypatch.setattr(verification, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(verification, "check_growth", check_fails)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="check failed"):
+            run_all_checks(model, seed=42)
+        assert threading.active_count() == before
+
 
 class TestSweepDraw:
     """Each block draws its own segments, on the thread that takes it."""
@@ -302,7 +365,7 @@ class TestSweepDraw:
         monkeypatch.setattr(verification, "_usable_cores", lambda: 1)
         tracemalloc.start()
         try:
-            verification._convexity_sweep(n, 44, phi_model, shear_over_j_squared)
+            verification._convexity_sweep(n, 44, [phi_model, shear_over_j_squared])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -317,19 +380,42 @@ class TestSweepDraw:
         monkeypatch.setattr(verification, "_sample_fj_pairs", draw_fails)
         before = threading.active_count()
         with pytest.raises(ValueError, match="draw failed"):
-            verification._convexity_sweep(3 * B + 5, 5, shear_over_j)
+            verification._convexity_sweep(3 * B + 5, 5, [shear_over_j])
         with pytest.raises(ValueError, match="draw failed"):
             run_all_checks(model, seed=42)
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("cores", [1, 2])
     def test_interrupt_in_a_check_stays_an_interrupt(self, model, cores, monkeypatch):
-        # stop() joins the workers and builds no report from the blocks
+        # The sweep joins its workers and builds no report from the blocks
         # left undone.
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(verification, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(verification, "check_growth", interrupted)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_all_checks(model, seed=42)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_interrupt_beats_a_failed_block(self, model, cores, monkeypatch):
+        # With a worker, the interrupt comes after a block has failed; it
+        # must stay an interrupt, not become the block's error.
+        block_failed = threading.Event()
+
+        def sweep_fails(F, J):
+            block_failed.set()
+            raise ValueError("sweep failed")
+
+        def interrupted(*args, **kwargs):
+            if cores > 1:
+                assert block_failed.wait(timeout=60)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(verification, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(verification, "shear_over_j_squared", sweep_fails)
         monkeypatch.setattr(verification, "check_growth", interrupted)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
