@@ -5,13 +5,15 @@ A configuration is the (n, 3) array of nodal positions on the surface;
 along a limited-memory quasi-Newton direction in the tangent space and are
 retracted back onto the surface by closest-point projection; boundary nodes
 never move.  The direction is the two-loop L-BFGS recursion (Liu & Nocedal
-1989) over the last ``LBFGS_MEMORY`` curvature pairs, which are carried from
-one iterate's tangent space to the next by tangent projection (Huang,
-Gallivan & Absil 2015).  Its initial inverse Hessian is gamma P K^-1 P, with
-K the P1 stiffness matrix of the reference mesh on the free nodes, P the
-tangent projection and gamma = (s.Ks)/(s.y) from the newest pair: a Sobolev
-gradient (Neuberger 1997), which keeps the iteration count independent of
-the mesh size, since the energy's Hessian is spectrally close to K.  The
+1989) over the last ``LBFGS_MEMORY`` curvature pairs, each kept as it was
+measured: the ambient step between two iterates and the difference of their
+tangent gradients, never moved into a later tangent space.  The direction's
+normal part is then second order in the step, and the retraction removes
+it.  Its initial inverse Hessian is gamma P K^-1 P, with K the P1 stiffness
+matrix of the reference mesh on the free nodes, P the tangent projection
+and gamma = (s.Ks)/(s.y) from the newest pair: a Sobolev gradient
+(Neuberger 1997), which keeps the iteration count independent of the mesh
+size, since the energy's Hessian is spectrally close to K.  The
 first direction, -P K^-1 g_T, is scaled to the minimizer of the quadratic
 model along it, its curvature taken from one forward difference of the
 tangent gradient.  Step lengths come from Armijo backtracking from a unit
@@ -118,9 +120,9 @@ def _lbfgs_direction(g, s, y, solve, stiffness):
     """Two-loop L-BFGS direction at a point with gradient g.
 
     ``s`` and ``y`` stack the curvature pairs, oldest first, as (k, ...)
-    arrays of g's shape, all in g's tangent space.  Pairs with s.y <= 0 are
-    dropped.  H0 is gamma * ``solve``, where ``solve(v)`` is P K^-1 v and
-    gamma = s.Ks / s.y of the newest pair kept, with K v = ``stiffness(v)``.
+    arrays of g's shape.  Pairs with s.y <= 0 are dropped.  H0 is gamma *
+    ``solve``, where ``solve(v)`` is P K^-1 v and gamma = s.Ks / s.y of the
+    newest pair kept, with K v = ``stiffness(v)``.
     Returns (d, s, y) with the pairs kept.  When the result is not a descent
     direction (g.d >= 0) the memory is cleared and d is -solve(g).
     """
@@ -163,24 +165,6 @@ def _curvature_step(model, mesh, surface, free, positions, g, d):
     moved = surface.tangent_project_unchecked(probe[free], grad)
     curvature = _dot(d, moved - g) / h
     return -_dot(g, d) / curvature if curvature > 0 else 1.0
-
-
-def _transport(surface, x, grad, step, prev_g, mem_s, mem_y):
-    """Tangent gradient at x, and the memory carried to the tangent space at x.
-
-    One stacked tangent projection moves the gradient, the last step, the
-    last tangent gradient and the memory pairs; the new pair (step,
-    g - prev_g) joins the memory, which keeps the newest ``LBFGS_MEMORY``.
-    """
-    k = len(mem_s)
-    moved = surface.tangent_project_unchecked(
-        x, np.concatenate([grad[None], step[None], prev_g[None], mem_s, mem_y])
-    )
-    g = moved[0].copy()
-    first = 3 + max(k + 1 - LBFGS_MEMORY, 0)  # oldest pair kept
-    mem_s = np.concatenate([moved[first : 3 + k], moved[1:2]])
-    mem_y = np.concatenate([moved[k + first : 3 + 2 * k], (g - moved[2])[None]])
-    return g, mem_s, mem_y
 
 
 def _line_search(model, mesh, surface, free, positions, energy, g, d, counts):
@@ -244,7 +228,7 @@ def minimize(model, surface, mesh, f0, grad_tol=None):
 
     x = positions[free]
     no_pairs = np.empty((0, *x.shape))
-    mem_s = mem_y = no_pairs             # curvature pairs, oldest first
+    mem_s = mem_y = no_pairs             # curvature pairs as measured, oldest first
     prev_x = prev_g = None
     solver = None                        # factored at the first direction
 
@@ -256,12 +240,10 @@ def minimize(model, surface, mesh, f0, grad_tol=None):
         # Tangent gradient of the free rows at the accepted point, from the
         # F its trial evaluation formed.
         grad = energy_gradient(model, mesh, F, spectral)[free]
-        if prev_x is None:
-            gt = surface.tangent_project_unchecked(x, grad)
-        else:
-            gt, mem_s, mem_y = _transport(
-                surface, x, grad, x - prev_x, prev_g, mem_s, mem_y
-            )
+        gt = surface.tangent_project_unchecked(x, grad)
+        if prev_x is not None:
+            mem_s = np.concatenate([mem_s, (x - prev_x)[None]])[-LBFGS_MEMORY:]
+            mem_y = np.concatenate([mem_y, (gt - prev_g)[None]])[-LBFGS_MEMORY:]
         gnorm = math.sqrt(_dot(gt, gt))
         report.grad_history.append(gnorm)
         if gnorm <= grad_tol:

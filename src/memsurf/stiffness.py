@@ -174,29 +174,25 @@ class StiffnessSolver:
             own_idx[part[mine], own_slot[mine]] = mine
             anc_idx = np.full((b, mA), nf)
             anc_idx[front, np.arange(key.size) - first[front]] = node
-            # One bincount assembles the entries, the children's updates and
-            # a unit diagonal in each empty own slot; the last bin takes the
-            # children's padding, which holds exact zeros.
+            # Each front takes its entries, then its even child's update,
+            # then its odd child's, in that order of summation, and a unit
+            # diagonal in each empty own slot.  The spare last row and column
+            # take the children's padding, which holds exact zeros.
+            F = np.zeros((b, m + 1, m + 1))
             e = np.flatnonzero(level[deeper] == d)
             p = part[deeper[e]]
-            index = [p * m * m + slot(p, rows[e]) * m + slot(p, cols[e])]
-            weights = [vals[e]]
+            F[p, slot(p, rows[e]), slot(p, cols[e])] = vals[e]
             if children is not None:
                 child_anc, update = children
                 valid = child_anc < nf
-                parent = np.arange(2 * b)[:, None] >> 1
-                s = np.zeros_like(child_anc)
-                s[valid] = slot(np.broadcast_to(parent, s.shape)[valid], child_anc[valid])
-                at = (parent * m * m + s * m)[:, :, None] + s[:, None, :]
-                at[~(valid[:, :, None] & valid[:, None, :])] = b * m * m
-                index.append(at.ravel())
-                weights.append(update.ravel())
+                s = np.full_like(child_anc, m)
+                s[valid] = slot(np.nonzero(valid)[0] >> 1, child_anc[valid])
+                for half in (0, 1):
+                    c = s[half::2]
+                    F[np.arange(b)[:, None, None], c[:, :, None], c[:, None, :]] += update[half::2]
             pad_front, pad_slot = np.nonzero(np.arange(mI) >= own[:, None])
-            index.append(pad_front * m * m + pad_slot * (m + 1))
-            weights.append(np.ones(pad_slot.size))
-            F = np.bincount(
-                np.concatenate(index), np.concatenate(weights), minlength=b * m * m + 1
-            )[:-1].reshape(b, m, m)
+            F[pad_front, pad_slot, pad_slot] = 1.0
+            F = F[:, :m, :m]
             inverse = _spd_inverse(F[:, :mI, :mI])
             L = np.einsum("bai,bji->baj", F[:, mI:, :mI], inverse)
             children = (anc_idx, F[:, mI:, mI:] - np.einsum("bai,bci->bac", L, F[:, mI:, :mI]))

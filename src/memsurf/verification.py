@@ -159,8 +159,15 @@ def _random_rotations(rng, n):
     return Q
 
 
+def _check_samples(n):
+    """Raise ValueError unless the sample count n is an integer >= 1 (not a boolean)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n = {n!r} must be an integer >= 1")
+
+
 def check_objectivity(model, n, seed):
     """max_F,Q |W(QF) - W(F)| / (1 + W(F)) over random rotations."""
+    _check_samples(n)
     rng = np.random.default_rng(seed)
     F = _random_gradients(rng, n)
     Q = _random_rotations(rng, n)
@@ -180,6 +187,7 @@ def check_objectivity(model, n, seed):
 
 def check_isotropy(model, n, seed):
     """max_F,R |W(F R) - W(F)| / (1 + W(F)) over random in-plane rotations."""
+    _check_samples(n)
     rng = np.random.default_rng(seed)
     F = _random_gradients(rng, n)
     ang = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -304,8 +312,7 @@ def _convexity_sweep(n, seed, phis, meanwhile=lambda: None):
     """
     rng = np.random.default_rng(seed)
     weights = np.concatenate([[0.5], rng.uniform(0.0, 1.0, WEIGHTS_PER_PAIR)])
-    # One block even when n == 0, so an empty sample fails as a single pass does.
-    starts = range(0, max(n, 1), SWEEP_BLOCK_ROWS)
+    starts = range(0, n, SWEEP_BLOCK_ROWS)
     # Per block: its summaries, or the exception it raised.
     results = [None] * len(starts)
     blocks = iter(range(len(starts)))
@@ -390,11 +397,13 @@ def check_midpoint_convexity(phi, n, seed):
     evaluates blocks of rows.  It must not keep F or J, whose buffers the
     sweep reuses.  See ``_convexity_sweep`` for the samples and the slack.
     """
+    _check_samples(n)
     return _convexity_sweep(n, seed, [phi])[0][0]
 
 
 def check_negative_control(n, seed):
     """(F.F)/J^2 must exhibit at least one midpoint-convexity violation."""
+    _check_samples(n)
     return _negative_control(_convexity_sweep(n, seed, [shear_over_j_squared])[0][0])
 
 
@@ -486,6 +495,7 @@ def check_stress_growth(model, n, seed):
     an empirical sup chase; the empirical sup is recorded alongside.  The
     corners of STRESS_STRETCH_RANGE are sampled too.
     """
+    _check_samples(n)
     rng = np.random.default_rng(seed)
     lo, hi = STRESS_STRETCH_RANGE
     lam = _log_uniform(rng, lo, hi, (n, 2))
@@ -519,6 +529,7 @@ def check_perturbed_stress_bound(model, delta, n, seed):
     T ranges over linear maps of the range of A with |T - 1| < delta; delta
     must lie in [0, ``max_perturbation_delta(model)``) for C to make sense.
     """
+    _check_samples(n)
     bound = max_perturbation_delta(model)
     if not (_is_real(delta) and delta >= 0):
         raise ValueError(
@@ -568,6 +579,7 @@ def check_growth(model, n, seed):
     stretches span GROWTH_STRETCH_RANGE, and the blowup of Theta is probed
     at J = 1e-6 against the 1e10 floor.
     """
+    _check_samples(n)
     rng = np.random.default_rng(seed)
     l1, l2 = _sorted_stretches(_log_uniform(rng, *GROWTH_STRETCH_RANGE, (n, 2)))
     W = model.energy_from_stretches(l1, l2)

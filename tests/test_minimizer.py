@@ -187,6 +187,39 @@ class TestReportInvariants:
         )
 
 
+class TestCurvatureMemory:
+    """Each curvature pair is stored once, as it was measured, and never changed."""
+
+    def test_pairs_kept_as_measured(self, model, sphere, monkeypatch):
+        mesh = build_mesh("disk", 0.12)
+        f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        calls = []
+        lbfgs_direction = minimizer_module._lbfgs_direction
+
+        def direction(g, s, y, *rest):
+            d, kept_s, kept_y = lbfgs_direction(g, s, y, *rest)
+            calls.append((g, s, y, len(kept_s)))
+            return d, kept_s, kept_y
+
+        monkeypatch.setattr(minimizer_module, "_lbfgs_direction", direction)
+        _, report = minimize(model, sphere, mesh, f0)
+        assert report.status == "converged"
+        # Every iteration but the first and the converged last takes one.
+        assert len(calls) == report.iterations - 1
+        checked = 0
+        for (g0, s0, y0, kept), (g1, s1, y1, _) in zip(calls, calls[1:]):
+            # The new y is the difference of the two tangent gradients.
+            assert np.array_equal(y1[-1], g1 - g0)
+            if kept == len(s0) and len(s1) > 1:
+                # Nothing dropped or cleared: the rows kept come back bit for
+                # bit, with the new pair last.
+                old = len(s0) + 1 - len(s1)
+                assert np.array_equal(s1[:-1], s0[old:])
+                assert np.array_equal(y1[:-1], y0[old:])
+                checked += 1
+        assert checked >= LBFGS_MEMORY
+
+
 def _recomputed_grad_norm(model, surface, mesh, cfg):
     """Free-row tangent gradient norm recomputed from the positions alone."""
     grad = energy_gradient(model, mesh, _kinematics(mesh, surface, cfg)[0])

@@ -116,7 +116,7 @@ class TestMidpointConvexity:
 def sweep_segments(n, seed):
     """The sweep's (F1, J1, F2, J2): each block's own draw, concatenated in row order."""
     blocks = []
-    for start in range(0, max(n, 1), SWEEP_BLOCK_ROWS):
+    for start in range(0, n, SWEEP_BLOCK_ROWS):
         rng = np.random.default_rng([seed, start])
         rows = min(SWEEP_BLOCK_ROWS, n - start)
         blocks.append(_sample_fj_pairs(rng, rows) + _sample_fj_pairs(rng, rows))
@@ -614,6 +614,29 @@ class TestGrowth:
         rep = check_growth(m, n=2000, seed=9)
         assert not rep.passed
         assert not rep.details["strong_coercivity_satisfied"]
+
+
+SAMPLED_CHECKS = {
+    "objectivity": lambda model, n: check_objectivity(model, n, 0),
+    "isotropy": lambda model, n: check_isotropy(model, n, 0),
+    "midpoint_convexity": lambda model, n: check_midpoint_convexity(shear_over_j, n, 0),
+    "negative_control": lambda model, n: check_negative_control(n, 0),
+    "stress_growth": lambda model, n: check_stress_growth(model, n, 0),
+    "perturbed_stress_bound": lambda model, n: check_perturbed_stress_bound(model, 0.01, n, 0),
+    "growth": lambda model, n: check_growth(model, n, 0),
+}
+
+
+@pytest.mark.parametrize("n", [0, -5, 2.5, True])
+@pytest.mark.parametrize("check", SAMPLED_CHECKS)
+def test_sampled_checks_reject_bad_sample_count(model, check, n, monkeypatch):
+    # Rejected before any draw, with the argument and its value named.
+    def no_draw(seed=None):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=re.escape(f"n = {n!r} must be an integer >= 1")):
+        SAMPLED_CHECKS[check](model, n)
 
 
 class TestReports:
