@@ -50,12 +50,19 @@ _TEST_DIRECTIONS = 3
 _BUMP_C0 = 0.07424775338834423
 
 
-def _bump_profile(s2):
-    """exp(-1/(1 - s2)) where s2 < 1, else 0, evaluated only where s2 < 1."""
-    out = np.zeros_like(s2)
-    inside = s2 < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - s2[inside]))
-    return out
+def _bump_sums(s2):
+    """Row sums of exp(-1/(1 - s2)) where s2 < 1, else 0, over (k, m) ``s2``.
+
+    No mask gathers or scatters: the other entries take exp(-1), so every
+    exp is a finite one, and are then multiplied by 0.  Overwrites ``s2``.
+    """
+    u = np.subtract(1.0, s2, out=s2)
+    inside = u > 0.0
+    u = np.where(inside, u, 1.0)
+    np.divide(-1.0, u, out=u)
+    np.exp(u, out=u)
+    u *= inside
+    return u.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -88,22 +95,28 @@ def _segment_distances(point, starts, ends):
 class _Image:
     """What every degree target reads of one configuration, on any surface.
 
-    The corner-index columns, contiguous so a target's vertex distances are
-    three gathers, the element diameters and mean edge, the segments of
-    every boundary loop stacked into one array of their (start, end) nodes
-    and one of their (start, end) points, and the orientation sign of every
-    element on the surface.  ``_image_of`` keeps the last one and builds a
-    new one when the mesh, the surface or the positions differ.
+    The node coordinates (three contiguous rows), the corner-index columns,
+    contiguous so a target's vertex distances are three gathers, the element
+    diameters and mean edge, the segments of every boundary loop stacked
+    into one array of their (start, end) nodes and one of their (start, end)
+    points, half the longest segment, the largest coordinate magnitude and
+    the orientation sign of every element on the surface.  ``_image_of``
+    keeps the last one and builds a new one when the mesh, the surface or
+    the positions differ.
     """
 
     def __init__(self, mesh, surface, positions):
         self.mesh, self.surface = mesh, surface
-        self.positions = np.array(positions, dtype=float)   # private copy
+        # A private copy, stored as three contiguous coordinate rows.
+        self.columns = np.array(np.asarray(positions, dtype=float).T, order="C")
+        self.positions = self.columns.T
+        self.extent = float(np.max(np.abs(self.positions), initial=0.0))
         self.signs = np.sign(_kinematics(mesh, surface, self.positions)[1]).astype(int)
         self.corners = tuple(np.ascontiguousarray(c) for c in mesh.triangles.T)
         P = self.positions[mesh.triangles]              # (m, 3, 3)
         edge_len = _row_norms(P[:, [1, 2, 0]] - P)
         self.diam = edge_len.max(axis=1)
+        self.longest = float(np.max(self.diam, initial=0.0))
         self.mean_edge = float(np.mean(edge_len))
         loops = [np.asarray(loop, dtype=np.intp) for loop in mesh.boundary_loops]
         loops = loops or [np.empty(0, dtype=np.intp)]
@@ -111,6 +124,16 @@ class _Image:
             [np.concatenate(loops), np.concatenate([np.roll(loop, -1) for loop in loops])]
         )
         self.segment_ends = self.positions[self.segments]   # (2, s, 3)
+        lengths = _row_norms(self.segment_ends[1] - self.segment_ends[0])
+        self.half_segment = 0.5 * float(np.max(lengths, initial=0.0))
+
+    def distances(self, y):
+        """Distances from y (3,) to every node, with ``_row_norms``'s bits."""
+        d = self.columns - y[:, None]
+        np.multiply(d, d, out=d)
+        s = np.add(d[0], d[1], out=d[0])
+        s += d[2]
+        return np.sqrt(s, out=s)
 
 
 _last_image = None
@@ -124,7 +147,8 @@ def _image_of(mesh, surface, positions):
         image is None
         or image.mesh is not mesh
         or image.surface is not surface
-        or not np.array_equal(image.positions, positions)
+        or image.positions.shape != np.shape(positions)
+        or not (image.columns == np.transpose(positions)).all()
     ):
         image = _last_image = _Image(mesh, surface, positions)
     return image
@@ -147,20 +171,23 @@ def _orient2d(p, q, w):
     or sign(q_x - p_x) when p_y = q_y.  So 0 is left only where p = q, and
     orient(q, p, w) = -orient(p, q, w) on every row.
     """
-    p, q, w = np.broadcast_arrays(p, q, w)
-    left = (q[..., 0] - p[..., 0]) * (w[..., 1] - p[..., 1])
-    right = (q[..., 1] - p[..., 1]) * (w[..., 0] - p[..., 0])
+    qp, wp = q - p, w - p
+    left = qp[..., 0] * wp[..., 1]
+    right = qp[..., 1] * wp[..., 0]
     det = left - right
     sign = np.sign(det)
     undecided = np.abs(det) <= _ORIENT_BOUND * (np.abs(left) + np.abs(right)) + 2.0**-1070
     if undecided.any():
         from fractions import Fraction   # only rows the filter cannot decide pay for it
 
+        p, q, w = np.broadcast_arrays(p, q, w)
         for i in map(tuple, np.argwhere(undecided)):
             (px, py), (qx, qy), (wx, wy) = (map(Fraction, a[i].tolist()) for a in (p, q, w))
             exact = (qx - px) * (wy - py) - (qy - py) * (wx - px)
             sign[i] = (exact > 0) - (exact < 0)
-    dy, dx = p[..., 1] - q[..., 1], q[..., 0] - p[..., 0]
+    if sign.all():
+        return sign.astype(int)
+    dy, dx = -qp[..., 1], qp[..., 0]                  # p_y - q_y and q_x - p_x, exactly
     return np.where(sign != 0, sign, np.sign(np.where(dy != 0, dy, dx))).astype(int)
 
 
@@ -222,11 +249,18 @@ _STENCIL = _centroid_stencil()
 def brouwer_degree(surface, mesh, positions, y):
     """Degree of the nodal map at the on-surface point y (3,), by two methods.
 
-    One call takes one target.  The per-configuration work (edge lengths,
-    boundary segments, element orientation signs) is done once and reused
-    by later calls on the same mesh and surface objects and equal positions,
-    so a loop of calls costs what a batch would; each target then pays only
-    for the elements near it.
+    One call takes one target.  The per-configuration work (node coordinate
+    rows, edge lengths, boundary segments, element orientation signs) is
+    done once and reused by later calls on the same mesh and surface objects
+    and equal positions.  A target then pays for its numpy calls more than
+    for its rows: every node distance, one chart map of the nodes it reads,
+    and the elements near it.  Three prefilters skip work that cannot change
+    the result: a boundary clearance is evaluated only when its lower bound
+    (the nearest segment end's distance less half the longest segment, in
+    space or in the chart) does not clear the bump radius and the margin,
+    the near nodes are checked against the chart radius only when one can
+    lie past it, and the exact edge signs are taken only for the kept
+    elements whose closed chart box holds y.
 
     y must lie at least ``DEGREE_MARGIN`` from the boundary image in the
     chart at y, where the degree is counted and integrated: from the chart
@@ -236,16 +270,16 @@ def brouwer_degree(surface, mesh, positions, y):
     chart clearance, chart radius / 4).
 
     Both methods read only the near elements whose chart centroid lies
-    within the bump radius plus the longest near chart side of y: no other
-    element can hold y, have it on an edge or reach the bump.  The signed
-    cover count sums the orientation signs of those whose chart image
-    covers the chart coordinates of y (exact for PL maps).  The mollified
-    integral integrates a unit-mass bump against the signed chart area of
-    the image by midpoint quadrature on the 64 children of three midpoint
-    splits of every element: their centroids come from a fixed barycentric
-    stencil and each has 1/64 of its element's signed area.  While the
-    children are wider than the bump the elements are first split at their
-    edge midpoints, halving their width each time, and only the
+    within the bump radius plus 0.7 of their longest chart side of y: no
+    other element can hold y, have it on an edge or reach the bump.  The
+    signed cover count sums the orientation signs of those whose chart
+    image covers the chart coordinates of y (exact for PL maps).  The
+    mollified integral integrates a unit-mass bump against the signed chart
+    area of the image by midpoint quadrature on the 64 children of three
+    midpoint splits of every element: their centroids come from a fixed
+    barycentric stencil and each has 1/64 of its element's signed area.
+    While the children are wider than the bump the elements are first split
+    at their edge midpoints, halving their width each time, and only the
     sub-elements that can reach it are kept.  Each (sub-)element's children
     are summed alone and the element sums exactly, so the integral does not
     depend on which elements that add 0 are skipped.
@@ -265,40 +299,67 @@ def brouwer_degree(surface, mesh, positions, y):
             f"{y.shape}; call it once per target"
         )
     image = _image_of(mesh, surface, positions)
-    bdist = float(np.min(_segment_distances(y, *image.segment_ends), initial=np.inf))
-    node_dist = _row_norms(image.positions - y)
+    node_dist = image.distances(y)
     chart = surface.chart_at(y)
-    w = chart.inverse_map(y)
-    # The clearance of w from the chart images of the boundary segments the
-    # chart covers (both ends within chord distance chart.radius of y).  The
-    # chart contracts distances, so a covered segment within the margin in
-    # space is within it here too; an uncovered one that close belongs to a
-    # near element the chart misses, which raises ChartSpanFailureError below.
-    covered = (node_dist[image.segments] < chart.radius).all(axis=0)
-    starts, ends = chart.inverse_map(image.segment_ends[:, covered])
-    clearance = float(np.min(_segment_distances(w, starts, ends), initial=np.inf))
-    if clearance < DEGREE_MARGIN:
-        raise BoundaryTooCloseError(
-            f"target point is {clearance:.3e} from the boundary image in its chart "
-            f"(margin {DEGREE_MARGIN:.1e})"
-        )
-    diam, mean_edge = image.diam, image.mean_edge
+    mean_edge, diam = image.mean_edge, image.diam
+    # Bump radius: a few image edges, clamped inside the chart's validity
+    # radius and both boundary clearances (where the degree is constant).
+    # Each clearance is evaluated unless its lower bound, less a rounding
+    # ``slack``, clears what it could bind (a NaN clears nothing).
+    radius = min(3.0 * mean_edge, 0.25 * surface.chart_radius)
+    slack = 1e-9 * (image.extent + max(map(abs, y.tolist())))
+    end_dist = node_dist[image.segments]
+    bounded = not 0.9 * (end_dist[0].min(initial=np.inf) - image.half_segment - slack) >= radius
+    if bounded:
+        bdist = float(_segment_distances(y, *image.segment_ends).min(initial=np.inf))
+        radius = min(radius, 0.9 * bdist)
     c0, c1, c2 = image.corners
     vert_dist = np.minimum(np.minimum(node_dist[c0], node_dist[c1]), node_dist[c2])
+    near = np.flatnonzero(vert_dist <= diam + 1.6 * radius + mean_edge)
+    near_tris = image.mesh.triangles[near]              # (k, 3) near corners
 
-    # Bump radius: a few image edges, clamped inside both boundary clearances
-    # (where the degree is constant) and the chart's validity radius.
-    radius = min(3.0 * mean_edge, 0.9 * bdist, clearance, 0.25 * surface.chart_radius)
+    # One chart map of y (row 0) and of the nodes of the near elements and of
+    # the boundary segments the chart covers (both ends within chord
+    # distance chart.radius of y); ``slot`` gives a node's row.
+    ends = image.segments[:, (end_dist < chart.radius).all(axis=0)]
+    needed = np.zeros(len(node_dist), dtype=bool)
+    needed[near_tris] = True
+    needed[ends] = True
+    nodes = np.flatnonzero(needed)
+    slot = np.empty(len(node_dist), dtype=np.intp)
+    slot[nodes] = np.arange(1, nodes.size + 1)
+    uv_nodes = chart.inverse_map(np.concatenate([y[None], image.positions[nodes]]))
+    w = uv_nodes[0]
 
-    reach = diam + 1.6 * radius + mean_edge
-    near_idx = np.nonzero(vert_dist <= reach)[0]
-    near_tris = image.mesh.triangles[near_idx]          # (k, 3) near corners
-    ok = (node_dist[near_tris] < chart.radius).all(axis=1)
-    if not np.all(ok):
-        # Elements beyond the chart's validity contribute only if their
-        # image can reach the bump support; those that provably cannot are
-        # outside the local planar representative and are dropped.
-        bad = near_idx[~ok]
+    # The clearance of w from the chart images of the covered segments, at
+    # once where the spatial one was evaluated.  The chart contracts
+    # distances, so a covered segment within the margin in space is within
+    # it here too; an uncovered one that close belongs to a near element the
+    # chart misses, which raises ChartSpanFailureError below.
+    ends_uv = uv_nodes[slot[ends]]                      # (2, c, 2)
+    if bounded or not (
+        _row_norms(ends_uv - w).min(initial=np.inf) - image.half_segment - slack
+        >= max(radius, DEGREE_MARGIN)
+    ):
+        clearance = float(_segment_distances(w, *ends_uv).min(initial=np.inf))
+        if clearance < DEGREE_MARGIN:
+            raise BoundaryTooCloseError(
+                f"target point is {clearance:.3e} from the boundary image in its chart "
+                f"(margin {DEGREE_MARGIN:.1e})"
+            )
+        if clearance < radius:
+            radius = clearance
+            nearer = vert_dist[near] <= diam[near] + 1.6 * radius + mean_edge
+            near, near_tris = near[nearer], near_tris[nearer]
+
+    # A node of a near element lies within vert_dist + diam, so below
+    # 2 longest + 1.6 radius + mean edge, of y: only then can one lie past
+    # the chart's validity.  Elements that do contribute only if their image
+    # can reach the bump support; those that provably cannot are outside
+    # the local planar representative and are dropped.
+    if not 2.0 * image.longest + 1.6 * radius + mean_edge + slack < chart.radius:
+        ok = (node_dist[near_tris] < chart.radius).all(axis=1)
+        bad = near[~ok]
         reaching = bad[vert_dist[bad] <= diam[bad] + 1.3 * radius]
         if reaching.size:
             t = int(reaching[0])
@@ -310,25 +371,31 @@ def brouwer_degree(surface, mesh, positions, y):
                 "the mesh is too coarse for a chart-local degree here; use a "
                 "smaller domain.resolution"
             )
-        near_idx, near_tris = near_idx[ok], near_tris[ok]
-    if near_idx.size == 0:
+        near, near_tris = near[ok], near_tris[ok]
+    if near.size == 0:
         return DegreeResult(y, 0, 0.0, radius, methods_agree=True)
-    uv = chart.inverse_map(image.positions[near_tris])  # (k, 3, 2)
+    tris = np.ascontiguousarray(uv_nodes[slot[near_tris.T]].transpose(0, 2, 1))  # (3, 2, k)
 
-    # Every point of an element lies within its longest side of the element
-    # centroid, and 8 size is the longest near side, so an element farther
-    # than radius + 8 size from w neither holds w, nor has it on an edge, nor
-    # reaches the bump: only the kept elements are counted and integrated.
-    tris = np.ascontiguousarray(uv.transpose(1, 2, 0))
+    # Every point of an element lies within 2/3 of its longest side of the
+    # element centroid.  So an element farther than radius + 0.7 its longest
+    # side from w (0.7 > 2/3 covers rounding) neither holds w, nor has it on
+    # an edge, nor reaches the bump: only the kept elements are counted and
+    # integrated.  8 size is the longest near side.
     e = tris - tris[[2, 0, 1]]
-    size = float(np.sqrt(np.max(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]))) / 8
-    kept = _distances(tris, w) <= radius + 8.0 * size
-    uv, tris = uv[kept], tris[:, :, kept]
+    sq = e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1]
+    longest = np.sqrt(np.maximum(np.maximum(sq[0], sq[1]), sq[2]))
+    size = float(longest.max()) / 8
+    kept = np.flatnonzero(_distances(tris, w) <= radius + 0.7 * longest)
+    tris = tris.take(kept, axis=2)
 
-    # Edge signs (k, 3): an element covers w when its three agree.
+    # Edge signs (b, 3) of the kept elements whose closed chart box holds w,
+    # the only ones whose three signs can agree: then they cover w.
+    holds = (tris.min(axis=0) <= w[:, None]) & (w[:, None] <= tris.max(axis=0))
+    boxed = np.flatnonzero(holds[0] & holds[1])
+    uv = tris.take(boxed, axis=2).transpose(2, 0, 1)
     edge_signs = _orient2d(uv, uv[:, [1, 2, 0]], w)
     inside = np.abs(edge_signs.sum(axis=1)) == 3
-    count = int(np.sum(image.signs[near_idx[kept][inside]]))
+    count = int(image.signs[near[kept[boxed[inside]]]].sum())
 
     # Mollified integral over the signed chart image.  While the children
     # (at most size wide) are wider than the bump, the elements are split at
@@ -338,15 +405,15 @@ def brouwer_degree(surface, mesh, positions, y):
     while size > radius:
         size /= 2
         tris = _subdivide(tris)
-        tris = tris[:, :, _distances(tris, w) <= radius + 8.0 * size]
+        tris = tris.take(np.flatnonzero(_distances(tris, w) <= radius + 8.0 * size), axis=2)
     # Child centroids relative to w, (2, k, 64), and their squared distances
     # in units of the bump radius.  Every child has 1/64 of its element's
     # signed area, so the 64 joins the bump's mass.
     d = np.einsum("vdt,jv->dtj", tris - w[:, None], _STENCIL)
-    s2 = d[0] * d[0]
-    s2 += d[1] * d[1]
+    np.multiply(d, d, out=d)
+    s2 = np.add(d[0], d[1], out=d[0])
     s2 *= 1.0 / radius**2
-    per_element = _bump_profile(s2).sum(axis=1) * _signed_areas(tris)
+    per_element = _bump_sums(s2) * _signed_areas(tris)
     mass = 64.0 * 2.0 * np.pi * _BUMP_C0 * radius**2
     integral = math.fsum(per_element.tolist()) / mass
 
@@ -384,51 +451,74 @@ class OverlapReport:
     pairs: list = field(default_factory=list)   # (t1, t2, area), worst first
 
 
-def _clip_polygon(subject, cx, cy, nx, ny):
-    """Keep the part of polygon ``subject`` with n . (p - c) <= 0."""
-    out = []
-    k = len(subject)
-    for i in range(k):
-        p = subject[i]
-        q = subject[(i + 1) % k]
-        dp = nx * (p[0] - cx) + ny * (p[1] - cy)
-        dq = nx * (q[0] - cx) + ny * (q[1] - cy)
-        if dp <= 0:
-            out.append(p)
-            if dq > 0:
-                t = dp / (dp - dq)
-                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        elif dq <= 0:
-            t = dp / (dp - dq)
-            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-    return out
+def _cycle(k, width):
+    """Of polygons in (n, width) slots, the first k (n,) live: each slot's
+    flat index of the next live vertex (slot + 1, or 0 after the last), and
+    which slots are live."""
+    slot = np.arange(width)
+    live = slot < k[:, None]
+    nxt = np.where(slot + 1 < k[:, None], slot + 1, 0) + width * np.arange(len(k))[:, None]
+    return nxt.ravel(), live
 
 
-def _triangle_overlap_area(t1, t2):
-    """Intersection area of two 2D triangles (convex clipping)."""
+def _clip(xy, k, corner, normal):
+    """One Sutherland-Hodgman step over polygons ``xy`` (2, n, K), of which
+    the first k (n,) vertices are live: keep the part with
+    normal . (p - corner) <= 0, ``corner`` and ``normal`` (2, n).
 
-    def ccw(t):
-        e1 = (t[1][0] - t[0][0], t[1][1] - t[0][1])
-        e2 = (t[2][0] - t[0][0], t[2][1] - t[0][1])
-        return t if e1[0] * e2[1] - e1[1] * e2[0] >= 0 else (t[0], t[2], t[1])
+    Vertex p emits itself when inside, then the crossing on its edge to the
+    next vertex q when that edge crosses the line, as the scalar loop does:
+    d = normal . (p - corner) at both ends, t = dp / (dp - dq), p + t (q - p).
+    """
+    n, width = xy.shape[1:]
+    nxt, live = _cycle(k, width)
+    prod = normal[:, :, None] * (xy - corner[:, :, None])
+    dp = (prod[0] + prod[1]).ravel()
+    dq = dp[nxt]
+    inside = dp <= 0
+    cross = np.where(inside, dq > 0, dq <= 0) & live.ravel()
+    inside &= live.ravel()
+    emitted = (inside.view(np.int8) + cross).reshape(n, width)
+    k = emitted.sum(axis=1)
+    width = int(k.max(initial=0))
+    at = (np.cumsum(emitted, axis=1) - emitted + width * np.arange(n)[:, None]).ravel()
+    xy = xy.reshape(2, -1)
+    out = np.zeros((2, n * width))
+    kept, crossing = np.flatnonzero(inside), np.flatnonzero(cross)
+    out[:, at[kept]] = xy[:, kept]
+    p, dp = xy[:, crossing], dp[crossing]
+    t = dp / (dp - dq[crossing])
+    out[:, at[crossing] + inside[crossing]] = p + t * (xy[:, nxt[crossing]] - p)
+    return out.reshape(2, n, width), k
 
-    t1 = ccw([tuple(p) for p in t1])
-    t2 = ccw([tuple(p) for p in t2])
-    poly = list(t1)
+
+def _overlap_areas(uv):
+    """Intersection areas of the 2D triangle pairs ``uv`` (n, 6, 2), rows 0-2
+    vs 3-5, all clipped at once (Sutherland & Hodgman 1974).
+
+    Each triangle is made counterclockwise (corners 1 and 2 swapped unless
+    its cross product is >= 0); the first is clipped by the inward sides of
+    the three edges of the second, and the area is half the absolute
+    shoelace sum, its terms added in vertex order.  Every pair goes through
+    the float operations of a pair clipped alone, in the same order.
+    """
+    uv = np.array(uv, dtype=float)
+    for tri in (uv[:, :3], uv[:, 3:]):
+        e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
+        cw = np.flatnonzero(~(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] >= 0))
+        tri[cw, 1:] = tri[cw, :0:-1]
+    uv = uv.transpose(2, 0, 1)                          # (2, n, 6)
+    xy, k = np.ascontiguousarray(uv[:, :, :3]), np.full(uv.shape[1], 3)
     for i in range(3):
-        a = t2[i]
-        b = t2[(i + 1) % 3]
-        # Inward normal of edge (a, b) of a CCW triangle is to its left.
-        nx, ny = (b[1] - a[1]), -(b[0] - a[0])
-        poly = _clip_polygon(poly, a[0], a[1], nx, ny)
-        if not poly:
-            return 0.0
-    area = 0.0
-    for i in range(len(poly)):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % len(poly)]
-        area += x0 * y1 - x1 * y0
-    return 0.5 * abs(area)
+        a, b = uv[:, :, 3 + i], uv[:, :, 3 + (i + 1) % 3]
+        xy, k = _clip(xy, k, a, np.stack([b[1] - a[1], -(b[0] - a[0])]))
+    nxt, live = _cycle(k, xy.shape[2])
+    x, y = xy.reshape(2, -1)
+    terms = (x * y[nxt] - x[nxt] * y).reshape(live.shape)
+    area = np.zeros(len(k))
+    for term in np.where(live, terms, 0.0).T:
+        area += term
+    return 0.5 * np.abs(area)
 
 
 def _separated(uv):
@@ -467,7 +557,8 @@ def injectivity_check(surface, mesh, positions):
     gives at the projection of the pair's vertex mean, so its overlap area
     does not depend on which element sorts first, and a separating-axis
     test drops the pairs whose chart images are disjoint or only touch.
-    Only the rest are clipped exactly, in sweep order.  Overlap areas are
+    The rest, from every block, are clipped exactly in one batch
+    (``_overlap_areas``) and recorded in sweep order.  Overlap areas are
     chart areas; any diffeomorphic chart preserves zero vs positive.  A
     clean report (no overlap area above ``OVERLAP_AREA_TOL``) is the
     discrete injectivity certificate.  Raises ChartSpanFailureError, naming
@@ -484,13 +575,14 @@ def injectivity_check(surface, mesh, positions):
     stop = np.searchsorted(lo_s[0], hi_s[0], side="right")
 
     checked = 0
-    overlaps = []
-    total = 0.0
+    # Separating-axis survivors (first, second, chart corners) of every block.
+    survivors = [(np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty((0, 6, 2)))]
     for start in range(0, len(P), _SWEEP_BLOCK):
         first, second = _sweep_pairs(stop, start, min(start + _SWEEP_BLOCK, len(P)))
-        # Box test on every axis, in negated form so a NaN coordinate keeps the pair.
+        # Box test, in negated form so a NaN coordinate keeps the pair, on y
+        # and z: the sweep's order and stop already overlap the x extents.
         apart = np.zeros(len(first), dtype=bool)
-        for lo_a, hi_a in zip(lo_s, hi_s):
+        for lo_a, hi_a in zip(lo_s[1:], hi_s[1:]):
             apart |= (lo_a[second] > hi_a[first]) | (lo_a[first] > hi_a[second])
         i, j = order[first[~apart]], order[second[~apart]]
         # Edge-adjacent pairs share two vertices; point contacts stay.
@@ -501,8 +593,13 @@ def injectivity_check(surface, mesh, positions):
         checked += len(i)
 
         pts = np.concatenate([P[i], P[j]], axis=1)   # (n, 6, 3)
-        charts = surface.chart_at(surface.project(pts.mean(axis=1, keepdims=True)))
-        uncovered = np.flatnonzero(~charts.contains(pts).all(axis=1))
+        # The vertex mean, its six points added in order as pts.mean(axis=1) adds them.
+        mean = pts[:, 0] + pts[:, 1]
+        for k in range(2, 6):
+            mean += pts[:, k]
+        charts = surface.chart_at(surface.project(mean[:, None] / 6.0))
+        uv, covered = charts.locate(pts)
+        uncovered = np.flatnonzero(~covered.all(axis=1))
         if uncovered.size:
             q = uncovered[0]
             chord = _row_norms(pts[q][:, None] - pts[q][None]).max()
@@ -512,12 +609,15 @@ def injectivity_check(surface, mesh, positions):
                 f"for the {surface.kind} chart radius {surface.chart_radius:.4g}; "
                 "use a smaller domain.resolution"
             )
-        uv = charts.inverse_map(pts)
-        for q in np.flatnonzero(~_separated(uv)):
-            area = _triangle_overlap_area(uv[q, :3], uv[q, 3:])
-            if area > OVERLAP_AREA_TOL:
-                overlaps.append((int(i[q]), int(j[q]), float(area)))
-                total += float(area)
+        q = np.flatnonzero(~_separated(uv))
+        survivors.append((i[q], j[q], uv[q]))
+    i, j, uv = (np.concatenate(column) for column in zip(*survivors))
+    areas = _overlap_areas(uv)
+    overlaps = []
+    total = 0.0
+    for q in np.flatnonzero(areas > OVERLAP_AREA_TOL):
+        overlaps.append((int(i[q]), int(j[q]), float(areas[q])))
+        total += float(areas[q])
     overlaps.sort(key=lambda rec: -rec[2])
     return OverlapReport(
         checked, len(overlaps), total, total <= OVERLAP_AREA_TOL, overlaps[:MAX_RECORDED_OVERLAPS]

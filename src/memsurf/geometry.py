@@ -11,6 +11,8 @@ are safe to share between threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import AmbiguousProjectionError, OffSurfaceError, _is_real
@@ -31,6 +33,11 @@ def _row_norms(x, keepdims=False):
     ``np.linalg.norm(x, axis=-1)`` adds them, so the bits are its bits
     without its per-call overhead.
     """
+    if x.ndim == 1:
+        # One vector: the same sum and root in Python floats, without a
+        # dozen 0-d array operations.
+        s = math.sqrt(sum(c * c for c in x.tolist()))
+        return np.array([s]) if keepdims else np.float64(s)
     s = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
     if x.shape[-1] == 3:
         s += x[..., 2] * x[..., 2]
@@ -43,18 +50,20 @@ def _dots(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
 
 
-# Coordinate k's two successors, k + 1 and k + 2 (mod 3).
-_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+# Coordinate k's successors k + 1, then k + 2 (mod 3), for k = 0, 1, 2.
+_CROSS = np.array([1, 2, 0, 2, 0, 1])
+_EYE = np.eye(3)
 
 
 def _orthonormal_frame(n):
     """Deterministic right-handed frame (t1, t2, n) for unit vectors n (..., 3)."""
-    axis = (np.arange(3) == np.argmin(np.abs(n), axis=-1)[..., None]).astype(float)
+    axis = _EYE[np.argmin(np.abs(n), axis=-1)]
     t1 = axis - _dots(axis, n) * n
     t1 /= np.sqrt(_dots(t1, t1))
     # n x t1 as (n1 t2 - n2 t1, n2 t0 - n0 t2, n0 t1 - n1 t0): the bits of
     # np.cross, without its per-call overhead.
-    return t1, n[..., _NEXT] * t1[..., _PREV] - n[..., _PREV] * t1[..., _NEXT]
+    a, b = n[..., _CROSS], t1[..., _CROSS]
+    return t1, a[..., :3] * b[..., 3:] - a[..., 3:] * b[..., :3]
 
 
 class Surface:
@@ -97,7 +106,7 @@ class Surface:
 
     def _require_on_surface(self, y):
         d = self.distance(y)
-        if not np.all(d <= self.on_surface_tol):
+        if not (d <= self.on_surface_tol).all():
             raise OffSurfaceError(
                 f"point at distance {float(np.max(d)):.3e} from {self.kind} "
                 f"surface exceeds tolerance {self.on_surface_tol:.3e}"
@@ -278,12 +287,18 @@ class Chart:
         self.radius = float(radius)
 
     def inverse_map(self, points):
-        d = np.asarray(points, dtype=float) - self.center
-        return np.concatenate([_dots(d, self.t1), _dots(d, self.t2)], axis=-1)
+        return self._coordinates(np.asarray(points, dtype=float) - self.center)
 
     def contains(self, points):
+        return _row_norms(np.asarray(points, dtype=float) - self.center) < self.radius
+
+    def locate(self, points):
+        """``inverse_map`` and ``contains`` of points, from one offset from the center."""
         d = np.asarray(points, dtype=float) - self.center
-        return _row_norms(d) < self.radius
+        return self._coordinates(d), _row_norms(d) < self.radius
+
+    def _coordinates(self, d):
+        return np.concatenate([_dots(d, self.t1), _dots(d, self.t2)], axis=-1)
 
 
 # The kinds a run configuration may name.

@@ -165,9 +165,17 @@ def _check_samples(n):
         raise ValueError(f"n = {n!r} must be an integer >= 1")
 
 
+def _check_seed(seed):
+    """Raise ValueError unless seed is an integer >= 0 (not a boolean), so the
+    seed a report records re-draws its samples."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed = {seed!r} must be an integer >= 0")
+
+
 def check_objectivity(model, n, seed):
     """max_F,Q |W(QF) - W(F)| / (1 + W(F)) over random rotations."""
     _check_samples(n)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     F = _random_gradients(rng, n)
     Q = _random_rotations(rng, n)
@@ -188,6 +196,7 @@ def check_objectivity(model, n, seed):
 def check_isotropy(model, n, seed):
     """max_F,R |W(F R) - W(F)| / (1 + W(F)) over random in-plane rotations."""
     _check_samples(n)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     F = _random_gradients(rng, n)
     ang = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -398,12 +407,14 @@ def check_midpoint_convexity(phi, n, seed):
     sweep reuses.  See ``_convexity_sweep`` for the samples and the slack.
     """
     _check_samples(n)
+    _check_seed(seed)
     return _convexity_sweep(n, seed, [phi])[0][0]
 
 
 def check_negative_control(n, seed):
     """(F.F)/J^2 must exhibit at least one midpoint-convexity violation."""
     _check_samples(n)
+    _check_seed(seed)
     return _negative_control(_convexity_sweep(n, seed, [shear_over_j_squared])[0][0])
 
 
@@ -460,6 +471,7 @@ def check_rank_one(model, seed):
 
     The check draws nothing; ``seed`` is only recorded in the report.
     """
+    _check_seed(seed)
     lam, mu = RANK_ONE_STRETCHES
     witnesses = [rank_one_counterexample(model, lam, mu, e) for e in RANK_ONE_EPS_GRID]
     gaps = [w.gap for w in witnesses]
@@ -496,6 +508,7 @@ def check_stress_growth(model, n, seed):
     corners of STRESS_STRETCH_RANGE are sampled too.
     """
     _check_samples(n)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     lo, hi = STRESS_STRETCH_RANGE
     lam = _log_uniform(rng, lo, hi, (n, 2))
@@ -530,6 +543,7 @@ def check_perturbed_stress_bound(model, delta, n, seed):
     must lie in [0, ``max_perturbation_delta(model)``) for C to make sense.
     """
     _check_samples(n)
+    _check_seed(seed)
     bound = max_perturbation_delta(model)
     if not (_is_real(delta) and delta >= 0):
         raise ValueError(
@@ -580,6 +594,7 @@ def check_growth(model, n, seed):
     at J = 1e-6 against the 1e10 floor.
     """
     _check_samples(n)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     l1, l2 = _sorted_stretches(_log_uniform(rng, *GROWTH_STRETCH_RANGE, (n, 2)))
     W = model.energy_from_stretches(l1, l2)
@@ -621,6 +636,7 @@ def run_all_checks(model: IsotropicModel, seed):
 
     The sample counts and the perturbation size are the module constants.
     """
+    _check_seed(seed)
 
     def phi_model(F, J):
         return phi_split_batch(model, F, J)

@@ -29,10 +29,11 @@ from memsurf.diagnostics import (
     DEGREE_MARGIN,
     OVERLAP_AREA_TOL,
     DegreeResult,
+    OverlapReport,
     _admissible,
     _distances,
+    _overlap_areas,
     _test_fields,
-    _triangle_overlap_area,
 )
 from memsurf.constitutive import _spectral_batch, pk1_batch
 from memsurf.discretization import J_FLOOR, _dot, _kinematics, oriented_area_ratios, trial_energy
@@ -779,11 +780,138 @@ class TestDegreeMemo:
             assert down[0] == -up.degree == -1
 
 
+def _clearance_calls(monkeypatch):
+    """A list that records the dimension of the point (3 in space, 2 in the
+    chart) of every exact boundary-clearance evaluation."""
+    calls = []
+    segment_distances = diagnostics._segment_distances
+
+    def counted(point, starts, ends):
+        calls.append(len(point))
+        return segment_distances(point, starts, ends)
+
+    monkeypatch.setattr(diagnostics, "_segment_distances", counted)
+    return calls
+
+
+class TestDegreeShortcuts:
+    """The degree skips only evaluations that cannot change a bit of it."""
+
+    def test_far_target_evaluates_no_clearance(self, sphere, cap_minimizer, monkeypatch):
+        # Near the cap's pole both lower bounds clear the bump radius.
+        mesh, cfg = cap_minimizer
+        y = sphere.project(cfg.mean(axis=0))
+        calls = _clearance_calls(monkeypatch)
+        res = brouwer_degree(sphere, mesh, cfg, y)
+        assert calls == []
+        assert res.mollifier_radius == 3.0 * diagnostics._image_of(mesh, sphere, cfg).mean_edge
+        _assert_as_reference(sphere, mesh, cfg, [y])
+
+    def test_spatial_clearance_binds_the_radius(self, sphere, cap_minimizer, monkeypatch):
+        mesh, cfg = cap_minimizer
+        calls = _clearance_calls(monkeypatch)
+        for y in _inside_boundary(sphere, mesh, cfg, (3e-3, 1e-3)):
+            calls.clear()
+            res = brouwer_degree(sphere, mesh, cfg, y)
+            assert calls == [3, 2]
+            in_space, in_chart = _reference_boundary_distances(y, mesh, cfg, sphere.chart_at(y))
+            assert res.mollifier_radius == pytest.approx(0.9 * in_space, rel=1e-12)
+            assert res.mollifier_radius < in_chart
+            _assert_as_reference(sphere, mesh, cfg, [y])
+
+    def test_chart_clearance_binds_below_the_spatial(self, torus, torus_band_start, monkeypatch):
+        # 1e-4 inside the inclined boundary chord of
+        # test_clearance_measured_in_the_chart, along the chart's second axis:
+        # about 1e-4 from its chart image, 3.3e-4 from it in space.
+        mesh, cfg, _ = torus_band_start
+        on_chord = torus.project(
+            np.array([2.248884557689365, 0.05353343547302427, -0.4332885344537498])
+        )
+        y = torus.project(on_chord + 1e-4 * torus.chart_at(on_chord).t2)
+        in_space, in_chart = _reference_boundary_distances(y, mesh, cfg, torus.chart_at(y))
+        assert DEGREE_MARGIN < in_chart < 0.9 * in_space
+        calls = _clearance_calls(monkeypatch)
+        res = brouwer_degree(torus, mesh, cfg, y)
+        assert calls == [3, 2]
+        assert res.mollifier_radius == pytest.approx(in_chart, rel=1e-12)
+        _assert_as_reference(torus, mesh, cfg, [y])
+
+    def test_vertex_target_passes_the_box_prefilter(
+        self, plane, sphere, torus, disk_identity, cap_targets, torus_band_start, monkeypatch
+    ):
+        # Every element around a target vertex has it as a corner, so its
+        # closed chart box holds the target and its edges are tested.
+        rows = []
+        orient2d = diagnostics._orient2d
+
+        def recorded(p, q, w):
+            rows.append(int(np.sum(np.any(np.all(p == w, axis=-1), axis=-1))))
+            return orient2d(p, q, w)
+
+        monkeypatch.setattr(diagnostics, "_orient2d", recorded)
+        rng = np.random.default_rng(34)
+        cases = [(plane, disk_identity), (sphere, cap_targets), (torus, torus_band_start)]
+        for surface, (mesh, cfg, *_) in cases:
+            for v in rng.choice(np.flatnonzero(mesh.interior_mask()), 5, replace=False):
+                rows.clear()
+                brouwer_degree(surface, mesh, cfg, cfg[v])
+                assert rows == [int(np.sum(np.any(mesh.triangles == v, axis=1)))]
+                _assert_as_reference(surface, mesh, cfg, [cfg[v]])
+
+
 def test_bump_mass_constant_matches_quadrature():
     # integral over [0, 1) of exp(-1/(1-s^2)) s ds, by substitution u = 1-s^2.
     u = np.linspace(1e-12, 1.0, 200_001)
     c0 = 0.5 * float(np.trapezoid(np.exp(-1.0 / u), u))
     assert abs(_BUMP_C0 - c0) <= math.ulp(c0)
+
+def _clip_polygon(subject, cx, cy, nx, ny):
+    """Keep the part of polygon ``subject`` with n . (p - c) <= 0."""
+    out = []
+    k = len(subject)
+    for i in range(k):
+        p = subject[i]
+        q = subject[(i + 1) % k]
+        dp = nx * (p[0] - cx) + ny * (p[1] - cy)
+        dq = nx * (q[0] - cx) + ny * (q[1] - cy)
+        if dp <= 0:
+            out.append(p)
+            if dq > 0:
+                t = dp / (dp - dq)
+                out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        elif dq <= 0:
+            t = dp / (dp - dq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def _triangle_overlap_area(t1, t2):
+    """Intersection area of two 2D triangles, one pair at a time (the module's
+    scalar Sutherland-Hodgman clip before the batched ``_overlap_areas``)."""
+
+    def ccw(t):
+        e1 = (t[1][0] - t[0][0], t[1][1] - t[0][1])
+        e2 = (t[2][0] - t[0][0], t[2][1] - t[0][1])
+        return t if e1[0] * e2[1] - e1[1] * e2[0] >= 0 else (t[0], t[2], t[1])
+
+    t1 = ccw([tuple(p) for p in t1])
+    t2 = ccw([tuple(p) for p in t2])
+    poly = list(t1)
+    for i in range(3):
+        a = t2[i]
+        b = t2[(i + 1) % 3]
+        # Inward normal of edge (a, b) of a CCW triangle is to its left.
+        nx, ny = (b[1] - a[1]), -(b[0] - a[0])
+        poly = _clip_polygon(poly, a[0], a[1], nx, ny)
+        if not poly:
+            return 0.0
+    area = 0.0
+    for i in range(len(poly)):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % len(poly)]
+        area += x0 * y1 - x1 * y0
+    return 0.5 * abs(area)
+
 
 def _reference_overlaps(surface, mesh, cfg):
     """Brute-force injectivity scan: (checked pairs, {(i, j): overlap area}).
@@ -826,6 +954,75 @@ def _assert_matches_reference(surface, mesh, cfg):
         assert area == pytest.approx(ref[(i, j)], rel=1e-12, abs=1e-15)
     assert rep.total_overlap_area == pytest.approx(sum(ref.values()), rel=1e-12)
     return rep
+
+
+def _offset(tri):
+    """A triangle moved off the dyadic grid, so its pairs round."""
+    return [(0.37 * x + 1 / 3, 0.37 * y + 2 / 7) for x, y in tri]
+
+
+_UNIT = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+# Triangle pairs the batched clip must take through the scalar clip's bits.
+_CLIP_PAIRS = {
+    "shared vertex": (_UNIT, [(0.0, 0.0), (1.0, 0.5), (0.5, 1.0)]),
+    "collinear shared edge, apart": (_UNIT, [(0.0, 0.0), (1.0, 0.0), (0.5, -0.5)]),
+    "collinear shared edge, folded": (_UNIT, [(1.0, 0.0), (0.0, 0.0), (0.5, 0.3)]),
+    "point touch": (_UNIT, [(1.0, 0.0), (2.0, 0.0), (1.5, 1.0)]),
+    "identical": (_UNIT, _UNIT),
+    "identical, other first corner": (_UNIT, _UNIT[1:] + _UNIT[:1]),
+    "nested": (_UNIT, [(0.2, 0.2), (0.5, 0.2), (0.2, 0.5)]),
+    "opposite orientations": (_UNIT, [(0.6, 0.6), (0.9, -0.2), (-0.2, 0.1)]),
+    "sliver": ([(0.0, 0.0), (1.0, 0.0), (0.5, 1e-9)], [(0.25, -1.0), (0.75, -1.0), (0.5, 1.0)]),
+}
+
+
+class TestOverlapClip:
+    """The batched clip gives the areas of the scalar clip, bit for bit."""
+
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_named_pairs(self, moved):
+        pairs = [
+            (_offset(a) + _offset(b)) if moved else (a + b) for a, b in _CLIP_PAIRS.values()
+        ]
+        areas = _overlap_areas(np.array(pairs))
+        expected = [float(_triangle_overlap_area(p[:3], p[3:])) for p in pairs]
+        assert [a.hex() for a in areas.tolist()] == [a.hex() for a in expected]
+        assert dict(zip(_CLIP_PAIRS, areas.tolist()))["point touch"] == 0.0
+
+    def test_random_pairs(self):
+        # Gaussian pairs, and pairs on a coarse grid, where corners coincide,
+        # edges are collinear and polygons degenerate.
+        rng = np.random.default_rng(34)
+        pairs = np.concatenate(
+            [rng.standard_normal((1000, 6, 2)), rng.integers(-2, 3, (1000, 6, 2)) / 2.0]
+        )
+        expected = [float(_triangle_overlap_area(p[:3], p[3:])).hex() for p in pairs]
+        assert [a.hex() for a in _overlap_areas(pairs).tolist()] == expected
+        assert _overlap_areas(np.empty((0, 6, 2))).shape == (0,)
+
+    def test_folded_cap_report_equals_reference(self, sphere):
+        # A cap of 288 elements folded across the diagonal: its overlapping
+        # pairs start in several 128-element blocks of the sweep, and their
+        # areas, recorded in sweep order, are those of the scalar clip.
+        mesh = build_mesh("unit_square", 1 / 12)
+        square = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        interior = mesh.interior_mask()
+        x = np.column_stack([mesh.vertices.max(axis=1), mesh.vertices.min(axis=1)])
+        x[interior] += 0.02 * np.random.default_rng(6).standard_normal((int(interior.sum()), 2))
+        cfg = square(x)
+        checked, ref = _reference_overlaps(sphere, mesh, cfg)
+        rank = np.empty(len(mesh.triangles), dtype=int)
+        rank[np.argsort(cfg[mesh.triangles].min(axis=1)[:, 0], kind="stable")] = np.arange(
+            len(rank)
+        )
+        in_sweep = sorted(ref.items(), key=lambda rec: (rank[rec[0][0]], rank[rec[0][1]]))
+        assert len({rank[i] // diagnostics._SWEEP_BLOCK for (i, _), _ in in_sweep}) >= 2
+        total = 0.0
+        for _, area in in_sweep:
+            total += area
+        worst = sorted(((i, j, area) for (i, j), area in in_sweep), key=lambda rec: -rec[2])
+        expected = OverlapReport(checked, len(ref), total, total <= OVERLAP_AREA_TOL, worst[:100])
+        assert injectivity_check(sphere, mesh, cfg) == expected
 
 
 def _pair_mesh(surface, image):

@@ -296,6 +296,9 @@ def test_stacked_charts_map_as_single_charts(all_surfaces):
         charts = surf.chart_at(centers)
         uv, inside = charts.inverse_map(pts), charts.contains(pts)
         assert uv.shape == (5, 6, 2) and inside.shape == (5, 6)
+        # locate gives both from one offset, with their bits.
+        located = charts.locate(pts)
+        assert located[0].tobytes() == uv.tobytes() and np.array_equal(located[1], inside)
         for center, p, u, k in zip(centers, pts, uv, inside):
             chart = surf.chart_at(center[0])
             assert np.array_equal(chart.inverse_map(p), u)
@@ -444,6 +447,21 @@ def test_surfaces_reject_non_finite_parameters(build, key):
     # Booleans too: 0 < True < inf holds, so one would pass the range test as 1.0.
     with pytest.raises(ValueError, match=key):
         build()
+
+
+@pytest.mark.parametrize("width", [3, 2])
+def test_row_norms_of_one_vector_are_the_batch_bits(width):
+    # A single vector takes a Python-float path; it must give the bits the
+    # batch gives that row, 0, inf, NaN and overflowing squares included.
+    rng = np.random.default_rng(32)
+    x = rng.standard_normal((300, width)) * 10.0 ** rng.uniform(-150, 150, (300, 1))
+    x[:6, 0] = [0.0, np.inf, -np.inf, np.nan, 1e200, -1e200]
+    with np.errstate(over="ignore"):
+        batch = _row_norms(x)
+    for row, want in zip(x, batch):
+        got, kept = _row_norms(row), _row_norms(row, keepdims=True)
+        assert type(got) is np.float64 and got.tobytes() == want.tobytes()
+        assert kept.shape == (1,) and kept.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(500, 3), (200, 6, 3), (500, 2)])

@@ -639,6 +639,39 @@ def test_sampled_checks_reject_bad_sample_count(model, check, n, monkeypatch):
         SAMPLED_CHECKS[check](model, n)
 
 
+SEEDED_CHECKS = {
+    "objectivity": lambda model, seed: check_objectivity(model, 10, seed),
+    "isotropy": lambda model, seed: check_isotropy(model, 10, seed),
+    "midpoint_convexity": lambda model, seed: check_midpoint_convexity(shear_over_j, 10, seed),
+    "negative_control": lambda model, seed: check_negative_control(10, seed),
+    "rank_one": lambda model, seed: check_rank_one(model, seed),
+    "stress_growth": lambda model, seed: check_stress_growth(model, 10, seed),
+    "perturbed_stress_bound": lambda model, seed: check_perturbed_stress_bound(
+        model, 0.01, 10, seed
+    ),
+    "growth": lambda model, seed: check_growth(model, 10, seed),
+    "run_all_checks": lambda model, seed: run_all_checks(model, seed),
+}
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, 2.5])
+@pytest.mark.parametrize("check", SEEDED_CHECKS)
+def test_checks_reject_bad_seed(model, check, seed, monkeypatch):
+    # Rejected before any draw, with the argument and its value named: a
+    # report must name the seed that re-draws its samples.
+    def no_draw(seed=None):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match=re.escape(f"seed = {seed!r} must be an integer >= 0")):
+        SEEDED_CHECKS[check](model, seed)
+
+
+def test_checks_accept_numpy_integer_seed(model):
+    assert check_objectivity(model, 10, np.int64(3)) == check_objectivity(model, 10, 3)
+    assert check_rank_one(model, np.uint8(0)).seed == 0
+
+
 class TestReports:
     def test_deterministic_given_seed(self, model):
         a = check_perturbed_stress_bound(model, delta=0.01, n=2000, seed=11)
