@@ -146,9 +146,8 @@ def _write_residuals(path, config, results):
     return max(abs(r.lagrangian_residual) / max(r.normalization, 1e-300) for r in results)
 
 
-def _run_diagnostics(config, surface, mesh, positions, out, grad_tol):
+def _run_diagnostics(config, model, surface, mesh, positions, out, grad_tol):
     diag = config.diagnostics_params()
-    model = config.model()
     lines = []
     if diag["injectivity"]:
         rep = injectivity_check(surface, mesh, positions)
@@ -252,7 +251,7 @@ def _cmd_minimize(config, out):
         f"wall_time_s: {report.wall_time:.3f}",
     ]
     if report.status == "converged":
-        lines += _run_diagnostics(config, surface, mesh, positions, out, report.grad_tol)
+        lines += _run_diagnostics(config, model, surface, mesh, positions, out, report.grad_tol)
     _write_text(
         os.path.join(out, "summary.txt"), config.config_hash, "\n".join(lines) + "\n"
     )

@@ -303,13 +303,9 @@ def energy_density_batch(model, F):
     return model.energy_from_stretches(l1, l2)
 
 
-def pk1_batch(model, F, spectral=None):
-    """Vectorized PK1 stress over a (n, 3, 2) batch.
-
-    ``spectral`` is ``_spectral_batch(F)`` when the caller already has it
-    (``trial_energy`` hands it along with F); the result is the same bits.
-    """
-    l1, l2, r1, r2, d1, d2 = _spectral_batch(F) if spectral is None else spectral
+def pk1_batch(model, F):
+    """Vectorized PK1 stress over a (n, 3, 2) batch."""
+    l1, l2, r1, r2, d1, d2 = _spectral_batch(F)
     s1, s2 = model.scaled_stress_coefficients(l1, l2)
     u1 = (s1 / l1)[..., None] * d1
     u2 = (s2 / l2)[..., None] * d2

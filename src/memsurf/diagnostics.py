@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import _spectral_batch, pk1_batch
+from .constitutive import _stretches, pk1_batch
 from .discretization import J_FLOOR, _assemble, _dot, _element_kinematics, _kinematics
 from .errors import (
     AmbiguousProjectionError,
@@ -254,13 +254,12 @@ def brouwer_degree(surface, mesh, positions, y):
     done once and reused by later calls on the same mesh and surface objects
     and equal positions.  A target then pays for its numpy calls more than
     for its rows: every node distance, one chart map of the nodes it reads,
-    and the elements near it.  Three prefilters skip work that cannot change
+    and the elements near it.  Two prefilters skip work that cannot change
     the result: a boundary clearance is evaluated only when its lower bound
     (the nearest segment end's distance less half the longest segment, in
     space or in the chart) does not clear the bump radius and the margin,
-    the near nodes are checked against the chart radius only when one can
-    lie past it, and the exact edge signs are taken only for the kept
-    elements whose closed chart box holds y.
+    and the near nodes are checked against the chart radius only when one
+    can lie past it.
 
     y must lie at least ``DEGREE_MARGIN`` from the boundary image in the
     chart at y, where the degree is counted and integrated: from the chart
@@ -388,14 +387,12 @@ def brouwer_degree(surface, mesh, positions, y):
     kept = np.flatnonzero(_distances(tris, w) <= radius + 0.7 * longest)
     tris = tris.take(kept, axis=2)
 
-    # Edge signs (b, 3) of the kept elements whose closed chart box holds w,
-    # the only ones whose three signs can agree: then they cover w.
-    holds = (tris.min(axis=0) <= w[:, None]) & (w[:, None] <= tris.max(axis=0))
-    boxed = np.flatnonzero(holds[0] & holds[1])
-    uv = tris.take(boxed, axis=2).transpose(2, 0, 1)
+    # Exact edge signs (k, 3) of the kept elements: an element covers w
+    # when its three signs agree.
+    uv = tris.transpose(2, 0, 1)
     edge_signs = _orient2d(uv, uv[:, [1, 2, 0]], w)
     inside = np.abs(edge_signs.sum(axis=1)) == 3
-    count = int(image.signs[near[kept[boxed[inside]]]].sum())
+    count = int(image.signs[near[kept[inside]]].sum())
 
     # Mollified integral over the signed chart image.  While the children
     # (at most size wide) are wider than the bump, the elements are split at
@@ -708,9 +705,9 @@ def first_variation_residual(model, surface, mesh, positions, family_size, seed)
     # The fields first: a mesh without an anchor fails before any stress.
     fields = _test_fields(surface, mesh, positions, family_size, seed)
     F, J = _kinematics(mesh, surface, positions)
-    spectral = _spectral_batch(F)
-    S = pk1_batch(model, F, spectral)
-    area_ratio = spectral[0] * spectral[1]
+    S = pk1_batch(model, F)
+    l1, l2 = _stretches(F)
+    area_ratio = l1 * l2
     cauchy = np.einsum("tij,tkj->tik", S, F) / area_ratio[:, None, None]
     # Pseudo-inverse of F on its range: F^+ = C^-1 F^T, C = F^T F.  C is symmetric,
     # so its adjugate is C reversed on both axes with the off-diagonal negated.

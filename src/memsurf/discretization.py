@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constitutive import _spectral_batch, pk1_batch
+from .constitutive import _stretches, pk1_batch
 from .errors import AmbiguousProjectionError, OffSurfaceError
 from .mesh import TriMesh
 
@@ -77,36 +77,35 @@ def oriented_area_ratios(mesh: TriMesh, surface, positions):
 def trial_energy(model, mesh, surface, positions):
     """Non-raising energy evaluation for line-search trials.
 
-    Returns (energy, min_J, feasible, F, spectral); energy is only
-    meaningful when feasible is True, that is when every element's oriented
-    area ratio exceeds ``J_FLOOR``.  F is the (m, 3, 2) gradient batch and
-    spectral its ``_spectral_batch`` data, the pair ``energy_gradient``
-    takes; spectral is None when the trial is infeasible.  A centroid
-    projection that fails (a point on the medial axis) makes the trial
-    infeasible with min_J NaN and F None.
+    Returns (energy, min_J, feasible, F); energy is only meaningful when
+    feasible is True, that is when every element's oriented area ratio
+    exceeds ``J_FLOOR``.  F is the (m, 3, 2) gradient batch that
+    ``energy_gradient`` takes.  The energy needs the principal stretches
+    only, so a rejected trial forms no eigenvectors.  A centroid projection
+    that fails (a point on the medial axis) makes the trial infeasible with
+    min_J NaN and F None.
     """
     try:
         F, J = _kinematics(mesh, surface, positions)
     except AmbiguousProjectionError:
-        return np.inf, np.nan, False, None, None
+        return np.inf, np.nan, False, None
     min_j = float(np.min(J)) if J.size else np.inf
     if not min_j > J_FLOOR:
-        return np.inf, min_j, False, F, None
-    spectral = _spectral_batch(F)
-    energy = float(np.sum(mesh.ref_area * model.energy_from_stretches(*spectral[:2])))
-    return energy, min_j, True, F, spectral
+        return np.inf, min_j, False, F
+    energy = float(np.sum(mesh.ref_area * model.energy_from_stretches(*_stretches(F))))
+    return energy, min_j, True, F
 
 
-def energy_gradient(model, mesh, F, spectral=None):
+def energy_gradient(model, mesh, F):
     """Ambient gradient of the total energy with respect to nodal positions.
 
-    ``F`` is the gradient batch of a feasible configuration and ``spectral``
-    its spectral data, as ``trial_energy`` returns them (computed from F when
-    None).  The density depends on the nodes only through F, so the
-    assembled gradient is sum_t A_t S_t g_{t,i} at each vertex i; it matches
-    central finite differences of ``trial_energy`` to rounding error.
+    ``F`` is the gradient batch of a feasible configuration, as
+    ``trial_energy`` returns it.  The density depends on the nodes only
+    through F, so the assembled gradient is sum_t A_t S_t g_{t,i} at each
+    vertex i; it matches central finite differences of ``trial_energy`` to
+    rounding error.
     """
-    return _assemble(mesh, mesh.ref_area[:, None, None] * pk1_batch(model, F, spectral))
+    return _assemble(mesh, mesh.ref_area[:, None, None] * pk1_batch(model, F))
 
 
 def _assemble(mesh, T):

@@ -13,7 +13,7 @@ it.  Its initial inverse Hessian is gamma P K^-1 P, with K the P1 stiffness
 matrix of the reference mesh on the free nodes, P the tangent projection
 and gamma = (s.Ks)/(s.y) from the newest pair: a Sobolev gradient
 (Neuberger 1997), which keeps the iteration count independent of the mesh
-size, since the energy's Hessian is spectrally close to K.  The
+size, since multiples of K bound the energy's Hessian.  The
 first direction, -P K^-1 g_T, is scaled to the minimizer of the quadratic
 model along it, its curvature taken from one forward difference of the
 tangent gradient.  Step lengths come from Armijo backtracking from a unit
@@ -189,7 +189,7 @@ def _line_search(model, mesh, surface, free, positions, energy, g, d, counts):
             if np.array_equal(trial, positions):
                 return None  # move below float resolution: no progress possible
             evaluation = trial_energy(model, mesh, surface, trial)
-            e_new, _, feasible, _, _ = evaluation
+            e_new, _, feasible, _ = evaluation
             required = -ARMIJO_C * alpha * slope
             # Armijo decrease, or plain non-increase once the requested
             # decrease falls below what float64 can resolve.
@@ -221,7 +221,7 @@ def minimize(model, surface, mesh, f0, grad_tol=None):
     grad_tol = 1e-7 * mesh.total_area if grad_tol is None else float(grad_tol)
     free = mesh.interior_mask()
 
-    energy, min_j, _, F, spectral = trial_energy(model, mesh, surface, positions)
+    energy, min_j, _, F = trial_energy(model, mesh, surface, positions)
     report = MinimizeReport(status="max_iter", iterations=0, grad_tol=grad_tol)
     report.energy_history.append(energy)
     report.min_j_history.append(min_j)
@@ -239,7 +239,7 @@ def minimize(model, surface, mesh, f0, grad_tol=None):
     for it in range(MAX_ITER + 1):
         # Tangent gradient of the free rows at the accepted point, from the
         # F its trial evaluation formed.
-        grad = energy_gradient(model, mesh, F, spectral)[free]
+        grad = energy_gradient(model, mesh, F)[free]
         gt = surface.tangent_project_unchecked(x, grad)
         if prev_x is not None:
             mem_s = np.concatenate([mem_s, (x - prev_x)[None]])[-LBFGS_MEMORY:]
@@ -275,7 +275,7 @@ def minimize(model, surface, mesh, f0, grad_tol=None):
                 f"line search underflowed at iteration {it} "
                 f"(|g_T| = {gnorm:.3e}, tol = {grad_tol:.3e})"
             )
-        alpha, positions, (energy, min_j, _, F, spectral) = found
+        alpha, positions, (energy, min_j, _, F) = found
         prev_x, prev_g, x = x, gt, positions[free]
 
         report.energy_history.append(energy)

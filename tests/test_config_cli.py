@@ -633,6 +633,22 @@ output_dir: "%s"
         )
         assert (out / "energy_history.csv").exists()
 
+    def test_diagnostics_use_the_minimized_model(self, tmp_path, monkeypatch):
+        # The residual is taken with the model object the minimizer ran with.
+        models = []
+        for name in ("minimize", "first_variation_residual"):
+            wrapped = getattr(cli_module, name)
+
+            def spy(model, *args, wrapped=wrapped, **kwargs):
+                models.append(model)
+                return wrapped(model, *args, **kwargs)
+
+            monkeypatch.setattr(cli_module, name, spy)
+        cfg, out = write_config(tmp_path, MINIMAL_PLANE)
+        assert main(["minimize", str(cfg)]) == 0
+        assert len(models) == 2 and models[0] is models[1]
+        assert (out / "residuals.csv").exists()
+
     def test_determinism_bitwise(self, tmp_path):
         cfg, out = write_config(tmp_path, MINIMAL_PLANE)
         assert main(["minimize", str(cfg)]) == 0

@@ -35,7 +35,7 @@ from memsurf.diagnostics import (
     _overlap_areas,
     _test_fields,
 )
-from memsurf.constitutive import _spectral_batch, pk1_batch
+from memsurf.constitutive import _stretches, pk1_batch
 from memsurf.discretization import J_FLOOR, _dot, _kinematics, oriented_area_ratios, trial_energy
 from memsurf.errors import AmbiguousProjectionError
 from memsurf.maps import make_initial_map
@@ -1210,9 +1210,9 @@ def _reference_residuals(model, surface, mesh, positions, family_size, seed):
     full-mesh ``_admissible`` of both varied configurations.
     """
     F = _kinematics(mesh, surface, positions)[0]
-    spectral = _spectral_batch(F)
-    S = pk1_batch(model, F, spectral)
-    area_ratio = spectral[0] * spectral[1]
+    S = pk1_batch(model, F)
+    l1, l2 = _stretches(F)
+    area_ratio = l1 * l2
     cauchy = np.einsum("tij,tkj->tik", S, F) / area_ratio[:, None, None]
     Fplus = np.linalg.inv(np.einsum("tij,tik->tjk", F, F)) @ np.swapaxes(F, 1, 2)
     out = []

@@ -7,6 +7,7 @@ from memsurf import (
     energy_gradient,
     interpolate,
 )
+import memsurf.constitutive as constitutive_module
 from memsurf.constitutive import pk1_batch
 from memsurf.discretization import (
     _kinematics,
@@ -25,7 +26,7 @@ def identity_config(plane, mesh):
 
 def energy(model, mesh, surface, cfg):
     """Total stored energy of a feasible configuration via ``trial_energy``."""
-    E, _, feasible, _, _ = trial_energy(model, mesh, surface, cfg)
+    E, _, feasible, _ = trial_energy(model, mesh, surface, cfg)
     assert feasible
     return E
 
@@ -72,11 +73,11 @@ class TestElementKinematics:
         cfg = interpolate(
             sphere, disk, make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         )
-        from memsurf.constitutive import _spectral_batch
+        from memsurf.constitutive import _stretches
 
         F = element_gradients(disk, sphere, cfg)
         J = oriented_area_ratios(disk, sphere, cfg)
-        l1, l2, *_ = _spectral_batch(F)
+        l1, l2 = _stretches(F)
         cross_mag = np.linalg.norm(np.cross(F[:, :, 0], F[:, :, 1]), axis=1)
         # |f_,1 x f_,2| equals the stretch product exactly; the oriented J
         # chordally undershoots it on a curved surface.
@@ -104,21 +105,20 @@ class TestElementKinematics:
     def test_nan_node_is_infeasible(self, model, plane, square_mesh):
         cfg = identity_config(plane, square_mesh)
         cfg[np.flatnonzero(square_mesh.interior_mask())[0]] = np.nan
-        energy, min_j, feasible, _, spectral = trial_energy(model, square_mesh, plane, cfg)
+        energy, min_j, feasible, _ = trial_energy(model, square_mesh, plane, cfg)
         assert not feasible and energy == np.inf and np.isnan(min_j)
-        assert spectral is None
 
     def test_failed_centroid_projection_is_infeasible(self, model, sphere, square_mesh):
         # Every centroid at the sphere center: the projection is ambiguous.
         origin = np.zeros((square_mesh.num_vertices, 3))
-        energy, min_j, feasible, F, spectral = trial_energy(model, square_mesh, sphere, origin)
+        energy, min_j, feasible, F = trial_energy(model, square_mesh, sphere, origin)
         assert not feasible and energy == np.inf and np.isnan(min_j)
-        assert F is None and spectral is None
+        assert F is None
 
     def test_trial_returns_its_gradients(self, model, plane, sphere, square_mesh):
         cfg = identity_config(plane, square_mesh)
         F = element_gradients(square_mesh, plane, cfg)
-        _, _, _, F_trial, _ = trial_energy(model, square_mesh, plane, cfg)
+        _, _, _, F_trial = trial_energy(model, square_mesh, plane, cfg)
         assert np.array_equal(F_trial, F)
         # A trial rejected at the floor (here an inverted, reversed-affine
         # configuration) still hands back the F it formed.
@@ -127,18 +127,40 @@ class TestElementKinematics:
             square_mesh,
             make_initial_map(plane, "affine", matrix=np.array([[0.0, 1.0], [1.0, 0.0]])),
         )
-        _, min_j, feasible, F_rejected, spectral = trial_energy(
-            model, square_mesh, plane, inverted
-        )
-        assert not feasible and min_j < 0 and spectral is None
+        _, min_j, feasible, F_rejected = trial_energy(model, square_mesh, plane, inverted)
+        assert not feasible and min_j < 0
         assert np.array_equal(F_rejected, element_gradients(square_mesh, plane, inverted))
         disk = build_mesh("disk", 0.2)
         cap = interpolate(
             sphere, disk, make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         )
-        _, min_j, feasible, F, _ = trial_energy(model, disk, sphere, cap)
+        _, min_j, feasible, F = trial_energy(model, disk, sphere, cap)
         assert feasible and np.array_equal(F, element_gradients(disk, sphere, cap))
         assert min_j == float(np.min(oriented_area_ratios(disk, sphere, cap)))
+
+    def test_trial_forms_no_eigenvectors(self, model, plane, sphere, square_mesh, monkeypatch):
+        # The energy of a trial, accepted or rejected, comes from the
+        # stretches alone; its bits are those of the spectral stretches.
+        disk = build_mesh("disk", 0.2)
+        cap = interpolate(
+            sphere, disk, make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        )
+        F = element_gradients(disk, sphere, cap)
+        l1, l2, *_ = constitutive_module._spectral_batch(F)
+        expected = float(np.sum(disk.ref_area * model.energy_from_stretches(l1, l2)))
+        inverted = interpolate(
+            plane,
+            square_mesh,
+            make_initial_map(plane, "affine", matrix=np.array([[0.0, 1.0], [1.0, 0.0]])),
+        )
+
+        def forbidden(F):
+            raise AssertionError("a trial formed eigenvectors")
+
+        monkeypatch.setattr(constitutive_module, "_spectral_batch", forbidden)
+        energy, _, feasible, _ = trial_energy(model, disk, sphere, cap)
+        assert feasible and energy == expected
+        assert not trial_energy(model, square_mesh, plane, inverted)[2]
 
     def test_degenerate_flag(self, model, plane, square_mesh):
         cfg = identity_config(plane, square_mesh)
@@ -180,18 +202,6 @@ class TestEnergyGradient:
         g = gradient(model, square_mesh, plane, cfg)
         assert np.abs(g).max() < 1e-13
 
-    def test_carried_spectral_data_gives_the_same_stress(self, model, sphere):
-        disk = build_mesh("disk", 0.2)
-        cap = interpolate(
-            sphere, disk, make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
-        )
-        _, _, feasible, F, spectral = trial_energy(model, disk, sphere, cap)
-        assert feasible
-        assert np.array_equal(pk1_batch(model, F, spectral), pk1_batch(model, F))
-        assert np.array_equal(
-            energy_gradient(model, disk, F, spectral), energy_gradient(model, disk, F)
-        )
-
     def test_scatter_matches_add_at(self, model, sphere):
         disk = build_mesh("disk", 0.2)
         cap = interpolate(
@@ -231,10 +241,10 @@ class TestEnergyGradient:
         for _ in range(20):
             bump = 0.02 * surf.curvature_radius * rng.standard_normal(base.shape)
             cfg = surf.project(base + surf.tangent_project_unchecked(base, bump))
-            _, _, feasible, F, spectral = trial_energy(model, mesh, surf, cfg)
+            _, _, feasible, F = trial_energy(model, mesh, surf, cfg)
             if not feasible:
                 continue
-            g = energy_gradient(model, mesh, F, spectral)
+            g = energy_gradient(model, mesh, F)
             for _ in range(4):
                 i = int(rng.integers(0, mesh.num_vertices))
                 d = rng.standard_normal(3)
@@ -243,8 +253,8 @@ class TestEnergyGradient:
                 pm = cfg.copy()
                 pp[i] += h * d
                 pm[i] -= h * d
-                ep, _, okp, _, _ = trial_energy(model, mesh, surf, pp)
-                em, _, okm, _, _ = trial_energy(model, mesh, surf, pm)
+                ep, _, okp, _ = trial_energy(model, mesh, surf, pp)
+                em, _, okm, _ = trial_energy(model, mesh, surf, pm)
                 assert okp and okm
                 fd = (ep - em) / (2 * h)
                 an = float(g[i] @ d)

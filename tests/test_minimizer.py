@@ -390,7 +390,7 @@ class TestLineSearchFailure:
         d = np.zeros((int(free.sum()), 3))
         d[:, :2] = 1e3
         monkeypatch.setattr(
-            minimizer_module, "trial_energy", lambda *args: (0.0, 0.0, False, "F", None)
+            minimizer_module, "trial_energy", lambda *args: (0.0, 0.0, False, "F")
         )
         counts = dict.fromkeys(("backtracks", "infeasible_trials", "projection_failures"), 0)
         found = minimizer_module._line_search(
@@ -413,8 +413,8 @@ class TestCurvatureStep:
         f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         positions = interpolate(sphere, mesh, f0)
         free = mesh.interior_mask()
-        _, _, _, F, spectral = trial_energy(model, mesh, sphere, positions)
-        grad = energy_gradient(model, mesh, F, spectral)[free]
+        _, _, _, F = trial_energy(model, mesh, sphere, positions)
+        grad = energy_gradient(model, mesh, F)[free]
         g = sphere.tangent_project_unchecked(positions[free], grad)
         return sphere, mesh, free, positions, g
 
