@@ -28,7 +28,6 @@ from .errors import (
     InfeasibleStartError,
     InvalidEpsilonError,
     InvalidModelError,
-    LineSearchStallError,
     MemsurfError,
     NonpositiveJError,
     OffSurfaceError,

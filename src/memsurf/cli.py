@@ -31,7 +31,7 @@ from .errors import (
     MemsurfError,
 )
 from .mesh import save_mesh
-from .minimizer import minimize
+from .minimizer import initialize, minimize
 from .verification import run_all_checks
 
 EXIT_OK = 0
@@ -40,6 +40,8 @@ EXIT_CONFIG = 2
 EXIT_MAX_ITER = 3
 EXIT_INFEASIBLE = 4
 EXIT_RUNTIME = 5
+# A stalled line search is a runtime failure whose tables are still written.
+STATUS_EXIT = {"converged": EXIT_OK, "max_iter": EXIT_MAX_ITER, "stalled": EXIT_RUNTIME}
 
 
 def _write_csv(path, config_hash, header, rows):
@@ -195,7 +197,9 @@ def _cmd_minimize(config, out):
     model = config.model()
     mesh = config.mesh()
     f0 = config.initial_map(surface)
-    positions, report = minimize(model, surface, mesh, f0, config.grad_tol())
+    positions, report = minimize(
+        model, surface, mesh, initialize(surface, mesh, f0), config.grad_tol()
+    )
 
     rows = zip(
         range(len(report.energy_history)),
@@ -257,7 +261,13 @@ def _cmd_minimize(config, out):
     )
     for line in lines:
         print(line)
-    return EXIT_OK if report.status == "converged" else EXIT_MAX_ITER
+    if report.status == "stalled":
+        print(
+            f"error: line search underflowed at iteration {report.iterations} "
+            f"(|g_T| = {report.grad_history[-1]:.3e}, tol = {report.grad_tol:.3e})",
+            file=sys.stderr,
+        )
+    return STATUS_EXIT[report.status]
 
 
 def _cmd_degree(config, out, point):

@@ -52,10 +52,6 @@ class InfeasibleStartError(MemsurfError):
         self.elements = list(elements) if elements is not None else []
 
 
-class LineSearchStallError(MemsurfError):
-    """Backtracking step length underflowed."""
-
-
 class BoundaryTooCloseError(MemsurfError):
     """Degree target point too close to the image of the domain boundary."""
 

@@ -1,7 +1,8 @@
 """Riemannian L-BFGS over surface-constrained configurations.
 
 A configuration is the (n, 3) array of nodal positions on the surface;
-``initialize`` and ``minimize`` return it as a plain array.  Free nodes move
+``initialize`` builds the start from a closed-form map, and ``minimize``
+descends from it and returns the final one as a plain array.  Free nodes move
 along a limited-memory quasi-Newton direction in the tangent space and are
 retracted back onto the surface by closest-point projection; boundary nodes
 never move.  The direction is the two-loop L-BFGS recursion (Liu & Nocedal
@@ -21,7 +22,8 @@ step, and any trial step that drives an element's oriented area ratio to
 the floor is rejected outright, which keeps every accepted iterate inside
 the discrete admissible set.  A trial whose closest-point projection fails
 (retraction or element centroid) is rejected the same way.  The run stops
-at the gradient tolerance ``grad_tol``, the one setting of ``minimize``.
+at the gradient tolerance ``grad_tol``, the one setting of ``minimize``;
+every run ends with a status on its report, a stalled line search included.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .discretization import (
 from .errors import (
     AmbiguousProjectionError,
     InfeasibleStartError,
-    LineSearchStallError,
     _is_real,
 )
 from .stiffness import StiffnessSolver
@@ -84,7 +85,7 @@ class MinimizeReport:
     projection failed (``projection_failures``).
     """
 
-    status: str                      # converged | max_iter
+    status: str                      # converged | max_iter | stalled
     iterations: int
     grad_tol: float                  # the tolerance the run stopped against
     energy_history: list = field(default_factory=list)
@@ -105,6 +106,12 @@ class MinimizeReport:
 def initialize(surface, mesh, f0):
     """Nodal positions of f0, with a feasibility check on every element."""
     positions = interpolate(surface, mesh, f0)
+    _check_start(mesh, surface, positions)
+    return positions
+
+
+def _check_start(mesh, surface, positions):
+    """Raise InfeasibleStartError naming every element at or below the floor."""
     J = oriented_area_ratios(mesh, surface, positions)
     bad = np.nonzero(~(J > J_FLOOR))[0]
     if bad.size:
@@ -113,7 +120,6 @@ def initialize(surface, mesh, f0):
             f"area-ratio floor {J_FLOOR:.1e}",
             elements=bad.tolist(),
         )
-    return positions
 
 
 def _lbfgs_direction(g, s, y, solve, stiffness):
@@ -207,21 +213,25 @@ def _line_search(model, mesh, surface, free, positions, energy, g, d, counts):
     return None
 
 
-def minimize(model, surface, mesh, f0, grad_tol=None):
-    """Descend the total energy from f0; returns (positions, report).
+def minimize(model, surface, mesh, positions, grad_tol=None):
+    """Descend the total energy from the start positions; returns (positions, report).
 
-    Stops once |g_T| <= ``grad_tol`` (None: 1e-7 times the reference area)
-    or after ``MAX_ITER`` iterations.  Raises InfeasibleStartError when f0
-    violates the element floor and LineSearchStallError if backtracking
-    underflows along -P K^-1 g_T.
+    ``positions`` is an (n, 3) configuration on the surface, as
+    ``initialize`` builds it; its boundary rows never move.  The report's
+    status is ``converged`` once |g_T| <= ``grad_tol`` (None: 1e-7 times the
+    reference area), ``max_iter`` after ``MAX_ITER`` iterations, and
+    ``stalled`` when backtracking underflows along -P K^-1 g_T; the
+    positions returned are the last accepted iterate.  Raises
+    InfeasibleStartError when the start violates the element floor.
     """
     check_grad_tol(grad_tol)
     t0 = time.perf_counter()
-    positions = initialize(surface, mesh, f0)
     grad_tol = 1e-7 * mesh.total_area if grad_tol is None else float(grad_tol)
     free = mesh.interior_mask()
 
-    energy, min_j, _, F = trial_energy(model, mesh, surface, positions)
+    energy, min_j, feasible, F = trial_energy(model, mesh, surface, positions)
+    if not feasible:
+        _check_start(mesh, surface, positions)  # the trial's J, so it raises
     report = MinimizeReport(status="max_iter", iterations=0, grad_tol=grad_tol)
     report.energy_history.append(energy)
     report.min_j_history.append(min_j)
@@ -271,10 +281,8 @@ def minimize(model, surface, mesh, f0, grad_tol=None):
                 model, mesh, surface, free, positions, energy, gt, -precondition(gt), counts
             )
         if found is None:
-            raise LineSearchStallError(
-                f"line search underflowed at iteration {it} "
-                f"(|g_T| = {gnorm:.3e}, tol = {grad_tol:.3e})"
-            )
+            report.status = "stalled"
+            break
         alpha, positions, (energy, min_j, _, F) = found
         prev_x, prev_g, x = x, gt, positions[free]
 

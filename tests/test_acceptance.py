@@ -21,6 +21,7 @@ from memsurf import (
     check_objectivity,
     check_stress_growth,
     first_variation_residual,
+    initialize,
     injectivity_check,
     interpolate,
     minimize,
@@ -54,7 +55,7 @@ def cap_state(model, sphere):
     mesh = build_mesh("disk", 0.05)
     f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
     t0 = time.perf_counter()
-    cfg, report = minimize(model, sphere, mesh, f0)
+    cfg, report = minimize(model, sphere, mesh, initialize(sphere, mesh, f0))
     elapsed = time.perf_counter() - t0
     return mesh, f0, cfg, report, elapsed
 
@@ -155,7 +156,7 @@ def test_criterion_6_affine_dirichlet(model, plane):
         WA = float(model.energy_from_stretches(1.2, 0.9))
         target_energy = mesh.total_area * WA
         f0 = make_initial_map(plane, "affine", matrix=A)
-        cfg, report = minimize(model, plane, mesh, f0)
+        cfg, report = minimize(model, plane, mesh, initialize(plane, mesh, f0))
         assert report.status == "converged"
         assert report.energy_history[-1] == pytest.approx(target_energy, rel=1e-6)
         target_nodes = plane.embed(mesh.vertices @ A.T)
@@ -176,7 +177,7 @@ def test_criterion_6_affine_dirichlet(model, plane):
             if np.min(oriented_area_ratios(mesh, plane, pos)) <= 1e-8:
                 continue
             restarts += 1
-            _, rep = minimize(model, plane, mesh, lambda x, pos=pos: pos)
+            _, rep = minimize(model, plane, mesh, pos)
             run_min = min(rep.energy_history)
             best_seen = min(best_seen, run_min)
             e = rep.energy_history

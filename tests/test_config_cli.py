@@ -14,8 +14,8 @@ from memsurf import (
     ChartSpanFailureError,
     ConfigError,
     IsotropicModel,
-    LineSearchStallError,
     MemsurfError,
+    MinimizeReport,
     Sphere,
     make_initial_map,
     parse_config,
@@ -576,29 +576,77 @@ output_dir: "%s"
         assert main(["minimize", str(cfg)]) == 4
 
     def test_line_search_stall_exit_5(self, tmp_path, capsys, monkeypatch):
-        def stall(*args, **kwargs):
-            raise LineSearchStallError("line search underflowed at iteration 7")
+        # A stalled report maps to exit 5 and the underflow message, and its
+        # run writes its tables and summary but skips the diagnostics that
+        # the config asks for.
+        def stall(model, surface, mesh, positions, grad_tol=None):
+            report = MinimizeReport(
+                status="stalled",
+                iterations=7,
+                grad_tol=2.5e-7,
+                energy_history=[3.0 - 0.1 * k for k in range(8)],
+                grad_history=[1.5e-6] * 8,
+                min_j_history=[1.0] * 8,
+                step_history=[1.0] * 7,
+                backtracks=[0] * 7,
+                infeasible_trials=[0] * 7,
+                projection_failures=[0] * 7,
+            )
+            return positions, report
 
         monkeypatch.setattr("memsurf.cli.minimize", stall)
-        cfg, _ = write_config(tmp_path, MINIMAL_PLANE)
+        cfg, out = write_config(tmp_path, MINIMAL_PLANE)
         assert main(["minimize", str(cfg)]) == 5
-        assert "line search underflowed at iteration 7" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: line search underflowed at iteration 7 "
+            "(|g_T| = 1.500e-06, tol = 2.500e-07)\n"
+        )
+        assert "status: stalled\n" in (out / "summary.txt").read_text()
+        rows = (out / "energy_history.csv").read_text().splitlines()[2:]
+        assert len(rows) == 7 + 1
+        assert (out / "final_config.obj").exists()
+        assert not (out / "degree.csv").exists()
+        assert not (out / "residuals.csv").exists()
 
     def test_failing_line_search_exit_5(self, tmp_path, capsys, monkeypatch):
-        # Every line search gives up, so the first iteration stalls.
+        # Every line search after the first two gives up, so iteration 2 and
+        # its retry fail and the run stalls; it still writes its tables and
+        # summary, but runs no diagnostics.
         text = """
 surface: {kind: sphere, radius: 1.0}
 domain: {kind: disk, resolution: 0.3}
 initial_map: {kind: stereographic_cap, latitude: 1.0471975511965976}
 output_dir: "%s"
 """
-        monkeypatch.setattr(minimizer_module, "_line_search", lambda *args: None)
-        cfg, _ = write_config(tmp_path, text)
+        line_search = minimizer_module._line_search
+        calls = []
+
+        def search(*args):
+            calls.append(args)
+            return line_search(*args) if len(calls) <= 2 else None
+
+        monkeypatch.setattr(minimizer_module, "_line_search", search)
+        cfg, out = write_config(tmp_path, text)
         assert main(["minimize", str(cfg)]) == 5
         assert re.fullmatch(
-            r"error: line search underflowed at iteration 0 \(\|g_T\| = \S+, tol = \S+\)\n",
+            r"error: line search underflowed at iteration 2 \(\|g_T\| = \S+, tol = \S+\)\n",
             capsys.readouterr().err,
         )
+        assert len(calls) == 4
+        summary = dict(
+            line.split(": ", 1)
+            for line in (out / "summary.txt").read_text().splitlines()[1:]
+        )
+        assert summary["status"] == "stalled"
+        assert summary["iterations"] == "2"
+        rows = (out / "energy_history.csv").read_text().splitlines()[2:]
+        assert len(rows) == 2 + 1
+        # The last accepted iterate, whose positions the failed searches started from.
+        final = _obj_records(out / "final_config.obj")[0]
+        assert np.array_equal(final, calls[-1][4])
+        assert (out / "reference_mesh.obj").exists()
+        assert not (out / "degree.csv").exists()
+        assert not (out / "residuals.csv").exists()
 
     def test_coarse_chart_degree_names_target_and_element_exit_5(
         self, tmp_path, capsys, monkeypatch

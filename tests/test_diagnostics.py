@@ -19,6 +19,7 @@ from memsurf import (
     brouwer_degree,
     build_mesh,
     first_variation_residual,
+    initialize,
     injectivity_check,
     interpolate,
     minimize,
@@ -102,7 +103,7 @@ def cap_targets(model, sphere):
     """Converged cap on a 0.15 disk mesh and ten targets inside its image."""
     mesh = build_mesh("disk", 0.15)
     f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
-    cfg, _ = minimize(model, sphere, mesh, f0)
+    cfg, _ = minimize(model, sphere, mesh, initialize(sphere, mesh, f0))
     rng = np.random.default_rng(22)
     targets = np.array([f0(rng.uniform(-0.5, 0.5, 2)[None])[0] for _ in range(10)])
     return mesh, cfg, targets
@@ -124,7 +125,7 @@ def cap_minimizer(model, sphere):
     """The shipped sphere cap's minimizer (disk 0.05)."""
     mesh = build_mesh("disk", 0.05)
     f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
-    return mesh, minimize(model, sphere, mesh, f0)[0]
+    return mesh, minimize(model, sphere, mesh, initialize(sphere, mesh, f0))[0]
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +135,7 @@ def torus_minimizer(model, torus):
     f0 = make_initial_map(
         torus, "torus_band", theta_range=(0.0, np.pi / 2), psi_range=(-np.pi / 3, np.pi / 3)
     )
-    return mesh, minimize(model, torus, mesh, f0)[0]
+    return mesh, minimize(model, torus, mesh, initialize(torus, mesh, f0))[0]
 
 
 def _inside_boundary(surface, mesh, cfg, gaps):
@@ -1166,7 +1167,7 @@ class TestInjectivity:
     def test_converged_cap_injective(self, model, sphere):
         mesh = build_mesh("disk", 0.15)
         f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
-        cfg, _ = minimize(model, sphere, mesh, f0)
+        cfg, _ = minimize(model, sphere, mesh, initialize(sphere, mesh, f0))
         rep = injectivity_check(sphere, mesh, cfg)
         assert rep.injective
         assert rep.total_overlap_area <= 1e-12
@@ -1198,7 +1199,7 @@ class TestInjectivity:
 def cap(model, sphere):
     mesh = build_mesh("disk", 0.12)
     f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
-    cfg, report = minimize(model, sphere, mesh, f0)
+    cfg, report = minimize(model, sphere, mesh, initialize(sphere, mesh, f0))
     return mesh, f0, cfg, report
 
 

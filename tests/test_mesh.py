@@ -101,10 +101,11 @@ _MINIMIZE_MODULES = """
 import sys
 import numpy as np
 before = set(sys.modules)
-from memsurf import IsotropicModel, Plane, build_mesh, make_initial_map, minimize
+from memsurf import IsotropicModel, Plane, build_mesh, initialize, make_initial_map, minimize
 plane = Plane()
 mesh = build_mesh("disk", 0.3)
-minimize(IsotropicModel(), plane, mesh, make_initial_map(plane, "identity"))
+start = initialize(plane, mesh, make_initial_map(plane, "identity"))
+minimize(IsotropicModel(), plane, mesh, start)
 print(sorted(name for name in set(sys.modules) - before if name.split(".")[:2] == ["numpy", "ma"]))
 """
 

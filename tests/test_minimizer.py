@@ -6,7 +6,6 @@ import pytest
 from conftest import outputs_at_blas_threads
 from memsurf import (
     InfeasibleStartError,
-    LineSearchStallError,
     Sphere,
     build_mesh,
     initialize,
@@ -49,24 +48,28 @@ class TestInitialize:
             initialize(plane, square_mesh, collapse)
         assert len(err.value.elements) >= 1
 
-    def test_reversed_affine_infeasible(self, plane, square_mesh):
+    def test_reversed_affine_infeasible(self, model, plane, square_mesh):
         f0 = make_initial_map(
             plane, "affine", matrix=np.array([[0.0, 1.0], [1.0, 0.0]])
         )
         with pytest.raises(InfeasibleStartError) as err:
             initialize(plane, square_mesh, f0)
         assert len(err.value.elements) == square_mesh.num_triangles
+        # minimize checks its start positions against the same floor.
+        with pytest.raises(InfeasibleStartError) as err:
+            minimize(model, plane, square_mesh, interpolate(plane, square_mesh, f0))
+        assert len(err.value.elements) == square_mesh.num_triangles
 
 
 class TestOptions:
     @pytest.mark.parametrize("grad_tol", [0.0, -1e-5, np.inf, np.nan, True, np.True_, "0.1"])
     def test_validation(self, model, plane, square_mesh, grad_tol):
-        identity = make_initial_map(plane, "identity")
+        identity = initialize(plane, square_mesh, make_initial_map(plane, "identity"))
         with pytest.raises(ValueError, match="grad_tol must be finite and positive"):
             minimize(model, plane, square_mesh, identity, grad_tol)
 
     def test_default_grad_tol_scales_with_area(self, model, plane, square_mesh):
-        identity = make_initial_map(plane, "identity")
+        identity = initialize(plane, square_mesh, make_initial_map(plane, "identity"))
         _, report = minimize(model, plane, square_mesh, identity)
         assert report.grad_tol == pytest.approx(1e-7 * square_mesh.total_area)
         _, report = minimize(model, plane, square_mesh, identity, grad_tol=1e-5)
@@ -75,9 +78,8 @@ class TestOptions:
 
 class TestMinimizePlane:
     def test_identity_converges_immediately(self, model, plane, square_mesh):
-        cfg, report = minimize(
-            model, plane, square_mesh, make_initial_map(plane, "identity")
-        )
+        identity = initialize(plane, square_mesh, make_initial_map(plane, "identity"))
+        cfg, report = minimize(model, plane, square_mesh, identity)
         assert report.status == "converged"
         assert report.iterations <= 1
         assert report.energy_history[-1] == pytest.approx(4.0, abs=1e-12)
@@ -90,9 +92,8 @@ class TestMinimizePlane:
         # The gradient of the last iterate is checked against the tolerance
         # even when no iteration is left.
         monkeypatch.setattr(minimizer_module, "MAX_ITER", 0)
-        _, report = minimize(
-            model, plane, square_mesh, make_initial_map(plane, "identity")
-        )
+        identity = initialize(plane, square_mesh, make_initial_map(plane, "identity"))
+        _, report = minimize(model, plane, square_mesh, identity)
         assert report.status == "converged"
         assert report.iterations == 0
         assert len(report.grad_history) == 1 and not report.step_history
@@ -101,7 +102,7 @@ class TestMinimizePlane:
         A = np.array([[1.2, 0.0], [0.0, 0.9]])
         mesh = build_mesh("unit_square", 0.2)
         f0 = make_initial_map(plane, "affine", matrix=A)
-        cfg, report = minimize(model, plane, mesh, f0)
+        cfg, report = minimize(model, plane, mesh, initialize(plane, mesh, f0))
         WA = float(model.energy_from_stretches(1.2, 0.9))
         assert report.status == "converged"
         assert report.energy_history[-1] == pytest.approx(WA, rel=1e-6)
@@ -114,13 +115,10 @@ class TestMinimizePlane:
         WA = float(model.energy_from_stretches(1.2, 0.9))
         rng = np.random.default_rng(17)
         interior = mesh.interior_mask()
+        start = plane.embed(mesh.vertices @ A.T)
+        start[interior, :2] += 0.012 * rng.standard_normal((int(interior.sum()), 2))
 
-        def perturbed(x):
-            y = plane.embed(np.atleast_2d(x) @ A.T)
-            y[interior, :2] += 0.012 * rng.standard_normal((int(interior.sum()), 2))
-            return y
-
-        cfg, report = minimize(model, plane, mesh, perturbed)
+        cfg, report = minimize(model, plane, mesh, start)
         assert report.energy_history[0] > WA
         assert report.energy_history[-1] == pytest.approx(WA, rel=1e-8)
         # Homogeneous-state optimality: no iterate ever beats the bound.
@@ -131,7 +129,7 @@ class TestMinimizePlane:
 def cap_run(model, sphere):
     mesh = build_mesh("disk", 0.12)
     f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
-    cfg, report = minimize(model, sphere, mesh, f0)
+    cfg, report = minimize(model, sphere, mesh, initialize(sphere, mesh, f0))
     return mesh, f0, cfg, report
 
 
@@ -202,7 +200,7 @@ class TestCurvatureMemory:
             return d, kept_s, kept_y
 
         monkeypatch.setattr(minimizer_module, "_lbfgs_direction", direction)
-        _, report = minimize(model, sphere, mesh, f0)
+        _, report = minimize(model, sphere, mesh, initialize(sphere, mesh, f0))
         assert report.status == "converged"
         # Every iteration but the first and the converged last takes one.
         assert len(calls) == report.iterations - 1
@@ -238,7 +236,7 @@ class TestAcceptedStateHandoff:
         mesh = build_mesh("disk", 0.2)
         f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         monkeypatch.setattr(minimizer_module, "MAX_ITER", max_iter)
-        cfg, report = minimize(model, sphere, mesh, f0)
+        cfg, report = minimize(model, sphere, mesh, initialize(sphere, mesh, f0))
         assert report.status == ("max_iter" if max_iter == 10 else "converged")
         assert report.grad_history[-1] == _recomputed_grad_norm(
             model, sphere, mesh, cfg
@@ -274,7 +272,7 @@ class TestRejectedTrials:
 
         monkeypatch.setattr(sphere, "project", flaky)
         monkeypatch.setattr(minimizer_module, "_line_search", searched)
-        cfg, report = minimize(model, sphere, mesh, f0)
+        cfg, report = minimize(model, sphere, mesh, initialize(sphere, mesh, f0))
         assert report.status == "converged"
         e = report.energy_history
         assert all(b <= a for a, b in zip(e, e[1:]))
@@ -287,7 +285,8 @@ class TestRejectedTrials:
 
 class TestLineSearchFailure:
     """A failed line search is retried once without the curvature memory; a
-    failed retry, or a failure with no memory to clear, stalls the run."""
+    failed retry, or a failure with no memory to clear, stalls the run, which
+    returns the last accepted iterate and its report."""
 
     @staticmethod
     def _patched(monkeypatch, fails):
@@ -325,7 +324,7 @@ class TestLineSearchFailure:
         monkeypatch.setattr(minimizer_module, "_lbfgs_direction", direction)
         # Call 2 is iteration 1's search, the first with a curvature pair.
         calls = self._patched(monkeypatch, lambda call: call == 2)
-        cfg, report = minimize(model, sphere, mesh, f0)
+        cfg, report = minimize(model, sphere, mesh, initialize(sphere, mesh, f0))
         assert report.status == "converged"
         e = report.energy_history
         assert all(b <= a for a, b in zip(e, e[1:]))
@@ -343,21 +342,39 @@ class TestLineSearchFailure:
         assert report.trials == report.iterations + sum(report.backtracks)
         assert np.array_equal(cfg[~free], f0(mesh.vertices)[~free])
 
+    @staticmethod
+    def _check_stalled(model, sphere, mesh, start, cfg, report, calls):
+        """The stalled run's report and positions end at the last accepted iterate."""
+        assert report.status == "stalled"
+        assert len(report.energy_history) == len(report.grad_history) == report.iterations + 1
+        e = report.energy_history
+        assert all(b <= a for a, b in zip(e, e[1:]))
+        # The failed search started from the last accepted iterate.
+        free = mesh.interior_mask()
+        assert np.array_equal(cfg[free], calls[-1][2])
+        assert np.array_equal(cfg[~free], start[~free])
+        assert trial_energy(model, mesh, sphere, cfg)[0] == e[-1]
+
     def test_failed_retry_stalls(self, model, sphere, monkeypatch):
         mesh = build_mesh("disk", 0.2)
         f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        start = initialize(sphere, mesh, f0)
         calls = self._patched(monkeypatch, lambda call: call > 1)
-        with pytest.raises(LineSearchStallError, match=r"underflowed at iteration 1 \(\|g_T\|"):
-            minimize(model, sphere, mesh, f0)
+        cfg, report = minimize(model, sphere, mesh, start)
         assert len(calls) == 3          # iteration 0, then iteration 1 and its retry
+        assert report.iterations == 1
+        self._check_stalled(model, sphere, mesh, start, cfg, report, calls)
 
     def test_failure_without_memory_stalls(self, model, sphere, monkeypatch):
         mesh = build_mesh("disk", 0.2)
         f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        start = initialize(sphere, mesh, f0)
         calls = self._patched(monkeypatch, lambda call: True)
-        with pytest.raises(LineSearchStallError, match="underflowed at iteration 0"):
-            minimize(model, sphere, mesh, f0)
+        cfg, report = minimize(model, sphere, mesh, start)
         assert len(calls) == 1
+        assert report.iterations == 0
+        self._check_stalled(model, sphere, mesh, start, cfg, report, calls)
+        assert np.array_equal(cfg, start)
 
     @staticmethod
     def _plane_state(model, plane):
@@ -541,7 +558,8 @@ class TestMeshIndependence:
         f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         iterations = []
         for h in (0.1, 0.05):
-            _, report = minimize(model, sphere, build_mesh("disk", h), f0)
+            mesh = build_mesh("disk", h)
+            _, report = minimize(model, sphere, mesh, initialize(sphere, mesh, f0))
             assert report.status == "converged"
             iterations.append(report.iterations)
         assert iterations[1] <= 1.5 * iterations[0]
@@ -551,7 +569,8 @@ class TestFrameCovariance:
     def test_sphere_equivariance(self, model, sphere):
         mesh = build_mesh("disk", 0.2)
         f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
-        cfg, _ = minimize(model, sphere, mesh, f0)
+        start = initialize(sphere, mesh, f0)
+        cfg, _ = minimize(model, sphere, mesh, start)
         ang = 0.9
         Q = np.array(
             [
@@ -560,11 +579,7 @@ class TestFrameCovariance:
                 [0.0, np.sin(ang), np.cos(ang)],
             ]
         )
-
-        def rotated_f0(x):
-            return np.asarray(f0(x)) @ Q.T
-
-        cfg_rot, _ = minimize(model, sphere, mesh, rotated_f0)
+        cfg_rot, _ = minimize(model, sphere, mesh, start @ Q.T)
         assert np.abs(cfg_rot - cfg @ Q.T).max() < 1e-6
 
 
@@ -607,10 +622,7 @@ class TestInvariantsAllSurfaces:
             + surface.tangent_project_unchecked(base[interior], jitter[interior])
         )
 
-        def f0(x):
-            return start.copy()
-
-        cfg, report = minimize(model, surface, mesh, f0)
+        cfg, report = minimize(model, surface, mesh, start)
         assert len(report.min_j_history) == report.iterations + 1
         assert all(j > J_FLOOR for j in report.min_j_history)
         e = report.energy_history
