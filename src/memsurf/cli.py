@@ -17,22 +17,44 @@ import sys
 
 import numpy as np
 
-from .config import parse_config_file
-from .diagnostics import (
-    brouwer_degree,
-    first_variation_residual,
-    injectivity_check,
-)
-from .discretization import interpolate, oriented_area_ratios
 from .errors import (
     AmbiguousProjectionError,
     ConfigError,
     InfeasibleStartError,
     MemsurfError,
 )
-from .mesh import save_mesh
-from .minimizer import initialize, minimize
-from .verification import run_all_checks
+
+# The functions the commands call, by the module that defines each.  None is
+# imported with this module: ``__getattr__`` imports a name's module on its
+# first read, so a command compiles only the modules it runs.  The commands
+# call them as attributes of this module (``_this``), so a replacement set
+# on the module, such as a benchmark's timing wrapper or a test's stub, is
+# the function that runs.
+_SOURCES = {
+    "parse_config_file": "config",
+    "run_all_checks": "verification",
+    "initialize": "minimizer",
+    "minimize": "minimizer",
+    "save_mesh": "mesh",
+    "interpolate": "discretization",
+    "oriented_area_ratios": "discretization",
+    "injectivity_check": "diagnostics",
+    "brouwer_degree": "diagnostics",
+    "first_variation_residual": "diagnostics",
+}
+_this = sys.modules[__name__]
+
+
+def __getattr__(name):
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # __import__, unlike importlib.import_module, shows in -X importtime's log.
+    value = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
+
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -65,7 +87,7 @@ def _write_text(path, config_hash, text):
 
 
 def _cmd_verify(config, out):
-    reports = run_all_checks(config.model(), seed=config.seed)
+    reports = _this.run_all_checks(config.model(), seed=config.seed)
     rows = [
         (r.check_name, r.samples, r.worst_violation, str(r.passed).lower())
         for r in reports
@@ -92,7 +114,7 @@ def _sample_degree_targets(surface, mesh, positions, n, seed):
     """Deterministic interior target points: random barycentric draws."""
     rng = np.random.default_rng(seed)
     P = positions[mesh.triangles]
-    areas = np.abs(oriented_area_ratios(mesh, surface, positions)) * mesh.ref_area
+    areas = np.abs(_this.oriented_area_ratios(mesh, surface, positions)) * mesh.ref_area
     prob = areas / areas.sum()
     idx = rng.choice(len(prob), size=n, p=prob)
     # Barycentric weights in (0.2, 0.6) before normalizing put each target
@@ -152,7 +174,7 @@ def _run_diagnostics(config, model, surface, mesh, positions, out, grad_tol):
     diag = config.diagnostics_params()
     lines = []
     if diag["injectivity"]:
-        rep = injectivity_check(surface, mesh, positions)
+        rep = _this.injectivity_check(surface, mesh, positions)
         lines.append(f"injectivity_checked_pairs: {rep.checked_pairs}")
         lines.append(f"injectivity_overlapping_pairs: {rep.overlapping_pairs}")
         lines.append(f"injectivity_overlap_area: {rep.total_overlap_area!r}")
@@ -168,7 +190,7 @@ def _run_diagnostics(config, model, surface, mesh, positions, out, grad_tol):
         results = []
         for i, y in enumerate(targets):
             try:
-                results.append(brouwer_degree(surface, mesh, positions, y))
+                results.append(_this.brouwer_degree(surface, mesh, positions, y))
             except MemsurfError as exc:
                 where = ", ".join(f"{c:.6g}" for c in y)
                 raise type(exc)(f"degree target {i} at [{where}]: {exc}") from exc
@@ -177,7 +199,7 @@ def _run_diagnostics(config, model, surface, mesh, positions, out, grad_tol):
         lines.append(f"degree_points: {len(results)}")
         lines.append(f"degree_method_agreement: {agree}/{len(results)}")
     if diag["residual_fields"] > 0:
-        results = first_variation_residual(
+        results = _this.first_variation_residual(
             model,
             surface,
             mesh,
@@ -197,10 +219,13 @@ def _cmd_minimize(config, out):
     model = config.model()
     mesh = config.mesh()
     f0 = config.initial_map(surface)
-    positions, report = minimize(
-        model, surface, mesh, initialize(surface, mesh, f0), config.grad_tol()
+    positions, report = _this.minimize(
+        model, surface, mesh, _this.initialize(surface, mesh, f0), config.grad_tol()
     )
 
+    # One row per accepted iterate.  A stalled run's last counters belong to
+    # its failed search, which accepted none, so zip leaves them out; the
+    # summary's totals count them.
     rows = zip(
         range(len(report.energy_history)),
         report.energy_history,
@@ -226,13 +251,13 @@ def _cmd_minimize(config, out):
         ],
         rows,
     )
-    save_mesh(
+    _this.save_mesh(
         os.path.join(out, "reference_mesh.obj"),
         mesh.vertices,
         mesh.triangles,
         comments=[f"config_hash={config.config_hash}", "reference domain (z = 0)"],
     )
-    save_mesh(
+    _this.save_mesh(
         os.path.join(out, "final_config.obj"),
         positions,
         mesh.triangles,
@@ -274,7 +299,7 @@ def _cmd_degree(config, out, point):
     surface = config.surface()
     mesh = config.mesh()
     f0 = config.initial_map(surface)
-    positions = interpolate(surface, mesh, f0)
+    positions = _this.interpolate(surface, mesh, f0)
     try:
         y = surface.project(np.asarray(point, dtype=float))
     except AmbiguousProjectionError as exc:
@@ -284,7 +309,7 @@ def _cmd_degree(config, out, point):
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    res = brouwer_degree(surface, mesh, positions, y)
+    res = _this.brouwer_degree(surface, mesh, positions, y)
     _write_degrees(os.path.join(out, "initial_degree.csv"), config, [res])
     print(f"degree: {res.degree}")
     print(f"mollified_integral: {res.mollified_integral!r}")
@@ -297,9 +322,9 @@ def _cmd_residual(config, out):
     model = config.model()
     mesh = config.mesh()
     f0 = config.initial_map(surface)
-    positions = interpolate(surface, mesh, f0)
+    positions = _this.interpolate(surface, mesh, f0)
     diag = config.diagnostics_params()
-    results = first_variation_residual(
+    results = _this.first_variation_residual(
         model,
         surface,
         mesh,
@@ -358,7 +383,7 @@ def main(argv=None):
         degree.error(f"--point must be finite, got {' '.join(map(repr, args.point))}")
 
     try:
-        config = parse_config_file(args.config)
+        config = _this.parse_config_file(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

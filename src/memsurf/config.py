@@ -20,13 +20,10 @@ from dataclasses import dataclass
 
 import yaml
 
-from .constitutive import IsotropicModel
-from .errors import ConfigError, InvalidModelError
-from .geometry import SURFACE_KINDS, make_surface
-from .maps import MAP_KINDS, make_initial_map
-from .mesh import DOMAIN_KINDS, build_mesh
-from .minimizer import check_grad_tol
-from .verification import PERTURBATION_DELTA, max_perturbation_delta
+from .constitutive import PERTURBATION_DELTA, IsotropicModel, max_perturbation_delta
+from .errors import ConfigError, InvalidModelError, check_grad_tol
+from .geometry import make_surface
+from .maps import make_initial_map
 
 __all__ = ["RunConfig", "parse_config", "parse_config_file", "DEFAULT_CONFIG"]
 
@@ -45,11 +42,14 @@ DEFAULT_CONFIG = {
     "seed": 42,
 }
 
-# The {kind: ...} blocks and the kind table of each block's factory.
+# The {kind: ...} blocks, each with the module and name of its factory's
+# kind table.  A table is looked up when its block is checked, so a command
+# that builds no mesh does not import ``mesh`` (through ``__import__``, which
+# shows in -X importtime's log).
 _KIND_TABLES = {
-    "surface": SURFACE_KINDS,
-    "domain": DOMAIN_KINDS,
-    "initial_map": MAP_KINDS,
+    "surface": ("geometry", "SURFACE_KINDS"),
+    "domain": ("mesh", "DOMAIN_KINDS"),
+    "initial_map": ("maps", "MAP_KINDS"),
 }
 
 
@@ -121,7 +121,8 @@ class RunConfig:
         ``supplied`` leading arguments its factory passes itself, and be a
         number or a list of numbers (YAML booleans are neither).
         """
-        table = _KIND_TABLES[label]
+        module, name = _KIND_TABLES[label]
+        table = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
         block = self.data[label]
         params = dict(block) if isinstance(block, dict) else {}
         kind = params.pop("kind", None)
@@ -159,6 +160,8 @@ class RunConfig:
             raise ConfigError(f"model: {exc}") from exc
 
     def mesh(self):
+        from .mesh import build_mesh
+
         return self._build("domain", build_mesh)
 
     def initial_map(self, surface):
@@ -207,9 +210,12 @@ class RunConfig:
         surface = self.surface()
         model = self.model()
         self.grad_tol()
-        resolution = self._kind_params("domain")[1].get("resolution")
-        if not (_is_number(resolution) and 0 < resolution < math.inf):
-            raise ConfigError("domain.resolution must be a finite positive number")
+        # The default domain block is valid; checking it would import
+        # ``mesh``, which a config that never builds a mesh does not need.
+        if self.data["domain"] != DEFAULT_CONFIG["domain"]:
+            resolution = self._kind_params("domain")[1].get("resolution")
+            if not (_is_number(resolution) and 0 < resolution < math.inf):
+                raise ConfigError("domain.resolution must be a finite positive number")
         self.initial_map(surface)
         bound = max_perturbation_delta(model)
         if not PERTURBATION_DELTA < bound:

@@ -37,12 +37,16 @@ __all__ = [
     "energy_density_batch",
     "pk1_batch",
     "phi_split_batch",
+    "max_perturbation_delta",
 ]
 
 # Relative threshold under which F is treated as rank deficient.
 RANK_REL_TOL = 1e-12
 # Relative stretch gap under which the spectral pair is treated as repeated.
 REPEATED_STRETCH_REL = 1e-8
+# The verify battery's perturbation size, which a model must admit
+# (``max_perturbation_delta``); config parsing checks it.
+PERTURBATION_DELTA = 0.01
 
 
 @dataclass(frozen=True)
@@ -211,6 +215,11 @@ class IsotropicModel:
                 **{key: float(val) for key, val in data["theta"].items()}
             )
         return cls(**kwargs)
+
+
+def max_perturbation_delta(model):
+    """1/(2K): the perturbed stress bound needs delta strictly below it."""
+    return 1.0 / (2.0 * model.stress_bound_constant())
 
 
 def _principal_parts(F):

@@ -1,11 +1,18 @@
-"""Exception types, and the real-number test of argument checks, shared package-wide."""
+"""Exception types, and the argument checks shared package-wide."""
 
+import math
 import numbers
 
 
 def _is_real(x):
     """True for a real number that is not a boolean (``0 < True`` holds, so ranges miss it)."""
     return isinstance(x, numbers.Real) and type(x) is not bool
+
+
+def check_grad_tol(grad_tol):
+    """Raise ValueError unless grad_tol is None or a finite positive real (not a boolean)."""
+    if grad_tol is not None and not (_is_real(grad_tol) and 0 < grad_tol < math.inf):
+        raise ValueError("grad_tol must be finite and positive, or None")
 
 
 class MemsurfError(Exception):

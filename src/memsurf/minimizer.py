@@ -43,11 +43,7 @@ from .discretization import (
     oriented_area_ratios,
     trial_energy,
 )
-from .errors import (
-    AmbiguousProjectionError,
-    InfeasibleStartError,
-    _is_real,
-)
+from .errors import AmbiguousProjectionError, InfeasibleStartError, check_grad_tol
 from .stiffness import StiffnessSolver
 
 __all__ = ["MinimizeReport", "initialize", "minimize"]
@@ -68,12 +64,6 @@ MAX_ITER = 5000
 CURVATURE_PROBE = float(np.sqrt(np.finfo(float).eps))
 
 
-def check_grad_tol(grad_tol):
-    """Raise ValueError unless grad_tol is None or a finite positive real (not a boolean)."""
-    if grad_tol is not None and not (_is_real(grad_tol) and 0 < grad_tol < np.inf):
-        raise ValueError("grad_tol must be finite and positive, or None")
-
-
 @dataclass
 class MinimizeReport:
     """Outcome of one minimization run.
@@ -82,7 +72,9 @@ class MinimizeReport:
     direction, and the three counter lists hold, per iteration, the
     rejected trials (``backtracks``), and among them those rejected at the
     area-ratio floor (``infeasible_trials``) and those whose closest-point
-    projection failed (``projection_failures``).
+    projection failed (``projection_failures``).  A stalled run's counter
+    lists end with one entry more, the rejections of the failed search and
+    its retry, which accepted no step.
     """
 
     status: str                      # converged | max_iter | stalled
@@ -280,6 +272,8 @@ def minimize(model, surface, mesh, positions, grad_tol=None):
             found = _line_search(
                 model, mesh, surface, free, positions, energy, gt, -precondition(gt), counts
             )
+        for key, n in counts.items():
+            getattr(report, key).append(n)
         if found is None:
             report.status = "stalled"
             break
@@ -289,8 +283,6 @@ def minimize(model, surface, mesh, positions, grad_tol=None):
         report.energy_history.append(energy)
         report.min_j_history.append(min_j)
         report.step_history.append(alpha)
-        for key, n in counts.items():
-            getattr(report, key).append(n)
 
     report.iterations = it
     report.wall_time = time.perf_counter() - t0

@@ -12,6 +12,7 @@ threads beside the other checks, so its reports match for any core count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -19,7 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import IsotropicModel, energy_density_batch, pk1_batch, phi_split_batch
+from .constitutive import (
+    PERTURBATION_DELTA,
+    IsotropicModel,
+    energy_density_batch,
+    max_perturbation_delta,
+    pk1_batch,
+    phi_split_batch,
+)
 from .errors import DeltaTooLargeError, InvalidEpsilonError, _is_real
 
 __all__ = [
@@ -39,12 +47,12 @@ __all__ = [
     "shear_over_j_squared",
 ]
 
-# The battery's sample counts and perturbation size (``run_all_checks``).
+# The battery's sample counts (``run_all_checks``); its perturbation size,
+# PERTURBATION_DELTA, is constitutive's, beside the bound a model sets on it.
 CONVEXITY_SAMPLES = 100_000
 ROTATION_SAMPLES = 1000
 STRESS_GROWTH_SAMPLES = 100_000
 PERTURBATION_SAMPLES = 10_000
-PERTURBATION_DELTA = 0.01
 GROWTH_SAMPLES = 100_000
 # Relative energy change allowed under a rotation (objectivity, isotropy).
 INVARIANCE_TOLERANCE = 1e-9
@@ -54,6 +62,9 @@ WEIGHTS_PER_PAIR = 10
 # Rows per block of the convexity sweep: a block's endpoint and combination
 # batches stay cache-sized, and the blocks spread over the usable cores.
 # Each block draws its own rows, so this also fixes how the sample is split.
+# The stress-growth and coercivity checks take their draws in blocks of the
+# same size, each from its one generator, which leaves their samples as they
+# were.
 SWEEP_BLOCK_ROWS = 16384
 # Stretch pair (lam, mu) of the rank-one witnesses and the eps grid,
 # decreasing, along which their gap must grow.
@@ -105,6 +116,33 @@ class CheckReport:
 
 def _log_uniform(rng, lo, hi, size):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
+
+
+def _log_uniform_blocks(rng, lo, hi, n):
+    """The rows of ``_log_uniform(rng, lo, hi, (n, 2))`` in blocks of SWEEP_BLOCK_ROWS.
+
+    The draws fill the rows in order, so the blocks hold the same rows; a
+    check that takes one block at a time holds one block's temporaries.
+    """
+    for start in range(0, n, SWEEP_BLOCK_ROWS):
+        yield _log_uniform(rng, lo, hi, (min(SWEEP_BLOCK_ROWS, n - start), 2))
+
+
+def _first_largest(blocks, score):
+    """The row ``np.argmax`` picks on the concatenated blocks, one block at a time.
+
+    ``score(block)`` returns the block's scores and its per-row witness
+    arrays.  Returns (score, witness values) at the first largest score, or
+    at the first NaN, which wins over every number.
+    """
+    best = None
+    for block in blocks:
+        scores, columns = score(block)
+        i = int(np.argmax(scores))
+        value = float(scores[i])
+        if best is None or (not math.isnan(best[0]) and (math.isnan(value) or value > best[0])):
+            best = (value, [float(c[i]) for c in columns])
+    return best
 
 
 def _random_svd_factors(rng, n, stretch_range):
@@ -511,29 +549,27 @@ def check_stress_growth(model, n, seed):
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     lo, hi = STRESS_STRETCH_RANGE
-    lam = _log_uniform(rng, lo, hi, (n, 2))
     corners = np.array([[lo, lo], [hi, hi], [lo, hi], [hi, lo], [1.0, 1.0]])
-    lam = np.concatenate([lam, corners])
-    l1, l2 = _sorted_stretches(lam)
-    s1, s2 = model.scaled_stress_coefficients(l1, l2)
-    ratios = np.hypot(s1, s2) / (model.energy_from_stretches(l1, l2) + 1.0)
+
+    def ratios(lam):
+        l1, l2 = _sorted_stretches(lam)
+        s1, s2 = model.scaled_stress_coefficients(l1, l2)
+        return np.hypot(s1, s2) / (model.energy_from_stretches(l1, l2) + 1.0), (l1, l2)
+
+    # The drawn rows, then the corners.
+    blocks = itertools.chain(_log_uniform_blocks(rng, lo, hi, n), [corners])
+    ratio, (l1, l2) = _first_largest(blocks, ratios)
     K = model.stress_bound_constant()
-    i = int(np.argmax(ratios))
     return CheckReport(
         check_name="stress_growth",
-        samples=int(lam.shape[0]),
+        samples=n + len(corners),
         seed=seed,
         tolerance=0.0,
-        worst_violation=float(ratios[i] - K),
-        worst_witness={"l1": float(l1[i]), "l2": float(l2[i]), "ratio": float(ratios[i])},
-        empirical_constant=float(ratios[i]),
+        worst_violation=ratio - K,
+        worst_witness={"l1": l1, "l2": l2, "ratio": ratio},
+        empirical_constant=ratio,
         details={"K_declared": K},
     )
-
-
-def max_perturbation_delta(model):
-    """1/(2K): the perturbed stress bound needs delta strictly below it."""
-    return 1.0 / (2.0 * model.stress_bound_constant())
 
 
 def check_perturbed_stress_bound(model, delta, n, seed):
@@ -596,19 +632,23 @@ def check_growth(model, n, seed):
     _check_samples(n)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    l1, l2 = _sorted_stretches(_log_uniform(rng, *GROWTH_STRETCH_RANGE, (n, 2)))
-    W = model.energy_from_stretches(l1, l2)
     p = model.growth_exponent
     r = model.theta.r
     c1 = 0.5 * min(min(bj for bj, _ in model.ogden_terms), model.theta.c)
     c2 = -4.0 * model.theta.c
-    fnorm = np.hypot(l1, l2)
-    J = l1 * l2
-    lower = c1 * (fnorm**p + J ** (-r)) + c2
-    shortfall = (lower - W) / (1.0 + np.abs(W))
-    i = int(np.argmax(shortfall))
+
+    def shortfalls(lam):
+        l1, l2 = _sorted_stretches(lam)
+        W = model.energy_from_stretches(l1, l2)
+        fnorm = np.hypot(l1, l2)
+        J = l1 * l2
+        lower = c1 * (fnorm**p + J ** (-r)) + c2
+        return (lower - W) / (1.0 + np.abs(W)), (l1, l2, W)
+
+    blocks = _log_uniform_blocks(rng, *GROWTH_STRETCH_RANGE, n)
+    shortfall, (l1, l2, W) = _first_largest(blocks, shortfalls)
     blowup = float(model.theta.value(1e-6))
-    worst = float(shortfall[i])
+    worst = shortfall
     for ok in (model.coercivity_satisfied, model.strong_coercivity_satisfied, blowup >= 1e10):
         if not ok:
             worst = max(worst, 1.0)
@@ -618,11 +658,11 @@ def check_growth(model, n, seed):
         seed=seed,
         tolerance=0.0,
         worst_violation=worst,
-        worst_witness={"l1": float(l1[i]), "l2": float(l2[i]), "W": float(W[i])},
+        worst_witness={"l1": l1, "l2": l2, "W": W},
         details={
             "coercivity_satisfied": model.coercivity_satisfied,
             "strong_coercivity_satisfied": model.strong_coercivity_satisfied,
-            "sampled_bound_shortfall": float(shortfall[i]),
+            "sampled_bound_shortfall": shortfall,
             "theta_blowup_at_1e-6": blowup,
             "C1": c1,
             "C2": c2,

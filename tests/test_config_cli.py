@@ -1,6 +1,7 @@
 import copy
 import csv
 import io
+import json
 import os
 import pathlib
 import re
@@ -149,6 +150,13 @@ seed: 7
     def test_yaml_error_is_line_anchored(self):
         with pytest.raises(ConfigError, match="line"):
             parse_config("model:\n  ogden_terms: [\n")
+
+    def test_default_domain_block_passes_its_check(self):
+        # Parsing skips the default domain block's check, which would import
+        # mesh, so the block must pass it.
+        config = parse_config("{}")
+        assert config._kind_params("domain") == ("unit_square", {"resolution": 0.125})
+        assert config.mesh().num_triangles > 0
 
     def test_bad_resolution(self):
         with pytest.raises(ConfigError, match="resolution"):
@@ -434,6 +442,115 @@ class TestVerifyCommand:
         assert main([command, str(cfg)]) == 2
         assert not out.exists()
         assert f"unknown surface parameter '{key}' for kind '{kind}'" in capsys.readouterr().err
+
+
+def run_script(script):
+    """Run a Python script in a fresh process on this checkout; its last stdout line, as JSON."""
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# The cli names perfbench's launch.py and tracing.py read and replace right
+# after ``import memsurf.cli``, each with the module that defines it.
+HARNESS_NAMES = {
+    "parse_config_file": "memsurf.config",
+    "minimize": "memsurf.minimizer",
+    "run_all_checks": "memsurf.verification",
+    "injectivity_check": "memsurf.diagnostics",
+    "brouwer_degree": "memsurf.diagnostics",
+    "first_variation_residual": "memsurf.diagnostics",
+    "save_mesh": "memsurf.mesh",
+}
+
+
+class TestCommandImports:
+    """A command imports only the modules it runs, since a process compiles
+    every module it imports; the names a harness replaces still resolve."""
+
+    @pytest.mark.parametrize(
+        "command, template, unloaded",
+        [
+            ("verify", SMALL_VERIFY, ["diagnostics", "discretization", "mesh", "minimizer", "stiffness"]),
+            ("minimize", MINIMAL_PLANE, ["verification"]),
+        ],
+        ids=["verify", "minimize"],
+    )
+    def test_command_leaves_other_modules_unloaded(self, tmp_path, command, template, unloaded):
+        cfg, _ = write_config(tmp_path, template)
+        code, loaded = run_script(
+            "import json, sys\n"
+            "from memsurf.cli import main\n"
+            f"code = main([{command!r}, {str(cfg)!r}])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        assert code == 0
+        assert "memsurf.cli" in loaded
+        assert not {f"memsurf.{name}" for name in unloaded} & set(loaded)
+
+    def test_harness_wrappers_are_what_the_commands_call(self, tmp_path):
+        # As launch.py and tracing.py do: read each name on a fresh import,
+        # then replace it with a wrapper before main runs.
+        minimize_cfg, _ = write_config(tmp_path, MINIMAL_PLANE, "minimize.yaml")
+        verify_cfg, _ = write_config(tmp_path, SMALL_VERIFY, "verify.yaml")
+        modules, codes, calls = run_script(
+            "import json\n"
+            "import memsurf.cli as cli\n"
+            f"names = {list(HARNESS_NAMES)!r}\n"
+            "modules = {name: getattr(cli, name).__module__ for name in names}\n"
+            "calls = dict.fromkeys(names, 0)\n"
+            "def wrap(name, fn):\n"
+            "    def wrapper(*args, **kwargs):\n"
+            "        calls[name] += 1\n"
+            "        return fn(*args, **kwargs)\n"
+            "    return wrapper\n"
+            "for name in names:\n"
+            "    setattr(cli, name, wrap(name, getattr(cli, name)))\n"
+            f"codes = [cli.main(['minimize', {str(minimize_cfg)!r}]),"
+            f" cli.main(['verify', {str(verify_cfg)!r}])]\n"
+            "print(json.dumps([modules, codes, calls]))\n"
+        )
+        assert modules == HARNESS_NAMES
+        assert codes == [0, 0]
+        # MINIMAL_PLANE asks for 10 degree targets; minimize writes two meshes.
+        assert calls == {
+            "parse_config_file": 2,
+            "minimize": 1,
+            "run_all_checks": 1,
+            "injectivity_check": 1,
+            "brouwer_degree": 10,
+            "first_variation_residual": 1,
+            "save_mesh": 2,
+        }
+
+    def test_replacement_set_before_any_read_is_not_imported_over(self, tmp_path):
+        # A stub battery set on a fresh cli runs in place of the real one,
+        # whose module is then never imported.
+        cfg, out = write_config(tmp_path, SMALL_VERIFY)
+        code, loaded = run_script(
+            "import json, sys\n"
+            "import memsurf.cli as cli\n"
+            "cli.run_all_checks = lambda model, seed: []\n"
+            f"code = cli.main(['verify', {str(cfg)!r}])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n"
+        )
+        assert code == 0
+        assert "memsurf.verification" not in loaded
+        assert (out / "verify_summary.csv").read_text().splitlines()[1:] == [
+            "check_name,samples,worst_violation,passed"
+        ]
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_command'"):
+            cli_module.no_such_command
+        import memsurf
+
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            memsurf.no_such_name
+        assert set(memsurf.__all__) <= set(dir(memsurf))
 
 
 class TestMinimizeCommand:

@@ -376,6 +376,29 @@ class TestLineSearchFailure:
         self._check_stalled(model, sphere, mesh, start, cfg, report, calls)
         assert np.array_equal(cfg, start)
 
+    def test_stall_counts_every_trial(self, model, sphere, monkeypatch):
+        # A tolerance below the energy's float64 noise floor stalls the run
+        # unpatched; the trials its failed search and retry rejected count too.
+        mesh = build_mesh("disk", 0.3)
+        f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        start = initialize(sphere, mesh, f0)
+        evaluations = []
+        evaluate = minimizer_module.trial_energy
+
+        def counted(*args):
+            evaluations.append(args)
+            return evaluate(*args)
+
+        monkeypatch.setattr(minimizer_module, "trial_energy", counted)
+        _, report = minimize(model, sphere, mesh, start, grad_tol=1e-300)
+        assert report.status == "stalled"
+        assert sum(report.projection_failures) == 0    # every trial was evaluated
+        # Every evaluation but the start's is a trial, most of them rejected
+        # by the failed search and its retry.
+        assert report.trials == len(evaluations) - 1
+        assert len(report.backtracks) == len(report.step_history) + 1 == report.iterations + 1
+        assert report.backtracks[-1] > 0
+
     @staticmethod
     def _plane_state(model, plane):
         mesh = build_mesh("unit_square", 0.25)

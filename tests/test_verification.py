@@ -616,6 +616,77 @@ class TestGrowth:
         assert not rep.details["strong_coercivity_satisfied"]
 
 
+def whole_sample_worst_rows(model, n, seed):
+    """The worst rows of check_stress_growth (seed) and check_growth (seed + 1),
+    each taken on its whole (n, 2) sample at once: the reference for the
+    blocked checks."""
+    def stretches(rng, lo, hi, rows):
+        lam = np.exp(rng.uniform(np.log(lo), np.log(hi), (rows, 2)))
+        return np.maximum(lam[:, 0], lam[:, 1]), np.minimum(lam[:, 0], lam[:, 1])
+
+    lo, hi = verification.STRESS_STRETCH_RANGE
+    l1, l2 = stretches(np.random.default_rng(seed), lo, hi, n)
+    l1 = np.concatenate([l1, [lo, hi, hi, hi, 1.0]])
+    l2 = np.concatenate([l2, [lo, hi, lo, lo, 1.0]])
+    s1, s2 = model.scaled_stress_coefficients(l1, l2)
+    ratios = np.hypot(s1, s2) / (model.energy_from_stretches(l1, l2) + 1.0)
+    i = int(np.argmax(ratios))
+    stress = {"l1": float(l1[i]), "l2": float(l2[i]), "ratio": float(ratios[i])}
+
+    l1, l2 = stretches(np.random.default_rng(seed + 1), *verification.GROWTH_STRETCH_RANGE, n)
+    W = model.energy_from_stretches(l1, l2)
+    c1 = 0.5 * min(min(bj for bj, _ in model.ogden_terms), model.theta.c)
+    lower = c1 * (np.hypot(l1, l2) ** model.growth_exponent + (l1 * l2) ** (-model.theta.r))
+    shortfall = (lower - 4.0 * model.theta.c - W) / (1.0 + np.abs(W))
+    i = int(np.argmax(shortfall))
+    growth = {"l1": float(l1[i]), "l2": float(l2[i]), "W": float(W[i])}
+    return stress, growth, float(shortfall[i])
+
+
+class TestBlockedStressChecks:
+    """check_stress_growth and check_growth take their draws one block of
+    SWEEP_BLOCK_ROWS rows at a time, from one generator, and find the row
+    np.argmax finds on the whole sample."""
+
+    @pytest.mark.parametrize("rows", [64, 1000, SWEEP_BLOCK_ROWS])
+    @pytest.mark.parametrize(
+        "model",
+        [IsotropicModel(), IsotropicModel(ogden_terms=((1.0, 1.2), (0.5, 4.0)), b=0.3)],
+        ids=["default", "two_terms"],
+    )
+    def test_worst_rows_equal_whole_sample(self, model, rows, monkeypatch):
+        monkeypatch.setattr(verification, "SWEEP_BLOCK_ROWS", rows)
+        n, seed = 5000, 11
+        stress, growth, shortfall = whole_sample_worst_rows(model, n, seed)
+        rep = check_stress_growth(model, n, seed)
+        assert rep.worst_witness == stress
+        assert rep.samples == n + 5
+        assert rep.worst_violation == stress["ratio"] - model.stress_bound_constant()
+        rep = check_growth(model, n, seed + 1)
+        assert rep.worst_witness == growth
+        assert rep.details["sampled_bound_shortfall"] == shortfall
+
+    @pytest.mark.parametrize(
+        "blocks",
+        [
+            [[1.0, 3.0], [3.0, 2.0]],                  # the first of equal maxima
+            [[1.0, 2.0], [5.0], [4.0, 5.0]],
+            [[1.0, np.nan], [np.nan, 5.0]],            # the first NaN
+            [[np.inf, 1.0], [2.0, np.nan]],            # a NaN beats an infinity
+            [[-np.inf], [-np.inf, -1.0]],
+        ],
+    )
+    def test_first_largest_is_argmax(self, blocks):
+        rows = np.concatenate(blocks)
+        i = int(np.argmax(rows))
+        ends = np.cumsum([len(b) for b in blocks])
+        # Blocks of row indices, scored by their rows and witnessed by themselves.
+        indices = [np.arange(end - len(b), end) for b, end in zip(blocks, ends)]
+        value, (index,) = verification._first_largest(indices, lambda idx: (rows[idx], [idx]))
+        assert index == i
+        assert value == rows[i] or (math.isnan(value) and math.isnan(rows[i]))
+
+
 SAMPLED_CHECKS = {
     "objectivity": lambda model, n: check_objectivity(model, n, 0),
     "isotropy": lambda model, n: check_isotropy(model, n, 0),
