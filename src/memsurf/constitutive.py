@@ -15,7 +15,7 @@ the rank check), ``phi_split_batch`` for Phi(F, J) and ``pk1_batch`` for
 the first Piola-Kirchhoff stress; ``IsotropicModel.scaled_stress_coefficients``
 gives the principal Kirchhoff stresses.  The two energy entry points need
 only the stretches (``_stretches``); the stress also needs the principal
-directions (``_spectral_batch``).
+directions (``_spectral_planes``).
 """
 
 from __future__ import annotations
@@ -266,18 +266,21 @@ def _principal_parts(F):
 
 
 def _stretches(F):
-    """(l1, l2) of ``_spectral_batch`` without the eigenvectors, same bits."""
+    """(l1, l2) of ``_spectral_planes`` without the eigenvectors, same bits."""
     return _principal_parts(F)[:2]
 
 
-def _spectral_batch(F):
-    """Closed-form spectral data of a batch of 3x2 matrices.
+def _spectral_planes(F):
+    """Closed-form spectral data of a (n, 3, 2) batch, or of one (3, 2) matrix.
 
-    Returns (l1, l2, r1, r2, d1, d2) with l1 >= l2 >= 0 (``_principal_parts``);
-    at repeated stretches the right pair defaults to the coordinate axes (any
-    orthonormal pair is valid there).
+    Returns (l1, l2, vx, vy, d1, d2): l1 >= l2 >= 0 (``_principal_parts``),
+    the right eigenvector r1 = (vx, vy) of the larger stretch (r2 is
+    (-vy, vx)), and the left directions d1 = F r1 / l1 and d2 = F r2 / l2 as
+    (3, n) planes, one row per ambient component.  At repeated stretches the
+    right pair defaults to the coordinate axes (any orthonormal pair is
+    valid there).
     """
-    l1, l2, a, b, c12, diff, rad, e1 = _principal_parts(F)
+    l1, l2, _, _, c12, diff, rad, e1 = _principal_parts(F)
     repeated = rad <= REPEATED_STRETCH_REL * np.maximum(e1, 1e-300)
     # Eigenvector (vx, vy) of C for e1, branch chosen for conditioning.
     major = diff >= 0
@@ -285,13 +288,18 @@ def _spectral_batch(F):
     vy = np.where(repeated, 0.0, np.where(major, c12, rad - diff))
     norm = np.sqrt(vx * vx + vy * vy)
     norm = np.where(norm > 0, norm, 1.0)
-    vx, vy = vx / norm, vy / norm
-    v1 = np.stack([vx, vy], axis=-1)
-    v2 = np.stack([-vy, vx], axis=-1)
-
-    d1 = (a * vx[..., None] + b * vy[..., None]) / np.maximum(l1[..., None], 1e-300)
-    d2 = (b * vx[..., None] - a * vy[..., None]) / np.maximum(l2[..., None], 1e-300)
-    return l1, l2, v1, v2, d1, d2
+    vx /= norm
+    vy /= norm
+    # The columns of F as contiguous (3, n) planes, so each product below
+    # runs one long loop over the batch instead of n length-3 ones.
+    a, b = np.ascontiguousarray(np.asarray(F, dtype=float).T)
+    d1 = a * vx
+    d1 += b * vy
+    d1 /= np.maximum(l1, 1e-300)
+    d2 = b * vx
+    d2 -= a * vy
+    d2 /= np.maximum(l2, 1e-300)
+    return l1, l2, vx, vy, d1, d2
 
 
 def _check_rank(l1, l2):
@@ -313,16 +321,21 @@ def energy_density_batch(model, F):
 
 
 def pk1_batch(model, F):
-    """Vectorized PK1 stress over a (n, 3, 2) batch."""
-    l1, l2, r1, r2, d1, d2 = _spectral_batch(F)
+    """Vectorized PK1 stress over a (n, 3, 2) batch, or of one (3, 2) gradient.
+
+    S = u1 (x) r1 + u2 (x) r2 with u_k = (s_k / l_k) d_k, formed column by
+    column on (3, n) planes; the result is an (n, 3, 2) view of them.
+    """
+    l1, l2, vx, vy, u1, u2 = _spectral_planes(F)
     s1, s2 = model.scaled_stress_coefficients(l1, l2)
-    u1 = (s1 / l1)[..., None] * d1
-    u2 = (s2 / l2)[..., None] * d2
-    # S = u1 (x) r1 + u2 (x) r2, assembled one column at a time.
-    return np.stack(
-        [u1 * r1[..., :1] + u2 * r2[..., :1], u1 * r1[..., 1:] + u2 * r2[..., 1:]],
-        axis=-1,
-    )
+    u1 *= s1 / l1
+    u2 *= s2 / l2
+    S = np.empty((2, *u1.shape))
+    np.multiply(u1, vx, out=S[0])
+    S[0] -= u2 * vy
+    np.multiply(u1, vy, out=S[1])
+    S[1] += u2 * vx
+    return S.T
 
 
 def phi_split_batch(model, F, J):

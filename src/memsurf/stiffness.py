@@ -16,9 +16,12 @@ its subtree, assembled from K and its children's update matrices; its
 elimination keeps S^-1 (S = F_II) and L = F_AI S^-1, and hands
 F_AA - L F_AI^T to the parent.  The fronts of one depth are padded to one
 size and eliminated as one batch, so the factor and each sweep of a solve
-take one batched step per depth.  Dense products go through ``np.einsum``
-and sparse ones through ``np.bincount``, never through BLAS, so the bits do
-not depend on the BLAS thread count.
+take one batched step per depth.  The set-up finds every front's ancestor
+nodes and every entry's slots in one pass over all depths; only assembly
+and elimination run depth by depth.  Dense products go through
+``np.einsum``; K v reads K as padded rows, added slot by slot by
+``np.add.reduce``, and the solve scatters through ``np.bincount``.  None of
+them calls BLAS, so the bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -67,24 +70,38 @@ def _spd_inverse(A):
 
 
 def _free_entries(mesh):
-    """K on the free nodes as a COO list sorted by row, then column: (nf, rows, cols, vals)."""
+    """K on the free nodes as a COO list sorted by row, then column: (nf, rows, cols, vals).
+
+    Each entry sums its elements' terms from zero in element order, the
+    order in which np.bincount adds them.
+    """
     free = mesh.interior_mask()
-    tri = mesh.triangles
-    G = mesh.shape_grads
-    local = mesh.ref_area[:, None, None] * np.einsum("tad,tbd->tab", G, G)
-    i = np.repeat(tri, 3, axis=1).ravel()
-    j = np.tile(tri, (1, 3)).ravel()
     nf = int(np.count_nonzero(free))
+    # A_t g_a . g_b on (3, 3, m) planes.  It is symmetric in (a, b) bit for
+    # bit, so its transpose is the (m, 3, 3) stack in element order.  (Its
+    # zeros may be -0.0 where einsum's are +0.0; a sum started from zero
+    # does not see the sign of a zero term.)
+    gx, gy = np.ascontiguousarray(mesh.shape_grads.T)
+    local = gx[:, None] * gx
+    local += gy[:, None] * gy
+    local *= mesh.ref_area
     index = np.cumsum(free) - 1                     # free index of each vertex
-    inside = free[i] & free[j]
-    keys, inverse = np.unique(
-        index[i[inside]] * nf + index[j[inside]], return_inverse=True
-    )
-    vals = np.bincount(inverse, local.ravel()[inside])
-    rows = keys // nf
+    corner = index[mesh.triangles]
+    inside = free[mesh.triangles]
+    inside = (inside[:, :, None] & inside[:, None, :]).ravel()
+    key = ((corner * nf)[:, :, None] + corner[:, None, :]).ravel()[inside]
+    # A stable sort keeps the terms of each entry in element order.
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    vals = np.bincount(np.cumsum(first) - 1, local.T.reshape(-1)[inside][order])
+    key = key[first]
+    rows = key // nf
     if np.any(np.bincount(rows, minlength=nf) == 0):   # a free vertex in no triangle
         raise ValueError("every free node must be connected to the boundary")
-    return nf, rows, keys % nf, vals
+    return nf, rows, key % nf, vals
 
 
 def _dissect(xy, rows, cols, depth):
@@ -97,17 +114,20 @@ def _dissect(xy, rows, cols, depth):
     level = np.full(nf, depth)
     part = np.zeros(nf, dtype=np.int64)
     active = np.ones(nf, dtype=bool)
+    grouped = np.arange(nf)                         # the active nodes, by part
     for d in range(depth):
         nodes = np.flatnonzero(active)
-        by_part = part[nodes]
-        lo = np.full((1 << d, 2), np.inf)
-        hi = np.full((1 << d, 2), -np.inf)
-        np.minimum.at(lo, by_part, xy[nodes])
-        np.maximum.at(hi, by_part, xy[nodes])
-        axis = np.argmax(hi - lo, axis=1)           # the longer extent, x on a tie
-        order = nodes[np.lexsort((xy[nodes, axis[by_part]], by_part))]
+        # The narrowest integer type, so the stable sort by part is a radix sort.
+        by_part = part[nodes].astype(np.min_scalar_type((1 << d) - 1))
         count = np.bincount(by_part, minlength=1 << d)
         start = np.cumsum(count) - count
+        # Extents per part; an empty part reads a neighbour's, unused.
+        at = np.minimum(start, nodes.size - 1)
+        extent = np.maximum.reduceat(xy[grouped], at) - np.minimum.reduceat(xy[grouped], at)
+        axis = np.argmax(extent, axis=1)            # the longer extent, x on a tie
+        # By part, then coordinate, then node: both sorts are stable.
+        order = np.argsort(xy[nodes, axis[by_part]], kind="stable")
+        order = nodes[order[np.argsort(by_part[order], kind="stable")]]
         seg = np.repeat(np.arange(1 << d), count)   # the part at each sorted position
         upper = np.zeros(nf, dtype=bool)
         upper[order] = np.arange(nodes.size) - start[seg] >= count[seg] // 2
@@ -115,96 +135,166 @@ def _dissect(xy, rows, cols, depth):
         # Active nodes of different parts share no entry, so an entry from
         # a lower-half node to an upper-half one stays inside one part.
         separator = np.zeros(nf, dtype=bool)
-        separator[rows[active[rows] & active[cols] & ~upper[rows] & upper[cols]]] = True
+        separator[rows[(active & ~upper)[rows] & upper[cols]]] = True
         level[separator] = d
         part[separator] >>= 1
         active &= ~separator
+        grouped = order[active[order]]
     return level, part
+
+
+def _ancestor_keys(level, part, rows, cols, nf):
+    """Sorted keys h * nf + v of the ancestor nodes v of every front h.
+
+    Front h (heap numbering: front p of depth d is 2^d - 1 + p) holds,
+    beside its own nodes, each node of an ancestor separator that shares a
+    K entry with its subtree.  So an entry from a node at depth l to one at
+    a shallower depth k puts the second node in the fronts above the first
+    at depths k + 1 to l.  The keys are deduplicated by sort: a plain
+    np.unique imports numpy.ma.
+    """
+    row_level, col_level = level[rows], level[cols]
+    cross = np.flatnonzero(row_level > col_level)
+    reach = row_level[cross] - col_level[cross]
+    e = np.repeat(cross, reach)
+    up = np.arange(e.size) - np.repeat(np.cumsum(reach) - reach, reach)   # depths above the row
+    d = row_level[e] - up
+    key = np.sort(((1 << d) - 1 + (part[rows[e]] >> up)) * nf + cols[e])
+    return key[np.diff(key, prepend=-1) > 0]
+
+
+def _padded_rows(nf, rows, cols, vals):
+    """(slots, nf) column and value tables of the COO list (rows, cols, vals).
+
+    Slot k holds each row's k-th entry, in the list's order; a short row is
+    padded with zeros on its own column.
+    """
+    length = np.bincount(rows, minlength=nf)
+    at = np.arange(rows.size) - _bounds(length)[rows]    # slot of each entry in its row
+    table = np.tile(np.arange(nf), (int(length.max(initial=0)), 1))
+    table[at, rows] = cols
+    values = np.zeros(table.shape)
+    values[at, rows] = vals
+    return table, values
+
+
+def _bounds(counts):
+    """Start of each group, then the end of the last: cumsum with a leading 0."""
+    return np.concatenate(([0], np.cumsum(counts)))
 
 
 class StiffnessSolver:
     """K on the free nodes of a mesh: ``apply`` is K v and ``solve`` K^-1 b.
 
     Fields are (nf, p) arrays over the free nodes, in the order of
-    ``mesh.interior_mask()``.  The factor keeps, for each tree depth from
-    the deepest, the fronts' own and ancestor nodes as (fronts, slots)
-    index arrays padded with nf, and their [S^-1; L] blocks stacked in one
-    (fronts, own + ancestor slots, own slots) array.
+    ``mesh.interior_mask()``.  ``apply`` reads K as padded rows: (slots, nf)
+    column and value tables, slot k holding each row's k-th entry in column
+    order, a short row padded with zeros on its own column.  The factor
+    keeps, for each tree depth from the deepest, the fronts' own and
+    ancestor nodes as (fronts, slots) index arrays padded with nf, and their
+    [S^-1; L] blocks stacked in one (fronts, own + ancestor slots, own
+    slots) array.
     """
 
     def __init__(self, mesh):
         nf, rows, cols, vals = _free_entries(mesh)
-        self._entries = (rows, cols, vals)
+        self._cols, self._vals = _padded_rows(nf, rows, cols, vals)
         # The least depth D with nf <= LEAF_SIZE * 2^D.
         depth = (-(-nf // LEAF_SIZE) - 1).bit_length() if nf else 0
         level, part = _dissect(mesh.vertices[mesh.interior_mask()], rows, cols, depth)
-        # Slot of each node among the own nodes of its front, in node order.
-        tree = (1 << level) - 1 + part              # heap numbering of the tree
+        # Each node is an own node of front tree[k], in heap numbering.
+        # Sorts by front run on the narrowest integer type, a radix sort.
+        tree = (1 << level) - 1 + part
         count = np.bincount(tree, minlength=(2 << depth) - 1)
-        order = np.argsort(tree, kind="stable")
+        narrow = np.min_scalar_type(count.size)
+        order = np.argsort(tree.astype(narrow), kind="stable")
+        own = _bounds(count)
+        # Slot of each node among the own nodes of its front, in node order.
         own_slot = np.empty(nf, dtype=np.int64)
-        own_slot[order] = np.arange(nf) - (np.cumsum(count) - count)[tree[order]]
-        # Each entry is assembled in the front of its deeper node.
-        deeper = np.where(level[rows] >= level[cols], rows, cols)
+        own_slot[order] = np.arange(nf) - own[tree[order]]
+        # The ancestor nodes of every front; their slots follow the own
+        # slots of the widest front of the depth.
+        key = _ancestor_keys(level, part, rows, cols, nf)
+        front, node = key // nf, key % nf
+        n_anc = np.bincount(front, minlength=count.size)
+        anc = _bounds(n_anc)
+        anc_slot = np.arange(key.size) - anc[front]
+        depth_start = (1 << np.arange(depth + 1)) - 1
+        own_width = np.maximum.reduceat(count, depth_start)
+        anc_width = np.maximum.reduceat(n_anc, depth_start)
+        front_depth = np.repeat(np.arange(depth + 1), 1 << np.arange(depth + 1))
+        anc_offset = own_width[front_depth] - anc[:-1]
+
+        def slot(h, v):
+            """Slots of the nodes v in the fronts h."""
+            s = own_slot[v]
+            up = np.flatnonzero(tree[v] != h)
+            s[up] = np.searchsorted(key, h[up] * nf + v[up]) + anc_offset[h[up]]
+            return s
+
+        # Each entry is assembled in the front of its deeper node: its flat
+        # index into the (fronts, m + 1, m + 1) stack of that depth, entries
+        # in front order.  Each ancestor node of a front is passed up in the
+        # front's update.
+        home = np.maximum(tree[rows], tree[cols])
+        by_home = np.argsort(home.astype(narrow), kind="stable")
+        home = home[by_home]
+        side = (own_width + anc_width + 1)[front_depth[home]]
+        row_slot, col_slot = slot(home, rows[by_home]), slot(home, cols[by_home])
+        entry_at = ((home - depth_start[front_depth[home]]) * side + row_slot) * side + col_slot
+        vals = vals[by_home]
+        entry = _bounds(np.bincount(home, minlength=count.size))
+        parent_slot = slot((front - 1) >> 1, node)
+        # Only the flat indices and values go on: the rest would add to the
+        # peak memory of the fronts.
+        del rows, cols, home, by_home, side, row_slot, col_slot
         self._fronts = []
-        children = None                             # (ancestor nodes, updates) one depth down
+        children = None                             # (keys, updates) one depth down
         for d in range(depth, -1, -1):
+            # Fronts b - 1 to 2b - 2 make up this depth.
             b = 1 << d
-            own = count[b - 1 : 2 * b - 1]
-            mI = int(own.max())
-            # Ancestor nodes next to each subtree, sorted by (front, node) and
-            # deduplicated by sort: a plain np.unique imports numpy.ma.
-            below = (level[rows] >= d) & (level[cols] < d)
-            key = np.sort((part[rows[below]] >> (level[rows[below]] - d)) * nf + cols[below])
-            key = key[np.diff(key, prepend=-1) > 0]
-            front, node = key // nf, key % nf
-            n_anc = np.bincount(front, minlength=b)
-            first = np.cumsum(n_anc) - n_anc
-            mA = int(n_anc.max())
+            mI, mA = int(own_width[d]), int(anc_width[d])
             m = mI + mA
-
-            def slot(p, v):
-                """Slot of node v in front p of this depth."""
-                return np.where(
-                    level[v] == d, own_slot[v], mI + np.searchsorted(key, p * nf + v) - first[p]
-                )
-
+            mine = order[own[b - 1] : own[2 * b - 1]]
             own_idx = np.full((b, mI), nf)
-            mine = np.flatnonzero(level == d)
             own_idx[part[mine], own_slot[mine]] = mine
+            here = slice(anc[b - 1], anc[2 * b - 1])
             anc_idx = np.full((b, mA), nf)
-            anc_idx[front, np.arange(key.size) - first[front]] = node
+            anc_idx[front[here] - (b - 1), anc_slot[here]] = node[here]
             # Each front takes its entries, then its even child's update,
             # then its odd child's, in that order of summation, and a unit
             # diagonal in each empty own slot.  The spare last row and column
-            # take the children's padding, which holds exact zeros.
+            # take the children's padding, which holds exact zeros.  Values
+            # go in by flat index into the (b, m + 1, m + 1) stack.
             F = np.zeros((b, m + 1, m + 1))
-            e = np.flatnonzero(level[deeper] == d)
-            p = part[deeper[e]]
-            F[p, slot(p, rows[e]), slot(p, cols[e])] = vals[e]
+            flat = F.reshape(-1)
+            e = slice(entry[b - 1], entry[2 * b - 1])
+            flat[entry_at[e]] = vals[e]
             if children is not None:
-                child_anc, update = children
-                valid = child_anc < nf
-                s = np.full_like(child_anc, m)
-                s[valid] = slot(np.nonzero(valid)[0] >> 1, child_anc[valid])
+                below, update = children
+                s = np.full(update.shape[:2], m)
+                s[front[below] - (2 * b - 1), anc_slot[below]] = parent_slot[below]
+                row = s + (np.arange(2 * b) >> 1)[:, None] * (m + 1)
                 for half in (0, 1):
-                    c = s[half::2]
-                    F[np.arange(b)[:, None, None], c[:, :, None], c[:, None, :]] += update[half::2]
-            pad_front, pad_slot = np.nonzero(np.arange(mI) >= own[:, None])
+                    flat[row[half::2, :, None] * (m + 1) + s[half::2, None, :]] += update[half::2]
+            pad_front, pad_slot = np.nonzero(np.arange(mI) >= count[b - 1 : 2 * b - 1, None])
             F[pad_front, pad_slot, pad_slot] = 1.0
             F = F[:, :m, :m]
             inverse = _spd_inverse(F[:, :mI, :mI])
             L = np.einsum("bai,bji->baj", F[:, mI:, :mI], inverse)
-            children = (anc_idx, F[:, mI:, mI:] - np.einsum("bai,bci->bac", L, F[:, mI:, :mI]))
+            children = (here, F[:, mI:, mI:] - np.einsum("bai,bci->bac", L, F[:, mI:, :mI]))
             self._fronts.append((own_idx, anc_idx, np.concatenate([inverse, L], axis=1)))
 
     def apply(self, v):
-        """K v for a field v over the free nodes."""
-        rows, cols, vals = self._entries
-        nf, p = v.shape
-        index = (np.arange(p)[:, None] * nf + rows).ravel()
-        Kv = np.bincount(index, (v.T[:, cols] * vals).ravel(), minlength=p * nf)
-        return Kv.reshape(p, nf).T
+        """K v for a field v over the free nodes.
+
+        Each row adds its entries' products slot by slot from zero, in the
+        order np.bincount adds a COO list sorted by row and column; a
+        padding slot adds an exact zero for a finite v.
+        """
+        terms = np.take(v.T, self._cols, axis=1)
+        terms *= self._vals
+        return np.add.reduce(terms, axis=1, initial=0.0).T
 
     def solve(self, b):
         """K^-1 b for a field b over the free nodes."""

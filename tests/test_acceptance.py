@@ -29,7 +29,7 @@ from memsurf import (
 )
 from memsurf.cli import main as cli_main
 from memsurf.constitutive import (
-    _spectral_batch,
+    _spectral_planes,
     energy_density_batch,
     phi_split_batch,
     pk1_batch,
@@ -125,11 +125,11 @@ def test_criterion_4_stress_consistency(model):
         # Cauchy relation J sigma = S F^T, with sigma built from the independent
         # spectral formula s1 d1 (x) d1 + s2 d2 (x) d2 over the stretch product.
         J = lam[:, 0] * lam[:, 1]
-        l1, l2, _, _, d1, d2 = _spectral_batch(F)
+        l1, l2, _, _, d1, d2 = _spectral_planes(F)
         s1, s2 = model.scaled_stress_coefficients(l1, l2)
-        tau = s1[:, None, None] * np.einsum("ni,nj->nij", d1, d1) + s2[
+        tau = s1[:, None, None] * np.einsum("in,jn->nij", d1, d1) + s2[
             :, None, None
-        ] * np.einsum("ni,nj->nij", d2, d2)
+        ] * np.einsum("in,jn->nij", d2, d2)
         cauchy = tau / (l1 * l2)[:, None, None]
         lhs = J[:, None, None] * cauchy
         err = np.abs(lhs - kirchhoff).max(axis=(1, 2))

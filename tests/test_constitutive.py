@@ -12,7 +12,9 @@ from memsurf import (
     ThetaModel,
 )
 from memsurf.constitutive import (
-    _spectral_batch,
+    REPEATED_STRETCH_REL,
+    _principal_parts,
+    _spectral_planes,
     _stretches,
     energy_density_batch,
     phi_split_batch,
@@ -27,9 +29,16 @@ def density(model, F):
     return float(energy_density_batch(model, np.asarray(F)[None])[0])
 
 
+def spectral(F):
+    """(l1, l2, r1, r2, d1, d2) of ``_spectral_planes``, each direction as
+    (n, 2) or (n, 3) rows: r1 = (vx, vy) and r2 = (-vy, vx)."""
+    l1, l2, vx, vy, d1, d2 = _spectral_planes(F)
+    return l1, l2, np.stack([vx, vy], axis=-1), np.stack([-vy, vx], axis=-1), d1.T, d2.T
+
+
 def spectral_kirchhoff(model, F):
     """Independent spectral formula s1 d1 (x) d1 + s2 d2 (x) d2, batched."""
-    l1, l2, _, _, d1, d2 = _spectral_batch(F)
+    l1, l2, _, _, d1, d2 = spectral(F)
     s1, s2 = model.scaled_stress_coefficients(l1, l2)
     return s1[:, None, None] * np.einsum("ni,nj->nij", d1, d1) + s2[
         :, None, None
@@ -102,27 +111,61 @@ def hypot_spectral(F):
     return l1, l2, np.stack([vx, vy], axis=-1), np.stack([-vy, vx], axis=-1)
 
 
+def _reference_spectral(F):
+    """The stacked spectral data ``pk1_batch`` was first written on.
+
+    Returns (l1, l2, r1, r2, d1, d2) with each direction as (n, 2) or (n, 3)
+    rows, every d formed by (n, 3) x (n, 1) broadcasts: the oracle for the
+    component-plane kernel, which must keep its bits.
+    """
+    l1, l2, a, b, c12, diff, rad, e1 = _principal_parts(F)
+    repeated = rad <= REPEATED_STRETCH_REL * np.maximum(e1, 1e-300)
+    major = diff >= 0
+    vx = np.where(repeated, 1.0, np.where(major, rad + diff, c12))
+    vy = np.where(repeated, 0.0, np.where(major, c12, rad - diff))
+    norm = np.sqrt(vx * vx + vy * vy)
+    norm = np.where(norm > 0, norm, 1.0)
+    vx, vy = vx / norm, vy / norm
+    v1 = np.stack([vx, vy], axis=-1)
+    v2 = np.stack([-vy, vx], axis=-1)
+    d1 = (a * vx[..., None] + b * vy[..., None]) / np.maximum(l1[..., None], 1e-300)
+    d2 = (b * vx[..., None] - a * vy[..., None]) / np.maximum(l2[..., None], 1e-300)
+    return l1, l2, v1, v2, d1, d2
+
+
+def _reference_pk1(model, F):
+    """PK1 as S = u1 (x) r1 + u2 (x) r2 on the stacked spectral data."""
+    l1, l2, r1, r2, d1, d2 = _reference_spectral(F)
+    s1, s2 = model.scaled_stress_coefficients(l1, l2)
+    u1 = (s1 / l1)[..., None] * d1
+    u2 = (s2 / l2)[..., None] * d2
+    return np.stack(
+        [u1 * r1[..., :1] + u2 * r2[..., :1], u1 * r1[..., 1:] + u2 * r2[..., 1:]],
+        axis=-1,
+    )
+
+
 class TestStretches:
     def test_identity(self):
-        l1, l2, *_ = _spectral_batch(F_IDENTITY[None])
+        l1, l2, *_ = spectral(F_IDENTITY[None])
         assert l1[0] == pytest.approx(1.0, abs=1e-14)
         assert l2[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_diagonal(self):
-        l1, l2, *_ = _spectral_batch(np.array([[[2.0, 0.0], [0.0, 0.5], [0.0, 0.0]]]))
+        l1, l2, *_ = spectral(np.array([[[2.0, 0.0], [0.0, 0.5], [0.0, 0.0]]]))
         assert l1[0] == pytest.approx(2.0, abs=1e-14)
         assert l2[0] == pytest.approx(0.5, abs=1e-14)
 
     def test_shear_golden_ratio(self):
         phi = (1.0 + np.sqrt(5.0)) / 2.0
-        l1, l2, *_ = _spectral_batch(np.array([[[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]]))
+        l1, l2, *_ = spectral(np.array([[[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]]))
         assert l1[0] == pytest.approx(phi, abs=1e-12)
         assert l2[0] == pytest.approx(1.0 / phi, abs=1e-12)
 
     def test_frames(self):
         rng = np.random.default_rng(0)
         F = random_gradients(rng, 100)
-        l1, l2, r1, r2, d1, d2 = _spectral_batch(F)
+        l1, l2, r1, r2, d1, d2 = spectral(F)
         assert np.all(np.abs(np.einsum("ni,ni->n", d1, d2)) < 1e-12)
         F_r1 = np.einsum("nij,nj->ni", F, r1)
         F_r2 = np.einsum("nij,nj->ni", F, r2)
@@ -138,19 +181,19 @@ class TestStretches:
     def test_stretches_bitwise_equal_spectral(self, seed):
         """The energy-only path gives the bits of the full spectral path."""
         F = wide_sample(seed)
-        spectral = _spectral_batch(F)
-        for got, want in zip(_stretches(F), spectral[:2]):
+        l1, l2 = spectral(F)[:2]
+        for got, want in zip(_stretches(F), (l1, l2)):
             assert got.tobytes() == want.tobytes()
         # The sample does reach the exactly repeated and the zero branches.
-        assert np.any(spectral[0] == spectral[1])
-        assert np.any(spectral[0] == 0.0)
+        assert np.any(l1 == l2)
+        assert np.any(l1 == 0.0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_within_four_ulp_of_hypot_formula(self, seed):
         """Dropping ``hypot`` moves the stretches and directions by rounding only."""
         F = wide_sample(seed)
         want = hypot_spectral(F)
-        for got in (_stretches(F), _spectral_batch(F)[:4]):
+        for got in (_stretches(F), spectral(F)[:4]):
             for g, w in zip(got, want):
                 np.testing.assert_array_max_ulp(g, w, maxulp=4)
 
@@ -171,7 +214,7 @@ class TestStretches:
         F[::100] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for got, want in zip(_spectral_batch(scale * F)[:2], _stretches(F)):
+            for got, want in zip(spectral(scale * F)[:2], _stretches(F)):
                 np.testing.assert_allclose(got, scale * want, rtol=1e-14, atol=0.0)
 
     def test_rank_deficient_raises(self, model):
@@ -261,7 +304,7 @@ class TestStress:
         assert np.max(np.abs(tau - SFt).max(axis=(1, 2)) / scale) < 1e-10
         # Cauchy relation J sigma = S F^T with J = sqrt(det C) and the
         # Cauchy stress sigma = tau / (l1 l2) from the stretches.
-        l1, l2, *_ = _spectral_batch(F)
+        l1, l2, *_ = spectral(F)
         cauchy = tau / (l1 * l2)[:, None, None]
         J = np.sqrt(np.linalg.det(np.einsum("nki,nkj->nij", F, F)))
         lhs = J[:, None, None] * cauchy
@@ -297,6 +340,61 @@ class TestStress:
         assert np.abs(pk1_batch(model, F)).max() < 1e-9
 
 
+def _oracle_batch(name):
+    """Gradients that reach one branch of the spectral data, by name."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "wide":  # stretches from 1e-3 to 1e3
+        return random_gradients(rng, 4000, lo=1e-3, hi=1e3)
+    if name == "repeated":  # identity rows and rad <= 1e-8 e1 on random frames
+        U = np.linalg.qr(rng.standard_normal((500, 3, 3)))[0][:, :, :2]
+        V = np.linalg.qr(rng.standard_normal((500, 2, 2)))[0]
+        lam = np.exp(rng.uniform(-2.0, 2.0, (500, 1)))
+        lam = lam * (1.0 + np.column_stack([np.zeros(500), rng.uniform(-1e-9, 1e-9, 500)]))
+        near = np.einsum("nik,nk,njk->nij", U, lam, V)
+        return np.concatenate([np.repeat(F_IDENTITY[None], 8, axis=0), near])
+    if name == "minor":  # c11 < c22: the diff < 0 branch
+        F = random_gradients(rng, 1000)
+        a2, b2 = np.sum(F[:, :, 0] ** 2, axis=1), np.sum(F[:, :, 1] ** 2, axis=1)
+        return np.where((a2 < b2)[:, None, None], F, F[:, :, ::-1])
+    if name == "thin":  # l2 from 1e-7 to 1e-4: l2 near 0 with det C still resolved
+        U = np.linalg.qr(rng.standard_normal((1000, 3, 3)))[0][:, :, :2]
+        V = np.linalg.qr(rng.standard_normal((1000, 2, 2)))[0]
+        lam = np.column_stack(
+            [rng.uniform(0.5, 2.0, 1000), np.exp(rng.uniform(np.log(1e-7), np.log(1e-4), 1000))]
+        )
+        return np.einsum("nik,nk,njk->nij", U, lam, V)
+    raise ValueError(name)
+
+
+class TestPk1MatchesReference:
+    """The component-plane kernel keeps the bits of the stacked one."""
+
+    @pytest.mark.parametrize("name", ["wide", "repeated", "minor", "thin"])
+    def test_bit_equal(self, model, name):
+        F = _oracle_batch(name)
+        got, want = pk1_batch(model, F), _reference_pk1(model, F)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        for g, w in zip(spectral(F), _reference_spectral(F)):
+            assert np.array_equal(g, w)
+        l1, l2, _, _, c12, diff, rad, e1 = _principal_parts(F)
+        repeated = rad <= REPEATED_STRETCH_REL * np.maximum(e1, 1e-300)
+        # Each batch does reach its branch.
+        reached = {
+            "wide": (l1 / l2).max() > 1e5,
+            "repeated": repeated.all() and np.any(rad > 0),
+            "minor": np.all(diff < 0),
+            "thin": l2.max() < 1e-3,
+        }
+        assert reached[name]
+
+    def test_one_row(self, model):
+        F = _oracle_batch("wide")
+        for k in range(0, len(F), 997):
+            row = F[k : k + 1]
+            assert np.array_equal(pk1_batch(model, row), _reference_pk1(model, row))
+            assert np.array_equal(pk1_batch(model, F[k]), _reference_pk1(model, F[k]))
+
+
 class TestPhiSplit:
     def test_zero_gradient(self, model):
         assert phi_split_batch(model, np.zeros((1, 3, 2)), np.ones(1))[0] == 0.0
@@ -312,7 +410,7 @@ class TestPhiSplit:
         b = energy_density_batch(model, F)
         assert np.max(np.abs(a - b) / (1.0 + np.abs(b))) < 1e-12
         # With J = l1*l2 all three entry points evaluate the one formula.
-        l1, l2, *_ = _spectral_batch(F)
+        l1, l2, *_ = spectral(F)
         W = energy_density_batch(model, F)
         assert np.array_equal(W, phi_split_batch(model, F, l1 * l2))
         assert np.array_equal(W, model.energy_from_stretches(l1, l2))

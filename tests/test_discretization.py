@@ -146,7 +146,7 @@ class TestElementKinematics:
             sphere, disk, make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
         )
         F = element_gradients(disk, sphere, cap)
-        l1, l2, *_ = constitutive_module._spectral_batch(F)
+        l1, l2, *_ = constitutive_module._spectral_planes(F)
         expected = float(np.sum(disk.ref_area * model.energy_from_stretches(l1, l2)))
         inverted = interpolate(
             plane,
@@ -157,7 +157,7 @@ class TestElementKinematics:
         def forbidden(F):
             raise AssertionError("a trial formed eigenvectors")
 
-        monkeypatch.setattr(constitutive_module, "_spectral_batch", forbidden)
+        monkeypatch.setattr(constitutive_module, "_spectral_planes", forbidden)
         energy, _, feasible, _ = trial_energy(model, disk, sphere, cap)
         assert feasible and energy == expected
         assert not trial_energy(model, square_mesh, plane, inverted)[2]

@@ -4,7 +4,7 @@ import pytest
 from conftest import outputs_at_blas_threads
 from memsurf import build_mesh
 from memsurf.mesh import TriMesh
-from memsurf.stiffness import LEAF_SIZE, StiffnessSolver
+from memsurf.stiffness import LEAF_SIZE, StiffnessSolver, _free_entries, _spd_inverse
 
 
 def _dense_stiffness(mesh):
@@ -100,3 +100,156 @@ def test_factor_and_solve_bits_do_not_depend_on_blas_threads():
     # the work.
     assert int(outputs[0][0]) >= 150
     assert outputs[0] == outputs[1]
+
+
+def _reference_entries(mesh):
+    """K on the free nodes as a COO list, assembled by np.unique and np.bincount."""
+    free = mesh.interior_mask()
+    tri = mesh.triangles
+    G = mesh.shape_grads
+    local = mesh.ref_area[:, None, None] * np.einsum("tad,tbd->tab", G, G)
+    i = np.repeat(tri, 3, axis=1).ravel()
+    j = np.tile(tri, (1, 3)).ravel()
+    nf = int(np.count_nonzero(free))
+    index = np.cumsum(free) - 1
+    inside = free[i] & free[j]
+    keys, inverse = np.unique(index[i[inside]] * nf + index[j[inside]], return_inverse=True)
+    return nf, keys // nf, keys % nf, np.bincount(inverse, local.ravel()[inside])
+
+
+def _reference_apply(entries, v):
+    """K v as one np.bincount over the COO list."""
+    _, rows, cols, vals = entries
+    nf, p = v.shape
+    index = (np.arange(p)[:, None] * nf + rows).ravel()
+    Kv = np.bincount(index, (v.T[:, cols] * vals).ravel(), minlength=p * nf)
+    return Kv.reshape(p, nf).T
+
+
+def _reference_dissect(xy, rows, cols, depth):
+    """Nested dissection with per-part extents by np.minimum.at and a lexsort per depth."""
+    nf = len(xy)
+    level = np.full(nf, depth)
+    part = np.zeros(nf, dtype=np.int64)
+    active = np.ones(nf, dtype=bool)
+    for d in range(depth):
+        nodes = np.flatnonzero(active)
+        by_part = part[nodes]
+        lo = np.full((1 << d, 2), np.inf)
+        hi = np.full((1 << d, 2), -np.inf)
+        np.minimum.at(lo, by_part, xy[nodes])
+        np.maximum.at(hi, by_part, xy[nodes])
+        axis = np.argmax(hi - lo, axis=1)
+        order = nodes[np.lexsort((xy[nodes, axis[by_part]], by_part))]
+        count = np.bincount(by_part, minlength=1 << d)
+        start = np.cumsum(count) - count
+        seg = np.repeat(np.arange(1 << d), count)
+        upper = np.zeros(nf, dtype=bool)
+        upper[order] = np.arange(nodes.size) - start[seg] >= count[seg] // 2
+        part[order] = 2 * seg + upper[order]
+        separator = np.zeros(nf, dtype=bool)
+        separator[rows[active[rows] & active[cols] & ~upper[rows] & upper[cols]]] = True
+        level[separator] = d
+        part[separator] >>= 1
+        active &= ~separator
+    return level, part
+
+
+def _reference_fronts(mesh):
+    """The factor's fronts, set up one depth at a time with a slot search per lookup."""
+    nf, rows, cols, vals = _reference_entries(mesh)
+    depth = (-(-nf // LEAF_SIZE) - 1).bit_length() if nf else 0
+    level, part = _reference_dissect(mesh.vertices[mesh.interior_mask()], rows, cols, depth)
+    tree = (1 << level) - 1 + part
+    count = np.bincount(tree, minlength=(2 << depth) - 1)
+    order = np.argsort(tree, kind="stable")
+    own_slot = np.empty(nf, dtype=np.int64)
+    own_slot[order] = np.arange(nf) - (np.cumsum(count) - count)[tree[order]]
+    deeper = np.where(level[rows] >= level[cols], rows, cols)
+    fronts = []
+    children = None
+    for d in range(depth, -1, -1):
+        b = 1 << d
+        own = count[b - 1 : 2 * b - 1]
+        mI = int(own.max())
+        below = (level[rows] >= d) & (level[cols] < d)
+        key = np.sort((part[rows[below]] >> (level[rows[below]] - d)) * nf + cols[below])
+        key = key[np.diff(key, prepend=-1) > 0]
+        front, node = key // nf, key % nf
+        n_anc = np.bincount(front, minlength=b)
+        first = np.cumsum(n_anc) - n_anc
+        mA = int(n_anc.max())
+        m = mI + mA
+
+        def slot(p, v):
+            return np.where(
+                level[v] == d, own_slot[v], mI + np.searchsorted(key, p * nf + v) - first[p]
+            )
+
+        own_idx = np.full((b, mI), nf)
+        mine = np.flatnonzero(level == d)
+        own_idx[part[mine], own_slot[mine]] = mine
+        anc_idx = np.full((b, mA), nf)
+        anc_idx[front, np.arange(key.size) - first[front]] = node
+        F = np.zeros((b, m + 1, m + 1))
+        e = np.flatnonzero(level[deeper] == d)
+        p = part[deeper[e]]
+        F[p, slot(p, rows[e]), slot(p, cols[e])] = vals[e]
+        if children is not None:
+            child_anc, update = children
+            valid = child_anc < nf
+            s = np.full_like(child_anc, m)
+            s[valid] = slot(np.nonzero(valid)[0] >> 1, child_anc[valid])
+            for half in (0, 1):
+                c = s[half::2]
+                F[np.arange(b)[:, None, None], c[:, :, None], c[:, None, :]] += update[half::2]
+        pad_front, pad_slot = np.nonzero(np.arange(mI) >= own[:, None])
+        F[pad_front, pad_slot, pad_slot] = 1.0
+        F = F[:, :m, :m]
+        inverse = _spd_inverse(F[:, :mI, :mI])
+        L = np.einsum("bai,bji->baj", F[:, mI:, :mI], inverse)
+        children = (anc_idx, F[:, mI:, mI:] - np.einsum("bai,bci->bac", L, F[:, mI:, :mI]))
+        fronts.append((own_idx, anc_idx, np.concatenate([inverse, L], axis=1)))
+    return fronts
+
+
+def _same_bits(got, want):
+    """Equal shape, dtype and bytes: a -0.0 for a +0.0 fails too."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# Two resolutions of each domain, and a unit square whose nine free nodes
+# make a single leaf (depth 0).
+_ORACLE_MESHES = [
+    ("disk", 0.1),
+    ("disk", 0.05),
+    ("unit_square", 1 / 16),
+    ("unit_square", 1 / 32),
+    ("annulus", 0.1),
+    ("annulus", 0.05),
+    ("unit_square", 0.25),
+]
+
+
+@pytest.mark.parametrize("domain,resolution", _ORACLE_MESHES)
+def test_setup_keeps_the_reference_bits(domain, resolution):
+    # The entries, the padded rows' product and every front array are those
+    # of the one-depth-at-a-time set-up and the COO np.bincount product.
+    mesh = build_mesh(domain, resolution)
+    entries = _reference_entries(mesh)
+    assert all(_same_bits(g, w) for g, w in zip(_free_entries(mesh)[1:], entries[1:]))
+    solver = StiffnessSolver(mesh)
+    want = _reference_fronts(mesh)
+    assert len(solver._fronts) == len(want)
+    if resolution == 0.25:
+        assert len(want) == 1 and entries[0] <= LEAF_SIZE
+    for got_front, want_front in zip(solver._fronts, want):
+        assert all(_same_bits(g, w) for g, w in zip(got_front, want_front))
+    rng = np.random.default_rng(11)
+    for k in range(40):
+        v = rng.standard_normal((entries[0], 3))
+        if k % 2:
+            # Zeros of both signs: a row whose terms are all -0.0 sums to +0.0.
+            v[rng.random(entries[0]) < 0.9] *= 0.0
+        assert _same_bits(np.ascontiguousarray(solver.apply(v)), _reference_apply(entries, v))
