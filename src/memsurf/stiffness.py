@@ -121,9 +121,11 @@ def _dissect(xy, rows, cols, depth):
         by_part = part[nodes].astype(np.min_scalar_type((1 << d) - 1))
         count = np.bincount(by_part, minlength=1 << d)
         start = np.cumsum(count) - count
-        # Extents per part; an empty part reads a neighbour's, unused.
-        at = np.minimum(start, nodes.size - 1)
-        extent = np.maximum.reduceat(xy[grouped], at) - np.minimum.reduceat(xy[grouped], at)
+        # Extents of the parts that hold nodes (an empty part splits nothing).
+        held = count > 0
+        extent = np.zeros((1 << d, 2))
+        pts = xy[grouped]
+        extent[held] = np.maximum.reduceat(pts, start[held]) - np.minimum.reduceat(pts, start[held])
         axis = np.argmax(extent, axis=1)            # the longer extent, x on a tie
         # By part, then coordinate, then node: both sorts are stable.
         order = np.argsort(xy[nodes, axis[by_part]], kind="stable")
@@ -232,10 +234,10 @@ class StiffnessSolver:
             s[up] = np.searchsorted(key, h[up] * nf + v[up]) + anc_offset[h[up]]
             return s
 
-        # Each entry is assembled in the front of its deeper node: its flat
-        # index into the (fronts, m + 1, m + 1) stack of that depth, entries
-        # in front order.  Each ancestor node of a front is passed up in the
-        # front's update.
+        # Each entry is assembled in the front of its deeper node, the one
+        # with the larger heap number: its flat index into the (fronts,
+        # m + 1, m + 1) stack of that depth, entries in front order.  Each
+        # ancestor node of a front is passed up in the front's update.
         home = np.maximum(tree[rows], tree[cols])
         by_home = np.argsort(home.astype(narrow), kind="stable")
         home = home[by_home]
