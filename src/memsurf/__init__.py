@@ -26,7 +26,7 @@ _EXPORTS = {
         "first_variation_residual",
         "injectivity_check",
     ),
-    "discretization": ("energy_gradient", "interpolate"),
+    "discretization": ("energy_gradient", "interpolate", "oriented_area_ratios"),
     "errors": (
         "AmbiguousProjectionError",
         "BoundaryTooCloseError",

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from . import _HOMES
 from .errors import (
     AmbiguousProjectionError,
     ConfigError,
@@ -24,30 +25,18 @@ from .errors import (
     MemsurfError,
 )
 
-# The functions the commands call, by the module that defines each.  None is
-# imported with this module: ``__getattr__`` imports a name's module on its
-# first read, so a command compiles only the modules it runs.  The commands
-# call them as attributes of this module (``_this``), so a replacement set
-# on the module, such as a benchmark's timing wrapper or a test's stub, is
-# the function that runs.
-_SOURCES = {
-    "parse_config_file": "config",
-    "run_all_checks": "verification",
-    "initialize": "minimizer",
-    "minimize": "minimizer",
-    "save_mesh": "mesh",
-    "interpolate": "discretization",
-    "oriented_area_ratios": "discretization",
-    "injectivity_check": "diagnostics",
-    "brouwer_degree": "diagnostics",
-    "first_variation_residual": "diagnostics",
-}
+# The functions the commands call resolve through the package's own table
+# (``memsurf._HOMES``).  None is imported with this module: ``__getattr__``
+# imports a name's module on its first read, so a command compiles only the
+# modules it runs.  The commands call them as attributes of this module
+# (``_this``), so a replacement set on the module, such as a benchmark's
+# timing wrapper or a test's stub, is the function that runs.
 _this = sys.modules[__name__]
 
 
 def __getattr__(name):
     try:
-        module = _SOURCES[name]
+        module = _HOMES[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
     # __import__, unlike importlib.import_module, shows in -X importtime's log.
@@ -86,7 +75,7 @@ def _write_text(path, config_hash, text):
         fh.write(text)
 
 
-def _cmd_verify(config, out):
+def _cmd_verify(config, out, args):
     reports = _this.run_all_checks(config.model(), seed=config.seed)
     rows = [
         (r.check_name, r.samples, r.worst_violation, str(r.passed).lower())
@@ -214,7 +203,7 @@ def _run_diagnostics(config, model, surface, mesh, positions, out, grad_tol):
     return lines
 
 
-def _cmd_minimize(config, out):
+def _cmd_minimize(config, out, args):
     surface = config.surface()
     model = config.model()
     mesh = config.mesh()
@@ -295,15 +284,19 @@ def _cmd_minimize(config, out):
     return STATUS_EXIT[report.status]
 
 
-def _cmd_degree(config, out, point):
+def _initial_state(config):
+    """The surface, the mesh and the interpolated start of a configuration."""
     surface = config.surface()
     mesh = config.mesh()
-    f0 = config.initial_map(surface)
-    positions = _this.interpolate(surface, mesh, f0)
+    return surface, mesh, _this.interpolate(surface, mesh, config.initial_map(surface))
+
+
+def _cmd_degree(config, out, args):
+    surface, mesh, positions = _initial_state(config)
     try:
-        y = surface.project(np.asarray(point, dtype=float))
+        y = surface.project(np.asarray(args.point, dtype=float))
     except AmbiguousProjectionError as exc:
-        shown = " ".join(map(repr, point))
+        shown = " ".join(map(repr, args.point))
         print(
             f"error: --point {shown} has no closest point on the surface: {exc}",
             file=sys.stderr,
@@ -317,15 +310,11 @@ def _cmd_degree(config, out, point):
     return EXIT_OK
 
 
-def _cmd_residual(config, out):
-    surface = config.surface()
-    model = config.model()
-    mesh = config.mesh()
-    f0 = config.initial_map(surface)
-    positions = _this.interpolate(surface, mesh, f0)
+def _cmd_residual(config, out, args):
+    surface, mesh, positions = _initial_state(config)
     diag = config.diagnostics_params()
     results = _this.first_variation_residual(
-        model,
+        config.model(),
         surface,
         mesh,
         positions,
@@ -365,12 +354,17 @@ def main(argv=None):
         "minimization, and diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "minimize", "residual"):
-        p = sub.add_parser(name)
-        p.add_argument("config", help="path to the YAML run configuration")
-    degree = sub.add_parser("degree")
-    degree.add_argument("config", help="path to the YAML run configuration")
-    degree.add_argument(
+    for name, run in (
+        ("verify", _cmd_verify),
+        ("minimize", _cmd_minimize),
+        ("residual", _cmd_residual),
+        ("degree", _cmd_degree),
+    ):
+        command = sub.add_parser(name)
+        command.add_argument("config", help="path to the YAML run configuration")
+        command.set_defaults(run=run)
+    # degree, added last, is the one command with an option.
+    command.add_argument(
         "--point",
         nargs=3,
         type=float,
@@ -380,30 +374,13 @@ def main(argv=None):
     )
     args = parser.parse_args(_as_point_values(sys.argv[1:] if argv is None else argv))
     if args.command == "degree" and not np.all(np.isfinite(args.point)):
-        degree.error(f"--point must be finite, got {' '.join(map(repr, args.point))}")
+        command.error(f"--point must be finite, got {' '.join(map(repr, args.point))}")
 
     try:
         config = _this.parse_config_file(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    out = config.output_dir
-    try:
+        out = config.output_dir
         os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        print(f"config error: output_dir {out!r}: {exc.strerror or exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        if args.command == "verify":
-            return _cmd_verify(config, out)
-        if args.command == "minimize":
-            return _cmd_minimize(config, out)
-        if args.command == "degree":
-            return _cmd_degree(config, out, args.point)
-        if args.command == "residual":
-            return _cmd_residual(config, out)
+        return args.run(config, out, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -413,7 +390,11 @@ def main(argv=None):
     except MemsurfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    parser.error(f"unknown command {args.command!r}")
+    except OSError as exc:
+        # The output_dir itself could not be made, or a file in it written.
+        where = "" if exc.filename in (None, out) else f"{exc.filename}: "
+        print(f"config error: output_dir {out!r}: {where}{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

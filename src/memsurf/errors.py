@@ -52,7 +52,8 @@ class DegenerateElementError(MemsurfError):
 
 
 class InfeasibleStartError(MemsurfError):
-    """Initial configuration has elements at or below the area-ratio floor."""
+    """Initial configuration has elements at or below the area-ratio floor,
+    or whose centroids have no closest point on the surface."""
 
     def __init__(self, message, elements=None):
         super().__init__(message)

@@ -103,8 +103,23 @@ def initialize(surface, mesh, f0):
 
 
 def _check_start(mesh, surface, positions):
-    """Raise InfeasibleStartError naming every element at or below the floor."""
-    J = oriented_area_ratios(mesh, surface, positions)
+    """Raise InfeasibleStartError naming every element at or below the floor,
+    or every element whose centroid has no closest point on the surface."""
+    try:
+        J = oriented_area_ratios(mesh, surface, positions)
+    except AmbiguousProjectionError as exc:
+        Y = positions[mesh.triangles]
+        bad = []
+        for t, centroid in enumerate((Y[:, 0] + Y[:, 1] + Y[:, 2]) / 3.0):
+            try:
+                surface.project(centroid[None])
+            except AmbiguousProjectionError:
+                bad.append(t)
+        raise InfeasibleStartError(
+            f"initial configuration has {len(bad)} elements whose centroid has "
+            f"no closest point on the surface ({exc})",
+            elements=bad,
+        ) from exc
     bad = np.nonzero(~(J > J_FLOOR))[0]
     if bad.size:
         raise InfeasibleStartError(
@@ -214,7 +229,8 @@ def minimize(model, surface, mesh, positions, grad_tol=None):
     reference area), ``max_iter`` after ``MAX_ITER`` iterations, and
     ``stalled`` when backtracking underflows along -P K^-1 g_T; the
     positions returned are the last accepted iterate.  Raises
-    InfeasibleStartError when the start violates the element floor.
+    InfeasibleStartError when the start violates the element floor or has
+    an element centroid with no closest point.
     """
     check_grad_tol(grad_tol)
     t0 = time.perf_counter()

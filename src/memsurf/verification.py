@@ -210,6 +210,22 @@ def _check_seed(seed):
         raise ValueError(f"seed = {seed!r} must be an integer >= 0")
 
 
+def _invariance_report(name, model, n, seed, F, moved, **witness):
+    """Report of max |W(moved) - W(F)| / (1 + W(F)) over the rows; its
+    witness holds the worst row of F and of each ``witness`` array."""
+    W0 = energy_density_batch(model, F)
+    dev = np.abs(energy_density_batch(model, moved) - W0) / (1.0 + W0)
+    i = int(np.argmax(dev))
+    return CheckReport(
+        check_name=name,
+        samples=n,
+        seed=seed,
+        tolerance=INVARIANCE_TOLERANCE,
+        worst_violation=float(dev[i]),
+        worst_witness={key: rows[i].tolist() for key, rows in {"F": F, **witness}.items()},
+    )
+
+
 def check_objectivity(model, n, seed):
     """max_F,Q |W(QF) - W(F)| / (1 + W(F)) over random rotations."""
     _check_samples(n)
@@ -217,18 +233,8 @@ def check_objectivity(model, n, seed):
     rng = np.random.default_rng(seed)
     F = _random_gradients(rng, n)
     Q = _random_rotations(rng, n)
-    W0 = energy_density_batch(model, F)
-    W1 = energy_density_batch(model, np.einsum("nij,njk->nik", Q, F))
-    dev = np.abs(W1 - W0) / (1.0 + W0)
-    i = int(np.argmax(dev))
-    return CheckReport(
-        check_name="objectivity",
-        samples=n,
-        seed=seed,
-        tolerance=INVARIANCE_TOLERANCE,
-        worst_violation=float(dev[i]),
-        worst_witness={"F": F[i].tolist(), "Q": Q[i].tolist()},
-    )
+    QF = np.einsum("nij,njk->nik", Q, F)
+    return _invariance_report("objectivity", model, n, seed, F, QF, Q=Q)
 
 
 def check_isotropy(model, n, seed):
@@ -239,21 +245,9 @@ def check_isotropy(model, n, seed):
     F = _random_gradients(rng, n)
     ang = rng.uniform(0.0, 2.0 * np.pi, n)
     ca, sa = np.cos(ang), np.sin(ang)
-    R = np.stack(
-        [np.stack([ca, -sa], axis=-1), np.stack([sa, ca], axis=-1)], axis=-2
-    )
-    W0 = energy_density_batch(model, F)
-    W1 = energy_density_batch(model, np.einsum("nij,njk->nik", F, R))
-    dev = np.abs(W1 - W0) / (1.0 + W0)
-    i = int(np.argmax(dev))
-    return CheckReport(
-        check_name="isotropy",
-        samples=n,
-        seed=seed,
-        tolerance=INVARIANCE_TOLERANCE,
-        worst_violation=float(dev[i]),
-        worst_witness={"F": F[i].tolist(), "angle": float(ang[i])},
-    )
+    R = np.stack([np.stack([ca, -sa], axis=-1), np.stack([sa, ca], axis=-1)], axis=-2)
+    FR = np.einsum("nij,njk->nik", F, R)
+    return _invariance_report("isotropy", model, n, seed, F, FR, angle=ang)
 
 
 def _sample_fj_pairs(rng, n):

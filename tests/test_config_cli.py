@@ -247,6 +247,26 @@ seed: 7
         assert err.startswith(f"config error: output_dir {target!r}: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "args, template, first",
+        [
+            (["verify"], SMALL_VERIFY, "verify_summary.csv"),
+            (["minimize"], MINIMAL_PLANE, "energy_history.csv"),
+            (["degree", "--point", "0.5", "0.5", "0.0"], MINIMAL_PLANE, "initial_degree.csv"),
+            (["residual"], MINIMAL_PLANE, "initial_residuals.csv"),
+        ],
+        ids=["verify", "minimize", "degree", "residual"],
+    )
+    def test_output_that_cannot_be_written_exit_2(self, tmp_path, capsys, args, template, first):
+        # A directory squats on the command's first output file.  Under
+        # verify, exit 1 would mean a failed check.
+        cfg, out = write_config(tmp_path, template)
+        (out / first).mkdir(parents=True)
+        assert main([args[0], str(cfg), *args[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output_dir {str(out)!r}: {out / first}: Is a directory\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["verify", "minimize"])
     @pytest.mark.parametrize("value", ["{rotation_samples: 1000}", "{}", "5"])
     def test_verify_block_is_unknown(self, tmp_path, capsys, command, value):
@@ -368,6 +388,17 @@ seed: 7
                 "surface: {kind: torus}\n"
                 "initial_map: {kind: torus_band, theta_range: [1.0, 0.0]}\n"
             )
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", [[], ["frobnicate"]], ids=["none", "unknown"])
+    def test_missing_or_unknown_command_exit_2_with_usage(self, capsys, argv):
+        # The usage line lists the commands in the order they are registered.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "usage: memsurf [-h] {verify,minimize,residual,degree} ..."
 
 
 class TestVerifyCommand:
@@ -543,8 +574,24 @@ class TestCommandImports:
             "check_name,samples,worst_violation,passed"
         ]
 
+    def test_other_names_are_the_defining_modules_objects(self):
+        # cli resolves every name through the package's table.
+        same = run_script(
+            "import json\n"
+            "import memsurf.cli as cli\n"
+            "names = [cli.initialize, cli.interpolate, cli.oriented_area_ratios]\n"
+            "import memsurf.discretization as discretization\n"
+            "import memsurf.minimizer as minimizer\n"
+            "homes = [minimizer.initialize, discretization.interpolate,"
+            " discretization.oriented_area_ratios]\n"
+            "print(json.dumps([a is b for a, b in zip(names, homes)]))\n"
+        )
+        assert same == [True, True, True]
+
     def test_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="no attribute 'no_such_command'"):
+        with pytest.raises(
+            AttributeError, match="module 'memsurf.cli' has no attribute 'no_such_command'"
+        ):
             cli_module.no_such_command
         import memsurf
 

@@ -7,6 +7,7 @@ from conftest import outputs_at_blas_threads
 from memsurf import (
     InfeasibleStartError,
     Sphere,
+    TriMesh,
     build_mesh,
     initialize,
     interpolate,
@@ -59,6 +60,25 @@ class TestInitialize:
         with pytest.raises(InfeasibleStartError) as err:
             minimize(model, plane, square_mesh, interpolate(plane, square_mesh, f0))
         assert len(err.value.elements) == square_mesh.num_triangles
+
+
+    def test_centroid_without_closest_point_is_infeasible(self, model):
+        # Element 0 is a chord triangle through the sphere's center, where
+        # its centroid has no closest point; trial_energy counts it
+        # infeasible, and so do both entry points.
+        sphere = Sphere(1.0)
+        s = math.sqrt(3.0) / 2.0
+        images = np.array([[1.0, 0.0, 0.0], [-0.5, s, 0.0], [-0.5, -s, 0.0], [0.0, 0.0, -1.0]])
+        mesh = TriMesh.from_arrays(
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[0, 1, 2], [1, 3, 2]]
+        )
+        assert not trial_energy(model, mesh, sphere, images)[2]
+        with pytest.raises(InfeasibleStartError, match="no closest point") as err:
+            initialize(sphere, mesh, lambda x: images)
+        assert err.value.elements == [0]
+        with pytest.raises(InfeasibleStartError, match="no closest point") as err:
+            minimize(model, sphere, mesh, images)
+        assert err.value.elements == [0]
 
 
 class TestOptions:
