@@ -222,6 +222,15 @@ def max_perturbation_delta(model):
     return 1.0 / (2.0 * model.stress_bound_constant())
 
 
+def _plane_dot(x, y):
+    """Column dot products (m,) of (d, m) planes, added over the d rows in
+    order: x[0] y[0] + x[1] y[1] + ..."""
+    s = x[0] * y[0]
+    for r in range(1, len(x)):
+        s += x[r] * y[r]
+    return s
+
+
 def _principal_parts(F):
     """Principal stretches of a batch of 3x2 matrices, with the C entries.
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constitutive import _stretches, pk1_batch
-from .discretization import J_FLOOR, _assemble, _dot, _element_kinematics, _kinematics
+from .constitutive import _plane_dot, _stretches, pk1_batch
+from .discretization import J_FLOOR, _assemble, _dot, _kinematics
 from .errors import (
     AmbiguousProjectionError,
     BoundaryTooCloseError,
@@ -681,13 +681,14 @@ def _admissible(mesh, surface, positions, elements=slice(None)):
     """Whether the ``elements`` (all by default) of the configuration, or of
     every one in a (j, n, 3) stack, keep their oriented J above ``J_FLOOR``
     and their centroids project: ``trial_energy``'s feasibility, without the energy."""
-    Y = positions[..., mesh.triangles[elements], :]
-    G = np.broadcast_to(mesh.shape_grads[elements], (*Y.shape[:-1], 2))
-    try:
-        J = _element_kinematics(surface, Y.reshape(-1, 3, 3), G.reshape(-1, 3, 2))[1]
-    except AmbiguousProjectionError:
-        return False
-    return not J.size or bool(np.min(J) > J_FLOOR)
+    for config in positions.reshape(-1, *positions.shape[-2:]):
+        try:
+            J = _kinematics(mesh, surface, config, elements)[1]
+        except AmbiguousProjectionError:
+            return False
+        if J.size and not np.min(J) > J_FLOOR:
+            return False
+    return True
 
 
 def first_variation_residual(model, surface, mesh, positions, family_size, seed):
@@ -708,16 +709,25 @@ def first_variation_residual(model, surface, mesh, positions, family_size, seed)
     S = pk1_batch(model, F)
     l1, l2 = _stretches(F)
     area_ratio = l1 * l2
-    cauchy = np.einsum("tij,tkj->tik", S, F) / area_ratio[:, None, None]
-    # Pseudo-inverse of F on its range: F^+ = C^-1 F^T, C = F^T F.  C is symmetric,
-    # so its adjugate is C reversed on both axes with the off-diagonal negated.
-    C = np.einsum("tij,tik->tjk", F, F)
-    det = C[:, 0, 0] * C[:, 1, 1] - C[:, 0, 1] * C[:, 1, 0]
-    Cinv = C[:, ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]]) / det[:, None, None]
-    Fplus = np.einsum("tjk,tik->tji", Cinv, F)      # (t, 2, 3)
     lagrangian = _assemble(mesh, mesh.ref_area[:, None, None] * S)
-    weight = (mesh.ref_area * area_ratio)[:, None, None]
-    eulerian = _assemble(mesh, (weight * cauchy) @ np.swapaxes(Fplus, 1, 2))
+    # The Eulerian stress A J sigma F^+T on (3, m) planes, one row per ambient
+    # component: the columns a, b of F and s, u of S.  F^+T = F C^-1 with
+    # C = F^T F, whose inverse is its adjugate over det C.
+    a, b = F.T
+    s, u = S.T
+    c11, c12, c22 = _plane_dot(a, a), _plane_dot(a, b), _plane_dot(b, b)
+    det = c11 * c22 - c12 * c12
+    p = (a * c22 - b * c12) / det                   # F^+T e1
+    q = (b * c11 - a * c12) / det                   # F^+T e2
+    weight = mesh.ref_area * area_ratio
+    T = np.empty((2, *a.shape))
+    for i in range(3):
+        # Row i of A J sigma, sigma = S F^T / J the Cauchy stress.
+        row = (s[i] * a + u[i] * b) / area_ratio
+        row *= weight
+        T[0, i] = _plane_dot(row, p)
+        T[1, i] = _plane_dot(row, q)
+    eulerian = _assemble(mesh, T.T)
 
     results = []
     for k, v, y0, rc, psi in fields:

@@ -44,29 +44,40 @@ def interpolate(surface, mesh, f0):
     return pos
 
 
-def _element_kinematics(surface, Y, G):
-    """Gradients F (k, 3, 2) and oriented area ratios J (k,) of the elements
-    with corner positions Y (k, 3verts, 3) and shape gradients G (k, 3verts, 2).
+def _kinematics(mesh, surface, positions, elements=slice(None)):
+    """F (m, 3, 2) and oriented J (m,) of the ``elements`` (all by default)
+    of the configuration.
 
-    F_t = Y_t^T G_t = sum_i y_i (x) g_i and
-    J_t = n(projected centroid) . (F e1 x F e2).
+    F_t = sum_i y_i (x) g_i over the corners i, and
+    J_t = n(projected centroid) . (F e1 x F e2).  The shape gradients sum to
+    zero, so F_t = (y0 - y1) (x) g0 + (y2 - y1) (x) g2: edge vectors from
+    corner 1, whose rounding scales with the element, not the positions.
+    The corner positions are gathered once as (3 coords, 3 corners, m)
+    planes, so each entry of F is formed on contiguous rows; F is returned
+    as an (m, 3, 2) view of its (2, 3, m) column planes, as ``pk1_batch``
+    returns S.  No BLAS call forms it, so its bits depend on neither the
+    CPU's BLAS kernel nor the thread count.
     """
-    F = np.matmul(np.swapaxes(Y, 1, 2), G)
-    centroids = (Y[:, 0] + Y[:, 1] + Y[:, 2]) / 3.0
-    n = surface.normal_unchecked(surface.project(centroids))
-    a, b = F[..., 0], F[..., 1]
+    G = mesh.shape_grads[elements].T
+    y0, y1, y2 = np.take(positions.T, mesh.triangles[elements].T, axis=1).transpose(1, 0, 2)
+    d0 = y0 - y1
+    d2 = y2 - y1
+    F = np.empty((2, *y0.shape))
+    tmp = np.empty(y0.shape)
+    for k in range(2):
+        np.multiply(d0, G[k, 0], out=F[k])
+        F[k] += np.multiply(d2, G[k, 2], out=tmp)
+    centroids = y0 + y1
+    centroids += y2
+    centroids /= 3.0
+    n = surface.projected_normal(centroids.T).T
+    a, b = F
     J = (
-        n[:, 0] * (a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1])
-        + n[:, 1] * (a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2])
-        + n[:, 2] * (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0])
+        n[0] * (a[1] * b[2] - a[2] * b[1])
+        + n[1] * (a[2] * b[0] - a[0] * b[2])
+        + n[2] * (a[0] * b[1] - a[1] * b[0])
     )
-    return F, J
-
-
-def _kinematics(mesh, surface, positions):
-    """F (m, 3, 2) and J (m,) of every element of the configuration."""
-    Y = np.take(positions, mesh.triangles, axis=0)
-    return _element_kinematics(surface, Y, mesh.shape_grads)
+    return F.T, J
 
 
 def oriented_area_ratios(mesh: TriMesh, surface, positions):
@@ -111,21 +122,22 @@ def energy_gradient(model, mesh, F):
 def _assemble(mesh, T):
     """Nodal sums (n, 3) of T_t g_{t,v} over the elements t and corners v at each node.
 
-    ``T`` is one (3, 2) matrix per element; one np.bincount per coordinate
-    sums the rows per node, adding in the order np.add.at does.
+    ``T`` is one (3, 2) matrix per element, as ``pk1_batch`` returns S: an
+    (m, 3, 2) view of (2, 3, m) column planes, whose entries are contiguous
+    rows.  Each coordinate's (m, 3) weights are formed corner by corner, and
+    one np.bincount sums them per node in the order np.add.at adds them.
     """
     G = mesh.shape_grads
     idx = mesh.triangles.ravel()
-    return np.column_stack(
-        [
-            np.bincount(
-                idx,
-                weights=(G[..., 0] * T[:, a, 0, None] + G[..., 1] * T[:, a, 1, None]).ravel(),
-                minlength=mesh.num_vertices,
-            )
-            for a in range(3)
-        ]
-    )
+    out = np.empty((mesh.num_vertices, 3))
+    weights = np.empty(G.shape[:2])
+    tmp = np.empty(len(G))
+    for a in range(3):
+        for v in range(3):
+            np.multiply(G[:, v, 0], T[:, a, 0], out=weights[:, v])
+            weights[:, v] += np.multiply(G[:, v, 1], T[:, a, 1], out=tmp)
+        out[:, a] = np.bincount(idx, weights=weights.ravel(), minlength=mesh.num_vertices)
+    return out
 
 
 def _dot(a, b):

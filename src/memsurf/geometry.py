@@ -35,8 +35,13 @@ def _row_norms(x, keepdims=False):
     """
     if x.ndim == 1:
         # One vector: the same sum and root in Python floats, without a
-        # dozen 0-d array operations.
-        s = math.sqrt(sum(c * c for c in x.tolist()))
+        # dozen 0-d array operations (and without ``sum``, which compensates
+        # float sums from Python 3.12 on).
+        c = x.tolist()
+        s = c[0] * c[0] + c[1] * c[1]
+        if len(c) == 3:
+            s += c[2] * c[2]
+        s = math.sqrt(s)
         return np.array([s]) if keepdims else np.float64(s)
     s = x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]
     if x.shape[-1] == 3:
@@ -46,8 +51,17 @@ def _row_norms(x, keepdims=False):
 
 
 def _dots(a, b):
-    """Dot products (..., 1) of (..., 3) arrays, each taken as ``np.dot`` takes it."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
+    """Dot products (..., 1) of (..., 3) arrays, added in coordinate order
+    from +0.0 as BLAS ``ddot`` adds them, so a sum of zeros is +0.0.
+
+    Written out rather than left to BLAS, so a row's bits depend neither on
+    the CPU's BLAS kernel nor on the stack the row sits in.
+    """
+    s = a[..., 0] * b[..., 0]
+    s += 0.0
+    s += a[..., 1] * b[..., 1]
+    s += a[..., 2] * b[..., 2]
+    return s[..., None]
 
 
 # Coordinate k's successors k + 1, then k + 2 (mod 3), for k = 0, 1, 2.
@@ -120,6 +134,11 @@ class Surface:
     def project(self, p):
         """Closest point on the surface (raises near the medial axis)."""
         raise NotImplementedError
+
+    def projected_normal(self, p):
+        """``normal_unchecked(project(p))``: the oriented unit normal at the
+        closest point, raising where ``project`` raises."""
+        return self.normal_unchecked(self.project(p))
 
     def tangent_project_unchecked(self, y, v):
         """Tangent projection at near-surface y, one normal per point of y.
@@ -201,12 +220,22 @@ class Sphere(Surface):
     def curvature_radius(self):
         return self.radius
 
-    def project(self, p):
+    def _radial(self, p):
+        """p and its norms (..., 1); raises near the center, where no point is closest."""
         p = np.asarray(p, dtype=float)
         r = _row_norms(p, keepdims=True)
         if np.any(r < self.medial_tol):
             raise AmbiguousProjectionError("projection queried at the sphere center")
+        return p, r
+
+    def project(self, p):
+        p, r = self._radial(p)
         return self.radius * p / r
+
+    def projected_normal(self, p):
+        # The closest point's normal is p's own direction.
+        p, r = self._radial(p)
+        return p / r
 
     @property
     def chart_radius(self):
@@ -247,14 +276,25 @@ class Torus(Surface):
     def curvature_radius(self):
         return self.minor_radius
 
-    def project(self, p):
+    def _tube_offset(self, p):
+        """Core-circle point q, offset d = p - q and its norms |d| (..., 1);
+        raises on the axis or the core circle, where no point is closest."""
         q, d, rho = self._ring_point(p)
         nd = _row_norms(d, keepdims=True)
         if np.any(rho < self.medial_tol) or np.any(nd < self.medial_tol):
             raise AmbiguousProjectionError(
                 "projection queried on the torus axis or core circle"
             )
+        return q, d, nd
+
+    def project(self, p):
+        q, d, nd = self._tube_offset(p)
         return q + self.minor_radius * d / nd
+
+    def projected_normal(self, p):
+        # The closest point's normal is the direction from the core circle.
+        _, d, nd = self._tube_offset(p)
+        return d / nd
 
     def from_angles(self, psi, theta):
         psi = np.asarray(psi, dtype=float)

@@ -24,7 +24,13 @@ def affine_map(surface, matrix):
     A = np.asarray(matrix, dtype=float)
     if A.shape != (2, 2) or not np.all(np.isfinite(A)):
         raise ConfigError("affine initial map needs a finite 2x2 matrix")
-    return lambda x: surface.embed(np.atleast_2d(x) @ A.T)
+
+    def f0(x):
+        # x A^T written out: a matmul would hand it to BLAS.
+        x = np.atleast_2d(x)
+        return surface.embed(x[..., :1] * A[:, 0] + x[..., 1:2] * A[:, 1])
+
+    return f0
 
 
 def stereographic_cap_map(surface, latitude=np.pi / 3):

@@ -26,7 +26,8 @@ class TriMesh:
 
     ``shape_grads[t, i]`` is the constant gradient of the linear shape
     function of local vertex i on triangle t, so the gradient of a nodal
-    field y is sum_i y_i (x) shape_grads[t, i].
+    field y is sum_i y_i (x) shape_grads[t, i].  It is an (m, 3, 2) view of
+    (2, 3, m) component planes, ``shape_grads.T``.
     """
 
     vertices: np.ndarray          # (n, 2)
@@ -54,11 +55,14 @@ class TriMesh:
                 f"(first: {int(bad[0])})"
             )
         area = 0.5 * det
-        # Rows of the inverse edge matrix give the non-corner shape gradients.
+        # Rows of the inverse edge matrix give the non-corner shape gradients,
+        # kept as (2 components, 3 corners, m) planes: the kernels read each
+        # component of each corner as one contiguous row.
         inv_det = 1.0 / det
-        r1 = np.stack([e2[:, 1] * inv_det, -e2[:, 0] * inv_det], axis=-1)
-        r2 = np.stack([-e1[:, 1] * inv_det, e1[:, 0] * inv_det], axis=-1)
-        grads = np.stack([-(r1 + r2), r1, r2], axis=1)
+        planes = np.empty((2, 3, len(det)))
+        planes[:, 1] = e2[:, 1] * inv_det, -e2[:, 0] * inv_det
+        planes[:, 2] = -e1[:, 1] * inv_det, e1[:, 0] * inv_det
+        planes[:, 0] = -(planes[:, 1] + planes[:, 2])
         loops = _boundary_loops(vertices.shape[0], triangles)
         # Each boundary vertex lies on exactly one loop, once (_boundary_loops
         # checks it), so sorting is np.unique without importing numpy.ma.
@@ -68,7 +72,7 @@ class TriMesh:
             triangles=triangles,
             boundary_vertices=bverts,
             ref_area=area,
-            shape_grads=grads,
+            shape_grads=planes.T,
             boundary_loops=tuple(tuple(int(v) for v in l) for l in loops),
         )
 

@@ -23,6 +23,7 @@ import numpy as np
 from .constitutive import (
     PERTURBATION_DELTA,
     IsotropicModel,
+    _plane_dot,
     energy_density_batch,
     max_perturbation_delta,
     pk1_batch,
@@ -145,11 +146,30 @@ def _first_largest(blocks, score):
     return best
 
 
+def _orthonormal_columns(A, columns):
+    """The first ``columns`` columns of Q in A = QR, R with a positive
+    diagonal, for a batch A (n, d, d) of normal draws; (n, d, columns).
+
+    Modified Gram-Schmidt with reorthogonalization, written out on
+    contiguous (d, n) planes rather than LAPACK ``qr``, so the bits depend
+    on neither the CPU's BLAS kernel nor its thread count.  Q is Haar
+    distributed on the orthogonal group.
+    """
+    Q = np.ascontiguousarray(A.T[:columns])  # Q[k, i] = A[:, i, k], one plane per column
+
+    for k in range(columns):
+        # Two passes keep Q orthonormal to rounding ("twice is enough").
+        for j in [*range(k)] * 2:
+            Q[k] -= _plane_dot(Q[j], Q[k]) * Q[j]
+        Q[k] /= np.sqrt(_plane_dot(Q[k], Q[k]))
+    return np.ascontiguousarray(Q.T)
+
+
 def _random_svd_factors(rng, n, stretch_range):
     """U (n, 3, 2), stretches (n, 2) and V (n, 2, 2) of F = U diag(lam) V^T."""
-    U = np.linalg.qr(rng.standard_normal((n, 3, 3)))[0][:, :, :2]
+    U = _orthonormal_columns(rng.standard_normal((n, 3, 3)), 2)
     lam = _log_uniform(rng, *stretch_range, (n, 2))
-    V = np.linalg.qr(rng.standard_normal((n, 2, 2)))[0]
+    V = _orthonormal_columns(rng.standard_normal((n, 2, 2)), 2)
     return U, lam, V
 
 
@@ -191,9 +211,16 @@ def _sorted_stretches(lam):
 
 
 def _random_rotations(rng, n):
-    Q = np.linalg.qr(rng.standard_normal((n, 3, 3)))[0]
-    det = np.linalg.det(Q)
-    Q[det < 0, :, 0] *= -1.0
+    """Haar-random rotations (n, 3, 3): orthonormalized draws with the first
+    column negated where the determinant q0 . (q1 x q2) is negative."""
+    Q = _orthonormal_columns(rng.standard_normal((n, 3, 3)), 3)
+    q0, q1, q2 = Q.transpose(2, 1, 0)
+    det = (
+        q0[0] * (q1[1] * q2[2] - q1[2] * q2[1])
+        + q0[1] * (q1[2] * q2[0] - q1[0] * q2[2])
+        + q0[2] * (q1[0] * q2[1] - q1[1] * q2[0])
+    )
+    q0[:, det < 0] *= -1.0
     return Q
 
 
@@ -587,9 +614,8 @@ def check_perturbed_stress_bound(model, delta, n, seed):
     U, lam, V = _random_svd_factors(rng, n, STRESS_STRETCH_RANGE)
     A = _svd_product(U, lam, V)
     E = rng.standard_normal((n, 2, 2))
-    E *= (delta * 0.999 * rng.uniform(0.0, 1.0, (n, 1, 1))) / np.linalg.norm(
-        E, axis=(1, 2), keepdims=True
-    )
+    norms = np.linalg.norm(E, axis=(1, 2), keepdims=True)
+    E *= (delta * 0.999 * rng.uniform(0.0, 1.0, (n, 1, 1))) / norms
     T2 = np.broadcast_to(np.eye(2), (n, 2, 2)) + E
     # T acts on range(A): TA = U T2 U^T A, and U^T A = diag(lam) V^T.
     TA = _perturbed_svd_product(U, T2, lam, V)
@@ -599,6 +625,7 @@ def check_perturbed_stress_bound(model, delta, n, seed):
     ratios = lhs / rhs
     i = int(np.argmax(ratios))
     l1, l2 = _sorted_stretches(lam)
+    (e00, e01), (e10, e11) = E[i].tolist()
     return CheckReport(
         check_name="perturbed_stress_bound",
         samples=n,
@@ -608,7 +635,7 @@ def check_perturbed_stress_bound(model, delta, n, seed):
         worst_witness={
             "l1": float(l1[i]),
             "l2": float(l2[i]),
-            "T_deviation": float(np.linalg.norm(E[i])),
+            "T_deviation": math.sqrt(((e00 * e00 + e01 * e01) + e10 * e10) + e11 * e11),
             "ratio": float(ratios[i]),
         },
         empirical_constant=float(ratios[i]),

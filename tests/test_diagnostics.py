@@ -1292,17 +1292,18 @@ class TestResiduals:
     def test_failed_projection_is_inadmissible(self, model, cap, monkeypatch):
         # The base configuration projects; every varied one lands on the
         # medial axis, which makes the variation inadmissible, not an error.
+        # The element centroids are projected by ``projected_normal``.
         mesh, _, cfg, _ = cap
         surface = Sphere(1.0)
-        project, calls = surface.project, []
+        projected_normal, calls = surface.projected_normal, []
 
         def medial(p):
             calls.append(1)
             if len(calls) > 1:
                 raise AmbiguousProjectionError("point on the medial axis")
-            return project(p)
+            return projected_normal(p)
 
-        monkeypatch.setattr(surface, "project", medial)
+        monkeypatch.setattr(surface, "projected_normal", medial)
         results = first_variation_residual(model, surface, mesh, cfg, 6, seed=0)
         assert len(results) == 6 and not any(r.admissible for r in results)
         assert _admissible(mesh, surface, cfg) is trial_energy(model, mesh, surface, cfg)[2] is False

@@ -497,17 +497,22 @@ class TestCurvatureStep:
     def test_failed_probe_projection_gives_unit_step(
         self, model, cap_start, monkeypatch, failing_call
     ):
+        # The probe's retraction calls ``project``; its element centroids
+        # are projected by ``projected_normal``.
         sphere, mesh, free, positions, g = cap_start
-        project = sphere.project
         calls = []
 
-        def flaky(p):
-            calls.append(len(p))
-            if len(calls) == failing_call:
-                raise AmbiguousProjectionError("probe projection failed")
-            return project(p)
+        def flaky(method):
+            def call(p):
+                calls.append(len(p))
+                if len(calls) == failing_call:
+                    raise AmbiguousProjectionError("probe projection failed")
+                return method(p)
 
-        monkeypatch.setattr(sphere, "project", flaky)
+            return call
+
+        monkeypatch.setattr(sphere, "project", flaky(sphere.project))
+        monkeypatch.setattr(sphere, "projected_normal", flaky(sphere.projected_normal))
         assert _curvature_step(model, mesh, sphere, free, positions, g, -g) == 1.0
         assert len(calls) == failing_call
 
