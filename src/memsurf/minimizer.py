@@ -14,7 +14,10 @@ it.  Its initial inverse Hessian is gamma P K^-1 P, with K the P1 stiffness
 matrix of the reference mesh on the free nodes, P the tangent projection
 and gamma = (s.Ks)/(s.y) from the newest pair: a Sobolev gradient
 (Neuberger 1997), which keeps the iteration count independent of the mesh
-size, since multiples of K bound the energy's Hessian.  The
+size, since multiples of K bound the energy's Hessian.  K is held only as
+its factor: the step s is piecewise linear and zero on the boundary, so
+s.Ks = sum_t A_t |F_t(x) - F_t(x_prev)|^2, taken from the deformation
+gradients of the two iterates when the step is accepted.  The
 first direction, -P K^-1 g_T, is scaled to the minimizer of the quadratic
 model along it, its curvature taken from one forward difference of the
 tangent gradient.  Step lengths come from Armijo backtracking from a unit
@@ -129,20 +132,20 @@ def _check_start(mesh, surface, positions):
         )
 
 
-def _lbfgs_direction(g, s, y, solve, stiffness):
+def _lbfgs_direction(g, s, y, sks, solve):
     """Two-loop L-BFGS direction at a point with gradient g.
 
     ``s`` and ``y`` stack the curvature pairs, oldest first, as (k, ...)
-    arrays of g's shape.  Pairs with s.y <= 0 are dropped.  H0 is gamma *
-    ``solve``, where ``solve(v)`` is P K^-1 v and gamma = s.Ks / s.y of the
-    newest pair kept, with K v = ``stiffness(v)``.
-    Returns (d, s, y) with the pairs kept.  When the result is not a descent
-    direction (g.d >= 0) the memory is cleared and d is -solve(g).
+    arrays of g's shape, and ``sks`` holds each pair's s.Ks as a (k,) array.
+    Pairs with s.y <= 0 are dropped.  H0 is gamma * ``solve``, where
+    ``solve(v)`` is P K^-1 v and gamma = s.Ks / s.y of the newest pair kept.
+    Returns (d, s, y, sks) with the pairs kept.  When the result is not a
+    descent direction (g.d >= 0) the memory is cleared and d is -solve(g).
     """
     sy = np.einsum("ki,ki->k", s.reshape(len(s), g.size), y.reshape(len(y), g.size))
     keep = sy > 0
     if not keep.all():
-        s, y, sy = s[keep], y[keep], sy[keep]
+        s, y, sks, sy = s[keep], y[keep], sks[keep], sy[keep]
     q = g.copy()
     a = np.empty(len(sy))
     for i in range(len(sy) - 1, -1, -1):
@@ -150,13 +153,13 @@ def _lbfgs_direction(g, s, y, solve, stiffness):
         q -= a[i] * y[i]
     q = solve(q)
     if len(sy):
-        q *= _dot(s[-1], stiffness(s[-1])) / sy[-1]
+        q *= sks[-1] / sy[-1]
     for i in range(len(sy)):
         q += (a[i] - _dot(y[i], q) / sy[i]) * s[i]
     d = -q
     if not _dot(g, d) < 0:
-        return -solve(g), s[:0], y[:0]
-    return d, s, y
+        return -solve(g), s[:0], y[:0], sks[:0]
+    return d, s, y, sks
 
 
 def _curvature_step(model, mesh, surface, free, positions, g, d):
@@ -247,7 +250,8 @@ def minimize(model, surface, mesh, positions, grad_tol=None):
     x = positions[free]
     no_pairs = np.empty((0, *x.shape))
     mem_s = mem_y = no_pairs             # curvature pairs as measured, oldest first
-    prev_x = prev_g = None
+    mem_sks = np.empty(0)                # s.Ks of each pair
+    prev_x = prev_g = sks = None
     solver = None                        # factored at the first direction
 
     def precondition(v):
@@ -262,6 +266,7 @@ def minimize(model, surface, mesh, positions, grad_tol=None):
         if prev_x is not None:
             mem_s = np.concatenate([mem_s, (x - prev_x)[None]])[-LBFGS_MEMORY:]
             mem_y = np.concatenate([mem_y, (gt - prev_g)[None]])[-LBFGS_MEMORY:]
+            mem_sks = np.append(mem_sks, sks)[-LBFGS_MEMORY:]
         gnorm = math.sqrt(_dot(gt, gt))
         report.grad_history.append(gnorm)
         if gnorm <= grad_tol:
@@ -276,15 +281,14 @@ def minimize(model, surface, mesh, positions, grad_tol=None):
             d = -precondition(gt)
             d *= _curvature_step(model, mesh, surface, free, positions, gt, d)
         else:
-            d, mem_s, mem_y = _lbfgs_direction(
-                gt, mem_s, mem_y, precondition, solver.apply
-            )
+            d, mem_s, mem_y, mem_sks = _lbfgs_direction(gt, mem_s, mem_y, mem_sks, precondition)
         counts = dict.fromkeys(("backtracks", "infeasible_trials", "projection_failures"), 0)
         found = _line_search(model, mesh, surface, free, positions, energy, gt, d, counts)
         if found is None and len(mem_s):
             # The quasi-Newton model failed here (at the float noise floor,
             # typically): clear the memory and search along -P K^-1 g_T.
             mem_s = mem_y = no_pairs
+            mem_sks = mem_sks[:0]
             found = _line_search(
                 model, mesh, surface, free, positions, energy, gt, -precondition(gt), counts
             )
@@ -293,8 +297,12 @@ def minimize(model, surface, mesh, positions, grad_tol=None):
         if found is None:
             report.status = "stalled"
             break
-        alpha, positions, (energy, min_j, _, F) = found
-        prev_x, prev_g, x = x, gt, positions[free]
+        alpha, positions, (energy, min_j, _, new_F) = found
+        # s.Ks of the step, from the two iterates' F: the step is piecewise
+        # linear with zero boundary rows, so s.Ks = sum_t A_t |F_t(x) - F_t(x_prev)|^2.
+        # No F-sized array outlives the iteration.
+        sks = float(np.einsum("t,dct->", mesh.ref_area, np.square(new_F.T - F.T)))
+        prev_x, prev_g, x, F = x, gt, positions[free], new_F
 
         report.energy_history.append(energy)
         report.min_j_history.append(min_j)

@@ -18,10 +18,10 @@ F_AA - L F_AI^T to the parent.  The fronts of one depth are padded to one
 size and eliminated as one batch, so the factor and each sweep of a solve
 take one batched step per depth.  The set-up finds every front's ancestor
 nodes and every entry's slots in one pass over all depths; only assembly
-and elimination run depth by depth.  Dense products go through
-``np.einsum``; K v reads K as padded rows, added slot by slot by
-``np.add.reduce``, and the solve scatters through ``np.bincount``.  None of
-them calls BLAS, so the bits do not depend on the BLAS thread count.
+and elimination run depth by depth.  K itself is not kept: the factor and
+its solve are all that the minimizer needs.  Dense products go through
+``np.einsum`` and the solve scatters through ``np.bincount``.  Neither
+calls BLAS, so the bits do not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -165,42 +165,23 @@ def _ancestor_keys(level, part, rows, cols, nf):
     return key[np.diff(key, prepend=-1) > 0]
 
 
-def _padded_rows(nf, rows, cols, vals):
-    """(slots, nf) column and value tables of the COO list (rows, cols, vals).
-
-    Slot k holds each row's k-th entry, in the list's order; a short row is
-    padded with zeros on its own column.
-    """
-    length = np.bincount(rows, minlength=nf)
-    at = np.arange(rows.size) - _bounds(length)[rows]    # slot of each entry in its row
-    table = np.tile(np.arange(nf), (int(length.max(initial=0)), 1))
-    table[at, rows] = cols
-    values = np.zeros(table.shape)
-    values[at, rows] = vals
-    return table, values
-
-
 def _bounds(counts):
     """Start of each group, then the end of the last: cumsum with a leading 0."""
     return np.concatenate(([0], np.cumsum(counts)))
 
 
 class StiffnessSolver:
-    """K on the free nodes of a mesh: ``apply`` is K v and ``solve`` K^-1 b.
+    """The factor of K on the free nodes of a mesh: ``solve`` is K^-1 b.
 
     Fields are (nf, p) arrays over the free nodes, in the order of
-    ``mesh.interior_mask()``.  ``apply`` reads K as padded rows: (slots, nf)
-    column and value tables, slot k holding each row's k-th entry in column
-    order, a short row padded with zeros on its own column.  The factor
-    keeps, for each tree depth from the deepest, the fronts' own and
-    ancestor nodes as (fronts, slots) index arrays padded with nf, and their
-    [S^-1; L] blocks stacked in one (fronts, own + ancestor slots, own
-    slots) array.
+    ``mesh.interior_mask()``.  The factor keeps, for each tree depth from
+    the deepest, the fronts' own and ancestor nodes as (fronts, slots) index
+    arrays padded with nf, and their [S^-1; L] blocks stacked in one
+    (fronts, own + ancestor slots, own slots) array.
     """
 
     def __init__(self, mesh):
         nf, rows, cols, vals = _free_entries(mesh)
-        self._cols, self._vals = _padded_rows(nf, rows, cols, vals)
         # The least depth D with nf <= LEAF_SIZE * 2^D.
         depth = (-(-nf // LEAF_SIZE) - 1).bit_length() if nf else 0
         level, part = _dissect(mesh.vertices[mesh.interior_mask()], rows, cols, depth)
@@ -286,17 +267,6 @@ class StiffnessSolver:
             L = np.einsum("bai,bji->baj", F[:, mI:, :mI], inverse)
             children = (here, F[:, mI:, mI:] - np.einsum("bai,bci->bac", L, F[:, mI:, :mI]))
             self._fronts.append((own_idx, anc_idx, np.concatenate([inverse, L], axis=1)))
-
-    def apply(self, v):
-        """K v for a field v over the free nodes.
-
-        Each row adds its entries' products slot by slot from zero, in the
-        order np.bincount adds a COO list sorted by row and column; a
-        padding slot adds an exact zero for a finite v.
-        """
-        terms = np.take(v.T, self._cols, axis=1)
-        terms *= self._vals
-        return np.add.reduce(terms, axis=1, initial=0.0).T
 
     def solve(self, b):
         """K^-1 b for a field b over the free nodes."""

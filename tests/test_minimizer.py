@@ -26,6 +26,7 @@ from memsurf.errors import AmbiguousProjectionError
 import memsurf.minimizer as minimizer_module
 from memsurf.minimizer import LBFGS_MEMORY, _curvature_step, _lbfgs_direction
 from memsurf.stiffness import StiffnessSolver
+from test_stiffness import _dense_stiffness
 
 
 class TestInitialize:
@@ -215,9 +216,9 @@ class TestCurvatureMemory:
         lbfgs_direction = minimizer_module._lbfgs_direction
 
         def direction(g, s, y, *rest):
-            d, kept_s, kept_y = lbfgs_direction(g, s, y, *rest)
+            d, kept_s, kept_y, kept_sks = lbfgs_direction(g, s, y, *rest)
             calls.append((g, s, y, len(kept_s)))
-            return d, kept_s, kept_y
+            return d, kept_s, kept_y, kept_sks
 
         monkeypatch.setattr(minimizer_module, "_lbfgs_direction", direction)
         _, report = minimize(model, sphere, mesh, initialize(sphere, mesh, f0))
@@ -236,6 +237,31 @@ class TestCurvatureMemory:
                 assert np.array_equal(y1[:-1], y0[old:])
                 checked += 1
         assert checked >= LBFGS_MEMORY
+
+    def test_pair_curvature_is_the_stiffness_norm_of_the_step(self, model, sphere, monkeypatch):
+        # The s.Ks that scales H0 is taken from the two iterates' F; it is
+        # the K-norm of the step, with K the dense stiffness of the free nodes.
+        mesh = build_mesh("disk", 0.12)
+        f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        calls = []
+        lbfgs_direction = minimizer_module._lbfgs_direction
+
+        def direction(g, s, y, sks, solve):
+            out = lbfgs_direction(g, s, y, sks, solve)
+            calls.append(((s, y, sks), out[1:]))
+            return out
+
+        monkeypatch.setattr(minimizer_module, "_lbfgs_direction", direction)
+        _, report = minimize(model, sphere, mesh, initialize(sphere, mesh, f0))
+        assert report.status == "converged"
+        assert len(calls) == report.iterations - 1
+        K = _dense_stiffness(mesh)
+        # The memory passed in, and the memory kept.
+        for s, y, sks in (memory for call in calls for memory in call):
+            assert len(s) == len(y) == len(sks)
+            for step, got in zip(s, sks):
+                want = np.einsum("ic,ic->", step, K @ step)
+                assert abs(got - want) <= 1e-9 * want
 
 
 def _recomputed_grad_norm(model, surface, mesh, cfg):
@@ -526,23 +552,28 @@ class TestLbfgsDirection:
 
     def test_no_pairs_is_steepest_descent(self):
         g = np.array([1.0, -2.0, 0.5])
-        d, s, y = _lbfgs_direction(
-            g, np.empty((0, 3)), np.empty((0, 3)), _identity, _identity
+        d, s, y, sks = _lbfgs_direction(
+            g, np.empty((0, 3)), np.empty((0, 3)), np.empty(0), _identity
         )
-        assert np.array_equal(d, -g) and len(s) == len(y) == 0
+        assert np.array_equal(d, -g) and len(s) == len(y) == len(sks) == 0
 
     def test_pair_without_positive_curvature_is_dropped(self):
         rng = np.random.default_rng(3)
         g = rng.standard_normal(4)
         good_s, good_y = rng.standard_normal((2, 4)), rng.standard_normal((2, 4))
         good_y += 3.0 * good_s                   # s.y > 0 for both
+        good_sks = np.einsum("ki,ki->k", good_s, good_s)   # s.Ks with K = I
         bad_s = rng.standard_normal(4)
         for bad_y in (-bad_s, np.zeros(4)):      # s.y < 0, then s.y = 0
             s = np.stack([good_s[0], bad_s, good_s[1]])
             y = np.stack([good_y[0], bad_y, good_y[1]])
-            d, s_kept, y_kept = _lbfgs_direction(g, s, y, _identity, _identity)
+            sks = np.array([good_sks[0], bad_s @ bad_s, good_sks[1]])
+            d, s_kept, y_kept, sks_kept = _lbfgs_direction(g, s, y, sks, _identity)
             assert np.array_equal(s_kept, good_s) and np.array_equal(y_kept, good_y)
-            assert np.array_equal(d, _lbfgs_direction(g, good_s, good_y, _identity, _identity)[0])
+            assert np.array_equal(sks_kept, good_sks)
+            assert np.array_equal(
+                d, _lbfgs_direction(g, good_s, good_y, good_sks, _identity)[0]
+            )
             assert g @ d < 0
 
     def test_non_descent_direction_resets_to_minus_gradient(self):
@@ -552,9 +583,11 @@ class TestLbfgsDirection:
         s = np.array([[1e300, 0.0]])
         y = np.array([[1e300, 1e300]])
         with np.errstate(over="ignore", invalid="ignore"):
-            d, s_kept, y_kept = _lbfgs_direction(g, s, y, _identity, _identity)
+            sks = np.einsum("ki,ki->k", s, s)   # s.Ks with K = I: inf
+            d, s_kept, y_kept, sks_kept = _lbfgs_direction(g, s, y, sks, _identity)
         assert np.array_equal(d, -g)
         assert s_kept.shape == y_kept.shape == (0, 2)
+        assert sks_kept.shape == (0,)
 
     def test_quadratic_inverse_hessian_after_dim_pairs(self):
         # Pairs of an SPD quadratic along A-conjugate steps (the steps of
@@ -572,7 +605,7 @@ class TestLbfgsDirection:
         s = np.array(s)
         y = s @ A                                # y_i = A s_i
         g = rng.standard_normal(dim)
-        d, s_kept, _ = _lbfgs_direction(g, s, y, _identity, _identity)
+        d, s_kept, _, _ = _lbfgs_direction(g, s, y, np.einsum("ki,ki->k", s, s), _identity)
         assert len(s_kept) == dim
         expected = -np.linalg.solve(A, g)
         assert np.abs(d - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -589,12 +622,10 @@ class TestLbfgsDirection:
         def solve(v):
             return v / k
 
-        def stiffness(v):
-            return k * v
-
-        d, _, _ = _lbfgs_direction(g, s, y, solve, stiffness)
+        sks = np.array([s[0] @ (k * s[0])])
+        d, _, _, _ = _lbfgs_direction(g, s, y, sks, solve)
         sy = float(s[0] @ y[0])
-        r = (s[0] @ (k * s[0])) / sy * g / k
+        r = sks[0] / sy * g / k
         assert np.allclose(d, -(r - (y[0] @ r) / sy * s[0]), rtol=1e-15, atol=0)
 
 
@@ -688,7 +719,8 @@ rng = np.random.default_rng(5)
 g = rng.standard_normal((10000, 3))
 s = rng.standard_normal((4, 10000, 3))
 y = s + 0.1 * rng.standard_normal(s.shape)
-d, kept, _ = _lbfgs_direction(g, s, y, lambda v: 0.5 * v, lambda v: 2.0 * v)
+sks = 2.0 * np.einsum("kij,kij->k", s, s)
+d, kept, _, _ = _lbfgs_direction(g, s, y, sks, lambda v: 0.5 * v)
 print(len(kept), _dot(g, d).hex(), _dot(g, g).hex(), hashlib.sha256(d.tobytes()).hexdigest())
 """
 
