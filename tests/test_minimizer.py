@@ -24,7 +24,7 @@ from memsurf.discretization import (
 from memsurf.maps import make_initial_map
 from memsurf.errors import AmbiguousProjectionError
 import memsurf.minimizer as minimizer_module
-from memsurf.minimizer import LBFGS_MEMORY, _curvature_step, _lbfgs_direction
+from memsurf.minimizer import LBFGS_MEMORY, _lbfgs_direction
 from memsurf.stiffness import StiffnessSolver
 from test_stiffness import _dense_stiffness
 
@@ -186,6 +186,23 @@ class TestReportInvariants:
         _, _, _, report = cap_run
         assert report.trials == report.iterations + sum(report.backtracks)
         assert report.trials <= 1.3 * report.iterations
+
+    def test_one_gradient_per_accepted_iterate(self, model, sphere, monkeypatch):
+        # cap_run's configuration: the energy gradient is formed once at each
+        # accepted iterate, start included, and at no other point.
+        mesh = build_mesh("disk", 0.12)
+        f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        calls = []
+        gradient = minimizer_module.energy_gradient
+
+        def counted(*args):
+            calls.append(args)
+            return gradient(*args)
+
+        monkeypatch.setattr(minimizer_module, "energy_gradient", counted)
+        _, report = minimize(model, sphere, mesh, initialize(sphere, mesh, f0))
+        assert report.status == "converged"
+        assert len(calls) == report.iterations + 1
 
     def test_boundary_nodes_pinned_bitwise(self, model, sphere, cap_run):
         mesh, f0, cfg, _ = cap_run
@@ -483,64 +500,10 @@ class TestLineSearchFailure:
             model, mesh, plane, free, positions, energy, -d, d, counts
         )
         assert found is None
-        # Steps 2^-k for k = 0, ..., 53: the first below STEP_UNDERFLOW is 2^-54.
-        assert 2.0**-53 >= minimizer_module.STEP_UNDERFLOW > 2.0**-54
-        assert counts == {"backtracks": 54, "infeasible_trials": 54, "projection_failures": 0}
-
-
-class TestCurvatureStep:
-    """The first step minimizes the energy's quadratic model along d."""
-
-    @pytest.fixture
-    def cap_start(self, model):
-        # A sphere of its own, since a test patches its projection.
-        sphere = Sphere(1.0)
-        mesh = build_mesh("disk", 0.2)
-        f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
-        positions = interpolate(sphere, mesh, f0)
-        free = mesh.interior_mask()
-        _, _, _, F = trial_energy(model, mesh, sphere, positions)
-        grad = energy_gradient(model, mesh, F)[free]
-        g = sphere.tangent_project_unchecked(positions[free], grad)
-        return sphere, mesh, free, positions, g
-
-    def test_matches_central_difference_curvature(self, model, cap_start):
-        sphere, mesh, free, positions, g = cap_start
-        d = -g
-        step = _curvature_step(model, mesh, sphere, free, positions, g, d)
-
-        def energy_along(t):
-            moved = positions.copy()
-            moved[free] = sphere.project(positions[free] + t * d)
-            return trial_energy(model, mesh, sphere, moved)[0]
-
-        h = 1e-4
-        curvature = (energy_along(h) - 2 * energy_along(0.0) + energy_along(-h)) / h**2
-        expected = -float(np.vdot(g, d)) / curvature
-        assert step == pytest.approx(expected, rel=1e-4)
-
-    @pytest.mark.parametrize("failing_call", [1, 2], ids=["retraction", "centroids"])
-    def test_failed_probe_projection_gives_unit_step(
-        self, model, cap_start, monkeypatch, failing_call
-    ):
-        # The probe's retraction calls ``project``; its element centroids
-        # are projected by ``projected_normal``.
-        sphere, mesh, free, positions, g = cap_start
-        calls = []
-
-        def flaky(method):
-            def call(p):
-                calls.append(len(p))
-                if len(calls) == failing_call:
-                    raise AmbiguousProjectionError("probe projection failed")
-                return method(p)
-
-            return call
-
-        monkeypatch.setattr(sphere, "project", flaky(sphere.project))
-        monkeypatch.setattr(sphere, "projected_normal", flaky(sphere.projected_normal))
-        assert _curvature_step(model, mesh, sphere, free, positions, g, -g) == 1.0
-        assert len(calls) == failing_call
+        # Steps 4^-k for k = 0, ..., 26: the first below STEP_UNDERFLOW is 4^-27.
+        assert minimizer_module.BACKTRACK_RATIO == 0.25
+        assert 4.0**-26 >= minimizer_module.STEP_UNDERFLOW > 4.0**-27
+        assert counts == {"backtracks": 27, "infeasible_trials": 27, "projection_failures": 0}
 
 
 def _identity(v):
