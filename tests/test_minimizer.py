@@ -281,11 +281,16 @@ class TestCurvatureMemory:
                 assert abs(got - want) <= 1e-9 * want
 
 
-def _recomputed_grad_norm(model, surface, mesh, cfg):
-    """Free-row tangent gradient norm recomputed from the positions alone."""
+def _recomputed_tangent_gradient(model, surface, mesh, cfg):
+    """Free-row tangent gradient recomputed from the positions alone."""
     grad = energy_gradient(model, mesh, _kinematics(mesh, surface, cfg)[0])
     free = mesh.interior_mask()
-    gt = surface.tangent_project_unchecked(cfg[free], grad[free])
+    return surface.tangent_project_unchecked(cfg[free], grad[free])
+
+
+def _recomputed_grad_norm(model, surface, mesh, cfg):
+    """Free-row tangent gradient norm recomputed from the positions alone."""
+    gt = _recomputed_tangent_gradient(model, surface, mesh, cfg)
     return math.sqrt(_dot(gt, gt))
 
 
@@ -504,6 +509,42 @@ class TestLineSearchFailure:
         assert minimizer_module.BACKTRACK_RATIO == 0.25
         assert 4.0**-26 >= minimizer_module.STEP_UNDERFLOW > 4.0**-27
         assert counts == {"backtracks": 27, "infeasible_trials": 27, "projection_failures": 0}
+
+
+class TestFirstStep:
+    """The first direction is -P K^-1 g_T, searched from a unit step."""
+
+    def test_first_direction_is_preconditioned_tangent_gradient(
+        self, model, sphere, monkeypatch
+    ):
+        mesh = build_mesh("disk", 0.2)
+        f0 = make_initial_map(sphere, "stereographic_cap", latitude=np.pi / 3)
+        start = initialize(sphere, mesh, f0)
+        searches = []
+        line_search = minimizer_module._line_search
+
+        def searched(*args):
+            searches.append(args[6:8])
+            return line_search(*args)
+
+        monkeypatch.setattr(minimizer_module, "_line_search", searched)
+        minimize(model, sphere, mesh, start)
+        g, d = searches[0]
+        free = mesh.interior_mask()
+        assert np.array_equal(g, _recomputed_tangent_gradient(model, sphere, mesh, start))
+        # P K^-1 g_T with K the dense stiffness of the free nodes.
+        want = -sphere.tangent_project_unchecked(
+            start[free], np.linalg.solve(_dense_stiffness(mesh), g)
+        )
+        assert np.max(np.abs(d - want)) <= 1e-10 * np.max(np.abs(want))
+
+    def test_accepted_steps_are_powers_of_the_backtrack_ratio(self, cap_run):
+        # Every search, the first included, starts from a unit step; with no
+        # retry in the run, k backtracks accept a step of exactly 4^-k.
+        _, _, _, report = cap_run
+        assert report.status == "converged"
+        ratio = minimizer_module.BACKTRACK_RATIO
+        assert report.step_history == [ratio**k for k in report.backtracks]
 
 
 def _identity(v):
